@@ -1,13 +1,18 @@
 """End-to-end campaigns: find optimal-depth networks, prove lower bounds.
 
-A lower-bound campaign runs one SAT instance per two-layer prefix in the
-complete filter set R_n; every prefix UNSAT (at pad 0 where needed) proves
-that no depth-d network exists.  Window padding shrinks instances: UNSAT on
-the padded subset already implies UNSAT on the full input set, while a SAT
-verdict under padding is inconclusive and triggers descent to pad 0.
+Both run through one scheduler.  It takes a task list of prefixes and a
+pad schedule, and runs one SAT instance per task and pad.  A lower-bound
+campaign passes every two-layer prefix in the complete filter set R_n and
+its pad schedule; every prefix UNSAT proves that no depth-d network
+exists.  A search passes the tasks of its mode with pad 0 alone.  Window
+padding shrinks instances: UNSAT on the padded subset already implies
+UNSAT on the full input set, while a SAT verdict under padding is
+inconclusive and triggers descent to pad 0.
 
-Every SAT model is decoded and re-verified by direct evaluation; a witness
-that fails verification is a fatal internal error, never a result.
+The first pad-0 SAT settles the claim and kills the solvers still running.
+Every SAT model is decoded and re-verified by direct evaluation, and the
+witness behind a claim once more with is_sorting_network; a witness that
+fails verification is a fatal internal error, never a result.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from typing import Optional, Sequence
 
 from . import words as words_mod
 from .encoding import EncodeOptions, build, decode_network
-from .networks import Network, first_layer, is_sorting_network, unsorted_inputs
-from .solver import SolverConfig, default_config, run_solver
+from .networks import (Network, evaluate_bits, first_layer, is_ascending,
+                       is_sorting_network, unsorted_inputs)
+from .solver import SolverConfig, StopEvent, default_config, run_solver
 
 
 @dataclass
@@ -50,6 +56,9 @@ class CampaignResult:
     ordering: str = "canonical"
 
 
+Task = tuple[Optional[int], Optional[Network]]   # (prefix index, prefix)
+
+
 def two_layer_prefixes(n: int) -> list[Network]:
     """The complete filter set R_n as networks, in canonical sentence order."""
     return [words_mod.net_of(s) for s in words_mod.sentences(n, "rn")]
@@ -61,29 +70,98 @@ def default_pads(n: int) -> list[int]:
     return pads
 
 
+def _prefix_tasks(n: int, d: int) -> list[Task]:
+    if d < 2:
+        return [(None, None)]
+    return list(enumerate(two_layer_prefixes(n)))
+
+
 def _solve_instance(n: int, d: int, prefix: Optional[Network], pad: int,
                     config: SolverConfig, opts: EncodeOptions,
-                    prefix_index: Optional[int]) -> InstanceResult:
+                    prefix_index: Optional[int],
+                    stop: Optional[StopEvent] = None) -> Optional[InstanceResult]:
+    """One encode-solve-decode round; None when stop killed the solver."""
     t0 = time.monotonic()
     xs = unsorted_inputs(n, prefix)
-    vm, cnf = build(n, d, xs, EncodeOptions(
-        sigma1=opts.sigma1, sigma2=opts.sigma2, sigma3=opts.sigma3,
-        pad=pad, prefix=prefix))
+    vm, cnf = build(n, d, xs, replace(opts, pad=pad, prefix=prefix))
     encode_time = time.monotonic() - t0
     name = f"n{n}d{d}p{prefix_index if prefix_index is not None else 'free'}w{pad}"
-    res = run_solver(cnf, config, name=name)
+    res = run_solver(cnf, config, name=name, stop=stop)
+    if res.verdict == "CANCELLED":
+        return None
     witness = None
     if res.verdict == "SAT":
         witness = decode_network(vm, res.true_vars)
-        if not _sorts_all(witness, vm.inputs):
+        if not all(is_ascending(evaluate_bits(witness, b), n) for b in vm.inputs):
             raise RuntimeError(f"solver model fails verification on instance {name}")
     return InstanceResult(prefix_index, d, pad, res.verdict,
                           encode_time, res.solve_time, witness)
 
 
-def _sorts_all(net: Network, xs) -> bool:
-    from .networks import evaluate_bits, is_ascending
-    return all(is_ascending(evaluate_bits(net, b), net.n) for b in xs)
+def _sweep_budgets(timeout: float) -> list[float]:
+    # short first passes so one hard instance cannot starve an easy SAT
+    return [b for b in (5.0, 60.0, timeout) if b < timeout] + [timeout]
+
+
+def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
+              config: SolverConfig, opts: EncodeOptions,
+              jobs: int) -> tuple[Optional[Network], CampaignResult]:
+    """The one campaign scheduler behind find_network and prove_lower_bound.
+
+    Each task descends the pads largest-first: the first UNSAT settles it
+    (windowed inputs are a subset of the full set), a padded SAT forces a
+    smaller pad, and only pad 0 can certify satisfiability.  The whole scan
+    runs in rounds of growing pad-0 time budget, so one hard instance cannot
+    block an easy satisfiable one from settling the claim.  The first pad-0
+    SAT sets the stop event, which kills the solvers still running; its
+    witness, re-checked with is_sorting_network, comes back with the result.
+    """
+    t0 = time.monotonic()
+    results: list[InstanceResult] = []
+    lock = threading.Lock()
+    stop = StopEvent()
+    pads_left = {pos: list(pads) for pos in range(len(tasks))}
+    witness: Optional[Network] = None
+
+    def settle(pos: int, budget: float) -> None:
+        """Descend this task's remaining pads; pad 0 gets the round budget."""
+        nonlocal witness
+        idx, prefix = tasks[pos]
+        while pads_left.get(pos) and not stop.is_set():
+            pad = pads_left[pos][0]
+            cfg = replace(config, timeout=budget) if pad == 0 and budget != config.timeout else config
+            res = _solve_instance(n, d, prefix, pad, cfg, opts, idx, stop)
+            if res is None:
+                return  # killed: the claim is already settled
+            with lock:
+                results.append(res)
+                if res.verdict == "UNSAT":
+                    del pads_left[pos]
+                elif pad == 0:
+                    if res.verdict == "SAT":
+                        del pads_left[pos]
+                        witness = witness or res.witness
+                        stop.set()
+                    return  # pad-0 timeout: retry in a later round
+                else:
+                    pads_left[pos].pop(0)  # padded SAT/timeout: smaller pad
+
+    with cf.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        try:
+            for budget in _sweep_budgets(config.timeout):
+                list(pool.map(lambda pos: settle(pos, budget), sorted(pads_left)))
+        finally:
+            stop.set()  # an interrupted or failed scan kills its solvers too
+
+    if witness is not None:
+        if not is_sorting_network(witness):
+            raise RuntimeError("decoded witness is not a sorting network")
+        claim = f"T({n}) <= {d}"
+    elif pads_left:
+        claim = "inconclusive"
+    else:
+        claim = f"T({n}) > {d}"
+    return witness, CampaignResult(n, claim, results, time.monotonic() - t0)
 
 
 def find_network(n: int, d: int, mode: str = "two_layer",
@@ -105,60 +183,16 @@ def find_network_campaign(n: int, d: int, mode: str = "two_layer",
                           config: Optional[SolverConfig] = None,
                           opts: EncodeOptions = EncodeOptions(),
                           jobs: int = 1) -> tuple[Optional[Network], CampaignResult]:
-    config = config or default_config()
-    t0 = time.monotonic()
+    """find_network with its campaign: the mode's tasks, scheduled at pad 0."""
     if mode == "free":
-        tasks: list[tuple[Optional[int], Optional[Network]]] = [(None, None)]
+        tasks: list[Task] = [(None, None)]
     elif mode == "layer1":
         tasks = [(None, Network(n, (first_layer(n, "crossing"),)))]
     elif mode in ("two_layer", "two-layer"):
-        if d < 2:
-            tasks = [(None, None)]
-        else:
-            tasks = list(enumerate(two_layer_prefixes(n)))
+        tasks = _prefix_tasks(n, d)
     else:
         raise ValueError(f"unknown search mode {mode!r}")
-
-    results: list[InstanceResult] = []
-    witness: Optional[Network] = None
-    stop = threading.Event()
-    lock = threading.Lock()
-    open_tasks = {pos for pos, _ in enumerate(tasks)}
-
-    def work(pos: int, budget: float):
-        nonlocal witness
-        if stop.is_set() or pos not in open_tasks:
-            return
-        idx, prefix = tasks[pos]
-        cfg = replace(config, timeout=budget) if budget != config.timeout else config
-        res = _solve_instance(n, d, prefix, 0, cfg, opts, idx)
-        with lock:
-            results.append(res)
-            if res.verdict != "TIMEOUT":
-                open_tasks.discard(pos)
-            if res.verdict == "SAT" and witness is None:
-                witness = res.witness
-                stop.set()
-
-    # growing time budgets: a hard early instance cannot starve an easy SAT
-    with cf.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        for budget in _sweep_budgets(config.timeout):
-            list(pool.map(lambda pos: work(pos, budget), sorted(open_tasks)))
-
-    if witness is not None:
-        if not is_sorting_network(witness):
-            raise RuntimeError("decoded witness is not a sorting network")
-        claim = f"T({n}) <= {d}"
-    elif open_tasks:
-        claim = "inconclusive"
-    else:
-        claim = f"T({n}) > {d}"
-    return witness, CampaignResult(n, claim, results, time.monotonic() - t0)
-
-
-def _sweep_budgets(timeout: float) -> list[float]:
-    # short first passes so one hard instance cannot starve an easy SAT
-    return [b for b in (5.0, 60.0, timeout) if b < timeout] + [timeout]
+    return _campaign(n, d, tasks, [0], config or default_config(), opts, jobs)
 
 
 def prove_lower_bound(n: int, d_prime: int,
@@ -168,64 +202,16 @@ def prove_lower_bound(n: int, d_prime: int,
                       jobs: int = 1) -> CampaignResult:
     """Try to prove T(n) > d_prime by refuting every prefix in R_n.
 
-    Each prefix descends its pad schedule largest-first: the first UNSAT
-    settles it (windowed inputs are a subset of the full set), a padded SAT
-    forces a smaller pad, and only pad 0 can certify satisfiability.  The
-    whole scan runs in rounds of growing pad-0 time budget, so one hard
-    instance cannot block an easy satisfiable one from settling the claim.
+    Each prefix descends the pad schedule (default_pads(n) when None),
+    normalised to distinct pads below n, largest first, ending at 0.
     """
-    config = config or default_config()
     pads = sorted({max(0, p) for p in (pad_schedule if pad_schedule is not None else default_pads(n))},
                   reverse=True)
     pads = [p for p in pads if p < n] or [0]
     if pads[-1] != 0:
         pads.append(0)
-    prefixes: list[tuple[Optional[int], Optional[Network]]]
-    if d_prime < 2:
-        prefixes = [(None, None)]
-    else:
-        prefixes = list(enumerate(two_layer_prefixes(n)))
-
-    t0 = time.monotonic()
-    results: list[InstanceResult] = []
-    lock = threading.Lock()
-    found_sat = threading.Event()
-    pads_left = {pos: list(pads) for pos, _ in enumerate(prefixes)}
-
-    def settle(pos: int, budget: float) -> None:
-        """Descend this prefix's remaining pads; pad 0 gets the round budget."""
-        if found_sat.is_set() or pos not in pads_left:
-            return
-        idx, prefix = prefixes[pos]
-        while pads_left.get(pos):
-            if found_sat.is_set():
-                return
-            pad = pads_left[pos][0]
-            cfg = replace(config, timeout=budget) if pad == 0 and budget != config.timeout else config
-            res = _solve_instance(n, d_prime, prefix, pad, cfg, opts, idx)
-            with lock:
-                results.append(res)
-                if res.verdict == "UNSAT":
-                    del pads_left[pos]
-                elif pad == 0:
-                    if res.verdict == "SAT":
-                        del pads_left[pos]
-                        found_sat.set()
-                    return  # pad-0 timeout: retry in a later round
-                else:
-                    pads_left[pos].pop(0)  # padded SAT/timeout: smaller pad
-
-    with cf.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        for budget in _sweep_budgets(config.timeout):
-            list(pool.map(lambda pos: settle(pos, budget), sorted(pads_left)))
-
-    if found_sat.is_set():
-        claim = f"T({n}) <= {d_prime}"
-    elif not pads_left:
-        claim = f"T({n}) > {d_prime}"
-    else:
-        claim = "inconclusive"
-    return CampaignResult(n, claim, results, time.monotonic() - t0)
+    return _campaign(n, d_prime, _prefix_tasks(n, d_prime), pads,
+                     config or default_config(), opts, jobs)[1]
 
 
 def compute_T(n: int, config: Optional[SolverConfig] = None,
@@ -235,7 +221,7 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
 
     Climbs from the information-theoretic floor ceil(log2 n), proving the
     lower bound at each depth via the R_n campaign until one prefix turns
-    satisfiable; that pad-0 model is the verified witness.
+    satisfiable; that pad-0 model is the witness the campaign verified.
     """
     if n == 1:
         return 0, []
@@ -253,10 +239,6 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
         if camp.claim == "inconclusive":
             raise RuntimeError(f"inconclusive campaign at depth {d} for n={n}")
         if camp.claim == f"T({n}) <= {d}":
-            witness = next(r.witness for r in camp.instances
-                           if r.verdict == "SAT" and r.pad == 0)
-            if not is_sorting_network(witness):
-                raise RuntimeError("campaign witness is not a sorting network")
             return d, campaigns
         d += 1
 

@@ -16,7 +16,6 @@ from . import campaign as campaign_mod
 from . import words as words_mod
 from .encoding import EncodeOptions, build, to_dimacs
 from .networks import Network, first_layer, unsorted_inputs
-from .saturation import is_saturated
 from .solver import SolverConfig, default_config, run_solver
 
 EXIT_OK = 0
@@ -36,22 +35,13 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_gen(args) -> int:
     n, kind = args.n, args.set
-    if kind in ("gn", "sn"):
-        if n > GN_STREAM_LIMIT:
-            count = words_mod.telephone(n) if kind == "gn" else words_mod.counts(n, "s").s
-            _write(args.out, f"{count}\n")
-            return EXIT_OK
+    if kind in ("gn", "sn") and n > GN_STREAM_LIMIT:
+        lines = [str(words_mod.telephone(n) if kind == "gn" else words_mod.counts(n, "s").s)]
+    elif kind in ("gn", "sn"):
         fl = first_layer(n)
-        lines = []
-        for l2 in words_mod.matchings(n):
-            net = Network(n, (fl, l2))
-            if kind == "sn" and not is_saturated(net):
-                continue
-            lines.append(net.to_json())
-        _write(args.out, "\n".join(lines) + "\n")
-        return EXIT_OK
-    key = {"rgn": "rgn", "rsn": "rsn", "rn": "rn"}[kind]
-    lines = [words_mod.render_sentence(s) for s in words_mod.sentences(n, key)]
+        lines = [Network(n, (fl, l2)).to_json() for l2 in words_mod.generate(n, kind)]
+    else:
+        lines = [words_mod.render_sentence(s) for s in words_mod.generate(n, kind)]
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -79,12 +69,13 @@ def _cmd_encode(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    if args.solver:
-        from .solver import DEFAULT_ARGS
-        return SolverConfig(executable=args.solver,
-                            args=DEFAULT_ARGS.get(Path(args.solver).name, ()),
-                            timeout=args.timeout)
-    return default_config(timeout=args.timeout)
+    return default_config(timeout=args.timeout, executable=args.solver)
+
+
+def _claim_exit(camp: campaign_mod.CampaignResult, depth: int) -> int:
+    """The exit code of a campaign's claim about T(n) at this depth."""
+    return {f"T({camp.n}) > {depth}": EXIT_UNSAT,
+            f"T({camp.n}) <= {depth}": EXIT_SAT}.get(camp.claim, EXIT_INCONCLUSIVE)
 
 
 def _cmd_solve(args) -> int:
@@ -100,11 +91,8 @@ def _cmd_find(args) -> int:
     mode = args.mode.replace("-", "_")
     witness, camp = campaign_mod.find_network_campaign(
         args.n, args.depth, mode, _solver_config(args), jobs=args.jobs)
-    if witness is not None:
-        print(witness.to_json())
-        return EXIT_SAT
-    print(json.dumps({"claim": camp.claim}))
-    return EXIT_UNSAT if camp.claim.startswith("T(") else EXIT_INCONCLUSIVE
+    print(witness.to_json() if witness is not None else json.dumps({"claim": camp.claim}))
+    return _claim_exit(camp, args.depth)
 
 
 def _cmd_prove(args) -> int:
@@ -116,11 +104,7 @@ def _cmd_prove(args) -> int:
         _write(args.out, report + "\n")
     else:
         print(report)
-    if camp.claim == f"T({args.n}) > {args.depth}":
-        return EXIT_UNSAT
-    if camp.claim.startswith(f"T({args.n}) <="):
-        return EXIT_SAT
-    return EXIT_INCONCLUSIVE
+    return _claim_exit(camp, args.depth)
 
 
 def _cmd_tables(args) -> int:

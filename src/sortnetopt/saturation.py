@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import words as words_mod
-from .networks import Network, first_layer, outputs
+from .networks import Network, outputs
 
 MAX_SEMANTIC_CHANNELS = 8
 MAX_SUBSUME_CHANNELS = 10
@@ -239,15 +239,16 @@ def _remove_one(net: Network, d: int, comp: tuple[int, int]) -> Network:
 
 
 def is_redundant(net: Network, semantic: bool = False) -> bool:
-    """Redundancy check; the default syntactic mode reads the sentence.
+    """Redundancy check; the default syntactic mode reads the layers.
 
     Two-layer networks are redundant exactly when their sentence contains
-    the word 12_c (a first-layer comparator repeated at layer 2).  The
-    semantic mode (n <= 8) checks every single-comparator removal for
-    output-set equality modulo permutation.
+    the word 12_c: a layer-2 comparator joins the two channels of a layer-1
+    comparator.  The semantic mode (n <= 8) checks every single-comparator
+    removal for output-set equality modulo permutation.
     """
     if not semantic:
-        return any(w.tag == "c" and w.symbols == "12" for w in words_mod.sentence_of(net))
+        l1p, _ = _layer_maps(net)
+        return net.depth == 2 and any(l1p.get(i) == j for i, j in net.layers[1])
     if net.n > MAX_SEMANTIC_CHANNELS:
         raise ValueError(f"semantic redundancy is capped at n <= {MAX_SEMANTIC_CHANNELS}")
     full = outputs(net)
@@ -265,44 +266,10 @@ def is_saturated(net: Network) -> bool:
     """Structural saturation test for a two-layer network with maximal layer 1.
 
     Equivalent to the semantic definition (verified exhaustively for small
-    n): the network is non-redundant and has no addable second-layer
-    comparator whose addition keeps the output set inside a permuted copy.
-    The addable weak spots are exactly:
-
-    * a channel untouched by both layers, next to a first-layer comparator
-      with a second-layer-free endpoint (patterns 1a/1b/1c);
-    * a free min-channel and a free max-channel in different first-layer
-      comparators (pattern 2);
-    * a second-layer comparator joining two min-channels whose partners are
-      both free at layer 2, or dually for max-channels (patterns 3a/3b).
+    n): the network is non-redundant and none of the forbidden patterns of
+    _find_fix leaves room for an output-shrinking second-layer comparator.
     """
-    if is_redundant(net):
-        return False
-    l1p, l2p = _layer_maps(net)
-    unused2 = [ch for ch in range(1, net.n + 1) if ch not in l2p]
-    free = [ch for ch in unused2 if ch not in l1p]
-    l1min = {i for i, j in net.layers[0]}
-
-    if free:
-        for i, j in net.layers[0]:
-            if i not in l2p or j not in l2p:
-                return False  # P1a / P1b / P1c
-    free_min = [ch for ch in unused2 if ch in l1p and ch in l1min]
-    free_max = [ch for ch in unused2 if ch in l1p and ch not in l1min]
-    for a in free_min:
-        for d in free_max:
-            if l1p[a] != d:
-                return False  # P2
-    if net.depth == 2:
-        for i, j in net.layers[1]:
-            oi, oj = l1p.get(i), l1p.get(j)
-            if oi is None or oj is None:
-                continue
-            if i in l1min and j in l1min and oi not in l2p and oj not in l2p:
-                return False  # P3a
-            if i not in l1min and j not in l1min and oi not in l2p and oj not in l2p:
-                return False  # P3b
-    return True
+    return not is_redundant(net) and _find_fix(net) is None
 
 
 def addable_comparators(net: Network) -> list[tuple[int, int]]:
@@ -353,9 +320,7 @@ def saturated_layer_count(n: int, by_enumeration: bool = False) -> int:
     Enumeration mode walks all of G_n instead; both agree (tested).
     """
     if by_enumeration:
-        fl = first_layer(n)
-        return sum(1 for l2 in words_mod.matchings(n)
-                   if is_saturated(Network(n, (fl, l2))))
+        return sum(1 for _ in words_mod.generate(n, "sn"))
     return sum(sentence_class_size(s) for s in words_mod.sentences(n, "rsn"))
 
 
@@ -395,7 +360,18 @@ def _cycle_strings(symbols: str) -> set[str]:
 # saturate: pattern-driven completion (P1 fixes first, then P2, then P3)
 
 def _find_fix(net: Network) -> Optional[tuple[int, int]]:
-    """Next output-shrinking addition, oriented as the pattern proofs require."""
+    """Next output-shrinking addition, oriented as the pattern proofs require.
+
+    The one implementation of the forbidden patterns.  The addable weak
+    spots are exactly:
+
+    * a channel untouched by both layers, next to a first-layer comparator
+      with a second-layer-free endpoint (patterns 1a/1b/1c);
+    * a free min-channel and a free max-channel in different first-layer
+      comparators (pattern 2);
+    * a second-layer comparator joining two min-channels whose partners are
+      both free at layer 2, or dually for max-channels (patterns 3a/3b).
+    """
     l1p, l2p = _layer_maps(net)
     unused2 = [ch for ch in range(1, net.n + 1) if ch not in l2p]
     free = [ch for ch in unused2 if ch not in l1p]

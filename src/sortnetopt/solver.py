@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,8 +57,10 @@ class SolverConfig:
             raise ValueError("timeout must be positive")
 
 
-def default_config(timeout: float = 600.0, **kw) -> SolverConfig:
-    exe = find_solver()
+def default_config(timeout: float = 600.0, executable: Optional[str] = None,
+                   **kw) -> SolverConfig:
+    """Config for the given binary, or the one find_solver() locates."""
+    exe = executable or find_solver()
     if exe is None:
         raise RuntimeError(
             "no SAT solver found: set SAT_SOLVER to a DIMACS-conformant binary "
@@ -68,17 +71,47 @@ def default_config(timeout: float = 600.0, **kw) -> SolverConfig:
 
 @dataclass
 class SolveResult:
-    verdict: str                               # SAT | UNSAT | TIMEOUT
+    verdict: str                               # SAT | UNSAT | TIMEOUT | CANCELLED
     true_vars: Optional[frozenset[int]] = None
     solve_time: float = 0.0
     log: str = ""
 
 
-def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance") -> SolveResult:
+class StopEvent(threading.Event):
+    """A threading.Event whose set() also kills the solver runs it watches.
+
+    A run that starts watching after set() is killed at once; a killed run
+    comes back CANCELLED.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+        self._running: set[subprocess.Popen] = set()
+
+    def set(self) -> None:
+        with self._lock:
+            super().set()
+            running = list(self._running)
+        for proc in running:
+            proc.kill()
+
+    def _watch(self, proc: subprocess.Popen, on: bool) -> None:
+        """Register (on) or drop a running solver; kill it if already set."""
+        with self._lock:
+            (self._running.add if on else self._running.discard)(proc)
+            if not (on and self.is_set()):
+                return
+        proc.kill()
+
+
+def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
+               stop: Optional[StopEvent] = None) -> SolveResult:
     """Solve one CNF in a subprocess; wall-clock timeout kills the solver.
 
     Unparseable or crashed runs come back as TIMEOUT-class failures with the
-    captured log; the CNF file is kept on any failure for post-mortem.
+    captured log; the CNF file is kept on any failure for post-mortem.  A run
+    killed by stop settled nothing: it comes back CANCELLED, without its CNF.
     """
     text = cnf if isinstance(cnf, str) else to_dimacs(cnf)
     owns_dir = config.workdir is None
@@ -89,19 +122,31 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance") -> 
     cmd = [config.executable, *config.args, str(path)]
     start = time.monotonic()
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=config.timeout)
-    except subprocess.TimeoutExpired:
-        return SolveResult("TIMEOUT", None, time.monotonic() - start, "wall-clock timeout")
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     except OSError as exc:
         raise RuntimeError(f"failed to launch solver {config.executable!r}: {exc}") from exc
+    stop = stop or StopEvent()
+    with proc:
+        stop._watch(proc, True)
+        try:
+            stdout, stderr = proc.communicate(timeout=config.timeout)
+        except subprocess.TimeoutExpired:
+            return SolveResult("TIMEOUT", None, time.monotonic() - start, "wall-clock timeout")
+        finally:
+            stop._watch(proc, False)
+            if proc.returncode is None:  # timed out or interrupted
+                proc.kill()
     elapsed = time.monotonic() - start
-    verdict, true_vars = parse_solver_output(proc.stdout)
-    if verdict == "UNKNOWN" and proc.returncode == 20:
-        verdict = "UNSAT"  # SAT-competition exit code, for quiet solvers
-    if verdict == "UNKNOWN":
-        log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{proc.stdout}\n{proc.stderr}"
-        return SolveResult("TIMEOUT", None, elapsed, log)
-    if not config.keep_files:
+    if stop.is_set() and proc.returncode < 0:
+        verdict, true_vars = "CANCELLED", None
+    else:
+        verdict, true_vars = parse_solver_output(stdout)
+        if verdict == "UNKNOWN" and proc.returncode == 20:
+            verdict = "UNSAT"  # SAT-competition exit code, for quiet solvers
+        if verdict == "UNKNOWN":
+            log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{stdout}\n{stderr}"
+            return SolveResult("TIMEOUT", None, elapsed, log)
+    if verdict == "CANCELLED" or not config.keep_files:
         try:
             path.unlink()
             if owns_dir:

@@ -1,10 +1,15 @@
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from sortnetopt import campaign
 from sortnetopt.campaign import (
     CampaignResult,
     InstanceResult,
@@ -19,7 +24,7 @@ from sortnetopt.campaign import (
     two_layer_prefixes,
 )
 from sortnetopt.networks import Network, is_sorting_network, network
-from sortnetopt.solver import SolverConfig, run_solver
+from sortnetopt.solver import SolverConfig, StopEvent, run_solver
 
 
 def test_run_solver_trivial(solver_config):
@@ -41,6 +46,77 @@ def test_run_solver_timeout(tmp_path):
     slow.chmod(0o755)
     cfg = SolverConfig(executable=str(slow), timeout=0.5)
     assert run_solver("p cnf 1 1\n1 0\n", cfg).verdict == "TIMEOUT"
+
+
+def _sleeper(tmp_path) -> Path:
+    # the shell records its pid, then becomes the sleeping solver itself
+    slow = tmp_path / "slow.sh"
+    slow.write_text('#!/bin/sh\necho $$ > "$1.pid"\nexec sleep 30\n')
+    slow.chmod(0o755)
+    return slow
+
+
+def _solver_pids(workdir: Path, count: int) -> list[int]:
+    """The pids of the fake solvers in workdir, once count of them run."""
+    deadline = time.monotonic() + 20
+    while time.monotonic() < deadline:
+        pids = [p.read_text().strip() for p in workdir.glob("*.pid")]
+        if len(pids) >= count and all(pids):
+            return [int(pid) for pid in pids]
+        time.sleep(0.05)
+    raise AssertionError(f"fewer than {count} solvers started")
+
+
+def _alive(pid: int) -> bool:
+    # a zombie is dead, only not yet reaped
+    stat = subprocess.run(["ps", "-o", "stat=", "-p", str(pid)],
+                          capture_output=True, text=True).stdout.strip()
+    return bool(stat) and not stat.startswith("Z")
+
+
+def test_run_solver_cancelled(tmp_path):
+    workdir = tmp_path / "cnf"
+    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600, workdir=str(workdir))
+    stop = StopEvent()
+    # more runs than cores, so registering and killing interleave
+    with ThreadPoolExecutor(4) as pool:
+        runs = [pool.submit(run_solver, "p cnf 1 1\n1 0\n", cfg, f"run{k}", stop)
+                for k in range(4)]
+        pids = _solver_pids(workdir, 4)
+        t0 = time.monotonic()
+        stop.set()
+        assert [f.result(timeout=5).verdict for f in runs] == ["CANCELLED"] * 4
+    assert time.monotonic() - t0 < 3
+    assert list(workdir.glob("*.cnf")) == []
+    assert not any(_alive(pid) for pid in pids)
+    # a run started after the stop is killed at once
+    t0 = time.monotonic()
+    assert run_solver("p cnf 1 1\n1 0\n", cfg, name="late", stop=stop).verdict == "CANCELLED"
+    assert time.monotonic() - t0 < 3 and list(workdir.glob("*.cnf")) == []
+
+
+def test_killed_campaign_leaves_no_solver(tmp_path):
+    # solvers share their campaign's process group, so killing it stops them
+    workdir = tmp_path / "cnf"
+    cfg = f"SolverConfig({str(_sleeper(tmp_path))!r}, workdir={str(workdir)!r})"
+    worker = subprocess.Popen(
+        [sys.executable, "-c",
+         "from sortnetopt.campaign import prove_lower_bound\n"
+         "from sortnetopt.solver import SolverConfig\n"
+         f"prove_lower_bound(5, 3, [0], {cfg}, jobs=2)\n"],
+        start_new_session=True)
+    try:
+        pids = _solver_pids(workdir, 2)
+    finally:
+        os.killpg(worker.pid, signal.SIGKILL)
+        worker.wait()
+    deadline = time.monotonic() + 5
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _alive(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
 
 
 def test_run_solver_unparseable_is_timeout_class(tmp_path):
@@ -97,6 +173,22 @@ def test_prove_descends_on_padded_sat(solver_config):
             # descending pads; a pad repeats only after a timed-out attempt
             assert later.pad < earlier.pad or (later.pad == earlier.pad
                                                and earlier.verdict == "TIMEOUT")
+
+
+@pytest.mark.parametrize("d, claim", [(5, "T(6) <= 5"), (4, "T(6) > 4")])
+def test_find_is_prove_at_pad_zero(solver_config, d, claim):
+    net, found = find_network_campaign(6, d, "two_layer", solver_config, jobs=1)
+    proved = prove_lower_bound(6, d, [0], solver_config, jobs=1)
+    assert found.claim == proved.claim == claim
+    assert (net is not None) == (claim == "T(6) <= 5")
+    assert [(r.prefix_index, r.pad, r.verdict) for r in found.instances] == \
+           [(r.prefix_index, r.pad, r.verdict) for r in proved.instances]
+
+
+def test_prove_rechecks_the_witness(solver_config, monkeypatch):
+    monkeypatch.setattr(campaign, "is_sorting_network", lambda net: False)
+    with pytest.raises(RuntimeError, match="not a sorting network"):
+        prove_lower_bound(6, 5, [0], solver_config)
 
 
 def test_compute_t_small(solver_config):
@@ -186,7 +278,7 @@ def test_cli_encode_solve_find(tmp_path, solver_config):
                                 "--out", str(cnf_path)],
                          capture_output=True, text=True)
     assert out.returncode == 0 and cnf_path.read_text().startswith("c sortnetopt")
-    env = {"SAT_SOLVER": solver_config.executable, "PATH": "/usr/bin:/bin"}
+    env = {**os.environ, "SAT_SOLVER": solver_config.executable, "PATH": "/usr/bin:/bin"}
     out = subprocess.run(CLI + ["solve", "--cnf", str(cnf_path)],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 20 and "s UNSAT" in out.stdout
@@ -198,7 +290,7 @@ def test_cli_encode_solve_find(tmp_path, solver_config):
 
 
 def test_cli_prove(tmp_path, solver_config):
-    env = {"SAT_SOLVER": solver_config.executable, "PATH": "/usr/bin:/bin"}
+    env = {**os.environ, "SAT_SOLVER": solver_config.executable, "PATH": "/usr/bin:/bin"}
     report = tmp_path / "report.json"
     out = subprocess.run(CLI + ["prove", "--n", "5", "--depth", "4",
                                 "--pads", "2,0", "--out", str(report)],

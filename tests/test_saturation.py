@@ -44,9 +44,10 @@ def test_is_redundant():
     assert is_redundant(network(2, [(1, 2)], [(1, 2)]))
     assert not is_redundant(network(4, first_layer(4), []))
     assert is_redundant(net_of("12_c;12_s"))
-    for l2 in matchings(5):
-        net = Network(5, (first_layer(5), l2))
-        assert is_redundant(net) == is_redundant(net, semantic=True)
+    for n in range(2, 8):
+        for l2 in matchings(n):
+            net = Network(n, (first_layer(n), l2))
+            assert is_redundant(net) == is_redundant(net, semantic=True)
 
 
 def test_is_saturated_examples():
@@ -69,7 +70,7 @@ def test_semantic_oracle_examples():
     assert is_saturated_semantic(f4) == is_saturated(f4) == False  # noqa: E712
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_semantic_agreement_small(n):
     fl = first_layer(n)
     for l2 in matchings(n):
