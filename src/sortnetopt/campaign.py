@@ -20,6 +20,7 @@ from __future__ import annotations
 import concurrent.futures as cf
 import json
 import math
+import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -269,7 +270,8 @@ def campaign_to_json(c: CampaignResult) -> str:
 
 
 def campaign_from_json(text: str) -> CampaignResult:
-    """Parse and validate a campaign document; witnesses are re-verified."""
+    """Parse and validate a campaign document; witnesses are re-verified
+    and the claim is audited against the instances (see _audit_claim)."""
     doc = json.loads(text)
     for key in ("n", "claim", "instances"):
         if key not in doc:
@@ -285,13 +287,44 @@ def campaign_from_json(text: str) -> CampaignResult:
         witness = None
         if item.get("witness") is not None:
             witness = Network.from_json(json.dumps(item["witness"]))
+            if witness.n != doc["n"] or witness.depth > item["depth"]:
+                raise ValueError(f"campaign document: witness with {witness.n} channels and depth "
+                                 f"{witness.depth} does not fit the instance at {loc}")
             if item["pad"] == 0 and not is_sorting_network(witness):
                 raise ValueError(f"campaign document: witness fails verification at {loc}")
         instances.append(InstanceResult(
             item.get("prefix_index"), item["depth"], item["pad"], item["verdict"],
             item.get("encode_time", 0.0), item.get("solve_time", 0.0), witness))
+    _audit_claim(doc["n"], doc["claim"], instances)
     return CampaignResult(doc["n"], doc["claim"], instances,
                           doc.get("wall_time", 0.0), doc.get("ordering", "canonical"))
+
+
+def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> None:
+    """Raise ValueError unless the instances carry the evidence for claim.
+
+    T(n) <= d needs a pad-0 SAT witness of depth at most d (its sorting
+    was re-verified on load).  T(n) > d needs an UNSAT at depth d for every
+    task a lower-bound campaign at depth d runs (each prefix of R_n, or the
+    prefix-free instance below depth 2), or for a complete prefix-free or
+    first-layer instance.  "inconclusive" claims nothing.
+    """
+    if claim == "inconclusive":
+        return
+    m = re.fullmatch(r"T\((\d+)\) (<=|>) (\d+)", claim)
+    if m is None or int(m[1]) != n:
+        raise ValueError(f"campaign document: unrecognised claim {claim!r} at $.claim")
+    d = int(m[3])
+    if m[2] == "<=":
+        if not any(r.verdict == "SAT" and r.pad == 0 and r.witness.depth <= d for r in instances):
+            raise ValueError(f"campaign document: claim {claim!r} has no pad-0 witness "
+                             f"of depth <= {d}")
+        return
+    refuted = {r.prefix_index for r in instances if r.verdict == "UNSAT" and r.depth == d}
+    missing = [idx for idx, _ in _prefix_tasks(n, d) if idx not in refuted]
+    if missing and None not in refuted:
+        raise ValueError(f"campaign document: claim {claim!r} lacks an UNSAT at depth {d} "
+                         f"for prefixes {missing}")
 
 
 # ---------------------------------------------------------------------------

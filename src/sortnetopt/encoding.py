@@ -14,18 +14,32 @@ of this preserves satisfiability of the underlying formula exactly.
 
 The full formula is satisfiable iff some depth-d network on n channels
 (with the fixed prefix, when given) sorts every member of X.
+
+A Cnf keeps its clauses as one flat int32 array in which every clause is
+its literals followed by a 0, as in DIMACS.  The value clauses of all
+inputs come from array code: a table of literal codes per input, level
+and channel, read through the six comparator and two pass-through clause
+templates of every open layer, with constants folded and repeats within
+an input dropped.  to_dimacs renders the array in bounded chunks through
+a literal-to-text table.  Variables, clauses and their order are those of
+the clause-by-clause construction, so the DIMACS text is the same.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .networks import Network, evaluate_bits, is_ascending, windows
+import numpy as np
 
-Lit = object  # int variable index with sign, or a bool constant
+from .networks import ChannelCountError, Network, _eval_array, is_ascending, windows
+
+_TRUE = np.iinfo(np.int32).max  # literal code of the constant true; -_TRUE is false
+_INPUT_CHUNK = 32               # inputs whose value clauses are built in one array pass
+_LIT_CHUNK = 1 << 16            # literals per step when reading or rendering a Cnf
 
 
 @dataclass(frozen=True)
@@ -37,30 +51,65 @@ class EncodeOptions:
     prefix: Optional[Network] = None
 
 
-@dataclass
+def _flat(clauses: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
+    if isinstance(clauses, np.ndarray):
+        return clauses.astype(np.int32, copy=False)
+    return np.fromiter(itertools.chain.from_iterable((*cl, 0) for cl in clauses),
+                       dtype=np.int32)
+
+
+class Clauses:
+    """Read-only view of a flat 0-terminated clause array, one tuple per clause."""
+
+    def __init__(self, lits: np.ndarray):
+        self._lits = lits
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._lits == 0))
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        clause: list[int] = []
+        for start in range(0, len(self._lits), _LIT_CHUNK):
+            for lit in self._lits[start:start + _LIT_CHUNK].tolist():
+                if lit:
+                    clause.append(lit)
+                else:
+                    yield tuple(clause)
+                    clause = []
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Clauses, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Clauses({list(self)!r})"
+
+
 class Cnf:
-    num_vars: int
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
+    """num_vars and the clauses, stored flat in lits (each clause ends in 0).
 
-    def extend(self, fragment: Iterable[tuple[int, ...]]) -> None:
-        self.clauses.extend(fragment)
+    clauses may be given as tuples of literals or as such a flat array.
+    """
 
+    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]] | np.ndarray = ()):
+        self.num_vars = num_vars
+        self.lits = _flat(clauses)
 
-def _prefix_trace(prefix: Optional[Network], b: int) -> tuple[int, ...]:
-    if prefix is None:
-        return (b,)
-    levels = [b]
-    for depth in range(1, prefix.depth + 1):
-        levels.append(evaluate_bits(Network(prefix.n, prefix.layers[depth - 1:depth],
-                                            prefix.generalized), levels[-1]))
-    return tuple(levels)
+    @property
+    def clauses(self) -> Clauses:
+        return Clauses(self.lits)
+
+    def extend(self, fragment: Iterable[Sequence[int]] | np.ndarray) -> None:
+        self.lits = np.concatenate((self.lits, _flat(fragment)))
 
 
 class VarMap:
     """Fixed variable allocation: all c, then all u, then x per input.
 
     Value levels 0..prefix_depth and level d are constants; only the open
-    levels in between get variables.
+    levels in between get variables.  Indices are computed, not stored;
+    _index lists them all by key for inspection.
     """
 
     def __init__(self, n: int, d: int, inputs: Sequence[int],
@@ -69,73 +118,65 @@ class VarMap:
             raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {d}")
         if prefix is not None and prefix.generalized:
             raise ValueError("fixed prefixes must be standard networks")
+        if prefix is not None and prefix.n != n:
+            raise ValueError("prefix channel count mismatch")
+        if n > 32:
+            raise ChannelCountError(f"inputs are packed into 32 bits, got n={n}")
         self.n, self.d = n, d
         self.prefix = prefix
         self.prefix_depth = prefix.depth if prefix is not None else 0
         self.inputs = tuple(inputs)
-        self._traces = [_prefix_trace(prefix, b) for b in self.inputs]
-        self._index: dict[tuple, int] = {}
-        nxt = 1
-        for l in range(1, d + 1):
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                self._index[("c", l, i, j)] = nxt
-                nxt += 1
-        for l in range(1, d + 1):
-            for k in range(1, n + 1):
-                self._index[("u", l, k)] = nxt
-                nxt += 1
-        for b_idx in range(len(self.inputs)):
-            for l in range(self.prefix_depth + 1, d):
-                for k in range(1, n + 1):
-                    self._index[("x", b_idx, l, k)] = nxt
-                    nxt += 1
-        self.num_vars = nxt - 1
+        # images of every input at levels 0..prefix_depth, one row per level
+        levels = [np.array(self.inputs, dtype=np.uint32)]
+        for layer in (prefix.layers if prefix is not None else ()):
+            levels.append(_eval_array(Network(n, (layer,)), levels[-1]))
+        self._levels = np.stack(levels)
+        self._pairs = n * (n - 1) // 2
+        self._open = max(d - self.prefix_depth - 1, 0)   # value levels with variables
+        self._x0 = d * (self._pairs + n)
+        self.num_vars = self._x0 + len(self.inputs) * self._open * n
+        if self.num_vars >= _TRUE:
+            raise ValueError(f"{self.num_vars} variables do not fit int32 literals")
 
     def c(self, l: int, i: int, j: int) -> int:
-        return self._index[("c", l, i, j)]
+        if not (1 <= l <= self.d and 1 <= i < j <= self.n):
+            raise KeyError(("c", l, i, j))
+        return (l - 1) * self._pairs + (i - 1) * (2 * self.n - i) // 2 + (j - i)
 
     def u(self, l: int, k: int) -> int:
-        return self._index[("u", l, k)]
+        if not (1 <= l <= self.d and 1 <= k <= self.n):
+            raise KeyError(("u", l, k))
+        return self.d * self._pairs + (l - 1) * self.n + k
 
-    def value(self, b_idx: int, l: int, k: int) -> Lit:
+    def x(self, b_idx: int, l: int, k: int) -> int:
+        if not (0 <= b_idx < len(self.inputs) and self.prefix_depth < l < self.d
+                and 1 <= k <= self.n):
+            raise KeyError(("x", b_idx, l, k))
+        return self._x0 + (b_idx * self._open + l - self.prefix_depth - 1) * self.n + k
+
+    def value(self, b_idx: int, l: int, k: int) -> int | bool:
         """Channel-value literal at level l; constants at folded levels."""
         if l == self.d:
             ones = bin(self.inputs[b_idx]).count("1")
             return bool(k > self.n - ones)  # sorted(b): ones on top channels
         if l <= self.prefix_depth:
-            return bool((self._traces[b_idx][l] >> (k - 1)) & 1)
-        return self._index[("x", b_idx, l, k)]
+            return bool((int(self._levels[l, b_idx]) >> (k - 1)) & 1)
+        return self.x(b_idx, l, k)
 
     def comparator_vars(self) -> Iterable[tuple[int, int, int, int]]:
         for l in range(1, self.d + 1):
             for i, j in itertools.combinations(range(1, self.n + 1), 2):
                 yield l, i, j, self.c(l, i, j)
 
-
-def _neg(lit: Lit) -> Lit:
-    return (not lit) if isinstance(lit, bool) else -lit
-
-
-def _clause(*lits: Lit) -> Optional[tuple[int, ...]]:
-    """Fold constants: drop satisfied clauses, strip false literals."""
-    out = []
-    for lit in lits:
-        if lit is True:
-            return None
-        if lit is False:
-            continue
-        out.append(lit)
-    return tuple(out)
-
-
-def _emit(fragment: list, *lits: Lit) -> None:
-    cl = _clause(*lits)
-    if cl is not None:
-        fragment.append(cl)
-
-
-def _dedup(fragment: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return list(dict.fromkeys(fragment))
+    @functools.cached_property
+    def _index(self) -> dict[tuple, int]:
+        """Every variable by key: ("c", l, i, j), ("u", l, k), ("x", b_idx, l, k)."""
+        index = {("c", l, i, j): var for l, i, j, var in self.comparator_vars()}
+        channels = range(1, self.n + 1)
+        index.update((("u", l, k), self.u(l, k)) for l in range(1, self.d + 1) for k in channels)
+        index.update((("x", b, l, k), self.x(b, l, k)) for b in range(len(self.inputs))
+                     for l in range(self.prefix_depth + 1, self.d) for k in channels)
+        return index
 
 
 def encode_structure(vm: VarMap) -> list[tuple[int, ...]]:
@@ -146,66 +187,130 @@ def encode_structure(vm: VarMap) -> list[tuple[int, ...]]:
             incident = [vm.c(l, min(k, m), max(k, m))
                         for m in range(1, vm.n + 1) if m != k]
             u = vm.u(l, k)
-            _emit(out, -u, *incident)
-            for cvar in incident:
-                _emit(out, -cvar, u)
-            for a, b in itertools.combinations(incident, 2):
-                _emit(out, -a, -b)
-    return _dedup(out)
+            out.append((-u, *incident))
+            out.extend((-cvar, u) for cvar in incident)
+            out.extend((-a, -b) for a, b in itertools.combinations(incident, 2))
+    return out
 
 
-def encode_input_sort(vm: VarMap, b_idx: int) -> list[tuple[int, ...]]:
-    """Value propagation for one input: min = AND, max = OR, pass-through.
+def _bits(vals: np.ndarray, n: int) -> np.ndarray:
+    """Channel values of packed vectors, shape (len(vals), n)."""
+    return (vals[:, None] >> np.arange(n, dtype=np.uint32)) & 1 == 1
 
-    Layers covered by a fixed prefix are fully determined by the prefix
-    units and the folded constants, so clauses start at the first open
-    layer.  With no open layer left, the fragment degenerates to a
-    consistency check between the prefix image and the sorted target.
+
+def _sorted_bits(vals: np.ndarray, n: int) -> np.ndarray:
+    """Channel values of sorted(b) for packed vectors b: ones on the top channels."""
+    return np.arange(1, n + 1) > n - _bits(vals, n).sum(axis=1)[:, None]
+
+
+def _const(bits: np.ndarray) -> np.ndarray:
+    return np.where(bits, _TRUE, -_TRUE).astype(np.int32)
+
+
+def _stack(*clauses) -> np.ndarray:
+    """Clauses of broadcast operands, stacked to shape (..., clause, literal)."""
+    return np.stack([np.stack(np.broadcast_arrays(*cl), axis=-1) for cl in clauses], axis=-2)
+
+
+def _minmax(g, xi, xj, yi, yj, f) -> np.ndarray:
+    """A comparator guarded by g: y_i = x_i AND x_j (min), y_j = x_i OR x_j (max)."""
+    return _stack((g, -yi, xi, f), (g, -yi, xj, f), (g, yi, -xi, -xj),
+                  (g, yj, -xi, f), (g, yj, -xj, f), (g, -yj, xi, xj))
+
+
+def _passthrough(g, x, y, f) -> np.ndarray:
+    """A channel whose used-flag g is off: y = x."""
+    return _stack((g, -x, y, f), (g, x, -y, f))
+
+
+def _fold(lits: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constant folding and repeat removal over clause groups.
+
+    lits has shape (..., group, width); codes (group, width) holds the
+    signed operand number, -5..5, behind each slot.  The operands of one
+    group that are not constants are distinct variables, so two folded
+    clauses of a group are equal iff their non-false slots spell the same
+    codes.  Returns the clauses with a terminating 0 appended, and the mask
+    of what stays: the non-false literals and the 0 of every clause that is
+    neither satisfied nor equal to an earlier clause of its group.
     """
-    out: list[tuple[int, ...]] = []
+    live = lits != -_TRUE
+    keep = ~(lits == _TRUE).any(axis=-1)
+    key = np.zeros(lits.shape[:-1], dtype=np.int32)
+    for s in range(lits.shape[-1]):
+        key = np.where(live[..., s], key * 12 + codes[:, s] + 6, key)
+    for q in range(1, lits.shape[-2]):
+        keep[..., q] &= ~(key[..., :q] == key[..., q:q + 1]).any(axis=-1)
+    lits = np.concatenate((lits, np.zeros_like(lits[..., :1])), axis=-1)
+    return lits, np.concatenate((live & keep[..., None], keep[..., None]), axis=-1)
+
+
+def _value_clauses(vm: VarMap, lo: int, hi: int, i: np.ndarray, j: np.ndarray,
+                   c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Flat value clauses of inputs lo..hi-1, in input order.
+
+    i, j index the channels of every comparator; c (layer, pair) and
+    u (layer, channel) are the guard variables of the open layers.
+    """
+    n, d, p = vm.n, vm.d, vm.prefix_depth
+    # literal codes per input, level p..d and channel; in between, vm.x(b, l, k)
+    values = np.empty((hi - lo, d - p + 1, n), dtype=np.int32)
+    values[:, 0] = _const(_bits(vm._levels[p, lo:hi], n))
+    values[:, 1:-1] = (vm._x0 + n * (np.arange(lo, hi)[:, None, None] * vm._open
+                                     + np.arange(d - p - 1)[:, None])
+                       + np.arange(1, n + 1))
+    values[:, -1] = _const(_sorted_bits(vm._levels[0, lo:hi], n))
+    x, y = values[:, :-1], values[:, 1:]        # levels l-1 and l of every open layer l
+    f = np.int32(-_TRUE)
+    # (input, layer, pair or channel, clause, literal), a group per guard; the same
+    # templates over the operand numbers -5..0 give the code of every slot
+    xi, xj, yi, yj = x[..., i], x[..., j], y[..., i], y[..., j]
+    folded = [_fold(_minmax(-c, xi, xj, yi, yj, f), _minmax(*range(-5, 1))),
+              _fold(_passthrough(u, x, y, f), _passthrough(*range(-5, -1)))]
+    # per input and layer: the comparator clauses, then the pass-through ones
+    lits, mask = (np.concatenate([a.reshape(*a.shape[:2], -1, a.shape[-1]) for a in arrays], axis=2)
+                  for arrays in zip(*folded))
+    return lits[mask]
+
+
+def encode_input_sort(vm: VarMap) -> np.ndarray:
+    """Value propagation for every input: min = AND, max = OR, pass-through.
+
+    Returns the flat 0-terminated clauses, input by input, each input's
+    clauses without repeats.  Layers covered by a fixed prefix are fully
+    determined by the prefix units and the folded constants, so clauses
+    start at the first open layer.  With no open layer left, the fragment
+    degenerates to a consistency check between the prefix image and the
+    sorted target: one empty clause per input whose image is not sorted(b).
+    """
+    n = vm.n
     if vm.prefix_depth == vm.d:
-        image = vm._traces[b_idx][-1]
-        for k in range(1, vm.n + 1):
-            have = bool((image >> (k - 1)) & 1)
-            want = vm.value(b_idx, vm.d, k)
-            if have != want:
-                out.append(())
-                return out
-        return out
-    for l in range(vm.prefix_depth + 1, vm.d + 1):
-        for i, j in itertools.combinations(range(1, vm.n + 1), 2):
-            c = vm.c(l, i, j)
-            xi, xj = vm.value(b_idx, l - 1, i), vm.value(b_idx, l - 1, j)
-            yi, yj = vm.value(b_idx, l, i), vm.value(b_idx, l, j)
-            _emit(out, -c, _neg(yi), xi)
-            _emit(out, -c, _neg(yi), xj)
-            _emit(out, -c, yi, _neg(xi), _neg(xj))
-            _emit(out, -c, yj, _neg(xi))
-            _emit(out, -c, yj, _neg(xj))
-            _emit(out, -c, _neg(yj), xi, xj)
-        for k in range(1, vm.n + 1):
-            u = vm.u(l, k)
-            x, y = vm.value(b_idx, l - 1, k), vm.value(b_idx, l, k)
-            _emit(out, u, _neg(x), y)
-            _emit(out, u, x, _neg(y))
-    return _dedup(out)
+        wrong = (_bits(vm._levels[-1], n) != _sorted_bits(vm._levels[0], n)).any(axis=1)
+        return np.zeros(int(wrong.sum()), dtype=np.int32)
+    layers = range(vm.prefix_depth + 1, vm.d + 1)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    i = np.array([a for a, _ in pairs], dtype=np.intp) - 1
+    j = np.array([b for _, b in pairs], dtype=np.intp) - 1
+    c = np.array([[vm.c(l, a, b) for a, b in pairs] for l in layers], dtype=np.int32)
+    u = np.array([[vm.u(l, k) for k in range(1, n + 1)] for l in layers], dtype=np.int32)
+    parts = [_value_clauses(vm, lo, min(lo + _INPUT_CHUNK, len(vm.inputs)), i, j, c, u)
+             for lo in range(0, len(vm.inputs), _INPUT_CHUNK)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
 
 
 def encode_symmetry(vm: VarMap, opts: EncodeOptions) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     pairs = list(itertools.combinations(range(1, vm.n + 1), 2))
     if opts.sigma1:
-        for l in range(1, vm.d):
-            for i, j in pairs:
-                _emit(out, -vm.c(l, i, j), -vm.c(l + 1, i, j))
+        out.extend((-vm.c(l, i, j), -vm.c(l + 1, i, j))
+                   for l in range(1, vm.d) for i, j in pairs)
     if opts.sigma2:
-        for l in range(2, vm.d + 1):
-            for i, j in pairs:
-                _emit(out, -vm.c(l, i, j), vm.u(l - 1, i), vm.u(l - 1, j))
+        out.extend((-vm.c(l, i, j), vm.u(l - 1, i), vm.u(l - 1, j))
+                   for l in range(2, vm.d + 1) for i, j in pairs)
     if opts.sigma3:
-        for i in range(1, vm.n):
-            _emit(out, *[vm.c(l, i, i + 1) for l in range(1, vm.d + 1)])
-    return _dedup(out)
+        out.extend(tuple(vm.c(l, i, i + 1) for l in range(1, vm.d + 1))
+                   for i in range(1, vm.n))
+    return out
 
 
 def encode_fixed_prefix(vm: VarMap, prefix: Network) -> list[tuple[int, ...]]:
@@ -236,15 +341,13 @@ def build(n: int, d: int, inputs: Iterable[int],
     if opts.pad:
         xs = sorted(windows(xs, opts.pad, n))
     if d == 0:
-        cnf = Cnf(0)
-        if any(not is_ascending(b, n) for b in xs):
-            cnf.clauses.append(())
-        return VarMap(n, 0, xs), cnf
+        unsorted = any(not is_ascending(b, n) for b in xs)
+        return VarMap(n, 0, xs), Cnf(0, [()] if unsorted else [])
     if opts.prefix is not None:
         seen: dict[tuple, int] = {}
-        for b in xs:
-            key = (_prefix_trace(opts.prefix, b)[-1], bin(b).count("1"))
-            seen.setdefault(key, b)
+        images = _eval_array(opts.prefix, np.array(xs, dtype=np.uint32)).tolist()
+        for b, image in zip(xs, images):
+            seen.setdefault((image, bin(b).count("1")), b)
         xs = sorted(seen.values())
     vm = VarMap(n, d, xs, opts.prefix)
     cnf = Cnf(vm.num_vars)
@@ -252,8 +355,7 @@ def build(n: int, d: int, inputs: Iterable[int],
     cnf.extend(encode_symmetry(vm, opts))
     if opts.prefix is not None:
         cnf.extend(encode_fixed_prefix(vm, opts.prefix))
-    for b_idx in range(len(xs)):
-        cnf.extend(encode_input_sort(vm, b_idx))
+    cnf.extend(encode_input_sort(vm))
     return vm, cnf
 
 
@@ -261,11 +363,16 @@ def build(n: int, d: int, inputs: Iterable[int],
 # DIMACS and model handling
 
 def to_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    for cl in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in cl) + (" 0" if cl else "0"))
-    return "\n".join(lines) + "\n"
+    lits = cnf.lits
+    parts = [f"c {c}\n" for c in comments]
+    parts.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
+    if lits.size:
+        top = int(np.abs(lits).max())
+        text = np.array([f"{lit} " for lit in range(-top, top + 1)], dtype=object)
+        text[top] = "0\n"
+        for start in range(0, lits.size, _LIT_CHUNK):
+            parts.append("".join(text[lits[start:start + _LIT_CHUNK] + top].tolist()))
+    return "".join(parts)
 
 
 _ANSI = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")

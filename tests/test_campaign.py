@@ -240,6 +240,34 @@ def test_campaign_json_witness_reverified():
         campaign_from_json(doc)
 
 
+def test_campaign_json_claim_audited():
+    sorter = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to_json())
+    sat = {"prefix_index": 0, "depth": 3, "pad": 0, "verdict": "SAT", "witness": sorter}
+
+    def doc(claim, *instances, n=4):
+        return json.dumps({"n": n, "claim": claim, "instances": list(instances)})
+
+    assert campaign_from_json(doc("T(4) <= 3", sat)).claim == "T(4) <= 3"
+    refutations = [{"prefix_index": i, "depth": 2, "pad": 0, "verdict": "UNSAT"}
+                   for i in range(len(two_layer_prefixes(4)))]
+    assert campaign_from_json(doc("T(4) > 2", *refutations)).claim == "T(4) > 2"
+    free = {"prefix_index": None, "depth": 2, "pad": 0, "verdict": "UNSAT"}
+    assert campaign_from_json(doc("T(4) > 2", free)).claim == "T(4) > 2"
+    # a lower bound next to a witness, and an upper bound with no witness at all
+    with pytest.raises(ValueError, match="lacks an UNSAT at depth 2"):
+        campaign_from_json(doc("T(4) > 2", sat))
+    with pytest.raises(ValueError, match="lacks an UNSAT"):
+        campaign_from_json(doc("T(4) > 2", *refutations[1:]))
+    with pytest.raises(ValueError, match="no pad-0 witness"):
+        campaign_from_json(doc("T(9) <= 3", n=9))
+    with pytest.raises(ValueError, match="no pad-0 witness"):
+        campaign_from_json(doc("T(4) <= 2", sat))
+    with pytest.raises(ValueError, match=r"does not fit the instance at \$\.instances\[0\]"):
+        campaign_from_json(doc("T(4) <= 3", {**sat, "depth": 2}))
+    with pytest.raises(ValueError, match="unrecognised claim"):
+        campaign_from_json(doc("T(5) <= 3", sat))
+
+
 def test_instance_result_witness_invariant():
     with pytest.raises(ValueError):
         InstanceResult(None, 1, 0, "UNSAT", witness=network(2, [(1, 2)]))

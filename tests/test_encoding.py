@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_incident_sets_and_at_most_one():
 
 def test_sorted_input_fragment_is_vacuous():
     vm = VarMap(3, 2, [vec_from_str("011")])
-    frag = encode_input_sort(vm, 0)
+    frag = Cnf(vm.num_vars, encode_input_sort(vm)).clauses
     assert () not in frag
     # everything-off plus pass-through values satisfies the fragment
     model = {v: False for v in range(1, vm.num_vars + 1)}
@@ -105,7 +106,7 @@ def test_guard_expansion_clause_count():
     # on a fully-variable layer every comparator guard expands to exactly
     # 3 clauses for the min (AND) side and 3 for the max (OR) side
     vm = VarMap(4, 3, [vec_from_str("1010")])
-    frag = encode_input_sort(vm, 0)
+    frag = Cnf(vm.num_vars, encode_input_sort(vm)).clauses
     for i, j in itertools.combinations(range(1, 5), 2):
         guard = -vm.c(2, i, j)  # layer 2: both value levels are variables
         yi = vm.value(0, 2, i)
@@ -143,6 +144,63 @@ def test_fixed_prefix_units():
 def test_prefix_too_deep():
     with pytest.raises(ValueError):
         VarMap(4, 1, [], prefix=network(4, first_layer(4), [(2, 3)]))
+    xs = unsorted_inputs(4)
+    for prefix in (network(4, first_layer(4), [(2, 3)]),       # deeper than d
+                   network(4, [(2, 1)], generalized=True),     # not standard
+                   network(5, first_layer(5))):                # channel mismatch
+        with pytest.raises(ValueError):
+            build(4, 1, xs, EncodeOptions(prefix=prefix))
+
+
+def reference_input_sort(vm, b_idx):
+    """The clause-by-clause construction: fold constants, drop repeats."""
+    def neg(lit):
+        return (not lit) if isinstance(lit, bool) else -lit
+
+    out = []
+
+    def emit(*lits):
+        if not any(l is True for l in lits):
+            out.append(tuple(l for l in lits if l is not False))
+
+    if vm.prefix_depth == vm.d:
+        image = evaluate_bits(vm.prefix, vm.inputs[b_idx])
+        sorted_b = [vm.value(b_idx, vm.d, k) for k in range(1, vm.n + 1)]
+        image_bits = [bool((image >> (k - 1)) & 1) for k in range(1, vm.n + 1)]
+        return [()] if image_bits != sorted_b else []
+    for l in range(vm.prefix_depth + 1, vm.d + 1):
+        for i, j in itertools.combinations(range(1, vm.n + 1), 2):
+            c = vm.c(l, i, j)
+            xi, xj = vm.value(b_idx, l - 1, i), vm.value(b_idx, l - 1, j)
+            yi, yj = vm.value(b_idx, l, i), vm.value(b_idx, l, j)
+            emit(-c, neg(yi), xi)
+            emit(-c, neg(yi), xj)
+            emit(-c, yi, neg(xi), neg(xj))
+            emit(-c, yj, neg(xi))
+            emit(-c, yj, neg(xj))
+            emit(-c, neg(yj), xi, xj)
+        for k in range(1, vm.n + 1):
+            u = vm.u(l, k)
+            x, y = vm.value(b_idx, l - 1, k), vm.value(b_idx, l, k)
+            emit(u, neg(x), y)
+            emit(u, x, neg(y))
+    return list(dict.fromkeys(out))
+
+
+def test_input_sort_matches_reference():
+    # any input set, sorted members included, under prefixes of depth 0..2
+    rng = random.Random(7)
+    for n in range(2, 7):
+        layers = list(matchings(n))
+        for _ in range(6):
+            prefix = None
+            if rng.random() < 0.8:
+                prefix = network(n, *rng.sample(layers, rng.randint(0, 2)))
+            p = prefix.depth if prefix is not None else 0
+            inputs = sorted(rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n))))
+            vm = VarMap(n, max(p, 1) + rng.randint(0, 2), inputs, prefix)
+            want = [cl for b_idx in range(len(inputs)) for cl in reference_input_sort(vm, b_idx)]
+            assert Cnf(vm.num_vars, encode_input_sort(vm)).clauses == want
 
 
 def test_build_d0():

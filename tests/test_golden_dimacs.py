@@ -1,0 +1,82 @@
+"""Golden bytes of the CNF encoder.
+
+Each group hashes the DIMACS text of a family of instances into one
+SHA-256 digest.  The digests were computed with the per-clause reference
+encoder (tuples of literals, folded and deduplicated one input at a time)
+that the array encoder replaced, so any change to the formula, its
+variable numbering or its clause order shows up here.  No solver is run.
+"""
+
+import hashlib
+
+import pytest
+
+from sortnetopt import cli
+from sortnetopt.campaign import default_pads, two_layer_prefixes
+from sortnetopt.encoding import EncodeOptions, build, to_dimacs
+from sortnetopt.networks import Network, first_layer, unsorted_inputs
+
+T = {6: 5, 7: 6}
+SIGMA_OFF = ({}, {"sigma1": False}, {"sigma2": False}, {"sigma3": False})
+
+
+def _digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+def _dimacs(n, d, prefix=None, **opts) -> str:
+    xs = unsorted_inputs(n, prefix)
+    return to_dimacs(build(n, d, xs, EncodeOptions(prefix=prefix, **opts))[1])
+
+
+def _rn_sweep(n, depths):
+    for prefix in two_layer_prefixes(n):
+        for d in depths:
+            for pad in default_pads(n):
+                yield _dimacs(n, d, prefix, pad=pad)
+
+
+GROUPS = {
+    # every R_n prefix at every depth up to T(n), at each default pad
+    "rn6": lambda: _rn_sweep(6, range(3, T[6] + 1)),
+    "rn7": lambda: _rn_sweep(7, range(3, T[7] + 1)),
+    "rn8-d6": lambda: _rn_sweep(8, [6]),
+    # no prefix: level 0 folds to the input itself; d = 0 is the empty clause
+    "free": lambda: (_dimacs(n, d, **dict(off))
+                     for n in (2, 3, 4) for d in range(4) for off in SIGMA_OFF),
+    # one fixed layer, with and without windows
+    "layer1": lambda: (_dimacs(n, d, Network(n, (first_layer(n, "crossing"),)), pad=pad)
+                       for n in (5, 6) for d in (3, 4) for pad in (0, 2)),
+    # prefix depth = d: only the consistency fragment (empty clauses) is left
+    "prefix-at-d": lambda: (_dimacs(n, 2, prefix)
+                            for n in (4, 5, 6) for prefix in two_layer_prefixes(n)),
+}
+
+EXPECTED = {
+    "rn6": "26735e40b6b018aed81b8c229dc6d901c3a2117e5cb15150873fa70046435301",
+    "rn7": "b0e1da97bc7bd2a338c79888ad720ed1964291a1dad83a5f060999b726180c1b",
+    "rn8-d6": "195180f4d7e238c5cceacc19e0e5097af6665d390c287911393dc3543af76681",
+    "free": "bd584f034957f46435c044f7a689b8d2223afbc6f762b9cfca26ec31bc78ef90",
+    "layer1": "fc748ccd7d5a1601f211257e4b28ee58579d8c81a97cac4c53a4a86cfe002371",
+    "prefix-at-d": "0bc78d6758befbb44379f7a93b21473dbc13fe70a4b5a8dfde3460f71181fe0c",
+}
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_golden_dimacs(group):
+    assert _digest(GROUPS[group]()) == EXPECTED[group]
+
+
+def test_golden_cli_encode(capsys):
+    # the CLI output carries its comment line before the header
+    texts = []
+    for argv in (["--n", "6", "--depth", "4", "--prefix-index", "1", "--pad", "2"],
+                 ["--n", "5", "--depth", "3", "--no-sigma2"],
+                 ["--n", "4", "--depth", "2", "--prefix-index", "0"]):
+        assert cli.main(["encode", *argv, "--out", "-"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith("c sortnetopt n=6 d=4 inputs=")
+    assert _digest(texts) == "ce1a06c84e3e82688cfe999a085173ff5db6a7e2c501980bea3516006a05c0f8"
