@@ -1,18 +1,21 @@
 """End-to-end campaigns: find optimal-depth networks, prove lower bounds.
 
 Both run through one scheduler.  It takes a task list of prefixes and a
-pad schedule, and runs one SAT instance per task and pad.  A lower-bound
-campaign passes every two-layer prefix in the complete filter set R_n and
-its pad schedule; every prefix UNSAT proves that no depth-d network
-exists.  A search passes the tasks of its mode with pad 0 alone.  Window
-padding shrinks instances: UNSAT on the padded subset already implies
-UNSAT on the full input set, while a SAT verdict under padding is
-inconclusive and triggers descent to pad 0.
+pad schedule, and walks each task's pads once, largest first, running at
+most one SAT instance per task and pad under the configured timeout.  A
+lower-bound campaign passes every two-layer prefix in the complete filter
+set R_n and its pad schedule; every prefix UNSAT proves that no depth-d
+network exists.  A search passes the tasks of its mode with pad 0 alone.
+Window padding shrinks instances: UNSAT on the padded subset already
+implies UNSAT on the full input set, while a SAT verdict under padding is
+inconclusive and moves the task on to the next pad.
 
 The first pad-0 SAT settles the claim and kills the solvers still running.
 Every SAT model is decoded and re-verified by direct evaluation, and the
 witness behind a claim once more with is_sorting_network; a witness that
-fails verification is a fatal internal error, never a result.
+fails verification is a fatal internal error, never a result.  One
+evidence rule, _evidence, derives the claim from the instances, both for
+a campaign and for a report loaded by campaign_from_json.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ def two_layer_prefixes(n: int) -> list[Network]:
 
 def default_pads(n: int) -> list[int]:
     """Largest-first pad schedule; per-n sweet spots vary, so descend and retry."""
-    pads = sorted({max(p, 0) for p in (n - 4, n - 6, 0)}, reverse=True)
-    return pads
+    return sorted({max(p, 0) for p in (n - 4, n - 6, 0)}, reverse=True)
 
 
 def _prefix_tasks(n: int, d: int) -> list[Task]:
@@ -99,70 +101,73 @@ def _solve_instance(n: int, d: int, prefix: Optional[Network], pad: int,
                           encode_time, res.solve_time, witness)
 
 
-def _sweep_budgets(timeout: float) -> list[float]:
-    # short first passes so one hard instance cannot starve an easy SAT
-    return [b for b in (5.0, 60.0, timeout) if b < timeout] + [timeout]
-
-
 def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
               config: SolverConfig, opts: EncodeOptions,
               jobs: int) -> tuple[Optional[Network], CampaignResult]:
     """The one campaign scheduler behind find_network and prove_lower_bound.
 
-    Each task descends the pads largest-first: the first UNSAT settles it
-    (windowed inputs are a subset of the full set), a padded SAT forces a
-    smaller pad, and only pad 0 can certify satisfiability.  The whole scan
-    runs in rounds of growing pad-0 time budget, so one hard instance cannot
-    block an easy satisfiable one from settling the claim.  The first pad-0
-    SAT sets the stop event, which kills the solvers still running; its
-    witness, re-checked with is_sorting_network, comes back with the result.
+    Each task walks the pads once, largest first, and every solver run gets
+    config.timeout.  An UNSAT settles the task (windowed inputs are a subset
+    of the full set); a padded SAT or TIMEOUT moves on to the next pad, and
+    only pad 0 can certify satisfiability.  A pad-0 TIMEOUT leaves the task
+    open while the other tasks carry on.  The first pad-0 SAT sets the stop
+    event, which kills the solvers still running.  The claim and its witness
+    come from _evidence over the recorded instances; the witness is
+    re-checked with is_sorting_network.
     """
     t0 = time.monotonic()
     results: list[InstanceResult] = []
     lock = threading.Lock()
     stop = StopEvent()
-    pads_left = {pos: list(pads) for pos in range(len(tasks))}
-    witness: Optional[Network] = None
 
-    def settle(pos: int, budget: float) -> None:
-        """Descend this task's remaining pads; pad 0 gets the round budget."""
-        nonlocal witness
-        idx, prefix = tasks[pos]
-        while pads_left.get(pos) and not stop.is_set():
-            pad = pads_left[pos][0]
-            cfg = replace(config, timeout=budget) if pad == 0 and budget != config.timeout else config
-            res = _solve_instance(n, d, prefix, pad, cfg, opts, idx, stop)
+    def settle(task: Task) -> None:
+        idx, prefix = task
+        for pad in pads:
+            if stop.is_set():
+                return
+            res = _solve_instance(n, d, prefix, pad, config, opts, idx, stop)
             if res is None:
                 return  # killed: the claim is already settled
             with lock:
                 results.append(res)
-                if res.verdict == "UNSAT":
-                    del pads_left[pos]
-                elif pad == 0:
-                    if res.verdict == "SAT":
-                        del pads_left[pos]
-                        witness = witness or res.witness
-                        stop.set()
-                    return  # pad-0 timeout: retry in a later round
-                else:
-                    pads_left[pos].pop(0)  # padded SAT/timeout: smaller pad
+            if res.verdict == "UNSAT":
+                return
+            if res.verdict == "SAT" and pad == 0:
+                stop.set()
 
     with cf.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         try:
-            for budget in _sweep_budgets(config.timeout):
-                list(pool.map(lambda pos: settle(pos, budget), sorted(pads_left)))
+            list(pool.map(settle, tasks))
         finally:
             stop.set()  # an interrupted or failed scan kills its solvers too
 
+    witness, missing = _evidence(n, d, results)
     if witness is not None:
         if not is_sorting_network(witness):
             raise RuntimeError("decoded witness is not a sorting network")
         claim = f"T({n}) <= {d}"
-    elif pads_left:
+    elif missing:
         claim = "inconclusive"
     else:
         claim = f"T({n}) > {d}"
     return witness, CampaignResult(n, claim, results, time.monotonic() - t0)
+
+
+def _evidence(n: int, d: int,
+              instances: Sequence[InstanceResult]) -> tuple[Optional[Network], list[int]]:
+    """The evidence rule behind every claim at depth d.
+
+    Returns the first pad-0 SAT witness of depth at most d, which proves
+    T(n) <= d, and the R_n indices still lacking an UNSAT at depth d; none
+    left proves T(n) > d.  A prefix-free or first-layer UNSAT (prefix index
+    None) covers every prefix.
+    """
+    witness = next((r.witness for r in instances
+                    if r.verdict == "SAT" and r.pad == 0 and r.witness.depth <= d), None)
+    refuted = {r.prefix_index for r in instances if r.verdict == "UNSAT" and r.depth == d}
+    if None in refuted:
+        return witness, []
+    return witness, [idx for idx, _ in _prefix_tasks(n, d) if idx not in refuted]
 
 
 def find_network(n: int, d: int, mode: str = "two_layer",
@@ -301,13 +306,9 @@ def campaign_from_json(text: str) -> CampaignResult:
 
 
 def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> None:
-    """Raise ValueError unless the instances carry the evidence for claim.
+    """Raise ValueError unless _evidence over the instances supports claim.
 
-    T(n) <= d needs a pad-0 SAT witness of depth at most d (its sorting
-    was re-verified on load).  T(n) > d needs an UNSAT at depth d for every
-    task a lower-bound campaign at depth d runs (each prefix of R_n, or the
-    prefix-free instance below depth 2), or for a complete prefix-free or
-    first-layer instance.  "inconclusive" claims nothing.
+    Witnesses were re-verified on load; "inconclusive" claims nothing.
     """
     if claim == "inconclusive":
         return
@@ -315,14 +316,11 @@ def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> Non
     if m is None or int(m[1]) != n:
         raise ValueError(f"campaign document: unrecognised claim {claim!r} at $.claim")
     d = int(m[3])
-    if m[2] == "<=":
-        if not any(r.verdict == "SAT" and r.pad == 0 and r.witness.depth <= d for r in instances):
-            raise ValueError(f"campaign document: claim {claim!r} has no pad-0 witness "
-                             f"of depth <= {d}")
-        return
-    refuted = {r.prefix_index for r in instances if r.verdict == "UNSAT" and r.depth == d}
-    missing = [idx for idx, _ in _prefix_tasks(n, d) if idx not in refuted]
-    if missing and None not in refuted:
+    witness, missing = _evidence(n, d, instances)
+    if m[2] == "<=" and witness is None:
+        raise ValueError(f"campaign document: claim {claim!r} has no pad-0 witness "
+                         f"of depth <= {d}")
+    if m[2] == ">" and missing:
         raise ValueError(f"campaign document: claim {claim!r} lacks an UNSAT at depth {d} "
                          f"for prefixes {missing}")
 

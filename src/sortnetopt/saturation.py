@@ -341,19 +341,11 @@ def sentence_class_size(sentence) -> int:
         elif w.tag == "s":
             total *= factorial(m) // (2 if w.symbols == w.symbols[::-1] else 1)
         else:
-            starts = sum(1 for c in _cycle_strings(w.symbols) if c.startswith("12"))
+            starts = sum(1 for c in words_mod.cycle_readings(w.symbols) if c.startswith("12"))
             total *= starts * factorial(m - 1)
     for _, r in Counter(sentence).items():
         total //= factorial(r)
     return total
-
-
-def _cycle_strings(symbols: str) -> set[str]:
-    out = set()
-    for s in (symbols, symbols[::-1]):
-        for k in range(0, len(s), 2):
-            out.add(s[k:] + s[:k])
-    return out
 
 
 # ---------------------------------------------------------------------------

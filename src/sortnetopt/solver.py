@@ -50,7 +50,6 @@ class SolverConfig:
     args: tuple[str, ...] = ()
     timeout: float = 600.0
     workdir: Optional[str] = None   # None: fresh temp dir per call
-    keep_files: bool = False
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -109,9 +108,10 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
                stop: Optional[StopEvent] = None) -> SolveResult:
     """Solve one CNF in a subprocess; wall-clock timeout kills the solver.
 
-    Unparseable or crashed runs come back as TIMEOUT-class failures with the
-    captured log; the CNF file is kept on any failure for post-mortem.  A run
-    killed by stop settled nothing: it comes back CANCELLED, without its CNF.
+    A SAT or UNSAT run deletes its CNF file.  Unparseable or crashed runs
+    come back as TIMEOUT-class failures with the captured log, and a timed-out
+    or failed run keeps its CNF for post-mortem.  A run killed by stop settled
+    nothing: it comes back CANCELLED, without its CNF.
     """
     text = cnf if isinstance(cnf, str) else to_dimacs(cnf)
     owns_dir = config.workdir is None
@@ -146,11 +146,10 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
         if verdict == "UNKNOWN":
             log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{stdout}\n{stderr}"
             return SolveResult("TIMEOUT", None, elapsed, log)
-    if verdict == "CANCELLED" or not config.keep_files:
-        try:
-            path.unlink()
-            if owns_dir:
-                workdir.rmdir()
-        except OSError:
-            pass
+    try:
+        path.unlink()
+        if owns_dir:
+            workdir.rmdir()
+    except OSError:
+        pass
     return SolveResult(verdict, true_vars, elapsed, "")

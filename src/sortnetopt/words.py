@@ -101,8 +101,6 @@ def _two_layer_parts(net: Network) -> tuple[dict[int, int], dict[int, int], dict
         role[i], role[j] = "1", "2"
     l2p: dict[int, int] = {}
     for i, j in l2:
-        if i in l2p or j in l2p:
-            raise ValueError("second layer is not channel-disjoint")
         l2p[i], l2p[j] = j, i
     for ch in range(1, net.n + 1):
         role.setdefault(ch, "0")
@@ -144,17 +142,16 @@ def _walk(start: int, second: Optional[int], l1p, l2p) -> list[int]:
         path.append(nxt)
 
 
+def cycle_readings(symbols: str) -> set[str]:
+    """Every reading of a cycle: rotations keeping first-layer pairs aligned, both directions."""
+    return {s[k:] + s[:k] for s in (symbols, symbols[::-1]) for k in range(0, len(s), 2)}
+
+
 def cycle_canonical(symbols: str) -> str:
-    """Smallest cycle reading: rotations keeping first-layer pairs aligned, both directions."""
+    """Smallest cycle reading."""
     if len(symbols) < 2 or len(symbols) % 2:
         raise ValueError(f"not a cycle label string: {symbols!r}")
-    best = None
-    for s in (symbols, symbols[::-1]):
-        for k in range(0, len(s), 2):
-            cand = s[k:] + s[:k]
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(cycle_readings(symbols))
 
 
 def _component_word(comp: set[int], l1p, l2p, role) -> Word:
@@ -418,8 +415,8 @@ def sentences(n: int, kind: str) -> Iterator[Sentence]:
             yield from rec(idx, remaining - len(w), head_used or w.tag == "h", acc)
             acc.pop()
 
-    yield from sorted(rec(0, n, False, []),
-                      key=lambda s: tuple(w.sort_key() for w in s))
+    # a depth-first walk over the sorted pool emits canonical order
+    yield from rec(0, n, False, [])
 
 
 def generate(n: int, kind: str) -> Iterator:

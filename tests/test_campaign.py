@@ -24,7 +24,7 @@ from sortnetopt.campaign import (
     two_layer_prefixes,
 )
 from sortnetopt.networks import Network, is_sorting_network, network
-from sortnetopt.solver import SolverConfig, StopEvent, run_solver
+from sortnetopt.solver import SolveResult, SolverConfig, StopEvent, run_solver
 
 
 def test_run_solver_trivial(solver_config):
@@ -169,10 +169,8 @@ def test_prove_descends_on_padded_sat(solver_config):
     for r in camp.instances:
         by_prefix.setdefault(r.prefix_index, []).append(r)
     for runs in by_prefix.values():
-        for earlier, later in zip(runs, runs[1:]):
-            # descending pads; a pad repeats only after a timed-out attempt
-            assert later.pad < earlier.pad or (later.pad == earlier.pad
-                                               and earlier.verdict == "TIMEOUT")
+        # each prefix walks its pads once, strictly descending
+        assert all(later.pad < earlier.pad for earlier, later in zip(runs, runs[1:]))
 
 
 @pytest.mark.parametrize("d, claim", [(5, "T(6) <= 5"), (4, "T(6) > 4")])
@@ -183,6 +181,28 @@ def test_find_is_prove_at_pad_zero(solver_config, d, claim):
     assert (net is not None) == (claim == "T(6) <= 5")
     assert [(r.prefix_index, r.pad, r.verdict) for r in found.instances] == \
            [(r.prefix_index, r.pad, r.verdict) for r in proved.instances]
+    # the loader's audit accepts what the scheduler claims
+    for camp in (found, proved):
+        assert campaign_from_json(campaign_to_json(camp)).claim == claim
+
+
+def test_one_pass_under_one_timeout(monkeypatch):
+    # no solver: prefix 0 times out at every pad, every other run is UNSAT
+    calls = []
+
+    def fake_solver(cnf, config, name="instance", stop=None):
+        calls.append((name, config.timeout))
+        return SolveResult("TIMEOUT" if name.startswith("n6d4p0w") else "UNSAT")
+
+    monkeypatch.setattr(campaign, "run_solver", fake_solver)
+    camp = prove_lower_bound(6, 4, [2, 0], SolverConfig("/bin/false", timeout=600), jobs=1)
+    assert all(timeout == 600 for _, timeout in calls)
+    names = [name for name, _ in calls]
+    assert len(names) == len(set(names)) == 6
+    assert [(r.prefix_index, r.pad, r.verdict) for r in camp.instances] == \
+           [(0, 2, "TIMEOUT"), (0, 0, "TIMEOUT")] + [(i, 2, "UNSAT") for i in range(1, 5)]
+    assert camp.claim == "inconclusive"
+    assert campaign_from_json(campaign_to_json(camp)).claim == "inconclusive"
 
 
 def test_prove_rechecks_the_witness(solver_config, monkeypatch):
