@@ -120,7 +120,7 @@ def main(argv=None) -> int:
                                      description="depth-optimal sorting network toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="emit prefix sentences or networks")
+    gen = p = sub.add_parser("gen", help="emit prefix sentences or networks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", choices=("gn", "rgn", "sn", "rsn", "rn"), required=True)
     p.add_argument("--out", default="-")
@@ -169,6 +169,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_tables)
 
     args = parser.parse_args(argv)
+    if args.command == "gen":
+        # gn and sn are second layers over the first layer F_n, which needs two channels
+        least = 2 if args.set in ("gn", "sn") else 1
+        if args.n < least:
+            gen.error(f"--set {args.set} needs --n >= {least}")
     return args.func(args)
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import words as words_mod
-from .networks import Network, outputs
+from .networks import Layer, Network, first_layer, outputs
 
 MAX_SEMANTIC_CHANNELS = 8
 MAX_SUBSUME_CHANNELS = 10
@@ -62,14 +62,8 @@ PATTERNS: dict[str, Pattern] = {
 def _layer_maps(net: Network) -> tuple[dict[int, int], dict[int, int]]:
     if net.depth not in (1, 2):
         raise ValueError(f"expected a two-layer network, got depth {net.depth}")
-    maps = []
-    for d in (0, 1):
-        m: dict[int, int] = {}
-        if d < net.depth:
-            for i, j in net.layers[d]:
-                m[i], m[j] = j, i
-        maps.append(m)
-    return maps[0], maps[1]
+    l2 = net.layers[1] if net.depth == 2 else ()
+    return words_mod.layer_partners(net.layers[0]), words_mod.layer_partners(l2)
 
 
 def contains_pattern(net: Network, pattern: Pattern | str) -> bool:
@@ -248,7 +242,7 @@ def is_redundant(net: Network, semantic: bool = False) -> bool:
     """
     if not semantic:
         l1p, _ = _layer_maps(net)
-        return net.depth == 2 and any(l1p.get(i) == j for i, j in net.layers[1])
+        return net.depth == 2 and _repeated(net.layers[1], l1p) is not None
     if net.n > MAX_SEMANTIC_CHANNELS:
         raise ValueError(f"semantic redundancy is capped at n <= {MAX_SEMANTIC_CHANNELS}")
     full = outputs(net)
@@ -266,10 +260,27 @@ def is_saturated(net: Network) -> bool:
     """Structural saturation test for a two-layer network with maximal layer 1.
 
     Equivalent to the semantic definition (verified exhaustively for small
-    n): the network is non-redundant and none of the forbidden patterns of
-    _find_fix leaves room for an output-shrinking second-layer comparator.
+    n): the network is non-redundant and none of the forbidden patterns
+    leaves room for an output-shrinking second-layer comparator.  A thin
+    wrapper: the network is saturated when the layer-level test
+    _weak_spot(n, l1, l2, l1p, l2p), reached through _find_fix, finds no
+    weak spot.  saturated_layers (the sn set) calls _weak_spot directly.
     """
-    return not is_redundant(net) and _find_fix(net) is None
+    return _find_fix(net) is None
+
+
+def saturated_layers(n: int) -> Iterator[Layer]:
+    """The second layers over F_n whose two-layer network is saturated, in
+    the order of words.matchings.
+
+    Tests the raw layers with _weak_spot, the layer-level form of
+    is_saturated, so it builds no Network per layer.  Raises ValueError for
+    n < 2 at the call, not at the first item.
+    """
+    fl = first_layer(n)
+    l1p = words_mod.layer_partners(fl)
+    return (l2 for l2 in words_mod.matchings(n)
+            if _weak_spot(n, fl, l2, l1p, words_mod.layer_partners(l2)) is None)
 
 
 def addable_comparators(net: Network) -> list[tuple[int, int]]:
@@ -320,7 +331,7 @@ def saturated_layer_count(n: int, by_enumeration: bool = False) -> int:
     Enumeration mode walks all of G_n instead; both agree (tested).
     """
     if by_enumeration:
-        return sum(1 for _ in words_mod.generate(n, "sn"))
+        return sum(1 for _ in saturated_layers(n))
     return sum(sentence_class_size(s) for s in words_mod.sentences(n, "rsn"))
 
 
@@ -351,11 +362,40 @@ def sentence_class_size(sentence) -> int:
 # ---------------------------------------------------------------------------
 # saturate: pattern-driven completion (P1 fixes first, then P2, then P3)
 
+def _repeated(l2, l1p: dict[int, int]) -> Optional[tuple[int, int]]:
+    """A second-layer comparator joining the two channels of a first-layer one."""
+    for i, j in l2:
+        if l1p.get(i) == j:
+            return (i, j)
+    return None
+
+
 def _find_fix(net: Network) -> Optional[tuple[int, int]]:
     """Next output-shrinking addition, oriented as the pattern proofs require.
 
-    The one implementation of the forbidden patterns.  The addable weak
-    spots are exactly:
+    A thin wrapper around the layer-level _weak_spot; on a redundant
+    network it returns the repeated comparator instead, which saturate
+    removes before it asks.
+    """
+    l1p, l2p = _layer_maps(net)
+    l2 = net.layers[1] if net.depth == 2 else ()
+    return _weak_spot(net.n, net.layers[0], l2, l1p, l2p)
+
+
+def _weak_spot(n: int, l1, l2, l1p: dict[int, int], l2p: dict[int, int]) -> Optional[tuple[int, int]]:
+    """The first reason two layers are not saturated, or None when they are.
+
+    Takes the raw layers and their partner maps (channel -> the channel it
+    is joined to in that layer), so callers that sweep many second layers
+    over one first layer build no Network per layer.  The one
+    implementation of redundancy and of the forbidden patterns:
+
+    * a second-layer comparator joining the two channels of a first-layer
+      comparator (the word 12_c) is returned as it stands: the two layers
+      are redundant.
+
+    Otherwise the result is the next addition, and the addable weak spots
+    are exactly:
 
     * a channel untouched by both layers, next to a first-layer comparator
       with a second-layer-free endpoint (patterns 1a/1b/1c);
@@ -364,13 +404,15 @@ def _find_fix(net: Network) -> Optional[tuple[int, int]]:
     * a second-layer comparator joining two min-channels whose partners are
       both free at layer 2, or dually for max-channels (patterns 3a/3b).
     """
-    l1p, l2p = _layer_maps(net)
-    unused2 = [ch for ch in range(1, net.n + 1) if ch not in l2p]
+    repeat = _repeated(l2, l1p)
+    if repeat is not None:
+        return repeat
+    unused2 = [ch for ch in range(1, n + 1) if ch not in l2p]
     free = [ch for ch in unused2 if ch not in l1p]
-    l1min = {i for i, j in net.layers[0]}
+    l1min = {i for i, j in l1}
 
     for c in free:
-        for a, b in net.layers[0]:
+        for a, b in l1:
             if a in l2p and b not in l2p:
                 return (c, b)      # P1a: min to the free channel
             if b in l2p and a not in l2p:
@@ -384,15 +426,14 @@ def _find_fix(net: Network) -> Optional[tuple[int, int]]:
             if d not in l1p or d in l1min or l1p[a] == d:
                 continue
             return (a, d)          # P2
-    if net.depth == 2:
-        for i, j in net.layers[1]:
-            oi, oj = l1p.get(i), l1p.get(j)
-            if oi is None or oj is None:
-                continue
-            if i in l1min and j in l1min and oi not in l2p and oj not in l2p:
-                return (oi, oj)    # P3a: join the two max partners
-            if i not in l1min and j not in l1min and oi not in l2p and oj not in l2p:
-                return (oi, oj)    # P3b: join the two min partners
+    for i, j in l2:
+        oi, oj = l1p.get(i), l1p.get(j)
+        if oi is None or oj is None:
+            continue
+        if i in l1min and j in l1min and oi not in l2p and oj not in l2p:
+            return (oi, oj)        # P3a: join the two max partners
+        if i not in l1min and j not in l1min and oi not in l2p and oj not in l2p:
+            return (oi, oj)        # P3b: join the two min partners
     return None
 
 

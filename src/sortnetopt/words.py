@@ -16,6 +16,7 @@ all rotations that start with a first-layer comparator, in both directions.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -87,6 +88,14 @@ def canonical_sentence(words: Iterable[Word]) -> Sentence:
 # ---------------------------------------------------------------------------
 # network -> words
 
+def layer_partners(layer: Layer) -> dict[int, int]:
+    """Channel -> the channel it is joined to in the layer."""
+    out: dict[int, int] = {}
+    for i, j in layer:
+        out[i], out[j] = j, i
+    return out
+
+
 def _two_layer_parts(net: Network) -> tuple[dict[int, int], dict[int, int], dict[int, str]]:
     if net.depth not in (1, 2):
         raise ValueError(f"expected a two-layer network, got depth {net.depth}")
@@ -94,17 +103,12 @@ def _two_layer_parts(net: Network) -> tuple[dict[int, int], dict[int, int], dict
     l2 = net.layers[1] if net.depth == 2 else ()
     if len(l1) != net.n // 2:
         raise ValueError("first layer is not maximal")
-    l1p: dict[int, int] = {}
     role: dict[int, str] = {}
     for i, j in l1:
-        l1p[i], l1p[j] = j, i
         role[i], role[j] = "1", "2"
-    l2p: dict[int, int] = {}
-    for i, j in l2:
-        l2p[i], l2p[j] = j, i
     for ch in range(1, net.n + 1):
         role.setdefault(ch, "0")
-    return l1p, l2p, role
+    return layer_partners(l1), layer_partners(l2), role
 
 
 def _components(n: int, l1p: dict[int, int], l2p: dict[int, int]) -> list[set[int]]:
@@ -387,6 +391,13 @@ def sentences(n: int, kind: str) -> Iterator[Sentence]:
 
     Emitted in canonical order (lexicographic on the word keys), which
     fixes the prefix indices used by campaign reports.
+
+    The pool of words is sorted by word key, not by length, so the walk
+    first indexes it by length: fits[r] lists, in pool order, the position,
+    length and head flag of every word of length <= r, and starts[r] their
+    positions.  A frame with r channels left bisects starts[r] to its first
+    allowed position and visits only the words that fit, so the walk costs
+    what it emits rather than a pass over the pool per frame.
     """
     if kind not in _POOLS:
         raise ValueError(f"unknown sentence kind {kind!r}")
@@ -399,20 +410,24 @@ def sentences(n: int, kind: str) -> Iterator[Sentence]:
             pool.extend(sticks(length))
             pool.extend(cycles(length))
     pool.sort(key=Word.sort_key)
+    entries = [(idx, len(w), w.tag == "h") for idx, w in enumerate(pool)]
+    fits = [[e for e in entries if e[1] <= r] for r in range(n + 1)]
+    starts = [[e[0] for e in fit] for fit in fits]
 
     def rec(start: int, remaining: int, head_used: bool, acc: list[Word]):
         if remaining == 0:
-            if ok(tuple(acc)):
-                yield canonical_sentence(acc)
+            # acc follows the pool order, so it is already canonical
+            words = tuple(acc)
+            if ok(words):
+                yield words
             return
-        for idx in range(start, len(pool)):
-            w = pool[idx]
-            if len(w) > remaining:
+        fit = fits[remaining]
+        for k in range(bisect_left(starts[remaining], start), len(fit)):
+            idx, length, head = fit[k]
+            if head and head_used:
                 continue
-            if w.tag == "h" and head_used:
-                continue
-            acc.append(w)
-            yield from rec(idx, remaining - len(w), head_used or w.tag == "h", acc)
+            acc.append(pool[idx])
+            yield from rec(idx, remaining - length, head_used or head, acc)
             acc.pop()
 
     # a depth-first walk over the sorted pool emits canonical order
@@ -430,27 +445,28 @@ def generate(n: int, kind: str) -> Iterator:
     if kind == "gn":
         return matchings(n)
     if kind == "sn":
-        from .saturation import is_saturated
-        fl = first_layer(n)
-        return (l2 for l2 in matchings(n) if is_saturated(Network(n, (fl, l2))))
+        from .saturation import saturated_layers
+        return saturated_layers(n)
     return sentences(n, kind)
 
 
 def matchings(n: int) -> Iterator[Layer]:
     """Every second layer over n channels (all matchings, including empty)."""
-    def rec(avail: tuple[int, ...]) -> Iterator[tuple]:
+    acc: list[tuple[int, int]] = []
+
+    def rec(avail: tuple[int, ...]) -> Iterator[Layer]:
         if not avail:
-            yield ()
+            # pairs are appended by increasing smallest channel: already sorted
+            yield tuple(acc)
             return
         v, rest = avail[0], avail[1:]
-        for tail in rec(rest):
-            yield tail
+        yield from rec(rest)
         for k, w in enumerate(rest):
-            pair = (v, w)
-            for tail in rec(rest[:k] + rest[k + 1:]):
-                yield (pair,) + tail
-    for m in rec(tuple(range(1, n + 1))):
-        yield tuple(sorted(m))
+            acc.append((v, w))
+            yield from rec(rest[:k] + rest[k + 1:])
+            acc.pop()
+
+    return rec(tuple(range(1, n + 1)))
 
 
 def telephone(n: int) -> int:

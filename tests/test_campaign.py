@@ -320,6 +320,19 @@ def test_cli_gen_and_tables(tmp_path):
     assert out.returncode == 0 and out.stdout.startswith("n,G,RG,S,RS,R,A")
 
 
+def test_cli_gen_rejects_too_few_channels():
+    # a usage error (exit 2, no traceback, no output), not a crash or a blank line
+    for n, kind in (("1", "gn"), ("1", "sn"), ("0", "rn"), ("0", "rgn"), ("-1", "rsn")):
+        out = subprocess.run(CLI + ["gen", "--n", n, "--set", kind, "--out", "-"],
+                             capture_output=True, text=True)
+        assert out.returncode == 2, (n, kind)
+        assert out.stdout == "" and "Traceback" not in out.stderr
+        assert f"--set {kind} needs --n >=" in out.stderr
+    out = subprocess.run(CLI + ["gen", "--n", "1", "--set", "rn", "--out", "-"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout == "0_h\n"
+
+
 def test_cli_encode_solve_find(tmp_path, solver_config):
     cnf_path = tmp_path / "t.cnf"
     out = subprocess.run(CLI + ["encode", "--n", "4", "--depth", "2",

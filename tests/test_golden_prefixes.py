@@ -1,0 +1,42 @@
+"""Golden bytes of the prefix sets.
+
+R_n indices name campaign instances and fix the prefixes behind the
+golden DIMACS digests, so the order of every prefix set is pinned here,
+not only its size.  The digests were computed before the sentence walk
+was indexed by length and before the sn filter stopped building a
+Network per second layer; never regenerate them to make a change pass.
+"""
+
+import hashlib
+
+import pytest
+
+from sortnetopt import cli
+from sortnetopt.words import render_sentence, sentences
+
+SENTENCES = {
+    "rgn": "1b4502aedd99418ccdca216ae0fc7330c7ef81bddf0194d187555a3a763fe78d",
+    "rsn": "446cb93326993c823d04ca10c89b81ea41f949a9f6aa9d4bfda992f844769517",
+    "rn": "d4881c32763a1968748e51ff04686f2bafabcb3c6d314babcb6ec3e2be0bba26",
+}
+
+GEN = {
+    ("12", "sn"): "1a02b4770dc7438b3652888a7eeaaa126a65ecc4080083f76fa4c81eefd98634",
+    ("10", "gn"): "354a6650993b3d0a0dc15ad8dbfd1bc1f979572cf85f1210ec60fe6701bed146",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SENTENCES))
+def test_golden_sentence_streams(kind):
+    # the rendered stream for n = 1..16, one sentence per line
+    h = hashlib.sha256()
+    for n in range(1, 17):
+        h.update("".join(render_sentence(s) + "\n" for s in sentences(n, kind)).encode())
+    assert h.hexdigest() == SENTENCES[kind]
+
+
+@pytest.mark.parametrize("n,kind", sorted(GEN))
+def test_golden_cli_gen_layers(n, kind, capsys):
+    assert cli.main(["gen", "--n", n, "--set", kind, "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN[(n, kind)]

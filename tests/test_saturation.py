@@ -19,7 +19,7 @@ from sortnetopt.saturation import (
     subsumes,
     verify_conjecture,
 )
-from sortnetopt.words import matchings, net_of, render_sentence, sentence_of, sentences
+from sortnetopt.words import generate, matchings, net_of, render_sentence, sentence_of, sentences
 
 FIG6_PATTERN_A = Pattern(3, layer1=((1, 2),), layer2=((1, 3),), externals1=(3,))
 FIG6_PATTERN_B = PATTERNS["P1a"]
@@ -62,6 +62,17 @@ def test_is_saturated_examples():
 def test_saturated_layer_count_formula_matches_enumeration():
     for n in range(3, 10):
         assert saturated_layer_count(n) == saturated_layer_count(n, by_enumeration=True)
+
+
+def test_sn_generator_matches_is_saturated():
+    # the layer-level filter keeps exactly the layers is_saturated keeps, in order
+    for n in range(2, 11):
+        fl = first_layer(n)
+        want = [l2 for l2 in matchings(n) if is_saturated(Network(n, (fl, l2)))]
+        assert list(generate(n, "sn")) == want
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            generate(n, "sn")   # eagerly, before the first layer is drawn
 
 
 def test_semantic_oracle_examples():
