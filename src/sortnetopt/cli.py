@@ -15,7 +15,7 @@ from pathlib import Path
 from . import campaign as campaign_mod
 from . import words as words_mod
 from .encoding import EncodeOptions, build, to_dimacs
-from .networks import Network, first_layer, unsorted_inputs
+from .networks import Network, first_layer, network_json, unsorted_inputs
 from .solver import SolverConfig, default_config, run_solver
 
 EXIT_OK = 0
@@ -38,8 +38,9 @@ def _cmd_gen(args) -> int:
     if kind in ("gn", "sn") and n > GN_STREAM_LIMIT:
         lines = [str(words_mod.telephone(n) if kind == "gn" else words_mod.counts(n, "s").s)]
     elif kind in ("gn", "sn"):
+        # the generated layers are already valid and sorted: no Network is needed
         fl = first_layer(n)
-        lines = [Network(n, (fl, l2)).to_json() for l2 in words_mod.generate(n, kind)]
+        lines = [network_json(n, (fl, l2)) for l2 in words_mod.generate(n, kind)]
     else:
         lines = [words_mod.render_sentence(s) for s in words_mod.generate(n, kind)]
     _write(args.out, "\n".join(lines) + "\n")
@@ -60,7 +61,8 @@ def _load_prefix(args) -> Network | None:
 def _cmd_encode(args) -> int:
     prefix = _load_prefix(args)
     opts = EncodeOptions(sigma1=not args.no_sigma1, sigma2=not args.no_sigma2,
-                         sigma3=not args.no_sigma3, pad=args.pad, prefix=prefix)
+                         sigma3=not args.no_sigma3, last_layer=not args.no_last_layer,
+                         pad=args.pad, prefix=prefix)
     xs = unsorted_inputs(args.n, prefix)
     vm, cnf = build(args.n, args.depth, xs, opts)
     comment = f"sortnetopt n={args.n} d={args.depth} inputs={len(vm.inputs)} pad={args.pad}"
@@ -135,6 +137,8 @@ def main(argv=None) -> int:
     p.add_argument("--no-sigma1", action="store_true")
     p.add_argument("--no-sigma2", action="store_true")
     p.add_argument("--no-sigma3", action="store_true")
+    p.add_argument("--no-last-layer", action="store_true",
+                   help="allow non-adjacent comparators in the last layer")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 

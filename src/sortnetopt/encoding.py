@@ -12,8 +12,34 @@ constants obtained by propagating each input through the prefix, and
 inputs with identical prefix images share one set of value clauses.  All
 of this preserves satisfiability of the underlying formula exactly.
 
-The full formula is satisfiable iff some depth-d network on n channels
-(with the fixed prefix, when given) sorts every member of X.
+Soundness contract.  The symmetry-breaking clauses σ1-σ3 and the
+last-layer units (EncodeOptions) each remove networks, never every
+sorting network:
+
+  σ1  no comparator repeats on consecutive layers: the second copy never
+      swaps, so deleting it keeps a network sorting;
+  σ2  a comparator of layer l >= 2 touches a channel that layer l-1
+      uses: else it moves down a layer without changing any output;
+  σ3  every adjacent pair (i,i+1) is compared in some layer: the input
+      that is sorted but for a one on channel i and a zero on i+1 is
+      changed by no other comparator;
+  last layer  (on when the last layer is open, d above the prefix depth)
+      layer d has no comparator (i,j) with j > i+1.  Codish, Cruz-Filipe,
+      Ehlers, Müller and Schneider-Kamp (JCSS 2019) show that such a
+      comparator is redundant in a sorting network, so deleting the
+      non-adjacent comparators of its last layer keeps it sorting.  The
+      deletion cannot break σ1-σ3: σ1 only forbids; σ2 constrains the
+      comparators of layer d by layer d-1, and nothing reads u(d, ·); σ3
+      needs only adjacent pairs, which stay.
+
+So when X is every input left unsorted by the prefix (all unsorted
+inputs without one), the formula is satisfiable iff some depth-d sorting
+network on n channels with that prefix exists.  On a subset of those
+inputs (windows) UNSAT still refutes that, and SAT proves nothing.  Nor
+does the formula say whether some network sorts the subset itself: with
+σ3 on, build(3, 1, []) and build(3, 1, [0b001]) are UNSAT although depth-1
+networks sort both sets.  A decoded model is checked against the inputs
+again wherever it is used.
 
 A Cnf keeps its clauses as one flat int32 array in which every clause is
 its literals followed by a 0, as in DIMACS.  The value clauses of all
@@ -47,6 +73,7 @@ class EncodeOptions:
     sigma1: bool = True   # no repeated comparator on consecutive layers
     sigma2: bool = True   # comparators cannot slide to an unused earlier layer
     sigma3: bool = True   # every adjacent pair (i,i+1) compared somewhere
+    last_layer: bool = True  # the last layer compares adjacent channels only
     pad: int = 0          # window padding; 0 = off
     prefix: Optional[Network] = None
 
@@ -99,9 +126,6 @@ class Cnf:
     @property
     def clauses(self) -> Clauses:
         return Clauses(self.lits)
-
-    def extend(self, fragment: Iterable[Sequence[int]] | np.ndarray) -> None:
-        self.lits = np.concatenate((self.lits, _flat(fragment)))
 
 
 class VarMap:
@@ -179,18 +203,44 @@ class VarMap:
         return index
 
 
-def encode_structure(vm: VarMap) -> list[tuple[int, ...]]:
-    """u(l,k) <-> OR of incident comparator vars, plus at-most-one per channel."""
-    out: list[tuple[int, ...]] = []
-    for l in range(1, vm.d + 1):
-        for k in range(1, vm.n + 1):
-            incident = [vm.c(l, min(k, m), max(k, m))
-                        for m in range(1, vm.n + 1) if m != k]
-            u = vm.u(l, k)
-            out.append((-u, *incident))
-            out.extend((-cvar, u) for cvar in incident)
-            out.extend((-a, -b) for a, b in itertools.combinations(incident, 2))
-    return out
+def _pair_index(n: int) -> np.ndarray:
+    """Position of the comparator on channels i, j (0-based, either order)
+    among the pairs of a layer; -1 on the diagonal."""
+    index = np.full((n, n), -1, dtype=np.intp)
+    i, j = np.triu_indices(n, 1)
+    index[i, j] = index[j, i] = np.arange(len(i))
+    return index
+
+
+def _guards(vm: VarMap) -> tuple[np.ndarray, np.ndarray]:
+    """The variables c (layer, pair) and u (layer, channel) of every layer."""
+    c = np.arange(1, vm.d * vm._pairs + 1, dtype=np.int32).reshape(vm.d, vm._pairs)
+    u = vm.d * vm._pairs + np.arange(1, vm.d * vm.n + 1, dtype=np.int32).reshape(vm.d, vm.n)
+    return c, u
+
+
+def _rows(*lits) -> np.ndarray:
+    """One clause per element of the broadcast literal operands, each with
+    its terminating 0: shape (..., len(lits) + 1)."""
+    return np.stack(np.broadcast_arrays(*lits, np.int32(0)), axis=-1)
+
+
+def encode_structure(vm: VarMap) -> np.ndarray:
+    """u(l,k) <-> OR of incident comparator vars, plus at-most-one per channel.
+
+    Per layer and channel: the clause -u(l,k) OR the incident c's, then
+    c -> u(l,k) for each incident c, then one at-most-one clause per pair
+    of them, all as flat 0-terminated clauses.
+    """
+    n, d = vm.n, vm.d
+    c, u = _guards(vm)
+    index = _pair_index(n)
+    incident = c[:, index[~np.eye(n, dtype=bool)].reshape(n, n - 1)]   # (layer, k, m != k)
+    a, b = np.triu_indices(n - 1, 1)
+    blocks = (np.concatenate((-u[..., None], incident, np.zeros_like(u)[..., None]), axis=-1),
+              _rows(-incident, u[..., None]).reshape(d, n, 3 * (n - 1)),
+              _rows(-incident[..., a], -incident[..., b]).reshape(d, n, 3 * len(a)))
+    return np.concatenate(blocks, axis=-1).ravel()
 
 
 def _bits(vals: np.ndarray, n: int) -> np.ndarray:
@@ -287,45 +337,55 @@ def encode_input_sort(vm: VarMap) -> np.ndarray:
     if vm.prefix_depth == vm.d:
         wrong = (_bits(vm._levels[-1], n) != _sorted_bits(vm._levels[0], n)).any(axis=1)
         return np.zeros(int(wrong.sum()), dtype=np.int32)
-    layers = range(vm.prefix_depth + 1, vm.d + 1)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    i = np.array([a for a, _ in pairs], dtype=np.intp) - 1
-    j = np.array([b for _, b in pairs], dtype=np.intp) - 1
-    c = np.array([[vm.c(l, a, b) for a, b in pairs] for l in layers], dtype=np.int32)
-    u = np.array([[vm.u(l, k) for k in range(1, n + 1)] for l in layers], dtype=np.int32)
+    i, j = np.triu_indices(n, 1)
+    c, u = (guard[vm.prefix_depth:] for guard in _guards(vm))   # the open layers
     parts = [_value_clauses(vm, lo, min(lo + _INPUT_CHUNK, len(vm.inputs)), i, j, c, u)
              for lo in range(0, len(vm.inputs), _INPUT_CHUNK)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
 
 
-def encode_symmetry(vm: VarMap, opts: EncodeOptions) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    pairs = list(itertools.combinations(range(1, vm.n + 1), 2))
+def encode_symmetry(vm: VarMap, opts: EncodeOptions) -> np.ndarray:
+    """The σ1, σ2 and σ3 clauses the options switch on, flat and 0-terminated."""
+    c, u = _guards(vm)
+    i, j = np.triu_indices(vm.n, 1)
+    parts = [np.zeros(0, dtype=np.int32)]
     if opts.sigma1:
-        out.extend((-vm.c(l, i, j), -vm.c(l + 1, i, j))
-                   for l in range(1, vm.d) for i, j in pairs)
+        parts.append(_rows(-c[:-1], -c[1:]).ravel())
     if opts.sigma2:
-        out.extend((-vm.c(l, i, j), vm.u(l - 1, i), vm.u(l - 1, j))
-                   for l in range(2, vm.d + 1) for i, j in pairs)
+        parts.append(_rows(-c[1:], u[:-1, i], u[:-1, j]).ravel())
     if opts.sigma3:
-        out.extend(tuple(vm.c(l, i, i + 1) for l in range(1, vm.d + 1))
-                   for i in range(1, vm.n))
-    return out
+        adjacent = c[:, j - i == 1].T   # (pair (i,i+1), layer)
+        parts.append(np.column_stack((adjacent, np.zeros(vm.n - 1, dtype=np.int32))).ravel())
+    return np.concatenate(parts)
 
 
-def encode_fixed_prefix(vm: VarMap, prefix: Network) -> list[tuple[int, ...]]:
+def encode_last_layer(vm: VarMap) -> np.ndarray:
+    """Unit clauses -c(d,i,j) for every non-adjacent pair j > i+1.
+
+    Only when layer d is open (d above the prefix depth); otherwise the
+    last layer is the prefix's and nothing is emitted.
+    """
+    if vm.d <= vm.prefix_depth:
+        return np.zeros(0, dtype=np.int32)
+    c, _ = _guards(vm)
+    i, j = np.triu_indices(vm.n, 1)
+    return _rows(-c[-1, j - i > 1]).ravel()
+
+
+def encode_fixed_prefix(vm: VarMap, prefix: Network) -> np.ndarray:
     """Unit clauses pinning every comparator variable of the prefix layers."""
     if prefix.depth > vm.d:
         raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {vm.d}")
     if prefix.n != vm.n:
         raise ValueError("prefix channel count mismatch")
-    out: list[tuple[int, ...]] = []
-    for l, layer in enumerate(prefix.layers, start=1):
-        present = {(min(i, j), max(i, j)) for i, j in layer}
-        for i, j in itertools.combinations(range(1, vm.n + 1), 2):
-            var = vm.c(l, i, j)
-            out.append((var,) if (i, j) in present else (-var,))
-    return out
+    c, _ = _guards(vm)
+    index = _pair_index(vm.n)
+    present = np.zeros((prefix.depth, vm._pairs), dtype=bool)
+    for l, layer in enumerate(prefix.layers):
+        for i, j in layer:
+            present[l, index[i - 1, j - 1]] = True
+    fixed = c[:prefix.depth]
+    return _rows(np.where(present, fixed, -fixed)).ravel()
 
 
 def build(n: int, d: int, inputs: Iterable[int],
@@ -350,13 +410,13 @@ def build(n: int, d: int, inputs: Iterable[int],
             seen.setdefault((image, bin(b).count("1")), b)
         xs = sorted(seen.values())
     vm = VarMap(n, d, xs, opts.prefix)
-    cnf = Cnf(vm.num_vars)
-    cnf.extend(encode_structure(vm))
-    cnf.extend(encode_symmetry(vm, opts))
+    parts = [encode_structure(vm), encode_symmetry(vm, opts)]
+    if opts.last_layer:
+        parts.append(encode_last_layer(vm))
     if opts.prefix is not None:
-        cnf.extend(encode_fixed_prefix(vm, opts.prefix))
-    cnf.extend(encode_input_sort(vm))
-    return vm, cnf
+        parts.append(encode_fixed_prefix(vm, opts.prefix))
+    parts.append(encode_input_sort(vm))
+    return vm, Cnf(vm.num_vars, np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------

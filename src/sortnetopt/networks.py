@@ -71,7 +71,7 @@ class Network:
         return Network(self.n, self.layers + (_norm_layer(layer),), self.generalized)
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "layers": [[list(c) for c in l] for l in self.layers]})
+        return network_json(self.n, self.layers)
 
     @staticmethod
     def from_json(text: str) -> "Network":
@@ -81,6 +81,11 @@ class Network:
         layers = [_norm_layer(l) for l in obj["layers"]]
         generalized = any(i > j for l in layers for i, j in l)
         return Network(int(obj["n"]), tuple(layers), generalized)
+
+
+def network_json(n: int, layers: Iterable[Iterable[Comparator]]) -> str:
+    """The JSON text of a network, from its channel count and layers as given."""
+    return json.dumps({"n": n, "layers": [[list(c) for c in l] for l in layers]})
 
 
 def network(n: int, *layers: Iterable[Sequence[int]], generalized: bool = False) -> Network:

@@ -11,6 +11,7 @@ from sortnetopt.encoding import (
     decode_network,
     encode_fixed_prefix,
     encode_input_sort,
+    encode_last_layer,
     encode_structure,
     encode_symmetry,
     parse_solver_output,
@@ -75,7 +76,7 @@ def test_varmap_census_and_order():
 
 def test_incident_sets_and_at_most_one():
     vm = VarMap(3, 1, [])
-    frag = encode_structure(vm)
+    frag = Cnf(vm.num_vars, encode_structure(vm)).clauses
     amo = [c for c in frag if len(c) == 2 and c[0] < 0 and c[1] < 0
            and abs(c[0]) <= 3 and abs(c[1]) <= 3]
     assert len(amo) == 3  # one per channel: C(2,2) pairs over each incident set
@@ -116,29 +117,67 @@ def test_guard_expansion_clause_count():
 
 
 def test_sigma_counts():
+    def symmetry(vm, opts):
+        return Cnf(vm.num_vars, encode_symmetry(vm, opts)).clauses
+
     vm = VarMap(3, 2, [])
-    s1 = encode_symmetry(vm, EncodeOptions(sigma1=True, sigma2=False, sigma3=False))
+    s1 = symmetry(vm, EncodeOptions(sigma1=True, sigma2=False, sigma3=False))
     assert len(s1) == 3
     vm = VarMap(4, 3, [])
-    s3 = encode_symmetry(vm, EncodeOptions(sigma1=False, sigma2=False, sigma3=True))
+    s3 = symmetry(vm, EncodeOptions(sigma1=False, sigma2=False, sigma3=True))
     assert len(s3) == 3
     assert set(s3) == {tuple(vm.c(l, i, i + 1) for l in (1, 2, 3)) for i in (1, 2, 3)}
     vm = VarMap(3, 1, [])
-    assert encode_symmetry(vm, EncodeOptions(sigma1=False, sigma2=True, sigma3=False)) == []
+    assert symmetry(vm, EncodeOptions(sigma1=False, sigma2=True, sigma3=False)) == []
 
 
 def test_fixed_prefix_units():
+    def fixed_prefix(vm, prefix):
+        return Cnf(vm.num_vars, encode_fixed_prefix(vm, prefix)).clauses
+
     vm = VarMap(4, 2, [])
-    frag = encode_fixed_prefix(vm, network(4, first_layer(4)))
+    frag = fixed_prefix(vm, network(4, first_layer(4)))
     expect = {(vm.c(1, 1, 2),), (vm.c(1, 3, 4),),
               (-vm.c(1, 1, 3),), (-vm.c(1, 1, 4),), (-vm.c(1, 2, 3),), (-vm.c(1, 2, 4),)}
     assert set(frag) == expect
 
     vm5 = VarMap(5, 3, [])
     two = network(5, first_layer(5), [(1, 5), (2, 4)])
-    assert len(encode_fixed_prefix(vm5, two)) == 2 * 10
+    assert len(fixed_prefix(vm5, two)) == 2 * 10
 
-    assert encode_fixed_prefix(VarMap(4, 2, []), network(4)) == []
+    assert fixed_prefix(VarMap(4, 2, []), network(4)) == []
+
+
+def test_last_layer_units():
+    from sortnetopt.campaign import two_layer_prefixes
+    for n in range(2, 8):
+        for d in (1, 2, 3):
+            vm = VarMap(n, d, [])
+            units = Cnf(vm.num_vars, encode_last_layer(vm)).clauses
+            assert len(units) == (n - 1) * (n - 2) // 2
+            assert set(units) == {(-vm.c(d, i, j),) for i, j
+                                  in itertools.combinations(range(1, n + 1), 2) if j > i + 1}
+    for prefix in two_layer_prefixes(6):
+        # the prefix fills layer d: nothing to forbid
+        assert encode_last_layer(VarMap(6, 2, [], prefix)).size == 0
+        assert len(Cnf(0, encode_last_layer(VarMap(6, 4, [], prefix))).clauses) == 5 * 4 // 2
+
+
+def test_last_layer_keeps_rn_verdicts(solver_config):
+    # every R_n prefix up to depth T(n): the units never change a verdict
+    from sortnetopt.campaign import two_layer_prefixes
+    T = {5: 5, 6: 5, 7: 6}
+    for n, top in T.items():
+        sat = {d: 0 for d in range(3, top + 1)}
+        for idx, prefix in enumerate(two_layer_prefixes(n)):
+            xs = unsorted_inputs(n, prefix)
+            for d in sat:
+                verdicts = [run_solver(build(n, d, xs, EncodeOptions(prefix=prefix, last_layer=on))[1],
+                                       solver_config, name=f"last-{n}-{idx}-{d}").verdict
+                            for on in (True, False)]
+                assert verdicts[0] == verdicts[1], (n, idx, d, verdicts)
+                sat[d] += verdicts[0] == "SAT"
+        assert sat[top] > 0 and not any(sat[d] for d in range(3, top)), (n, sat)
 
 
 def test_prefix_too_deep():

@@ -1,10 +1,14 @@
 """Golden bytes of the CNF encoder.
 
 Each group hashes the DIMACS text of a family of instances into one
-SHA-256 digest.  The digests were computed with the per-clause reference
-encoder (tuples of literals, folded and deduplicated one input at a time)
-that the array encoder replaced, so any change to the formula, its
-variable numbering or its clause order shows up here.  No solver is run.
+SHA-256 digest.  The digests of the formulas with the last-layer units
+off were computed with the per-clause reference encoder (tuples of
+literals, folded and deduplicated one input at a time) that the array
+encoder replaced; the "+last" digests and the CLI digest without
+--no-last-layer were added with the units, which leave everything else
+in place.  So any change to the formula, its variable numbering or its
+clause order shows up here.  No solver is run.  Never regenerate a digest
+to make a change pass.
 """
 
 import hashlib
@@ -27,32 +31,47 @@ def _digest(texts) -> str:
     return h.hexdigest()
 
 
-def _dimacs(n, d, prefix=None, **opts) -> str:
+def _dimacs(n, d, prefix=None, last_layer=False, **opts) -> str:
     xs = unsorted_inputs(n, prefix)
-    return to_dimacs(build(n, d, xs, EncodeOptions(prefix=prefix, **opts))[1])
+    opts = EncodeOptions(prefix=prefix, last_layer=last_layer, **opts)
+    return to_dimacs(build(n, d, xs, opts)[1])
 
 
-def _rn_sweep(n, depths):
+def _rn_sweep(n, depths, last_layer=False):
     for prefix in two_layer_prefixes(n):
         for d in depths:
             for pad in default_pads(n):
-                yield _dimacs(n, d, prefix, pad=pad)
+                yield _dimacs(n, d, prefix, last_layer, pad=pad)
 
 
+def _free(last_layer=False):
+    return (_dimacs(n, d, last_layer=last_layer, **off)
+            for n in (2, 3, 4) for d in range(4) for off in SIGMA_OFF)
+
+
+def _layer1(last_layer=False):
+    return (_dimacs(n, d, Network(n, (first_layer(n, "crossing"),)), last_layer, pad=pad)
+            for n in (5, 6) for d in (3, 4) for pad in (0, 2))
+
+
+# the groups without a suffix pin the formulas with the last-layer units off;
+# "+last" groups pin the same families with them on (the default)
 GROUPS = {
     # every R_n prefix at every depth up to T(n), at each default pad
     "rn6": lambda: _rn_sweep(6, range(3, T[6] + 1)),
     "rn7": lambda: _rn_sweep(7, range(3, T[7] + 1)),
     "rn8-d6": lambda: _rn_sweep(8, [6]),
     # no prefix: level 0 folds to the input itself; d = 0 is the empty clause
-    "free": lambda: (_dimacs(n, d, **dict(off))
-                     for n in (2, 3, 4) for d in range(4) for off in SIGMA_OFF),
+    "free": _free,
     # one fixed layer, with and without windows
-    "layer1": lambda: (_dimacs(n, d, Network(n, (first_layer(n, "crossing"),)), pad=pad)
-                       for n in (5, 6) for d in (3, 4) for pad in (0, 2)),
+    "layer1": _layer1,
     # prefix depth = d: only the consistency fragment (empty clauses) is left
     "prefix-at-d": lambda: (_dimacs(n, 2, prefix)
                             for n in (4, 5, 6) for prefix in two_layer_prefixes(n)),
+    "rn6+last": lambda: _rn_sweep(6, range(3, T[6] + 1), last_layer=True),
+    "rn7+last": lambda: _rn_sweep(7, range(3, T[7] + 1), last_layer=True),
+    "free+last": lambda: _free(last_layer=True),
+    "layer1+last": lambda: _layer1(last_layer=True),
 }
 
 EXPECTED = {
@@ -62,6 +81,10 @@ EXPECTED = {
     "free": "bd584f034957f46435c044f7a689b8d2223afbc6f762b9cfca26ec31bc78ef90",
     "layer1": "fc748ccd7d5a1601f211257e4b28ee58579d8c81a97cac4c53a4a86cfe002371",
     "prefix-at-d": "0bc78d6758befbb44379f7a93b21473dbc13fe70a4b5a8dfde3460f71181fe0c",
+    "rn6+last": "25b9086f85adde8059024ced106733098f28899cc878c11c5b3aac930584c571",
+    "rn7+last": "38d76fc5d26d061e512faec2ceba593e316411f3197e4a0dbdd11c46e791756b",
+    "free+last": "e325440f9d9eedc3bc4caa6f8c85051a9c385bd5a4cecdb48dd035954e7aedc0",
+    "layer1+last": "3435aba699ca9c1af7f2a7dc9976e47b1851aeaa6833683c0b371b655370c1cc",
 }
 
 
@@ -70,13 +93,25 @@ def test_golden_dimacs(group):
     assert _digest(GROUPS[group]()) == EXPECTED[group]
 
 
-def test_golden_cli_encode(capsys):
+CLI_ARGVS = (["--n", "6", "--depth", "4", "--prefix-index", "1", "--pad", "2"],
+             ["--n", "5", "--depth", "3", "--no-sigma2"],
+             ["--n", "4", "--depth", "2", "--prefix-index", "0"])
+
+
+def _cli_texts(capsys, *extra):
     # the CLI output carries its comment line before the header
     texts = []
-    for argv in (["--n", "6", "--depth", "4", "--prefix-index", "1", "--pad", "2"],
-                 ["--n", "5", "--depth", "3", "--no-sigma2"],
-                 ["--n", "4", "--depth", "2", "--prefix-index", "0"]):
-        assert cli.main(["encode", *argv, "--out", "-"]) == 0
+    for argv in CLI_ARGVS:
+        assert cli.main(["encode", *argv, *extra, "--out", "-"]) == 0
         texts.append(capsys.readouterr().out)
     assert texts[0].startswith("c sortnetopt n=6 d=4 inputs=")
+    return texts
+
+
+def test_golden_cli_encode(capsys):
+    texts = _cli_texts(capsys, "--no-last-layer")
     assert _digest(texts) == "ce1a06c84e3e82688cfe999a085173ff5db6a7e2c501980bea3516006a05c0f8"
+
+
+def test_golden_cli_encode_last_layer(capsys):
+    assert _digest(_cli_texts(capsys)) == "d0ca9b5ae0734ea4a06d25bf20968cb2def2742f40d9989d94f4a75a11f4d32b"
