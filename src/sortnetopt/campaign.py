@@ -68,9 +68,19 @@ def two_layer_prefixes(n: int) -> list[Network]:
     return [words_mod.net_of(s) for s in words_mod.sentences(n, "rn")]
 
 
-def default_pads(n: int) -> list[int]:
-    """Largest-first pad schedule; per-n sweet spots vary, so descend and retry."""
-    return sorted({max(p, 0) for p in (n - 4, n - 6, 0)}, reverse=True)
+def default_pads(n: int, d: int) -> list[int]:
+    """One padded try with windows of width d + 1, then the full input set.
+
+    Returns [n - d - 1, 0], or [0] when n <= d + 1.  With the refsat
+    reference solver and jobs=2 on a 2-vCPU VM, prove_lower_bound(10, 6)
+    with pads [3, 0] made 21 instances, none of them a padded SAT, in about
+    half the wall time of the old depth-blind [6, 4, 0] (53 instances, 32
+    padded SAT); at n = 11, d = 7, pad 3 refuted 47 of the 48 prefixes
+    while pad 4 refuted none of them.  At a depth where a sorting network
+    exists the padded try is SAT and only adds work: prove_lower_bound(10,
+    7) took 15-17 s against 11-13 s with [6, 4, 0].
+    """
+    return sorted({max(n - d - 1, 0), 0}, reverse=True)
 
 
 def _prefix_tasks(n: int, d: int) -> list[Task]:
@@ -208,11 +218,17 @@ def prove_lower_bound(n: int, d_prime: int,
                       jobs: int = 1) -> CampaignResult:
     """Try to prove T(n) > d_prime by refuting every prefix in R_n.
 
-    Each prefix descends the pad schedule (default_pads(n) when None),
-    normalised to distinct pads below n, largest first, ending at 0.
+    Each prefix descends the pad schedule, normalised to distinct pads
+    below n, largest first, ending at 0.  The default, default_pads(n,
+    d_prime), tries windows of width d_prime + 1 (pad n - d_prime - 1)
+    once and then the full input set; see default_pads for the
+    measurements behind it.  A padded UNSAT refutes the prefix, and a
+    padded SAT falls through to pad 0, so the schedule never changes a
+    claim.
     """
-    pads = sorted({max(0, p) for p in (pad_schedule if pad_schedule is not None else default_pads(n))},
-                  reverse=True)
+    if pad_schedule is None:
+        pad_schedule = default_pads(n, d_prime)
+    pads = sorted({max(0, p) for p in pad_schedule}, reverse=True)
     pads = [p for p in pads if p < n] or [0]
     if pads[-1] != 0:
         pads.append(0)

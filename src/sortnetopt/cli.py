@@ -98,8 +98,7 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    pads = [int(p) for p in args.pads.split(",")] if args.pads else None
-    camp = campaign_mod.prove_lower_bound(args.n, args.depth, pads,
+    camp = campaign_mod.prove_lower_bound(args.n, args.depth, args.pads,
                                           _solver_config(args), jobs=args.jobs)
     report = campaign_mod.campaign_to_json(camp)
     if args.out:
@@ -117,18 +116,45 @@ def _cmd_tables(args) -> int:
     return EXIT_OK
 
 
+def _pad_list(text: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _usage_error(args) -> str | None:
+    """What makes a parsed command line unusable, before any work starts."""
+    if args.command == "gen":
+        # gn and sn are second layers over the first layer F_n, which needs two channels
+        least = 2 if args.set in ("gn", "sn") else 1
+        if args.n < least:
+            return f"--set {args.set} needs --n >= {least}"
+        return None
+    if args.command in ("encode", "find", "prove"):
+        if args.n < 1:
+            return f"--n must be at least 1, got {args.n}"
+        if args.depth < 0:
+            return f"--depth must be at least 0, got {args.depth}"
+    if args.command == "encode" and not 0 <= args.pad < args.n:
+        return f"--pad must satisfy 0 <= pad < n = {args.n}, got {args.pad}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sortnetopt",
                                      description="depth-optimal sorting network toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = p = sub.add_parser("gen", help="emit prefix sentences or networks")
+    parsers = {}
+
+    parsers["gen"] = p = sub.add_parser("gen", help="emit prefix sentences or networks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", choices=("gn", "rgn", "sn", "rsn", "rn"), required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("encode", help="emit a DIMACS CNF instance")
+    parsers["encode"] = p = sub.add_parser("encode", help="emit a DIMACS CNF instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--prefix", help="network JSON file fixing the first layers")
@@ -148,7 +174,7 @@ def main(argv=None) -> int:
     p.add_argument("--timeout", type=float, default=600.0)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("find", help="search for a depth-d sorting network")
+    parsers["find"] = p = sub.add_parser("find", help="search for a depth-d sorting network")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("free", "layer1", "two-layer"), default="two-layer")
@@ -157,10 +183,12 @@ def main(argv=None) -> int:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_find)
 
-    p = sub.add_parser("prove", help="lower-bound campaign over R_n")
+    parsers["prove"] = p = sub.add_parser("prove", help="lower-bound campaign over R_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--pads", help="comma-separated pad schedule, largest first")
+    p.add_argument("--pads", type=_pad_list,
+                   help="comma-separated pad schedule, largest first "
+                        "(default: n-d-1, then 0)")
     p.add_argument("--solver")
     p.add_argument("--timeout", type=float, default=600.0)
     p.add_argument("--jobs", type=int, default=1)
@@ -173,11 +201,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_tables)
 
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        # gn and sn are second layers over the first layer F_n, which needs two channels
-        least = 2 if args.set in ("gn", "sn") else 1
-        if args.n < least:
-            gen.error(f"--set {args.set} needs --n >= {least}")
+    error = _usage_error(args)
+    if error:
+        parsers[args.command].error(error)
     return args.func(args)
 
 

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -134,8 +135,26 @@ def test_two_layer_prefixes_counts():
 
 
 def test_default_pads():
-    assert default_pads(9) == [5, 3, 0]
-    assert default_pads(4) == [0]
+    # one padded try with windows of width d + 1, then the full input set
+    assert default_pads(10, 6) == [3, 0]
+    assert default_pads(11, 7) == [3, 0]
+    assert default_pads(9, 7) == [1, 0]
+    assert default_pads(9, 3) == [5, 0]
+    assert default_pads(4, 3) == [0]
+    for n in range(1, 13):
+        for d in range(n + 1):
+            pads = default_pads(n, d)
+            assert pads[-1] == 0
+            assert all(a > b for a, b in zip(pads, pads[1:]))
+
+
+@pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
+def test_default_pads_keep_claims(solver_config, n, t):
+    for d in (t - 1, t):
+        default = prove_lower_bound(n, d, config=solver_config, jobs=2)
+        full = prove_lower_bound(n, d, [0], solver_config, jobs=2)
+        assert default.claim == full.claim
+        assert max(Counter(r.prefix_index for r in default.instances).values()) <= 2
 
 
 def test_find_network_examples(solver_config):
@@ -331,6 +350,20 @@ def test_cli_gen_rejects_too_few_channels():
     out = subprocess.run(CLI + ["gen", "--n", "1", "--set", "rn", "--out", "-"],
                          capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout == "0_h\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prove", "--n", "5", "--depth", "4", "--pads", "2,x"], "argument --pads: expected"),
+    (["encode", "--n", "5", "--depth", "3", "--pad", "5", "--out", "-"], "--pad must satisfy"),
+    (["encode", "--n", "5", "--depth", "3", "--pad", "-1", "--out", "-"], "--pad must satisfy"),
+    (["prove", "--n", "0", "--depth", "2"], "--n must be at least 1"),
+])
+def test_cli_usage_errors(argv, message):
+    # a usage error (exit 2, one line, no traceback) before any work starts
+    out = subprocess.run(CLI + argv, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert message in out.stderr.splitlines()[-1]
 
 
 def test_cli_encode_solve_find(tmp_path, solver_config):
