@@ -40,7 +40,6 @@ from .words import (
     render_sentence,
 )
 from .saturation import (
-    contains_pattern,
     is_redundant,
     is_saturated,
     is_saturated_semantic,

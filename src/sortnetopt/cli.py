@@ -15,7 +15,7 @@ from pathlib import Path
 from . import campaign as campaign_mod
 from . import words as words_mod
 from .encoding import EncodeOptions, build, to_dimacs
-from .networks import Network, first_layer, network_json, unsorted_inputs
+from .networks import MAX_ENUM_CHANNELS, Network, first_layer, network_json, unsorted_inputs
 from .solver import SolverConfig, default_config, run_solver
 
 EXIT_OK = 0
@@ -24,6 +24,10 @@ EXIT_UNSAT = 20
 EXIT_INCONCLUSIVE = 30
 
 GN_STREAM_LIMIT = 16  # beyond this, gn/sn report counts only
+
+
+class UsageError(ValueError):
+    """A command line found unusable once its inputs are read."""
 
 
 def _write(path: str, text: str) -> None:
@@ -49,13 +53,25 @@ def _cmd_gen(args) -> int:
 
 def _load_prefix(args) -> Network | None:
     if args.prefix is not None:
-        return Network.from_json(Path(args.prefix).read_text())
-    if args.prefix_index is not None:
+        try:
+            prefix = Network.from_json(Path(args.prefix).read_text())
+        except (OSError, TypeError, ValueError) as exc:
+            raise UsageError(f"--prefix {args.prefix}: {exc}")
+    elif args.prefix_index is not None:
         prefixes = campaign_mod.two_layer_prefixes(args.n)
         if not 0 <= args.prefix_index < len(prefixes):
-            raise SystemExit(f"prefix index out of range (|R_{args.n}| = {len(prefixes)})")
-        return prefixes[args.prefix_index]
-    return None
+            raise UsageError(f"--prefix-index must satisfy 0 <= index < |R_{args.n}| = "
+                             f"{len(prefixes)}, got {args.prefix_index}")
+        prefix = prefixes[args.prefix_index]
+    else:
+        return None
+    if prefix.n != args.n:
+        raise UsageError(f"the prefix has n = {prefix.n}, but --n is {args.n}")
+    if prefix.depth > args.depth:
+        raise UsageError(f"the prefix has depth {prefix.depth}, more than --depth {args.depth}")
+    if prefix.generalized:
+        raise UsageError("the prefix has a reversed comparator; a fixed prefix must be standard")
+    return prefix
 
 
 def _cmd_encode(args) -> int:
@@ -90,9 +106,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_find(args) -> int:
-    mode = args.mode.replace("-", "_")
     witness, camp = campaign_mod.find_network_campaign(
-        args.n, args.depth, mode, _solver_config(args), jobs=args.jobs)
+        args.n, args.depth, args.mode, _solver_config(args), jobs=args.jobs)
     print(witness.to_json() if witness is not None else json.dumps({"claim": camp.claim}))
     return _claim_exit(camp, args.depth)
 
@@ -134,6 +149,8 @@ def _usage_error(args) -> str | None:
     if args.command in ("encode", "find", "prove"):
         if args.n < 1:
             return f"--n must be at least 1, got {args.n}"
+        if args.n > MAX_ENUM_CHANNELS:
+            return f"--n must be at most {MAX_ENUM_CHANNELS}, got {args.n}"
         if args.depth < 0:
             return f"--depth must be at least 0, got {args.depth}"
     if args.command == "encode" and not 0 <= args.pad < args.n:
@@ -204,7 +221,10 @@ def main(argv=None) -> int:
     error = _usage_error(args)
     if error:
         parsers[args.command].error(error)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        parsers[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

@@ -404,11 +404,10 @@ def build(n: int, d: int, inputs: Iterable[int],
         unsorted = any(not is_ascending(b, n) for b in xs)
         return VarMap(n, 0, xs), Cnf(0, [()] if unsorted else [])
     if opts.prefix is not None:
-        seen: dict[tuple, int] = {}
-        images = _eval_array(opts.prefix, np.array(xs, dtype=np.uint32)).tolist()
-        for b, image in zip(xs, images):
-            seen.setdefault((image, bin(b).count("1")), b)
-        xs = sorted(seen.values())
+        # one input per prefix image, the smallest; the image fixes the weight
+        arr = np.array(xs, dtype=np.uint32)
+        _, first = np.unique(_eval_array(opts.prefix, arr), return_index=True)
+        xs = arr[np.sort(first)].tolist()
     vm = VarMap(n, d, xs, opts.prefix)
     parts = [encode_structure(vm), encode_symmetry(vm, opts)]
     if opts.last_layer:

@@ -5,8 +5,25 @@ output set unchanged up to a channel permutation, and saturated when it is
 non-redundant and no comparator can be added to its second layer without
 escaping every permuted copy of its output set.  Saturated prefixes are
 exactly the ones worth keeping when searching for depth-optimal sorting
-networks; they admit a purely structural characterization via a handful of
-forbidden two-layer patterns.
+networks.
+
+One structural test, _weak_spot, decides both from the two layers and
+their partner maps; is_saturated, saturate and the sn set all call it.  A
+network is redundant when a second-layer comparator joins the two channels
+of a first-layer comparator.  Otherwise it is unsaturated exactly when it
+shows one of the forbidden patterns of Fig. 7, where "free" means untouched
+by the second layer:
+
+* P1 (a, b, c): a channel untouched by both layers, and a first-layer
+  comparator with a free end;
+* P2: a free min-channel and a free max-channel in different first-layer
+  comparators;
+* P3 (a, b): a second-layer comparator joining two min-channels, or two
+  max-channels, whose first-layer partners are both free.
+
+is_saturated_semantic, which tries every addition under every channel
+permutation (n <= 8), is its oracle: the two agree on every second layer
+over F_n for n <= 7 (tested).
 
 Naming follows the subsumption convention of the source theory: C_b
 subsumes C_a when outputs(C_b) is contained in some permuted copy of
@@ -16,7 +33,6 @@ outputs(C_a), i.e. the *subsuming* network is the stronger filter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import words as words_mod
@@ -24,99 +40,6 @@ from .networks import Layer, Network, first_layer, outputs
 
 MAX_SEMANTIC_CHANNELS = 8
 MAX_SUBSUME_CHANNELS = 10
-
-
-# ---------------------------------------------------------------------------
-# patterns
-
-@dataclass(frozen=True)
-class Pattern:
-    """A partially specified two-layer network fragment.
-
-    channels: number of pattern channels (1-based).  layer1/layer2 list
-    oriented comparators (min-end, max-end) between pattern channels.
-    externals1/externals2 name pattern channels that must be joined, at
-    that layer, to some channel outside the assigned ones.  Assigned
-    channels may carry no comparators beyond those declared.
-    """
-
-    channels: int
-    layer1: tuple[tuple[int, int], ...] = ()
-    layer2: tuple[tuple[int, int], ...] = ()
-    externals1: tuple[int, ...] = ()
-    externals2: tuple[int, ...] = ()
-
-
-# Fig. 7 of the source theory: patterns that cannot occur in a saturated
-# two-layer network (channels top-down; externals drawn in the figure).
-PATTERNS: dict[str, Pattern] = {
-    "P1a": Pattern(3, layer1=((1, 2),), externals2=(1,)),
-    "P1b": Pattern(3, layer1=((1, 2),), externals2=(2,)),
-    "P1c": Pattern(3, layer1=((1, 2),)),
-    "P2": Pattern(4, layer1=((1, 2), (3, 4)), externals2=(2, 3)),
-    "P3a": Pattern(4, layer1=((1, 2), (3, 4)), layer2=((1, 3),)),
-    "P3b": Pattern(4, layer1=((1, 2), (3, 4)), layer2=((2, 4),)),
-}
-
-
-def _layer_maps(net: Network) -> tuple[dict[int, int], dict[int, int]]:
-    if net.depth not in (1, 2):
-        raise ValueError(f"expected a two-layer network, got depth {net.depth}")
-    l2 = net.layers[1] if net.depth == 2 else ()
-    return words_mod.layer_partners(net.layers[0]), words_mod.layer_partners(l2)
-
-
-def contains_pattern(net: Network, pattern: Pattern | str) -> bool:
-    """Decide whether the pattern occurs in the first two layers of net.
-
-    Occurrence requires an injective channel assignment preserving each
-    declared comparator with its orientation (the pattern's min-end maps to
-    the network comparator's min-end), a matching external comparator (to a
-    channel outside the assignment) wherever one is declared, and no other
-    comparators touching assigned channels.  Deeper networks are matched
-    against their two-layer prefix.
-    """
-    if isinstance(pattern, str):
-        pattern = PATTERNS[pattern]
-    if net.depth > 2:
-        net = Network(net.n, net.layers[:2], net.generalized)
-    l1p, l2p = _layer_maps(net)
-    partner_maps = (l1p, l2p)
-    oriented = (frozenset(net.layers[0]),
-                frozenset(net.layers[1]) if net.depth == 2 else frozenset())
-
-    decl: dict[tuple[int, int], object] = {}
-    for d, comps, exts in ((0, pattern.layer1, pattern.externals1),
-                           (1, pattern.layer2, pattern.externals2)):
-        for a, b in comps:
-            decl[(d, a)] = (a, b)
-            decl[(d, b)] = (a, b)
-        for a in exts:
-            decl[(d, a)] = "ext"
-
-    pchans = range(1, pattern.channels + 1)
-    for combo in itertools.permutations(range(1, net.n + 1), pattern.channels):
-        assign = dict(zip(pchans, combo))
-        chosen = set(combo)
-        ok = True
-        for p, ch in assign.items():
-            for d in (0, 1):
-                partner = partner_maps[d].get(ch)
-                want = decl.get((d, p))
-                if want is None:
-                    ok = partner is None
-                elif want == "ext":
-                    ok = partner is not None and partner not in chosen
-                else:
-                    a, b = want
-                    ok = (assign[a], assign[b]) in oriented[d]
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +164,7 @@ def is_redundant(net: Network, semantic: bool = False) -> bool:
     removal for output-set equality modulo permutation.
     """
     if not semantic:
-        l1p, _ = _layer_maps(net)
+        l1p, _ = words_mod.two_layer_partners(net)
         return net.depth == 2 and _repeated(net.layers[1], l1p) is not None
     if net.n > MAX_SEMANTIC_CHANNELS:
         raise ValueError(f"semantic redundancy is capped at n <= {MAX_SEMANTIC_CHANNELS}")
@@ -257,25 +180,25 @@ def is_redundant(net: Network, semantic: bool = False) -> bool:
 # saturation
 
 def is_saturated(net: Network) -> bool:
-    """Structural saturation test for a two-layer network with maximal layer 1.
+    """Structural saturation test for a network of depth 1 or 2.
 
-    Equivalent to the semantic definition (verified exhaustively for small
-    n): the network is non-redundant and none of the forbidden patterns
-    leaves room for an output-shrinking second-layer comparator.  A thin
-    wrapper: the network is saturated when the layer-level test
-    _weak_spot(n, l1, l2, l1p, l2p), reached through _find_fix, finds no
-    weak spot.  saturated_layers (the sn set) calls _weak_spot directly.
+    True when _weak_spot finds neither a repeated first-layer comparator nor
+    a forbidden pattern.  On a maximal first layer this is the semantic
+    definition: it agrees with is_saturated_semantic on every second layer
+    over F_n for n <= 7 (tested).
     """
-    return _find_fix(net) is None
+    l1p, l2p = words_mod.two_layer_partners(net)
+    l2 = net.layers[1] if net.depth == 2 else ()
+    return _weak_spot(net.n, net.layers[0], l2, l1p, l2p) is None
 
 
 def saturated_layers(n: int) -> Iterator[Layer]:
     """The second layers over F_n whose two-layer network is saturated, in
     the order of words.matchings.
 
-    Tests the raw layers with _weak_spot, the layer-level form of
-    is_saturated, so it builds no Network per layer.  Raises ValueError for
-    n < 2 at the call, not at the first item.
+    Tests the raw layers with _weak_spot, as is_saturated does, but builds
+    no Network per layer.  Raises ValueError for n < 2 at the call, not at
+    the first item.
     """
     fl = first_layer(n)
     l1p = words_mod.layer_partners(fl)
@@ -289,15 +212,10 @@ def addable_comparators(net: Network) -> list[tuple[int, int]]:
     Re-adding a first-layer comparator never changes any output and is
     excluded; everything else on two layer-2-free channels qualifies.
     """
-    _, l2p = _layer_maps(net)
+    _, l2p = words_mod.two_layer_partners(net)
     unused = [ch for ch in range(1, net.n + 1) if ch not in l2p]
     l1 = set(net.layers[0])
-    out = []
-    for i, j in itertools.combinations(sorted(unused), 2):
-        if (i, j) in l1:
-            continue
-        out.append((i, j))
-    return out
+    return [c for c in itertools.combinations(unused, 2) if c not in l1]
 
 
 def _with_added(net: Network, comp: tuple[int, int]) -> Network:
@@ -370,39 +288,16 @@ def _repeated(l2, l1p: dict[int, int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _find_fix(net: Network) -> Optional[tuple[int, int]]:
-    """Next output-shrinking addition, oriented as the pattern proofs require.
-
-    A thin wrapper around the layer-level _weak_spot; on a redundant
-    network it returns the repeated comparator instead, which saturate
-    removes before it asks.
-    """
-    l1p, l2p = _layer_maps(net)
-    l2 = net.layers[1] if net.depth == 2 else ()
-    return _weak_spot(net.n, net.layers[0], l2, l1p, l2p)
-
-
 def _weak_spot(n: int, l1, l2, l1p: dict[int, int], l2p: dict[int, int]) -> Optional[tuple[int, int]]:
     """The first reason two layers are not saturated, or None when they are.
 
     Takes the raw layers and their partner maps (channel -> the channel it
     is joined to in that layer), so callers that sweep many second layers
-    over one first layer build no Network per layer.  The one
-    implementation of redundancy and of the forbidden patterns:
-
-    * a second-layer comparator joining the two channels of a first-layer
-      comparator (the word 12_c) is returned as it stands: the two layers
-      are redundant.
-
-    Otherwise the result is the next addition, and the addable weak spots
-    are exactly:
-
-    * a channel untouched by both layers, next to a first-layer comparator
-      with a second-layer-free endpoint (patterns 1a/1b/1c);
-    * a free min-channel and a free max-channel in different first-layer
-      comparators (pattern 2);
-    * a second-layer comparator joining two min-channels whose partners are
-      both free at layer 2, or dually for max-channels (patterns 3a/3b).
+    over one first layer build no Network per layer.  A second-layer
+    comparator joining the two channels of a first-layer one (the word 12_c)
+    is returned as it stands: the layers are redundant.  Otherwise the result
+    is the addition that fixes the first forbidden pattern found, P1 before
+    P2 before P3 (see the module docstring).
     """
     repeat = _repeated(l2, l1p)
     if repeat is not None:
@@ -440,30 +335,22 @@ def _weak_spot(n: int, l1, l2, l1p: dict[int, int], l2p: dict[int, int]) -> Opti
 def saturate(net: Network) -> Network:
     """Complete a two-layer network to a saturated one over the same layer 1.
 
-    Repeatedly drops repeated first-layer comparators from layer 2 and adds
-    the output-shrinking comparators prescribed by the pattern proofs.  The
-    prescribed orientation can be reversed (min routed to the higher
-    channel), in which case the result is a generalized network; its output
-    set is a subset of the input's output set either way.
+    Drops the second-layer comparators that repeat a first-layer one, then
+    adds the output-shrinking comparator _weak_spot prescribes until it
+    finds none.  The prescribed orientation can be reversed (min routed to
+    the higher channel), in which case the result is a generalized network;
+    its output set is a subset of the input's output set either way.
     """
     l1 = net.layers[0]
-    l2 = list(net.layers[1] if net.depth == 2 else ())
-    l2 = [c for c in l2 if (min(c), max(c)) not in set(l1)]
-    cur = Network(net.n, (l1, tuple(l2)), generalized=any(i > j for i, j in l2))
-    while True:
-        fix = _find_fix(cur)
-        if fix is None:
-            return cur
-        cur = _with_added(cur, fix)
+    l1p = words_mod.layer_partners(l1)
+    l2 = [c for c in (net.layers[1] if net.depth == 2 else ()) if l1p.get(c[0]) != c[1]]
+    while (fix := _weak_spot(net.n, l1, l2, l1p, words_mod.layer_partners(l2))) is not None:
+        l2 = sorted(l2 + [fix])
+    return Network(net.n, (l1, tuple(l2)), generalized=any(i > j for i, j in l2))
 
 
 # ---------------------------------------------------------------------------
 # conjecture check
-
-def representative_networks(n: int, kind: str = "rsn") -> list[Network]:
-    """Networks for the canonical sentences of a sentence kind."""
-    return [words_mod.net_of(s) for s in words_mod.sentences(n, kind)]
-
 
 def verify_conjecture(n: int, report: Optional[list[str]] = None) -> bool:
     """No two non-equivalent saturated classes subsume one another.

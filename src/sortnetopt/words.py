@@ -96,19 +96,24 @@ def layer_partners(layer: Layer) -> dict[int, int]:
     return out
 
 
-def _two_layer_parts(net: Network) -> tuple[dict[int, int], dict[int, int], dict[int, str]]:
+def two_layer_partners(net: Network) -> tuple[dict[int, int], dict[int, int]]:
+    """The partner maps of the first and second layer of a depth-1 or depth-2
+    network; a depth-1 network has an empty second layer."""
     if net.depth not in (1, 2):
         raise ValueError(f"expected a two-layer network, got depth {net.depth}")
-    l1 = net.layers[0]
-    l2 = net.layers[1] if net.depth == 2 else ()
-    if len(l1) != net.n // 2:
+    return layer_partners(net.layers[0]), layer_partners(net.layers[1] if net.depth == 2 else ())
+
+
+def _two_layer_parts(net: Network) -> tuple[dict[int, int], dict[int, int], dict[int, str]]:
+    l1p, l2p = two_layer_partners(net)
+    if len(net.layers[0]) != net.n // 2:
         raise ValueError("first layer is not maximal")
     role: dict[int, str] = {}
-    for i, j in l1:
+    for i, j in net.layers[0]:
         role[i], role[j] = "1", "2"
     for ch in range(1, net.n + 1):
         role.setdefault(ch, "0")
-    return layer_partners(l1), layer_partners(l2), role
+    return l1p, l2p, role
 
 
 def _components(n: int, l1p: dict[int, int], l2p: dict[int, int]) -> list[set[int]]:

@@ -357,9 +357,27 @@ def test_cli_gen_rejects_too_few_channels():
     (["encode", "--n", "5", "--depth", "3", "--pad", "5", "--out", "-"], "--pad must satisfy"),
     (["encode", "--n", "5", "--depth", "3", "--pad", "-1", "--out", "-"], "--pad must satisfy"),
     (["prove", "--n", "0", "--depth", "2"], "--n must be at least 1"),
+    (["encode", "--n", "25", "--depth", "3", "--out", "-"], "--n must be at most 24"),
+    (["find", "--n", "25", "--depth", "3"], "--n must be at most 24"),
+    (["prove", "--n", "25", "--depth", "3"], "--n must be at most 24"),
+    (["encode", "--n", "6", "--depth", "3", "--prefix-index", "5", "--out", "-"],
+     "--prefix-index must satisfy 0 <= index < |R_6| = 5"),
+    (["encode", "--n", "6", "--depth", "1", "--prefix-index", "0", "--out", "-"],
+     "the prefix has depth 2, more than --depth 1"),
+    (["encode", "--n", "6", "--depth", "3", "--out", "-",
+      "--prefix", '{"n": 5, "layers": [[[1, 2], [3, 4]]]}'], "the prefix has n = 5"),
+    (["encode", "--n", "6", "--depth", "3", "--out", "-",
+      "--prefix", '{"n": 6, "layers": [[[2, 1], [3, 4]]]}'], "reversed comparator"),
+    (["encode", "--n", "6", "--depth", "3", "--out", "-", "--prefix", "[1, 2"], "prefix.json: "),
 ])
-def test_cli_usage_errors(argv, message):
+def test_cli_usage_errors(argv, message, tmp_path):
     # a usage error (exit 2, one line, no traceback) before any work starts
+    if "--prefix" in argv:
+        # the row gives the prefix's JSON text; the CLI reads it from a file
+        k = argv.index("--prefix") + 1
+        path = tmp_path / "prefix.json"
+        path.write_text(argv[k])
+        argv = argv[:k] + [str(path)] + argv[k + 1:]
     out = subprocess.run(CLI + argv, capture_output=True, text=True)
     assert out.returncode == 2
     assert out.stdout == "" and "Traceback" not in out.stderr

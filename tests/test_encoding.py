@@ -249,6 +249,20 @@ def test_build_d0():
     assert cnf.clauses == []
 
 
+def test_build_keeps_smallest_input_per_prefix_image():
+    # reference: the dict loop keyed by (image, weight), smallest input first
+    from sortnetopt.campaign import two_layer_prefixes
+    for n in range(3, 9):
+        for prefix in two_layer_prefixes(n):
+            base = sorted(set(unsorted_inputs(n, prefix)))
+            for pad in range(n):
+                seen = {}
+                for b in (sorted(windows(base, pad, n)) if pad else base):
+                    seen.setdefault((evaluate_bits(prefix, b), bin(b).count("1")), b)
+                vm, _ = build(n, 3, base, EncodeOptions(pad=pad, prefix=prefix))
+                assert vm.inputs == tuple(sorted(seen.values()))
+
+
 def test_dimacs_format_exact():
     cnf = Cnf(2, [(1, -2), (2,)])
     assert to_dimacs(cnf) == "p cnf 2 2\n1 -2 0\n2 0\n"

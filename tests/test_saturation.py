@@ -1,43 +1,47 @@
-import itertools
 import random
 
 import pytest
 
 from sortnetopt.networks import Network, first_layer, network, outputs
 from sortnetopt.saturation import (
-    PATTERNS,
-    Pattern,
-    contains_pattern,
+    _weak_spot,
     is_redundant,
     is_saturated,
     is_saturated_semantic,
     permute_vectors,
-    representative_networks,
     saturate,
     saturated_layer_count,
     sentence_class_size,
     subsumes,
     verify_conjecture,
 )
-from sortnetopt.words import generate, matchings, net_of, render_sentence, sentence_of, sentences
-
-FIG6_PATTERN_A = Pattern(3, layer1=((1, 2),), layer2=((1, 3),), externals1=(3,))
-FIG6_PATTERN_B = PATTERNS["P1a"]
-FIG6_NET_C = network(4, [(1, 2), (3, 4)], [(1, 4)], [(1, 3), (2, 4)], [(2, 3)])
-FIG6_NET_D = network(4, [(1, 2), (3, 4)], [(2, 3)], [(1, 2), (3, 4)], [(2, 3)])
-
-
-def test_pattern_occurrence_figure6():
-    assert contains_pattern(FIG6_NET_C, FIG6_PATTERN_A)
-    assert not contains_pattern(FIG6_NET_D, FIG6_PATTERN_A)
-    assert not contains_pattern(FIG6_NET_C, FIG6_PATTERN_B)
-    assert not contains_pattern(FIG6_NET_D, FIG6_PATTERN_B)
+from sortnetopt.words import (
+    generate,
+    layer_partners,
+    matchings,
+    net_of,
+    render_sentence,
+    sentence_of,
+    sentences,
+)
 
 
-def test_no_p1_with_full_second_layer():
-    net = network(6, first_layer(6), [(1, 4), (2, 5), (3, 6)])
-    for pid in ("P1a", "P1b", "P1c"):
-        assert not contains_pattern(net, pid)
+# one small network per forbidden pattern of Fig. 7: first layer F_n, the
+# second layer, and the addition _weak_spot prescribes
+@pytest.mark.parametrize("n, l2, fix", [
+    pytest.param(5, ((1, 3),), (5, 2), id="P1a"),
+    pytest.param(5, ((2, 3),), (1, 5), id="P1b"),
+    pytest.param(3, (), (1, 3), id="P1c"),
+    pytest.param(4, (), (1, 4), id="P2"),
+    pytest.param(4, ((1, 3),), (2, 4), id="P3a"),
+    pytest.param(4, ((2, 4),), (1, 3), id="P3b"),
+])
+def test_weak_spot_fixes_each_fig7_pattern(n, l2, fix):
+    fl = first_layer(n)
+    assert _weak_spot(n, fl, l2, layer_partners(fl), layer_partners(l2)) == fix
+    net = Network(n, (fl, l2))
+    assert not is_saturated(net)
+    assert not is_saturated_semantic(net)
 
 
 def test_is_redundant():
