@@ -45,6 +45,10 @@ class InstanceResult:
     encode_time: float = 0.0
     solve_time: float = 0.0
     witness: Optional[Network] = None
+    # formula size: inputs kept after windows and dedup, variables, clauses
+    inputs_kept: int = 0
+    vars: int = 0
+    clauses: int = 0
 
     def __post_init__(self):
         if (self.witness is not None) != (self.verdict == "SAT"):
@@ -107,8 +111,8 @@ def _solve_instance(n: int, d: int, prefix: Optional[Network], pad: int,
         witness = decode_network(vm, res.true_vars)
         if not all(is_ascending(evaluate_bits(witness, b), n) for b in vm.inputs):
             raise RuntimeError(f"solver model fails verification on instance {name}")
-    return InstanceResult(prefix_index, d, pad, res.verdict,
-                          encode_time, res.solve_time, witness)
+    return InstanceResult(prefix_index, d, pad, res.verdict, encode_time, res.solve_time,
+                          witness, len(vm.inputs), cnf.num_vars, len(cnf.clauses))
 
 
 def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
@@ -283,6 +287,9 @@ def campaign_to_json(c: CampaignResult) -> str:
                 "encode_time": r.encode_time,
                 "solve_time": r.solve_time,
                 "witness": json.loads(r.witness.to_json()) if r.witness else None,
+                "inputs_kept": r.inputs_kept,
+                "vars": r.vars,
+                "clauses": r.clauses,
             }
             for r in c.instances
         ],
@@ -315,7 +322,8 @@ def campaign_from_json(text: str) -> CampaignResult:
                 raise ValueError(f"campaign document: witness fails verification at {loc}")
         instances.append(InstanceResult(
             item.get("prefix_index"), item["depth"], item["pad"], item["verdict"],
-            item.get("encode_time", 0.0), item.get("solve_time", 0.0), witness))
+            item.get("encode_time", 0.0), item.get("solve_time", 0.0), witness,
+            item.get("inputs_kept", 0), item.get("vars", 0), item.get("clauses", 0)))
     _audit_claim(doc["n"], doc["claim"], instances)
     return CampaignResult(doc["n"], doc["claim"], instances,
                           doc.get("wall_time", 0.0), doc.get("ordering", "canonical"))

@@ -55,7 +55,7 @@ def _load_prefix(args) -> Network | None:
     if args.prefix is not None:
         try:
             prefix = Network.from_json(Path(args.prefix).read_text())
-        except (OSError, TypeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"--prefix {args.prefix}: {exc}")
     elif args.prefix_index is not None:
         prefixes = campaign_mod.two_layer_prefixes(args.n)
@@ -78,7 +78,7 @@ def _cmd_encode(args) -> int:
     prefix = _load_prefix(args)
     opts = EncodeOptions(sigma1=not args.no_sigma1, sigma2=not args.no_sigma2,
                          sigma3=not args.no_sigma3, last_layer=not args.no_last_layer,
-                         pad=args.pad, prefix=prefix)
+                         near_sorted=not args.no_near_sorted, pad=args.pad, prefix=prefix)
     xs = unsorted_inputs(args.n, prefix)
     vm, cnf = build(args.n, args.depth, xs, opts)
     comment = f"sortnetopt n={args.n} d={args.depth} inputs={len(vm.inputs)} pad={args.pad}"
@@ -182,6 +182,9 @@ def main(argv=None) -> int:
     p.add_argument("--no-sigma3", action="store_true")
     p.add_argument("--no-last-layer", action="store_true",
                    help="allow non-adjacent comparators in the last layer")
+    p.add_argument("--no-near-sorted", action="store_true",
+                   help="keep variables for the level before the last layer "
+                        "(the fold needs the last-layer units)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 

@@ -31,6 +31,15 @@ sorting network:
       deletion cannot break σ1-σ3: σ1 only forbids; σ2 constrains the
       comparators of layer d by layer d-1, and nothing reads u(d, ·); σ3
       needs only adjacent pairs, which stay.
+  near sorted  (with the last-layer units, when level d-1 is open, d-1
+      above the prefix depth) the level-(d-1) values of an input b with w
+      ones are the constants of sorted(b) on every channel but n-w and
+      n-w+1.  A layer of disjoint adjacent comparators only turns a pair
+      1,0 into 0,1, so the only vectors it maps onto sorted(b) = 0^(n-w)
+      1^w are sorted(b) and sorted(b) with channels n-w and n-w+1
+      swapped.  The other clauses force these values in every model, so
+      folding them changes no verdict; the folded x variables keep their
+      numbers and appear in no clause.
 
 So when X is every input left unsorted by the prefix (all unsorted
 inputs without one), the formula is satisfiable iff some depth-d sorting
@@ -74,6 +83,7 @@ class EncodeOptions:
     sigma2: bool = True   # comparators cannot slide to an unused earlier layer
     sigma3: bool = True   # every adjacent pair (i,i+1) compared somewhere
     last_layer: bool = True  # the last layer compares adjacent channels only
+    near_sorted: bool = True  # with last_layer: level d-1 is sorted but for one pair
     pad: int = 0          # window padding; 0 = off
     prefix: Optional[Network] = None
 
@@ -132,12 +142,15 @@ class VarMap:
     """Fixed variable allocation: all c, then all u, then x per input.
 
     Value levels 0..prefix_depth and level d are constants; only the open
-    levels in between get variables.  Indices are computed, not stored;
+    levels in between get variables.  With near_sorted and level d-1 open,
+    value() also gives constants at level d-1 on every channel but the
+    boundary pair of sorted(b) (see the near-sorted rule above); those
+    x variables keep their numbers.  Indices are computed, not stored;
     _index lists them all by key for inspection.
     """
 
     def __init__(self, n: int, d: int, inputs: Sequence[int],
-                 prefix: Optional[Network] = None):
+                 prefix: Optional[Network] = None, near_sorted: bool = False):
         if prefix is not None and prefix.depth > d:
             raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {d}")
         if prefix is not None and prefix.generalized:
@@ -149,6 +162,7 @@ class VarMap:
         self.n, self.d = n, d
         self.prefix = prefix
         self.prefix_depth = prefix.depth if prefix is not None else 0
+        self.near_sorted = near_sorted and d - 1 > self.prefix_depth
         self.inputs = tuple(inputs)
         # images of every input at levels 0..prefix_depth, one row per level
         levels = [np.array(self.inputs, dtype=np.uint32)]
@@ -180,8 +194,9 @@ class VarMap:
 
     def value(self, b_idx: int, l: int, k: int) -> int | bool:
         """Channel-value literal at level l; constants at folded levels."""
-        if l == self.d:
-            ones = bin(self.inputs[b_idx]).count("1")
+        ones = bin(self.inputs[b_idx]).count("1")
+        if l == self.d or (self.near_sorted and l == self.d - 1
+                           and k not in (self.n - ones, self.n - ones + 1)):
             return bool(k > self.n - ones)  # sorted(b): ones on top channels
         if l <= self.prefix_depth:
             return bool((int(self._levels[l, b_idx]) >> (k - 1)) & 1)
@@ -253,6 +268,14 @@ def _sorted_bits(vals: np.ndarray, n: int) -> np.ndarray:
     return np.arange(1, n + 1) > n - _bits(vals, n).sum(axis=1)[:, None]
 
 
+def _boundary(vals: np.ndarray, n: int) -> np.ndarray:
+    """Mask of channels n-w and n-w+1 for packed vectors with w ones, the
+    only pair where a last layer of adjacent comparators can still swap."""
+    zeros = n - _bits(vals, n).sum(axis=1)[:, None]
+    channel = np.arange(1, n + 1)
+    return (channel == zeros) | (channel == zeros + 1)
+
+
 def _const(bits: np.ndarray) -> np.ndarray:
     return np.where(bits, _TRUE, -_TRUE).astype(np.int32)
 
@@ -310,6 +333,8 @@ def _value_clauses(vm: VarMap, lo: int, hi: int, i: np.ndarray, j: np.ndarray,
                                      + np.arange(d - p - 1)[:, None])
                        + np.arange(1, n + 1))
     values[:, -1] = _const(_sorted_bits(vm._levels[0, lo:hi], n))
+    if vm.near_sorted:
+        values[:, -2] = np.where(_boundary(vm._levels[0, lo:hi], n), values[:, -2], values[:, -1])
     x, y = values[:, :-1], values[:, 1:]        # levels l-1 and l of every open layer l
     f = np.int32(-_TRUE)
     # (input, layer, pair or channel, clause, literal), a group per guard; the same
@@ -408,7 +433,7 @@ def build(n: int, d: int, inputs: Iterable[int],
         arr = np.array(xs, dtype=np.uint32)
         _, first = np.unique(_eval_array(opts.prefix, arr), return_index=True)
         xs = arr[np.sort(first)].tolist()
-    vm = VarMap(n, d, xs, opts.prefix)
+    vm = VarMap(n, d, xs, opts.prefix, near_sorted=opts.last_layer and opts.near_sorted)
     parts = [encode_structure(vm), encode_symmetry(vm, opts)]
     if opts.last_layer:
         parts.append(encode_last_layer(vm))

@@ -75,12 +75,24 @@ class Network:
 
     @staticmethod
     def from_json(text: str) -> "Network":
+        """Parse network_json text; ValueError on any malformed document."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or "n" not in obj or "layers" not in obj:
             raise ValueError("network JSON must be an object with 'n' and 'layers'")
-        layers = [_norm_layer(l) for l in obj["layers"]]
+        n, layers = obj["n"], obj["layers"]
+        if not (_is_int(n) and isinstance(layers, list)
+                and all(isinstance(l, list) and all(isinstance(c, list) and len(c) == 2
+                                                    and all(map(_is_int, c)) for c in l)
+                        for l in layers)):
+            raise ValueError("network JSON needs an integer 'n' and 'layers' given as "
+                             "lists of [i, j] integer pairs")
+        layers = [_norm_layer(l) for l in layers]
         generalized = any(i > j for l in layers for i, j in l)
-        return Network(int(obj["n"]), tuple(layers), generalized)
+        return Network(n, tuple(layers), generalized)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def network_json(n: int, layers: Iterable[Iterable[Comparator]]) -> str:

@@ -340,9 +340,10 @@ def saturate(net: Network) -> Network:
     finds none.  The prescribed orientation can be reversed (min routed to
     the higher channel), in which case the result is a generalized network;
     its output set is a subset of the input's output set either way.
+    Raises ValueError for a network of depth other than 1 or 2.
     """
+    l1p, _ = words_mod.two_layer_partners(net)
     l1 = net.layers[0]
-    l1p = words_mod.layer_partners(l1)
     l2 = [c for c in (net.layers[1] if net.depth == 2 else ()) if l1p.get(c[0]) != c[1]]
     while (fix := _weak_spot(net.n, l1, l2, l1p, words_mod.layer_partners(l2))) is not None:
         l2 = sorted(l2 + [fix])

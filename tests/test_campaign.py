@@ -24,7 +24,8 @@ from sortnetopt.campaign import (
     reproduce_tables,
     two_layer_prefixes,
 )
-from sortnetopt.networks import Network, is_sorting_network, network
+from sortnetopt.encoding import EncodeOptions, build
+from sortnetopt.networks import Network, is_sorting_network, network, unsorted_inputs
 from sortnetopt.solver import SolveResult, SolverConfig, StopEvent, run_solver
 
 
@@ -259,6 +260,28 @@ def test_campaign_json_roundtrip(solver_config):
             for r in camp.instances]
 
 
+def test_campaign_json_keeps_formula_sizes(solver_config):
+    camp = prove_lower_bound(5, 4, [2, 0], solver_config)
+    prefixes = two_layer_prefixes(5)
+    for r in camp.instances:
+        xs = unsorted_inputs(5, prefixes[r.prefix_index])
+        vm, cnf = build(5, 4, xs, EncodeOptions(pad=r.pad, prefix=prefixes[r.prefix_index]))
+        assert (r.inputs_kept, r.vars, r.clauses) == (len(vm.inputs), cnf.num_vars,
+                                                      len(cnf.clauses))
+        assert r.inputs_kept > 0
+    sizes = [(r.inputs_kept, r.vars, r.clauses) for r in camp.instances]
+    doc = json.loads(campaign_to_json(camp))
+    assert [(r.inputs_kept, r.vars, r.clauses) for r in
+            campaign_from_json(json.dumps(doc)).instances] == sizes
+    # a report written before the sizes were recorded still loads, with zeros
+    for item in doc["instances"]:
+        for key in ("inputs_kept", "vars", "clauses"):
+            del item[key]
+    old = campaign_from_json(json.dumps(doc))
+    assert old.claim == camp.claim
+    assert {(r.inputs_kept, r.vars, r.clauses) for r in old.instances} == {(0, 0, 0)}
+
+
 def test_campaign_json_empty_and_errors():
     empty = CampaignResult(5, "inconclusive", [])
     assert campaign_from_json(campaign_to_json(empty)).instances == []
@@ -369,6 +392,8 @@ def test_cli_gen_rejects_too_few_channels():
     (["encode", "--n", "6", "--depth", "3", "--out", "-",
       "--prefix", '{"n": 6, "layers": [[[2, 1], [3, 4]]]}'], "reversed comparator"),
     (["encode", "--n", "6", "--depth", "3", "--out", "-", "--prefix", "[1, 2"], "prefix.json: "),
+    (["encode", "--n", "4", "--depth", "3", "--out", "-", "--prefix", '{"n": 4, "layers": [[1]]}'],
+     "lists of [i, j] integer pairs"),
 ])
 def test_cli_usage_errors(argv, message, tmp_path):
     # a usage error (exit 2, one line, no traceback) before any work starts

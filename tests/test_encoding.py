@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sortnetopt.encoding import (
@@ -180,6 +181,88 @@ def test_last_layer_keeps_rn_verdicts(solver_config):
         assert sat[top] > 0 and not any(sat[d] for d in range(3, top)), (n, sat)
 
 
+def test_near_sorted_keeps_verdicts(solver_config):
+    # every R_n prefix up to depth T(n), unpadded and with windows of width
+    # d + 1: the fold of level d - 1 never changes a verdict
+    from sortnetopt.campaign import two_layer_prefixes
+    from sortnetopt.networks import is_sorting_network
+    T = {5: 5, 6: 5, 7: 6}
+    for n, top in T.items():
+        sat = {d: 0 for d in range(3, top + 1)}
+        for idx, prefix in enumerate(two_layer_prefixes(n)):
+            xs = unsorted_inputs(n, prefix)
+            for d in sat:
+                for pad in sorted({0, max(n - d - 1, 0)}):
+                    verdicts = []
+                    for on in (True, False):
+                        vm, cnf = build(n, d, xs, EncodeOptions(prefix=prefix, pad=pad,
+                                                                near_sorted=on))
+                        res = run_solver(cnf, solver_config, name=f"near-{n}-{idx}-{d}-{pad}")
+                        verdicts.append(res.verdict)
+                        if res.verdict == "SAT" and pad == 0:
+                            net = decode_network(vm, res.true_vars)
+                            assert net.layers[:2] == prefix.layers
+                            assert is_sorting_network(net), (n, idx, d, on)
+                    assert verdicts[0] == verdicts[1], (n, idx, d, pad, verdicts)
+                    sat[d] += pad == 0 and verdicts[0] == "SAT"
+        assert sat[top] > 0 and not any(sat[d] for d in range(3, top)), (n, sat)
+
+
+def test_near_sorted_level():
+    # level d - 1 holds sorted(b) away from channels n-w and n-w+1; nothing
+    # else is folded, and the variable numbering stays
+    from sortnetopt.campaign import two_layer_prefixes
+    for n in (4, 5, 6):
+        for prefix in [None, network(n, first_layer(n))] + two_layer_prefixes(n):
+            p = prefix.depth if prefix is not None else 0
+            xs = unsorted_inputs(n, prefix)
+            for d in range(max(p, 1), p + 4):
+                vm, cnf = build(n, d, xs, EncodeOptions(prefix=prefix))
+                _, off = build(n, d, xs, EncodeOptions(prefix=prefix, near_sorted=False))
+                _, loose = build(n, d, xs, EncodeOptions(prefix=prefix, last_layer=False))
+                assert vm.num_vars == off.num_vars == loose.num_vars
+                # the fold needs the last-layer units
+                assert to_dimacs(loose) == to_dimacs(build(n, d, xs, EncodeOptions(
+                    prefix=prefix, last_layer=False, near_sorted=False))[1])
+                if d - 1 <= p:
+                    # level d - 1 is the prefix's (or the input): nothing to fold
+                    assert not vm.near_sorted
+                    assert np.array_equal(cnf.lits, off.lits)
+                    continue
+                assert vm.near_sorted
+                used = set(np.abs(cnf.lits).tolist())
+                for b_idx, b in enumerate(vm.inputs):
+                    zeros = n - bin(b).count("1")
+                    for k in range(1, n + 1):
+                        x = vm.x(b_idx, d - 1, k)
+                        if k in (zeros, zeros + 1):
+                            assert vm.value(b_idx, d - 1, k) == x and x in used
+                        else:
+                            assert vm.value(b_idx, d - 1, k) is (k > zeros)
+                            assert x not in used
+                        for l in range(p + 1, d - 1):
+                            assert vm.value(b_idx, l, k) == vm.x(b_idx, l, k)
+                            assert vm.x(b_idx, l, k) in used
+
+
+def test_every_clause_has_a_comparator_or_used_variable():
+    # value clauses are guarded, so no fold leaves a clause of x variables only
+    from sortnetopt.campaign import two_layer_prefixes
+    for n in (4, 5, 6, 7):
+        for prefix in [None, network(n, first_layer(n, "crossing"))] + two_layer_prefixes(n):
+            p = prefix.depth if prefix is not None else 0
+            xs = unsorted_inputs(n, prefix)
+            for d in range(p + 1, p + 4):
+                for pad in (0, max(n - d - 1, 0)):
+                    for on in (True, False):
+                        vm, cnf = build(n, d, xs, EncodeOptions(prefix=prefix, pad=pad,
+                                                                near_sorted=on))
+                        ends = np.flatnonzero(cnf.lits == 0)
+                        guarded = (np.abs(cnf.lits) <= vm._x0) & (cnf.lits != 0)
+                        per_clause = np.add.reduceat(guarded, np.r_[0, ends[:-1] + 1])
+                        assert per_clause.min() > 0, (n, prefix, d, pad, on)
+
+
 def test_prefix_too_deep():
     with pytest.raises(ValueError):
         VarMap(4, 1, [], prefix=network(4, first_layer(4), [(2, 3)]))
@@ -227,7 +310,8 @@ def reference_input_sort(vm, b_idx):
 
 
 def test_input_sort_matches_reference():
-    # any input set, sorted members included, under prefixes of depth 0..2
+    # any input set, sorted members included, under prefixes of depth 0..2,
+    # with and without the near-sorted fold of level d - 1
     rng = random.Random(7)
     for n in range(2, 7):
         layers = list(matchings(n))
@@ -237,9 +321,12 @@ def test_input_sort_matches_reference():
                 prefix = network(n, *rng.sample(layers, rng.randint(0, 2)))
             p = prefix.depth if prefix is not None else 0
             inputs = sorted(rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n))))
-            vm = VarMap(n, max(p, 1) + rng.randint(0, 2), inputs, prefix)
-            want = [cl for b_idx in range(len(inputs)) for cl in reference_input_sort(vm, b_idx)]
-            assert Cnf(vm.num_vars, encode_input_sort(vm)).clauses == want
+            d = max(p, 1) + rng.randint(0, 2)
+            for near_sorted in (False, True):
+                vm = VarMap(n, d, inputs, prefix, near_sorted)
+                want = [cl for b_idx in range(len(inputs))
+                        for cl in reference_input_sort(vm, b_idx)]
+                assert Cnf(vm.num_vars, encode_input_sort(vm)).clauses == want
 
 
 def test_build_d0():

@@ -6,7 +6,10 @@ off were computed with the per-clause reference encoder (tuples of
 literals, folded and deduplicated one input at a time) that the array
 encoder replaced; the "+last" digests and the CLI digest without
 --no-last-layer were added with the units, which leave everything else
-in place.  So any change to the formula, its variable numbering or its
+in place.  The "+last" groups and that CLI digest pass
+near_sorted=False (--no-near-sorted); the "+near" digests and the CLI
+digest with both defaults were added with the near-sorted fold of level
+d - 1, which also keeps the variable numbering.  So any change to the formula, its variable numbering or its
 clause order shows up here.  No solver is run.  Never regenerate a digest
 to make a change pass.
 """
@@ -34,31 +37,33 @@ def _digest(texts) -> str:
     return h.hexdigest()
 
 
-def _dimacs(n, d, prefix=None, last_layer=False, **opts) -> str:
+def _dimacs(n, d, prefix=None, last_layer=False, near_sorted=False, **opts) -> str:
     xs = unsorted_inputs(n, prefix)
-    opts = EncodeOptions(prefix=prefix, last_layer=last_layer, **opts)
+    opts = EncodeOptions(prefix=prefix, last_layer=last_layer, near_sorted=near_sorted, **opts)
     return to_dimacs(build(n, d, xs, opts)[1])
 
 
-def _rn_sweep(n, depths, last_layer=False):
+def _rn_sweep(n, depths, last_layer=False, near_sorted=False):
     for prefix in two_layer_prefixes(n):
         for d in depths:
             for pad in RN_PADS[n]:
-                yield _dimacs(n, d, prefix, last_layer, pad=pad)
+                yield _dimacs(n, d, prefix, last_layer, near_sorted, pad=pad)
 
 
-def _free(last_layer=False):
-    return (_dimacs(n, d, last_layer=last_layer, **off)
+def _free(last_layer=False, near_sorted=False):
+    return (_dimacs(n, d, last_layer=last_layer, near_sorted=near_sorted, **off)
             for n in (2, 3, 4) for d in range(4) for off in SIGMA_OFF)
 
 
-def _layer1(last_layer=False):
-    return (_dimacs(n, d, Network(n, (first_layer(n, "crossing"),)), last_layer, pad=pad)
+def _layer1(last_layer=False, near_sorted=False):
+    return (_dimacs(n, d, Network(n, (first_layer(n, "crossing"),)), last_layer, near_sorted,
+                    pad=pad)
             for n in (5, 6) for d in (3, 4) for pad in (0, 2))
 
 
 # the groups without a suffix pin the formulas with the last-layer units off;
-# "+last" groups pin the same families with them on (the default)
+# "+last" groups pin the same families with them on and the near-sorted fold
+# off; "+near" groups pin them with both on (the defaults)
 GROUPS = {
     # every R_n prefix at every depth up to T(n), at each pad of RN_PADS
     "rn6": lambda: _rn_sweep(6, range(3, T[6] + 1)),
@@ -75,6 +80,10 @@ GROUPS = {
     "rn7+last": lambda: _rn_sweep(7, range(3, T[7] + 1), last_layer=True),
     "free+last": lambda: _free(last_layer=True),
     "layer1+last": lambda: _layer1(last_layer=True),
+    "rn6+near": lambda: _rn_sweep(6, range(3, T[6] + 1), last_layer=True, near_sorted=True),
+    "rn7+near": lambda: _rn_sweep(7, range(3, T[7] + 1), last_layer=True, near_sorted=True),
+    "free+near": lambda: _free(last_layer=True, near_sorted=True),
+    "layer1+near": lambda: _layer1(last_layer=True, near_sorted=True),
 }
 
 EXPECTED = {
@@ -88,6 +97,10 @@ EXPECTED = {
     "rn7+last": "38d76fc5d26d061e512faec2ceba593e316411f3197e4a0dbdd11c46e791756b",
     "free+last": "e325440f9d9eedc3bc4caa6f8c85051a9c385bd5a4cecdb48dd035954e7aedc0",
     "layer1+last": "3435aba699ca9c1af7f2a7dc9976e47b1851aeaa6833683c0b371b655370c1cc",
+    "rn6+near": "2ed55365f39578f10b093dc4d699e61adef86fc0cf0a0338637cccc0f7051031",
+    "rn7+near": "9bb4b87462f4a454ee8a6fad5e74f5134de9451132f4330ec2d67535f9c34ccd",
+    "free+near": "046a3dcf9ca3cce418a0b8248707513c400f94b4ec8b91ed7fef2c31bf8b8394",
+    "layer1+near": "952bfe29aa15607d976e285e2b244309f2ccb14c14679ebf3773911df9104f53",
 }
 
 
@@ -117,4 +130,8 @@ def test_golden_cli_encode(capsys):
 
 
 def test_golden_cli_encode_last_layer(capsys):
-    assert _digest(_cli_texts(capsys)) == "d0ca9b5ae0734ea4a06d25bf20968cb2def2742f40d9989d94f4a75a11f4d32b"
+    assert _digest(_cli_texts(capsys, "--no-near-sorted")) == "d0ca9b5ae0734ea4a06d25bf20968cb2def2742f40d9989d94f4a75a11f4d32b"
+
+
+def test_golden_cli_encode_near_sorted(capsys):
+    assert _digest(_cli_texts(capsys)) == "33f34f9a1d37ab24392b248b1de85f1b9d07761f3c047eb6261514f2b4ed51dd"

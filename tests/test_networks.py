@@ -283,6 +283,21 @@ def test_network_json_roundtrip():
         Network.from_json('{"layers": []}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 4, "layers": [[1]]}',            # a comparator that is not a pair
+    '{"n": 4, "layers": 5}',                # layers not a list
+    '{"n": 4, "layers": [[[1, 2, 3]]]}',    # three channels
+    '{"n": 4, "layers": [["12"]]}',         # a string, not a pair
+    '{"n": 4, "layers": [[[1.5, 2]]]}',     # a channel that is not an integer
+    '{"n": 4, "layers": [[[true, 2]]]}',
+    '{"n": null, "layers": []}',            # n not an integer
+    '{"n": "4", "layers": []}',
+])
+def test_network_from_json_rejects_malformed_documents(text):
+    with pytest.raises(ValueError):
+        Network.from_json(text)
+
+
 def test_network_validation():
     with pytest.raises(ValueError):
         network(4, [(1, 2), (2, 3)])     # channel reused in a layer

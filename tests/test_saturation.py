@@ -144,6 +144,15 @@ def test_saturate_exhaustive(n):
         assert outputs(done) <= outputs(net)
 
 
+def test_saturate_rejects_networks_deeper_than_two():
+    deep = network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)])
+    for check in (saturate, is_saturated):
+        with pytest.raises(ValueError, match="depth 3"):
+            check(deep)
+        with pytest.raises(ValueError):
+            check(network(4))
+
+
 def test_saturate_can_need_reversed_comparators():
     # fixing pattern 1a over F_5 joins the free channel as the min end
     net = Network(5, (first_layer(5), ((1, 3),)))
