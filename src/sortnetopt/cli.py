@@ -97,7 +97,11 @@ def _claim_exit(camp: campaign_mod.CampaignResult, depth: int) -> int:
 
 
 def _cmd_solve(args) -> int:
-    res = run_solver(Path(args.cnf).read_text(), _solver_config(args), name=Path(args.cnf).stem)
+    try:
+        text = Path(args.cnf).read_text()
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--cnf {args.cnf}: {exc}")
+    res = run_solver(text, _solver_config(args), name=Path(args.cnf).stem)
     print(f"s {res.verdict}")
     if res.verdict == "SAT":
         print("v " + " ".join(str(v) for v in sorted(res.true_vars)) + " 0")
@@ -155,6 +159,10 @@ def _usage_error(args) -> str | None:
             return f"--depth must be at least 0, got {args.depth}"
     if args.command == "encode" and not 0 <= args.pad < args.n:
         return f"--pad must satisfy 0 <= pad < n = {args.n}, got {args.pad}"
+    if args.command in ("solve", "find", "prove") and not args.timeout > 0:
+        return f"--timeout must be positive, got {args.timeout}"
+    if args.command in ("find", "prove") and args.jobs < 1:
+        return f"--jobs must be at least 1, got {args.jobs}"
     return None
 
 
@@ -188,7 +196,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("solve", help="run the SAT solver on a DIMACS file")
+    parsers["solve"] = p = sub.add_parser("solve", help="run the SAT solver on a DIMACS file")
     p.add_argument("--cnf", required=True)
     p.add_argument("--solver")
     p.add_argument("--timeout", type=float, default=600.0)

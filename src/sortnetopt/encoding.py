@@ -52,12 +52,20 @@ again wherever it is used.
 
 A Cnf keeps its clauses as one flat int32 array in which every clause is
 its literals followed by a 0, as in DIMACS.  The value clauses of all
-inputs come from array code: a table of literal codes per input, level
-and channel, read through the six comparator and two pass-through clause
-templates of every open layer, with constants folded and repeats within
-an input dropped.  to_dimacs renders the array in bounded chunks through
-a literal-to-text table.  Variables, clauses and their order are those of
-the clause-by-clause construction, so the DIMACS text is the same.
+inputs come from array code.  Every open layer gives each input one group
+per comparator (guard -c and operands x_i, x_j, y_i, y_j) and one per
+channel (guard u and operands x, y), read from a table of literal codes
+per input, level and channel.  Each operand is a variable, true or false,
+so a group has one of 81 comparator or 9 pass-through patterns.  The
+folding rules (_fold: drop false literals, satisfied clauses and repeats
+within a group) run once per process over one symbolic group per pattern,
+and _fold_tables keeps the result as a template of operand slots.  A
+group's clauses are its pattern's template read from its operands, so
+the work grows with the literals emitted rather than with the clause
+templates of every open layer.  to_dimacs renders the array in bounded
+chunks through one literal-to-text table shared by all calls.
+Variables, clauses and their order are those of the clause-by-clause
+construction, so the DIMACS text is the same.
 """
 
 from __future__ import annotations
@@ -65,15 +73,16 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .networks import ChannelCountError, Network, _eval_array, is_ascending, windows
+from .networks import ChannelCountError, Network, _ascending_mask, _eval_array, windows
 
 _TRUE = np.iinfo(np.int32).max  # literal code of the constant true; -_TRUE is false
-_INPUT_CHUNK = 32               # inputs whose value clauses are built in one array pass
+_INPUT_CHUNK = 16               # inputs whose value clauses are built in one array pass
 _LIT_CHUNK = 1 << 16            # literals per step when reading or rendering a Cnf
 
 
@@ -318,6 +327,38 @@ def _fold(lits: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lits, np.concatenate((live & keep[..., None], keep[..., None]), axis=-1)
 
 
+@functools.cache
+def _fold_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The folded clauses of every operand pattern of a value-clause group.
+
+    A comparator group has the guard and the operands x_i, x_j, y_i, y_j,
+    a pass-through group the guard and x, y; each operand is a variable,
+    true or false.  Pattern p of a comparator group gives operand k
+    (0-based) the state p // 3**k % 3 (0 variable, 1 true, 2 false);
+    pass-through patterns follow as 81 + state(x) + 3 state(y).  _minmax or
+    _passthrough and _fold run once over one symbolic group per pattern,
+    whose guard is column 1 and whose operands are columns 2.. of a group's
+    operand row (column 0 holds 0).  Returns the slots of all patterns
+    (column and sign of each literal, column 0 ending a clause) with each
+    pattern's first slot and slot count.
+    """
+    f = np.int32(-_TRUE)
+    tables = []
+    for template, arity, codes in ((_minmax, 4, _minmax(*range(-5, 1))),
+                                   (_passthrough, 2, _passthrough(*range(-5, -1)))):
+        state = np.arange(3 ** arity)[:, None] // 3 ** np.arange(arity) % 3
+        operands = np.choose(state, (np.arange(2, arity + 2), _TRUE, -_TRUE)).astype(np.int32)
+        lits, mask = _fold(template(np.int32(1), *operands.T, f), codes)
+        tables += [group[keep] for group, keep in zip(lits, mask)]
+    count = np.array([len(t) for t in tables], dtype=np.intp)
+    slots = np.concatenate(tables)
+    column, sign = np.abs(slots).astype(np.intp), np.where(slots < 0, -1, 1).astype(np.int32)
+    start = np.cumsum(count) - count
+    for table in (column, sign, start, count):
+        table.setflags(write=False)
+    return column, sign, start, count
+
+
 def _value_clauses(vm: VarMap, lo: int, hi: int, i: np.ndarray, j: np.ndarray,
                    c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Flat value clauses of inputs lo..hi-1, in input order.
@@ -335,17 +376,28 @@ def _value_clauses(vm: VarMap, lo: int, hi: int, i: np.ndarray, j: np.ndarray,
     values[:, -1] = _const(_sorted_bits(vm._levels[0, lo:hi], n))
     if vm.near_sorted:
         values[:, -2] = np.where(_boundary(vm._levels[0, lo:hi], n), values[:, -2], values[:, -1])
-    x, y = values[:, :-1], values[:, 1:]        # levels l-1 and l of every open layer l
-    f = np.int32(-_TRUE)
-    # (input, layer, pair or channel, clause, literal), a group per guard; the same
-    # templates over the operand numbers -5..0 give the code of every slot
-    xi, xj, yi, yj = x[..., i], x[..., j], y[..., i], y[..., j]
-    folded = [_fold(_minmax(-c, xi, xj, yi, yj, f), _minmax(*range(-5, 1))),
-              _fold(_passthrough(u, x, y, f), _passthrough(*range(-5, -1)))]
-    # per input and layer: the comparator clauses, then the pass-through ones
-    lits, mask = (np.concatenate([a.reshape(*a.shape[:2], -1, a.shape[-1]) for a in arrays], axis=2)
-                  for arrays in zip(*folded))
-    return lits[mask]
+    state = (values == _TRUE) + 2 * (values == -_TRUE).astype(np.int32)
+    # one group per (input, layer, pair or channel), the pairs of a layer before its
+    # channels; a group's operand row is 0, the guard and the operands (_fold_tables)
+    pairs = c.shape[1]
+    ops = np.zeros((hi - lo, d - p, pairs + n, 6), dtype=np.int32)
+    x, y, sx, sy = values[:, :-1], values[:, 1:], state[:, :-1], state[:, 1:]
+    ops[:, :, :pairs, 1] = -c
+    for col, operand in enumerate((x[..., i], x[..., j], y[..., i], y[..., j]), start=2):
+        ops[:, :, :pairs, col] = operand
+    ops[:, :, pairs:, 1] = u
+    ops[:, :, pairs:, 2], ops[:, :, pairs:, 3] = x, y
+    pattern = np.concatenate((sx[..., i] + 3 * sx[..., j] + 9 * sy[..., i] + 27 * sy[..., j],
+                              81 + sx + 3 * sy), axis=2).ravel()
+    column, sign, start, count = _fold_tables()
+    # the slots of every group's pattern, one after another, read from its operand row
+    lengths = count[pattern]
+    ends = np.cumsum(lengths)
+    slot = np.arange(ends[-1])
+    slot += np.repeat(start[pattern] - ends + lengths, lengths)
+    row = np.repeat(np.arange(0, ops.size, 6), lengths)
+    row += column[slot]
+    return sign[slot] * ops.ravel()[row]
 
 
 def encode_input_sort(vm: VarMap) -> np.ndarray:
@@ -422,18 +474,16 @@ def build(n: int, d: int, inputs: Iterable[int],
     prefix images coincide contribute identical value clauses and are
     collapsed to one representative.
     """
-    xs = sorted(set(inputs))
-    if opts.pad:
-        xs = sorted(windows(xs, opts.pad, n))
+    xs = np.fromiter(windows(inputs, opts.pad, n) if opts.pad else set(inputs), dtype=np.uint32)
+    xs.sort()
     if d == 0:
-        unsorted = any(not is_ascending(b, n) for b in xs)
-        return VarMap(n, 0, xs), Cnf(0, [()] if unsorted else [])
+        unsorted = not _ascending_mask(xs, n).all()
+        return VarMap(n, 0, xs.tolist()), Cnf(0, [()] if unsorted else [])
     if opts.prefix is not None:
         # one input per prefix image, the smallest; the image fixes the weight
-        arr = np.array(xs, dtype=np.uint32)
-        _, first = np.unique(_eval_array(opts.prefix, arr), return_index=True)
-        xs = arr[np.sort(first)].tolist()
-    vm = VarMap(n, d, xs, opts.prefix, near_sorted=opts.last_layer and opts.near_sorted)
+        _, first = np.unique(_eval_array(opts.prefix, xs), return_index=True)
+        xs = xs[np.sort(first)]
+    vm = VarMap(n, d, xs.tolist(), opts.prefix, near_sorted=opts.last_layer and opts.near_sorted)
     parts = [encode_structure(vm), encode_symmetry(vm, opts)]
     if opts.last_layer:
         parts.append(encode_last_layer(vm))
@@ -446,16 +496,38 @@ def build(n: int, d: int, inputs: Iterable[int],
 # ---------------------------------------------------------------------------
 # DIMACS and model handling
 
+# The literal-to-text table of to_dimacs and its top: entry lit + top renders
+# lit.  It is grown by doubling and replaced as one tuple under the lock, so a
+# reader always holds a complete table whatever another thread renders.
+_dimacs_text: tuple[np.ndarray, int] = (np.array(["0\n"], dtype=object), 0)
+_dimacs_text_lock = threading.Lock()
+
+
+def _literal_text(top: int) -> tuple[np.ndarray, int]:
+    """A literal-to-text table covering -top..top, and its own top."""
+    global _dimacs_text
+    table = _dimacs_text
+    if table[1] >= top:
+        return table
+    with _dimacs_text_lock:
+        if _dimacs_text[1] < top:
+            size = max(top, 2 * _dimacs_text[1])
+            text = np.array([f"{lit} " for lit in range(-size, size + 1)], dtype=object)
+            text[size] = "0\n"
+            _dimacs_text = (text, size)
+        return _dimacs_text
+
+
 def to_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:
     lits = cnf.lits
     parts = [f"c {c}\n" for c in comments]
     parts.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
     if lits.size:
-        top = int(np.abs(lits).max())
-        text = np.array([f"{lit} " for lit in range(-top, top + 1)], dtype=object)
-        text[top] = "0\n"
+        text, top = _literal_text(int(np.abs(lits).max()))
         for start in range(0, lits.size, _LIT_CHUNK):
-            parts.append("".join(text[lits[start:start + _LIT_CHUNK] + top].tolist()))
+            index = lits[start:start + _LIT_CHUNK].astype(np.intp)
+            index += top
+            parts.append("".join(text[index].tolist()))
     return "".join(parts)
 
 

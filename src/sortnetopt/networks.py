@@ -229,22 +229,25 @@ def unsorted_inputs(n: int, prefix: Optional[Network] = None) -> frozenset[int]:
 
 
 def windows(xs: Iterable[int], pad: int, n: int) -> frozenset[int]:
-    """Members of xs shaped 0^l1 . m . 1^l2 with l1+l2 = pad (pad 0 keeps xs)."""
+    """Members of xs shaped 0^l1 . m . 1^l2 with l1+l2 = pad (pad 0 keeps xs).
+
+    With pad > 0 the vectors are tested as one uint32 array, so n <= 32.
+    """
     if pad < 0 or pad >= n:
         raise ValueError(f"pad must satisfy 0 <= pad < n, got {pad}")
     if pad == 0:
         return frozenset(xs)
-    keep = []
-    for v in xs:
-        for l1 in range(pad + 1):
-            l2 = pad - l1
-            if v & ((1 << l1) - 1):
-                continue
-            if l2 and (v >> (n - l2)) != (1 << l2) - 1:
-                continue
-            keep.append(v)
-            break
-    return frozenset(keep)
+    if n > 32:
+        raise ChannelCountError(f"inputs are packed into 32 bits, got n={n}")
+    vals = np.fromiter(xs, dtype=np.uint32)
+    keep = np.zeros(len(vals), dtype=bool)
+    for l1 in range(pad + 1):
+        l2 = pad - l1
+        fits = vals & np.uint32((1 << l1) - 1) == 0
+        if l2:
+            fits &= vals >> np.uint32(n - l2) == np.uint32((1 << l2) - 1)
+        keep |= fits
+    return frozenset(vals[keep].tolist())
 
 
 # ---------------------------------------------------------------------------

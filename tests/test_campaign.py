@@ -394,6 +394,13 @@ def test_cli_gen_rejects_too_few_channels():
     (["encode", "--n", "6", "--depth", "3", "--out", "-", "--prefix", "[1, 2"], "prefix.json: "),
     (["encode", "--n", "4", "--depth", "3", "--out", "-", "--prefix", '{"n": 4, "layers": [[1]]}'],
      "lists of [i, j] integer pairs"),
+    (["solve", "--cnf", "x.cnf", "--timeout", "0"], "--timeout must be positive, got 0.0"),
+    (["find", "--n", "4", "--depth", "3", "--timeout", "-1"], "--timeout must be positive"),
+    (["prove", "--n", "5", "--depth", "4", "--timeout", "nan"], "--timeout must be positive"),
+    (["solve", "--cnf", "missing.cnf"], "--cnf missing.cnf: "),
+    (["solve", "--cnf", "."], "--cnf .: "),
+    (["find", "--n", "4", "--depth", "3", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["prove", "--n", "5", "--depth", "4", "--jobs", "-2"], "--jobs must be at least 1"),
 ])
 def test_cli_usage_errors(argv, message, tmp_path):
     # a usage error (exit 2, one line, no traceback) before any work starts

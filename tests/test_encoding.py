@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from sortnetopt.encoding import (
     Cnf,
     EncodeOptions,
     VarMap,
+    _fold_tables,
     build,
     decode_network,
     encode_fixed_prefix,
@@ -274,59 +277,93 @@ def test_prefix_too_deep():
             build(4, 1, xs, EncodeOptions(prefix=prefix))
 
 
+def _emit(*lits):
+    """A clause with constants folded: None when satisfied, else its literals."""
+    if any(l is True for l in lits):
+        return None
+    return tuple(l for l in lits if l is not False)
+
+
+def _neg(lit):
+    return (not lit) if isinstance(lit, bool) else -lit
+
+
+def reference_comparator(c, xi, xj, yi, yj):
+    """The folded clauses of comparator c: y_i = x_i AND x_j, y_j = x_i OR x_j."""
+    out = [_emit(-c, _neg(yi), xi), _emit(-c, _neg(yi), xj), _emit(-c, yi, _neg(xi), _neg(xj)),
+           _emit(-c, yj, _neg(xi)), _emit(-c, yj, _neg(xj)), _emit(-c, _neg(yj), xi, xj)]
+    return [cl for cl in out if cl is not None]
+
+
+def reference_passthrough(u, x, y):
+    """The folded clauses of a channel whose used-flag u is off: y = x."""
+    return [cl for cl in (_emit(u, _neg(x), y), _emit(u, x, _neg(y))) if cl is not None]
+
+
 def reference_input_sort(vm, b_idx):
     """The clause-by-clause construction: fold constants, drop repeats."""
-    def neg(lit):
-        return (not lit) if isinstance(lit, bool) else -lit
-
-    out = []
-
-    def emit(*lits):
-        if not any(l is True for l in lits):
-            out.append(tuple(l for l in lits if l is not False))
-
     if vm.prefix_depth == vm.d:
         image = evaluate_bits(vm.prefix, vm.inputs[b_idx])
         sorted_b = [vm.value(b_idx, vm.d, k) for k in range(1, vm.n + 1)]
         image_bits = [bool((image >> (k - 1)) & 1) for k in range(1, vm.n + 1)]
         return [()] if image_bits != sorted_b else []
+    out = []
     for l in range(vm.prefix_depth + 1, vm.d + 1):
         for i, j in itertools.combinations(range(1, vm.n + 1), 2):
-            c = vm.c(l, i, j)
-            xi, xj = vm.value(b_idx, l - 1, i), vm.value(b_idx, l - 1, j)
-            yi, yj = vm.value(b_idx, l, i), vm.value(b_idx, l, j)
-            emit(-c, neg(yi), xi)
-            emit(-c, neg(yi), xj)
-            emit(-c, yi, neg(xi), neg(xj))
-            emit(-c, yj, neg(xi))
-            emit(-c, yj, neg(xj))
-            emit(-c, neg(yj), xi, xj)
+            out += reference_comparator(vm.c(l, i, j),
+                                        vm.value(b_idx, l - 1, i), vm.value(b_idx, l - 1, j),
+                                        vm.value(b_idx, l, i), vm.value(b_idx, l, j))
         for k in range(1, vm.n + 1):
-            u = vm.u(l, k)
-            x, y = vm.value(b_idx, l - 1, k), vm.value(b_idx, l, k)
-            emit(u, neg(x), y)
-            emit(u, x, neg(y))
+            out += reference_passthrough(vm.u(l, k), vm.value(b_idx, l - 1, k),
+                                         vm.value(b_idx, l, k))
     return list(dict.fromkeys(out))
 
 
+def test_fold_tables_match_reference():
+    # every operand pattern: 81 comparator groups, then 9 pass-through groups;
+    # operand k of pattern p is a variable, true or false by p // 3**k % 3
+    column, sign, start, count = _fold_tables()
+    assert len(start) == len(count) == 90
+    guard, variables = 10, (11, 12, 13, 14)
+    for pattern in range(90):
+        comparator = pattern < 81
+        arity = 4 if comparator else 2
+        states = [(pattern % 81) // 3 ** k % 3 for k in range(arity)]
+        operands = [(var, True, False)[state] for var, state in zip(variables, states)]
+        # a group's operand row: 0, the guard literal, the operands (constants
+        # as 99 / -99, which no clause may read)
+        row = [0, -guard if comparator else guard]
+        row += [99 if op is True else -99 if op is False else op for op in operands]
+        slots = slice(start[pattern], start[pattern] + count[pattern])
+        lits = [int(s * row[col]) for col, s in zip(column[slots], sign[slots])]
+        assert not lits or lits[-1] == 0, pattern
+        got = Cnf(0, np.array(lits, dtype=np.int32)).clauses
+        reference = reference_comparator if comparator else reference_passthrough
+        want = list(dict.fromkeys(reference(guard, *operands)))
+        assert got == want, (pattern, operands)
+
+
 def test_input_sort_matches_reference():
-    # any input set, sorted members included, under prefixes of depth 0..2,
-    # with and without the near-sorted fold of level d - 1
+    # any input set, sorted members included, under prefixes of depth 0..2 and
+    # with up to 4 open layers, with and without the near-sorted fold of level
+    # d - 1: the first open layer reads the prefix constants, the middle layers
+    # are all variables, level d - 1 is folded or not, and level d is constant
     rng = random.Random(7)
-    for n in range(2, 7):
+    for n in range(2, 9):
         layers = list(matchings(n))
-        for _ in range(6):
+        for gap in range(5):
             prefix = None
             if rng.random() < 0.8:
                 prefix = network(n, *rng.sample(layers, rng.randint(0, 2)))
             p = prefix.depth if prefix is not None else 0
             inputs = sorted(rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n))))
-            d = max(p, 1) + rng.randint(0, 2)
+            d = max(p + gap, 1)
             for near_sorted in (False, True):
                 vm = VarMap(n, d, inputs, prefix, near_sorted)
                 want = [cl for b_idx in range(len(inputs))
                         for cl in reference_input_sort(vm, b_idx)]
-                assert Cnf(vm.num_vars, encode_input_sort(vm)).clauses == want
+                assert Cnf(vm.num_vars, encode_input_sort(vm)).clauses == want, \
+                    (n, prefix, d, near_sorted)
 
 
 def test_build_d0():
@@ -354,6 +391,54 @@ def test_dimacs_format_exact():
     cnf = Cnf(2, [(1, -2), (2,)])
     assert to_dimacs(cnf) == "p cnf 2 2\n1 -2 0\n2 0\n"
     assert to_dimacs(Cnf(0, [()])) == "p cnf 0 1\n0\n"
+
+
+def test_dimacs_text_table_shared_by_threads(monkeypatch):
+    # the literal-text table grows while other threads render: every text
+    # still equals a clause-by-clause render
+    from sortnetopt import encoding
+
+    def reference(cnf):
+        lines = ["p cnf %d %d\n" % (cnf.num_vars, len(cnf.clauses))]
+        lines += ["".join(f"{lit} " for lit in cl) + "0\n" for cl in cnf.clauses]
+        return "".join(lines)
+
+    rng = np.random.default_rng(3)
+
+    def random_cnf(top, size):
+        lits = rng.integers(1, top + 1, size) * rng.choice([-1, 1], size)
+        lits[rng.random(size) < 0.25] = 0
+        lits[-1] = 0
+        return Cnf(top, lits.astype(np.int32))
+
+    large, small = random_cnf(150_000, 200_000), random_cnf(9, 50)
+    want = {id(large): reference(large), id(small): reference(small)}
+    failures = []
+
+    def render(order):
+        for cnf in order:
+            try:
+                if to_dimacs(cnf) != want[id(cnf)]:
+                    failures.append(cnf.num_vars)
+            except Exception as exc:   # a thread's exception would not fail the test
+                failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(encoding, "_dimacs_text", (np.array(["0\n"], dtype=object), 0))
+            threads = [threading.Thread(target=render, args=(order,))
+                       for order in ((large, small), (small, large)) * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert encoding._dimacs_text[1] >= 150_000
 
 
 def test_parse_solver_output():

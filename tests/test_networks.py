@@ -152,6 +152,33 @@ def test_windows_full_expansion_b4():
     assert len(got) == 8
 
 
+def reference_windows(xs, pad, n):
+    """The loop over every input and split l1 + l2 = pad."""
+    if pad == 0:
+        return frozenset(xs)
+    keep = []
+    for v in xs:
+        for l1 in range(pad + 1):
+            l2 = pad - l1
+            if v & ((1 << l1) - 1):
+                continue
+            if l2 and (v >> (n - l2)) != (1 << l2) - 1:
+                continue
+            keep.append(v)
+            break
+    return frozenset(keep)
+
+
+def test_windows_matches_reference_loop():
+    # every input of up to 10 channels at every pad
+    for n in range(1, 11):
+        xs = frozenset(range(1 << n))
+        for pad in range(n):
+            got = windows(xs, pad, n)
+            assert got == reference_windows(xs, pad, n), (n, pad)
+            assert all(type(v) is int for v in got)
+
+
 def test_windows_b6_unsorted_pad3():
     # frozen via brute-force enumeration of the set comprehension over B^6
     xs = unsorted_inputs(6)
