@@ -78,7 +78,8 @@ def _cmd_encode(args) -> int:
     prefix = _load_prefix(args)
     opts = EncodeOptions(sigma1=not args.no_sigma1, sigma2=not args.no_sigma2,
                          sigma3=not args.no_sigma3, last_layer=not args.no_last_layer,
-                         near_sorted=not args.no_near_sorted, pad=args.pad, prefix=prefix)
+                         near_sorted=not args.no_near_sorted,
+                         settled_ends=not args.no_settled_ends, pad=args.pad, prefix=prefix)
     xs = unsorted_inputs(args.n, prefix)
     vm, cnf = build(args.n, args.depth, xs, opts)
     comment = f"sortnetopt n={args.n} d={args.depth} inputs={len(vm.inputs)} pad={args.pad}"
@@ -193,6 +194,9 @@ def main(argv=None) -> int:
     p.add_argument("--no-near-sorted", action="store_true",
                    help="keep variables for the level before the last layer "
                         "(the fold needs the last-layer units)")
+    p.add_argument("--no-settled-ends", action="store_true",
+                   help="keep variables for the channels that the prefix image "
+                        "has already settled (leading zeros, trailing ones)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 

@@ -40,6 +40,20 @@ sorting network:
       swapped.  The other clauses force these values in every model, so
       folding them changes no verdict; the folded x variables keep their
       numbers and appear in no clause.
+  settled ends  (when some level between the prefix and d is open) take
+      an input whose level-p image (p the prefix depth; the input itself
+      without a prefix) has zeros on channels 1..a and ones on channels
+      n-b+1..n.  Then every open level p+1..d-1 holds those constants on
+      those channels, by induction over the layers: a comparator (i,j)
+      with i <= a writes min(0, x_j) = 0 to channel i (and x_j to j, which
+      is 0 again when j <= a); symmetrically one with j > n-b writes
+      max(x_i, 1) = 1 to channel j; a pass-through keeps its value.  The
+      values are functions of the c and u variables in every model, so
+      folding them changes no verdict; as above, the folded x variables
+      keep their numbers and appear in no clause.  The fold needs no
+      last-layer units, and it agrees with the near-sorted one: an input
+      with w ones has a <= n-w and b <= w, so its constants at level d-1
+      are those of sorted(b).
 
 So when X is every input left unsorted by the prefix (all unsorted
 inputs without one), the formula is satisfiable iff some depth-d sorting
@@ -93,6 +107,7 @@ class EncodeOptions:
     sigma3: bool = True   # every adjacent pair (i,i+1) compared somewhere
     last_layer: bool = True  # the last layer compares adjacent channels only
     near_sorted: bool = True  # with last_layer: level d-1 is sorted but for one pair
+    settled_ends: bool = True  # the prefix image's leading zeros and trailing ones stay
     pad: int = 0          # window padding; 0 = off
     prefix: Optional[Network] = None
 
@@ -153,13 +168,17 @@ class VarMap:
     Value levels 0..prefix_depth and level d are constants; only the open
     levels in between get variables.  With near_sorted and level d-1 open,
     value() also gives constants at level d-1 on every channel but the
-    boundary pair of sorted(b) (see the near-sorted rule above); those
-    x variables keep their numbers.  Indices are computed, not stored;
-    _index lists them all by key for inspection.
+    boundary pair of sorted(b) (see the near-sorted rule above).  With
+    settled_ends it gives the constants of the level-p image at every open
+    level on the channels of that image's leading zeros and trailing ones
+    (the settled-ends rule).  Folded x variables keep their numbers.
+    Indices are computed, not stored; _index lists them all by key for
+    inspection.
     """
 
     def __init__(self, n: int, d: int, inputs: Sequence[int],
-                 prefix: Optional[Network] = None, near_sorted: bool = False):
+                 prefix: Optional[Network] = None, near_sorted: bool = False,
+                 settled_ends: bool = False):
         if prefix is not None and prefix.depth > d:
             raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {d}")
         if prefix is not None and prefix.generalized:
@@ -172,6 +191,7 @@ class VarMap:
         self.prefix = prefix
         self.prefix_depth = prefix.depth if prefix is not None else 0
         self.near_sorted = near_sorted and d - 1 > self.prefix_depth
+        self.settled_ends = settled_ends and d - 1 > self.prefix_depth
         self.inputs = tuple(inputs)
         # images of every input at levels 0..prefix_depth, one row per level
         levels = [np.array(self.inputs, dtype=np.uint32)]
@@ -209,6 +229,11 @@ class VarMap:
             return bool(k > self.n - ones)  # sorted(b): ones on top channels
         if l <= self.prefix_depth:
             return bool((int(self._levels[l, b_idx]) >> (k - 1)) & 1)
+        if self.settled_ends:
+            image = int(self._levels[self.prefix_depth, b_idx])
+            top = image >> (k - 1)   # channels k..n
+            if image & ((1 << k) - 1) == 0 or top == (1 << (self.n - k + 1)) - 1:
+                return bool(top & 1)  # zeros on 1..k or ones on k..n
         return self.x(b_idx, l, k)
 
     def comparator_vars(self) -> Iterable[tuple[int, int, int, int]]:
@@ -283,6 +308,15 @@ def _boundary(vals: np.ndarray, n: int) -> np.ndarray:
     zeros = n - _bits(vals, n).sum(axis=1)[:, None]
     channel = np.arange(1, n + 1)
     return (channel == zeros) | (channel == zeros + 1)
+
+
+def _settled(vals: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the leading zeros and trailing ones of packed vectors: the
+    channels no comparator network can change."""
+    bits = _bits(vals, n)
+    zeros = np.logical_and.accumulate(~bits, axis=1)
+    ones = np.logical_and.accumulate(bits[:, ::-1], axis=1)[:, ::-1]
+    return zeros | ones
 
 
 def _const(bits: np.ndarray) -> np.ndarray:
@@ -376,6 +410,9 @@ def _value_clauses(vm: VarMap, lo: int, hi: int, i: np.ndarray, j: np.ndarray,
     values[:, -1] = _const(_sorted_bits(vm._levels[0, lo:hi], n))
     if vm.near_sorted:
         values[:, -2] = np.where(_boundary(vm._levels[0, lo:hi], n), values[:, -2], values[:, -1])
+    if vm.settled_ends:
+        settled = _settled(vm._levels[p, lo:hi], n)[:, None]
+        values[:, 1:-1] = np.where(settled, values[:, :1], values[:, 1:-1])
     state = (values == _TRUE) + 2 * (values == -_TRUE).astype(np.int32)
     # one group per (input, layer, pair or channel), the pairs of a layer before its
     # channels; a group's operand row is 0, the guard and the operands (_fold_tables)
@@ -483,7 +520,8 @@ def build(n: int, d: int, inputs: Iterable[int],
         # one input per prefix image, the smallest; the image fixes the weight
         _, first = np.unique(_eval_array(opts.prefix, xs), return_index=True)
         xs = xs[np.sort(first)]
-    vm = VarMap(n, d, xs.tolist(), opts.prefix, near_sorted=opts.last_layer and opts.near_sorted)
+    vm = VarMap(n, d, xs.tolist(), opts.prefix, near_sorted=opts.last_layer and opts.near_sorted,
+                settled_ends=opts.settled_ends)
     parts = [encode_structure(vm), encode_symmetry(vm, opts)]
     if opts.last_layer:
         parts.append(encode_last_layer(vm))

@@ -225,7 +225,7 @@ def unsorted_inputs(n: int, prefix: Optional[Network] = None) -> frozenset[int]:
         inp = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
         img = _eval_array(prefix, inp) if prefix is not None else inp
         out.append(inp[~_ascending_mask(img, n)])
-    return frozenset(int(v) for v in np.concatenate(out))
+    return frozenset(np.concatenate(out).tolist())
 
 
 def windows(xs: Iterable[int], pad: int, n: int) -> frozenset[int]:

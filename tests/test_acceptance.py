@@ -138,14 +138,16 @@ def test_c08_encoder_oracle_equivalence(solver_config):
         for d in (0, 1, 2, 3):
             want = "SAT" if _oracle_exists(n, d, xs) else "UNSAT"
             variants = [EncodeOptions()]
-            for flag in ("sigma1", "sigma2", "sigma3", "last_layer", "near_sorted"):
+            for flag in ("sigma1", "sigma2", "sigma3", "last_layer", "near_sorted",
+                         "settled_ends"):
                 variants.append(EncodeOptions(**{flag: False}))
             for opts in variants:
                 _, cnf = build(n, d, xs, opts)
                 got = run_solver(cnf, solver_config, name=f"acc8-{n}-{d}").verdict
                 if got != want:
                     bad.append((n, d, opts, got, want))
-    report("8 (encoder matches brute-force oracle, with sigma, last-layer and near-sorted toggles)",
+    report("8 (encoder matches brute-force oracle, with sigma, last-layer, near-sorted and "
+           "settled-ends toggles)",
            not bad, f"failures={bad}")
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,9 +185,11 @@ def test_last_layer_keeps_rn_verdicts(solver_config):
         assert sat[top] > 0 and not any(sat[d] for d in range(3, top)), (n, sat)
 
 
-def test_near_sorted_keeps_verdicts(solver_config):
-    # every R_n prefix up to depth T(n), unpadded and with windows of width
-    # d + 1: the fold of level d - 1 never changes a verdict
+def _assert_fold_keeps_verdicts(solver_config, flag, bases):
+    """Every R_n prefix up to depth T(n), unpadded and with windows of width
+    d + 1, under each of the base options: the verdict is the same with the
+    fold flag on and off, and every pad-0 SAT decodes to a sorting network
+    that starts with the prefix."""
     from sortnetopt.campaign import two_layer_prefixes
     from sortnetopt.networks import is_sorting_network
     T = {5: 5, 6: 5, 7: 6}
@@ -196,19 +199,32 @@ def test_near_sorted_keeps_verdicts(solver_config):
             xs = unsorted_inputs(n, prefix)
             for d in sat:
                 for pad in sorted({0, max(n - d - 1, 0)}):
-                    verdicts = []
-                    for on in (True, False):
-                        vm, cnf = build(n, d, xs, EncodeOptions(prefix=prefix, pad=pad,
-                                                                near_sorted=on))
-                        res = run_solver(cnf, solver_config, name=f"near-{n}-{idx}-{d}-{pad}")
-                        verdicts.append(res.verdict)
-                        if res.verdict == "SAT" and pad == 0:
-                            net = decode_network(vm, res.true_vars)
-                            assert net.layers[:2] == prefix.layers
-                            assert is_sorting_network(net), (n, idx, d, on)
-                    assert verdicts[0] == verdicts[1], (n, idx, d, pad, verdicts)
+                    for base in bases:
+                        verdicts = []
+                        for on in (True, False):
+                            opts = replace(base, prefix=prefix, pad=pad, **{flag: on})
+                            vm, cnf = build(n, d, xs, opts)
+                            res = run_solver(cnf, solver_config, name=f"{flag}-{n}-{idx}-{d}-{pad}")
+                            verdicts.append(res.verdict)
+                            if res.verdict == "SAT" and pad == 0:
+                                net = decode_network(vm, res.true_vars)
+                                assert net.layers[:2] == prefix.layers
+                                assert is_sorting_network(net), (n, idx, d, opts)
+                        assert verdicts[0] == verdicts[1], (n, idx, d, pad, base, verdicts)
                     sat[d] += pad == 0 and verdicts[0] == "SAT"
         assert sat[top] > 0 and not any(sat[d] for d in range(3, top)), (n, sat)
+
+
+def test_near_sorted_keeps_verdicts(solver_config):
+    # the fold of level d - 1 never changes a verdict
+    _assert_fold_keeps_verdicts(solver_config, "near_sorted", [EncodeOptions()])
+
+
+def test_settled_ends_keeps_verdicts(solver_config):
+    # folding the settled ends never changes a verdict, with the last-layer
+    # units on and off
+    _assert_fold_keeps_verdicts(solver_config, "settled_ends",
+                                [EncodeOptions(), EncodeOptions(last_layer=False)])
 
 
 def test_near_sorted_level():
@@ -220,13 +236,14 @@ def test_near_sorted_level():
             p = prefix.depth if prefix is not None else 0
             xs = unsorted_inputs(n, prefix)
             for d in range(max(p, 1), p + 4):
-                vm, cnf = build(n, d, xs, EncodeOptions(prefix=prefix))
-                _, off = build(n, d, xs, EncodeOptions(prefix=prefix, near_sorted=False))
-                _, loose = build(n, d, xs, EncodeOptions(prefix=prefix, last_layer=False))
+                opts = EncodeOptions(prefix=prefix, settled_ends=False)
+                vm, cnf = build(n, d, xs, opts)
+                _, off = build(n, d, xs, replace(opts, near_sorted=False))
+                _, loose = build(n, d, xs, replace(opts, last_layer=False))
                 assert vm.num_vars == off.num_vars == loose.num_vars
                 # the fold needs the last-layer units
-                assert to_dimacs(loose) == to_dimacs(build(n, d, xs, EncodeOptions(
-                    prefix=prefix, last_layer=False, near_sorted=False))[1])
+                assert to_dimacs(loose) == to_dimacs(build(n, d, xs, replace(
+                    opts, last_layer=False, near_sorted=False))[1])
                 if d - 1 <= p:
                     # level d - 1 is the prefix's (or the input): nothing to fold
                     assert not vm.near_sorted
@@ -246,6 +263,56 @@ def test_near_sorted_level():
                         for l in range(p + 1, d - 1):
                             assert vm.value(b_idx, l, k) == vm.x(b_idx, l, k)
                             assert vm.x(b_idx, l, k) in used
+
+
+def _settled_channels(image, n):
+    """Channels 1..a of the leading zeros and n-b+1..n of the trailing ones."""
+    bits = [(image >> (k - 1)) & 1 for k in range(1, n + 1)]
+    a = next((k for k, bit in enumerate(bits) if bit), n)
+    b = next((k for k, bit in enumerate(reversed(bits)) if not bit), n)
+    return set(range(1, a + 1)) | set(range(n - b + 1, n + 1))
+
+
+def test_settled_ends_level():
+    # at every open level the channels of the prefix image's leading zeros
+    # and trailing ones hold that image's constants, the near-sorted level
+    # d - 1 its constants away from the boundary pair, and every other
+    # channel its variable; folded variables keep their numbers and appear
+    # in no clause
+    from sortnetopt.campaign import two_layer_prefixes
+    for n in (4, 5, 6):
+        for prefix in [None, network(n, first_layer(n))] + two_layer_prefixes(n):
+            p = prefix.depth if prefix is not None else 0
+            xs = unsorted_inputs(n, prefix)
+            for d in range(max(p, 1), p + 4):
+                for near_sorted in (False, True):
+                    opts = EncodeOptions(prefix=prefix, near_sorted=near_sorted)
+                    vm, cnf = build(n, d, xs, opts)
+                    _, off = build(n, d, xs, replace(opts, settled_ends=False))
+                    assert vm.num_vars == off.num_vars
+                    if d - 1 <= p:
+                        # no open level: nothing to fold
+                        assert not vm.settled_ends
+                        assert np.array_equal(cnf.lits, off.lits)
+                        continue
+                    assert vm.settled_ends
+                    used = set(np.abs(cnf.lits).tolist())
+                    for b_idx, b in enumerate(vm.inputs):
+                        image = evaluate_bits(prefix, b) if prefix is not None else b
+                        settled = _settled_channels(image, n)
+                        zeros = n - bin(b).count("1")
+                        for l in range(p + 1, d):
+                            for k in range(1, n + 1):
+                                x = vm.x(b_idx, l, k)
+                                if k in settled:
+                                    want = bool((image >> (k - 1)) & 1)
+                                elif near_sorted and l == d - 1 and k not in (zeros, zeros + 1):
+                                    want = k > zeros
+                                else:
+                                    assert vm.value(b_idx, l, k) == x and x in used
+                                    continue
+                                assert vm.value(b_idx, l, k) is want, (n, prefix, d, b, l, k)
+                                assert x not in used
 
 
 def test_every_clause_has_a_comparator_or_used_variable():
@@ -346,8 +413,9 @@ def test_fold_tables_match_reference():
 def test_input_sort_matches_reference():
     # any input set, sorted members included, under prefixes of depth 0..2 and
     # with up to 4 open layers, with and without the near-sorted fold of level
-    # d - 1: the first open layer reads the prefix constants, the middle layers
-    # are all variables, level d - 1 is folded or not, and level d is constant
+    # d - 1 and the settled ends: the first open layer reads the prefix
+    # constants, the middle layers are variables but for the settled ends,
+    # level d - 1 is folded or not, and level d is constant
     rng = random.Random(7)
     for n in range(2, 9):
         layers = list(matchings(n))
@@ -358,12 +426,12 @@ def test_input_sort_matches_reference():
             p = prefix.depth if prefix is not None else 0
             inputs = sorted(rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n))))
             d = max(p + gap, 1)
-            for near_sorted in (False, True):
-                vm = VarMap(n, d, inputs, prefix, near_sorted)
+            for near_sorted, settled_ends in itertools.product((False, True), repeat=2):
+                vm = VarMap(n, d, inputs, prefix, near_sorted, settled_ends)
                 want = [cl for b_idx in range(len(inputs))
                         for cl in reference_input_sort(vm, b_idx)]
                 assert Cnf(vm.num_vars, encode_input_sort(vm)).clauses == want, \
-                    (n, prefix, d, near_sorted)
+                    (n, prefix, d, near_sorted, settled_ends)
 
 
 def test_build_d0():

@@ -8,10 +8,14 @@ encoder replaced; the "+last" digests and the CLI digest without
 --no-last-layer were added with the units, which leave everything else
 in place.  The "+last" groups and that CLI digest pass
 near_sorted=False (--no-near-sorted); the "+near" digests and the CLI
-digest with both defaults were added with the near-sorted fold of level
-d - 1, which also keeps the variable numbering.  So any change to the formula, its variable numbering or its
-clause order shows up here.  No solver is run.  Never regenerate a digest
-to make a change pass.
+digest with both on were added with the near-sorted fold of level
+d - 1, which also keeps the variable numbering.  The "+settled" digests
+and the CLI digest taken with every default were added with the fold of
+the settled ends (the leading zeros and trailing ones of each prefix
+image), which keeps the numbering too; every older group and CLI digest
+passes settled_ends=False (--no-settled-ends).  So any change to the
+formula, its variable numbering or its clause order shows up here.  No
+solver is run.  Never regenerate a digest to make a change pass.
 """
 
 import hashlib
@@ -37,33 +41,38 @@ def _digest(texts) -> str:
     return h.hexdigest()
 
 
-def _dimacs(n, d, prefix=None, last_layer=False, near_sorted=False, **opts) -> str:
+def _dimacs(n, d, prefix=None, last_layer=False, near_sorted=False, settled_ends=False,
+            **opts) -> str:
     xs = unsorted_inputs(n, prefix)
-    opts = EncodeOptions(prefix=prefix, last_layer=last_layer, near_sorted=near_sorted, **opts)
+    opts = EncodeOptions(prefix=prefix, last_layer=last_layer, near_sorted=near_sorted,
+                         settled_ends=settled_ends, **opts)
     return to_dimacs(build(n, d, xs, opts)[1])
 
 
-def _rn_sweep(n, depths, last_layer=False, near_sorted=False):
+def _rn_sweep(n, depths, **flags):
     for prefix in two_layer_prefixes(n):
         for d in depths:
             for pad in RN_PADS[n]:
-                yield _dimacs(n, d, prefix, last_layer, near_sorted, pad=pad)
+                yield _dimacs(n, d, prefix, pad=pad, **flags)
 
 
-def _free(last_layer=False, near_sorted=False):
-    return (_dimacs(n, d, last_layer=last_layer, near_sorted=near_sorted, **off)
-            for n in (2, 3, 4) for d in range(4) for off in SIGMA_OFF)
+def _free(**flags):
+    return (_dimacs(n, d, **flags, **off) for n in (2, 3, 4) for d in range(4) for off in SIGMA_OFF)
 
 
-def _layer1(last_layer=False, near_sorted=False):
-    return (_dimacs(n, d, Network(n, (first_layer(n, "crossing"),)), last_layer, near_sorted,
-                    pad=pad)
+def _layer1(**flags):
+    return (_dimacs(n, d, Network(n, (first_layer(n, "crossing"),)), pad=pad, **flags)
             for n in (5, 6) for d in (3, 4) for pad in (0, 2))
+
+
+ALL_ON = {"last_layer": True, "near_sorted": True, "settled_ends": True}
 
 
 # the groups without a suffix pin the formulas with the last-layer units off;
 # "+last" groups pin the same families with them on and the near-sorted fold
-# off; "+near" groups pin them with both on (the defaults)
+# off; "+near" groups pin them with both on; "+settled" groups add the
+# settled ends (every fold on, the defaults).  Every other group has the
+# settled ends off.
 GROUPS = {
     # every R_n prefix at every depth up to T(n), at each pad of RN_PADS
     "rn6": lambda: _rn_sweep(6, range(3, T[6] + 1)),
@@ -84,6 +93,10 @@ GROUPS = {
     "rn7+near": lambda: _rn_sweep(7, range(3, T[7] + 1), last_layer=True, near_sorted=True),
     "free+near": lambda: _free(last_layer=True, near_sorted=True),
     "layer1+near": lambda: _layer1(last_layer=True, near_sorted=True),
+    "rn6+settled": lambda: _rn_sweep(6, range(3, T[6] + 1), **ALL_ON),
+    "rn7+settled": lambda: _rn_sweep(7, range(3, T[7] + 1), **ALL_ON),
+    "free+settled": lambda: _free(**ALL_ON),
+    "layer1+settled": lambda: _layer1(**ALL_ON),
 }
 
 EXPECTED = {
@@ -101,6 +114,10 @@ EXPECTED = {
     "rn7+near": "9bb4b87462f4a454ee8a6fad5e74f5134de9451132f4330ec2d67535f9c34ccd",
     "free+near": "046a3dcf9ca3cce418a0b8248707513c400f94b4ec8b91ed7fef2c31bf8b8394",
     "layer1+near": "952bfe29aa15607d976e285e2b244309f2ccb14c14679ebf3773911df9104f53",
+    "rn6+settled": "eb3f21e02c213510e231721eef7f3b0e957a6c8cdd902662dd8479ba23ff2f9e",
+    "rn7+settled": "2bc22a4976b81f09204b0ee43781b3819e3e46d3a0040b5705e148920ef8fa48",
+    "free+settled": "0ad21fd43fb5c34fb84bcc22fc44efa5f243582feedef5fc0d9367ef9750d40f",
+    "layer1+settled": "0ce84fe8f48a51d57dc06b8e161211955f280ee8c3d673723e0f3e79d8f832eb",
 }
 
 
@@ -125,13 +142,18 @@ def _cli_texts(capsys, *extra):
 
 
 def test_golden_cli_encode(capsys):
-    texts = _cli_texts(capsys, "--no-last-layer")
+    texts = _cli_texts(capsys, "--no-last-layer", "--no-settled-ends")
     assert _digest(texts) == "ce1a06c84e3e82688cfe999a085173ff5db6a7e2c501980bea3516006a05c0f8"
 
 
 def test_golden_cli_encode_last_layer(capsys):
-    assert _digest(_cli_texts(capsys, "--no-near-sorted")) == "d0ca9b5ae0734ea4a06d25bf20968cb2def2742f40d9989d94f4a75a11f4d32b"
+    assert _digest(_cli_texts(capsys, "--no-near-sorted", "--no-settled-ends")) == "d0ca9b5ae0734ea4a06d25bf20968cb2def2742f40d9989d94f4a75a11f4d32b"
 
 
 def test_golden_cli_encode_near_sorted(capsys):
-    assert _digest(_cli_texts(capsys)) == "33f34f9a1d37ab24392b248b1de85f1b9d07761f3c047eb6261514f2b4ed51dd"
+    texts = _cli_texts(capsys, "--no-settled-ends")
+    assert _digest(texts) == "33f34f9a1d37ab24392b248b1de85f1b9d07761f3c047eb6261514f2b4ed51dd"
+
+
+def test_golden_cli_encode_settled_ends(capsys):
+    assert _digest(_cli_texts(capsys)) == "d8136ea159dd5073beb4e90e3a0b62d917bdd835d3ded756ac02f983cccb6abd"

@@ -134,6 +134,20 @@ def test_unsorted_inputs_counts():
     assert len(unsorted_inputs(3)) == 4
 
 
+def test_unsorted_inputs_match_brute_force():
+    # Python ints, the same set as a loop over every input, with and without a
+    # prefix of one or two layers
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for depth in (None, 1, 2):
+            prefix = None if depth is None else random_network(rng, n, depth)
+            got = unsorted_inputs(n, prefix)
+            want = {b for b in range(1 << n)
+                    if not is_ascending(evaluate_bits(prefix, b) if prefix else b, n)}
+            assert got == frozenset(want), (n, prefix)
+            assert all(type(v) is int for v in got)
+
+
 def test_windows_identity_and_bounds():
     xs = unsorted_inputs(4)
     assert windows(xs, 0, 4) == xs
