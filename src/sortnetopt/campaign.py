@@ -10,6 +10,13 @@ Window padding shrinks instances: UNSAT on the padded subset already
 implies UNSAT on the full input set, while a SAT verdict under padding is
 inconclusive and moves the task on to the next pad.
 
+Tasks start in order of their prefix's number of unsorted outputs, fewest
+first (the "fewest-outputs" ordering): that prefix leaves the fewest
+inputs to sort, and for n = 5..11 it is SAT at depth T(n), so a depth
+with a network ends on the first task.  Any order is sound: a claim needs
+one pad-0 SAT or an UNSAT for every prefix, so the order never changes a
+claim, and reports keep the R_n indices.
+
 The first pad-0 SAT settles the claim and kills the solvers still running.
 Every SAT model is decoded and re-verified by direct evaluation, and the
 witness behind a claim once more with is_sorting_network; a witness that
@@ -32,7 +39,7 @@ from typing import Optional, Sequence
 from . import words as words_mod
 from .encoding import EncodeOptions, build, decode_network
 from .networks import (Network, evaluate_bits, first_layer, is_ascending,
-                       is_sorting_network, unsorted_inputs)
+                       is_sorting_network, outputs, unsorted_inputs)
 from .solver import SolverConfig, StopEvent, default_config, run_solver
 
 
@@ -61,7 +68,7 @@ class CampaignResult:
     claim: str                    # e.g. "T(9) > 6" or "T(9) <= 7" or "inconclusive"
     instances: list[InstanceResult] = field(default_factory=list)
     wall_time: float = 0.0
-    ordering: str = "canonical"
+    ordering: str = "canonical"   # task order; R_n order in reports without the key
 
 
 Task = tuple[Optional[int], Optional[Network]]   # (prefix index, prefix)
@@ -81,9 +88,12 @@ def default_pads(n: int, d: int) -> list[int]:
     half the wall time of the old depth-blind [6, 4, 0] (53 instances, 32
     padded SAT); at n = 11, d = 7, pad 3 refuted 47 of the 48 prefixes
     while pad 4 refuted none of them.  At a depth where a sorting network
-    exists the padded try is SAT and only adds work: prove_lower_bound(10,
-    7) took 15-17 s against 11-13 s with [6, 4, 0], and with the settled
-    ends folded 4.5-5.6 s against 4.3-4.6 s (three runs each).
+    exists the padded try is SAT and proves nothing.  In R_n order it
+    delayed the pad-0 SAT (prove_lower_bound(10, 7): 3.3-5.0 s, 13
+    instances); now that a campaign starts with the prefix of fewest
+    unsorted outputs it costs one cheap run on that first task (0.17-0.28 s,
+    3 instances, against 0.20-0.26 s and 5 instances with [6, 4, 0]; four
+    and six runs).
     """
     return sorted({max(n - d - 1, 0), 0}, reverse=True)
 
@@ -94,13 +104,13 @@ def _prefix_tasks(n: int, d: int) -> list[Task]:
     return list(enumerate(two_layer_prefixes(n)))
 
 
-def _solve_instance(n: int, d: int, prefix: Optional[Network], pad: int,
-                    config: SolverConfig, opts: EncodeOptions,
+def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: frozenset[int],
+                    pad: int, config: SolverConfig, opts: EncodeOptions,
                     prefix_index: Optional[int],
                     stop: Optional[StopEvent] = None) -> Optional[InstanceResult]:
-    """One encode-solve-decode round; None when stop killed the solver."""
+    """One encode-solve-decode round over the task's input set xs; None when
+    stop killed the solver."""
     t0 = time.monotonic()
-    xs = unsorted_inputs(n, prefix)
     vm, cnf = build(n, d, xs, replace(opts, pad=pad, prefix=prefix))
     encode_time = time.monotonic() - t0
     name = f"n{n}d{d}p{prefix_index if prefix_index is not None else 'free'}w{pad}"
@@ -121,14 +131,20 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
               jobs: int) -> tuple[Optional[Network], CampaignResult]:
     """The one campaign scheduler behind find_network and prove_lower_bound.
 
-    Each task walks the pads once, largest first, and every solver run gets
-    config.timeout.  An UNSAT settles the task (windowed inputs are a subset
-    of the full set); a padded SAT or TIMEOUT moves on to the next pad, and
-    only pad 0 can certify satisfiability.  A pad-0 TIMEOUT leaves the task
-    open while the other tasks carry on.  The first pad-0 SAT sets the stop
-    event, which kills the solvers still running.  The claim and its witness
-    come from _evidence over the recorded instances; the witness is
-    re-checked with is_sorting_network.
+    The tasks start in order of their prefix's unsorted outputs, fewest
+    first, ties in R_n order, a task without a prefix first; this count is
+    the number of inputs a pad-0 build keeps.  At a depth with a network
+    the first task is then usually SAT and ends the campaign on its first
+    pad-0 run; a refutation runs every task anyway, so the order changes
+    no claim.  Each task computes its input set once and walks the pads
+    once, largest first, and every solver run gets config.timeout.  An
+    UNSAT settles the task (windowed inputs are a subset of the full set);
+    a padded SAT or TIMEOUT moves on to the next pad, and only pad 0 can
+    certify satisfiability.  A pad-0 TIMEOUT leaves the task open while the
+    other tasks carry on.  The first pad-0 SAT sets the stop event, which
+    kills the solvers still running.  The claim and its witness come from
+    _evidence over the recorded instances; the witness is re-checked with
+    is_sorting_network.
     """
     t0 = time.monotonic()
     results: list[InstanceResult] = []
@@ -137,12 +153,20 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
 
     def settle(task: Task) -> None:
         idx, prefix = task
+        if stop.is_set():
+            return
+        t_inputs = time.monotonic()
+        xs = unsorted_inputs(n, prefix)   # once per task, for every pad
+        inputs_time = time.monotonic() - t_inputs
         for pad in pads:
             if stop.is_set():
                 return
-            res = _solve_instance(n, d, prefix, pad, config, opts, idx, stop)
+            res = _solve_instance(n, d, prefix, xs, pad, config, opts, idx, stop)
             if res is None:
                 return  # killed: the claim is already settled
+            # the task's first instance carries the time of its input set
+            res.encode_time += inputs_time
+            inputs_time = 0.0
             with lock:
                 results.append(res)
             if res.verdict == "UNSAT":
@@ -150,9 +174,12 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
             if res.verdict == "SAT" and pad == 0:
                 stop.set()
 
+    # fewest unsorted outputs first (a standard prefix also outputs the n + 1
+    # sorted vectors); the sort is stable, so ties keep R_n order
+    order = sorted(tasks, key=lambda t: 0 if t[1] is None else len(outputs(t[1])))
     with cf.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         try:
-            list(pool.map(settle, tasks))
+            list(pool.map(settle, order))
         finally:
             stop.set()  # an interrupted or failed scan kills its solvers too
 
@@ -165,7 +192,8 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
         claim = "inconclusive"
     else:
         claim = f"T({n}) > {d}"
-    return witness, CampaignResult(n, claim, results, time.monotonic() - t0)
+    return witness, CampaignResult(n, claim, results, time.monotonic() - t0,
+                                   "fewest-outputs")
 
 
 def _evidence(n: int, d: int,
@@ -192,9 +220,11 @@ def find_network(n: int, d: int, mode: str = "two_layer",
     """Search for a depth-d sorting network; returns a verified witness or None.
 
     mode free: one instance over all unsorted inputs; layer1: the crossing
-    first layer is fixed; two_layer: iterate the prefixes of R_n and stop at
-    the first satisfiable instance.  None covers both proven absence and an
-    inconclusive timeout; the campaign variant distinguishes them.
+    first layer is fixed; two_layer: iterate the prefixes of R_n, fewest
+    unsorted outputs first, and stop at the first satisfiable instance.  The
+    order only decides how soon a network is found, never whether.  None
+    covers both proven absence and an inconclusive timeout; the campaign
+    variant distinguishes them.
     """
     net, _ = find_network_campaign(n, d, mode, config, opts, jobs)
     return net

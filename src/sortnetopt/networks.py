@@ -191,14 +191,18 @@ def _ascending_mask(vals: np.ndarray, n: int) -> np.ndarray:
 
 
 def outputs(net: Network) -> frozenset[int]:
-    """Exact image of all 2**n Boolean inputs, as packed ints."""
+    """Exact image of all 2**n Boolean inputs, as packed ints.
+
+    The images are marked in a mask over all 2**n vectors rather than
+    passed to np.unique, whose first call in a process costs milliseconds
+    of lazy set-up; campaigns call this before their solvers start.
+    """
     _check_enum(net.n)
     total = 1 << net.n
-    chunks = []
+    seen = np.zeros(total, dtype=bool)
     for start in range(0, total, _CHUNK):
-        vals = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        chunks.append(np.unique(_eval_array(net, vals)))
-    return frozenset(int(v) for v in np.unique(np.concatenate(chunks)))
+        seen[_eval_array(net, np.arange(start, min(start + _CHUNK, total), dtype=np.uint32))] = True
+    return frozenset(np.flatnonzero(seen).tolist())
 
 
 def is_sorting_network(net: Network) -> bool:

@@ -25,7 +25,8 @@ from sortnetopt.campaign import (
     two_layer_prefixes,
 )
 from sortnetopt.encoding import EncodeOptions, build
-from sortnetopt.networks import Network, is_sorting_network, network, unsorted_inputs
+from sortnetopt.networks import (Network, is_sorting_network, network, outputs,
+                                 unsorted_inputs)
 from sortnetopt.solver import SolveResult, SolverConfig, StopEvent, run_solver
 
 
@@ -179,8 +180,11 @@ def test_prove_lower_bound_trivial(solver_config):
     assert camp.claim == "T(2) > 0"
 
 
-def test_prove_descends_on_padded_sat(solver_config):
+def test_prove_descends_on_padded_sat(solver_config, monkeypatch):
     # at the true depth a padded SAT cannot settle anything: pad 0 decides
+    input_sets = []
+    monkeypatch.setattr(campaign, "unsorted_inputs",
+                        lambda n, prefix: input_sets.append(prefix) or unsorted_inputs(n, prefix))
     camp = prove_lower_bound(6, 5, [2, 0], solver_config)
     assert camp.claim == "T(6) <= 5"
     sat_pads = [r.pad for r in camp.instances if r.verdict == "SAT"]
@@ -191,6 +195,8 @@ def test_prove_descends_on_padded_sat(solver_config):
     for runs in by_prefix.values():
         # each prefix walks its pads once, strictly descending
         assert all(later.pad < earlier.pad for earlier, later in zip(runs, runs[1:]))
+    # and computes its input set once for all of them
+    assert len(camp.instances) > len(by_prefix) == len(input_sets)
 
 
 @pytest.mark.parametrize("d, claim", [(5, "T(6) <= 5"), (4, "T(6) > 4")])
@@ -219,10 +225,42 @@ def test_one_pass_under_one_timeout(monkeypatch):
     assert all(timeout == 600 for _, timeout in calls)
     names = [name for name, _ in calls]
     assert len(names) == len(set(names)) == 6
+    # jobs=1 runs the fewest-outputs order: R_6 keys 14, 11, 14, 11, 11
     assert [(r.prefix_index, r.pad, r.verdict) for r in camp.instances] == \
-           [(0, 2, "TIMEOUT"), (0, 0, "TIMEOUT")] + [(i, 2, "UNSAT") for i in range(1, 5)]
+           [(1, 2, "UNSAT"), (3, 2, "UNSAT"), (4, 2, "UNSAT"),
+            (0, 2, "TIMEOUT"), (0, 0, "TIMEOUT"), (2, 2, "UNSAT")]
     assert camp.claim == "inconclusive"
     assert campaign_from_json(campaign_to_json(camp)).claim == "inconclusive"
+
+
+def test_task_order_fewest_outputs(monkeypatch):
+    # the key, the unsorted outputs of the prefix, is the input count of a
+    # pad-0 build; the order never decreases in it and breaks ties by R_n index
+    ran = []
+
+    def fake_solver(cnf, config, name="instance", stop=None):
+        ran.append(int(name.split("p")[1].split("w")[0]))
+        return SolveResult("UNSAT")
+
+    monkeypatch.setattr(campaign, "run_solver", fake_solver)
+    for n in range(3, 11):
+        prefixes = two_layer_prefixes(n)
+        keys = [len(outputs(p)) - (n + 1) for p in prefixes]
+        for p, key in zip(prefixes, keys):
+            vm, _ = build(n, 4, unsorted_inputs(n, p), EncodeOptions(prefix=p))
+            assert key == len(vm.inputs)
+        ran.clear()
+        camp = prove_lower_bound(n, 4, [0], SolverConfig("/bin/false"), jobs=1)
+        assert camp.claim == f"T({n}) > 4" and camp.ordering == "fewest-outputs"
+        assert ran == sorted(range(len(prefixes)), key=lambda i: (keys[i], i))
+
+
+@pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
+def test_find_settles_on_first_task(solver_config, n, t):
+    # the prefix with the fewest unsorted outputs is SAT at depth T(n)
+    net, camp = find_network_campaign(n, t, config=solver_config, jobs=1)
+    assert camp.claim == f"T({n}) <= {t}" and is_sorting_network(net)
+    assert [(r.pad, r.verdict) for r in camp.instances] == [(0, "SAT")]
 
 
 def test_prove_rechecks_the_witness(solver_config, monkeypatch):
@@ -258,6 +296,11 @@ def test_campaign_json_roundtrip(solver_config):
             for r in back.instances] == \
            [(r.prefix_index, r.depth, r.pad, r.verdict, r.witness)
             for r in camp.instances]
+    assert camp.ordering == back.ordering == "fewest-outputs"
+    # a report written before the ordering was recorded ran in R_n order
+    old = json.loads(doc)
+    del old["ordering"]
+    assert campaign_from_json(json.dumps(old)).ordering == "canonical"
 
 
 def test_campaign_json_keeps_formula_sizes(solver_config):
@@ -442,4 +485,4 @@ def test_cli_prove(tmp_path, solver_config):
     assert out.returncode == 20
     camp = campaign_from_json(report.read_text())
     assert camp.claim == "T(5) > 4"
-    assert camp.ordering == "canonical"
+    assert camp.ordering == "fewest-outputs"
