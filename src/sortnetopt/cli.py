@@ -150,6 +150,10 @@ def _usage_error(args) -> str | None:
         least = 2 if args.set in ("gn", "sn") else 1
         if args.n < least:
             return f"--set {args.set} needs --n >= {least}"
+        most = words_mod._LIMITS["s"]
+        if args.set == "sn" and args.n > most:
+            # past the stream limit sn prints |S_n|, which is counted only up to here
+            return f"--set sn needs --n <= {most}, got {args.n}"
         return None
     if args.command in ("encode", "find", "prove"):
         if args.n < 1:

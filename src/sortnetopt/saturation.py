@@ -196,14 +196,59 @@ def saturated_layers(n: int) -> Iterator[Layer]:
     """The second layers over F_n whose two-layer network is saturated, in
     the order of words.matchings.
 
-    Tests the raw layers with _weak_spot, as is_saturated does, but builds
-    no Network per layer.  Raises ValueError for n < 2 at the call, not at
-    the first item.
+    Walks the recursion of words.matchings (leave the lowest open channel
+    out, then join it to each higher one) and tests every leaf with
+    _weak_spot, as is_saturated does, but builds no Network per layer and
+    never enters a subtree whose every leaf _weak_spot would reject.  The
+    prune reads only the channels already left out of layer 2.  Each rule
+    is derived from the repeated-comparator test, P1 or P2 of _weak_spot,
+    not a second implementation of them; _weak_spot stays the only judge:
+
+    * a channel is never joined to its first-layer partner (the repeated
+      comparator 12_c is redundant);
+    * a first-layer min channel and a max channel that are not partners
+      are never both left out (P2 fires on them);
+    * the free channel is left out only when every other channel is
+      matched (otherwise P1 fires on it and the comparator holding a
+      left-out channel).
+
+    Left-out channels stay left out in every leaf below, so each pruned
+    subtree holds only rejected layers, and the walk yields exactly what
+    filtering words.matchings(n) through _weak_spot yields, in the same
+    order.  At n = 12 it tests 29 794 leaves instead of 140 152.  Raises
+    ValueError for n < 2 at the call, not at the first item.
     """
     fl = first_layer(n)
     l1p = words_mod.layer_partners(fl)
-    return (l2 for l2 in words_mod.matchings(n)
-            if _weak_spot(n, fl, l2, l1p, words_mod.layer_partners(l2)) is None)
+    acc: list[tuple[int, int]] = []
+
+    def rec(avail: tuple[int, ...], out_min: tuple[int, ...],
+            out_max: tuple[int, ...]) -> Iterator[Layer]:
+        # out_min / out_max: the first-layer min / max channels left out so far
+        if not avail:
+            l2 = tuple(acc)
+            if _weak_spot(n, fl, l2, l1p, words_mod.layer_partners(l2)) is None:
+                yield l2
+            return
+        v, rest = avail[0], avail[1:]
+        partner = l1p.get(v)
+        if partner is None:
+            # the free channel n is the last one the walk reaches
+            if not out_min and not out_max:             # P1
+                yield from rec(rest, out_min, out_max)
+        elif v < partner:
+            if all(d == partner for d in out_max):      # P2
+                yield from rec(rest, out_min + (v,), out_max)
+        elif all(a == partner for a in out_min):        # P2
+            yield from rec(rest, out_min, out_max + (v,))
+        for k, w in enumerate(rest):
+            if w == partner:    # a repeated first-layer comparator
+                continue
+            acc.append((v, w))
+            yield from rec(rest[:k] + rest[k + 1:], out_min, out_max)
+            acc.pop()
+
+    return rec(tuple(range(1, n + 1)), (), ())
 
 
 def addable_comparators(net: Network) -> list[tuple[int, int]]:
@@ -239,18 +284,23 @@ def is_saturated_semantic(net: Network) -> bool:
     return True
 
 
-def saturated_layer_count(n: int, by_enumeration: bool = False) -> int:
+def saturated_layer_count(n: int, by_enumeration: bool = False,
+                          classes: Optional[Iterable[words_mod.Sentence]] = None) -> int:
     """Number of second layers over F_n whose two-layer network is saturated.
 
     The default sums the orbit sizes of the saturated sentence classes:
     distribute the comparator pairs over the components, embed heads and
     sticks in every pair order (halved for palindromic sticks), and embed a
     cycle once per rotation start, i.e. per class string beginning with 12.
-    Enumeration mode walks all of G_n instead; both agree (tested).
+    A caller that has already walked sentences(n, "rsn") passes them as
+    classes, so the walk is not repeated.  Enumeration mode walks the sn
+    set instead; both agree (tested).
     """
     if by_enumeration:
         return sum(1 for _ in saturated_layers(n))
-    return sum(sentence_class_size(s) for s in words_mod.sentences(n, "rsn"))
+    if classes is None:
+        classes = words_mod.sentences(n, "rsn")
+    return sum(sentence_class_size(s) for s in classes)
 
 
 def sentence_class_size(sentence) -> int:

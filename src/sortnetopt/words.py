@@ -395,7 +395,16 @@ def sentences(n: int, kind: str) -> Iterator[Sentence]:
     """All canonical sentences on n channels for kind rgn / rsn / rn.
 
     Emitted in canonical order (lexicographic on the word keys), which
-    fixes the prefix indices used by campaign reports.
+    fixes the prefix indices used by campaign reports.  Raises ValueError
+    for an unknown kind at the call, not at the first item.
+    """
+    if kind not in _POOLS:
+        raise ValueError(f"unknown sentence kind {kind!r}")
+    return _sentence_walk(n, *_POOLS[kind])
+
+
+def _sentence_walk(n: int, heads, sticks, cycles, ok) -> Iterator[Sentence]:
+    """The walk behind sentences, over the word pools and multiset rule of a kind.
 
     The pool of words is sorted by word key, not by length, so the walk
     first indexes it by length: fits[r] lists, in pool order, the position,
@@ -404,9 +413,6 @@ def sentences(n: int, kind: str) -> Iterator[Sentence]:
     allowed position and visits only the words that fit, so the walk costs
     what it emits rather than a pass over the pool per frame.
     """
-    if kind not in _POOLS:
-        raise ValueError(f"unknown sentence kind {kind!r}")
-    heads, sticks, cycles, ok = _POOLS[kind]
     pool: list[Word] = []
     for length in range(1, n + 1):
         if length % 2:
@@ -444,7 +450,7 @@ def generate(n: int, kind: str) -> Iterator:
 
     gn streams every second layer (matching); sn streams the second layers
     whose two-layer network is saturated; rgn / rsn / rn stream canonical
-    sentences.
+    sentences.  Raises ValueError for an unknown kind at the call.
     """
     kind = kind.lower()
     if kind == "gn":
@@ -512,11 +518,15 @@ def counts(n: int, columns: str = "g,rg,s,rs,r,a") -> CountsRow:
     kw = {}
     if "rg" in want and 3 <= n <= _LIMITS["rg"]:
         kw["rg"] = sum(1 for _ in sentences(n, "rgn"))
-    if "s" in want and 3 <= n <= _LIMITS["s"]:
+    s_col = "s" in want and 3 <= n <= _LIMITS["s"]
+    rs_col = "rs" in want and 3 <= n <= _LIMITS["rs"]
+    # one rsn walk feeds both columns: S sums the class sizes, RS counts them
+    rsn = list(sentences(n, "rsn")) if s_col or rs_col else []
+    if s_col:
         from .saturation import saturated_layer_count
-        kw["s"] = saturated_layer_count(n)
-    if "rs" in want and 3 <= n <= _LIMITS["rs"]:
-        kw["rs"] = sum(1 for _ in sentences(n, "rsn"))
+        kw["s"] = saturated_layer_count(n, classes=rsn)
+    if rs_col:
+        kw["rs"] = len(rsn)
     if "r" in want and 3 <= n <= _LIMITS["r"]:
         kw["r"] = sum(1 for _ in sentences(n, "rn"))
     if "a" in want and n % 2 == 0 and 4 <= n <= _LIMITS["a"]:

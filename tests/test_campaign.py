@@ -444,6 +444,7 @@ def test_cli_gen_rejects_too_few_channels():
     (["solve", "--cnf", "."], "--cnf .: "),
     (["find", "--n", "4", "--depth", "3", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["prove", "--n", "5", "--depth", "4", "--jobs", "-2"], "--jobs must be at least 1"),
+    (["gen", "--n", "25", "--set", "sn", "--out", "-"], "--set sn needs --n <= 24, got 25"),
 ])
 def test_cli_usage_errors(argv, message, tmp_path):
     # a usage error (exit 2, one line, no traceback) before any work starts

@@ -5,6 +5,8 @@ golden DIMACS digests, so the order of every prefix set is pinned here,
 not only its size.  The digests were computed before the sentence walk
 was indexed by length and before the sn filter stopped building a
 Network per second layer; never regenerate them to make a change pass.
+The count-table digests were computed before the S and RS columns shared
+one rsn walk and before the sn walk was pruned.
 """
 
 import hashlib
@@ -25,6 +27,12 @@ GEN = {
     ("10", "gn"): "354a6650993b3d0a0dc15ad8dbfd1bc1f979572cf85f1210ec60fe6701bed146",
 }
 
+# sortnetopt tables --max-n 20: the CSV on stdout, the diff text on stderr
+TABLES = {
+    "csv": "28cced75dd04e0b5f434be3708db2d20f7d57eb6df33f2d574e5f0e2480b7a5f",
+    "diff": "12527596eac086968e931393a71a42338252dad1a0c402a8228896a0d3ed1687",
+}
+
 
 @pytest.mark.parametrize("kind", sorted(SENTENCES))
 def test_golden_sentence_streams(kind):
@@ -40,3 +48,10 @@ def test_golden_cli_gen_layers(n, kind, capsys):
     assert cli.main(["gen", "--n", n, "--set", kind, "--out", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GEN[(n, kind)]
+
+
+def test_golden_cli_tables(capsys):
+    assert cli.main(["tables", "--max-n", "20", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == TABLES["csv"]
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == TABLES["diff"]

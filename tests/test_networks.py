@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from sortnetopt.networks import (
     is_sorting_network,
     iso_bruteforce,
     network,
+    network_json,
     outputs,
     permute,
     reflect,
@@ -322,6 +324,20 @@ def test_network_json_roundtrip():
         assert Network.from_json(net.to_json()) == net
     with pytest.raises(ValueError):
         Network.from_json('{"layers": []}')
+
+
+def test_network_json_matches_json_dumps():
+    # the hand-formatted text has the bytes json.dumps gives for the same document
+    def dumps(n, layers):
+        return json.dumps({"n": n, "layers": [[list(c) for c in l] for l in layers]})
+
+    rng = random.Random(14)
+    cases = [(n, random_network(rng, n, rng.randint(0, 4)).layers)
+             for n in range(2, 20) for _ in range(20)]
+    cases += [(4, ()), (4, ((),)), (5, (((1, 2),), ())), (1, ()), (1, ((),))]
+    for n, layers in cases:
+        assert network_json(n, layers) == dumps(n, layers)
+        assert network_json(n, [list(l) for l in layers]) == dumps(n, layers)
 
 
 @pytest.mark.parametrize("text", [

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sortnetopt import saturation
 from sortnetopt.networks import Network, first_layer, network, outputs
 from sortnetopt.saturation import (
     _weak_spot,
@@ -11,6 +12,7 @@ from sortnetopt.saturation import (
     permute_vectors,
     saturate,
     saturated_layer_count,
+    saturated_layers,
     sentence_class_size,
     subsumes,
     verify_conjecture,
@@ -64,19 +66,48 @@ def test_is_saturated_examples():
 
 
 def test_saturated_layer_count_formula_matches_enumeration():
-    for n in range(3, 10):
-        assert saturated_layer_count(n) == saturated_layer_count(n, by_enumeration=True)
+    # n = 12 and 13 reach past the oracle range of the sn stream test below
+    for n in range(3, 14):
+        want = saturated_layer_count(n)
+        assert saturated_layer_count(n, by_enumeration=True) == want
+        assert saturated_layer_count(n, classes=list(sentences(n, "rsn"))) == want
 
 
 def test_sn_generator_matches_is_saturated():
-    # the layer-level filter keeps exactly the layers is_saturated keeps, in order
-    for n in range(2, 11):
+    # the pruned walk keeps exactly the layers is_saturated keeps, in order
+    for n in range(2, 12):
         fl = first_layer(n)
         want = [l2 for l2 in matchings(n) if is_saturated(Network(n, (fl, l2)))]
         assert list(generate(n, "sn")) == want
     for n in (0, 1):
         with pytest.raises(ValueError):
             generate(n, "sn")   # eagerly, before the first layer is drawn
+
+
+def test_sn_walk_tests_only_layers_p1_p2_leave_open(monkeypatch):
+    # _weak_spot judges every yielded layer, and the walk spends no test on a
+    # layer that a repeated comparator, P1 or P2 on its left-out channels rejects
+    tested = []
+
+    def counting(n, l1, l2, l1p, l2p):
+        tested.append(l2)
+        return real(n, l1, l2, l1p, l2p)
+
+    real = saturation._weak_spot
+    monkeypatch.setattr(saturation, "_weak_spot", counting)
+    for n in range(2, 13):
+        tested.clear()
+        kept = list(saturated_layers(n))
+        assert set(kept) <= set(tested)
+        l1p = layer_partners(first_layer(n))
+        for l2 in tested:
+            left = [ch for ch in range(1, n + 1) if ch not in layer_partners(l2)]
+            mins = [a for a in left if a in l1p and a < l1p[a]]
+            maxes = [d for d in left if d in l1p and d > l1p[d]]
+            assert all(l1p.get(i) != j for i, j in l2)
+            assert all(l1p[a] == d for a in mins for d in maxes)           # P2
+            assert all(ch in l1p for ch in left) or len(left) == 1         # P1
+    assert len(kept) == 26344 and len(tested) <= 30000    # of 140 152 matchings
 
 
 def test_semantic_oracle_examples():

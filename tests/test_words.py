@@ -12,6 +12,7 @@ from sortnetopt.words import (
     counts,
     cycle_canonical,
     cycle_words,
+    generate,
     head_words,
     is_asymmetric,
     matchings,
@@ -116,6 +117,16 @@ def test_generate_counts_table4():
     assert sum(1 for _ in sentences(11, "rn")) == 48
     assert sum(1 for _ in sentences(13, "rn")) == 117
     assert sum(1 for _ in sentences(16, "rn")) == 211
+
+
+def test_unknown_kind_fails_at_the_call():
+    # eagerly, before the first sentence is drawn, as saturated_layers does for n < 2
+    for kind in ("xyz", "RSN", ""):
+        with pytest.raises(ValueError, match="unknown sentence kind"):
+            sentences(5, kind)
+    with pytest.raises(ValueError, match="unknown sentence kind"):
+        generate(5, "xyz")
+    assert list(generate(3, "RSN")) == list(sentences(3, "rsn"))
 
 
 def test_matchings_small():
