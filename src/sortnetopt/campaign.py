@@ -33,13 +33,13 @@ import math
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 from . import words as words_mod
 from .encoding import EncodeOptions, build, decode_network
-from .networks import (Network, evaluate_bits, first_layer, is_ascending,
-                       is_sorting_network, outputs, unsorted_inputs)
+from .networks import (MAX_ENUM_CHANNELS, Network, _is_int, evaluate_bits, first_layer,
+                       is_ascending, is_sorting_network, outputs, unsorted_inputs)
 from .solver import SolverConfig, StopEvent, default_config, run_solver
 
 
@@ -88,12 +88,8 @@ def default_pads(n: int, d: int) -> list[int]:
     half the wall time of the old depth-blind [6, 4, 0] (53 instances, 32
     padded SAT); at n = 11, d = 7, pad 3 refuted 47 of the 48 prefixes
     while pad 4 refuted none of them.  At a depth where a sorting network
-    exists the padded try is SAT and proves nothing.  In R_n order it
-    delayed the pad-0 SAT (prove_lower_bound(10, 7): 3.3-5.0 s, 13
-    instances); now that a campaign starts with the prefix of fewest
-    unsorted outputs it costs one cheap run on that first task (0.17-0.28 s,
-    3 instances, against 0.20-0.26 s and 5 instances with [6, 4, 0]; four
-    and six runs).
+    exists the padded try is SAT and proves nothing; it costs one cheap
+    run on the first task, the prefix of fewest unsorted outputs.
     """
     return sorted({max(n - d - 1, 0), 0}, reverse=True)
 
@@ -310,51 +306,65 @@ def campaign_to_json(c: CampaignResult) -> str:
         "ordering": c.ordering,
         "wall_time": c.wall_time,
         "instances": [
-            {
-                "prefix_index": r.prefix_index,
-                "depth": r.depth,
-                "pad": r.pad,
-                "verdict": r.verdict,
-                "encode_time": r.encode_time,
-                "solve_time": r.solve_time,
-                "witness": json.loads(r.witness.to_json()) if r.witness else None,
-                "inputs_kept": r.inputs_kept,
-                "vars": r.vars,
-                "clauses": r.clauses,
-            }
+            {f.name: getattr(r, f.name) for f in fields(InstanceResult)}
+            | {"witness": json.loads(r.witness.to_json()) if r.witness else None}
             for r in c.instances
         ],
     }
     return json.dumps(doc, indent=2)
 
 
+def _require(ok: bool, what: str, loc: str) -> None:
+    if not ok:
+        raise ValueError(f"campaign document: {what} at {loc}")
+
+
 def campaign_from_json(text: str) -> CampaignResult:
     """Parse and validate a campaign document; witnesses are re-verified
-    and the claim is audited against the instances (see _audit_claim)."""
+    and the claim is audited against the instances (see _audit_claim).
+
+    A malformed document, instance, n, claim, depth, pad, prefix_index,
+    verdict or witness raises ValueError naming its $ path.  The instance
+    keys are the fields of InstanceResult; prefix_index and the keys after
+    verdict may be missing.
+    """
     doc = json.loads(text)
+    _require(isinstance(doc, dict), "expected an object", "$")
     for key in ("n", "claim", "instances"):
-        if key not in doc:
-            raise ValueError(f"campaign document: missing key {key!r} at $")
+        _require(key in doc, f"missing key {key!r}", "$")
+    # a campaign enumerates 2**n inputs, so no report has more channels than the cap
+    _require(_is_int(doc["n"]) and 1 <= doc["n"] <= MAX_ENUM_CHANNELS,
+             f"'n' must be an integer in 1..{MAX_ENUM_CHANNELS}, got {doc['n']!r}", "$.n")
+    _require(isinstance(doc["claim"], str), f"'claim' must be a string, got {doc['claim']!r}",
+             "$.claim")
+    _require(isinstance(doc["instances"], list), "expected a list", "$.instances")
     instances = []
     for pos, item in enumerate(doc["instances"]):
         loc = f"$.instances[{pos}]"
+        _require(isinstance(item, dict), "expected an object", loc)
         for key in ("depth", "pad", "verdict"):
-            if key not in item:
-                raise ValueError(f"campaign document: missing key {key!r} at {loc}")
-        if item["verdict"] not in ("SAT", "UNSAT", "TIMEOUT"):
-            raise ValueError(f"campaign document: bad verdict {item['verdict']!r} at {loc}")
-        witness = None
-        if item.get("witness") is not None:
-            witness = Network.from_json(json.dumps(item["witness"]))
-            if witness.n != doc["n"] or witness.depth > item["depth"]:
-                raise ValueError(f"campaign document: witness with {witness.n} channels and depth "
-                                 f"{witness.depth} does not fit the instance at {loc}")
-            if item["pad"] == 0 and not is_sorting_network(witness):
-                raise ValueError(f"campaign document: witness fails verification at {loc}")
-        instances.append(InstanceResult(
-            item.get("prefix_index"), item["depth"], item["pad"], item["verdict"],
-            item.get("encode_time", 0.0), item.get("solve_time", 0.0), witness,
-            item.get("inputs_kept", 0), item.get("vars", 0), item.get("clauses", 0)))
+            _require(key in item, f"missing key {key!r}", loc)
+        values = {f.name: item.get(f.name, None if f.default is MISSING else f.default)
+                  for f in fields(InstanceResult)}
+        for key in ("depth", "pad"):
+            _require(_is_int(values[key]), f"{key!r} must be an integer, got {values[key]!r}",
+                     f"{loc}.{key}")
+        index = values["prefix_index"]
+        _require(index is None or _is_int(index),
+                 f"'prefix_index' must be an integer or null, got {index!r}", f"{loc}.prefix_index")
+        _require(values["verdict"] in ("SAT", "UNSAT", "TIMEOUT"),
+                 f"bad verdict {values['verdict']!r}", loc)
+        if values["witness"] is not None:
+            try:
+                witness = values["witness"] = Network.from_json(json.dumps(values["witness"]))
+            except ValueError as exc:
+                raise ValueError(f"campaign document: {exc} at {loc}.witness") from None
+            _require(witness.n == doc["n"] and witness.depth <= values["depth"],
+                     f"witness with {witness.n} channels and depth {witness.depth} "
+                     f"does not fit the instance", loc)
+            _require(values["pad"] != 0 or is_sorting_network(witness),
+                     "witness fails verification", loc)
+        instances.append(InstanceResult(**values))
     _audit_claim(doc["n"], doc["claim"], instances)
     return CampaignResult(doc["n"], doc["claim"], instances,
                           doc.get("wall_time", 0.0), doc.get("ordering", "canonical"))

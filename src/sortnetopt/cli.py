@@ -8,9 +8,11 @@ solver binary for all solving subcommands.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import campaign as campaign_mod
 from . import words as words_mod
@@ -30,11 +32,11 @@ class UsageError(ValueError):
     """A command line found unusable once its inputs are read."""
 
 
-def _write(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _write(path: str, texts: Iterable[str]) -> None:
+    """Write the texts one by one as they come, to stdout when path is "-"."""
+    with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as out:
+        for text in texts:
+            out.write(text)
 
 
 def _cmd_gen(args) -> int:
@@ -44,10 +46,11 @@ def _cmd_gen(args) -> int:
     elif kind in ("gn", "sn"):
         # the generated layers are already valid and sorted: no Network is needed
         fl = first_layer(n)
-        lines = [network_json(n, (fl, l2)) for l2 in words_mod.generate(n, kind)]
+        lines = (network_json(n, (fl, l2)) for l2 in words_mod.generate(n, kind))
     else:
-        lines = [words_mod.render_sentence(s) for s in words_mod.generate(n, kind)]
-    _write(args.out, "\n".join(lines) + "\n")
+        lines = (words_mod.render_sentence(s) for s in words_mod.generate(n, kind))
+    # each line is written as the walk yields it, so the output never sits in memory
+    _write(args.out, (line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -83,7 +86,7 @@ def _cmd_encode(args) -> int:
     xs = unsorted_inputs(args.n, prefix)
     vm, cnf = build(args.n, args.depth, xs, opts)
     comment = f"sortnetopt n={args.n} d={args.depth} inputs={len(vm.inputs)} pad={args.pad}"
-    _write(args.out, to_dimacs(cnf, comments=[comment]))
+    _write(args.out, [to_dimacs(cnf, comments=[comment])])
     return EXIT_OK
 
 
@@ -122,7 +125,7 @@ def _cmd_prove(args) -> int:
                                           _solver_config(args), jobs=args.jobs)
     report = campaign_mod.campaign_to_json(camp)
     if args.out:
-        _write(args.out, report + "\n")
+        _write(args.out, [report + "\n"])
     else:
         print(report)
     return _claim_exit(camp, args.depth)
@@ -130,7 +133,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_tables(args) -> int:
     csv_text, diff = campaign_mod.reproduce_tables(args.max_n)
-    _write(args.out, csv_text)
+    _write(args.out, [csv_text])
     if diff:
         sys.stderr.write("differences against the published tables:\n" + diff)
     return EXIT_OK

@@ -70,10 +70,11 @@ inputs come from array code.  Every open layer gives each input one group
 per comparator (guard -c and operands x_i, x_j, y_i, y_j) and one per
 channel (guard u and operands x, y), read from a table of literal codes
 per input, level and channel.  Each operand is a variable, true or false,
-so a group has one of 81 comparator or 9 pass-through patterns.  The
-folding rules (_fold: drop false literals, satisfied clauses and repeats
-within a group) run once per process over one symbolic group per pattern,
-and _fold_tables keeps the result as a template of operand slots.  A
+so a group has one of 81 comparator or 9 pass-through patterns.
+_fold_tables folds the written-out clauses, six of a comparator and two
+of a pass-through (_COMPARATOR, _PASSTHROUGH), once per process for each
+pattern (skip satisfied clauses, drop false literals and repeats within
+a group) and keeps the result as a template of operand slots.  A
 group's clauses are its pattern's template read from its operands, so
 the work grows with the literals emitted rather than with the clause
 templates of every open layer.  to_dimacs renders the array in bounded
@@ -323,70 +324,46 @@ def _const(bits: np.ndarray) -> np.ndarray:
     return np.where(bits, _TRUE, -_TRUE).astype(np.int32)
 
 
-def _stack(*clauses) -> np.ndarray:
-    """Clauses of broadcast operands, stacked to shape (..., clause, literal)."""
-    return np.stack([np.stack(np.broadcast_arrays(*cl), axis=-1) for cl in clauses], axis=-2)
-
-
-def _minmax(g, xi, xj, yi, yj, f) -> np.ndarray:
-    """A comparator guarded by g: y_i = x_i AND x_j (min), y_j = x_i OR x_j (max)."""
-    return _stack((g, -yi, xi, f), (g, -yi, xj, f), (g, yi, -xi, -xj),
-                  (g, yj, -xi, f), (g, yj, -xj, f), (g, -yj, xi, xj))
-
-
-def _passthrough(g, x, y, f) -> np.ndarray:
-    """A channel whose used-flag g is off: y = x."""
-    return _stack((g, -x, y, f), (g, x, -y, f))
-
-
-def _fold(lits: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constant folding and repeat removal over clause groups.
-
-    lits has shape (..., group, width); codes (group, width) holds the
-    signed operand number, -5..5, behind each slot.  The operands of one
-    group that are not constants are distinct variables, so two folded
-    clauses of a group are equal iff their non-false slots spell the same
-    codes.  Returns the clauses with a terminating 0 appended, and the mask
-    of what stays: the non-false literals and the 0 of every clause that is
-    neither satisfied nor equal to an earlier clause of its group.
-    """
-    live = lits != -_TRUE
-    keep = ~(lits == _TRUE).any(axis=-1)
-    key = np.zeros(lits.shape[:-1], dtype=np.int32)
-    for s in range(lits.shape[-1]):
-        key = np.where(live[..., s], key * 12 + codes[:, s] + 6, key)
-    for q in range(1, lits.shape[-2]):
-        keep[..., q] &= ~(key[..., :q] == key[..., q:q + 1]).any(axis=-1)
-    lits = np.concatenate((lits, np.zeros_like(lits[..., :1])), axis=-1)
-    return lits, np.concatenate((live & keep[..., None], keep[..., None]), axis=-1)
+# The clauses of a value-clause group as signed columns of its operand row
+# (_value_clauses): column 1 holds the guard, columns 2.. the operands.
+# A comparator guarded by -c on operands x_i, x_j, y_i, y_j:
+# y_i = x_i AND x_j (min), y_j = x_i OR x_j (max).
+_COMPARATOR = ((1, -4, 2), (1, -4, 3), (1, 4, -2, -3), (1, 5, -2), (1, 5, -3), (1, -5, 2, 3))
+# A channel guarded by u, its used-flag, on operands x, y: y = x.
+_PASSTHROUGH = ((1, -2, 3), (1, 2, -3))
 
 
 @functools.cache
 def _fold_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The folded clauses of every operand pattern of a value-clause group.
 
-    A comparator group has the guard and the operands x_i, x_j, y_i, y_j,
-    a pass-through group the guard and x, y; each operand is a variable,
-    true or false.  Pattern p of a comparator group gives operand k
-    (0-based) the state p // 3**k % 3 (0 variable, 1 true, 2 false);
-    pass-through patterns follow as 81 + state(x) + 3 state(y).  _minmax or
-    _passthrough and _fold run once over one symbolic group per pattern,
-    whose guard is column 1 and whose operands are columns 2.. of a group's
-    operand row (column 0 holds 0).  Returns the slots of all patterns
-    (column and sign of each literal, column 0 ending a clause) with each
-    pattern's first slot and slot count.
+    The guard is a variable; each operand is a variable, true or false.
+    Pattern p of a comparator group gives operand k (0-based, column k + 2)
+    the state p // 3**k % 3 (0 variable, 1 true, 2 false); pass-through
+    patterns follow as 81 + state(x) + 3 state(y).  Folding a pattern
+    skips each clause that a true literal satisfies, drops the false
+    literals of the others and drops a clause equal to an earlier one of
+    its group.  Returns the slots of all patterns (column and sign of each
+    literal, column 0 ending a clause) with each pattern's first slot and
+    slot count.
     """
-    f = np.int32(-_TRUE)
-    tables = []
-    for template, arity, codes in ((_minmax, 4, _minmax(*range(-5, 1))),
-                                   (_passthrough, 2, _passthrough(*range(-5, -1)))):
-        state = np.arange(3 ** arity)[:, None] // 3 ** np.arange(arity) % 3
-        operands = np.choose(state, (np.arange(2, arity + 2), _TRUE, -_TRUE)).astype(np.int32)
-        lits, mask = _fold(template(np.int32(1), *operands.T, f), codes)
-        tables += [group[keep] for group, keep in zip(lits, mask)]
-    count = np.array([len(t) for t in tables], dtype=np.intp)
-    slots = np.concatenate(tables)
+    slots, count = [], []
+    for clauses, arity in ((_COMPARATOR, 4), (_PASSTHROUGH, 2)):
+        for p in range(3 ** arity):
+            state = [0, 0] + [p // 3 ** k % 3 for k in range(arity)]   # by column
+            folded: list[tuple[int, ...]] = []
+            for clause in clauses:
+                if any(state[abs(lit)] == (1 if lit > 0 else 2) for lit in clause):
+                    continue   # a true literal satisfies it
+                kept = tuple(lit for lit in clause if state[abs(lit)] == 0)
+                if kept not in folded:
+                    folded.append(kept)
+            group = [lit for kept in folded for lit in (*kept, 0)]
+            slots += group
+            count.append(len(group))
+    slots = np.array(slots)
     column, sign = np.abs(slots).astype(np.intp), np.where(slots < 0, -1, 1).astype(np.int32)
+    count = np.array(count, dtype=np.intp)
     start = np.cumsum(count) - count
     for table in (column, sign, start, count):
         table.setflags(write=False)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -195,6 +195,20 @@ def _ascending_mask(vals: np.ndarray, n: int) -> np.ndarray:
     return ((vals + low) & np.uint32((1 << n) - 1)) == 0
 
 
+def _chunks(n: int, net: Optional[Network] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All 2**n packed inputs in chunks of _CHUNK, each chunk with its images
+    under net (the chunk itself without one).  The enumeration cap is
+    checked at the call, before any chunk is made."""
+    _check_enum(n)
+    total = 1 << n
+
+    def walk() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start in range(0, total, _CHUNK):
+            inputs = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
+            yield inputs, inputs if net is None else _eval_array(net, inputs)
+    return walk()
+
+
 def outputs(net: Network) -> frozenset[int]:
     """Exact image of all 2**n Boolean inputs, as packed ints.
 
@@ -202,11 +216,10 @@ def outputs(net: Network) -> frozenset[int]:
     passed to np.unique, whose first call in a process costs milliseconds
     of lazy set-up; campaigns call this before their solvers start.
     """
-    _check_enum(net.n)
-    total = 1 << net.n
-    seen = np.zeros(total, dtype=bool)
-    for start in range(0, total, _CHUNK):
-        seen[_eval_array(net, np.arange(start, min(start + _CHUNK, total), dtype=np.uint32))] = True
+    chunks = _chunks(net.n, net)
+    seen = np.zeros(1 << net.n, dtype=bool)
+    for _, images in chunks:
+        seen[images] = True
     return frozenset(np.flatnonzero(seen).tolist())
 
 
@@ -214,26 +227,15 @@ def is_sorting_network(net: Network) -> bool:
     """Zero-one principle check: every Boolean input comes out ascending."""
     if net.generalized:
         raise ValueError("sortedness is defined for standard networks")
-    _check_enum(net.n)
-    total = 1 << net.n
-    for start in range(0, total, _CHUNK):
-        vals = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        if not _ascending_mask(_eval_array(net, vals), net.n).all():
-            return False
-    return True
+    return all(_ascending_mask(images, net.n).all() for _, images in _chunks(net.n, net))
 
 
 def unsorted_inputs(n: int, prefix: Optional[Network] = None) -> frozenset[int]:
     """All x with x unsorted (no prefix) or prefix(x) unsorted (given a prefix)."""
-    _check_enum(n)
+    chunks = _chunks(n, prefix)
     if prefix is not None and prefix.n != n:
         raise ChannelCountError(f"prefix has {prefix.n} channels, expected {n}")
-    total = 1 << n
-    out: list[np.ndarray] = []
-    for start in range(0, total, _CHUNK):
-        inp = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        img = _eval_array(prefix, inp) if prefix is not None else inp
-        out.append(inp[~_ascending_mask(img, n)])
+    out = [inputs[~_ascending_mask(images, n)] for inputs, images in chunks]
     return frozenset(np.concatenate(out).tolist())
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sortnetopt import campaign
+from sortnetopt import campaign, cli
 from sortnetopt.campaign import (
     CampaignResult,
     InstanceResult,
@@ -25,8 +26,8 @@ from sortnetopt.campaign import (
     two_layer_prefixes,
 )
 from sortnetopt.encoding import EncodeOptions, build
-from sortnetopt.networks import (Network, is_sorting_network, network, outputs,
-                                 unsorted_inputs)
+from sortnetopt.networks import (Network, first_layer, is_sorting_network, network,
+                                 network_json, outputs, unsorted_inputs)
 from sortnetopt.solver import SolveResult, SolverConfig, StopEvent, run_solver
 
 
@@ -336,6 +337,46 @@ def test_campaign_json_empty_and_errors():
         campaign_from_json(bad)
 
 
+UNSAT = {"prefix_index": None, "depth": 1, "pad": 0, "verdict": "UNSAT"}
+
+
+@pytest.mark.parametrize("doc, where", [
+    (5, r"\$$"),
+    ([], r"\$$"),
+    ({"n": 4, "claim": "inconclusive", "instances": 3}, r"\$\.instances$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [1]}, r"\$\.instances\[0\]$"),
+    ({"n": "4", "claim": "inconclusive", "instances": []}, r"\$\.n$"),
+    ({"n": 0, "claim": "T(0) > 3", "instances": []}, r"\$\.n$"),
+    # past the enumeration cap: rejected before R_40 would be walked for the claim
+    ({"n": 40, "claim": "T(40) > 3", "instances": []}, r"\$\.n$"),
+    ({"n": 4, "claim": 5, "instances": []}, r"\$\.claim$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "depth": 1.5}]},
+     r"\$\.instances\[0\]\.depth$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "pad": True}]},
+     r"\$\.instances\[0\]\.pad$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "prefix_index": "0"}]},
+     r"\$\.instances\[1\]\.prefix_index$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "verdict": "SAT", "witness": 5}]},
+     r"\$\.instances\[0\]\.witness$"),
+], ids=["top-int", "top-list", "instances-int", "instance-int", "n-str", "n-0", "n-40",
+        "claim-int", "depth-float", "pad-bool", "prefix-index-str", "witness-int"])
+def test_campaign_json_malformed_is_value_error(doc, where):
+    # every malformed report is a ValueError that names where it is wrong
+    with pytest.raises(ValueError, match=where):
+        campaign_from_json(json.dumps(doc))
+
+
+def test_campaign_json_keys_are_the_instance_fields():
+    # the report lists the fields of InstanceResult in their order, so the
+    # format is written down once
+    sorter = network(2, [(1, 2)])
+    camp = CampaignResult(2, "T(2) <= 1", [InstanceResult(None, 1, 0, "SAT", witness=sorter)])
+    item = json.loads(campaign_to_json(camp))["instances"][0]
+    assert list(item) == [f.name for f in dataclasses.fields(InstanceResult)]
+    assert item["witness"] == json.loads(sorter.to_json())
+    assert campaign_from_json(campaign_to_json(camp)).instances == camp.instances
+
+
 def test_campaign_json_witness_reverified():
     not_sorter = network(3, [(1, 2)])
     doc = json.dumps({"n": 3, "claim": "T(3) <= 1", "instances": [
@@ -416,6 +457,29 @@ def test_cli_gen_rejects_too_few_channels():
     out = subprocess.run(CLI + ["gen", "--n", "1", "--set", "rn", "--out", "-"],
                          capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout == "0_h\n"
+
+
+def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
+    # a fake walk looks at the --out file part-way through: the lines it
+    # yielded earlier must be there already, not joined up for the end
+    out = tmp_path / "gn.txt"
+    line = network_json(4, (first_layer(4), ((1, 3),))) + "\n"
+    total, seen = 4000, []
+
+    def generate(n, kind):
+        assert (n, kind) == (4, "gn")
+        for k in range(total):
+            if k == total // 2:
+                seen.append(out.read_text())
+            yield ((1, 3),)
+
+    monkeypatch.setattr(cli.words_mod, "generate", generate)
+    assert cli.main(["gen", "--n", "4", "--set", "gn", "--out", str(out)]) == 0
+    assert out.read_text() == line * total
+    # at half-way, most of the first half is on disk (all but what a write
+    # buffer holds), as the start of the final text
+    assert len(seen[0]) >= len(line) * total // 4
+    assert (line * total).startswith(seen[0])
 
 
 @pytest.mark.parametrize("argv, message", [

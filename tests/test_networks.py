@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sortnetopt import networks
 from sortnetopt.networks import (
     ChannelCountError,
     Network,
@@ -101,6 +102,30 @@ def test_outputs_single_comparator():
 def test_outputs_cap():
     with pytest.raises(ChannelCountError):
         outputs(network(25))
+
+
+def test_enumeration_in_small_chunks(monkeypatch):
+    # outputs, is_sorting_network and unsorted_inputs walk the same chunks of
+    # all 2**n inputs; chunks smaller than 2**n give what one chunk gives
+    rng = random.Random(3)
+    nets = [random_network(rng, 6, 2) for _ in range(5)] + [network(4, first_layer(4)), FIG1]
+    whole = [(outputs(net), is_sorting_network(net), unsorted_inputs(net.n, net),
+              unsorted_inputs(net.n)) for net in nets]
+    monkeypatch.setattr(networks, "_CHUNK", 5)
+    assert [(outputs(net), is_sorting_network(net), unsorted_inputs(net.n, net),
+             unsorted_inputs(net.n)) for net in nets] == whole
+
+
+def test_enumeration_cap_comes_first(monkeypatch):
+    # past the cap each of the three fails before it evaluates anything
+    def no_work(*_):
+        raise AssertionError("evaluated past the enumeration cap")
+
+    monkeypatch.setattr(networks, "_eval_array", no_work)
+    for call in (lambda: outputs(network(25)), lambda: is_sorting_network(network(25)),
+                 lambda: unsorted_inputs(25), lambda: unsorted_inputs(25, network(25))):
+        with pytest.raises(ChannelCountError, match="cap"):
+            call()
 
 
 def test_is_sorting_network_examples():
