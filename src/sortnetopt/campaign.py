@@ -15,7 +15,13 @@ first (the "fewest-outputs" ordering): that prefix leaves the fewest
 inputs to sort, and for n = 5..11 it is SAT at depth T(n), so a depth
 with a network ends on the first task.  Any order is sound: a claim needs
 one pad-0 SAT or an UNSAT for every prefix, so the order never changes a
-claim, and reports keep the R_n indices.
+claim, and reports keep the R_n indices.  R_n and this order depend on n
+alone and are computed once per n.
+
+compute_T climbs the depths with probes, the first few tasks of each
+depth, and runs the whole of R_n only at the depth below the first
+network: T(n) = t rests on a witness at depth t and one refutation at
+t - 1, which covers every smaller depth too.
 
 The first pad-0 SAT settles the claim and kills the solvers still running.
 Every SAT model is decoded and re-verified by direct evaluation, and the
@@ -34,6 +40,7 @@ import re
 import threading
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import words as words_mod
@@ -76,7 +83,24 @@ Task = tuple[Optional[int], Optional[Network]]   # (prefix index, prefix)
 
 def two_layer_prefixes(n: int) -> list[Network]:
     """The complete filter set R_n as networks, in canonical sentence order."""
-    return [words_mod.net_of(s) for s in words_mod.sentences(n, "rn")]
+    return list(_filter_set(n))
+
+
+@lru_cache(maxsize=None)
+def _filter_set(n: int) -> tuple[Network, ...]:
+    return tuple(words_mod.net_of(s) for s in words_mod.sentences(n, "rn"))
+
+
+@lru_cache(maxsize=None)
+def _fewest_outputs(n: int) -> tuple[Task, ...]:
+    """The tasks of R_n, fewest unsorted outputs first, ties in R_n order.
+
+    The key, len(outputs(prefix)), is the prefix's unsorted outputs plus the
+    n + 1 sorted vectors every standard prefix outputs; the unsorted count
+    is the number of inputs a pad-0 build keeps.
+    """
+    tasks = list(enumerate(_filter_set(n)))
+    return tuple(sorted(tasks, key=lambda task: len(outputs(task[1]))))
 
 
 def default_pads(n: int, d: int) -> list[int]:
@@ -95,9 +119,11 @@ def default_pads(n: int, d: int) -> list[int]:
 
 
 def _prefix_tasks(n: int, d: int) -> list[Task]:
+    """The tasks of a depth-d campaign in fewest-outputs order; below depth
+    2 one prefix-free task."""
     if d < 2:
         return [(None, None)]
-    return list(enumerate(two_layer_prefixes(n)))
+    return list(_fewest_outputs(n))
 
 
 def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: frozenset[int],
@@ -123,27 +149,28 @@ def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: frozenset[int
 
 
 def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
-              config: SolverConfig, opts: EncodeOptions,
-              jobs: int) -> tuple[Optional[Network], CampaignResult]:
-    """The one campaign scheduler behind find_network and prove_lower_bound.
+              config: SolverConfig, opts: EncodeOptions, jobs: int,
+              prior: Optional[CampaignResult] = None) -> tuple[Optional[Network], CampaignResult]:
+    """The one campaign scheduler behind find_network, prove_lower_bound and
+    compute_T.
 
-    The tasks start in order of their prefix's unsorted outputs, fewest
-    first, ties in R_n order, a task without a prefix first; this count is
-    the number of inputs a pad-0 build keeps.  At a depth with a network
-    the first task is then usually SAT and ends the campaign on its first
-    pad-0 run; a refutation runs every task anyway, so the order changes
-    no claim.  Each task computes its input set once and walks the pads
-    once, largest first, and every solver run gets config.timeout.  An
-    UNSAT settles the task (windowed inputs are a subset of the full set);
-    a padded SAT or TIMEOUT moves on to the next pad, and only pad 0 can
-    certify satisfiability.  A pad-0 TIMEOUT leaves the task open while the
-    other tasks carry on.  The first pad-0 SAT sets the stop event, which
-    kills the solvers still running.  The claim and its witness come from
-    _evidence over the recorded instances; the witness is re-checked with
-    is_sorting_network.
+    The tasks start in the order given, the fewest-outputs order of
+    _prefix_tasks: at a depth with a network the first task is then
+    usually SAT and ends the campaign on its first pad-0 run; a refutation
+    runs every task anyway, so the order changes no claim.  Each task
+    computes its input set once and walks the pads once, largest first, and
+    every solver run gets config.timeout.  An UNSAT settles the task
+    (windowed inputs are a subset of the full set); a padded SAT or TIMEOUT
+    moves on to the next pad, and only pad 0 can certify satisfiability.  A
+    pad-0 TIMEOUT leaves the task open while the other tasks carry on.  The
+    first pad-0 SAT sets the stop event, which kills the solvers still
+    running.  A prior campaign at the same depth, run over other tasks,
+    lends its instances and wall time, so the two make one campaign.  The
+    claim and its witness come from _evidence over the recorded instances;
+    the witness is re-checked with is_sorting_network.
     """
     t0 = time.monotonic()
-    results: list[InstanceResult] = []
+    results: list[InstanceResult] = list(prior.instances) if prior else []
     lock = threading.Lock()
     stop = StopEvent()
 
@@ -170,12 +197,9 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
             if res.verdict == "SAT" and pad == 0:
                 stop.set()
 
-    # fewest unsorted outputs first (a standard prefix also outputs the n + 1
-    # sorted vectors); the sort is stable, so ties keep R_n order
-    order = sorted(tasks, key=lambda t: 0 if t[1] is None else len(outputs(t[1])))
     with cf.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         try:
-            list(pool.map(settle, order))
+            list(pool.map(settle, tasks))
         finally:
             stop.set()  # an interrupted or failed scan kills its solvers too
 
@@ -188,8 +212,8 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
         claim = "inconclusive"
     else:
         claim = f"T({n}) > {d}"
-    return witness, CampaignResult(n, claim, results, time.monotonic() - t0,
-                                   "fewest-outputs")
+    wall_time = time.monotonic() - t0 + (prior.wall_time if prior else 0.0)
+    return witness, CampaignResult(n, claim, results, wall_time, "fewest-outputs")
 
 
 def _evidence(n: int, d: int,
@@ -206,7 +230,9 @@ def _evidence(n: int, d: int,
     refuted = {r.prefix_index for r in instances if r.verdict == "UNSAT" and r.depth == d}
     if None in refuted:
         return witness, []
-    return witness, [idx for idx, _ in _prefix_tasks(n, d) if idx not in refuted]
+    if d < 2:
+        return witness, [None]
+    return witness, [idx for idx in range(len(_filter_set(n))) if idx not in refuted]
 
 
 def find_network(n: int, d: int, mode: str = "two_layer",
@@ -270,30 +296,59 @@ def prove_lower_bound(n: int, d_prime: int,
 def compute_T(n: int, config: Optional[SolverConfig] = None,
               opts: EncodeOptions = EncodeOptions(),
               jobs: int = 1) -> tuple[int, list[CampaignResult]]:
-    """Smallest depth with a SAT witness, with every smaller depth refuted.
+    """T(n) with its evidence: [refutation at T(n) - 1, witness campaign at T(n)].
 
-    Climbs from the information-theoretic floor ceil(log2 n), proving the
-    lower bound at each depth via the R_n campaign until one prefix turns
-    satisfiable; that pad-0 model is the witness the campaign verified.
+    T(n) = t needs a depth-t network and one refutation at depth t - 1:
+    a shallower network padded with empty layers is a depth-(t - 1)
+    network, so the refutation covers every smaller depth as well.
+
+    The climb starts at the information-theoretic floor ceil(log2 n) and
+    runs only a probe at each depth: its first `jobs` tasks in
+    fewest-outputs order, one per worker, with the depth's default_pads.
+    It moves up while every probed task is UNSAT.  The first probe with a
+    pad-0 SAT is the witness campaign at t.  Then the rest of R_n runs at
+    t - 1 and takes over the probe's instances at that depth, so no
+    (depth, prefix, pad) is solved twice.  Should that campaign find a
+    network, it becomes the witness campaign and the refutation moves down
+    one depth.  The lower probes are search steps, not evidence, and are
+    not returned.
+
+    A probe or refutation left open by a TIMEOUT raises RuntimeError: the
+    climb never moves past a depth it could not settle, and a timeout never
+    yields a claim.
     """
     if n == 1:
         return 0, []
     config = config or default_config()
-    campaigns: list[CampaignResult] = []
+    jobs = max(1, jobs)
+
+    def run(d: int, tasks: Sequence[Task], prior: Optional[CampaignResult] = None):
+        return _campaign(n, d, tasks, default_pads(n, d), config, opts, jobs, prior)
+
+    probes: dict[int, CampaignResult] = {}
     d = max(1, math.ceil(math.log2(n)))
-    if d > 1:
-        floor = prove_lower_bound(n, d - 1, config=config, opts=opts, jobs=jobs)
-        campaigns.append(floor)
-        if floor.claim != f"T({n}) > {d - 1}":
-            raise RuntimeError(f"expected refutation below the depth floor, got {floor.claim!r}")
     while True:
-        camp = prove_lower_bound(n, d, config=config, opts=opts, jobs=jobs)
-        campaigns.append(camp)
-        if camp.claim == "inconclusive":
-            raise RuntimeError(f"inconclusive campaign at depth {d} for n={n}")
-        if camp.claim == f"T({n}) <= {d}":
-            return d, campaigns
+        tasks = _prefix_tasks(n, d)[:jobs]
+        witness, probe = run(d, tasks)
+        if witness is not None:
+            break
+        refuted = {r.prefix_index for r in probe.instances if r.verdict == "UNSAT"}
+        if any(idx not in refuted for idx, _ in tasks):
+            raise RuntimeError(f"inconclusive probe at depth {d} for n={n}")
+        probes[d] = probe
         d += 1
+    found = probe
+    while True:
+        d -= 1
+        prior = probes.get(d)
+        done = {r.prefix_index for r in prior.instances} if prior else set()
+        witness, camp = run(d, [t for t in _prefix_tasks(n, d) if t[0] not in done], prior)
+        if witness is None:
+            break
+        found = camp
+    if camp.claim != f"T({n}) > {d}":
+        raise RuntimeError(f"inconclusive campaign at depth {d} for n={n}")
+    return d + 1, [camp, found]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +369,12 @@ def campaign_to_json(c: CampaignResult) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _is_duration(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value) and value >= 0
+    return _is_int(value) and value >= 0
+
+
 def _require(ok: bool, what: str, loc: str) -> None:
     if not ok:
         raise ValueError(f"campaign document: {what} at {loc}")
@@ -323,10 +384,11 @@ def campaign_from_json(text: str) -> CampaignResult:
     """Parse and validate a campaign document; witnesses are re-verified
     and the claim is audited against the instances (see _audit_claim).
 
-    A malformed document, instance, n, claim, depth, pad, prefix_index,
-    verdict or witness raises ValueError naming its $ path.  The instance
-    keys are the fields of InstanceResult; prefix_index and the keys after
-    verdict may be missing.
+    A malformed document, instance, n, claim, wall_time or instance field
+    raises ValueError naming its $ path: times must be finite non-negative
+    numbers, formula sizes non-negative integers, and a witness must be
+    present exactly on a SAT instance.  The instance keys are the fields of
+    InstanceResult; prefix_index and the keys after verdict may be missing.
     """
     doc = json.loads(text)
     _require(isinstance(doc, dict), "expected an object", "$")
@@ -338,6 +400,9 @@ def campaign_from_json(text: str) -> CampaignResult:
     _require(isinstance(doc["claim"], str), f"'claim' must be a string, got {doc['claim']!r}",
              "$.claim")
     _require(isinstance(doc["instances"], list), "expected a list", "$.instances")
+    _require(_is_duration(doc.get("wall_time", 0.0)),
+             f"'wall_time' must be a non-negative number, got {doc.get('wall_time')!r}",
+             "$.wall_time")
     instances = []
     for pos, item in enumerate(doc["instances"]):
         loc = f"$.instances[{pos}]"
@@ -354,6 +419,15 @@ def campaign_from_json(text: str) -> CampaignResult:
                  f"'prefix_index' must be an integer or null, got {index!r}", f"{loc}.prefix_index")
         _require(values["verdict"] in ("SAT", "UNSAT", "TIMEOUT"),
                  f"bad verdict {values['verdict']!r}", loc)
+        for key in ("encode_time", "solve_time"):
+            _require(_is_duration(values[key]),
+                     f"{key!r} must be a non-negative number, got {values[key]!r}", f"{loc}.{key}")
+        for key in ("inputs_kept", "vars", "clauses"):
+            _require(_is_int(values[key]) and values[key] >= 0,
+                     f"{key!r} must be a non-negative integer, got {values[key]!r}",
+                     f"{loc}.{key}")
+        _require((values["witness"] is not None) == (values["verdict"] == "SAT"),
+                 "a witness must be present exactly for a SAT verdict", loc)
         if values["witness"] is not None:
             try:
                 witness = values["witness"] = Network.from_json(json.dumps(values["witness"]))

@@ -508,6 +508,23 @@ class CountsRow:
     a: Optional[int] = None
 
 
+def _rg_count(n: int) -> int:
+    """|R(G_n)| without the rgn walk.
+
+    The rgn rule accepts every multiset of its words with at most one head,
+    so count instead of listing: ways[r] counts the multisets of sticks and
+    cycles on r channels, each word kind an unbounded item, and a sentence
+    adds at most one head word to such a multiset.
+    """
+    ways = [1] + [0] * n
+    for length in range(2, n + 1, 2):
+        kinds = len(stick_words(length, "all")) + len(cycle_words(length, include_redundant=True))
+        for _ in range(kinds):
+            for r in range(length, n + 1):
+                ways[r] += ways[r - length]
+    return ways[n] + sum(len(head_words(h)) * ways[n - h] for h in range(1, n + 1, 2))
+
+
 # feasibility guards: generation cost grows quickly past these
 _LIMITS = {"rg": 24, "s": 24, "rs": 24, "r": 24, "a": 40}
 
@@ -517,7 +534,7 @@ def counts(n: int, columns: str = "g,rg,s,rs,r,a") -> CountsRow:
     want = {c.strip() for c in columns.split(",")}
     kw = {}
     if "rg" in want and 3 <= n <= _LIMITS["rg"]:
-        kw["rg"] = sum(1 for _ in sentences(n, "rgn"))
+        kw["rg"] = _rg_count(n)
     s_col = "s" in want and 3 <= n <= _LIMITS["s"]
     rs_col = "rs" in want and 3 <= n <= _LIMITS["rs"]
     # one rsn walk feeds both columns: S sums the class sizes, RS counts them

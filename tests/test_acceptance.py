@@ -13,7 +13,8 @@ import pytest
 
 from sortnetopt import saturation as sat
 from sortnetopt import words as words_mod
-from sortnetopt.campaign import compute_T, find_network_campaign, prove_lower_bound
+from sortnetopt.campaign import (campaign_from_json, campaign_to_json, compute_T,
+                                 find_network_campaign, prove_lower_bound)
 from sortnetopt.encoding import EncodeOptions, build, decode_network
 from sortnetopt.networks import (
     Network,
@@ -174,6 +175,48 @@ def test_c09_monotonicity(t_results):
     values = [t_results[n][0] for n in range(1, 10)]
     report("9m (T monotone)", all(a <= b for a, b in zip(values, values[1:])),
            f"{values}")
+
+
+def evidence_faults(n, t, campaigns):
+    """What is wrong with compute_T's evidence for T(n) = t: one refutation
+    at t - 1 covering all of R_n, then a witness campaign at t."""
+    faults = []
+    if [c.claim for c in campaigns] != [f"T({n}) > {t - 1}", f"T({n}) <= {t}"]:
+        return [f"claims {[c.claim for c in campaigns]}"]
+    refutation, found = campaigns
+    refuted = {r.prefix_index for r in refutation.instances
+               if r.verdict == "UNSAT" and r.depth == t - 1}
+    every = {None} if t - 1 < 2 else set(range(len(list(sentences(n, "rn")))))
+    if refuted != every:
+        faults.append(f"depth {t - 1} refutes {sorted(refuted, key=str)}")
+    witnesses = [r.witness for r in found.instances if r.verdict == "SAT" and r.pad == 0]
+    if not witnesses or not all(w.depth <= t and is_sorting_network(w) for w in witnesses):
+        faults.append("no verified pad-0 witness")
+    for camp in campaigns:
+        if campaign_from_json(campaign_to_json(camp)).claim != camp.claim:
+            faults.append(f"{camp.claim} does not reload")
+    keys = [(r.depth, r.prefix_index, r.pad) for c in campaigns for r in c.instances]
+    if len(keys) != len(set(keys)):
+        faults.append("an instance is solved twice")
+    return faults
+
+
+def test_c09_evidence_is_one_refutation_and_a_witness(t_results):
+    bad = {n: evidence_faults(n, value, campaigns)
+           for n, (value, campaigns, _) in t_results.items() if n >= 2}
+    bad = {n: faults for n, faults in bad.items() if faults}
+    sizes = {n: [len(c.instances) for c in t_results[n][1]] for n in t_results if n >= 2}
+    report("9e (evidence: refutation at T(n) - 1, witness at T(n))", not bad,
+           f"faults={bad} instances={sizes}")
+
+
+def test_c09_compute_t_10(solver_config):
+    t0 = time.monotonic()
+    value, campaigns = compute_T(10, solver_config, jobs=2)
+    elapsed = time.monotonic() - t0
+    faults = evidence_faults(10, value, campaigns) if value == T_TABLE[10] else [f"T(10)={value}"]
+    report("9t (T(10) = 7 with its evidence)", not faults and elapsed < 600,
+           f"faults={faults} instances={[len(c.instances) for c in campaigns]} {elapsed:.1f}s")
 
 
 def test_c10_witness_validity(t_results):

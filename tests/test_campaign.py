@@ -280,6 +280,68 @@ def test_compute_t_small(solver_config):
     assert is_sorting_network(witness)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compute_t_moves_the_refutation_down(solver_config, monkeypatch, jobs):
+    # a solver that wrongly refutes the probe's tasks at depth T(7) = 6 sends
+    # the climb on to 7; the full campaign at 6 then finds a network among
+    # the other prefixes and becomes the witness campaign
+    probe = {idx for idx, _ in campaign._prefix_tasks(7, 6)[:jobs]}
+    faked = []
+
+    def solver(cnf, config, name="instance", stop=None):
+        depth, idx = name.split("d")[1].split("p")[0], name.split("p")[1].split("w")[0]
+        if depth == "6" and int(idx) in probe:
+            faked.append(name)
+            return SolveResult("UNSAT")
+        return run_solver(cnf, config, name, stop)
+
+    monkeypatch.setattr(campaign, "run_solver", solver)
+    value, campaigns = compute_T(7, solver_config, jobs=jobs)
+    assert value == 6 and faked
+    assert [c.claim for c in campaigns] == ["T(7) > 5", "T(7) <= 6"]
+    assert {r.depth for r in campaigns[0].instances} == {5}
+    assert {r.depth for r in campaigns[1].instances} == {6}
+    witness = next(r for r in campaigns[1].instances if r.verdict == "SAT" and r.pad == 0)
+    assert witness.prefix_index not in probe and is_sorting_network(witness.witness)
+    keys = [(r.depth, r.prefix_index, r.pad) for c in campaigns for r in c.instances]
+    assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compute_t_timeout_raises_after_one_probe(monkeypatch, jobs):
+    # a probe left open by a timeout settles nothing: no claim, no climb
+    calls = []
+
+    def fake_solver(cnf, config, name="instance", stop=None):
+        calls.append(name)
+        return SolveResult("TIMEOUT")
+
+    monkeypatch.setattr(campaign, "run_solver", fake_solver)
+    with pytest.raises(RuntimeError, match="inconclusive probe at depth 3"):
+        compute_T(6, SolverConfig("/bin/false"), jobs=jobs)
+    # ceil(log2 6) = 3: each probed task walks default_pads(6, 3) = [2, 0]
+    assert len(calls) == len(set(calls)) == 2 * jobs
+    assert all(name.startswith("n6d3p") for name in calls)
+
+
+def test_filter_set_and_order_once_per_n(monkeypatch):
+    # R_n and its fewest-outputs order do not depend on the depth: every
+    # campaign on n channels reuses them, and callers still get a new list
+    keyed = []
+    monkeypatch.setattr(campaign, "outputs", lambda net: keyed.append(net) or outputs(net))
+    monkeypatch.setattr(campaign, "run_solver",
+                        lambda cnf, config, name="instance", stop=None: SolveResult("UNSAT"))
+    campaign._filter_set.cache_clear()
+    campaign._fewest_outputs.cache_clear()
+    for d in (3, 4, 5):
+        prove_lower_bound(7, d, [0], SolverConfig("/bin/false"), jobs=2)
+    assert len(keyed) == len(two_layer_prefixes(7)) == 8
+    first = two_layer_prefixes(7)
+    assert first == two_layer_prefixes(7) and first is not two_layer_prefixes(7)
+    first.clear()
+    assert len(two_layer_prefixes(7)) == 8
+
+
 def test_campaign_determinism(solver_config):
     runs = [prove_lower_bound(5, 4, [2, 0], solver_config) for _ in range(2)]
     a, b = runs
@@ -338,6 +400,7 @@ def test_campaign_json_empty_and_errors():
 
 
 UNSAT = {"prefix_index": None, "depth": 1, "pad": 0, "verdict": "UNSAT"}
+SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to_json())
 
 
 @pytest.mark.parametrize("doc, where", [
@@ -358,8 +421,32 @@ UNSAT = {"prefix_index": None, "depth": 1, "pad": 0, "verdict": "UNSAT"}
      r"\$\.instances\[1\]\.prefix_index$"),
     ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "verdict": "SAT", "witness": 5}]},
      r"\$\.instances\[0\]\.witness$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": "x"}]},
+     r"\$\.instances\[0\]\.encode_time$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": -0.5}]},
+     r"\$\.instances\[0\]\.encode_time$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "solve_time": True}]},
+     r"\$\.instances\[1\]\.solve_time$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "solve_time": None}]},
+     r"\$\.instances\[0\]\.solve_time$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "inputs_kept": 1.5}]},
+     r"\$\.instances\[0\]\.inputs_kept$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "vars": -3}]},
+     r"\$\.instances\[0\]\.vars$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "clauses": "7"}]},
+     r"\$\.instances\[0\]\.clauses$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "clauses": False}]},
+     r"\$\.instances\[0\]\.clauses$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "depth": 3, "witness": SORTER4}]},
+     r"\$\.instances\[0\]$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "verdict": "SAT"}]},
+     r"\$\.instances\[1\]$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [], "wall_time": None}, r"\$\.wall_time$"),
 ], ids=["top-int", "top-list", "instances-int", "instance-int", "n-str", "n-0", "n-40",
-        "claim-int", "depth-float", "pad-bool", "prefix-index-str", "witness-int"])
+        "claim-int", "depth-float", "pad-bool", "prefix-index-str", "witness-int",
+        "encode-time-str", "encode-time-negative", "solve-time-bool", "solve-time-null",
+        "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool",
+        "witness-on-unsat", "sat-without-witness", "wall-time-null"])
 def test_campaign_json_malformed_is_value_error(doc, where):
     # every malformed report is a ValueError that names where it is wrong
     with pytest.raises(ValueError, match=where):

@@ -249,3 +249,9 @@ def test_saturated_words_satisfy_corollary_shape():
                 if w.tag == "s" and len(w) > 2:
                     assert len(w) != 4
                     assert w.symbols[0] == w.symbols[-1]
+
+
+def test_rg_count_matches_the_walk():
+    # the RG column is counted, not listed; the rgn walk stays the reference
+    for n in range(3, 17):
+        assert counts(n, "rg").rg == sum(1 for _ in sentences(n, "rgn")), n
