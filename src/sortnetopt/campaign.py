@@ -43,10 +43,12 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import words as words_mod
 from .encoding import EncodeOptions, build, decode_network
-from .networks import (MAX_ENUM_CHANNELS, Network, _is_int, evaluate_bits, first_layer,
-                       is_ascending, is_sorting_network, outputs, unsorted_inputs)
+from .networks import (MAX_ENUM_CHANNELS, Network, _ascending_mask, _eval_array, _is_int,
+                       first_layer, is_sorting_network, outputs, unsorted_inputs)
 from .solver import SolverConfig, StopEvent, default_config, run_solver
 
 
@@ -126,12 +128,13 @@ def _prefix_tasks(n: int, d: int) -> list[Task]:
     return list(_fewest_outputs(n))
 
 
-def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: frozenset[int],
+def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: np.ndarray,
                     pad: int, config: SolverConfig, opts: EncodeOptions,
                     prefix_index: Optional[int],
                     stop: Optional[StopEvent] = None) -> Optional[InstanceResult]:
-    """One encode-solve-decode round over the task's input set xs; None when
-    stop killed the solver."""
+    """One encode-solve-decode round over the task's input set xs, an
+    increasing np.uint32 array; None when stop killed the solver.  A model
+    must sort every input the formula kept."""
     t0 = time.monotonic()
     vm, cnf = build(n, d, xs, replace(opts, pad=pad, prefix=prefix))
     encode_time = time.monotonic() - t0
@@ -142,7 +145,7 @@ def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: frozenset[int
     witness = None
     if res.verdict == "SAT":
         witness = decode_network(vm, res.true_vars)
-        if not all(is_ascending(evaluate_bits(witness, b), n) for b in vm.inputs):
+        if not _ascending_mask(_eval_array(witness, vm.inputs), n).all():
             raise RuntimeError(f"solver model fails verification on instance {name}")
     return InstanceResult(prefix_index, d, pad, res.verdict, encode_time, res.solve_time,
                           witness, len(vm.inputs), cnf.num_vars, len(cnf.clauses))
@@ -384,11 +387,12 @@ def campaign_from_json(text: str) -> CampaignResult:
     """Parse and validate a campaign document; witnesses are re-verified
     and the claim is audited against the instances (see _audit_claim).
 
-    A malformed document, instance, n, claim, wall_time or instance field
-    raises ValueError naming its $ path: times must be finite non-negative
-    numbers, formula sizes non-negative integers, and a witness must be
-    present exactly on a SAT instance.  The instance keys are the fields of
-    InstanceResult; prefix_index and the keys after verdict may be missing.
+    A malformed document, instance, n, claim, wall_time, ordering or
+    instance field raises ValueError naming its $ path: times must be
+    finite non-negative numbers, formula sizes non-negative integers, the
+    ordering a string, and a witness must be present exactly on a SAT
+    instance.  The instance keys are the fields of InstanceResult;
+    prefix_index and the keys after verdict may be missing.
     """
     doc = json.loads(text)
     _require(isinstance(doc, dict), "expected an object", "$")
@@ -403,6 +407,8 @@ def campaign_from_json(text: str) -> CampaignResult:
     _require(_is_duration(doc.get("wall_time", 0.0)),
              f"'wall_time' must be a non-negative number, got {doc.get('wall_time')!r}",
              "$.wall_time")
+    _require(isinstance(doc.get("ordering", ""), str),
+             f"'ordering' must be a string, got {doc.get('ordering')!r}", "$.ordering")
     instances = []
     for pos, item in enumerate(doc["instances"]):
         loc = f"$.instances[{pos}]"

@@ -173,11 +173,12 @@ class VarMap:
     settled_ends it gives the constants of the level-p image at every open
     level on the channels of that image's leading zeros and trailing ones
     (the settled-ends rule).  Folded x variables keep their numbers.
-    Indices are computed, not stored; _index lists them all by key for
-    inspection.
+    inputs is the input set as an np.uint32 array, the given array itself
+    when it is one.  Indices are computed, not stored; _index lists them
+    all by key for inspection.
     """
 
-    def __init__(self, n: int, d: int, inputs: Sequence[int],
+    def __init__(self, n: int, d: int, inputs: np.ndarray | Sequence[int],
                  prefix: Optional[Network] = None, near_sorted: bool = False,
                  settled_ends: bool = False):
         if prefix is not None and prefix.depth > d:
@@ -193,9 +194,9 @@ class VarMap:
         self.prefix_depth = prefix.depth if prefix is not None else 0
         self.near_sorted = near_sorted and d - 1 > self.prefix_depth
         self.settled_ends = settled_ends and d - 1 > self.prefix_depth
-        self.inputs = tuple(inputs)
+        self.inputs = np.asarray(inputs, dtype=np.uint32)
         # images of every input at levels 0..prefix_depth, one row per level
-        levels = [np.array(self.inputs, dtype=np.uint32)]
+        levels = [self.inputs]
         for layer in (prefix.layers if prefix is not None else ()):
             levels.append(_eval_array(Network(n, (layer,)), levels[-1]))
         self._levels = np.stack(levels)
@@ -224,7 +225,7 @@ class VarMap:
 
     def value(self, b_idx: int, l: int, k: int) -> int | bool:
         """Channel-value literal at level l; constants at folded levels."""
-        ones = bin(self.inputs[b_idx]).count("1")
+        ones = bin(int(self.inputs[b_idx])).count("1")
         if l == self.d or (self.near_sorted and l == self.d - 1
                            and k not in (self.n - ones, self.n - ones + 1)):
             return bool(k > self.n - ones)  # sorted(b): ones on top channels
@@ -479,25 +480,29 @@ def encode_fixed_prefix(vm: VarMap, prefix: Network) -> np.ndarray:
     return _rows(np.where(present, fixed, -fixed)).ravel()
 
 
-def build(n: int, d: int, inputs: Iterable[int],
+def build(n: int, d: int, inputs: np.ndarray | Sequence[int],
           opts: EncodeOptions = EncodeOptions()) -> tuple[VarMap, Cnf]:
     """Assemble the full formula for the given input set.
 
-    With d = 0 and an unsorted input present the result is the trivially
-    unsatisfiable empty-clause CNF rather than an error.  Inputs whose
-    prefix images coincide contribute identical value clauses and are
-    collapsed to one representative.
+    The input set is an increasing np.uint32 array of packed vectors, as
+    unsorted_inputs returns it (an increasing list is converted); opts.pad
+    keeps its windows.  With d = 0 and an unsorted input present the
+    result is the trivially unsatisfiable empty-clause CNF rather than an
+    error.  Inputs whose prefix images coincide contribute identical value
+    clauses and are collapsed to one representative, the smallest, which
+    comes first in an increasing set.
     """
-    xs = np.fromiter(windows(inputs, opts.pad, n) if opts.pad else set(inputs), dtype=np.uint32)
-    xs.sort()
+    xs = windows(np.asarray(inputs, dtype=np.uint32), opts.pad, n)
     if d == 0:
         unsorted = not _ascending_mask(xs, n).all()
-        return VarMap(n, 0, xs.tolist()), Cnf(0, [()] if unsorted else [])
+        return VarMap(n, 0, xs), Cnf(0, [()] if unsorted else [])
     if opts.prefix is not None:
         # one input per prefix image, the smallest; the image fixes the weight
         _, first = np.unique(_eval_array(opts.prefix, xs), return_index=True)
-        xs = xs[np.sort(first)]
-    vm = VarMap(n, d, xs.tolist(), opts.prefix, near_sorted=opts.last_layer and opts.near_sorted,
+        keep = np.zeros(len(xs), dtype=bool)
+        keep[first] = True
+        xs = xs[keep]
+    vm = VarMap(n, d, xs, opts.prefix, near_sorted=opts.last_layer and opts.near_sorted,
                 settled_ends=opts.settled_ends)
     parts = [encode_structure(vm), encode_symmetry(vm, opts)]
     if opts.last_layer:

@@ -230,35 +230,40 @@ def is_sorting_network(net: Network) -> bool:
     return all(_ascending_mask(images, net.n).all() for _, images in _chunks(net.n, net))
 
 
-def unsorted_inputs(n: int, prefix: Optional[Network] = None) -> frozenset[int]:
-    """All x with x unsorted (no prefix) or prefix(x) unsorted (given a prefix)."""
+def unsorted_inputs(n: int, prefix: Optional[Network] = None) -> np.ndarray:
+    """All x with x unsorted (no prefix) or prefix(x) unsorted (given a prefix).
+
+    An input set is an increasing np.uint32 array of packed vectors, here
+    and on its way through windows and encoding.build to the VarMap.
+    """
     chunks = _chunks(n, prefix)
     if prefix is not None and prefix.n != n:
         raise ChannelCountError(f"prefix has {prefix.n} channels, expected {n}")
     out = [inputs[~_ascending_mask(images, n)] for inputs, images in chunks]
-    return frozenset(np.concatenate(out).tolist())
+    return np.concatenate(out)
 
 
-def windows(xs: Iterable[int], pad: int, n: int) -> frozenset[int]:
-    """Members of xs shaped 0^l1 . m . 1^l2 with l1+l2 = pad (pad 0 keeps xs).
+def windows(xs: np.ndarray, pad: int, n: int) -> np.ndarray:
+    """Members of xs shaped 0^l1 . m . 1^l2 with l1+l2 = pad.
 
-    With pad > 0 the vectors are tested as one uint32 array, so n <= 32.
+    xs is an input set, an increasing np.uint32 array (unsorted_inputs);
+    pad 0 returns xs itself, any other pad the members it keeps, in order.
+    Inputs are packed into 32 bits, so n <= 32 when pad > 0.
     """
     if pad < 0 or pad >= n:
         raise ValueError(f"pad must satisfy 0 <= pad < n, got {pad}")
     if pad == 0:
-        return frozenset(xs)
+        return xs
     if n > 32:
         raise ChannelCountError(f"inputs are packed into 32 bits, got n={n}")
-    vals = np.fromiter(xs, dtype=np.uint32)
-    keep = np.zeros(len(vals), dtype=bool)
+    keep = np.zeros(len(xs), dtype=bool)
     for l1 in range(pad + 1):
         l2 = pad - l1
-        fits = vals & np.uint32((1 << l1) - 1) == 0
+        fits = xs & np.uint32((1 << l1) - 1) == 0
         if l2:
-            fits &= vals >> np.uint32(n - l2) == np.uint32((1 << l2) - 1)
+            fits &= xs >> np.uint32(n - l2) == np.uint32((1 << l2) - 1)
         keep |= fits
-    return frozenset(vals[keep].tolist())
+    return xs[keep]
 
 
 # ---------------------------------------------------------------------------

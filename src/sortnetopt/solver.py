@@ -111,7 +111,8 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
     A SAT or UNSAT run deletes its CNF file.  Unparseable or crashed runs
     come back as TIMEOUT-class failures with the captured log, and a timed-out
     or failed run keeps its CNF for post-mortem.  A run killed by stop settled
-    nothing: it comes back CANCELLED, without its CNF.
+    nothing: it comes back CANCELLED, without its CNF.  A solver that fails
+    to launch raises RuntimeError and leaves no CNF either.
     """
     text = cnf if isinstance(cnf, str) else to_dimacs(cnf)
     owns_dir = config.workdir is None
@@ -124,6 +125,9 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
     try:
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     except OSError as exc:
+        path.unlink()   # nothing ran on it
+        if owns_dir:
+            workdir.rmdir()
         raise RuntimeError(f"failed to launch solver {config.executable!r}: {exc}") from exc
     stop = stop or StopEvent()
     with proc:

@@ -127,7 +127,7 @@ def _oracle_exists(n, d, xs):
     layers = list(matchings(n))
     for combo in itertools.product(layers, repeat=d):
         net = Network(n, combo)
-        if all(is_ascending(evaluate_bits(net, b), n) for b in xs):
+        if all(is_ascending(evaluate_bits(net, b), n) for b in xs.tolist()):
             return True
     return False
 

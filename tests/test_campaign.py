@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -38,10 +39,19 @@ def test_run_solver_trivial(solver_config):
     assert res.verdict == "UNSAT"
 
 
-def test_run_solver_spawn_failure():
+def test_run_solver_spawn_failure(tmp_path, monkeypatch):
+    # nothing ran, so nothing is kept: neither the CNF nor the temp dir made for it
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     cfg = SolverConfig(executable="/nonexistent/solver", timeout=5)
     with pytest.raises(RuntimeError):
         run_solver("p cnf 1 1\n1 0\n", cfg)
+    assert list(tmp_path.iterdir()) == []
+    # a given workdir stays, without the CNF
+    workdir = tmp_path / "work"
+    cfg = dataclasses.replace(cfg, workdir=str(workdir))
+    with pytest.raises(RuntimeError):
+        run_solver("p cnf 1 1\n1 0\n", cfg)
+    assert list(tmp_path.iterdir()) == [workdir] and list(workdir.iterdir()) == []
 
 
 def test_run_solver_timeout(tmp_path):
@@ -232,6 +242,17 @@ def test_one_pass_under_one_timeout(monkeypatch):
             (0, 2, "TIMEOUT"), (0, 0, "TIMEOUT"), (2, 2, "UNSAT")]
     assert camp.claim == "inconclusive"
     assert campaign_from_json(campaign_to_json(camp)).claim == "inconclusive"
+
+
+def test_model_that_does_not_sort_is_fatal(monkeypatch):
+    # every SAT model is re-checked on the inputs its formula kept: the
+    # all-false model decodes to an empty network, which sorts none of them
+    def fake_solver(cnf, config, name="instance", stop=None):
+        return SolveResult("SAT", frozenset())
+
+    monkeypatch.setattr(campaign, "run_solver", fake_solver)
+    with pytest.raises(RuntimeError, match="fails verification"):
+        find_network_campaign(5, 4, "free", SolverConfig("/bin/false"))
 
 
 def test_task_order_fewest_outputs(monkeypatch):
@@ -442,11 +463,12 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
     ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "verdict": "SAT"}]},
      r"\$\.instances\[1\]$"),
     ({"n": 4, "claim": "inconclusive", "instances": [], "wall_time": None}, r"\$\.wall_time$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [], "ordering": [1, 2]}, r"\$\.ordering$"),
 ], ids=["top-int", "top-list", "instances-int", "instance-int", "n-str", "n-0", "n-40",
         "claim-int", "depth-float", "pad-bool", "prefix-index-str", "witness-int",
         "encode-time-str", "encode-time-negative", "solve-time-bool", "solve-time-null",
         "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool",
-        "witness-on-unsat", "sat-without-witness", "wall-time-null"])
+        "witness-on-unsat", "sat-without-witness", "wall-time-null", "ordering-list"])
 def test_campaign_json_malformed_is_value_error(doc, where):
     # every malformed report is a ValueError that names where it is wrong
     with pytest.raises(ValueError, match=where):

@@ -44,7 +44,7 @@ def brute_force_sorter_exists(n, d, xs, prefix=None):
     assert free >= 0
     for combo in itertools.product(layers, repeat=free):
         net = Network(n, tuple(fixed) + combo)
-        if all(is_ascending(evaluate_bits(net, b), n) for b in xs):
+        if all(is_ascending(evaluate_bits(net, b), n) for b in xs.tolist()):
             return True
     return False
 
@@ -67,7 +67,7 @@ def unit_propagate(cnf):
 
 
 def test_varmap_census_and_order():
-    vm = VarMap(2, 1, sorted(unsorted_inputs(2)))
+    vm = VarMap(2, 1, unsorted_inputs(2))
     c_vars = [v for *_, v in vm.comparator_vars()]
     assert len(c_vars) == 1
     assert vm.u(1, 1) == 2 and vm.u(1, 2) == 3
@@ -251,7 +251,7 @@ def test_near_sorted_level():
                     continue
                 assert vm.near_sorted
                 used = set(np.abs(cnf.lits).tolist())
-                for b_idx, b in enumerate(vm.inputs):
+                for b_idx, b in enumerate(vm.inputs.tolist()):
                     zeros = n - bin(b).count("1")
                     for k in range(1, n + 1):
                         x = vm.x(b_idx, d - 1, k)
@@ -297,7 +297,7 @@ def test_settled_ends_level():
                         continue
                     assert vm.settled_ends
                     used = set(np.abs(cnf.lits).tolist())
-                    for b_idx, b in enumerate(vm.inputs):
+                    for b_idx, b in enumerate(vm.inputs.tolist()):
                         image = evaluate_bits(prefix, b) if prefix is not None else b
                         settled = _settled_channels(image, n)
                         zeros = n - bin(b).count("1")
@@ -370,7 +370,7 @@ def reference_passthrough(u, x, y):
 def reference_input_sort(vm, b_idx):
     """The clause-by-clause construction: fold constants, drop repeats."""
     if vm.prefix_depth == vm.d:
-        image = evaluate_bits(vm.prefix, vm.inputs[b_idx])
+        image = evaluate_bits(vm.prefix, vm.inputs.tolist()[b_idx])
         sorted_b = [vm.value(b_idx, vm.d, k) for k in range(1, vm.n + 1)]
         image_bits = [bool((image >> (k - 1)) & 1) for k in range(1, vm.n + 1)]
         return [()] if image_bits != sorted_b else []
@@ -446,13 +446,14 @@ def test_build_keeps_smallest_input_per_prefix_image():
     from sortnetopt.campaign import two_layer_prefixes
     for n in range(3, 9):
         for prefix in two_layer_prefixes(n):
-            base = sorted(set(unsorted_inputs(n, prefix)))
+            base = unsorted_inputs(n, prefix)
             for pad in range(n):
                 seen = {}
-                for b in (sorted(windows(base, pad, n)) if pad else base):
+                for b in sorted(windows(base, pad, n).tolist()):
                     seen.setdefault((evaluate_bits(prefix, b), bin(b).count("1")), b)
                 vm, _ = build(n, 3, base, EncodeOptions(pad=pad, prefix=prefix))
-                assert vm.inputs == tuple(sorted(seen.values()))
+                assert vm.inputs.dtype == np.uint32
+                assert vm.inputs.tolist() == sorted(seen.values())
 
 
 def test_dimacs_format_exact():
@@ -531,7 +532,7 @@ def test_window_monotonicity_clause_inclusion(solver_config):
             mapping[idx] = vm_f._index[(kind, *rest)]
         else:
             b_idx, l, k = rest
-            full_idx = vm_f.inputs.index(vm_w.inputs[b_idx])
+            full_idx = vm_f.inputs.tolist().index(vm_w.inputs.tolist()[b_idx])
             mapping[idx] = vm_f._index[("x", full_idx, l, k)]
     remapped = {tuple(sorted((l // abs(l)) * mapping[abs(l)] for l in cl))
                 for cl in cnf_w.clauses}

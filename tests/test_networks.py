@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,13 @@ from sortnetopt.networks import (
     vec_to_str,
     windows,
 )
+
+
+def assert_input_set(got, want):
+    """got is an input set, an increasing uint32 array, holding exactly want."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.uint32 and got.ndim == 1
+    assert got.tolist() == sorted(want)
+
 
 FIG1 = network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)])
 FIG2_LEFT = network(4, [(1, 2), (3, 4)], [(1, 4)], [(1, 3), (2, 4)], [(2, 3)])
@@ -109,11 +117,16 @@ def test_enumeration_in_small_chunks(monkeypatch):
     # all 2**n inputs; chunks smaller than 2**n give what one chunk gives
     rng = random.Random(3)
     nets = [random_network(rng, 6, 2) for _ in range(5)] + [network(4, first_layer(4)), FIG1]
-    whole = [(outputs(net), is_sorting_network(net), unsorted_inputs(net.n, net),
-              unsorted_inputs(net.n)) for net in nets]
+
+    def enumerate_all(net):
+        input_sets = unsorted_inputs(net.n, net), unsorted_inputs(net.n)
+        for xs in input_sets:
+            assert_input_set(xs, set(xs.tolist()))
+        return outputs(net), is_sorting_network(net), *(xs.tolist() for xs in input_sets)
+
+    whole = [enumerate_all(net) for net in nets]
     monkeypatch.setattr(networks, "_CHUNK", 5)
-    assert [(outputs(net), is_sorting_network(net), unsorted_inputs(net.n, net),
-             unsorted_inputs(net.n)) for net in nets] == whole
+    assert [enumerate_all(net) for net in nets] == whole
 
 
 def test_enumeration_cap_comes_first(monkeypatch):
@@ -157,13 +170,13 @@ def test_outputs_never_grow_when_appending():
 
 def test_unsorted_inputs_counts():
     assert len(unsorted_inputs(5)) == 2 ** 5 - 5 - 1 == 26
-    assert unsorted_inputs(2, network(2, [(1, 2)])) == frozenset()
-    assert len(unsorted_inputs(3)) == 4
+    assert_input_set(unsorted_inputs(2, network(2, [(1, 2)])), [])
+    assert_input_set(unsorted_inputs(3), [0b001, 0b010, 0b011, 0b101])
 
 
 def test_unsorted_inputs_match_brute_force():
-    # Python ints, the same set as a loop over every input, with and without a
-    # prefix of one or two layers
+    # an increasing uint32 array, the same set as a loop over every input, with
+    # and without a prefix of one or two layers
     rng = random.Random(11)
     for n in range(1, 9):
         for depth in (None, 1, 2):
@@ -171,19 +184,20 @@ def test_unsorted_inputs_match_brute_force():
             got = unsorted_inputs(n, prefix)
             want = {b for b in range(1 << n)
                     if not is_ascending(evaluate_bits(prefix, b) if prefix else b, n)}
-            assert got == frozenset(want), (n, prefix)
-            assert all(type(v) is int for v in got)
+            assert_input_set(got, want)
 
 
 def test_windows_identity_and_bounds():
     xs = unsorted_inputs(4)
-    assert windows(xs, 0, 4) == xs
+    assert windows(xs, 0, 4) is xs
     with pytest.raises(ValueError):
         windows(xs, 4, 4)
 
 
 def test_windows_full_expansion_b4():
-    got = {vec_to_str(v, 4) for v in windows(range(16), 2, 4)}
+    win = windows(np.arange(16, dtype=np.uint32), 2, 4)
+    assert_input_set(win, set(win.tolist()))
+    got = {vec_to_str(v, 4) for v in win.tolist()}
     want = set()
     for l1 in range(3):
         l2 = 2 - l1
@@ -196,7 +210,7 @@ def test_windows_full_expansion_b4():
 def reference_windows(xs, pad, n):
     """The loop over every input and split l1 + l2 = pad."""
     if pad == 0:
-        return frozenset(xs)
+        return set(xs)
     keep = []
     for v in xs:
         for l1 in range(pad + 1):
@@ -207,17 +221,15 @@ def reference_windows(xs, pad, n):
                 continue
             keep.append(v)
             break
-    return frozenset(keep)
+    return set(keep)
 
 
 def test_windows_matches_reference_loop():
     # every input of up to 10 channels at every pad
     for n in range(1, 11):
-        xs = frozenset(range(1 << n))
+        xs = np.arange(1 << n, dtype=np.uint32)
         for pad in range(n):
-            got = windows(xs, pad, n)
-            assert got == reference_windows(xs, pad, n), (n, pad)
-            assert all(type(v) is int for v in got)
+            assert_input_set(windows(xs, pad, n), reference_windows(range(1 << n), pad, n))
 
 
 def test_windows_b6_unsorted_pad3():
@@ -225,12 +237,12 @@ def test_windows_b6_unsorted_pad3():
     xs = unsorted_inputs(6)
     win = windows(xs, 3, 6)
     oracle = set()
-    for v in xs:
+    for v in xs.tolist():
         s = vec_to_str(v, 6)
         if any(s[:l1] == "0" * l1 and s[6 - (3 - l1):] == "1" * (3 - l1)
                for l1 in range(4)):
             oracle.add(v)
-    assert win == frozenset(oracle)
+    assert_input_set(win, oracle)
     assert len(win) == 13
 
 
