@@ -17,7 +17,7 @@ from typing import Iterable
 from . import campaign as campaign_mod
 from . import words as words_mod
 from .encoding import EncodeOptions, build, to_dimacs
-from .networks import MAX_ENUM_CHANNELS, Network, first_layer, network_json, unsorted_inputs
+from .networks import MAX_ENUM_CHANNELS, Network, first_layer, two_layer_json, unsorted_inputs
 from .solver import SolverConfig, default_config, run_solver
 
 EXIT_OK = 0
@@ -45,8 +45,7 @@ def _cmd_gen(args) -> int:
         lines = [str(words_mod.telephone(n) if kind == "gn" else words_mod.counts(n, "s").s)]
     elif kind in ("gn", "sn"):
         # the generated layers are already valid and sorted: no Network is needed
-        fl = first_layer(n)
-        lines = (network_json(n, (fl, l2)) for l2 in words_mod.generate(n, kind))
+        lines = two_layer_json(n, first_layer(n), words_mod.generate(n, kind))
     else:
         lines = (words_mod.render_sentence(s) for s in words_mod.generate(n, kind))
     # each line is written as the walk yields it, so the output never sits in memory

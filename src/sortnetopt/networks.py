@@ -105,6 +105,20 @@ def network_json(n: int, layers: Iterable[Iterable[Comparator]]) -> str:
     return f'{{"n": {n}, "layers": [{body}]}}'
 
 
+def two_layer_json(n: int, first: Iterable[Comparator],
+                   seconds: Iterable[Layer]) -> Iterator[str]:
+    """network_json(n, (first, l2)) for each second layer l2 in turn (tested).
+
+    For prefix sets, whose networks share one first layer: its text is made
+    once, and each comparator of a second layer, an (i, j) tuple over
+    channels 1..n, is looked up in a table of "[i, j]" texts made at the
+    call, so a line costs one join.
+    """
+    head = f'{{"n": {n}, "layers": [[' + ", ".join(f"[{i}, {j}]" for i, j in first) + "], ["
+    text = {(i, j): f"[{i}, {j}]" for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    return (head + ", ".join(map(text.__getitem__, l2)) + "]]}" for l2 in seconds)
+
+
 def network(n: int, *layers: Iterable[Sequence[int]], generalized: bool = False) -> Network:
     """Convenience constructor: network(4, [(1,2),(3,4)], [(1,3),(2,4)])."""
     return Network(n, tuple(_norm_layer(l) for l in layers), generalized)
@@ -153,7 +167,9 @@ def evaluate_trace(net: Network, x: Sequence) -> list[tuple]:
 
 
 def evaluate_bits(net: Network, x: int) -> int:
-    """Evaluate one packed Boolean vector."""
+    """Evaluate one packed Boolean vector: an int or a numpy integer scalar,
+    such as a member of unsorted_inputs(n)."""
+    x = int(x)
     for layer in net.layers:
         for i, j in layer:
             a = (x >> (i - 1)) & 1
@@ -209,17 +225,21 @@ def _chunks(n: int, net: Optional[Network] = None) -> Iterator[tuple[np.ndarray,
     return walk()
 
 
-def outputs(net: Network) -> frozenset[int]:
-    """Exact image of all 2**n Boolean inputs, as packed ints.
+def outputs(net: Network, inputs: Optional[np.ndarray] = None) -> frozenset[int]:
+    """Exact image of all 2**n Boolean inputs, as packed ints; of the packed
+    uint32 array inputs instead when it is given.
 
     The images are marked in a mask over all 2**n vectors rather than
     passed to np.unique, whose first call in a process costs milliseconds
     of lazy set-up; campaigns call this before their solvers start.
     """
-    chunks = _chunks(net.n, net)
+    _check_enum(net.n)
     seen = np.zeros(1 << net.n, dtype=bool)
-    for _, images in chunks:
-        seen[images] = True
+    if inputs is None:
+        for _, images in _chunks(net.n, net):
+            seen[images] = True
+    else:
+        seen[_eval_array(net, inputs)] = True
     return frozenset(np.flatnonzero(seen).tolist())
 
 

@@ -33,6 +33,9 @@ outputs(C_a), i.e. the *subsuming* network is the stronger filter.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import words as words_mod
@@ -215,19 +218,24 @@ def saturated_layers(n: int) -> Iterator[Layer]:
     Left-out channels stay left out in every leaf below, so each pruned
     subtree holds only rejected layers, and the walk yields exactly what
     filtering words.matchings(n) through _weak_spot yields, in the same
-    order.  At n = 12 it tests 29 794 leaves instead of 140 152.  Raises
-    ValueError for n < 2 at the call, not at the first item.
+    order.  At n = 12 it tests 29 794 leaves instead of 140 152.  The
+    second layer's partner map is kept with the walk: an entry pair is set
+    when a comparator is joined and deleted when it is taken back, so each
+    leaf hands _weak_spot the map of its layer without building one.
+    Raises ValueError for n < 2 at the call, not at the first item.
     """
     fl = first_layer(n)
     l1p = words_mod.layer_partners(fl)
     acc: list[tuple[int, int]] = []
+    l2p: dict[int, int] = {}    # the partner map of acc, kept with it
 
     def rec(avail: tuple[int, ...], out_min: tuple[int, ...],
             out_max: tuple[int, ...]) -> Iterator[Layer]:
-        # out_min / out_max: the first-layer min / max channels left out so far
+        # out_min / out_max: the first-layer min / max channels left out so
+        # far, each channel once, so P2 allows none of them or the partner
         if not avail:
             l2 = tuple(acc)
-            if _weak_spot(n, fl, l2, l1p, words_mod.layer_partners(l2)) is None:
+            if _weak_spot(n, fl, l2, l1p, l2p) is None:
                 yield l2
             return
         v, rest = avail[0], avail[1:]
@@ -237,16 +245,18 @@ def saturated_layers(n: int) -> Iterator[Layer]:
             if not out_min and not out_max:             # P1
                 yield from rec(rest, out_min, out_max)
         elif v < partner:
-            if all(d == partner for d in out_max):      # P2
+            if out_max in ((), (partner,)):             # P2
                 yield from rec(rest, out_min + (v,), out_max)
-        elif all(a == partner for a in out_min):        # P2
+        elif out_min in ((), (partner,)):               # P2
             yield from rec(rest, out_min, out_max + (v,))
         for k, w in enumerate(rest):
             if w == partner:    # a repeated first-layer comparator
                 continue
             acc.append((v, w))
+            l2p[v], l2p[w] = w, v
             yield from rec(rest[:k] + rest[k + 1:], out_min, out_max)
             acc.pop()
+            del l2p[v], l2p[w]
 
     return rec(tuple(range(1, n + 1)), (), ())
 
@@ -304,27 +314,35 @@ def saturated_layer_count(n: int, by_enumeration: bool = False,
 
 
 def sentence_class_size(sentence) -> int:
-    """How many second layers over F_n yield this canonical sentence."""
-    from collections import Counter
-    from math import factorial
+    """How many second layers over F_n yield this canonical sentence.
 
-    def pairs(w) -> int:
-        return (len(w) - 1) // 2 if w.tag == "h" else len(w) // 2
-
-    total = factorial(sum(pairs(w) for w in sentence))
+    The comparator pairs are dealt out to the words, each word is embedded
+    in its own pairs in _embeddings(w) ways, and equal words may trade
+    places.
+    """
+    pairs, ways, fixed = 0, 1, 1
     for w in sentence:
-        m = pairs(w)
-        total //= factorial(m)
-        if w.tag == "h":
-            total *= factorial(m)
-        elif w.tag == "s":
-            total *= factorial(m) // (2 if w.symbols == w.symbols[::-1] else 1)
-        else:
-            starts = sum(1 for c in words_mod.cycle_readings(w.symbols) if c.startswith("12"))
-            total *= starts * factorial(m - 1)
-    for _, r in Counter(sentence).items():
-        total //= factorial(r)
-    return total
+        m, e = _embeddings(w)
+        pairs += m
+        ways *= e
+        fixed *= factorial(m)
+    for r in Counter(sentence).values():
+        fixed *= factorial(r)
+    return factorial(pairs) * ways // fixed
+
+
+@lru_cache(maxsize=None)
+def _embeddings(w: words_mod.Word) -> tuple[int, int]:
+    """The comparator pairs of a word, and the ways to embed it in them:
+    heads and sticks in every pair order (halved for a palindromic stick),
+    a cycle in every cyclic order once per reading that begins with 12."""
+    m = (len(w) - 1) // 2 if w.tag == "h" else len(w) // 2
+    if w.tag == "h":
+        return m, factorial(m)
+    if w.tag == "s":
+        return m, factorial(m) // (2 if w.symbols == w.symbols[::-1] else 1)
+    starts = sum(1 for c in words_mod.cycle_readings(w.symbols) if c.startswith("12"))
+    return m, starts * factorial(m - 1)
 
 
 # ---------------------------------------------------------------------------

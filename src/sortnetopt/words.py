@@ -260,6 +260,7 @@ def stick_canonical(symbols: str) -> str:
     return min(symbols, symbols[::-1])
 
 
+@lru_cache(maxsize=None)
 def reflect_word(w: Word) -> Word:
     """Word of the reflected network: swap 1s and 2s, then re-canonicalize."""
     sw = swap_minmax(w.symbols)
@@ -274,6 +275,7 @@ def reflect_sentence(s: Sentence) -> Sentence:
     return canonical_sentence(reflect_word(w) for w in s)
 
 
+@lru_cache(maxsize=None)
 def is_asymmetric(w: Word) -> bool:
     """True iff a canonical cycle word differs from its reflection."""
     if w.tag != "c":

@@ -349,7 +349,8 @@ def test_filter_set_and_order_once_per_n(monkeypatch):
     # R_n and its fewest-outputs order do not depend on the depth: every
     # campaign on n channels reuses them, and callers still get a new list
     keyed = []
-    monkeypatch.setattr(campaign, "outputs", lambda net: keyed.append(net) or outputs(net))
+    monkeypatch.setattr(campaign, "outputs",
+                        lambda net, *inputs: keyed.append(net) or outputs(net, *inputs))
     monkeypatch.setattr(campaign, "run_solver",
                         lambda cnf, config, name="instance", stop=None: SolveResult("UNSAT"))
     campaign._filter_set.cache_clear()
@@ -361,6 +362,17 @@ def test_filter_set_and_order_once_per_n(monkeypatch):
     assert first == two_layer_prefixes(7) and first is not two_layer_prefixes(7)
     first.clear()
     assert len(two_layer_prefixes(7)) == 8
+
+
+def test_filter_set_shares_the_first_layer():
+    # the fewest-outputs key evaluates F_n once per n: every prefix of R_n
+    # has it as its first layer, and the order is that of the full outputs
+    for n in range(2, 12):
+        prefixes = two_layer_prefixes(n)
+        assert {p.layers[0] for p in prefixes} == {first_layer(n)}
+        keys = [len(outputs(p)) for p in prefixes]
+        want = sorted(range(len(prefixes)), key=lambda i: (keys[i], i))
+        assert [idx for idx, _ in campaign._fewest_outputs(n)] == want
 
 
 def test_campaign_determinism(solver_config):

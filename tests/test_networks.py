@@ -26,12 +26,14 @@ from sortnetopt.networks import (
     reflect,
     reverse_complement,
     sorted_vectors,
+    two_layer_json,
     unsorted_inputs,
     untangle,
     vec_from_str,
     vec_to_str,
     windows,
 )
+from sortnetopt.words import generate
 
 
 def assert_input_set(got, want):
@@ -93,6 +95,18 @@ def test_evaluate_permutes_the_input_multiset(data):
     assert sorted(evaluate(net, x)) == sorted(x)
 
 
+def test_evaluate_bits_on_input_set_members():
+    # the members of an input set are numpy uint32 scalars; evaluate_bits
+    # takes them as they come and agrees with the array evaluation
+    rng = random.Random(18)
+    for n in range(2, 9):
+        xs = unsorted_inputs(n)
+        for net in (network(n, first_layer(n)), random_network(rng, n, 3)):
+            got = [evaluate_bits(net, x) for x in xs]
+            assert all(type(v) is int for v in got)
+            assert got == networks._eval_array(net, xs).tolist()
+
+
 def test_outputs_of_empty_network_is_everything():
     assert outputs(network(3)) == frozenset(range(8))
 
@@ -105,6 +119,21 @@ def test_outputs_of_a_sorter_is_the_sorted_chain():
 def test_outputs_single_comparator():
     assert outputs(network(2, [(1, 2)])) == {vec_from_str("00"), vec_from_str("01"),
                                              vec_from_str("11")}
+
+
+def test_outputs_of_given_inputs():
+    # the image of the first layer's outputs under layer 2 is the image of
+    # all inputs under both layers, and the cap holds with inputs given
+    rng = random.Random(19)
+    for n in range(3, 10):
+        fl = network(n, first_layer(n))
+        first = np.array(sorted(outputs(fl)), dtype=np.uint32)
+        for _ in range(5):
+            l2 = random_network(rng, n, 1).layers
+            assert outputs(network(n, *l2), first) == outputs(network(n, first_layer(n), *l2))
+    assert outputs(network(4, [(1, 2)]), np.array([], dtype=np.uint32)) == frozenset()
+    with pytest.raises(ChannelCountError):
+        outputs(network(25), np.array([0], dtype=np.uint32))
 
 
 def test_outputs_cap():
@@ -375,6 +404,17 @@ def test_network_json_matches_json_dumps():
     for n, layers in cases:
         assert network_json(n, layers) == dumps(n, layers)
         assert network_json(n, [list(l) for l in layers]) == dumps(n, layers)
+
+
+def test_two_layer_json_is_network_json():
+    # the gen renderer gives network_json's bytes for every gn and sn layer,
+    # the empty second layer and the free channel of odd n among them
+    for n in range(2, 10):
+        fl = first_layer(n)
+        for kind in ("gn", "sn"):
+            layers = list(generate(n, kind))
+            assert list(two_layer_json(n, fl, layers)) == [network_json(n, (fl, l2)) for l2 in layers]
+    assert list(two_layer_json(3, first_layer(3), [()])) == ['{"n": 3, "layers": [[[1, 2]], []]}']
 
 
 @pytest.mark.parametrize("text", [

@@ -18,13 +18,16 @@ from sortnetopt.saturation import (
     verify_conjecture,
 )
 from sortnetopt.words import (
+    cycle_words,
     generate,
+    head_words,
     layer_partners,
     matchings,
     net_of,
     render_sentence,
     sentence_of,
     sentences,
+    stick_words,
 )
 
 
@@ -219,6 +222,34 @@ def test_class_sizes_partition_gn():
     from sortnetopt.words import telephone
     for n in range(3, 11):
         assert sum(sentence_class_size(s) for s in sentences(n, "rgn")) == telephone(n)
+
+
+def test_embeddings_cache_agrees_with_the_function():
+    # the per-word embedding counts behind sentence_class_size are cached:
+    # every head, stick and cycle word up to length 16 gets what the uncached
+    # function gives
+    pool = [w for L in range(1, 17) for w in
+            head_words(L) + stick_words(L) + cycle_words(L, include_redundant=True)]
+    for _ in range(2):
+        for w in pool:
+            assert saturation._embeddings(w) == saturation._embeddings.__wrapped__(w)
+
+
+def test_sn_walk_hands_weak_spot_the_partner_map(monkeypatch):
+    # the walk keeps layer 2's partner map as it goes; at every leaf it is
+    # the map of that leaf's layer
+    maps = []
+
+    def checking(n, l1, l2, l1p, l2p):
+        maps.append(l2p == layer_partners(l2))
+        return real(n, l1, l2, l1p, l2p)
+
+    real = saturation._weak_spot
+    monkeypatch.setattr(saturation, "_weak_spot", checking)
+    for n in range(2, 11):
+        maps.clear()
+        kept = list(saturated_layers(n))
+        assert maps and all(maps) and len(kept) <= len(maps)
 
 
 def test_verify_conjecture_report():

@@ -112,6 +112,26 @@ def test_cycle_canonical_and_asymmetry():
     assert asymmetric_cycle_count(16) == 4
 
 
+def test_word_caches_agree_with_the_functions():
+    # reflect_word and is_asymmetric are cached per word: on every head, stick
+    # and cycle word up to length 16 they give what the uncached functions give
+    heads = [w for L in range(1, 17, 2) for w in head_words(L)]
+    sticks = [w for L in range(2, 17, 2) for w in stick_words(L)]
+    cycles = [w for L in range(2, 17, 2) for w in cycle_words(L, include_redundant=True)]
+    for _ in range(2):
+        for w in heads + sticks + cycles:
+            assert reflect_word(w) == reflect_word.__wrapped__(w)
+        for w in cycles:
+            assert is_asymmetric(w) == is_asymmetric.__wrapped__(w)
+    # an error is never cached: the second call raises as the first did
+    not_canonical = Word("c", "122121")
+    assert cycle_canonical(not_canonical.symbols) != not_canonical.symbols
+    for w in (sticks[1], heads[1], not_canonical):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                is_asymmetric(w)
+
+
 def test_generate_counts_table4():
     assert sum(1 for _ in sentences(11, "rgn")) == 482
     assert sum(1 for _ in sentences(11, "rn")) == 48
