@@ -31,7 +31,6 @@ from .words import (
     reflect_word,
     cycle_canonical,
     is_asymmetric,
-    generate,
     sentences,
     matchings,
     counts,
@@ -43,6 +42,7 @@ from .saturation import (
     is_redundant,
     is_saturated,
     is_saturated_semantic,
+    saturated_layers,
     subsumes,
     saturate,
     verify_conjecture,

@@ -39,7 +39,7 @@ import math
 import re
 import threading
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -133,14 +133,14 @@ def _prefix_tasks(n: int, d: int) -> list[Task]:
 
 
 def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: np.ndarray,
-                    pad: int, config: SolverConfig, opts: EncodeOptions,
-                    prefix_index: Optional[int],
-                    stop: Optional[StopEvent] = None) -> Optional[InstanceResult]:
+                    pad: int, config: SolverConfig, prefix_index: Optional[int],
+                    stop: StopEvent) -> Optional[InstanceResult]:
     """One encode-solve-decode round over the task's input set xs, an
-    increasing np.uint32 array; None when stop killed the solver.  A model
-    must sort every input the formula kept."""
+    increasing np.uint32 array, with every formula reduction on; None when
+    stop killed the solver.  A model must sort every input the formula
+    kept."""
     t0 = time.monotonic()
-    vm, cnf = build(n, d, xs, replace(opts, pad=pad, prefix=prefix))
+    vm, cnf = build(n, d, xs, EncodeOptions(pad=pad, prefix=prefix))
     encode_time = time.monotonic() - t0
     name = f"n{n}d{d}p{prefix_index if prefix_index is not None else 'free'}w{pad}"
     res = run_solver(cnf, config, name=name, stop=stop)
@@ -156,7 +156,7 @@ def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: np.ndarray,
 
 
 def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
-              config: SolverConfig, opts: EncodeOptions, jobs: int,
+              config: SolverConfig, jobs: int,
               prior: Optional[CampaignResult] = None) -> tuple[Optional[Network], CampaignResult]:
     """The one campaign scheduler behind find_network, prove_lower_bound and
     compute_T.
@@ -191,7 +191,7 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
         for pad in pads:
             if stop.is_set():
                 return
-            res = _solve_instance(n, d, prefix, xs, pad, config, opts, idx, stop)
+            res = _solve_instance(n, d, prefix, xs, pad, config, idx, stop)
             if res is None:
                 return  # killed: the claim is already settled
             # the task's first instance carries the time of its input set
@@ -243,9 +243,7 @@ def _evidence(n: int, d: int,
 
 
 def find_network(n: int, d: int, mode: str = "two_layer",
-                 config: Optional[SolverConfig] = None,
-                 opts: EncodeOptions = EncodeOptions(),
-                 jobs: int = 1) -> Optional[Network]:
+                 config: Optional[SolverConfig] = None, jobs: int = 1) -> Optional[Network]:
     """Search for a depth-d sorting network; returns a verified witness or None.
 
     mode free: one instance over all unsorted inputs; layer1: the crossing
@@ -255,13 +253,12 @@ def find_network(n: int, d: int, mode: str = "two_layer",
     covers both proven absence and an inconclusive timeout; the campaign
     variant distinguishes them.
     """
-    net, _ = find_network_campaign(n, d, mode, config, opts, jobs)
+    net, _ = find_network_campaign(n, d, mode, config, jobs)
     return net
 
 
 def find_network_campaign(n: int, d: int, mode: str = "two_layer",
                           config: Optional[SolverConfig] = None,
-                          opts: EncodeOptions = EncodeOptions(),
                           jobs: int = 1) -> tuple[Optional[Network], CampaignResult]:
     """find_network with its campaign: the mode's tasks, scheduled at pad 0."""
     if mode == "free":
@@ -272,13 +269,12 @@ def find_network_campaign(n: int, d: int, mode: str = "two_layer",
         tasks = _prefix_tasks(n, d)
     else:
         raise ValueError(f"unknown search mode {mode!r}")
-    return _campaign(n, d, tasks, [0], config or default_config(), opts, jobs)
+    return _campaign(n, d, tasks, [0], config or default_config(), jobs)
 
 
 def prove_lower_bound(n: int, d_prime: int,
                       pad_schedule: Optional[Sequence[int]] = None,
                       config: Optional[SolverConfig] = None,
-                      opts: EncodeOptions = EncodeOptions(),
                       jobs: int = 1) -> CampaignResult:
     """Try to prove T(n) > d_prime by refuting every prefix in R_n.
 
@@ -297,11 +293,10 @@ def prove_lower_bound(n: int, d_prime: int,
     if pads[-1] != 0:
         pads.append(0)
     return _campaign(n, d_prime, _prefix_tasks(n, d_prime), pads,
-                     config or default_config(), opts, jobs)[1]
+                     config or default_config(), jobs)[1]
 
 
 def compute_T(n: int, config: Optional[SolverConfig] = None,
-              opts: EncodeOptions = EncodeOptions(),
               jobs: int = 1) -> tuple[int, list[CampaignResult]]:
     """T(n) with its evidence: [refutation at T(n) - 1, witness campaign at T(n)].
 
@@ -330,7 +325,7 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
     jobs = max(1, jobs)
 
     def run(d: int, tasks: Sequence[Task], prior: Optional[CampaignResult] = None):
-        return _campaign(n, d, tasks, default_pads(n, d), config, opts, jobs, prior)
+        return _campaign(n, d, tasks, default_pads(n, d), config, jobs, prior)
 
     probes: dict[int, CampaignResult] = {}
     d = max(1, math.ceil(math.log2(n)))
@@ -504,13 +499,13 @@ PUBLISHED_TABLE = {
 }
 
 
-def reproduce_tables(max_n: int, columns: str = "g,rg,s,rs,r,a") -> tuple[str, str]:
+def reproduce_tables(max_n: int) -> tuple[str, str]:
     """Compute the count table and diff it against the published values.
 
     Returns (csv_text, diff_text); the diff lists every cell where the
     computed value differs from the published reference value.
     """
-    rows = [words_mod.counts(n, columns) for n in range(3, max_n + 1)]
+    rows = [words_mod.counts(n) for n in range(3, max_n + 1)]
     lines = ["n,G,RG,S,RS,R,A"]
     diffs = []
     for row in rows:

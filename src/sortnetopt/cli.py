@@ -15,10 +15,11 @@ from pathlib import Path
 from typing import Iterable
 
 from . import campaign as campaign_mod
+from . import saturation as saturation_mod
 from . import words as words_mod
 from .encoding import EncodeOptions, build, to_dimacs
-from .networks import MAX_ENUM_CHANNELS, Network, first_layer, two_layer_json, unsorted_inputs
-from .solver import SolverConfig, default_config, run_solver
+from .networks import MAX_ENUM_CHANNELS, Network, two_layer_json, unsorted_inputs
+from .solver import DEFAULT_TIMEOUT, SolverConfig, default_config, run_solver
 
 EXIT_OK = 0
 EXIT_SAT = 10
@@ -42,12 +43,14 @@ def _write(path: str, texts: Iterable[str]) -> None:
 def _cmd_gen(args) -> int:
     n, kind = args.n, args.set
     if kind in ("gn", "sn") and n > GN_STREAM_LIMIT:
-        lines = [str(words_mod.telephone(n) if kind == "gn" else words_mod.counts(n, "s").s)]
+        count = words_mod.telephone if kind == "gn" else saturation_mod.saturated_layer_count
+        lines = [str(count(n))]
     elif kind in ("gn", "sn"):
         # the generated layers are already valid and sorted: no Network is needed
-        lines = two_layer_json(n, first_layer(n), words_mod.generate(n, kind))
+        layers = words_mod.matchings(n) if kind == "gn" else saturation_mod.saturated_layers(n)
+        lines = two_layer_json(n, layers)
     else:
-        lines = (words_mod.render_sentence(s) for s in words_mod.generate(n, kind))
+        lines = (words_mod.render_sentence(s) for s in words_mod.sentences(n, kind))
     # each line is written as the walk yields it, so the output never sits in memory
     _write(args.out, (line + "\n" for line in lines))
     return EXIT_OK
@@ -209,7 +212,7 @@ def main(argv=None) -> int:
     parsers["solve"] = p = sub.add_parser("solve", help="run the SAT solver on a DIMACS file")
     p.add_argument("--cnf", required=True)
     p.add_argument("--solver")
-    p.add_argument("--timeout", type=float, default=600.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.set_defaults(func=_cmd_solve)
 
     parsers["find"] = p = sub.add_parser("find", help="search for a depth-d sorting network")
@@ -217,7 +220,7 @@ def main(argv=None) -> int:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("free", "layer1", "two-layer"), default="two-layer")
     p.add_argument("--solver")
-    p.add_argument("--timeout", type=float, default=600.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_find)
 
@@ -228,7 +231,7 @@ def main(argv=None) -> int:
                    help="comma-separated pad schedule, largest first "
                         "(default: n-d-1, then 0)")
     p.add_argument("--solver")
-    p.add_argument("--timeout", type=float, default=600.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON campaign report here")
     p.set_defaults(func=_cmd_prove)

@@ -105,16 +105,17 @@ def network_json(n: int, layers: Iterable[Iterable[Comparator]]) -> str:
     return f'{{"n": {n}, "layers": [{body}]}}'
 
 
-def two_layer_json(n: int, first: Iterable[Comparator],
-                   seconds: Iterable[Layer]) -> Iterator[str]:
-    """network_json(n, (first, l2)) for each second layer l2 in turn (tested).
+def two_layer_json(n: int, seconds: Iterable[Layer]) -> Iterator[str]:
+    """network_json(n, (first_layer(n), l2)) for each second layer l2 in turn
+    (tested).
 
-    For prefix sets, whose networks share one first layer: its text is made
-    once, and each comparator of a second layer, an (i, j) tuple over
+    For prefix sets, whose networks share the first layer F_n: its text is
+    made once, and each comparator of a second layer, an (i, j) tuple over
     channels 1..n, is looked up in a table of "[i, j]" texts made at the
     call, so a line costs one join.
     """
-    head = f'{{"n": {n}, "layers": [[' + ", ".join(f"[{i}, {j}]" for i, j in first) + "], ["
+    first = ", ".join(f"[{i}, {j}]" for i, j in first_layer(n))
+    head = f'{{"n": {n}, "layers": [[{first}], ['
     text = {(i, j): f"[{i}, {j}]" for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
     return (head + ", ".join(map(text.__getitem__, l2)) + "]]}" for l2 in seconds)
 

@@ -25,6 +25,10 @@ is_saturated_semantic, which tries every addition under every channel
 permutation (n <= 8), is its oracle: the two agree on every second layer
 over F_n for n <= 7 (tested).
 
+saturated_layers walks the saturated second layers over F_n (the sn set),
+and saturated_layer_count counts them from their sentence classes with
+words.sentence_class_size, without the walk.
+
 Naming follows the subsumption convention of the source theory: C_b
 subsumes C_a when outputs(C_b) is contained in some permuted copy of
 outputs(C_a), i.e. the *subsuming* network is the stronger filter.
@@ -33,9 +37,6 @@ outputs(C_a), i.e. the *subsuming* network is the stronger filter.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from functools import lru_cache
-from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import words as words_mod
@@ -294,55 +295,15 @@ def is_saturated_semantic(net: Network) -> bool:
     return True
 
 
-def saturated_layer_count(n: int, by_enumeration: bool = False,
-                          classes: Optional[Iterable[words_mod.Sentence]] = None) -> int:
+def saturated_layer_count(n: int) -> int:
     """Number of second layers over F_n whose two-layer network is saturated.
 
-    The default sums the orbit sizes of the saturated sentence classes:
-    distribute the comparator pairs over the components, embed heads and
-    sticks in every pair order (halved for palindromic sticks), and embed a
-    cycle once per rotation start, i.e. per class string beginning with 12.
-    A caller that has already walked sentences(n, "rsn") passes them as
-    classes, so the walk is not repeated.  Enumeration mode walks the sn
-    set instead; both agree (tested).
+    Sums words.sentence_class_size over the saturated sentence classes,
+    words.sentences(n, "rsn"): each class counts the second layers that
+    embed its words in F_n's comparator pairs.  Counting the saturated_layers
+    walk gives the same number (tested).
     """
-    if by_enumeration:
-        return sum(1 for _ in saturated_layers(n))
-    if classes is None:
-        classes = words_mod.sentences(n, "rsn")
-    return sum(sentence_class_size(s) for s in classes)
-
-
-def sentence_class_size(sentence) -> int:
-    """How many second layers over F_n yield this canonical sentence.
-
-    The comparator pairs are dealt out to the words, each word is embedded
-    in its own pairs in _embeddings(w) ways, and equal words may trade
-    places.
-    """
-    pairs, ways, fixed = 0, 1, 1
-    for w in sentence:
-        m, e = _embeddings(w)
-        pairs += m
-        ways *= e
-        fixed *= factorial(m)
-    for r in Counter(sentence).values():
-        fixed *= factorial(r)
-    return factorial(pairs) * ways // fixed
-
-
-@lru_cache(maxsize=None)
-def _embeddings(w: words_mod.Word) -> tuple[int, int]:
-    """The comparator pairs of a word, and the ways to embed it in them:
-    heads and sticks in every pair order (halved for a palindromic stick),
-    a cycle in every cyclic order once per reading that begins with 12."""
-    m = (len(w) - 1) // 2 if w.tag == "h" else len(w) // 2
-    if w.tag == "h":
-        return m, factorial(m)
-    if w.tag == "s":
-        return m, factorial(m) // (2 if w.symbols == w.symbols[::-1] else 1)
-    starts = sum(1 for c in words_mod.cycle_readings(w.symbols) if c.startswith("12"))
-    return m, starts * factorial(m - 1)
+    return sum(map(words_mod.sentence_class_size, words_mod.sentences(n, "rsn")))
 
 
 # ---------------------------------------------------------------------------

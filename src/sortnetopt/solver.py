@@ -27,6 +27,8 @@ DEFAULT_ARGS = {
 
 _EXTRA_DIRS = ("~/.local/bin", "~/.cargo/bin")
 
+DEFAULT_TIMEOUT = 600.0   # seconds of wall clock per solver run
+
 
 def find_solver() -> Optional[str]:
     """Locate a DIMACS solver: $SAT_SOLVER, then PATH, then user bin dirs."""
@@ -48,7 +50,7 @@ def find_solver() -> Optional[str]:
 class SolverConfig:
     executable: str
     args: tuple[str, ...] = ()
-    timeout: float = 600.0
+    timeout: float = DEFAULT_TIMEOUT
     workdir: Optional[str] = None   # None: fresh temp dir per call
 
     def __post_init__(self):
@@ -56,7 +58,7 @@ class SolverConfig:
             raise ValueError("timeout must be positive")
 
 
-def default_config(timeout: float = 600.0, executable: Optional[str] = None,
+def default_config(timeout: float = DEFAULT_TIMEOUT, executable: Optional[str] = None,
                    **kw) -> SolverConfig:
     """Config for the given binary, or the one find_solver() locates."""
     exe = executable or find_solver()

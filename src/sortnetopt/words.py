@@ -11,14 +11,21 @@ Tags: h = head (odd component containing the free channel), s = stick,
 c = cycle.  Canonical forms: heads are read from the free channel; sticks
 take the lexicographically smaller reading direction; cycles minimize over
 all rotations that start with a first-layer comparator, in both directions.
+
+The module also walks the prefix sets rgn, rsn, rn (sentences) and gn
+(matchings), and counts the table rows (counts): sentence_class_size, the
+number of second layers over F_n behind a sentence, gives the S column.
+The sn set lives in saturation, which imports this module, not back.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator, Optional
 
 from .networks import Layer, Network, first_layer
@@ -161,6 +168,36 @@ def cycle_canonical(symbols: str) -> str:
     if len(symbols) < 2 or len(symbols) % 2:
         raise ValueError(f"not a cycle label string: {symbols!r}")
     return min(cycle_readings(symbols))
+
+
+def sentence_class_size(sentence: Iterable[Word]) -> int:
+    """How many second layers over F_n yield this canonical sentence.
+
+    The comparator pairs are dealt out to the words, each word is embedded
+    in its own pairs in _embeddings(w) ways, and equal words may trade
+    places.  The sentence is read once, so any iterable of words will do.
+    """
+    pairs, ways, fixed = 0, 1, 1
+    for w, r in Counter(sentence).items():
+        m, e = _embeddings(w)
+        pairs += m * r
+        ways *= e ** r
+        fixed *= factorial(m) ** r * factorial(r)
+    return factorial(pairs) * ways // fixed
+
+
+@lru_cache(maxsize=None)
+def _embeddings(w: Word) -> tuple[int, int]:
+    """The comparator pairs of a word, and the ways to embed it in them:
+    heads and sticks in every pair order (halved for a palindromic stick),
+    a cycle in every cyclic order once per reading that begins with 12."""
+    m = (len(w) - 1) // 2 if w.tag == "h" else len(w) // 2
+    if w.tag == "h":
+        return m, factorial(m)
+    if w.tag == "s":
+        return m, factorial(m) // (2 if w.symbols == w.symbols[::-1] else 1)
+    starts = sum(1 for c in cycle_readings(w.symbols) if c.startswith("12"))
+    return m, starts * factorial(m - 1)
 
 
 def _component_word(comp: set[int], l1p, l2p, role) -> Word:
@@ -447,22 +484,6 @@ def _sentence_walk(n: int, heads, sticks, cycles, ok) -> Iterator[Sentence]:
     yield from rec(0, n, False, [])
 
 
-def generate(n: int, kind: str) -> Iterator:
-    """Unified prefix-set generator.
-
-    gn streams every second layer (matching); sn streams the second layers
-    whose two-layer network is saturated; rgn / rsn / rn stream canonical
-    sentences.  Raises ValueError for an unknown kind at the call.
-    """
-    kind = kind.lower()
-    if kind == "gn":
-        return matchings(n)
-    if kind == "sn":
-        from .saturation import saturated_layers
-        return saturated_layers(n)
-    return sentences(n, kind)
-
-
 def matchings(n: int) -> Iterator[Layer]:
     """Every second layer over n channels (all matchings, including empty)."""
     acc: list[tuple[int, int]] = []
@@ -527,27 +548,23 @@ def _rg_count(n: int) -> int:
     return ways[n] + sum(len(head_words(h)) * ways[n - h] for h in range(1, n + 1, 2))
 
 
-# feasibility guards: generation cost grows quickly past these
-_LIMITS = {"rg": 24, "s": 24, "rs": 24, "r": 24, "a": 40}
+# feasibility guards: generation cost grows quickly past these; S and RS
+# come from one rsn walk and share the "s" guard
+_LIMITS = {"rg": 24, "s": 24, "r": 24, "a": 40}
 
 
-def counts(n: int, columns: str = "g,rg,s,rs,r,a") -> CountsRow:
+def counts(n: int) -> CountsRow:
     """Count table row for channel count n; columns beyond their limit are None."""
-    want = {c.strip() for c in columns.split(",")}
     kw = {}
-    if "rg" in want and 3 <= n <= _LIMITS["rg"]:
+    if 3 <= n <= _LIMITS["rg"]:
         kw["rg"] = _rg_count(n)
-    s_col = "s" in want and 3 <= n <= _LIMITS["s"]
-    rs_col = "rs" in want and 3 <= n <= _LIMITS["rs"]
-    # one rsn walk feeds both columns: S sums the class sizes, RS counts them
-    rsn = list(sentences(n, "rsn")) if s_col or rs_col else []
-    if s_col:
-        from .saturation import saturated_layer_count
-        kw["s"] = saturated_layer_count(n, classes=rsn)
-    if rs_col:
+    if 3 <= n <= _LIMITS["s"]:
+        # one rsn walk feeds both columns: S sums the class sizes, RS counts them
+        rsn = list(sentences(n, "rsn"))
+        kw["s"] = sum(map(sentence_class_size, rsn))
         kw["rs"] = len(rsn)
-    if "r" in want and 3 <= n <= _LIMITS["r"]:
+    if 3 <= n <= _LIMITS["r"]:
         kw["r"] = sum(1 for _ in sentences(n, "rn"))
-    if "a" in want and n % 2 == 0 and 4 <= n <= _LIMITS["a"]:
+    if n % 2 == 0 and 4 <= n <= _LIMITS["a"]:
         kw["a"] = asymmetric_cycle_count(n)
     return CountsRow(n=n, g=telephone(n), **kw)

@@ -580,6 +580,17 @@ def test_cli_gen_rejects_too_few_channels():
     assert out.returncode == 0 and out.stdout == "0_h\n"
 
 
+def test_cli_gen_counts_past_the_stream_limit(capsys):
+    # above GN_STREAM_LIMIT channels gn and sn print the size of the set
+    from sortnetopt.words import telephone
+    n = cli.GN_STREAM_LIMIT + 1
+    assert n == 17
+    assert cli.main(["gen", "--n", str(n), "--set", "sn"]) == 0
+    assert capsys.readouterr().out == "29798032\n"
+    assert cli.main(["gen", "--n", str(n), "--set", "gn"]) == 0
+    assert capsys.readouterr().out == f"{telephone(17)}\n"
+
+
 def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
     # a fake walk looks at the --out file part-way through: the lines it
     # yielded earlier must be there already, not joined up for the end
@@ -587,14 +598,14 @@ def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
     line = network_json(4, (first_layer(4), ((1, 3),))) + "\n"
     total, seen = 4000, []
 
-    def generate(n, kind):
-        assert (n, kind) == (4, "gn")
+    def matchings(n):
+        assert n == 4
         for k in range(total):
             if k == total // 2:
                 seen.append(out.read_text())
             yield ((1, 3),)
 
-    monkeypatch.setattr(cli.words_mod, "generate", generate)
+    monkeypatch.setattr(cli.words_mod, "matchings", matchings)
     assert cli.main(["gen", "--n", "4", "--set", "gn", "--out", str(out)]) == 0
     assert out.read_text() == line * total
     # at half-way, most of the first half is on disk (all but what a write

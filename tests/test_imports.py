@@ -1,0 +1,54 @@
+import ast
+from pathlib import Path
+
+import sortnetopt
+
+PACKAGE = Path(sortnetopt.__file__).parent
+
+
+def _intra_package_imports() -> dict[str, set[str]]:
+    """Module -> the package modules it imports with `from .x import ...` or
+    `from . import x`, at any depth of the file, function bodies included."""
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                deps |= {t.split(".")[0] for t in targets} & modules
+        graph[name] = deps
+    return graph
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a path that ends where it starts, or None."""
+    state = {}   # module -> "open" while on the stack, "done" after
+
+    def visit(node: str, path: list[str]) -> list[str] | None:
+        state[node] = "open"
+        for dep in sorted(graph[node]):
+            if state.get(dep) == "open":
+                return path[path.index(dep):] + [dep]
+            if dep not in state and (found := visit(dep, path + [dep])):
+                return found
+        state[node] = "done"
+        return None
+
+    for start in sorted(graph):
+        if start not in state and (found := visit(start, [start])):
+            return found
+    return None
+
+
+def test_cycle_finder_sees_a_cycle():
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
+def test_package_imports_have_no_cycle():
+    graph = _intra_package_imports()
+    assert _cycle(graph) is None, " -> ".join(_cycle(graph))
+    # saturation builds on words, and words needs nothing from saturation
+    assert "words" in graph["saturation"] and "saturation" not in graph["words"]

@@ -33,7 +33,8 @@ from sortnetopt.networks import (
     vec_to_str,
     windows,
 )
-from sortnetopt.words import generate
+from sortnetopt.saturation import saturated_layers
+from sortnetopt.words import matchings
 
 
 def assert_input_set(got, want):
@@ -411,10 +412,9 @@ def test_two_layer_json_is_network_json():
     # the empty second layer and the free channel of odd n among them
     for n in range(2, 10):
         fl = first_layer(n)
-        for kind in ("gn", "sn"):
-            layers = list(generate(n, kind))
-            assert list(two_layer_json(n, fl, layers)) == [network_json(n, (fl, l2)) for l2 in layers]
-    assert list(two_layer_json(3, first_layer(3), [()])) == ['{"n": 3, "layers": [[[1, 2]], []]}']
+        for layers in (list(matchings(n)), list(saturated_layers(n))):
+            assert list(two_layer_json(n, layers)) == [network_json(n, (fl, l2)) for l2 in layers]
+    assert list(two_layer_json(3, [()])) == ['{"n": 3, "layers": [[[1, 2]], []]}']
 
 
 @pytest.mark.parametrize("text", [

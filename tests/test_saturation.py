@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sortnetopt import saturation
+from sortnetopt import saturation, words
 from sortnetopt.networks import Network, first_layer, network, outputs
 from sortnetopt.saturation import (
     _weak_spot,
@@ -13,18 +13,18 @@ from sortnetopt.saturation import (
     saturate,
     saturated_layer_count,
     saturated_layers,
-    sentence_class_size,
     subsumes,
     verify_conjecture,
 )
 from sortnetopt.words import (
+    counts,
     cycle_words,
-    generate,
     head_words,
     layer_partners,
     matchings,
     net_of,
     render_sentence,
+    sentence_class_size,
     sentence_of,
     sentences,
     stick_words,
@@ -72,8 +72,9 @@ def test_saturated_layer_count_formula_matches_enumeration():
     # n = 12 and 13 reach past the oracle range of the sn stream test below
     for n in range(3, 14):
         want = saturated_layer_count(n)
-        assert saturated_layer_count(n, by_enumeration=True) == want
-        assert saturated_layer_count(n, classes=list(sentences(n, "rsn"))) == want
+        assert sum(1 for _ in saturated_layers(n)) == want
+        # the S column sums the same class sizes over its own rsn walk
+        assert counts(n).s == want
 
 
 def test_sn_generator_matches_is_saturated():
@@ -81,10 +82,10 @@ def test_sn_generator_matches_is_saturated():
     for n in range(2, 12):
         fl = first_layer(n)
         want = [l2 for l2 in matchings(n) if is_saturated(Network(n, (fl, l2)))]
-        assert list(generate(n, "sn")) == want
+        assert list(saturated_layers(n)) == want
     for n in (0, 1):
         with pytest.raises(ValueError):
-            generate(n, "sn")   # eagerly, before the first layer is drawn
+            saturated_layers(n)   # eagerly, before the first layer is drawn
 
 
 def test_sn_walk_tests_only_layers_p1_p2_leave_open(monkeypatch):
@@ -232,7 +233,7 @@ def test_embeddings_cache_agrees_with_the_function():
             head_words(L) + stick_words(L) + cycle_words(L, include_redundant=True)]
     for _ in range(2):
         for w in pool:
-            assert saturation._embeddings(w) == saturation._embeddings.__wrapped__(w)
+            assert words._embeddings(w) == words._embeddings.__wrapped__(w)
 
 
 def test_sn_walk_hands_weak_spot_the_partner_map(monkeypatch):
