@@ -157,7 +157,7 @@ def _usage_error(args) -> str | None:
             return f"--set {args.set} needs --n >= {least}"
         most = words_mod._LIMITS["s"]
         if args.set == "sn" and args.n > most:
-            # past the stream limit sn prints |S_n|, which is counted only up to here
+            # past the stream limit sn prints |S_n|, up to the table's last S row
             return f"--set sn needs --n <= {most}, got {args.n}"
         return None
     if args.command in ("encode", "find", "prove"):

@@ -7,12 +7,15 @@ escaping every permuted copy of its output set.  Saturated prefixes are
 exactly the ones worth keeping when searching for depth-optimal sorting
 networks.
 
-One structural test, _weak_spot, decides both from the two layers and
-their partner maps; is_saturated, saturate and the sn set all call it.  A
-network is redundant when a second-layer comparator joins the two channels
-of a first-layer comparator.  Otherwise it is unsaturated exactly when it
-shows one of the forbidden patterns of Fig. 7, where "free" means untouched
-by the second layer:
+One structural test, _weak_spot, decides both from the first layer's facts
+(_first_layer_facts: its partner map, its min channels, its min and max
+channels in order and the channels it leaves out) and the second layer
+with its partner map.  is_saturated, saturate and the sn set all call it,
+and each builds the facts once: the sn walk once for all of its leaves.
+A network is redundant when a second-layer comparator joins the two
+channels of a first-layer comparator.  Otherwise it is unsaturated exactly
+when it shows one of the forbidden patterns of Fig. 7, where "free" means
+untouched by the second layer:
 
 * P1 (a, b, c): a channel untouched by both layers, and a first-layer
   comparator with a free end;
@@ -26,8 +29,9 @@ permutation (n <= 8), is its oracle: the two agree on every second layer
 over F_n for n <= 7 (tested).
 
 saturated_layers walks the saturated second layers over F_n (the sn set),
-and saturated_layer_count counts them from their sentence classes with
-words.sentence_class_size, without the walk.
+and saturated_layer_count counts them with words.rsn_count, which sums
+words.sentence_class_size over the saturated sentence classes without
+listing them.
 
 Naming follows the subsumption convention of the source theory: C_b
 subsumes C_a when outputs(C_b) is contained in some permuted copy of
@@ -37,7 +41,7 @@ outputs(C_a), i.e. the *subsuming* network is the stronger filter.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import words as words_mod
 from .networks import Layer, Network, first_layer, outputs
@@ -193,7 +197,7 @@ def is_saturated(net: Network) -> bool:
     """
     l1p, l2p = words_mod.two_layer_partners(net)
     l2 = net.layers[1] if net.depth == 2 else ()
-    return _weak_spot(net.n, net.layers[0], l2, l1p, l2p) is None
+    return _weak_spot(_first_layer_facts(net.n, net.layers[0], l1p), l2, l2p) is None
 
 
 def saturated_layers(n: int) -> Iterator[Layer]:
@@ -222,11 +226,13 @@ def saturated_layers(n: int) -> Iterator[Layer]:
     order.  At n = 12 it tests 29 794 leaves instead of 140 152.  The
     second layer's partner map is kept with the walk: an entry pair is set
     when a comparator is joined and deleted when it is taken back, so each
-    leaf hands _weak_spot the map of its layer without building one.
+    leaf hands _weak_spot the map of its layer without building one, next
+    to F_n's facts, which the walk builds once.
     Raises ValueError for n < 2 at the call, not at the first item.
     """
     fl = first_layer(n)
     l1p = words_mod.layer_partners(fl)
+    facts = _first_layer_facts(n, fl, l1p)
     acc: list[tuple[int, int]] = []
     l2p: dict[int, int] = {}    # the partner map of acc, kept with it
 
@@ -236,7 +242,7 @@ def saturated_layers(n: int) -> Iterator[Layer]:
         # far, each channel once, so P2 allows none of them or the partner
         if not avail:
             l2 = tuple(acc)
-            if _weak_spot(n, fl, l2, l1p, l2p) is None:
+            if _weak_spot(facts, l2, l2p) is None:
                 yield l2
             return
         v, rest = avail[0], avail[1:]
@@ -298,12 +304,14 @@ def is_saturated_semantic(net: Network) -> bool:
 def saturated_layer_count(n: int) -> int:
     """Number of second layers over F_n whose two-layer network is saturated.
 
-    Sums words.sentence_class_size over the saturated sentence classes,
-    words.sentences(n, "rsn"): each class counts the second layers that
-    embed its words in F_n's comparator pairs.  Counting the saturated_layers
-    walk gives the same number (tested).
+    The sum of words.sentence_class_size over the saturated sentence
+    classes, rsn: each class counts the second layers that embed its words
+    in F_n's comparator pairs.  words.rsn_count counts that sum without
+    listing rsn, the same code path as the S column of words.counts.
+    Counting the saturated_layers walk gives the same number, and so does
+    the sum over words.sentences(n, "rsn") (tested).
     """
-    return sum(map(words_mod.sentence_class_size, words_mod.sentences(n, "rsn")))
+    return words_mod.rsn_count(n, weighted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +325,45 @@ def _repeated(l2, l1p: dict[int, int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _weak_spot(n: int, l1, l2, l1p: dict[int, int], l2p: dict[int, int]) -> Optional[tuple[int, int]]:
+class _FirstLayer(NamedTuple):
+    """What _weak_spot reads of a first layer, built once for every second
+    layer that is tested over it."""
+    pairs: Layer                # the comparators, in layer order
+    partner: dict[int, int]     # channel -> the channel it is joined to
+    mins: frozenset[int]        # the min channel of each comparator
+    min_order: tuple[int, ...]  # the min channels, ascending
+    max_order: tuple[int, ...]  # the max channels, ascending
+    free: tuple[int, ...]       # the channels outside the layer, ascending
+
+
+def _first_layer_facts(n: int, l1: Layer, l1p: dict[int, int]) -> _FirstLayer:
+    mins = frozenset(i for i, j in l1)
+    return _FirstLayer(l1, l1p, mins, tuple(sorted(mins)), tuple(sorted(j for i, j in l1)),
+                       tuple(ch for ch in range(1, n + 1) if ch not in l1p))
+
+
+def _weak_spot(first: _FirstLayer, l2, l2p: dict[int, int]) -> Optional[tuple[int, int]]:
     """The first reason two layers are not saturated, or None when they are.
 
-    Takes the raw layers and their partner maps (channel -> the channel it
-    is joined to in that layer), so callers that sweep many second layers
-    over one first layer build no Network per layer.  A second-layer
-    comparator joining the two channels of a first-layer one (the word 12_c)
-    is returned as it stands: the layers are redundant.  Otherwise the result
-    is the addition that fixes the first forbidden pattern found, P1 before
-    P2 before P3 (see the module docstring).
+    Takes the first layer's facts, the raw second layer and its partner map
+    (channel -> the channel it is joined to), so callers that sweep many
+    second layers over one first layer build no Network per layer and read
+    the first layer once.  A second-layer comparator joining the two
+    channels of a first-layer one (the word 12_c) is returned as it stands:
+    the layers are redundant.  Otherwise the result is the addition that
+    fixes the first forbidden pattern found, P1 before P2 before P3 (see the
+    module docstring).
     """
+    l1, l1p, l1min, min_order, max_order, free = first
     repeat = _repeated(l2, l1p)
     if repeat is not None:
         return repeat
-    unused2 = [ch for ch in range(1, n + 1) if ch not in l2p]
-    free = [ch for ch in unused2 if ch not in l1p]
-    l1min = {i for i, j in l1}
 
+    # P1 reads the lowest free channel left out of layer 2: if no pair
+    # fires on it, none fires on a higher one
     for c in free:
+        if c in l2p:
+            continue
         for a, b in l1:
             if a in l2p and b not in l2p:
                 return (c, b)      # P1a: min to the free channel
@@ -343,13 +371,13 @@ def _weak_spot(n: int, l1, l2, l1p: dict[int, int], l2p: dict[int, int]) -> Opti
                 return (a, c)      # P1b: min to the first-layer min
             if a not in l2p and b not in l2p:
                 return (a, c)      # P1c: either fix applies
-    for a in unused2:
-        if a not in l1p or a not in l1min:
+        break
+    for a in min_order:
+        if a in l2p:
             continue
-        for d in unused2:
-            if d not in l1p or d in l1min or l1p[a] == d:
-                continue
-            return (a, d)          # P2
+        for d in max_order:
+            if d not in l2p and l1p[a] != d:
+                return (a, d)      # P2
     for i, j in l2:
         oi, oj = l1p.get(i), l1p.get(j)
         if oi is None or oj is None:
@@ -373,8 +401,9 @@ def saturate(net: Network) -> Network:
     """
     l1p, _ = words_mod.two_layer_partners(net)
     l1 = net.layers[0]
+    facts = _first_layer_facts(net.n, l1, l1p)
     l2 = [c for c in (net.layers[1] if net.depth == 2 else ()) if l1p.get(c[0]) != c[1]]
-    while (fix := _weak_spot(net.n, l1, l2, l1p, words_mod.layer_partners(l2))) is not None:
+    while (fix := _weak_spot(facts, l2, words_mod.layer_partners(l2))) is not None:
         l2 = sorted(l2 + [fix])
     return Network(net.n, (l1, tuple(l2)), generalized=any(i > j for i, j in l2))
 

@@ -13,24 +13,29 @@ take the lexicographically smaller reading direction; cycles minimize over
 all rotations that start with a first-layer comparator, in both directions.
 
 The module also walks the prefix sets rgn, rsn, rn (sentences) and gn
-(matchings), and counts the table rows (counts): sentence_class_size, the
-number of second layers over F_n behind a sentence, gives the S column.
+(matchings), and counts the table rows (counts) without walking them:
+integer dynamic programs over the same word pools give RG and RS as
+numbers of multisets, S as the sum of sentence_class_size (the number of
+second layers over F_n behind a sentence) over rsn, and R as the number
+of reflection orbits of rsn.  The walks stay as the tests' references.
 The sn set lives in saturation, which imports this module, not back.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Optional
 
 from .networks import Layer, Network, first_layer
 
 _TAG_ORDER = {"h": 0, "s": 1, "c": 2}
+_PAIRS = re.compile("(?:12|21)*")
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ def _validate_symbols(tag: str, s: str) -> None:
         body = s
     if len(body) % 2:
         raise ValueError(f"malformed word {s!r}: odd pair part")
-    if any(body[k:k + 2] not in ("12", "21") for k in range(0, len(body), 2)):
+    if not _PAIRS.fullmatch(body):
         raise ValueError(f"malformed word {s!r}: pairs must be 12 or 21")
     if tag == "c" and not s.startswith("12"):
         raise ValueError(f"cycle word must start with 12, got {s!r}")
@@ -326,8 +331,7 @@ def is_asymmetric(w: Word) -> bool:
 # word pools
 
 def _pair_strings(pairs: int) -> Iterator[str]:
-    for combo in itertools.product("12", repeat=pairs):
-        yield "".join("12" if c == "1" else "21" for c in combo)
+    return map("".join, itertools.product(("12", "21"), repeat=pairs))
 
 
 @lru_cache(maxsize=None)
@@ -357,17 +361,16 @@ def stick_words(length: int, mode: str = "all") -> tuple[Word, ...]:
         return ()
     if length == 2:
         return (Word("s", "12"),)
-    out = set()
-    for body in _pair_strings(length // 2):
-        w = stick_canonical(body)
-        if mode in ("sat", "refl") and length == 4:
-            continue
-        if mode == "sat" and w[0] != w[-1]:
-            continue
-        if mode == "refl" and not (w.startswith("21") and w.endswith("12")):
-            continue
-        out.add(w)
-    return tuple(Word("s", w) for w in sorted(out))
+    if mode == "all":
+        canonical = {stick_canonical(body) for body in _pair_strings(length // 2)}
+        return tuple(Word("s", w) for w in sorted(canonical))
+    # the grammars filter the full pool, which keeps its order
+    if length == 4:
+        return ()
+    if mode == "sat":
+        return tuple(w for w in stick_words(length) if w.symbols[0] == w.symbols[-1])
+    return tuple(w for w in stick_words(length)
+                 if w.symbols.startswith("21") and w.symbols.endswith("12"))
 
 
 @lru_cache(maxsize=None)
@@ -377,6 +380,8 @@ def cycle_words(length: int, include_redundant: bool = False) -> tuple[Word, ...
         return ()
     if length == 2:
         return (Word("c", "12"),) if include_redundant else ()
+    if include_redundant:
+        return cycle_words(length)
     out = {cycle_canonical("12" + body) for body in _pair_strings(length // 2 - 1)}
     return tuple(Word("c", w) for w in sorted(out))
 
@@ -531,40 +536,161 @@ class CountsRow:
     a: Optional[int] = None
 
 
+# the last row each column is printed for; S and RS share "s", which also
+# bounds gen --set sn.  Every column is counted, so these hold the table's
+# shape, not a cost.
+_LIMITS = {"rg": 24, "s": 24, "r": 24, "a": 40}
+
+
+def _multisets(k: int, items: Iterable[tuple[int, int]]) -> list[int]:
+    """ways[t], t <= k: the multisets of word kinds with t pairs in all,
+    where items lists (pairs per word, kinds) and every kind is unbounded."""
+    ways = [1] + [0] * k
+    for m, kinds in items:
+        if kinds and m <= k:
+            # j words of m pairs form C(kinds + j - 1, j) multisets; going
+            # downwards, ways[r - j * m] still leaves this item out
+            for r in range(k, m - 1, -1):
+                ways[r] += sum(comb(kinds + j - 1, j) * ways[r - j * m]
+                               for j in range(1, r // m + 1))
+    return ways
+
+
+def _labelled(k: int, items: Iterable[tuple[int, int]]) -> list[int]:
+    """f[t], t <= k: sentence_class_size summed over the multisets of words
+    with t pairs in all, where items lists (pairs per word, embeddings).
+
+    The class size is t! times a product over the words, so f[t] is t! times
+    the coefficient of x^t in exp(sum of c_m x^m / m!), c_m the embeddings of
+    the words of m pairs: f[t] = sum over m of C(t - 1, m - 1) c_m f[t - m].
+    """
+    c = [0] * (k + 1)
+    for m, embeddings in items:
+        if m <= k:
+            c[m] += embeddings
+    f = [1] + [0] * k
+    for t in range(1, k + 1):
+        f[t] = sum(comb(t - 1, m - 1) * c[m] * f[t - m] for m in range(1, t + 1))
+    return f
+
+
 def _rg_count(n: int) -> int:
     """|R(G_n)| without the rgn walk.
 
     The rgn rule accepts every multiset of its words with at most one head,
-    so count instead of listing: ways[r] counts the multisets of sticks and
-    cycles on r channels, each word kind an unbounded item, and a sentence
-    adds at most one head word to such a multiset.
+    so count instead of listing: ways[t] counts the multisets of sticks and
+    cycles on t first-layer pairs, and an odd n adds its one head, of any
+    length, to such a multiset.
     """
-    ways = [1] + [0] * n
-    for length in range(2, n + 1, 2):
-        kinds = len(stick_words(length, "all")) + len(cycle_words(length, include_redundant=True))
-        for _ in range(kinds):
-            for r in range(length, n + 1):
-                ways[r] += ways[r - length]
-    return ways[n] + sum(len(head_words(h)) * ways[n - h] for h in range(1, n + 1, 2))
+    k = n // 2
+    items = [(m, len(stick_words(2 * m)) + len(cycle_words(2 * m, include_redundant=True)))
+             for m in range(1, k + 1)]
+    ways = _multisets(k, items)
+    if n % 2 == 0:
+        return ways[k]
+    return sum(len(head_words(2 * m + 1)) * ways[k - m] for m in range(k + 1))
 
 
-# feasibility guards: generation cost grows quickly past these; S and RS
-# come from one rsn walk and share the "s" guard
-_LIMITS = {"rg": 24, "s": 24, "r": 24, "a": 40}
+@lru_cache(maxsize=None)
+def _rsn_kinds(length: int) -> dict[str, tuple[int, int]]:
+    """The rsn words of one length by kind, each kind as (words, embeddings),
+    the embeddings summed over _embeddings: "c" cycles, "sym" the symmetric
+    cycles, "h1"/"h2" heads and "s1"/"s2" sticks of length >= 3 by their
+    last symbol.  The plain words 0_h and 12_s are left to the caller."""
+    kinds: dict[str, list[Word]] = {}
+    if length % 2:
+        for w in head_words(length) if length >= 3 else ():
+            kinds.setdefault("h" + w.symbols[-1], []).append(w)
+    else:
+        for w in stick_words(length, "sat") if length >= 3 else ():
+            kinds.setdefault("s" + w.symbols[-1], []).append(w)
+        kinds["c"] = list(cycle_words(length))
+        kinds["sym"] = [w for w in kinds["c"] if not is_asymmetric(w)]
+    return {kind: (len(ws), sum(_embeddings(w)[1] for w in ws)) for kind, ws in kinds.items()}
+
+
+def rsn_count(n: int, weighted: bool = False) -> int:
+    """|rsn| on n channels, or with weighted the sum of sentence_class_size
+    over rsn, |S_n|, counted from the word pools without a walk.
+
+    An rsn sentence is one of: at most one head and any sticks and cycles,
+    every head or stick of length >= 3 ending in the same symbol; or one
+    plain word, 0_h or 12_s, and cycles (_sat_multiset_ok).  So count the
+    sentences whose long words all end in 1, add those that all end in 2,
+    take off the cycles-only ones that both counted, and add the plain
+    ones.  The counts run over the n // 2 first-layer pairs: an odd n has
+    exactly one head, which takes its pairs from the rest.
+    """
+    k = n // 2
+    table = _labelled if weighted else _multisets
+    pick = 1 if weighted else 0     # a kind's embeddings, or its words
+
+    def one_word_and(m: int, kind: tuple[int, int], rest: list[int]) -> int:
+        # one word of m pairs, of a kind of (words, embeddings), next to the rest
+        if m > k:
+            return 0
+        return comb(k, m) * kind[1] * rest[k - m] if weighted else kind[0] * rest[k - m]
+
+    # a cycle or stick of m pairs has length 2m, a head 2m + 1
+    even = [(m, _rsn_kinds(2 * m)) for m in range(2, k + 1)]
+    cycles = [(m, kinds["c"][pick]) for m, kinds in even]
+    total = 0
+    for end in "12":
+        rest = table(k, cycles + [(m, kinds.get("s" + end, (0, 0))[pick]) for m, kinds in even])
+        if n % 2:
+            total += sum(one_word_and(m, _rsn_kinds(2 * m + 1)["h" + end], rest)
+                         for m in range(1, k + 1))
+        else:
+            total += rest[k]
+    cyc = table(k, cycles)
+    # the plain word of n's parity, 0_h or 12_s, next to cycles
+    plain = head_words(1)[0] if n % 2 else stick_words(2, "sat")[0]
+    m, embeddings = _embeddings(plain)
+    total += one_word_and(m, (1, embeddings), cyc)
+    # an even n counted the cycles alone once for each end
+    return total if n % 2 else total - cyc[k]
+
+
+def _self_reflected_count(n: int) -> int:
+    """The rsn sentences on n channels that equal their own reflection.
+
+    A head or stick of length >= 3 never equals its reflection, whose last
+    symbol is the other one, and the end rule forbids a sentence to hold
+    both; 0_h, 12_s and the symmetric cycles are their own reflections.  So
+    these are the multisets of symmetric cycles and of pairs of an
+    asymmetric cycle with its reflection, alone or next to 0_h or 12_s.
+    """
+    k = n // 2
+    items = []
+    for m in range(2, k + 1):
+        kinds = _rsn_kinds(2 * m)
+        items.append((m, kinds["sym"][0]))
+        items.append((2 * m, (kinds["c"][0] - kinds["sym"][0]) // 2))
+    ways = _multisets(k, items)
+    # an odd n holds 0_h and cycles; an even n cycles alone, or 12_s and cycles
+    return ways[k] if n % 2 else ways[k] + (ways[k - 1] if k else 0)
 
 
 def counts(n: int) -> CountsRow:
-    """Count table row for channel count n; columns beyond their limit are None."""
+    """Count table row for channel count n; columns beyond their limit are None.
+
+    No column lists sentences.  RG counts the multisets of rgn words
+    (_rg_count), S and RS count rsn (rsn_count), and R is the number of
+    reflection orbits of rsn, by Burnside's lemma (RS + F) / 2, where F
+    counts the rsn sentences that equal their own reflection
+    (_self_reflected_count).  R equals |rn|, the length of the published
+    reflection grammar's walk, on every row the table prints (tested).  As
+    an orbit count it does not depend on which sentence of each orbit rn
+    keeps, so it stays whatever representatives the prefix set comes to use.
+    """
     kw = {}
     if 3 <= n <= _LIMITS["rg"]:
         kw["rg"] = _rg_count(n)
     if 3 <= n <= _LIMITS["s"]:
-        # one rsn walk feeds both columns: S sums the class sizes, RS counts them
-        rsn = list(sentences(n, "rsn"))
-        kw["s"] = sum(map(sentence_class_size, rsn))
-        kw["rs"] = len(rsn)
+        kw["s"] = rsn_count(n, weighted=True)
+        kw["rs"] = rsn_count(n)
     if 3 <= n <= _LIMITS["r"]:
-        kw["r"] = sum(1 for _ in sentences(n, "rn"))
+        kw["r"] = (rsn_count(n) + _self_reflected_count(n)) // 2
     if n % 2 == 0 and 4 <= n <= _LIMITS["a"]:
         kw["a"] = asymmetric_cycle_count(n)
     return CountsRow(n=n, g=telephone(n), **kw)

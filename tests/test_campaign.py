@@ -591,6 +591,17 @@ def test_cli_gen_counts_past_the_stream_limit(capsys):
     assert capsys.readouterr().out == f"{telephone(17)}\n"
 
 
+def test_cli_gen_counts_sn_without_a_walk(capsys, monkeypatch):
+    # up to the last counted row, sn past the stream limit lists no sentence
+    def walk(*args):
+        raise AssertionError("gen walked rsn")
+
+    monkeypatch.setattr(cli.words_mod, "sentences", walk)
+    monkeypatch.setattr(cli.words_mod, "_sentence_walk", walk)
+    assert cli.main(["gen", "--n", "24", "--set", "sn"]) == 0
+    assert capsys.readouterr().out == "1675542054592\n"
+
+
 def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
     # a fake walk looks at the --out file part-way through: the lines it
     # yielded earlier must be there already, not joined up for the end

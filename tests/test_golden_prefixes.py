@@ -33,6 +33,13 @@ TABLES = {
     "diff": "12527596eac086968e931393a71a42338252dad1a0c402a8228896a0d3ed1687",
 }
 
+# the same for --max-n 24, the last row of the S, RS and R columns; recorded
+# while those columns were still walked
+TABLES_24 = {
+    "csv": "44fb250401ef97291d4765205144919d2f73d24c183fa00d9c66d2c5ee4f173c",
+    "diff": "12527596eac086968e931393a71a42338252dad1a0c402a8228896a0d3ed1687",
+}
+
 
 @pytest.mark.parametrize("kind", sorted(SENTENCES))
 def test_golden_sentence_streams(kind):
@@ -55,3 +62,10 @@ def test_golden_cli_tables(capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == TABLES["csv"]
     assert hashlib.sha256(captured.err.encode()).hexdigest() == TABLES["diff"]
+
+
+def test_golden_cli_tables_24(capsys):
+    assert cli.main(["tables", "--max-n", "24", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == TABLES_24["csv"]
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == TABLES_24["diff"]

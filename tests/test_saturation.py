@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -43,7 +44,8 @@ from sortnetopt.words import (
 ])
 def test_weak_spot_fixes_each_fig7_pattern(n, l2, fix):
     fl = first_layer(n)
-    assert _weak_spot(n, fl, l2, layer_partners(fl), layer_partners(l2)) == fix
+    facts = saturation._first_layer_facts(n, fl, layer_partners(fl))
+    assert _weak_spot(facts, l2, layer_partners(l2)) == fix
     net = Network(n, (fl, l2))
     assert not is_saturated(net)
     assert not is_saturated_semantic(net)
@@ -73,7 +75,7 @@ def test_saturated_layer_count_formula_matches_enumeration():
     for n in range(3, 14):
         want = saturated_layer_count(n)
         assert sum(1 for _ in saturated_layers(n)) == want
-        # the S column sums the same class sizes over its own rsn walk
+        # the S column counts the same sum on the same path
         assert counts(n).s == want
 
 
@@ -93,9 +95,9 @@ def test_sn_walk_tests_only_layers_p1_p2_leave_open(monkeypatch):
     # layer that a repeated comparator, P1 or P2 on its left-out channels rejects
     tested = []
 
-    def counting(n, l1, l2, l1p, l2p):
+    def counting(first, l2, l2p):
         tested.append(l2)
-        return real(n, l1, l2, l1p, l2p)
+        return real(first, l2, l2p)
 
     real = saturation._weak_spot
     monkeypatch.setattr(saturation, "_weak_spot", counting)
@@ -241,9 +243,9 @@ def test_sn_walk_hands_weak_spot_the_partner_map(monkeypatch):
     # the map of that leaf's layer
     maps = []
 
-    def checking(n, l1, l2, l1p, l2p):
+    def checking(first, l2, l2p):
         maps.append(l2p == layer_partners(l2))
-        return real(n, l1, l2, l1p, l2p)
+        return real(first, l2, l2p)
 
     real = saturation._weak_spot
     monkeypatch.setattr(saturation, "_weak_spot", checking)
@@ -258,3 +260,30 @@ def test_verify_conjecture_report():
     assert verify_conjecture(4, report=lines)
     assert sorted(lines) == sorted([
         "1212_c,1221_c,incomparable", "1221_c,1212_c,incomparable"])
+
+
+# SHA-256 of _weak_spot's result for every second layer over F_n, n = 2..9,
+# and of saturate and is_saturated for every second layer over two maximal
+# first layers other than F_n; both were recorded before the first layer's
+# facts were built once per walk, and must never be regenerated
+WEAK_SPOT_DIGEST = "944054949428454d3939d21afa40963cc702370fae646450d4ed215ae423903c"
+SATURATE_DIGEST = "781e66c48c92c10567f38aeeed1ee540ece3ae5405ef1349cb574e2c3f03776d"
+
+
+def test_weak_spot_results_are_pinned():
+    h = hashlib.sha256()
+    for n in range(2, 10):
+        fl = first_layer(n)
+        facts = saturation._first_layer_facts(n, fl, layer_partners(fl))
+        for l2 in matchings(n):
+            h.update(f"{n} {l2} {_weak_spot(facts, l2, layer_partners(l2))}\n".encode())
+    assert h.hexdigest() == WEAK_SPOT_DIGEST
+
+
+def test_saturate_results_are_pinned():
+    h = hashlib.sha256()
+    for n, fl in ((6, ((1, 4), (2, 6), (3, 5))), (7, ((1, 7), (2, 3), (4, 6)))):
+        for l2 in matchings(n):
+            net = Network(n, (fl, l2))
+            h.update(f"{n} {l2} {saturate(net).layers} {is_saturated(net)}\n".encode())
+    assert h.hexdigest() == SATURATE_DIGEST

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sortnetopt import words
 from sortnetopt.networks import Network, first_layer, network, reflect
 from sortnetopt.words import (
     Word,
@@ -21,6 +22,7 @@ from sortnetopt.words import (
     reflect_sentence,
     reflect_word,
     render_sentence,
+    rsn_count,
     sentence_class_size,
     sentence_of,
     sentences,
@@ -281,3 +283,36 @@ def test_rg_count_matches_the_walk():
     # the RG column is counted, not listed; the rgn walk stays the reference
     for n in range(3, 17):
         assert counts(n).rg == sum(1 for _ in sentences(n, "rgn")), n
+
+
+def test_rsn_columns_match_their_walks():
+    # S, RS and R are counted, not listed; the rsn and rn walks stay the
+    # references, over every row the table prints
+    for n in range(3, words._LIMITS["s"] + 1):
+        rsn = list(sentences(n, "rsn"))
+        row = counts(n)
+        assert row.s == rsn_count(n, weighted=True) == sum(map(sentence_class_size, rsn)), n
+        assert row.rs == rsn_count(n) == len(rsn), n
+        assert row.r == sum(1 for _ in sentences(n, "rn")), n
+
+
+def test_r_column_counts_the_reflection_orbits_of_rsn():
+    # Burnside: the orbits of reflection on rsn number (RS + F) / 2, F the
+    # sentences that equal their own reflection
+    for n in range(3, 17):
+        rsn = set(sentences(n, "rsn"))
+        assert all(reflect_sentence(s) in rsn for s in rsn), n
+        orbits = {frozenset((s, reflect_sentence(s))) for s in rsn}
+        fixed = sum(1 for s in rsn if reflect_sentence(s) == s)
+        assert words._self_reflected_count(n) == fixed, n
+        assert counts(n).r == len(orbits), n
+
+
+def test_counts_lists_no_sentences(monkeypatch):
+    def walk(*args):
+        raise AssertionError("counts walked sentences")
+
+    monkeypatch.setattr(words, "sentences", walk)
+    monkeypatch.setattr(words, "_sentence_walk", walk)
+    rows = [counts(n) for n in range(3, 21)]
+    assert (rows[-1].s, rows[-1].rs, rows[-1].r) == (2788120736, 1478, 894)
