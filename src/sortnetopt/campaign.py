@@ -10,6 +10,28 @@ Window padding shrinks instances: UNSAT on the padded subset already
 implies UNSAT on the full input set, while a SAT verdict under padding is
 inconclusive and moves the task on to the next pad.
 
+Why an UNSAT for every prefix of R_n proves T(n) > d: if a depth-d
+sorting network on n channels exists, so does one whose first two layers
+are a prefix of R_n, in four steps.
+1. First layer: it can be taken maximal, and all maximal layers are equal
+   up to a channel permutation, so take F_n (Parberry, 1991; the source
+   paper, Bundala et al., arXiv:1412.5302).
+2. Saturation: the first two layers C are subsumed by a saturated prefix
+   C' over F_n, outputs(C') inside pi(outputs(C)), so C' extends to depth
+   d too (the source paper; the subsumption lemma of Codish, Cruz-Filipe,
+   Frank and Schneider-Kamp, JCSS 2016, whose witness pi can be checked).
+3. Channel permutation: C' is a permuted copy of net_of(s), s its
+   sentence in rsn, and a permuted network untangles into a standard one
+   of the same depth (the source paper; sentence_of is a complete
+   invariant, tested).
+4. Reflection: the mirror image of a sorting network sorts, and
+   reflection maps rsn onto itself, so the member of the orbit of s that
+   R_n keeps extends too (the source paper; rn keeps exactly one member
+   of every orbit, tested for n = 3..16).
+Tier-1 checks steps 2 to 4 together for n <= 7: every second layer over
+F_n is subsumed by a prefix of R_n or by its reflection, each witness pi
+checked.
+
 Tasks start in order of their prefix's number of unsorted outputs, fewest
 first (the "fewest-outputs" ordering): that prefix leaves the fewest
 inputs to sort, and for n = 5..11 it is SAT at depth T(n), so a depth
@@ -84,7 +106,8 @@ Task = tuple[Optional[int], Optional[Network]]   # (prefix index, prefix)
 
 
 def two_layer_prefixes(n: int) -> list[Network]:
-    """The complete filter set R_n as networks, in canonical sentence order."""
+    """The filter set R_n as networks, one prefix for each reflection orbit
+    of the saturated classes rsn, in canonical sentence order."""
     return list(_filter_set(n))
 
 

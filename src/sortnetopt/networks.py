@@ -152,21 +152,6 @@ def evaluate(net: Network, x: Sequence) -> tuple:
     return tuple(vals)
 
 
-def evaluate_trace(net: Network, x: Sequence) -> list[tuple]:
-    """All intermediate value vectors, level 0 (input) through level depth."""
-    if len(x) != net.n:
-        raise ChannelCountError(f"input has {len(x)} entries, network has {net.n} channels")
-    vals = list(x)
-    trace = [tuple(vals)]
-    for layer in net.layers:
-        for i, j in layer:
-            a, b = vals[i - 1], vals[j - 1]
-            if a > b:
-                vals[i - 1], vals[j - 1] = b, a
-        trace.append(tuple(vals))
-    return trace
-
-
 def evaluate_bits(net: Network, x: int) -> int:
     """Evaluate one packed Boolean vector: an int or a numpy integer scalar,
     such as a member of unsorted_inputs(n)."""

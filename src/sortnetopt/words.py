@@ -13,11 +13,13 @@ take the lexicographically smaller reading direction; cycles minimize over
 all rotations that start with a first-layer comparator, in both directions.
 
 The module also walks the prefix sets rgn, rsn, rn (sentences) and gn
-(matchings), and counts the table rows (counts) without walking them:
-integer dynamic programs over the same word pools give RG and RS as
-numbers of multisets, S as the sum of sentence_class_size (the number of
-second layers over F_n behind a sentence) over rsn, and R as the number
-of reflection orbits of rsn.  The walks stay as the tests' references.
+(matchings).  rn, the prefix set R_n of the campaigns, is the rsn walk
+keeping one member of each reflection orbit.  counts gives the table rows
+without walking them: integer dynamic programs over the same word pools
+give RG and RS as numbers of multisets, S as the sum of
+sentence_class_size (the number of second layers over F_n behind a
+sentence) over rsn, and R as the number of reflection orbits of rsn.  The
+walks stay as the tests' references.
 The sn set lives in saturation, which imports this module, not back.
 """
 
@@ -335,18 +337,14 @@ def _pair_strings(pairs: int) -> Iterator[str]:
 
 
 @lru_cache(maxsize=None)
-def head_words(length: int, refl: bool = False) -> tuple[Word, ...]:
-    """Head words of a given odd length; refl keeps only '0' and oHeads (...21)."""
+def head_words(length: int) -> tuple[Word, ...]:
+    """Head words of a given odd length."""
     if length % 2 == 0 or length < 1:
         return ()
     if length == 1:
         return (Word("h", "0"),)
-    out = []
-    for body in _pair_strings((length - 1) // 2):
-        if refl and not body.endswith("21"):
-            continue
-        out.append(Word("h", "0" + body))
-    return tuple(sorted(out, key=Word.sort_key))
+    return tuple(sorted((Word("h", "0" + body) for body in _pair_strings((length - 1) // 2)),
+                        key=Word.sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -354,8 +352,7 @@ def stick_words(length: int, mode: str = "all") -> tuple[Word, ...]:
     """Canonical stick words of a given even length.
 
     mode 'all': every canonical stick; 'sat': the saturated grammar (plain
-    12, or length >= 6 beginning and ending with the same symbol); 'refl':
-    saturated sticks that survive reflection filtering (12 and oSticks).
+    12, or length >= 6 beginning and ending with the same symbol).
     """
     if length % 2 or length < 2:
         return ()
@@ -364,13 +361,10 @@ def stick_words(length: int, mode: str = "all") -> tuple[Word, ...]:
     if mode == "all":
         canonical = {stick_canonical(body) for body in _pair_strings(length // 2)}
         return tuple(Word("s", w) for w in sorted(canonical))
-    # the grammars filter the full pool, which keeps its order
+    # the saturated grammar filters the full pool, which keeps its order
     if length == 4:
         return ()
-    if mode == "sat":
-        return tuple(w for w in stick_words(length) if w.symbols[0] == w.symbols[-1])
-    return tuple(w for w in stick_words(length)
-                 if w.symbols.startswith("21") and w.symbols.endswith("12"))
+    return tuple(w for w in stick_words(length) if w.symbols[0] == w.symbols[-1])
 
 
 @lru_cache(maxsize=None)
@@ -407,44 +401,37 @@ def _sat_multiset_ok(words: tuple[Word, ...]) -> bool:
     return len(ends) <= 1 and _plain_rule_ok(words)
 
 
-def _refl_multiset_ok(words: tuple[Word, ...]) -> bool:
-    # the published filter sets keep every reflection-grammar sentence and
-    # break ties only on asymmetric cycles, so no end-matching rule here
-    if not _plain_rule_ok(words):
-        return False
-    if any(w.tag in "hs" and len(w) >= 3 for w in words):
-        return True
-    asym_by_len: dict[int, set[Word]] = {}
-    for w in words:
-        if w.tag == "c" and is_asymmetric(w):
-            asym_by_len.setdefault(len(w), set()).add(w)
-    for length in sorted(asym_by_len):
-        if len(asym_by_len[length]) == 1:
-            (w,) = asym_by_len[length]
-            return w.symbols < reflect_word(w).symbols
-    return True
-
-
 _POOLS = {
     "rgn": (lambda L: head_words(L), lambda L: stick_words(L, "all"),
             lambda L: cycle_words(L, include_redundant=True), lambda ws: True),
     "rsn": (lambda L: head_words(L), lambda L: stick_words(L, "sat"),
             lambda L: cycle_words(L), _sat_multiset_ok),
-    "rn": (lambda L: head_words(L, refl=True), lambda L: stick_words(L, "refl"),
-           lambda L: cycle_words(L), _refl_multiset_ok),
 }
 
 
 def sentences(n: int, kind: str) -> Iterator[Sentence]:
     """All canonical sentences on n channels for kind rgn / rsn / rn.
 
+    rn, the prefix set R_n, keeps one member of each reflection orbit of
+    rsn: the sentence s with _orbit_key(s) <= _orbit_key(reflect_sentence(s)).
     Emitted in canonical order (lexicographic on the word keys), which
     fixes the prefix indices used by campaign reports.  Raises ValueError
     for an unknown kind at the call, not at the first item.
     """
+    if kind == "rn":
+        return (s for s in _sentence_walk(n, *_POOLS["rsn"])
+                if _orbit_key(s) <= _orbit_key(reflect_sentence(s)))
     if kind not in _POOLS:
         raise ValueError(f"unknown sentence kind {kind!r}")
     return _sentence_walk(n, *_POOLS[kind])
+
+
+def _orbit_key(s: Sentence) -> tuple:
+    """Heads read from the far end, sticks and cycles with 1 and 2 swapped:
+    a head ending in 21 and a stick beginning with 21 win over their
+    reflections.  One-to-one, so rn keeps one member of every orbit."""
+    return tuple((w.tag, w.symbols[::-1] if w.tag == "h" else swap_minmax(w.symbols))
+                 for w in s)
 
 
 def _sentence_walk(n: int, heads, sticks, cycles, ok) -> Iterator[Sentence]:
@@ -678,10 +665,8 @@ def counts(n: int) -> CountsRow:
     (_rg_count), S and RS count rsn (rsn_count), and R is the number of
     reflection orbits of rsn, by Burnside's lemma (RS + F) / 2, where F
     counts the rsn sentences that equal their own reflection
-    (_self_reflected_count).  R equals |rn|, the length of the published
-    reflection grammar's walk, on every row the table prints (tested).  As
-    an orbit count it does not depend on which sentence of each orbit rn
-    keeps, so it stays whatever representatives the prefix set comes to use.
+    (_self_reflected_count).  R equals |rn|, which keeps one sentence of
+    each orbit (tested on every row the table prints).
     """
     kw = {}
     if 3 <= n <= _LIMITS["rg"]:

@@ -28,8 +28,10 @@ from sortnetopt.campaign import (
 )
 from sortnetopt.encoding import EncodeOptions, build
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network,
-                                 network_json, outputs, unsorted_inputs)
+                                 network_json, outputs, reflect, unsorted_inputs)
+from sortnetopt.saturation import permute_vectors, subsumes
 from sortnetopt.solver import SolveResult, SolverConfig, StopEvent, run_solver
+from sortnetopt.words import matchings
 
 
 def test_run_solver_trivial(solver_config):
@@ -373,6 +375,30 @@ def test_filter_set_shares_the_first_layer():
         keys = [len(outputs(p)) for p in prefixes]
         want = sorted(range(len(prefixes)), key=lambda i: (keys[i], i))
         assert [idx for idx, _ in campaign._fewest_outputs(n)] == want
+
+
+def uncovered_layers(n):
+    """The second layers over F_n that no member of R_n, nor its reflection,
+    subsumes, each found witness pi checked with permute_vectors."""
+    candidates = [(c, outputs(c)) for p in two_layer_prefixes(n) for c in (p, reflect(p))]
+    missing = []
+    for l2 in matchings(n):
+        net = Network(n, (first_layer(n), l2))
+        for c, outs in candidates:
+            pi = subsumes(c, net)
+            if pi is not None:
+                assert outs <= permute_vectors(pi, outputs(net))
+                break
+        else:
+            missing.append(l2)
+    return missing
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_filter_set_covers_every_second_layer(n):
+    # the lemma a refutation of R_n rests on: every two-layer prefix over F_n
+    # is subsumed by a member of R_n or by its reflection
+    assert uncovered_layers(n) == []
 
 
 def test_campaign_determinism(solver_config):

@@ -13,7 +13,6 @@ from sortnetopt.networks import (
     Network,
     evaluate,
     evaluate_bits,
-    evaluate_trace,
     first_layer,
     graph_of,
     is_ascending,
@@ -77,12 +76,6 @@ def test_evaluate_identity_on_empty_network():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ChannelCountError):
         evaluate(FIG1, (1, 2, 3))
-
-
-def test_evaluate_trace_matches_figure():
-    # the per-layer values drawn in the figure for input (5,2,0,7)
-    assert evaluate_trace(FIG1, (5, 2, 0, 7)) == [
-        (5, 2, 0, 7), (2, 5, 0, 7), (0, 5, 2, 7), (0, 2, 5, 7)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from sortnetopt import words
 from sortnetopt.networks import Network, first_layer, network, reflect
+from sortnetopt.saturation import is_saturated
 from sortnetopt.words import (
     Word,
     asymmetric_cycle_count,
@@ -204,28 +206,30 @@ def test_grammar_soundness_of_pools():
         for w in cycle_words(L):
             assert w.symbols == cycle_canonical(w.symbols)
             assert w.symbols.startswith("12") and len(w) >= 4
-        for w in stick_words(L, "refl"):
-            assert w.symbols == "12" or (w.symbols.startswith("21")
-                                         and w.symbols.endswith("12"))
-        for w in head_words(L, refl=True):
-            assert w.symbols == "0" or w.symbols.endswith("21")
 
 
 def test_rn_reflection_completeness():
-    # the published reflection grammar cannot express saturated classes that
-    # mix an eHead with an oStick; the first such class appears at n = 9
-    known_missing = {9: {"012_h;211212_s", "021_h;121221_s"}}
-    for n in range(3, 11):
-        rn = set(sentences(n, "rn"))
-        missing = set()
-        for s in sentences(n, "rsn"):
-            if s not in rn and reflect_sentence(s) not in rn:
-                missing.add(render_sentence(s))
-        assert missing == known_missing.get(n, set())
-        # no two distinct members are reflections of one another
-        for s in rn:
-            r = reflect_sentence(s)
-            assert r == s or r not in rn
+    # R_n keeps exactly one member of every reflection orbit of rsn
+    for n in range(3, 17):
+        rsn = set(sentences(n, "rsn"))
+        rn = list(sentences(n, "rn"))
+        assert set(rn) <= rsn, n
+        kept = Counter(frozenset((s, reflect_sentence(s))) for s in rn)
+        assert set(kept) == {frozenset((s, reflect_sentence(s))) for s in rsn}, n
+        assert set(kept.values()) == {1}, n
+
+
+def test_rn_keeps_the_saturated_member_at_n9():
+    # the first saturated orbit that a set of oHeads (...21) and oSticks
+    # (21...12) cannot hold, and the unsaturated sentence such a set keeps
+    a, b = parse_sentence("012_h;211212_s"), parse_sentence("021_h;121221_s")
+    assert reflect_sentence(a) == b and reflect_sentence(b) == a
+    rsn, rn = set(sentences(9, "rsn")), set(sentences(9, "rn"))
+    assert a in rsn and b in rsn
+    assert b in rn and a not in rn
+    unsaturated = parse_sentence("021_h;211212_s")
+    assert not is_saturated(net_of(unsaturated))
+    assert unsaturated not in rn
 
 
 def test_sentence_order_is_canonical():
