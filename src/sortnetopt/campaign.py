@@ -48,9 +48,10 @@ t - 1, which covers every smaller depth too.
 The first pad-0 SAT settles the claim and kills the solvers still running.
 Every SAT model is decoded and re-verified by direct evaluation, and the
 witness behind a claim once more with is_sorting_network; a witness that
-fails verification is a fatal internal error, never a result.  One
-evidence rule, _evidence, derives the claim from the instances, both for
-a campaign and for a report loaded by campaign_from_json.
+fails verification is a fatal internal error, never a result.  Every
+claim is made by one evidence rule, _evidence, from the instances: a
+campaign takes its claim from it, and campaign_from_json recomputes it
+at the claimed depth and rejects a report whose claim differs.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: np.ndarray,
         if not _ascending_mask(_eval_array(witness, vm.inputs), n).all():
             raise RuntimeError(f"solver model fails verification on instance {name}")
     return InstanceResult(prefix_index, d, pad, res.verdict, encode_time, res.solve_time,
-                          witness, len(vm.inputs), cnf.num_vars, len(cnf.clauses))
+                          witness, len(vm.inputs), cnf.num_vars, cnf.num_clauses)
 
 
 def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
@@ -196,8 +197,8 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     first pad-0 SAT sets the stop event, which kills the solvers still
     running.  A prior campaign at the same depth, run over other tasks,
     lends its instances and wall time, so the two make one campaign.  The
-    claim and its witness come from _evidence over the recorded instances;
-    the witness is re-checked with is_sorting_network.
+    claim and its witness come from _evidence over the recorded instances,
+    and the witness is re-checked with is_sorting_network.
     """
     t0 = time.monotonic()
     results: list[InstanceResult] = list(prior.instances) if prior else []
@@ -233,36 +234,31 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
         finally:
             stop.set()  # an interrupted or failed scan kills its solvers too
 
-    witness, missing = _evidence(n, d, results)
-    if witness is not None:
-        if not is_sorting_network(witness):
-            raise RuntimeError("decoded witness is not a sorting network")
-        claim = f"T({n}) <= {d}"
-    elif missing:
-        claim = "inconclusive"
-    else:
-        claim = f"T({n}) > {d}"
+    claim, witness, _ = _evidence(n, d, results)
+    if witness is not None and not is_sorting_network(witness):
+        raise RuntimeError("decoded witness is not a sorting network")
     wall_time = time.monotonic() - t0 + (prior.wall_time if prior else 0.0)
     return witness, CampaignResult(n, claim, results, wall_time, "fewest-outputs")
 
 
-def _evidence(n: int, d: int,
-              instances: Sequence[InstanceResult]) -> tuple[Optional[Network], list[int]]:
-    """The evidence rule behind every claim at depth d.
+def _evidence(n: int, d: int, instances: Sequence[InstanceResult]
+              ) -> tuple[str, Optional[Network], list[Optional[int]]]:
+    """The evidence rule: the one place that makes a claim at depth d.
 
-    Returns the first pad-0 SAT witness of depth at most d, which proves
-    T(n) <= d, and the R_n indices still lacking an UNSAT at depth d; none
-    left proves T(n) > d.  A prefix-free or first-layer UNSAT (prefix index
-    None) covers every prefix.
+    Returns (claim, witness, missing): the first pad-0 SAT witness of depth
+    at most d, which proves "T(n) <= d", and the R_n indices still lacking
+    an UNSAT at depth d; none left proves "T(n) > d", else the claim is
+    "inconclusive".  A prefix-free or first-layer UNSAT (prefix index None)
+    covers every prefix.
     """
     witness = next((r.witness for r in instances
                     if r.verdict == "SAT" and r.pad == 0 and r.witness.depth <= d), None)
     refuted = {r.prefix_index for r in instances if r.verdict == "UNSAT" and r.depth == d}
-    if None in refuted:
-        return witness, []
-    if d < 2:
-        return witness, [None]
-    return witness, [idx for idx in range(len(_filter_set(n))) if idx not in refuted]
+    missing = ([] if None in refuted else [None] if d < 2 else
+               [idx for idx in range(len(_filter_set(n))) if idx not in refuted])
+    claim = (f"T({n}) <= {d}" if witness is not None
+             else "inconclusive" if missing else f"T({n}) > {d}")
+    return claim, witness, missing
 
 
 def find_network(n: int, d: int, mode: str = "two_layer",
@@ -357,8 +353,8 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
         witness, probe = run(d, tasks)
         if witness is not None:
             break
-        refuted = {r.prefix_index for r in probe.instances if r.verdict == "UNSAT"}
-        if any(idx not in refuted for idx, _ in tasks):
+        missing = _evidence(n, d, probe.instances)[2]
+        if any(idx in missing for idx, _ in tasks):
             raise RuntimeError(f"inconclusive probe at depth {d} for n={n}")
         probes[d] = probe
         d += 1
@@ -371,7 +367,7 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
         if witness is None:
             break
         found = camp
-    if camp.claim != f"T({n}) > {d}":
+    if camp.claim == "inconclusive":
         raise RuntimeError(f"inconclusive campaign at depth {d} for n={n}")
     return d + 1, [camp, found]
 
@@ -473,23 +469,28 @@ def campaign_from_json(text: str) -> CampaignResult:
 
 
 def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> None:
-    """Raise ValueError unless _evidence over the instances supports claim.
+    """Raise ValueError unless claim, of the shape _evidence writes and
+    with the report's n, is the claim _evidence makes at its depth d.
 
     Witnesses were re-verified on load; "inconclusive" claims nothing.
     """
     if claim == "inconclusive":
         return
-    m = re.fullmatch(r"T\((\d+)\) (<=|>) (\d+)", claim)
+    m = re.fullmatch(r"T\((0|[1-9][0-9]*)\) (<=|>) (0|[1-9][0-9]*)", claim)
     if m is None or int(m[1]) != n:
         raise ValueError(f"campaign document: unrecognised claim {claim!r} at $.claim")
     d = int(m[3])
-    witness, missing = _evidence(n, d, instances)
-    if m[2] == "<=" and witness is None:
+    derived, witness, missing = _evidence(n, d, instances)
+    if claim == derived:
+        return
+    if m[2] == "<=":
         raise ValueError(f"campaign document: claim {claim!r} has no pad-0 witness "
                          f"of depth <= {d}")
-    if m[2] == ">" and missing:
-        raise ValueError(f"campaign document: claim {claim!r} lacks an UNSAT at depth {d} "
-                         f"for prefixes {missing}")
+    if witness is not None:
+        raise ValueError(f"campaign document: claim {claim!r} is contradicted by a pad-0 "
+                         f"witness of depth {witness.depth} <= {d}")
+    raise ValueError(f"campaign document: claim {claim!r} lacks an UNSAT at depth {d} "
+                     f"for prefixes {missing}")
 
 
 # ---------------------------------------------------------------------------

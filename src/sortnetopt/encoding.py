@@ -90,7 +90,7 @@ import itertools
 import re
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ from .networks import ChannelCountError, Network, _ascending_mask, _eval_array, 
 
 _TRUE = np.iinfo(np.int32).max  # literal code of the constant true; -_TRUE is false
 _INPUT_CHUNK = 16               # inputs whose value clauses are built in one array pass
-_LIT_CHUNK = 1 << 16            # literals per step when reading or rendering a Cnf
+_LIT_CHUNK = 1 << 16            # literals per step when rendering a Cnf
 
 
 @dataclass(frozen=True)
@@ -120,34 +120,6 @@ def _flat(clauses: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
                        dtype=np.int32)
 
 
-class Clauses:
-    """Read-only view of a flat 0-terminated clause array, one tuple per clause."""
-
-    def __init__(self, lits: np.ndarray):
-        self._lits = lits
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._lits == 0))
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        clause: list[int] = []
-        for start in range(0, len(self._lits), _LIT_CHUNK):
-            for lit in self._lits[start:start + _LIT_CHUNK].tolist():
-                if lit:
-                    clause.append(lit)
-                else:
-                    yield tuple(clause)
-                    clause = []
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Clauses, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"Clauses({list(self)!r})"
-
-
 class Cnf:
     """num_vars and the clauses, stored flat in lits (each clause ends in 0).
 
@@ -159,8 +131,15 @@ class Cnf:
         self.lits = _flat(clauses)
 
     @property
-    def clauses(self) -> Clauses:
-        return Clauses(self.lits)
+    def num_clauses(self) -> int:
+        """The number of clauses: the 0 terminators in lits."""
+        return int(np.count_nonzero(self.lits == 0))
+
+    @property
+    def clauses(self) -> list[tuple[int, ...]]:
+        """The clauses read back from lits, one tuple of literals each."""
+        next_lit = iter(self.lits.tolist()).__next__
+        return [tuple(iter(next_lit, 0)) for _ in range(self.num_clauses)]   # up to each 0
 
 
 class VarMap:
@@ -464,19 +443,16 @@ def encode_last_layer(vm: VarMap) -> np.ndarray:
     return _rows(-c[-1, j - i > 1]).ravel()
 
 
-def encode_fixed_prefix(vm: VarMap, prefix: Network) -> np.ndarray:
-    """Unit clauses pinning every comparator variable of the prefix layers."""
-    if prefix.depth > vm.d:
-        raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {vm.d}")
-    if prefix.n != vm.n:
-        raise ValueError("prefix channel count mismatch")
+def encode_fixed_prefix(vm: VarMap) -> np.ndarray:
+    """Unit clauses pinning every comparator variable of the layers of
+    vm.prefix, the prefix whose images vm folds (VarMap checks it)."""
     c, _ = _guards(vm)
     index = _pair_index(vm.n)
-    present = np.zeros((prefix.depth, vm._pairs), dtype=bool)
-    for l, layer in enumerate(prefix.layers):
+    present = np.zeros((vm.prefix_depth, vm._pairs), dtype=bool)
+    for l, layer in enumerate(vm.prefix.layers):
         for i, j in layer:
             present[l, index[i - 1, j - 1]] = True
-    fixed = c[:prefix.depth]
+    fixed = c[:vm.prefix_depth]
     return _rows(np.where(present, fixed, -fixed)).ravel()
 
 
@@ -508,7 +484,7 @@ def build(n: int, d: int, inputs: np.ndarray | Sequence[int],
     if opts.last_layer:
         parts.append(encode_last_layer(vm))
     if opts.prefix is not None:
-        parts.append(encode_fixed_prefix(vm, opts.prefix))
+        parts.append(encode_fixed_prefix(vm))
     parts.append(encode_input_sort(vm))
     return vm, Cnf(vm.num_vars, np.concatenate(parts))
 
@@ -541,7 +517,7 @@ def _literal_text(top: int) -> tuple[np.ndarray, int]:
 def to_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:
     lits = cnf.lits
     parts = [f"c {c}\n" for c in comments]
-    parts.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
+    parts.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}\n")
     if lits.size:
         text, top = _literal_text(int(np.abs(lits).max()))
         for start in range(0, lits.size, _LIT_CHUNK):

@@ -559,6 +559,13 @@ def test_campaign_json_claim_audited():
         campaign_from_json(doc("T(4) <= 3", {**sat, "depth": 2}))
     with pytest.raises(ValueError, match="unrecognised claim"):
         campaign_from_json(doc("T(5) <= 3", sat))
+    # a lower bound that its own pad-0 witness contradicts, and a claim that
+    # _evidence would not write
+    at3 = [{**r, "depth": 3} for r in refutations]
+    with pytest.raises(ValueError, match="contradicted by a pad-0 witness of depth 3"):
+        campaign_from_json(doc("T(4) > 3", *at3, sat))
+    with pytest.raises(ValueError, match="unrecognised claim"):
+        campaign_from_json(doc("T(04) > 3", *at3))
 
 
 def test_instance_result_witness_invariant():

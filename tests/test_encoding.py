@@ -137,20 +137,19 @@ def test_sigma_counts():
 
 
 def test_fixed_prefix_units():
-    def fixed_prefix(vm, prefix):
-        return Cnf(vm.num_vars, encode_fixed_prefix(vm, prefix)).clauses
+    def fixed_prefix(vm):
+        return Cnf(vm.num_vars, encode_fixed_prefix(vm)).clauses
 
-    vm = VarMap(4, 2, [])
-    frag = fixed_prefix(vm, network(4, first_layer(4)))
+    vm = VarMap(4, 2, [], network(4, first_layer(4)))
+    frag = fixed_prefix(vm)
     expect = {(vm.c(1, 1, 2),), (vm.c(1, 3, 4),),
               (-vm.c(1, 1, 3),), (-vm.c(1, 1, 4),), (-vm.c(1, 2, 3),), (-vm.c(1, 2, 4),)}
     assert set(frag) == expect
 
-    vm5 = VarMap(5, 3, [])
     two = network(5, first_layer(5), [(1, 5), (2, 4)])
-    assert len(fixed_prefix(vm5, two)) == 2 * 10
+    assert len(fixed_prefix(VarMap(5, 3, [], two))) == 2 * 10
 
-    assert fixed_prefix(VarMap(4, 2, []), network(4)) == []
+    assert fixed_prefix(VarMap(4, 2, [], network(4))) == []
 
 
 def test_last_layer_units():
