@@ -47,8 +47,8 @@ from .saturation import (
     saturate,
     verify_conjecture,
 )
-from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network, parse_solver_output, to_dimacs
-from .solver import SolverConfig, default_config, run_solver
+from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network, to_dimacs
+from .solver import SolverConfig, default_config, parse_solver_output, run_solver
 from .campaign import (
     CampaignResult,
     InstanceResult,

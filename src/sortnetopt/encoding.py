@@ -14,7 +14,9 @@ of this preserves satisfiability of the underlying formula exactly.
 
 Soundness contract.  The symmetry-breaking clauses σ1-σ3 and the
 last-layer units (EncodeOptions) each remove networks, never every
-sorting network:
+sorting network.  VarMap reads the options once and applies each rule
+below, σ1-σ3 as their switches say and the others as their "on when"
+clauses say; build and the clause fragments read only the VarMap.
 
   σ1  no comparator repeats on consecutive layers: the second copy never
       swaps, so deleting it keeps a network sorting;
@@ -23,37 +25,37 @@ sorting network:
   σ3  every adjacent pair (i,i+1) is compared in some layer: the input
       that is sorted but for a one on channel i and a zero on i+1 is
       changed by no other comparator;
-  last layer  (on when the last layer is open, d above the prefix depth)
-      layer d has no comparator (i,j) with j > i+1.  Codish, Cruz-Filipe,
-      Ehlers, Müller and Schneider-Kamp (JCSS 2019) show that such a
-      comparator is redundant in a sorting network, so deleting the
-      non-adjacent comparators of its last layer keeps it sorting.  The
-      deletion cannot break σ1-σ3: σ1 only forbids; σ2 constrains the
-      comparators of layer d by layer d-1, and nothing reads u(d, ·); σ3
-      needs only adjacent pairs, which stay.
-  near sorted  (with the last-layer units, when level d-1 is open, d-1
-      above the prefix depth) the level-(d-1) values of an input b with w
-      ones are the constants of sorted(b) on every channel but n-w and
-      n-w+1.  A layer of disjoint adjacent comparators only turns a pair
-      1,0 into 0,1, so the only vectors it maps onto sorted(b) = 0^(n-w)
-      1^w are sorted(b) and sorted(b) with channels n-w and n-w+1
-      swapped.  The other clauses force these values in every model, so
-      folding them changes no verdict; the folded x variables keep their
-      numbers and appear in no clause.
-  settled ends  (when some level between the prefix and d is open) take
-      an input whose level-p image (p the prefix depth; the input itself
-      without a prefix) has zeros on channels 1..a and ones on channels
-      n-b+1..n.  Then every open level p+1..d-1 holds those constants on
-      those channels, by induction over the layers: a comparator (i,j)
-      with i <= a writes min(0, x_j) = 0 to channel i (and x_j to j, which
-      is 0 again when j <= a); symmetrically one with j > n-b writes
-      max(x_i, 1) = 1 to channel j; a pass-through keeps its value.  The
-      values are functions of the c and u variables in every model, so
-      folding them changes no verdict; as above, the folded x variables
-      keep their numbers and appear in no clause.  The fold needs no
-      last-layer units, and it agrees with the near-sorted one: an input
-      with w ones has a <= n-w and b <= w, so its constants at level d-1
-      are those of sorted(b).
+  last layer  (VarMap applies it when the last layer is open, d above
+      the prefix depth) layer d has no comparator (i,j) with j > i+1.
+      Codish, Cruz-Filipe, Ehlers, Müller and Schneider-Kamp (JCSS 2019)
+      show that such a comparator is redundant in a sorting network, so
+      deleting the non-adjacent comparators of its last layer keeps it
+      sorting.  The deletion cannot break σ1-σ3: σ1 only forbids; σ2
+      constrains the comparators of layer d by layer d-1, and nothing
+      reads u(d, ·); σ3 needs only adjacent pairs, which stay.
+  near sorted  (VarMap applies it with the last-layer units, when level
+      d-1 is open, d-1 above the prefix depth) the level-(d-1) values of
+      an input b with w ones are the constants of sorted(b) on every
+      channel but n-w and n-w+1.  A layer of disjoint adjacent
+      comparators only turns a pair 1,0 into 0,1, so the only vectors it
+      maps onto sorted(b) = 0^(n-w) 1^w are sorted(b) and sorted(b) with
+      channels n-w and n-w+1 swapped.  The other clauses force these
+      values in every model, so folding them changes no verdict; the
+      folded x variables keep their numbers and appear in no clause.
+  settled ends  (VarMap applies it when some level between the prefix
+      and d is open) take an input whose level-p image (p the prefix
+      depth; the input itself without a prefix) has zeros on channels
+      1..a and ones on channels n-b+1..n.  Then every open level
+      p+1..d-1 holds those constants on those channels, by induction
+      over the layers: a comparator (i,j) with i <= a writes min(0, x_j)
+      = 0 to channel i (and x_j to j, which is 0 again when j <= a);
+      symmetrically one with j > n-b writes max(x_i, 1) = 1 to channel
+      j; a pass-through keeps its value.  The values are functions of
+      the c and u variables in every model, so folding them changes no
+      verdict; as above, the folded x variables keep their numbers and
+      appear in no clause.  The fold needs no last-layer units, and it
+      agrees with the near-sorted one: an input with w ones has a <= n-w
+      and b <= w, so its constants at level d-1 are those of sorted(b).
 
 So when X is every input left unsorted by the prefix (all unsorted
 inputs without one), the formula is satisfiable iff some depth-d sorting
@@ -87,7 +89,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -143,23 +144,32 @@ class Cnf:
 
 
 class VarMap:
-    """Fixed variable allocation: all c, then all u, then x per input.
+    """The one description of a formula: its variables and the rules it applies.
 
-    Value levels 0..prefix_depth and level d are constants; only the open
-    levels in between get variables.  With near_sorted and level d-1 open,
-    value() also gives constants at level d-1 on every channel but the
-    boundary pair of sorted(b) (see the near-sorted rule above).  With
-    settled_ends it gives the constants of the level-p image at every open
-    level on the channels of that image's leading zeros and trailing ones
-    (the settled-ends rule).  Folded x variables keep their numbers.
-    inputs is the input set as an np.uint32 array, the given array itself
-    when it is one.  Indices are computed, not stored; _index lists them
-    all by key for inspection.
+    The options are read here once.  σ1-σ3 apply as their switches say;
+    last_layer when layer d is open (d above the prefix depth); near_sorted
+    with last_layer when level d-1 is open, and then value() also gives
+    constants at level d-1 on every channel but the boundary pair of
+    sorted(b) (the near-sorted rule above); settled_ends when some level
+    between the prefix and d is open, and then value() gives the constants
+    of the level-p image at every open level on the channels of that image's
+    leading zeros and trailing ones (the settled-ends rule).  opts.pad is not
+    read: build applies the windows before the VarMap is made.
+
+    Variables are numbered all c, then all u, then x per input.  c_vars
+    holds them by (layer, pair) and u_vars by (layer, channel); the pairs of
+    a layer come in the order of pair_i < pair_j (0-based channels), and
+    pair_at gives the position of the pair on two channels, in either order
+    (-1 on the diagonal).  Value levels 0..prefix_depth and level d are
+    constants; only the open levels in between get x variables, and folded
+    ones keep their numbers.  inputs is the input set as an np.uint32 array,
+    the given array itself when it is one.  _index lists every variable by
+    key for inspection.
     """
 
     def __init__(self, n: int, d: int, inputs: np.ndarray | Sequence[int],
-                 prefix: Optional[Network] = None, near_sorted: bool = False,
-                 settled_ends: bool = False):
+                 opts: EncodeOptions = EncodeOptions()):
+        prefix = opts.prefix
         if prefix is not None and prefix.depth > d:
             raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {d}")
         if prefix is not None and prefix.generalized:
@@ -170,18 +180,26 @@ class VarMap:
             raise ChannelCountError(f"inputs are packed into 32 bits, got n={n}")
         self.n, self.d = n, d
         self.prefix = prefix
-        self.prefix_depth = prefix.depth if prefix is not None else 0
-        self.near_sorted = near_sorted and d - 1 > self.prefix_depth
-        self.settled_ends = settled_ends and d - 1 > self.prefix_depth
+        p = self.prefix_depth = prefix.depth if prefix is not None else 0
+        self.sigma1, self.sigma2, self.sigma3 = opts.sigma1, opts.sigma2, opts.sigma3
+        self.last_layer = opts.last_layer and d > p
+        self.near_sorted = self.last_layer and opts.near_sorted and d - 1 > p
+        self.settled_ends = opts.settled_ends and d - 1 > p
         self.inputs = np.asarray(inputs, dtype=np.uint32)
         # images of every input at levels 0..prefix_depth, one row per level
         levels = [self.inputs]
         for layer in (prefix.layers if prefix is not None else ()):
             levels.append(_eval_array(Network(n, (layer,)), levels[-1]))
         self._levels = np.stack(levels)
-        self._pairs = n * (n - 1) // 2
-        self._open = max(d - self.prefix_depth - 1, 0)   # value levels with variables
-        self._x0 = d * (self._pairs + n)
+        i, j = np.triu_indices(n, 1)   # the pair order of a layer
+        pairs = len(i)
+        self.pair_i, self.pair_j = i, j
+        self.pair_at = np.full((n, n), -1, dtype=np.intp)
+        self.pair_at[i, j] = self.pair_at[j, i] = np.arange(pairs)
+        self.c_vars = np.arange(1, d * pairs + 1, dtype=np.int32).reshape(d, pairs)
+        self.u_vars = d * pairs + np.arange(1, d * n + 1, dtype=np.int32).reshape(d, n)
+        self._open = max(d - p - 1, 0)   # value levels with variables
+        self._x0 = d * (pairs + n)
         self.num_vars = self._x0 + len(self.inputs) * self._open * n
         if self.num_vars >= _TRUE:
             raise ValueError(f"{self.num_vars} variables do not fit int32 literals")
@@ -189,12 +207,12 @@ class VarMap:
     def c(self, l: int, i: int, j: int) -> int:
         if not (1 <= l <= self.d and 1 <= i < j <= self.n):
             raise KeyError(("c", l, i, j))
-        return (l - 1) * self._pairs + (i - 1) * (2 * self.n - i) // 2 + (j - i)
+        return int(self.c_vars[l - 1, self.pair_at[i - 1, j - 1]])
 
     def u(self, l: int, k: int) -> int:
         if not (1 <= l <= self.d and 1 <= k <= self.n):
             raise KeyError(("u", l, k))
-        return self.d * self._pairs + (l - 1) * self.n + k
+        return int(self.u_vars[l - 1, k - 1])
 
     def x(self, b_idx: int, l: int, k: int) -> int:
         if not (0 <= b_idx < len(self.inputs) and self.prefix_depth < l < self.d
@@ -217,36 +235,17 @@ class VarMap:
                 return bool(top & 1)  # zeros on 1..k or ones on k..n
         return self.x(b_idx, l, k)
 
-    def comparator_vars(self) -> Iterable[tuple[int, int, int, int]]:
-        for l in range(1, self.d + 1):
-            for i, j in itertools.combinations(range(1, self.n + 1), 2):
-                yield l, i, j, self.c(l, i, j)
-
     @functools.cached_property
     def _index(self) -> dict[tuple, int]:
         """Every variable by key: ("c", l, i, j), ("u", l, k), ("x", b_idx, l, k)."""
-        index = {("c", l, i, j): var for l, i, j, var in self.comparator_vars()}
-        channels = range(1, self.n + 1)
-        index.update((("u", l, k), self.u(l, k)) for l in range(1, self.d + 1) for k in channels)
+        pairs = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
+        index = {("c", l, i + 1, j + 1): var for l, row in enumerate(self.c_vars.tolist(), 1)
+                 for (i, j), var in zip(pairs, row)}
+        index.update((("u", l, k), var) for l, row in enumerate(self.u_vars.tolist(), 1)
+                     for k, var in enumerate(row, 1))
         index.update((("x", b, l, k), self.x(b, l, k)) for b in range(len(self.inputs))
-                     for l in range(self.prefix_depth + 1, self.d) for k in channels)
+                     for l in range(self.prefix_depth + 1, self.d) for k in range(1, self.n + 1))
         return index
-
-
-def _pair_index(n: int) -> np.ndarray:
-    """Position of the comparator on channels i, j (0-based, either order)
-    among the pairs of a layer; -1 on the diagonal."""
-    index = np.full((n, n), -1, dtype=np.intp)
-    i, j = np.triu_indices(n, 1)
-    index[i, j] = index[j, i] = np.arange(len(i))
-    return index
-
-
-def _guards(vm: VarMap) -> tuple[np.ndarray, np.ndarray]:
-    """The variables c (layer, pair) and u (layer, channel) of every layer."""
-    c = np.arange(1, vm.d * vm._pairs + 1, dtype=np.int32).reshape(vm.d, vm._pairs)
-    u = vm.d * vm._pairs + np.arange(1, vm.d * vm.n + 1, dtype=np.int32).reshape(vm.d, vm.n)
-    return c, u
 
 
 def _rows(*lits) -> np.ndarray:
@@ -262,10 +261,8 @@ def encode_structure(vm: VarMap) -> np.ndarray:
     c -> u(l,k) for each incident c, then one at-most-one clause per pair
     of them, all as flat 0-terminated clauses.
     """
-    n, d = vm.n, vm.d
-    c, u = _guards(vm)
-    index = _pair_index(n)
-    incident = c[:, index[~np.eye(n, dtype=bool)].reshape(n, n - 1)]   # (layer, k, m != k)
+    n, d, c, u = vm.n, vm.d, vm.c_vars, vm.u_vars
+    incident = c[:, vm.pair_at[~np.eye(n, dtype=bool)].reshape(n, n - 1)]   # (layer, k, m != k)
     a, b = np.triu_indices(n - 1, 1)
     blocks = (np.concatenate((-u[..., None], incident, np.zeros_like(u)[..., None]), axis=-1),
               _rows(-incident, u[..., None]).reshape(d, n, 3 * (n - 1)),
@@ -350,14 +347,11 @@ def _fold_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return column, sign, start, count
 
 
-def _value_clauses(vm: VarMap, lo: int, hi: int, i: np.ndarray, j: np.ndarray,
-                   c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Flat value clauses of inputs lo..hi-1, in input order.
-
-    i, j index the channels of every comparator; c (layer, pair) and
-    u (layer, channel) are the guard variables of the open layers.
-    """
+def _value_clauses(vm: VarMap, lo: int, hi: int) -> np.ndarray:
+    """Flat value clauses of inputs lo..hi-1, in input order."""
     n, d, p = vm.n, vm.d, vm.prefix_depth
+    i, j = vm.pair_i, vm.pair_j
+    c, u = vm.c_vars[p:], vm.u_vars[p:]   # the guards of the open layers
     # literal codes per input, level p..d and channel; in between, vm.x(b, l, k)
     values = np.empty((hi - lo, d - p + 1, n), dtype=np.int32)
     values[:, 0] = _const(_bits(vm._levels[p, lo:hi], n))
@@ -408,51 +402,42 @@ def encode_input_sort(vm: VarMap) -> np.ndarray:
     if vm.prefix_depth == vm.d:
         wrong = (_bits(vm._levels[-1], n) != _sorted_bits(vm._levels[0], n)).any(axis=1)
         return np.zeros(int(wrong.sum()), dtype=np.int32)
-    i, j = np.triu_indices(n, 1)
-    c, u = (guard[vm.prefix_depth:] for guard in _guards(vm))   # the open layers
-    parts = [_value_clauses(vm, lo, min(lo + _INPUT_CHUNK, len(vm.inputs)), i, j, c, u)
+    parts = [_value_clauses(vm, lo, min(lo + _INPUT_CHUNK, len(vm.inputs)))
              for lo in range(0, len(vm.inputs), _INPUT_CHUNK)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
 
 
-def encode_symmetry(vm: VarMap, opts: EncodeOptions) -> np.ndarray:
-    """The σ1, σ2 and σ3 clauses the options switch on, flat and 0-terminated."""
-    c, u = _guards(vm)
-    i, j = np.triu_indices(vm.n, 1)
+def encode_symmetry(vm: VarMap) -> np.ndarray:
+    """The σ1, σ2 and σ3 clauses vm applies, flat and 0-terminated."""
+    c, u, i, j = vm.c_vars, vm.u_vars, vm.pair_i, vm.pair_j
     parts = [np.zeros(0, dtype=np.int32)]
-    if opts.sigma1:
+    if vm.sigma1:
         parts.append(_rows(-c[:-1], -c[1:]).ravel())
-    if opts.sigma2:
+    if vm.sigma2:
         parts.append(_rows(-c[1:], u[:-1, i], u[:-1, j]).ravel())
-    if opts.sigma3:
+    if vm.sigma3:
         adjacent = c[:, j - i == 1].T   # (pair (i,i+1), layer)
         parts.append(np.column_stack((adjacent, np.zeros(vm.n - 1, dtype=np.int32))).ravel())
     return np.concatenate(parts)
 
 
 def encode_last_layer(vm: VarMap) -> np.ndarray:
-    """Unit clauses -c(d,i,j) for every non-adjacent pair j > i+1.
-
-    Only when layer d is open (d above the prefix depth); otherwise the
-    last layer is the prefix's and nothing is emitted.
-    """
-    if vm.d <= vm.prefix_depth:
+    """Unit clauses -c(d,i,j) for every non-adjacent pair j > i+1, when vm
+    applies the last-layer rule (layer d is open); else nothing."""
+    if not vm.last_layer:
         return np.zeros(0, dtype=np.int32)
-    c, _ = _guards(vm)
-    i, j = np.triu_indices(vm.n, 1)
-    return _rows(-c[-1, j - i > 1]).ravel()
+    return _rows(-vm.c_vars[-1, vm.pair_j - vm.pair_i > 1]).ravel()
 
 
 def encode_fixed_prefix(vm: VarMap) -> np.ndarray:
     """Unit clauses pinning every comparator variable of the layers of
-    vm.prefix, the prefix whose images vm folds (VarMap checks it)."""
-    c, _ = _guards(vm)
-    index = _pair_index(vm.n)
-    present = np.zeros((vm.prefix_depth, vm._pairs), dtype=bool)
-    for l, layer in enumerate(vm.prefix.layers):
+    vm.prefix, the prefix whose images vm folds (VarMap checks it); none
+    without a prefix."""
+    fixed = vm.c_vars[:vm.prefix_depth]
+    present = np.zeros(fixed.shape, dtype=bool)
+    for l, layer in enumerate(vm.prefix.layers if vm.prefix is not None else ()):
         for i, j in layer:
-            present[l, index[i - 1, j - 1]] = True
-    fixed = c[:vm.prefix_depth]
+            present[l, vm.pair_at[i - 1, j - 1]] = True
     return _rows(np.where(present, fixed, -fixed)).ravel()
 
 
@@ -466,7 +451,8 @@ def build(n: int, d: int, inputs: np.ndarray | Sequence[int],
     result is the trivially unsatisfiable empty-clause CNF rather than an
     error.  Inputs whose prefix images coincide contribute identical value
     clauses and are collapsed to one representative, the smallest, which
-    comes first in an increasing set.
+    comes first in an increasing set.  The VarMap of the inputs kept
+    decides every rule of opts; the formula is its five fragments in turn.
     """
     xs = windows(np.asarray(inputs, dtype=np.uint32), opts.pad, n)
     if d == 0:
@@ -478,15 +464,10 @@ def build(n: int, d: int, inputs: np.ndarray | Sequence[int],
         keep = np.zeros(len(xs), dtype=bool)
         keep[first] = True
         xs = xs[keep]
-    vm = VarMap(n, d, xs, opts.prefix, near_sorted=opts.last_layer and opts.near_sorted,
-                settled_ends=opts.settled_ends)
-    parts = [encode_structure(vm), encode_symmetry(vm, opts)]
-    if opts.last_layer:
-        parts.append(encode_last_layer(vm))
-    if opts.prefix is not None:
-        parts.append(encode_fixed_prefix(vm))
-    parts.append(encode_input_sort(vm))
-    return vm, Cnf(vm.num_vars, np.concatenate(parts))
+    vm = VarMap(n, d, xs, opts)
+    return vm, Cnf(vm.num_vars, np.concatenate((
+        encode_structure(vm), encode_symmetry(vm), encode_last_layer(vm),
+        encode_fixed_prefix(vm), encode_input_sort(vm))))
 
 
 # ---------------------------------------------------------------------------
@@ -527,43 +508,8 @@ def to_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:
     return "".join(parts)
 
 
-_ANSI = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
-
-
-def parse_solver_output(text: str) -> tuple[str, Optional[frozenset[int]]]:
-    """SAT-competition output: verdict plus the set of true variables.
-
-    Returns one of ("SAT", vars), ("UNSAT", None), ("UNKNOWN", None); the
-    status line may carry solver decorations (colors, a file name suffix).
-    """
-    verdict = "UNKNOWN"
-    true_vars: set[int] = set()
-    saw_model = False
-    for raw in text.splitlines():
-        line = _ANSI.sub("", raw).strip()
-        if line.startswith("s "):
-            if "UNSATISFIABLE" in line:
-                verdict = "UNSAT"
-            elif "SATISFIABLE" in line:
-                verdict = "SAT"
-        elif line.startswith("v ") or line == "v":
-            saw_model = True
-            for tok in line[1:].split():
-                try:
-                    lit = int(tok)
-                except ValueError:
-                    return "UNKNOWN", None
-                if lit > 0:
-                    true_vars.add(lit)
-    if verdict == "SAT" and not saw_model:
-        return "UNKNOWN", None
-    return verdict, frozenset(true_vars) if verdict == "SAT" else None
-
-
 def decode_network(vm: VarMap, true_vars: frozenset[int]) -> Network:
     """Read the comparator variables of a model back into a network."""
-    layers = [[] for _ in range(vm.d)]
-    for l, i, j, var in vm.comparator_vars():
-        if var in true_vars:
-            layers[l - 1].append((i, j))
-    return Network(vm.n, tuple(tuple(sorted(layer)) for layer in layers))
+    chosen = np.isin(vm.c_vars, np.fromiter(true_vars, dtype=np.int64))   # (layer, pair)
+    return Network(vm.n, tuple(tuple(zip(vm.pair_i[row] + 1, vm.pair_j[row] + 1))
+                               for row in chosen))

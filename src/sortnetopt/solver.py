@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .encoding import Cnf, parse_solver_output, to_dimacs
+from .encoding import Cnf, to_dimacs
 
 # candidate binaries, tried in order when SAT_SOLVER is not set
 KNOWN_SOLVERS = ("splr", "kissat", "cadical", "cryptominisat5", "glucose", "minisat", "picosat")
@@ -104,6 +105,39 @@ class StopEvent(threading.Event):
             if not (on and self.is_set()):
                 return
         proc.kill()
+
+
+_ANSI = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
+
+
+def parse_solver_output(text: str) -> tuple[str, Optional[frozenset[int]]]:
+    """SAT-competition output: verdict plus the set of true variables.
+
+    Returns one of ("SAT", vars), ("UNSAT", None), ("UNKNOWN", None); the
+    status line may carry solver decorations (colors, a file name suffix).
+    """
+    verdict = "UNKNOWN"
+    true_vars: set[int] = set()
+    saw_model = False
+    for raw in text.splitlines():
+        line = _ANSI.sub("", raw).strip()
+        if line.startswith("s "):
+            if "UNSATISFIABLE" in line:
+                verdict = "UNSAT"
+            elif "SATISFIABLE" in line:
+                verdict = "SAT"
+        elif line.startswith("v ") or line == "v":
+            saw_model = True
+            for tok in line[1:].split():
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    return "UNKNOWN", None
+                if lit > 0:
+                    true_vars.add(lit)
+    if verdict == "SAT" and not saw_model:
+        return "UNKNOWN", None
+    return verdict, frozenset(true_vars) if verdict == "SAT" else None
 
 
 def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",

@@ -19,7 +19,6 @@ from sortnetopt.encoding import (
     encode_last_layer,
     encode_structure,
     encode_symmetry,
-    parse_solver_output,
     to_dimacs,
 )
 from sortnetopt.networks import (
@@ -32,7 +31,7 @@ from sortnetopt.networks import (
     vec_from_str,
     windows,
 )
-from sortnetopt.solver import run_solver
+from sortnetopt.solver import parse_solver_output, run_solver
 from sortnetopt.words import matchings
 
 
@@ -68,7 +67,7 @@ def unit_propagate(cnf):
 
 def test_varmap_census_and_order():
     vm = VarMap(2, 1, unsorted_inputs(2))
-    c_vars = [v for *_, v in vm.comparator_vars()]
+    c_vars = vm.c_vars.ravel().tolist()
     assert len(c_vars) == 1
     assert vm.u(1, 1) == 2 and vm.u(1, 2) == 3
     assert vm.num_vars == 3  # no x vars: levels 0 and d are constants
@@ -88,7 +87,7 @@ def test_incident_sets_and_at_most_one():
 
 
 def test_sorted_input_fragment_is_vacuous():
-    vm = VarMap(3, 2, [vec_from_str("011")])
+    vm = VarMap(3, 2, [vec_from_str("011")], EncodeOptions(near_sorted=False, settled_ends=False))
     frag = Cnf(vm.num_vars, encode_input_sort(vm)).clauses
     assert () not in frag
     # everything-off plus pass-through values satisfies the fragment
@@ -111,7 +110,7 @@ def test_unit_clause_example_n2():
 def test_guard_expansion_clause_count():
     # on a fully-variable layer every comparator guard expands to exactly
     # 3 clauses for the min (AND) side and 3 for the max (OR) side
-    vm = VarMap(4, 3, [vec_from_str("1010")])
+    vm = VarMap(4, 3, [vec_from_str("1010")], EncodeOptions(near_sorted=False, settled_ends=False))
     frag = Cnf(vm.num_vars, encode_input_sort(vm)).clauses
     for i, j in itertools.combinations(range(1, 5), 2):
         guard = -vm.c(2, i, j)  # layer 2: both value levels are variables
@@ -122,34 +121,34 @@ def test_guard_expansion_clause_count():
 
 
 def test_sigma_counts():
-    def symmetry(vm, opts):
-        return Cnf(vm.num_vars, encode_symmetry(vm, opts)).clauses
+    def symmetry(vm):
+        return Cnf(vm.num_vars, encode_symmetry(vm)).clauses
 
-    vm = VarMap(3, 2, [])
-    s1 = symmetry(vm, EncodeOptions(sigma1=True, sigma2=False, sigma3=False))
+    vm = VarMap(3, 2, [], EncodeOptions(sigma1=True, sigma2=False, sigma3=False))
+    s1 = symmetry(vm)
     assert len(s1) == 3
-    vm = VarMap(4, 3, [])
-    s3 = symmetry(vm, EncodeOptions(sigma1=False, sigma2=False, sigma3=True))
+    vm = VarMap(4, 3, [], EncodeOptions(sigma1=False, sigma2=False, sigma3=True))
+    s3 = symmetry(vm)
     assert len(s3) == 3
     assert set(s3) == {tuple(vm.c(l, i, i + 1) for l in (1, 2, 3)) for i in (1, 2, 3)}
-    vm = VarMap(3, 1, [])
-    assert symmetry(vm, EncodeOptions(sigma1=False, sigma2=True, sigma3=False)) == []
+    vm = VarMap(3, 1, [], EncodeOptions(sigma1=False, sigma2=True, sigma3=False))
+    assert symmetry(vm) == []
 
 
 def test_fixed_prefix_units():
     def fixed_prefix(vm):
         return Cnf(vm.num_vars, encode_fixed_prefix(vm)).clauses
 
-    vm = VarMap(4, 2, [], network(4, first_layer(4)))
+    vm = VarMap(4, 2, [], EncodeOptions(prefix=network(4, first_layer(4))))
     frag = fixed_prefix(vm)
     expect = {(vm.c(1, 1, 2),), (vm.c(1, 3, 4),),
               (-vm.c(1, 1, 3),), (-vm.c(1, 1, 4),), (-vm.c(1, 2, 3),), (-vm.c(1, 2, 4),)}
     assert set(frag) == expect
 
     two = network(5, first_layer(5), [(1, 5), (2, 4)])
-    assert len(fixed_prefix(VarMap(5, 3, [], two))) == 2 * 10
+    assert len(fixed_prefix(VarMap(5, 3, [], EncodeOptions(prefix=two)))) == 2 * 10
 
-    assert fixed_prefix(VarMap(4, 2, [], network(4))) == []
+    assert fixed_prefix(VarMap(4, 2, [], EncodeOptions(prefix=network(4)))) == []
 
 
 def test_last_layer_units():
@@ -163,8 +162,9 @@ def test_last_layer_units():
                                   in itertools.combinations(range(1, n + 1), 2) if j > i + 1}
     for prefix in two_layer_prefixes(6):
         # the prefix fills layer d: nothing to forbid
-        assert encode_last_layer(VarMap(6, 2, [], prefix)).size == 0
-        assert len(Cnf(0, encode_last_layer(VarMap(6, 4, [], prefix))).clauses) == 5 * 4 // 2
+        opts = EncodeOptions(prefix=prefix)
+        assert encode_last_layer(VarMap(6, 2, [], opts)).size == 0
+        assert len(Cnf(0, encode_last_layer(VarMap(6, 4, [], opts))).clauses) == 5 * 4 // 2
 
 
 def test_last_layer_keeps_rn_verdicts(solver_config):
@@ -334,7 +334,7 @@ def test_every_clause_has_a_comparator_or_used_variable():
 
 def test_prefix_too_deep():
     with pytest.raises(ValueError):
-        VarMap(4, 1, [], prefix=network(4, first_layer(4), [(2, 3)]))
+        VarMap(4, 1, [], EncodeOptions(prefix=network(4, first_layer(4), [(2, 3)])))
     xs = unsorted_inputs(4)
     for prefix in (network(4, first_layer(4), [(2, 3)]),       # deeper than d
                    network(4, [(2, 1)], generalized=True),     # not standard
@@ -426,7 +426,8 @@ def test_input_sort_matches_reference():
             inputs = sorted(rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n))))
             d = max(p + gap, 1)
             for near_sorted, settled_ends in itertools.product((False, True), repeat=2):
-                vm = VarMap(n, d, inputs, prefix, near_sorted, settled_ends)
+                vm = VarMap(n, d, inputs, EncodeOptions(prefix=prefix, near_sorted=near_sorted,
+                                                        settled_ends=settled_ends))
                 want = [cl for b_idx in range(len(inputs))
                         for cl in reference_input_sort(vm, b_idx)]
                 assert Cnf(vm.num_vars, encode_input_sort(vm)).clauses == want, \
@@ -438,6 +439,43 @@ def test_build_d0():
     assert cnf.clauses == [()]
     vm, cnf = build(3, 0, [vec_from_str("011")])
     assert cnf.clauses == []
+
+
+def test_build_is_the_fragments_of_its_varmap():
+    # build holds no rule of its own: under every setting of the six switches,
+    # with and without a prefix, its formula is the five fragments of the
+    # VarMap it returns, concatenated in order
+    from sortnetopt.campaign import two_layer_prefixes
+    switches = ("sigma1", "sigma2", "sigma3", "last_layer", "near_sorted", "settled_ends")
+    fragments = (encode_structure, encode_symmetry, encode_last_layer, encode_fixed_prefix,
+                 encode_input_sort)
+    for n in (4, 5, 6):
+        for prefix in [None] + two_layer_prefixes(n):
+            p = prefix.depth if prefix is not None else 0
+            xs = unsorted_inputs(n, prefix)
+            for d in range(p + 1, p + 4):
+                for setting in itertools.product((False, True), repeat=len(switches)):
+                    opts = EncodeOptions(prefix=prefix, **dict(zip(switches, setting)))
+                    vm, cnf = build(n, d, xs, opts)
+                    assert np.array_equal(cnf.lits, np.concatenate([f(vm) for f in fragments])), \
+                        (n, prefix, d, setting)
+
+
+def test_decode_network_inverts_the_numbering():
+    # a model holding exactly a network's comparator variables, plus any used
+    # and value variables, decodes to that network (empty layers up to d)
+    rng = random.Random(5)
+    for n in range(2, 9):
+        layers = list(matchings(n))
+        for _ in range(25):
+            d = rng.randint(1, 5)
+            net = network(n, *(rng.choice(layers) for _ in range(rng.randint(0, d))))
+            vm = VarMap(n, d, sorted(rng.sample(range(1 << n), rng.randint(0, min(20, 1 << n)))))
+            model = {vm.c(l, i, j) for l, layer in enumerate(net.layers, 1) for i, j in layer}
+            others = vm.u_vars.ravel().tolist() + list(range(vm._x0 + 1, vm.num_vars + 1))
+            model.update(rng.sample(others, rng.randint(0, len(others))))
+            want = net.layers + ((),) * (d - net.depth)
+            assert decode_network(vm, frozenset(model)) == Network(n, want), (n, d, net)
 
 
 def test_build_keeps_smallest_input_per_prefix_image():

@@ -255,13 +255,6 @@ def test_sn_walk_hands_weak_spot_the_partner_map(monkeypatch):
         assert maps and all(maps) and len(kept) <= len(maps)
 
 
-def test_verify_conjecture_report():
-    lines = []
-    assert verify_conjecture(4, report=lines)
-    assert sorted(lines) == sorted([
-        "1212_c,1221_c,incomparable", "1221_c,1212_c,incomparable"])
-
-
 # SHA-256 of _weak_spot's result for every second layer over F_n, n = 2..9,
 # and of saturate and is_saturated for every second layer over two maximal
 # first layers other than F_n; both were recorded before the first layer's
