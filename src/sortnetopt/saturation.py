@@ -9,9 +9,9 @@ networks.
 
 One structural test, _weak_spot, decides both from the first layer's facts
 (_first_layer_facts: its partner map, its min channels, its min and max
-channels in order and the channels it leaves out) and the second layer
-with its partner map.  is_saturated, saturate and the sn set all call it,
-and each builds the facts once: the sn walk once for all of its leaves.
+channels in order and the channels it leaves out), the second layer and
+the channels it touches.  is_saturated, saturate and the sn set all call
+it, and each builds the facts once: the sn walk once for all of its leaves.
 A network is redundant when a second-layer comparator joins the two
 channels of a first-layer comparator.  Otherwise it is unsaturated exactly
 when it shows one of the forbidden patterns of Fig. 7, where "free" means
@@ -28,10 +28,13 @@ is_saturated_semantic, which tries every addition under every channel
 permutation (n <= 8), is its oracle: the two agree on every second layer
 over F_n for n <= 7 (tested).
 
-saturated_layers walks the saturated second layers over F_n (the sn set),
-and saturated_layer_count counts them with words.rsn_count, which sums
-words.sentence_class_size over the saturated sentence classes without
-listing them.
+saturated_layers walks the saturated second layers over F_n (the sn set)
+as a DAG: the subtree below a walk node depends only on its open channels
+and the channels left out so far, so each such state near the leaves lists
+its completions once per walk (at n = 12, 1 824 states under 97 861
+nodes).  saturated_layer_count counts the sn set with words.rsn_count,
+which sums words.sentence_class_size over the saturated sentence classes
+without listing them.
 
 Naming follows the subsumption convention of the source theory: C_b
 subsumes C_a when outputs(C_b) is contained in some permuted copy of
@@ -41,7 +44,7 @@ outputs(C_a), i.e. the *subsuming* network is the stronger filter.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import words as words_mod
 from .networks import Layer, Network, first_layer, outputs
@@ -200,6 +203,12 @@ def is_saturated(net: Network) -> bool:
     return _weak_spot(_first_layer_facts(net.n, net.layers[0], l1p), l2, l2p) is None
 
 
+# the sn walk lists the completions of every state with at most this many
+# open channels once; of the cutoffs 0..12, 5 and 6 were fastest at
+# n = 12, and 5 keeps the memo smaller
+WALK_MEMO_OPEN = 5
+
+
 def saturated_layers(n: int) -> Iterator[Layer]:
     """The second layers over F_n whose two-layer network is saturated, in
     the order of words.matchings.
@@ -223,49 +232,82 @@ def saturated_layers(n: int) -> Iterator[Layer]:
     Left-out channels stay left out in every leaf below, so each pruned
     subtree holds only rejected layers, and the walk yields exactly what
     filtering words.matchings(n) through _weak_spot yields, in the same
-    order.  At n = 12 it tests 29 794 leaves instead of 140 152.  The
-    second layer's partner map is kept with the walk: an entry pair is set
-    when a comparator is joined and deleted when it is taken back, so each
-    leaf hands _weak_spot the map of its layer without building one, next
-    to F_n's facts, which the walk builds once.
+    order.  At n = 12 it tests 29 794 leaves instead of 140 152.
+
+    The subtree below a node depends only on the node's state: its open
+    channels and the min and max channels left out so far.  At n = 12 the
+    walk has 97 861 nodes but only 1 824 states (24 971 020 nodes and
+    17 987 states at n = 16).  So a state with at most WALK_MEMO_OPEN open
+    channels lists its completions once per call, in walk order: the
+    comparators still to join, with the channels they touch.  Every later
+    node of that state reuses the list.  Each leaf is the comparators
+    joined above such a node plus one completion, and _weak_spot still
+    judges every leaf.  Above the cutoff the walk streams one node at a
+    time, so the memo stays small: 1 328 states listing 3 546 completions
+    (180 distinct, each kept once) at n = 12, and 8 977 states listing
+    30 036 (540 distinct) at n = 16.  It lives as long as the call, so two
+    walks share nothing.
     Raises ValueError for n < 2 at the call, not at the first item.
     """
     fl = first_layer(n)
     l1p = words_mod.layer_partners(fl)
     facts = _first_layer_facts(n, fl, l1p)
-    acc: list[tuple[int, int]] = []
-    l2p: dict[int, int] = {}    # the partner map of acc, kept with it
+    memo: dict[tuple, list[tuple[Layer, frozenset[int]]]] = {}
+    shared: dict = {}   # one copy of each distinct completion: states share most
 
-    def rec(avail: tuple[int, ...], out_min: tuple[int, ...],
-            out_max: tuple[int, ...]) -> Iterator[Layer]:
-        # out_min / out_max: the first-layer min / max channels left out so
-        # far, each channel once, so P2 allows none of them or the partner
-        if not avail:
-            l2 = tuple(acc)
-            if _weak_spot(facts, l2, l2p) is None:
-                yield l2
-            return
+    def children(avail: tuple[int, ...], out_min: tuple[int, ...],
+                 out_max: tuple[int, ...]) -> Iterator[tuple]:
+        # (the comparator joined, or None when avail[0] is left out; the
+        # child's state).  out_min / out_max: the first-layer min / max
+        # channels left out so far, each channel once, so P2 allows none of
+        # them or the partner
         v, rest = avail[0], avail[1:]
         partner = l1p.get(v)
         if partner is None:
             # the free channel n is the last one the walk reaches
             if not out_min and not out_max:             # P1
-                yield from rec(rest, out_min, out_max)
+                yield None, (rest, out_min, out_max)
         elif v < partner:
             if out_max in ((), (partner,)):             # P2
-                yield from rec(rest, out_min + (v,), out_max)
+                yield None, (rest, out_min + (v,), out_max)
         elif out_min in ((), (partner,)):               # P2
-            yield from rec(rest, out_min, out_max + (v,))
+            yield None, (rest, out_min, out_max + (v,))
         for k, w in enumerate(rest):
-            if w == partner:    # a repeated first-layer comparator
-                continue
-            acc.append((v, w))
-            l2p[v], l2p[w] = w, v
-            yield from rec(rest[:k] + rest[k + 1:], out_min, out_max)
-            acc.pop()
-            del l2p[v], l2p[w]
+            if w != partner:    # never a repeated first-layer comparator
+                yield (v, w), (rest[:k] + rest[k + 1:], out_min, out_max)
 
-    return rec(tuple(range(1, n + 1)), (), ())
+    def completions(state: tuple) -> list[tuple[Layer, frozenset[int]]]:
+        if not state[0]:
+            return [((), frozenset())]
+        done = memo.get(state)
+        if done is None:
+            done = memo[state] = []
+            for comp, child in children(*state):
+                for tail in completions(child):
+                    if comp is not None:
+                        tail = ((comp,) + tail[0], tail[1].union(comp))
+                        tail = shared.setdefault(tail, tail)
+                    done.append(tail)
+        return done
+
+    def frontier(state: tuple, head: Layer) -> Iterator[tuple[tuple, Layer]]:
+        # the nodes where the streamed walk meets the memo, in walk order,
+        # with the comparators joined above each
+        if len(state[0]) <= WALK_MEMO_OPEN:
+            yield state, head
+            return
+        for comp, child in children(*state):
+            yield from frontier(child, head if comp is None else head + (comp,))
+
+    def leaves() -> Iterator[Layer]:
+        for state, head in frontier((tuple(range(1, n + 1)), (), ()), ()):
+            head_touched = frozenset(ch for c in head for ch in c)
+            for tail, touched in completions(state):
+                l2 = head + tail
+                if _weak_spot(facts, l2, head_touched | touched) is None:
+                    yield l2
+
+    return leaves()
 
 
 def addable_comparators(net: Network) -> list[tuple[int, int]]:
@@ -342,17 +384,17 @@ def _first_layer_facts(n: int, l1: Layer, l1p: dict[int, int]) -> _FirstLayer:
                        tuple(ch for ch in range(1, n + 1) if ch not in l1p))
 
 
-def _weak_spot(first: _FirstLayer, l2, l2p: dict[int, int]) -> Optional[tuple[int, int]]:
+def _weak_spot(first: _FirstLayer, l2, touched: Container[int]) -> Optional[tuple[int, int]]:
     """The first reason two layers are not saturated, or None when they are.
 
-    Takes the first layer's facts, the raw second layer and its partner map
-    (channel -> the channel it is joined to), so callers that sweep many
-    second layers over one first layer build no Network per layer and read
-    the first layer once.  A second-layer comparator joining the two
-    channels of a first-layer one (the word 12_c) is returned as it stands:
-    the layers are redundant.  Otherwise the result is the addition that
-    fixes the first forbidden pattern found, P1 before P2 before P3 (see the
-    module docstring).
+    Takes the first layer's facts, the raw second layer and the channels it
+    touches (any container that answers `in`: layer 2's partner map will
+    do), so callers that sweep many second layers over one first layer
+    build no Network per layer and read the first layer once.  A
+    second-layer comparator joining the two channels of a first-layer one
+    (the word 12_c) is returned as it stands: the layers are redundant.
+    Otherwise the result is the addition that fixes the first forbidden
+    pattern found, P1 before P2 before P3 (see the module docstring).
     """
     l1, l1p, l1min, min_order, max_order, free = first
     repeat = _repeated(l2, l1p)
@@ -362,29 +404,29 @@ def _weak_spot(first: _FirstLayer, l2, l2p: dict[int, int]) -> Optional[tuple[in
     # P1 reads the lowest free channel left out of layer 2: if no pair
     # fires on it, none fires on a higher one
     for c in free:
-        if c in l2p:
+        if c in touched:
             continue
         for a, b in l1:
-            if a in l2p and b not in l2p:
+            if a in touched and b not in touched:
                 return (c, b)      # P1a: min to the free channel
-            if b in l2p and a not in l2p:
+            if b in touched and a not in touched:
                 return (a, c)      # P1b: min to the first-layer min
-            if a not in l2p and b not in l2p:
+            if a not in touched and b not in touched:
                 return (a, c)      # P1c: either fix applies
         break
     for a in min_order:
-        if a in l2p:
+        if a in touched:
             continue
         for d in max_order:
-            if d not in l2p and l1p[a] != d:
+            if d not in touched and l1p[a] != d:
                 return (a, d)      # P2
     for i, j in l2:
         oi, oj = l1p.get(i), l1p.get(j)
         if oi is None or oj is None:
             continue
-        if i in l1min and j in l1min and oi not in l2p and oj not in l2p:
+        if i in l1min and j in l1min and oi not in touched and oj not in touched:
             return (oi, oj)        # P3a: join the two max partners
-        if i not in l1min and j not in l1min and oi not in l2p and oj not in l2p:
+        if i not in l1min and j not in l1min and oi not in touched and oj not in touched:
             return (oi, oj)        # P3b: join the two min partners
     return None
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -71,8 +72,8 @@ def test_is_saturated_examples():
 
 
 def test_saturated_layer_count_formula_matches_enumeration():
-    # n = 12 and 13 reach past the oracle range of the sn stream test below
-    for n in range(3, 14):
+    # n = 12 to 14 reach past the oracle range of the sn stream test below
+    for n in range(3, 15):
         want = saturated_layer_count(n)
         assert sum(1 for _ in saturated_layers(n)) == want
         # the S column counts the same sum on the same path
@@ -81,10 +82,15 @@ def test_saturated_layer_count_formula_matches_enumeration():
 
 def test_sn_generator_matches_is_saturated():
     # the pruned walk keeps exactly the layers is_saturated keeps, in order
+    want = {}
     for n in range(2, 12):
         fl = first_layer(n)
-        want = [l2 for l2 in matchings(n) if is_saturated(Network(n, (fl, l2)))]
-        assert list(saturated_layers(n)) == want
+        want[n] = [l2 for l2 in matchings(n) if is_saturated(Network(n, (fl, l2)))]
+        assert list(saturated_layers(n)) == want[n]
+    # two walks consumed in turn keep their memos and prefixes apart
+    both = list(itertools.zip_longest(saturated_layers(9), saturated_layers(10)))
+    assert [a for a, _ in both if a is not None] == want[9]
+    assert [b for _, b in both if b is not None] == want[10]
     for n in (0, 1):
         with pytest.raises(ValueError):
             saturated_layers(n)   # eagerly, before the first layer is drawn
@@ -238,21 +244,27 @@ def test_embeddings_cache_agrees_with_the_function():
             assert words._embeddings(w) == words._embeddings.__wrapped__(w)
 
 
-def test_sn_walk_hands_weak_spot_the_partner_map(monkeypatch):
-    # the walk keeps layer 2's partner map as it goes; at every leaf it is
-    # the map of that leaf's layer
-    maps = []
+def test_sn_walk_hands_weak_spot_the_touched_channels(monkeypatch):
+    # each leaf joins the comparators above a memoized state to one of its
+    # completions; _weak_spot judges every leaf once, and reads through `in`
+    # exactly the channels of that leaf's layer
+    judged, exact = [], []
 
-    def checking(first, l2, l2p):
-        maps.append(l2p == layer_partners(l2))
-        return real(first, l2, l2p)
+    def checking(first, l2, touched):
+        judged.append(l2)
+        chans = {ch for c in l2 for ch in c}
+        exact.append(all((ch in touched) == (ch in chans) for ch in range(n + 2)))
+        return real(first, l2, touched)
 
     real = saturation._weak_spot
     monkeypatch.setattr(saturation, "_weak_spot", checking)
-    for n in range(2, 11):
-        maps.clear()
+    for n in range(2, 13):
+        judged.clear()
+        exact.clear()
         kept = list(saturated_layers(n))
-        assert maps and all(maps) and len(kept) <= len(maps)
+        assert judged and all(exact) and len(set(judged)) == len(judged)
+        assert set(kept) <= set(judged)
+    assert len(judged) == 29794     # the leaves of the pruned walk at n = 12
 
 
 # SHA-256 of _weak_spot's result for every second layer over F_n, n = 2..9,
