@@ -9,18 +9,12 @@ lower bounds for small channel counts.
 from .networks import (
     Network,
     first_layer,
-    evaluate,
-    evaluate_bits,
     outputs,
     is_sorting_network,
     unsorted_inputs,
     windows,
-    permute,
     untangle,
     reflect,
-    reverse_complement,
-    graph_of,
-    iso_bruteforce,
     network,
 )
 from .words import (
@@ -41,11 +35,9 @@ from .words import (
 from .saturation import (
     is_redundant,
     is_saturated,
-    is_saturated_semantic,
     saturated_layers,
     subsumes,
     saturate,
-    verify_conjecture,
 )
 from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network, to_dimacs
 from .solver import SolverConfig, default_config, parse_solver_output, run_solver

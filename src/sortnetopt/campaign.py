@@ -28,7 +28,7 @@ are a prefix of R_n, in four steps.
    reflection maps rsn onto itself, so the member of the orbit of s that
    R_n keeps extends too (the source paper; rn keeps exactly one member
    of every orbit, tested for n = 3..16).
-Tier-1 checks steps 2 to 4 together for n <= 7: every second layer over
+Tier-1 checks steps 2 to 4 together for n <= 8: every second layer over
 F_n is subsumed by a prefix of R_n or by its reflection, each witness pi
 checked.
 

@@ -13,7 +13,7 @@ the sorted vectors are exactly the n+1 values 2**n - 2**k for 0 <= k <= n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -139,32 +139,6 @@ def first_layer(n: int, style: str = "adjacent") -> Layer:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(net: Network, x: Sequence) -> tuple:
-    """Propagate an input sequence through the network (works for any ordered values)."""
-    if len(x) != net.n:
-        raise ChannelCountError(f"input has {len(x)} entries, network has {net.n} channels")
-    vals = list(x)
-    for layer in net.layers:
-        for i, j in layer:
-            a, b = vals[i - 1], vals[j - 1]
-            if a > b:
-                vals[i - 1], vals[j - 1] = b, a
-    return tuple(vals)
-
-
-def evaluate_bits(net: Network, x: int) -> int:
-    """Evaluate one packed Boolean vector: an int or a numpy integer scalar,
-    such as a member of unsorted_inputs(n)."""
-    x = int(x)
-    for layer in net.layers:
-        for i, j in layer:
-            a = (x >> (i - 1)) & 1
-            b = (x >> (j - 1)) & 1
-            if a != b:
-                x = (x & ~((1 << (i - 1)) | (1 << (j - 1)))) | ((a & b) << (i - 1)) | ((a | b) << (j - 1))
-    return x
-
-
 def _eval_array(net: Network, vals: np.ndarray) -> np.ndarray:
     one = np.uint32(1)
     for layer in net.layers:
@@ -180,16 +154,6 @@ def _eval_array(net: Network, vals: np.ndarray) -> np.ndarray:
 def _check_enum(n: int) -> None:
     if n > MAX_ENUM_CHANNELS:
         raise ChannelCountError(f"2**{n} input enumeration exceeds the n <= {MAX_ENUM_CHANNELS} cap")
-
-
-def sorted_vectors(n: int) -> list[int]:
-    """The n+1 ascending vectors 0^k 1^(n-k), packed."""
-    return [(1 << n) - (1 << k) for k in range(n, -1, -1)]
-
-
-def is_ascending(v: int, n: int) -> bool:
-    """True iff packed vector v is 0s on low channels then 1s."""
-    return (v + (v & -v)) & ((1 << n) - 1) == 0
 
 
 def _ascending_mask(vals: np.ndarray, n: int) -> np.ndarray:
@@ -273,47 +237,7 @@ def windows(xs: np.ndarray, pad: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vector helpers (channel 1 is the first character of the string form)
-
-def vec_from_str(s: str) -> int:
-    return sum(1 << k for k, ch in enumerate(s) if ch == "1")
-
-
-def vec_to_str(v: int, n: int) -> str:
-    return "".join("1" if (v >> k) & 1 else "0" for k in range(n))
-
-
-def reverse_complement(v: int, n: int) -> int:
-    """Reverse the channel order and flip every bit."""
-    out = 0
-    for k in range(n):
-        if not (v >> (n - 1 - k)) & 1:
-            out |= 1 << k
-    return out
-
-
-# ---------------------------------------------------------------------------
 # symmetries
-
-def permute(pi: Sequence[int], net: Network) -> Network:
-    """Apply a channel permutation; pi[k-1] is the image of channel k.
-
-    Comparators keep their (min-target, max-target) order, so the result is
-    generalized whenever some image pair is reversed.
-    """
-    if sorted(pi) != list(range(1, net.n + 1)):
-        raise ValueError(f"not a permutation of 1..{net.n}: {pi!r}")
-    layers = []
-    generalized = False
-    for layer in net.layers:
-        mapped = []
-        for i, j in layer:
-            a, b = pi[i - 1], pi[j - 1]
-            generalized = generalized or a > b
-            mapped.append((a, b))
-        layers.append(tuple(sorted(mapped)))
-    return Network(net.n, tuple(layers), generalized or net.generalized)
-
 
 def untangle(net: Network) -> Network:
     """Standardize a generalized network by swap-propagation.
@@ -340,100 +264,3 @@ def reflect(net: Network) -> Network:
         raise ValueError("reflection is defined for standard networks")
     n = net.n
     return Network(n, tuple(tuple(sorted((n - j + 1, n - i + 1) for i, j in l)) for l in net.layers))
-
-
-# ---------------------------------------------------------------------------
-# graph representation and brute-force isomorphism
-
-@dataclass(frozen=True)
-class GraphRep:
-    """Directed multigraph on comparator occurrences with edge labels 1/2.
-
-    Vertex v carries comparator(v); edge (u, 1, v) means the min output of
-    u feeds v, label 2 the max output.  Unused channels leave no trace.
-    """
-
-    comparators: tuple[Comparator, ...]
-    edges: frozenset[tuple[int, int, int]] = field(default_factory=frozenset)
-
-    @property
-    def order(self) -> int:
-        return len(self.comparators)
-
-
-def graph_of(net: Network) -> GraphRep:
-    verts: list[Comparator] = []
-    edges = set()
-    last_writer: dict[int, tuple[int, int]] = {}  # channel -> (vertex, label)
-    for layer in net.layers:
-        placed = []
-        for i, j in layer:
-            v = len(verts) + len(placed)
-            placed.append(((i, j), v))
-        for (i, j), v in placed:
-            for ch in (i, j):
-                if ch in last_writer:
-                    u, label = last_writer[ch]
-                    edges.add((u, label, v))
-        for (i, j), v in placed:
-            last_writer[i] = (v, 1)  # min side
-            last_writer[j] = (v, 2)  # max side
-        verts.extend(c for c, _ in placed)
-    return GraphRep(tuple(verts), frozenset(edges))
-
-
-MAX_ISO_VERTICES = 10
-
-
-def iso_bruteforce(g1: GraphRep, g2: GraphRep) -> bool:
-    """Exact labeled-digraph isomorphism by signature-pruned backtracking."""
-    if g1.order != g2.order:
-        return False
-    if g1.order > MAX_ISO_VERTICES:
-        raise ValueError(f"iso_bruteforce is capped at {MAX_ISO_VERTICES} vertices")
-    if len(g1.edges) != len(g2.edges):
-        return False
-
-    def signatures(g: GraphRep) -> list[tuple[int, int, int, int]]:
-        sig = [[0, 0, 0, 0] for _ in range(g.order)]
-        for u, label, v in g.edges:
-            sig[u][label - 1] += 1
-            sig[v][label + 1] += 1
-        return [tuple(s) for s in sig]
-
-    s1, s2 = signatures(g1), signatures(g2)
-    if sorted(s1) != sorted(s2):
-        return False
-    e2 = g2.edges
-    cand = [[v for v in range(g2.order) if s2[v] == s1[u]] for u in range(g1.order)]
-    adj1: dict[int, list[tuple[int, int, int]]] = {u: [] for u in range(g1.order)}
-    for u, label, v in g1.edges:
-        adj1[u].append((u, label, v))
-        adj1[v].append((u, label, v))
-
-    mapping = [-1] * g1.order
-    used = [False] * g2.order
-
-    def place(u: int) -> bool:
-        if u == g1.order:
-            return True
-        for w in cand[u]:
-            if used[w]:
-                continue
-            ok = True
-            for a, label, b in adj1[u]:
-                ma = mapping[a] if a != u else w
-                mb = mapping[b] if b != u else w
-                if ma >= 0 and mb >= 0 and (ma, label, mb) not in e2:
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                used[w] = True
-                if place(u + 1):
-                    return True
-                mapping[u] = -1
-                used[w] = False
-        return False
-
-    return place(0)

@@ -24,9 +24,9 @@ untouched by the second layer:
 * P3 (a, b): a second-layer comparator joining two min-channels, or two
   max-channels, whose first-layer partners are both free.
 
-is_saturated_semantic, which tries every addition under every channel
-permutation (n <= 8), is its oracle: the two agree on every second layer
-over F_n for n <= 7 (tested).
+Its oracle, is_saturated_semantic in tests/oracles.py, tries every
+addition under every channel permutation (n <= 8): the two agree on every
+second layer over F_n for n <= 7 (tested).
 
 saturated_layers walks the saturated second layers over F_n (the sn set)
 as a DAG: the subtree below a walk node depends only on its open channels
@@ -43,13 +43,11 @@ outputs(C_a), i.e. the *subsuming* network is the stronger filter.
 
 from __future__ import annotations
 
-import itertools
 from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import words as words_mod
 from .networks import Layer, Network, first_layer, outputs
 
-MAX_SEMANTIC_CHANNELS = 8
 MAX_SUBSUME_CHANNELS = 10
 
 
@@ -160,31 +158,17 @@ def subsumes(cb: Network, ca: Network) -> Optional[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # redundancy
 
-def _remove_one(net: Network, d: int, comp: tuple[int, int]) -> Network:
-    layers = [tuple(c for c in layer) for layer in net.layers]
-    layers[d] = tuple(c for c in layers[d] if c != comp)
-    return Network(net.n, tuple(layers), net.generalized)
-
-
-def is_redundant(net: Network, semantic: bool = False) -> bool:
-    """Redundancy check; the default syntactic mode reads the layers.
+def is_redundant(net: Network) -> bool:
+    """Redundancy check for a network of depth 1 or 2, read off the layers.
 
     Two-layer networks are redundant exactly when their sentence contains
     the word 12_c: a layer-2 comparator joins the two channels of a layer-1
-    comparator.  The semantic mode (n <= 8) checks every single-comparator
-    removal for output-set equality modulo permutation.
+    comparator.  The semantic check, every single-comparator removal tried
+    for output-set equality modulo permutation, is its oracle in
+    tests/oracles.py.
     """
-    if not semantic:
-        l1p, _ = words_mod.two_layer_partners(net)
-        return net.depth == 2 and _repeated(net.layers[1], l1p) is not None
-    if net.n > MAX_SEMANTIC_CHANNELS:
-        raise ValueError(f"semantic redundancy is capped at n <= {MAX_SEMANTIC_CHANNELS}")
-    full = outputs(net)
-    for d, layer in enumerate(net.layers):
-        for comp in layer:
-            if _embed_search(outputs(_remove_one(net, d, comp)), full, net.n, exact=True):
-                return True
-    return False
+    l1p, _ = words_mod.two_layer_partners(net)
+    return net.depth == 2 and _repeated(net.layers[1], l1p) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +179,8 @@ def is_saturated(net: Network) -> bool:
 
     True when _weak_spot finds neither a repeated first-layer comparator nor
     a forbidden pattern.  On a maximal first layer this is the semantic
-    definition: it agrees with is_saturated_semantic on every second layer
-    over F_n for n <= 7 (tested).
+    definition: it agrees with the semantic oracle, is_saturated_semantic in
+    tests/oracles.py, on every second layer over F_n for n <= 7 (tested).
     """
     l1p, l2p = words_mod.two_layer_partners(net)
     l2 = net.layers[1] if net.depth == 2 else ()
@@ -310,39 +294,6 @@ def saturated_layers(n: int) -> Iterator[Layer]:
     return leaves()
 
 
-def addable_comparators(net: Network) -> list[tuple[int, int]]:
-    """Second-layer additions that respect disjointness and are not no-ops.
-
-    Re-adding a first-layer comparator never changes any output and is
-    excluded; everything else on two layer-2-free channels qualifies.
-    """
-    _, l2p = words_mod.two_layer_partners(net)
-    unused = [ch for ch in range(1, net.n + 1) if ch not in l2p]
-    l1 = set(net.layers[0])
-    return [c for c in itertools.combinations(unused, 2) if c not in l1]
-
-
-def _with_added(net: Network, comp: tuple[int, int]) -> Network:
-    l2 = (net.layers[1] if net.depth == 2 else ()) + (comp,)
-    generalized = net.generalized or comp[0] > comp[1]
-    return Network(net.n, (net.layers[0], tuple(sorted(l2))), generalized)
-
-
-def is_saturated_semantic(net: Network) -> bool:
-    """Exhaustive saturation oracle: tries every addition and permutation."""
-    if net.n > MAX_SEMANTIC_CHANNELS:
-        raise ValueError(f"semantic saturation is capped at n <= {MAX_SEMANTIC_CHANNELS}")
-    if is_redundant(net, semantic=True):
-        return False
-    full = outputs(net)
-    # a reversed added comparator only permutes the standard one's outputs,
-    # so the standard orientation decides both
-    for comp in addable_comparators(net):
-        if _embed_search(outputs(_with_added(net, comp)), full, net.n, exact=False):
-            return False
-    return True
-
-
 def saturated_layer_count(n: int) -> int:
     """Number of second layers over F_n whose two-layer network is saturated.
 
@@ -448,17 +399,3 @@ def saturate(net: Network) -> Network:
     while (fix := _weak_spot(facts, l2, words_mod.layer_partners(l2))) is not None:
         l2 = sorted(l2 + [fix])
     return Network(net.n, (l1, tuple(l2)), generalized=any(i > j for i, j in l2))
-
-
-# ---------------------------------------------------------------------------
-# conjecture check
-
-def verify_conjecture(n: int) -> bool:
-    """No two non-equivalent saturated classes subsume one another."""
-    if n > MAX_SEMANTIC_CHANNELS:
-        raise ValueError(f"conjecture check is capped at n <= {MAX_SEMANTIC_CHANNELS}")
-    classes = [words_mod.net_of(s) for s in words_mod.sentences(n, "rsn")]
-    for a, b in itertools.combinations(classes, 2):
-        if subsumes(a, b) is not None or subsumes(b, a) is not None:
-            return False
-    return True

@@ -1,0 +1,305 @@
+"""Reference oracles: the exhaustive checkers the tests hold the pipeline to.
+
+The pipeline (R_n prefix set, CNF per prefix, SAT solver, claim) lives in
+src/sortnetopt and reaches none of this: no module there imports it
+(tests/test_imports.py).  Each oracle reads a definition directly, and
+the exhaustive ones are capped where exhaustion stops being cheap:
+
+* scalar evaluation (evaluate, evaluate_bits) and packed-vector helpers,
+  against the numpy evaluation behind outputs and unsorted_inputs;
+* permute and the labelled digraph of a network (graph_of, iso_bruteforce),
+  against untangle and the sentences of words;
+* semantic redundancy and saturation, which try every removal or addition
+  under every channel permutation (n <= 8), against saturation's structural
+  test, and verify_conjecture over the saturated classes;
+* brute_force_sorter_exists, every depth-d layer sequence tried on an input
+  set, against the SAT encoding.
+
+pytest puts tests/ on sys.path (`pythonpath` in pyproject.toml), so test
+modules import this file as `oracles`; its name keeps it out of test
+collection.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+from typing import Sequence
+
+from sortnetopt import words as words_mod
+from sortnetopt.networks import ChannelCountError, Comparator, Network, outputs
+from sortnetopt.saturation import _embed_search, subsumes
+from sortnetopt.words import matchings
+
+MAX_SEMANTIC_CHANNELS = 8
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+def evaluate(net: Network, x: Sequence) -> tuple:
+    """Propagate an input sequence through the network (works for any ordered values)."""
+    if len(x) != net.n:
+        raise ChannelCountError(f"input has {len(x)} entries, network has {net.n} channels")
+    vals = list(x)
+    for layer in net.layers:
+        for i, j in layer:
+            a, b = vals[i - 1], vals[j - 1]
+            if a > b:
+                vals[i - 1], vals[j - 1] = b, a
+    return tuple(vals)
+
+
+def evaluate_bits(net: Network, x: int) -> int:
+    """Evaluate one packed Boolean vector: an int or a numpy integer scalar,
+    such as a member of unsorted_inputs(n)."""
+    x = int(x)
+    for layer in net.layers:
+        for i, j in layer:
+            a = (x >> (i - 1)) & 1
+            b = (x >> (j - 1)) & 1
+            if a != b:
+                x = (x & ~((1 << (i - 1)) | (1 << (j - 1)))) | ((a & b) << (i - 1)) | ((a | b) << (j - 1))
+    return x
+
+
+def sorted_vectors(n: int) -> list[int]:
+    """The n+1 ascending vectors 0^k 1^(n-k), packed."""
+    return [(1 << n) - (1 << k) for k in range(n, -1, -1)]
+
+
+def is_ascending(v: int, n: int) -> bool:
+    """True iff packed vector v is 0s on low channels then 1s."""
+    return (v + (v & -v)) & ((1 << n) - 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# vector helpers (channel 1 is the first character of the string form)
+
+def vec_from_str(s: str) -> int:
+    return sum(1 << k for k, ch in enumerate(s) if ch == "1")
+
+
+def vec_to_str(v: int, n: int) -> str:
+    return "".join("1" if (v >> k) & 1 else "0" for k in range(n))
+
+
+def reverse_complement(v: int, n: int) -> int:
+    """Reverse the channel order and flip every bit."""
+    out = 0
+    for k in range(n):
+        if not (v >> (n - 1 - k)) & 1:
+            out |= 1 << k
+    return out
+
+
+# ---------------------------------------------------------------------------
+# symmetries
+
+def permute(pi: Sequence[int], net: Network) -> Network:
+    """Apply a channel permutation; pi[k-1] is the image of channel k.
+
+    Comparators keep their (min-target, max-target) order, so the result is
+    generalized whenever some image pair is reversed.
+    """
+    if sorted(pi) != list(range(1, net.n + 1)):
+        raise ValueError(f"not a permutation of 1..{net.n}: {pi!r}")
+    layers = []
+    generalized = False
+    for layer in net.layers:
+        mapped = []
+        for i, j in layer:
+            a, b = pi[i - 1], pi[j - 1]
+            generalized = generalized or a > b
+            mapped.append((a, b))
+        layers.append(tuple(sorted(mapped)))
+    return Network(net.n, tuple(layers), generalized or net.generalized)
+
+
+# ---------------------------------------------------------------------------
+# graph representation and brute-force isomorphism
+
+@dataclass(frozen=True)
+class GraphRep:
+    """Directed multigraph on comparator occurrences with edge labels 1/2.
+
+    Vertex v carries comparator(v); edge (u, 1, v) means the min output of
+    u feeds v, label 2 the max output.  Unused channels leave no trace.
+    """
+
+    comparators: tuple[Comparator, ...]
+    edges: frozenset[tuple[int, int, int]] = field(default_factory=frozenset)
+
+    @property
+    def order(self) -> int:
+        return len(self.comparators)
+
+
+def graph_of(net: Network) -> GraphRep:
+    verts: list[Comparator] = []
+    edges = set()
+    last_writer: dict[int, tuple[int, int]] = {}  # channel -> (vertex, label)
+    for layer in net.layers:
+        placed = []
+        for i, j in layer:
+            v = len(verts) + len(placed)
+            placed.append(((i, j), v))
+        for (i, j), v in placed:
+            for ch in (i, j):
+                if ch in last_writer:
+                    u, label = last_writer[ch]
+                    edges.add((u, label, v))
+        for (i, j), v in placed:
+            last_writer[i] = (v, 1)  # min side
+            last_writer[j] = (v, 2)  # max side
+        verts.extend(c for c, _ in placed)
+    return GraphRep(tuple(verts), frozenset(edges))
+
+
+MAX_ISO_VERTICES = 10
+
+
+def iso_bruteforce(g1: GraphRep, g2: GraphRep) -> bool:
+    """Exact labeled-digraph isomorphism by signature-pruned backtracking."""
+    if g1.order != g2.order:
+        return False
+    if g1.order > MAX_ISO_VERTICES:
+        raise ValueError(f"iso_bruteforce is capped at {MAX_ISO_VERTICES} vertices")
+    if len(g1.edges) != len(g2.edges):
+        return False
+
+    def signatures(g: GraphRep) -> list[tuple[int, int, int, int]]:
+        sig = [[0, 0, 0, 0] for _ in range(g.order)]
+        for u, label, v in g.edges:
+            sig[u][label - 1] += 1
+            sig[v][label + 1] += 1
+        return [tuple(s) for s in sig]
+
+    s1, s2 = signatures(g1), signatures(g2)
+    if sorted(s1) != sorted(s2):
+        return False
+    e2 = g2.edges
+    cand = [[v for v in range(g2.order) if s2[v] == s1[u]] for u in range(g1.order)]
+    adj1: dict[int, list[tuple[int, int, int]]] = {u: [] for u in range(g1.order)}
+    for u, label, v in g1.edges:
+        adj1[u].append((u, label, v))
+        adj1[v].append((u, label, v))
+
+    mapping = [-1] * g1.order
+    used = [False] * g2.order
+
+    def place(u: int) -> bool:
+        if u == g1.order:
+            return True
+        for w in cand[u]:
+            if used[w]:
+                continue
+            ok = True
+            for a, label, b in adj1[u]:
+                ma = mapping[a] if a != u else w
+                mb = mapping[b] if b != u else w
+                if ma >= 0 and mb >= 0 and (ma, label, mb) not in e2:
+                    ok = False
+                    break
+            if ok:
+                mapping[u] = w
+                used[w] = True
+                if place(u + 1):
+                    return True
+                mapping[u] = -1
+                used[w] = False
+        return False
+
+    return place(0)
+
+
+# ---------------------------------------------------------------------------
+# redundancy
+
+def _remove_one(net: Network, d: int, comp: tuple[int, int]) -> Network:
+    layers = [tuple(c for c in layer) for layer in net.layers]
+    layers[d] = tuple(c for c in layers[d] if c != comp)
+    return Network(net.n, tuple(layers), net.generalized)
+
+
+def is_redundant_semantic(net: Network) -> bool:
+    """Semantic redundancy check (n <= 8): some single-comparator removal
+    leaves the output set unchanged modulo permutation.
+
+    saturation.is_redundant reads the same answer off the layers of a
+    two-layer network (tested on every second layer over F_n, n <= 7).
+    """
+    if net.n > MAX_SEMANTIC_CHANNELS:
+        raise ValueError(f"semantic redundancy is capped at n <= {MAX_SEMANTIC_CHANNELS}")
+    full = outputs(net)
+    for d, layer in enumerate(net.layers):
+        for comp in layer:
+            if _embed_search(outputs(_remove_one(net, d, comp)), full, net.n, exact=True):
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# saturation
+
+def addable_comparators(net: Network) -> list[tuple[int, int]]:
+    """Second-layer additions that respect disjointness and are not no-ops.
+
+    Re-adding a first-layer comparator never changes any output and is
+    excluded; everything else on two layer-2-free channels qualifies.
+    """
+    _, l2p = words_mod.two_layer_partners(net)
+    unused = [ch for ch in range(1, net.n + 1) if ch not in l2p]
+    l1 = set(net.layers[0])
+    return [c for c in itertools.combinations(unused, 2) if c not in l1]
+
+
+def _with_added(net: Network, comp: tuple[int, int]) -> Network:
+    l2 = (net.layers[1] if net.depth == 2 else ()) + (comp,)
+    generalized = net.generalized or comp[0] > comp[1]
+    return Network(net.n, (net.layers[0], tuple(sorted(l2))), generalized)
+
+
+def is_saturated_semantic(net: Network) -> bool:
+    """Exhaustive saturation oracle: tries every addition and permutation."""
+    if net.n > MAX_SEMANTIC_CHANNELS:
+        raise ValueError(f"semantic saturation is capped at n <= {MAX_SEMANTIC_CHANNELS}")
+    if is_redundant_semantic(net):
+        return False
+    full = outputs(net)
+    # a reversed added comparator only permutes the standard one's outputs,
+    # so the standard orientation decides both
+    for comp in addable_comparators(net):
+        if _embed_search(outputs(_with_added(net, comp)), full, net.n, exact=False):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# conjecture check
+
+def verify_conjecture(n: int) -> bool:
+    """No two non-equivalent saturated classes subsume one another."""
+    if n > MAX_SEMANTIC_CHANNELS:
+        raise ValueError(f"conjecture check is capped at n <= {MAX_SEMANTIC_CHANNELS}")
+    classes = [words_mod.net_of(s) for s in words_mod.sentences(n, "rsn")]
+    for a, b in itertools.combinations(classes, 2):
+        if subsumes(a, b) is not None or subsumes(b, a) is not None:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# sorter existence
+
+def brute_force_sorter_exists(n, d, xs, prefix=None):
+    """Oracle: enumerate every depth-d layer sequence and test it on xs."""
+    layers = list(matchings(n))
+    fixed = list(prefix.layers) if prefix is not None else []
+    free = d - len(fixed)
+    assert free >= 0
+    for combo in itertools.product(layers, repeat=free):
+        net = Network(n, tuple(fixed) + combo)
+        if all(is_ascending(evaluate_bits(net, b), n) for b in xs.tolist()):
+            return True
+    return False

@@ -5,12 +5,13 @@ not reproducible from the saturation definition itself (see the decisions
 ledger for the analysis), so that single test is expected to stay red.
 """
 
-import itertools
 import random
 import time
 
 import pytest
 
+from oracles import (brute_force_sorter_exists, is_saturated_semantic, reverse_complement,
+                     verify_conjecture)
 from sortnetopt import saturation as sat
 from sortnetopt import words as words_mod
 from sortnetopt.campaign import (campaign_from_json, campaign_to_json, compute_T,
@@ -18,13 +19,10 @@ from sortnetopt.campaign import (campaign_from_json, campaign_to_json, compute_T
 from sortnetopt.encoding import EncodeOptions, build, decode_network
 from sortnetopt.networks import (
     Network,
-    evaluate_bits,
     first_layer,
-    is_ascending,
     is_sorting_network,
     outputs,
     reflect,
-    reverse_complement,
     unsorted_inputs,
 )
 from sortnetopt.solver import run_solver
@@ -112,24 +110,15 @@ def test_c06_saturation_equivalence():
         fl = first_layer(n)
         for l2 in matchings(n):
             net = Network(n, (fl, l2))
-            if sat.is_saturated(net) != sat.is_saturated_semantic(net):
+            if sat.is_saturated(net) != is_saturated_semantic(net):
                 disagreements += 1
     report("6 (syntactic == semantic saturation, all of G_n for n <= 6)",
            disagreements == 0, f"disagreements={disagreements}")
 
 
 def test_c07_conjecture_instances():
-    bad = [n for n in (3, 4, 5, 6) if not sat.verify_conjecture(n)]
+    bad = [n for n in (3, 4, 5, 6) if not verify_conjecture(n)]
     report("7 (conjecture instances n <= 6)", not bad, f"failures={bad}")
-
-
-def _oracle_exists(n, d, xs):
-    layers = list(matchings(n))
-    for combo in itertools.product(layers, repeat=d):
-        net = Network(n, combo)
-        if all(is_ascending(evaluate_bits(net, b), n) for b in xs.tolist()):
-            return True
-    return False
 
 
 def test_c08_encoder_oracle_equivalence(solver_config):
@@ -137,7 +126,7 @@ def test_c08_encoder_oracle_equivalence(solver_config):
     for n in (2, 3, 4):
         xs = unsorted_inputs(n)
         for d in (0, 1, 2, 3):
-            want = "SAT" if _oracle_exists(n, d, xs) else "UNSAT"
+            want = "SAT" if brute_force_sorter_exists(n, d, xs) else "UNSAT"
             variants = [EncodeOptions()]
             for flag in ("sigma1", "sigma2", "sigma3", "last_layer", "near_sorted",
                          "settled_ends"):
@@ -259,7 +248,8 @@ def test_c11_reflection_lemma_property():
 
 
 def test_c12_figure_regressions():
-    from sortnetopt.networks import evaluate, network
+    from oracles import evaluate
+    from sortnetopt.networks import network
     from sortnetopt.words import parse_word, reflect_word, render_sentence, sentence_of, word_of
 
     fig1 = network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)])

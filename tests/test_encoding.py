@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import brute_force_sorter_exists, evaluate_bits, vec_from_str
 from sortnetopt.encoding import (
     Cnf,
     EncodeOptions,
@@ -23,29 +24,13 @@ from sortnetopt.encoding import (
 )
 from sortnetopt.networks import (
     Network,
-    evaluate_bits,
     first_layer,
-    is_ascending,
     network,
     unsorted_inputs,
-    vec_from_str,
     windows,
 )
 from sortnetopt.solver import parse_solver_output, run_solver
 from sortnetopt.words import matchings
-
-
-def brute_force_sorter_exists(n, d, xs, prefix=None):
-    """Oracle: enumerate every depth-d layer sequence and test it on xs."""
-    layers = list(matchings(n))
-    fixed = list(prefix.layers) if prefix is not None else []
-    free = d - len(fixed)
-    assert free >= 0
-    for combo in itertools.product(layers, repeat=free):
-        net = Network(n, tuple(fixed) + combo)
-        if all(is_ascending(evaluate_bits(net, b), n) for b in xs.tolist()):
-            return True
-    return False
 
 
 def unit_propagate(cnf):

@@ -18,7 +18,7 @@ FIG5_PAIR = (network(6, first_layer(6), [(2, 3), (4, 6)]),
 
 
 def test_fig1_evaluations():
-    from sortnetopt.networks import evaluate
+    from oracles import evaluate
     assert evaluate(FIG1, (5, 2, 0, 7)) == (0, 2, 5, 7)
     assert evaluate(FIG1, (0, 1, 0, 1)) == (0, 0, 1, 1)
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import sortnetopt
@@ -52,3 +53,28 @@ def test_package_imports_have_no_cycle():
     assert _cycle(graph) is None, " -> ".join(_cycle(graph))
     # saturation builds on words, and words needs nothing from saturation
     assert "words" in graph["saturation"] and "saturation" not in graph["words"]
+
+
+def test_package_imports_nothing_from_tests():
+    # the oracles check the pipeline from outside it: no module of the
+    # package imports them, or any other module under tests/
+    tests_dir = Path(__file__).parent
+    test_modules = {p.stem for p in tests_dir.glob("*.py")} | {"tests"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            bad = {name.split(".")[0] for name in names} & test_modules
+            assert not bad, f"{path.name}:{node.lineno} imports {sorted(bad)}"
+
+
+def test_public_names_are_pipeline_code():
+    # __all__ lists the package's own objects: none is defined in tests/
+    for name in sortnetopt.__all__:
+        obj = getattr(sortnetopt, name)
+        module = obj.__name__ if inspect.ismodule(obj) else obj.__module__
+        assert module.startswith("sortnetopt"), (name, module)

@@ -7,29 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    evaluate,
+    evaluate_bits,
+    graph_of,
+    is_ascending,
+    iso_bruteforce,
+    permute,
+    reverse_complement,
+    sorted_vectors,
+    vec_from_str,
+    vec_to_str,
+)
 from sortnetopt import networks
 from sortnetopt.networks import (
     ChannelCountError,
     Network,
-    evaluate,
-    evaluate_bits,
     first_layer,
-    graph_of,
-    is_ascending,
     is_sorting_network,
-    iso_bruteforce,
     network,
     network_json,
     outputs,
-    permute,
     reflect,
-    reverse_complement,
-    sorted_vectors,
     two_layer_json,
     unsorted_inputs,
     untangle,
-    vec_from_str,
-    vec_to_str,
     windows,
 )
 from sortnetopt.saturation import saturated_layers

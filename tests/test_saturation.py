@@ -4,19 +4,18 @@ import random
 
 import pytest
 
+from oracles import is_redundant_semantic, is_saturated_semantic, verify_conjecture
 from sortnetopt import saturation, words
 from sortnetopt.networks import Network, first_layer, network, outputs
 from sortnetopt.saturation import (
     _weak_spot,
     is_redundant,
     is_saturated,
-    is_saturated_semantic,
     permute_vectors,
     saturate,
     saturated_layer_count,
     saturated_layers,
     subsumes,
-    verify_conjecture,
 )
 from sortnetopt.words import (
     counts,
@@ -59,7 +58,7 @@ def test_is_redundant():
     for n in range(2, 8):
         for l2 in matchings(n):
             net = Network(n, (first_layer(n), l2))
-            assert is_redundant(net) == is_redundant(net, semantic=True)
+            assert is_redundant(net) == is_redundant_semantic(net)
 
 
 def test_is_saturated_examples():

@@ -257,14 +257,15 @@ def test_sentence_of_is_permutation_invariant(n, data):
         pi[lo - 1], pi[hi - 1] = 2 * new + 1, 2 * new + 2
     if n % 2:
         pi[n - 1] = n
-    from sortnetopt.networks import permute, untangle
+    from oracles import permute
+    from sortnetopt.networks import untangle
     other = untangle(permute(pi, net))
     assert sentence_of(other) == sentence_of(net)
 
 
 def test_sentence_equality_iff_graph_isomorphism():
     # word representation captures graph equivalence exactly (n <= 5)
-    from sortnetopt.networks import graph_of, iso_bruteforce
+    from oracles import graph_of, iso_bruteforce
     for n in (3, 4, 5):
         nets = [Network(n, (first_layer(n), l2)) for l2 in matchings(n)]
         for a, b in itertools.combinations(nets, 2):
