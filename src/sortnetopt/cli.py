@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = conclusive, 10 = SAT found, 20 = UNSAT proven,
-30 = inconclusive.  The SAT_SOLVER environment variable overrides the
-solver binary for all solving subcommands.
+30 = inconclusive.  The solving subcommands (solve, find, prove) run the
+binary named by --solver; without --solver they run the one
+solver.find_solver picks, which is $SAT_SOLVER when that is set.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ EXIT_UNSAT = 20
 EXIT_INCONCLUSIVE = 30
 
 GN_STREAM_LIMIT = 16  # beyond this, gn/sn report counts only
+
+SOLVER_HELP = ("DIMACS solver binary (default: $SAT_SOLVER, else the first known solver "
+               "on PATH or in a user bin dir)")
 
 
 class UsageError(ValueError):
@@ -211,7 +215,7 @@ def main(argv=None) -> int:
 
     parsers["solve"] = p = sub.add_parser("solve", help="run the SAT solver on a DIMACS file")
     p.add_argument("--cnf", required=True)
-    p.add_argument("--solver")
+    p.add_argument("--solver", help=SOLVER_HELP)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.set_defaults(func=_cmd_solve)
 
@@ -219,7 +223,7 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("free", "layer1", "two-layer"), default="two-layer")
-    p.add_argument("--solver")
+    p.add_argument("--solver", help=SOLVER_HELP)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_find)
@@ -230,7 +234,7 @@ def main(argv=None) -> int:
     p.add_argument("--pads", type=_pad_list,
                    help="comma-separated pad schedule, largest first "
                         "(default: n-d-1, then 0)")
-    p.add_argument("--solver")
+    p.add_argument("--solver", help=SOLVER_HELP)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON campaign report here")

@@ -7,14 +7,11 @@ escaping every permuted copy of its output set.  Saturated prefixes are
 exactly the ones worth keeping when searching for depth-optimal sorting
 networks.
 
-One structural test, _weak_spot, decides both from the first layer's facts
-(_first_layer_facts: its partner map, its min channels, its min and max
-channels in order and the channels it leaves out), the second layer and
-the channels it touches.  is_saturated, saturate and the sn set all call
-it, and each builds the facts once: the sn walk once for all of its leaves.
-A network is redundant when a second-layer comparator joins the two
-channels of a first-layer comparator.  Otherwise it is unsaturated exactly
-when it shows one of the forbidden patterns of Fig. 7, where "free" means
+Both are read off the layers, by two separate rules.  A network is
+redundant exactly when a second-layer comparator joins the two channels of
+a first-layer comparator (the word 12_c); _repeated finds one, behind
+is_redundant.  A non-redundant network is unsaturated exactly when it
+shows one of the forbidden patterns of Fig. 7, where "free" means
 untouched by the second layer:
 
 * P1 (a, b, c): a channel untouched by both layers, and a first-layer
@@ -24,8 +21,15 @@ untouched by the second layer:
 * P3 (a, b): a second-layer comparator joining two min-channels, or two
   max-channels, whose first-layer partners are both free.
 
-Its oracle, is_saturated_semantic in tests/oracles.py, tries every
-addition under every channel permutation (n <= 8): the two agree on every
+_weak_spot judges these three from the first layer's facts
+(_first_layer_facts: its partner map, its min channels, its min and max
+channels in order and the channels it leaves out), the second layer and
+the channels it touches.  is_saturated is the definition: not redundant,
+and no forbidden pattern.  saturate and the sn walk call _weak_spot alone,
+because neither ever holds a repeated comparator, and each builds the
+facts once: the walk once for all of its leaves.  The oracle,
+is_saturated_semantic in tests/oracles.py, tries every addition under
+every channel permutation (n <= 8): it agrees with is_saturated on every
 second layer over F_n for n <= 7 (tested).
 
 saturated_layers walks the saturated second layers over F_n (the sn set)
@@ -52,7 +56,7 @@ MAX_SUBSUME_CHANNELS = 10
 
 
 # ---------------------------------------------------------------------------
-# output-set machinery: subset / equality modulo channel permutation
+# output-set machinery: subset modulo channel permutation
 
 def _column_stats(vecs: Iterable[int], n: int) -> list[int]:
     cnt = [0] * n
@@ -63,16 +67,16 @@ def _column_stats(vecs: Iterable[int], n: int) -> list[int]:
     return cnt
 
 
-def _embed_search(sb: frozenset[int], sa: frozenset[int], n: int, exact: bool) -> Optional[tuple[int, ...]]:
-    """Find pi with sb subseteq pi(sa) (or equality when exact), else None.
+def _embed_search(sb: frozenset[int], sa: frozenset[int], n: int) -> Optional[tuple[int, ...]]:
+    """Find pi with sb subseteq pi(sa), else None.
 
     pi is returned as a tuple where pi[k-1] is the image of channel k, i.e.
     column pi(k) of pi(sa) equals column k of sa.  Backtracking assigns the
     preimage of each target column and refines a partition of (sb, sa) by
-    the chosen column bits, which prunes aggressively.
+    the chosen column bits, which prunes aggressively.  Equality modulo
+    permutation is equal sizes plus this search: a channel permutation is
+    a bijection, so an embedding between sets of one size is onto.
     """
-    if exact and len(sb) != len(sa):
-        return None
     if len(sb) > len(sa):
         return None
     wb, wa = _column_stats(sb, n), _column_stats(sa, n)
@@ -80,47 +84,34 @@ def _embed_search(sb: frozenset[int], sa: frozenset[int], n: int, exact: bool) -
 
     preimage = [0] * n  # preimage[j-1] = k with pi(k) = j
     used = [False] * n
-    cells = [(tuple(sb), tuple(sa))]
-
-    def ok_counts(cb: int, ca: int) -> bool:
-        return cb == ca if exact else cb <= ca
 
     def rec(j: int, cells) -> bool:
         if j > n:
             return True
         for k in range(1, n + 1):
-            if used[k - 1]:
+            if used[k - 1] or wb[j - 1] > wa[k - 1] or (nb - wb[j - 1]) > (na - wa[k - 1]):
                 continue
-            if exact:
-                if wb[j - 1] != wa[k - 1]:
-                    continue
-            else:
-                if wb[j - 1] > wa[k - 1] or (nb - wb[j - 1]) > (na - wa[k - 1]):
-                    continue
             new_cells = []
-            fail = False
             for vb, va in cells:
                 b0 = tuple(v for v in vb if not (v >> (j - 1)) & 1)
                 b1 = tuple(v for v in vb if (v >> (j - 1)) & 1)
                 a0 = tuple(v for v in va if not (v >> (k - 1)) & 1)
                 a1 = tuple(v for v in va if (v >> (k - 1)) & 1)
-                if not ok_counts(len(b0), len(a0)) or not ok_counts(len(b1), len(a1)):
-                    fail = True
+                if len(b0) > len(a0) or len(b1) > len(a1):
                     break
-                if b0 or (exact and a0):
+                if b0:
                     new_cells.append((b0, a0))
-                if b1 or (exact and a1):
+                if b1:
                     new_cells.append((b1, a1))
-            if fail:
-                continue
-            used[k - 1] = True
-            preimage[j - 1] = k
-            if rec(j + 1, new_cells):
-                return True
-            used[k - 1] = False
+            else:
+                used[k - 1] = True
+                preimage[j - 1] = k
+                if rec(j + 1, new_cells):
+                    return True
+                used[k - 1] = False
         return False
 
-    if not rec(1, cells):
+    if not rec(1, [(tuple(sb), tuple(sa))]):
         return None
     pi = [0] * n
     for j, k in enumerate(preimage, start=1):
@@ -152,11 +143,19 @@ def subsumes(cb: Network, ca: Network) -> Optional[tuple[int, ...]]:
         raise ValueError("subsumption is compared at equal depth")
     if cb.n > MAX_SUBSUME_CHANNELS:
         raise ValueError(f"subsumption search is capped at n <= {MAX_SUBSUME_CHANNELS}")
-    return _embed_search(outputs(cb), outputs(ca), cb.n, exact=False)
+    return _embed_search(outputs(cb), outputs(ca), cb.n)
 
 
 # ---------------------------------------------------------------------------
 # redundancy
+
+def _repeated(l2, l1p: dict[int, int]) -> Optional[tuple[int, int]]:
+    """A second-layer comparator joining the two channels of a first-layer one."""
+    for i, j in l2:
+        if l1p.get(i) == j:
+            return (i, j)
+    return None
+
 
 def is_redundant(net: Network) -> bool:
     """Redundancy check for a network of depth 1 or 2, read off the layers.
@@ -172,19 +171,82 @@ def is_redundant(net: Network) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# saturation
+# saturation: the forbidden patterns P1-P3, judged by _weak_spot
+
+class _FirstLayer(NamedTuple):
+    """What _weak_spot reads of a first layer, built once for every second
+    layer that is tested over it."""
+    pairs: Layer                # the comparators, in layer order
+    partner: dict[int, int]     # channel -> the channel it is joined to
+    mins: frozenset[int]        # the min channel of each comparator
+    min_order: tuple[int, ...]  # the min channels, ascending
+    max_order: tuple[int, ...]  # the max channels, ascending
+    free: tuple[int, ...]       # the channels outside the layer, ascending
+
+
+def _first_layer_facts(n: int, l1: Layer) -> _FirstLayer:
+    partner = words_mod.layer_partners(l1)
+    mins = frozenset(i for i, j in l1)
+    return _FirstLayer(l1, partner, mins, tuple(sorted(mins)), tuple(sorted(j for i, j in l1)),
+                       tuple(ch for ch in range(1, n + 1) if ch not in partner))
+
+
+def _weak_spot(first: _FirstLayer, l2, touched: Container[int]) -> Optional[tuple[int, int]]:
+    """The addition that fixes the first forbidden pattern two layers show,
+    P1 before P2 before P3 (see the module docstring), or None when they
+    show none.
+
+    Takes the first layer's facts, the raw second layer and the channels it
+    touches (any container that answers `in`: layer 2's partner map will
+    do), so callers that sweep many second layers over one first layer
+    build no Network per layer and read the first layer once.  It judges
+    the patterns only: whether layer 2 repeats a first-layer comparator is
+    is_redundant's question, which is_saturated asks first.
+    """
+    l1, l1p, l1min, min_order, max_order, free = first
+
+    # P1 reads the lowest free channel left out of layer 2: if no pair
+    # fires on it, none fires on a higher one
+    for c in free:
+        if c in touched:
+            continue
+        for a, b in l1:
+            if a in touched and b not in touched:
+                return (c, b)      # P1a: min to the free channel
+            if b in touched and a not in touched:
+                return (a, c)      # P1b: min to the first-layer min
+            if a not in touched and b not in touched:
+                return (a, c)      # P1c: either fix applies
+        break
+    for a in min_order:
+        if a in touched:
+            continue
+        for d in max_order:
+            if d not in touched and l1p[a] != d:
+                return (a, d)      # P2
+    for i, j in l2:
+        oi, oj = l1p.get(i), l1p.get(j)
+        if oi is None or oj is None:
+            continue
+        if i in l1min and j in l1min and oi not in touched and oj not in touched:
+            return (oi, oj)        # P3a: join the two max partners
+        if i not in l1min and j not in l1min and oi not in touched and oj not in touched:
+            return (oi, oj)        # P3b: join the two min partners
+    return None
+
 
 def is_saturated(net: Network) -> bool:
-    """Structural saturation test for a network of depth 1 or 2.
+    """Structural saturation test for a network of depth 1 or 2: not
+    redundant, and no forbidden pattern.
 
-    True when _weak_spot finds neither a repeated first-layer comparator nor
-    a forbidden pattern.  On a maximal first layer this is the semantic
-    definition: it agrees with the semantic oracle, is_saturated_semantic in
-    tests/oracles.py, on every second layer over F_n for n <= 7 (tested).
+    On a maximal first layer this is the semantic definition: it agrees
+    with the semantic oracle, is_saturated_semantic in tests/oracles.py, on
+    every second layer over F_n for n <= 7 (tested).
     """
-    l1p, l2p = words_mod.two_layer_partners(net)
     l2 = net.layers[1] if net.depth == 2 else ()
-    return _weak_spot(_first_layer_facts(net.n, net.layers[0], l1p), l2, l2p) is None
+    return (not is_redundant(net)
+            and _weak_spot(_first_layer_facts(net.n, net.layers[0]), l2,
+                           words_mod.layer_partners(l2)) is None)
 
 
 # the sn walk lists the completions of every state with at most this many
@@ -198,25 +260,25 @@ def saturated_layers(n: int) -> Iterator[Layer]:
     the order of words.matchings.
 
     Walks the recursion of words.matchings (leave the lowest open channel
-    out, then join it to each higher one) and tests every leaf with
-    _weak_spot, as is_saturated does, but builds no Network per layer and
-    never enters a subtree whose every leaf _weak_spot would reject.  The
-    prune reads only the channels already left out of layer 2.  Each rule
-    is derived from the repeated-comparator test, P1 or P2 of _weak_spot,
-    not a second implementation of them; _weak_spot stays the only judge:
+    out, then join it to each higher one) and judges every leaf with
+    _weak_spot, but builds no Network per layer and never enters a subtree
+    whose every leaf is redundant or rejected by _weak_spot.  The prune
+    reads only the channels already left out of layer 2:
 
-    * a channel is never joined to its first-layer partner (the repeated
-      comparator 12_c is redundant);
+    * a channel is never joined to its first-layer partner, so no leaf is
+      redundant and _weak_spot alone decides is_saturated on every leaf;
     * a first-layer min channel and a max channel that are not partners
       are never both left out (P2 fires on them);
     * the free channel is left out only when every other channel is
       matched (otherwise P1 fires on it and the comparator holding a
       left-out channel).
 
-    Left-out channels stay left out in every leaf below, so each pruned
-    subtree holds only rejected layers, and the walk yields exactly what
-    filtering words.matchings(n) through _weak_spot yields, in the same
-    order.  At n = 12 it tests 29 794 leaves instead of 140 152.
+    The last two rules are derived from P2 and P1 of _weak_spot, not a
+    second implementation of them; _weak_spot stays the only judge of the
+    patterns.  Left-out channels stay left out in every leaf below, so each
+    pruned subtree holds only rejected layers, and the walk yields exactly
+    what filtering words.matchings(n) through is_saturated yields, in the
+    same order.  At n = 12 it judges 29 794 leaves instead of 140 152.
 
     The subtree below a node depends only on the node's state: its open
     channels and the min and max channels left out so far.  At n = 12 the
@@ -233,9 +295,7 @@ def saturated_layers(n: int) -> Iterator[Layer]:
     walks share nothing.
     Raises ValueError for n < 2 at the call, not at the first item.
     """
-    fl = first_layer(n)
-    l1p = words_mod.layer_partners(fl)
-    facts = _first_layer_facts(n, fl, l1p)
+    facts = _first_layer_facts(n, first_layer(n))
     memo: dict[tuple, list[tuple[Layer, frozenset[int]]]] = {}
     shared: dict = {}   # one copy of each distinct completion: states share most
 
@@ -246,7 +306,7 @@ def saturated_layers(n: int) -> Iterator[Layer]:
         # channels left out so far, each channel once, so P2 allows none of
         # them or the partner
         v, rest = avail[0], avail[1:]
-        partner = l1p.get(v)
+        partner = facts.partner.get(v)
         if partner is None:
             # the free channel n is the last one the walk reaches
             if not out_min and not out_max:             # P1
@@ -310,92 +370,26 @@ def saturated_layer_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # saturate: pattern-driven completion (P1 fixes first, then P2, then P3)
 
-def _repeated(l2, l1p: dict[int, int]) -> Optional[tuple[int, int]]:
-    """A second-layer comparator joining the two channels of a first-layer one."""
-    for i, j in l2:
-        if l1p.get(i) == j:
-            return (i, j)
-    return None
-
-
-class _FirstLayer(NamedTuple):
-    """What _weak_spot reads of a first layer, built once for every second
-    layer that is tested over it."""
-    pairs: Layer                # the comparators, in layer order
-    partner: dict[int, int]     # channel -> the channel it is joined to
-    mins: frozenset[int]        # the min channel of each comparator
-    min_order: tuple[int, ...]  # the min channels, ascending
-    max_order: tuple[int, ...]  # the max channels, ascending
-    free: tuple[int, ...]       # the channels outside the layer, ascending
-
-
-def _first_layer_facts(n: int, l1: Layer, l1p: dict[int, int]) -> _FirstLayer:
-    mins = frozenset(i for i, j in l1)
-    return _FirstLayer(l1, l1p, mins, tuple(sorted(mins)), tuple(sorted(j for i, j in l1)),
-                       tuple(ch for ch in range(1, n + 1) if ch not in l1p))
-
-
-def _weak_spot(first: _FirstLayer, l2, touched: Container[int]) -> Optional[tuple[int, int]]:
-    """The first reason two layers are not saturated, or None when they are.
-
-    Takes the first layer's facts, the raw second layer and the channels it
-    touches (any container that answers `in`: layer 2's partner map will
-    do), so callers that sweep many second layers over one first layer
-    build no Network per layer and read the first layer once.  A
-    second-layer comparator joining the two channels of a first-layer one
-    (the word 12_c) is returned as it stands: the layers are redundant.
-    Otherwise the result is the addition that fixes the first forbidden
-    pattern found, P1 before P2 before P3 (see the module docstring).
-    """
-    l1, l1p, l1min, min_order, max_order, free = first
-    repeat = _repeated(l2, l1p)
-    if repeat is not None:
-        return repeat
-
-    # P1 reads the lowest free channel left out of layer 2: if no pair
-    # fires on it, none fires on a higher one
-    for c in free:
-        if c in touched:
-            continue
-        for a, b in l1:
-            if a in touched and b not in touched:
-                return (c, b)      # P1a: min to the free channel
-            if b in touched and a not in touched:
-                return (a, c)      # P1b: min to the first-layer min
-            if a not in touched and b not in touched:
-                return (a, c)      # P1c: either fix applies
-        break
-    for a in min_order:
-        if a in touched:
-            continue
-        for d in max_order:
-            if d not in touched and l1p[a] != d:
-                return (a, d)      # P2
-    for i, j in l2:
-        oi, oj = l1p.get(i), l1p.get(j)
-        if oi is None or oj is None:
-            continue
-        if i in l1min and j in l1min and oi not in touched and oj not in touched:
-            return (oi, oj)        # P3a: join the two max partners
-        if i not in l1min and j not in l1min and oi not in touched and oj not in touched:
-            return (oi, oj)        # P3b: join the two min partners
-    return None
-
-
 def saturate(net: Network) -> Network:
     """Complete a two-layer network to a saturated one over the same layer 1.
 
     Drops the second-layer comparators that repeat a first-layer one, then
     adds the output-shrinking comparator _weak_spot prescribes until it
-    finds none.  The prescribed orientation can be reversed (min routed to
-    the higher channel), in which case the result is a generalized network;
-    its output set is a subset of the input's output set either way.
+    finds none.  _weak_spot alone judges, because no fix joins two
+    first-layer partners and so none makes the layers redundant (tested):
+    a P1 fix takes a free channel, a P2 fix joins a min and a max channel
+    that are not partners, and a P3 fix joins the partners of a layer-2
+    comparator's ends, which are partners only if that comparator repeats
+    a first-layer one.  The prescribed orientation can be reversed (min
+    routed to the higher channel), in which case the result is a
+    generalized network; its output set is a subset of the input's output
+    set either way.
     Raises ValueError for a network of depth other than 1 or 2.
     """
-    l1p, _ = words_mod.two_layer_partners(net)
+    words_mod.two_layer_partners(net)   # raises unless the depth is 1 or 2
     l1 = net.layers[0]
-    facts = _first_layer_facts(net.n, l1, l1p)
-    l2 = [c for c in (net.layers[1] if net.depth == 2 else ()) if l1p.get(c[0]) != c[1]]
+    facts = _first_layer_facts(net.n, l1)
+    l2 = [c for c in (net.layers[1] if net.depth == 2 else ()) if facts.partner.get(c[0]) != c[1]]
     while (fix := _weak_spot(facts, l2, words_mod.layer_partners(l2))) is not None:
         l2 = sorted(l2 + [fix])
     return Network(net.n, (l1, tuple(l2)), generalized=any(i > j for i, j in l2))

@@ -234,7 +234,9 @@ def is_redundant_semantic(net: Network) -> bool:
     full = outputs(net)
     for d, layer in enumerate(net.layers):
         for comp in layer:
-            if _embed_search(outputs(_remove_one(net, d, comp)), full, net.n, exact=True):
+            # a permutation is a bijection: an embedding of equal sizes is onto
+            fewer = outputs(_remove_one(net, d, comp))
+            if len(fewer) == len(full) and _embed_search(fewer, full, net.n):
                 return True
     return False
 
@@ -270,7 +272,7 @@ def is_saturated_semantic(net: Network) -> bool:
     # a reversed added comparator only permutes the standard one's outputs,
     # so the standard orientation decides both
     for comp in addable_comparators(net):
-        if _embed_search(outputs(_with_added(net, comp)), full, net.n, exact=False):
+        if _embed_search(outputs(_with_added(net, comp)), full, net.n):
             return False
     return True
 

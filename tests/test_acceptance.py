@@ -14,9 +14,8 @@ from oracles import (brute_force_sorter_exists, is_saturated_semantic, reverse_c
                      verify_conjecture)
 from sortnetopt import saturation as sat
 from sortnetopt import words as words_mod
-from sortnetopt.campaign import (campaign_from_json, campaign_to_json, compute_T,
-                                 find_network_campaign, prove_lower_bound)
-from sortnetopt.encoding import EncodeOptions, build, decode_network
+from sortnetopt.campaign import campaign_from_json, campaign_to_json, compute_T
+from sortnetopt.encoding import EncodeOptions, build
 from sortnetopt.networks import (
     Network,
     first_layer,
@@ -26,7 +25,7 @@ from sortnetopt.networks import (
     unsorted_inputs,
 )
 from sortnetopt.solver import run_solver
-from sortnetopt.words import matchings, net_of, sentences, telephone
+from sortnetopt.words import matchings, sentences, telephone
 
 G_TABLE = {3: 4, 4: 10, 5: 26, 6: 76, 7: 232, 8: 764, 9: 2620, 10: 9496,
            11: 35696, 12: 140152, 13: 568504, 14: 2390480, 15: 10349536,
@@ -205,6 +204,17 @@ def test_c09_compute_t_10(solver_config):
     elapsed = time.monotonic() - t0
     faults = evidence_faults(10, value, campaigns) if value == T_TABLE[10] else [f"T(10)={value}"]
     report("9t (T(10) = 7 with its evidence)", not faults and elapsed < 600,
+           f"faults={faults} instances={[len(c.instances) for c in campaigns]} {elapsed:.1f}s")
+
+
+def test_c09_compute_t_11(solver_config):
+    # the frontier value: every one of the 48 prefixes of R_11 refuted at
+    # depth 7, and a re-verified witness at depth 8
+    t0 = time.monotonic()
+    value, campaigns = compute_T(11, solver_config, jobs=2)
+    elapsed = time.monotonic() - t0
+    faults = evidence_faults(11, value, campaigns) if value == T_TABLE[11] else [f"T(11)={value}"]
+    report("9u (T(11) = 8 with its evidence)", not faults and elapsed < 600,
            f"faults={faults} instances={[len(c.instances) for c in campaigns]} {elapsed:.1f}s")
 
 

@@ -387,7 +387,7 @@ def uncovered_layers(n):
     for l2 in matchings(n):
         net_outs = outputs(Network(n, (first_layer(n), l2)))
         for outs in candidates:
-            pi = saturation._embed_search(outs, net_outs, n, exact=False)
+            pi = saturation._embed_search(outs, net_outs, n)
             if pi is not None:
                 assert outs <= permute_vectors(pi, net_outs)
                 break

@@ -1,4 +1,4 @@
-"""Byte-exact regressions for the worked examples used throughout the theory."""
+"""Byte-for-byte regressions for the worked examples used throughout the theory."""
 
 from sortnetopt.networks import first_layer, network, reflect
 from sortnetopt.words import net_of, parse_word, reflect_word, render_sentence, sentence_of, word_of

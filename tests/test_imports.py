@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -78,3 +79,26 @@ def test_public_names_are_pipeline_code():
         obj = getattr(sortnetopt, name)
         module = obj.__name__ if inspect.ismodule(obj) else obj.__module__
         assert module.startswith("sortnetopt"), (name, module)
+
+
+def _bench_trace_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of every target that bench/worker.py's
+    trace_targets hooks by name, read with ast: bench/ is neither imported
+    nor edited."""
+    worker = Path(__file__).parent.parent / "bench" / "worker.py"
+    func = next(node for node in ast.walk(ast.parse(worker.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "trace_targets")
+    return [(node.elts[0].id, node.elts[1].value) for node in ast.walk(func)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 4
+            and isinstance(node.elts[0], ast.Name)]
+
+
+def test_bench_trace_targets_resolve():
+    # the benchmark times stages by replacing package functions by name and
+    # skips a name it cannot find without a word; cli.is_saturated has been
+    # missing since the CLI stopped importing it, and is the one exception
+    targets = _bench_trace_targets()
+    assert ("saturation", "saturated_layer_count") in targets and len(targets) > 20
+    missing = {(module, attr) for module, attr in targets
+               if not hasattr(importlib.import_module(f"sortnetopt.{module}"), attr)}
+    assert missing <= {("cli", "is_saturated")}, missing

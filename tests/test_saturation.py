@@ -8,6 +8,7 @@ from oracles import is_redundant_semantic, is_saturated_semantic, verify_conject
 from sortnetopt import saturation, words
 from sortnetopt.networks import Network, first_layer, network, outputs
 from sortnetopt.saturation import (
+    _repeated,
     _weak_spot,
     is_redundant,
     is_saturated,
@@ -44,7 +45,7 @@ from sortnetopt.words import (
 ])
 def test_weak_spot_fixes_each_fig7_pattern(n, l2, fix):
     fl = first_layer(n)
-    facts = saturation._first_layer_facts(n, fl, layer_partners(fl))
+    facts = saturation._first_layer_facts(n, fl)
     assert _weak_spot(facts, l2, layer_partners(l2)) == fix
     net = Network(n, (fl, l2))
     assert not is_saturated(net)
@@ -247,29 +248,31 @@ def test_sn_walk_hands_weak_spot_the_touched_channels(monkeypatch):
     # each leaf joins the comparators above a memoized state to one of its
     # completions; _weak_spot judges every leaf once, and reads through `in`
     # exactly the channels of that leaf's layer
-    judged, exact = [], []
+    judged, faithful = [], []
 
     def checking(first, l2, touched):
         judged.append(l2)
         chans = {ch for c in l2 for ch in c}
-        exact.append(all((ch in touched) == (ch in chans) for ch in range(n + 2)))
+        faithful.append(all((ch in touched) == (ch in chans) for ch in range(n + 2)))
         return real(first, l2, touched)
 
     real = saturation._weak_spot
     monkeypatch.setattr(saturation, "_weak_spot", checking)
     for n in range(2, 13):
         judged.clear()
-        exact.clear()
+        faithful.clear()
         kept = list(saturated_layers(n))
-        assert judged and all(exact) and len(set(judged)) == len(judged)
+        assert judged and all(faithful) and len(set(judged)) == len(judged)
         assert set(kept) <= set(judged)
     assert len(judged) == 29794     # the leaves of the pruned walk at n = 12
 
 
-# SHA-256 of _weak_spot's result for every second layer over F_n, n = 2..9,
-# and of saturate and is_saturated for every second layer over two maximal
-# first layers other than F_n; both were recorded before the first layer's
-# facts were built once per walk, and must never be regenerated
+# SHA-256 of the repeated comparator, else _weak_spot's result, for every
+# second layer over F_n, n = 2..9, and of saturate and is_saturated for
+# every second layer over two maximal first layers other than F_n; both
+# were recorded before the first layer's facts were built once per walk
+# (when _weak_spot also returned the repeated comparator), and must never
+# be regenerated
 WEAK_SPOT_DIGEST = "944054949428454d3939d21afa40963cc702370fae646450d4ed215ae423903c"
 SATURATE_DIGEST = "781e66c48c92c10567f38aeeed1ee540ece3ae5405ef1349cb574e2c3f03776d"
 
@@ -278,16 +281,42 @@ def test_weak_spot_results_are_pinned():
     h = hashlib.sha256()
     for n in range(2, 10):
         fl = first_layer(n)
-        facts = saturation._first_layer_facts(n, fl, layer_partners(fl))
+        facts = saturation._first_layer_facts(n, fl)
         for l2 in matchings(n):
-            h.update(f"{n} {l2} {_weak_spot(facts, l2, layer_partners(l2))}\n".encode())
+            spot = _repeated(l2, facts.partner) or _weak_spot(facts, l2, layer_partners(l2))
+            h.update(f"{n} {l2} {spot}\n".encode())
     assert h.hexdigest() == WEAK_SPOT_DIGEST
+
+
+SATURATE_FIRST_LAYERS = ((6, ((1, 4), (2, 6), (3, 5))), (7, ((1, 7), (2, 3), (4, 6))))
 
 
 def test_saturate_results_are_pinned():
     h = hashlib.sha256()
-    for n, fl in ((6, ((1, 4), (2, 6), (3, 5))), (7, ((1, 7), (2, 3), (4, 6)))):
+    for n, fl in SATURATE_FIRST_LAYERS:
         for l2 in matchings(n):
             net = Network(n, (fl, l2))
             h.update(f"{n} {l2} {saturate(net).layers} {is_saturated(net)}\n".encode())
     assert h.hexdigest() == SATURATE_DIGEST
+
+
+def test_saturate_never_joins_first_layer_partners(monkeypatch):
+    # why saturate needs no redundancy test in its loop: after it drops the
+    # repeated comparators, no fix _weak_spot prescribes joins the two
+    # channels of a first-layer comparator, so its layers stay non-redundant
+    fixes = []
+
+    def recording(first, l2, touched):
+        fix = real(first, l2, touched)
+        if fix is not None:
+            fixes.append((first.partner, fix))
+        return fix
+
+    real = saturation._weak_spot
+    monkeypatch.setattr(saturation, "_weak_spot", recording)
+    cases = [(n, first_layer(n)) for n in range(2, 10)] + list(SATURATE_FIRST_LAYERS)
+    for n, fl in cases:
+        for l2 in matchings(n):
+            assert not is_redundant(saturate(Network(n, (fl, l2))))
+    assert len(fixes) > 1000
+    assert [fix for partner, fix in fixes if partner.get(fix[0]) == fix[1]] == []
