@@ -66,8 +66,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import words as words_mod
 from .encoding import EncodeOptions, build, decode_network
 from .networks import (MAX_ENUM_CHANNELS, Network, _ascending_mask, _eval_array, _is_int,
@@ -119,18 +117,13 @@ def _filter_set(n: int) -> tuple[Network, ...]:
 
 @lru_cache(maxsize=None)
 def _fewest_outputs(n: int) -> tuple[Task, ...]:
-    """The tasks of R_n, fewest unsorted outputs first, ties in R_n order.
+    """The tasks of R_n, fewest outputs first, ties in R_n order.
 
     The key, len(outputs(prefix)), is the prefix's unsorted outputs plus the
     n + 1 sorted vectors every standard prefix outputs; the unsorted count
-    is the number of inputs a pad-0 build keeps.  Every prefix of R_n has
-    the first layer F_n (tested), so F_n runs once on all 2**n inputs, and
-    each key runs only the prefix's second layer on F_n's distinct outputs.
+    is the number of inputs a pad-0 build keeps.
     """
-    tasks = list(enumerate(_filter_set(n)))
-    images = _eval_array(Network(n, tasks[0][1].layers[:1]), np.arange(1 << n, dtype=np.uint32))
-    first = np.flatnonzero(np.bincount(images)).astype(np.uint32)
-    return tuple(sorted(tasks, key=lambda task: len(outputs(Network(n, task[1].layers[1:]), first))))
+    return tuple(sorted(enumerate(_filter_set(n)), key=lambda task: len(outputs(task[1]))))
 
 
 def default_pads(n: int, d: int) -> list[int]:
@@ -145,7 +138,7 @@ def default_pads(n: int, d: int) -> list[int]:
     exists the padded try is SAT and proves nothing; it costs one cheap
     run on the first task, the prefix of fewest unsorted outputs.
     """
-    return sorted({max(n - d - 1, 0), 0}, reverse=True)
+    return [n - d - 1, 0] if n > d + 1 else [0]
 
 
 def _prefix_tasks(n: int, d: int) -> list[Task]:
@@ -154,29 +147,6 @@ def _prefix_tasks(n: int, d: int) -> list[Task]:
     if d < 2:
         return [(None, None)]
     return list(_fewest_outputs(n))
-
-
-def _solve_instance(n: int, d: int, prefix: Optional[Network], xs: np.ndarray,
-                    pad: int, config: SolverConfig, prefix_index: Optional[int],
-                    stop: StopEvent) -> Optional[InstanceResult]:
-    """One encode-solve-decode round over the task's input set xs, an
-    increasing np.uint32 array, with every formula reduction on; None when
-    stop killed the solver.  A model must sort every input the formula
-    kept."""
-    t0 = time.monotonic()
-    vm, cnf = build(n, d, xs, EncodeOptions(pad=pad, prefix=prefix))
-    encode_time = time.monotonic() - t0
-    name = f"n{n}d{d}p{prefix_index if prefix_index is not None else 'free'}w{pad}"
-    res = run_solver(cnf, config, name=name, stop=stop)
-    if res.verdict == "CANCELLED":
-        return None
-    witness = None
-    if res.verdict == "SAT":
-        witness = decode_network(vm, res.true_vars)
-        if not _ascending_mask(_eval_array(witness, vm.inputs), n).all():
-            raise RuntimeError(f"solver model fails verification on instance {name}")
-    return InstanceResult(prefix_index, d, pad, res.verdict, encode_time, res.solve_time,
-                          witness, len(vm.inputs), cnf.num_vars, cnf.num_clauses)
 
 
 def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
@@ -188,9 +158,12 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     The tasks start in the order given, the fewest-outputs order of
     _prefix_tasks: at a depth with a network the first task is then
     usually SAT and ends the campaign on its first pad-0 run; a refutation
-    runs every task anyway, so the order changes no claim.  Each task
-    computes its input set once and walks the pads once, largest first, and
-    every solver run gets config.timeout.  An UNSAT settles the task
+    runs every task anyway, so the order changes no claim.  This is the
+    one place that normalises a pad schedule: the distinct pads in 1..n-1,
+    largest first, then 0, so every task can end on the full input set.
+    Each task computes its input set once and walks the pads once; each
+    pad is one round that encodes with every formula reduction on, solves
+    under config.timeout and decodes a model.  An UNSAT settles the task
     (windowed inputs are a subset of the full set); a padded SAT or TIMEOUT
     moves on to the next pad, and only pad 0 can certify satisfiability.  A
     pad-0 TIMEOUT leaves the task open while the other tasks carry on.  The
@@ -201,6 +174,7 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     and the witness is re-checked with is_sorting_network.
     """
     t0 = time.monotonic()
+    pads = sorted({p for p in pads if 0 < p < n}, reverse=True) + [0]
     results: list[InstanceResult] = list(prior.instances) if prior else []
     lock = threading.Lock()
     stop = StopEvent()
@@ -215,14 +189,25 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
         for pad in pads:
             if stop.is_set():
                 return
-            res = _solve_instance(n, d, prefix, xs, pad, config, idx, stop)
-            if res is None:
-                return  # killed: the claim is already settled
+            t_encode = time.monotonic()
+            vm, cnf = build(n, d, xs, EncodeOptions(pad=pad, prefix=prefix))
             # the task's first instance carries the time of its input set
-            res.encode_time += inputs_time
+            encode_time = time.monotonic() - t_encode + inputs_time
             inputs_time = 0.0
+            name = f"n{n}d{d}p{'free' if idx is None else idx}w{pad}"
+            res = run_solver(cnf, config, name=name, stop=stop)
+            if res.verdict == "CANCELLED":
+                return  # killed: the claim is already settled
+            witness = None
+            if res.verdict == "SAT":
+                # a model must sort every input the formula kept
+                witness = decode_network(vm, res.true_vars)
+                if not _ascending_mask(_eval_array(witness, vm.inputs), n).all():
+                    raise RuntimeError(f"solver model fails verification on instance {name}")
             with lock:
-                results.append(res)
+                results.append(InstanceResult(idx, d, pad, res.verdict, encode_time,
+                                              res.solve_time, witness, len(vm.inputs),
+                                              cnf.num_vars, cnf.num_clauses))
             if res.verdict == "UNSAT":
                 return
             if res.verdict == "SAT" and pad == 0:
@@ -297,20 +282,15 @@ def prove_lower_bound(n: int, d_prime: int,
                       jobs: int = 1) -> CampaignResult:
     """Try to prove T(n) > d_prime by refuting every prefix in R_n.
 
-    Each prefix descends the pad schedule, normalised to distinct pads
-    below n, largest first, ending at 0.  The default, default_pads(n,
-    d_prime), tries windows of width d_prime + 1 (pad n - d_prime - 1)
-    once and then the full input set; see default_pads for the
-    measurements behind it.  A padded UNSAT refutes the prefix, and a
-    padded SAT falls through to pad 0, so the schedule never changes a
-    claim.
+    Each prefix descends the pad schedule, which goes to _campaign as
+    given: the scheduler keeps the distinct pads below n, largest first,
+    and ends at 0.  The default, default_pads(n, d_prime), tries windows of
+    width d_prime + 1 (pad n - d_prime - 1) once and then the full input
+    set; see default_pads for the measurements behind it.  A padded UNSAT
+    refutes the prefix, and a padded SAT falls through to pad 0, so the
+    schedule never changes a claim.
     """
-    if pad_schedule is None:
-        pad_schedule = default_pads(n, d_prime)
-    pads = sorted({max(0, p) for p in pad_schedule}, reverse=True)
-    pads = [p for p in pads if p < n] or [0]
-    if pads[-1] != 0:
-        pads.append(0)
+    pads = default_pads(n, d_prime) if pad_schedule is None else pad_schedule
     return _campaign(n, d_prime, _prefix_tasks(n, d_prime), pads,
                      config or default_config(), jobs)[1]
 

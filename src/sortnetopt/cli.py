@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 = conclusive, 10 = SAT found, 20 = UNSAT proven,
-30 = inconclusive.  The solving subcommands (solve, find, prove) run the
-binary named by --solver; without --solver they run the one
-solver.find_solver picks, which is $SAT_SOLVER when that is set.
+Exit codes: 0 = conclusive, 2 = usage error, 10 = SAT found, 20 = UNSAT
+proven, 30 = inconclusive.  The solving subcommands (solve, find, prove)
+run the binary named by --solver; without --solver they run the one
+solver.find_solver picks, which is $SAT_SOLVER when that is set.  No
+solver, or a name that is no executable, is a usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import shutil
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -97,7 +99,16 @@ def _cmd_encode(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    return default_config(timeout=args.timeout, executable=args.solver)
+    """The solver that solve, find and prove run; none, or a name that is
+    no executable, is a usage error."""
+    try:
+        config = default_config(timeout=args.timeout, executable=args.solver)
+    except RuntimeError as exc:   # no solver found
+        raise UsageError(str(exc))
+    if shutil.which(config.executable) is None:
+        raise UsageError(f"failed to launch solver {config.executable!r}: no executable "
+                         f"by that name")
+    return config
 
 
 def _claim_exit(camp: campaign_mod.CampaignResult, depth: int) -> int:
@@ -171,6 +182,8 @@ def _usage_error(args) -> str | None:
             return f"--n must be at most {MAX_ENUM_CHANNELS}, got {args.n}"
         if args.depth < 0:
             return f"--depth must be at least 0, got {args.depth}"
+    if args.command == "find" and args.mode == "layer1" and args.n < 2:
+        return "--mode layer1 needs --n >= 2"
     if args.command == "encode" and not 0 <= args.pad < args.n:
         return f"--pad must satisfy 0 <= pad < n = {args.n}, got {args.pad}"
     if args.command in ("solve", "find", "prove") and not args.timeout > 0:
@@ -196,8 +209,9 @@ def main(argv=None) -> int:
     parsers["encode"] = p = sub.add_parser("encode", help="emit a DIMACS CNF instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--prefix", help="network JSON file fixing the first layers")
-    p.add_argument("--prefix-index", type=int, help="index into the canonical R_n ordering")
+    fixed = p.add_mutually_exclusive_group()
+    fixed.add_argument("--prefix", help="network JSON file fixing the first layers")
+    fixed.add_argument("--prefix-index", type=int, help="index into the canonical R_n ordering")
     p.add_argument("--pad", type=int, default=0, help="window padding (0 = off)")
     p.add_argument("--no-sigma1", action="store_true")
     p.add_argument("--no-sigma2", action="store_true")

@@ -71,11 +71,11 @@ class Network:
         return Network(self.n, self.layers + (_norm_layer(layer),), self.generalized)
 
     def to_json(self) -> str:
-        return network_json(self.n, self.layers)
+        return json.dumps({"n": self.n, "layers": self.layers})
 
     @staticmethod
     def from_json(text: str) -> "Network":
-        """Parse network_json text; ValueError on any malformed document."""
+        """Parse to_json text; ValueError on any malformed document."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or "n" not in obj or "layers" not in obj:
             raise ValueError("network JSON must be an object with 'n' and 'layers'")
@@ -95,19 +95,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def network_json(n: int, layers: Iterable[Iterable[Comparator]]) -> str:
-    """The JSON text of a network, from its channel count and layers as given.
-
-    Formatted directly, with the same bytes json.dumps gives for
-    {"n": n, "layers": [[[i, j], ...], ...]} (tested), at about half its cost.
-    """
-    body = ", ".join("[" + ", ".join(f"[{i}, {j}]" for i, j in l) + "]" for l in layers)
-    return f'{{"n": {n}, "layers": [{body}]}}'
-
-
 def two_layer_json(n: int, seconds: Iterable[Layer]) -> Iterator[str]:
-    """network_json(n, (first_layer(n), l2)) for each second layer l2 in turn
-    (tested).
+    """Network(n, (first_layer(n), l2)).to_json() for each second layer l2
+    in turn (tested).
 
     For prefix sets, whose networks share the first layer F_n: its text is
     made once, and each comparator of a second layer, an (i, j) tuple over
@@ -175,21 +165,18 @@ def _chunks(n: int, net: Optional[Network] = None) -> Iterator[tuple[np.ndarray,
     return walk()
 
 
-def outputs(net: Network, inputs: Optional[np.ndarray] = None) -> frozenset[int]:
-    """Exact image of all 2**n Boolean inputs, as packed ints; of the packed
-    uint32 array inputs instead when it is given.
+def outputs(net: Network) -> frozenset[int]:
+    """Exact image of all 2**n Boolean inputs, as packed ints.
 
     The images are marked in a mask over all 2**n vectors rather than
     passed to np.unique, whose first call in a process costs milliseconds
-    of lazy set-up; campaigns call this before their solvers start.
+    of lazy set-up; campaigns call this for the task order of R_n before
+    their solvers start.
     """
-    _check_enum(net.n)
+    chunks = _chunks(net.n, net)   # checks the enumeration cap before the mask is made
     seen = np.zeros(1 << net.n, dtype=bool)
-    if inputs is None:
-        for _, images in _chunks(net.n, net):
-            seen[images] = True
-    else:
-        seen[_eval_array(net, inputs)] = True
+    for _, images in chunks:
+        seen[images] = True
     return frozenset(np.flatnonzero(seen).tolist())
 
 

@@ -276,14 +276,3 @@ def test_c12_figure_regressions():
     ok &= reflect(a) == b
     ok &= reflect_word(parse_word("211212_s")) == parse_word("121221_s")
     report("12 (figure-level regressions)", bool(ok))
-
-
-@pytest.mark.stretch
-def test_c09_stretch_n10_n11(solver_config):
-    t0 = time.monotonic()
-    v10, _ = compute_T(10, solver_config)
-    v11, _ = compute_T(11, solver_config)
-    elapsed = time.monotonic() - t0
-    report("9s (stretch: T(10), T(11))",
-           v10 == 7 and v11 == 8 and elapsed < 12 * 3600,
-           f"T(10)={v10} T(11)={v11} {elapsed:.0f}s")

@@ -27,10 +27,10 @@ from sortnetopt.campaign import (
     two_layer_prefixes,
 )
 from sortnetopt.encoding import EncodeOptions, build
-from sortnetopt.networks import (Network, first_layer, is_sorting_network, network,
-                                 network_json, outputs, reflect, unsorted_inputs)
+from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
+                                 reflect, unsorted_inputs)
 from sortnetopt.saturation import permute_vectors
-from sortnetopt.solver import SolveResult, SolverConfig, StopEvent, run_solver
+from sortnetopt.solver import KNOWN_SOLVERS, SolveResult, SolverConfig, StopEvent, run_solver
 from sortnetopt.words import matchings
 
 
@@ -352,7 +352,7 @@ def test_filter_set_and_order_once_per_n(monkeypatch):
     # campaign on n channels reuses them, and callers still get a new list
     keyed = []
     monkeypatch.setattr(campaign, "outputs",
-                        lambda net, *inputs: keyed.append(net) or outputs(net, *inputs))
+                        lambda net: keyed.append(net) or outputs(net))
     monkeypatch.setattr(campaign, "run_solver",
                         lambda cnf, config, name="instance", stop=None: SolveResult("UNSAT"))
     campaign._filter_set.cache_clear()
@@ -367,8 +367,8 @@ def test_filter_set_and_order_once_per_n(monkeypatch):
 
 
 def test_filter_set_shares_the_first_layer():
-    # the fewest-outputs key evaluates F_n once per n: every prefix of R_n
-    # has it as its first layer, and the order is that of the full outputs
+    # every prefix of R_n has the first layer F_n, and the fewest-outputs
+    # order is that of the prefixes' full outputs, ties in R_n order
     for n in range(2, 12):
         prefixes = two_layer_prefixes(n)
         assert {p.layers[0] for p in prefixes} == {first_layer(n)}
@@ -641,7 +641,7 @@ def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
     # a fake walk looks at the --out file part-way through: the lines it
     # yielded earlier must be there already, not joined up for the end
     out = tmp_path / "gn.txt"
-    line = network_json(4, (first_layer(4), ((1, 3),))) + "\n"
+    line = Network(4, (first_layer(4), ((1, 3),))).to_json() + "\n"
     total, seen = 4000, []
 
     def matchings(n):
@@ -687,6 +687,16 @@ def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
     (["find", "--n", "4", "--depth", "3", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["prove", "--n", "5", "--depth", "4", "--jobs", "-2"], "--jobs must be at least 1"),
     (["gen", "--n", "25", "--set", "sn", "--out", "-"], "--set sn needs --n <= 24, got 25"),
+    (["find", "--n", "1", "--depth", "0", "--mode", "layer1"], "--mode layer1 needs --n >= 2"),
+    (["encode", "--n", "4", "--depth", "3", "--out", "-", "--prefix-index", "0",
+      "--prefix", '{"n": 4, "layers": [[[1, 2], [3, 4]]]}'],
+     "argument --prefix: not allowed with argument --prefix-index"),
+    (["solve", "--cnf", "/dev/null", "--solver", "/nonexistent"],
+     "failed to launch solver '/nonexistent': no executable by that name"),
+    (["find", "--n", "4", "--depth", "3", "--solver", "/nonexistent"],
+     "failed to launch solver '/nonexistent'"),
+    (["prove", "--n", "5", "--depth", "4", "--solver", "/nonexistent"],
+     "failed to launch solver '/nonexistent'"),
 ])
 def test_cli_usage_errors(argv, message, tmp_path):
     # a usage error (exit 2, one line, no traceback) before any work starts
@@ -700,6 +710,26 @@ def test_cli_usage_errors(argv, message, tmp_path):
     assert out.returncode == 2
     assert out.stdout == "" and "Traceback" not in out.stderr
     assert message in out.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cnf", "x.cnf"],
+    ["find", "--n", "4", "--depth", "3"],
+    ["prove", "--n", "5", "--depth", "4"],
+])
+def test_cli_without_a_solver(argv, tmp_path, monkeypatch, capsys):
+    # no solver found is a usage error (exit 2, one line), not a traceback
+    monkeypatch.setattr("sortnetopt.solver.find_solver", lambda: None)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.cnf").write_text("p cnf 1 1\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(": error: no SAT solver found: set SAT_SOLVER to a "
+                                         "DIMACS-conformant binary (e.g. `cargo install splr`, "
+                                         "or any of " + ", ".join(KNOWN_SOLVERS) + ")")
 
 
 def test_cli_encode_solve_find(tmp_path, solver_config):

@@ -26,7 +26,6 @@ from sortnetopt.networks import (
     first_layer,
     is_sorting_network,
     network,
-    network_json,
     outputs,
     reflect,
     two_layer_json,
@@ -115,21 +114,6 @@ def test_outputs_of_a_sorter_is_the_sorted_chain():
 def test_outputs_single_comparator():
     assert outputs(network(2, [(1, 2)])) == {vec_from_str("00"), vec_from_str("01"),
                                              vec_from_str("11")}
-
-
-def test_outputs_of_given_inputs():
-    # the image of the first layer's outputs under layer 2 is the image of
-    # all inputs under both layers, and the cap holds with inputs given
-    rng = random.Random(19)
-    for n in range(3, 10):
-        fl = network(n, first_layer(n))
-        first = np.array(sorted(outputs(fl)), dtype=np.uint32)
-        for _ in range(5):
-            l2 = random_network(rng, n, 1).layers
-            assert outputs(network(n, *l2), first) == outputs(network(n, first_layer(n), *l2))
-    assert outputs(network(4, [(1, 2)]), np.array([], dtype=np.uint32)) == frozenset()
-    with pytest.raises(ChannelCountError):
-        outputs(network(25), np.array([0], dtype=np.uint32))
 
 
 def test_outputs_cap():
@@ -389,7 +373,7 @@ def test_network_json_roundtrip():
 
 
 def test_network_json_matches_json_dumps():
-    # the hand-formatted text has the bytes json.dumps gives for the same document
+    # to_json is json.dumps of the network's channel count and sorted layers
     def dumps(n, layers):
         return json.dumps({"n": n, "layers": [[list(c) for c in l] for l in layers]})
 
@@ -398,17 +382,18 @@ def test_network_json_matches_json_dumps():
              for n in range(2, 20) for _ in range(20)]
     cases += [(4, ()), (4, ((),)), (5, (((1, 2),), ())), (1, ()), (1, ((),))]
     for n, layers in cases:
-        assert network_json(n, layers) == dumps(n, layers)
-        assert network_json(n, [list(l) for l in layers]) == dumps(n, layers)
+        assert Network(n, layers).to_json() == dumps(n, layers)
+        assert Network(n, [list(l) for l in layers]).to_json() == dumps(n, layers)
 
 
 def test_two_layer_json_is_network_json():
-    # the gen renderer gives network_json's bytes for every gn and sn layer,
+    # the gen renderer gives to_json's bytes for every gn and sn layer,
     # the empty second layer and the free channel of odd n among them
     for n in range(2, 10):
         fl = first_layer(n)
         for layers in (list(matchings(n)), list(saturated_layers(n))):
-            assert list(two_layer_json(n, layers)) == [network_json(n, (fl, l2)) for l2 in layers]
+            assert list(two_layer_json(n, layers)) == [Network(n, (fl, l2)).to_json()
+                                                       for l2 in layers]
     assert list(two_layer_json(3, [()])) == ['{"n": 3, "layers": [[[1, 2]], []]}']
 
 
