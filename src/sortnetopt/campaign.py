@@ -67,7 +67,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import words as words_mod
-from .encoding import EncodeOptions, build, decode_network
+from .encoding import EncodeOptions, VarMap, build, decode_network
 from .networks import (MAX_ENUM_CHANNELS, Network, _ascending_mask, _eval_array, _is_int,
                        first_layer, is_sorting_network, outputs, unsorted_inputs)
 from .solver import SolverConfig, StopEvent, default_config, run_solver
@@ -163,12 +163,14 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     largest first, then 0, so every task can end on the full input set.
     Each task computes its input set once and walks the pads once; each
     pad is one round that encodes with every formula reduction on, solves
-    under config.timeout and decodes a model.  An UNSAT settles the task
-    (windowed inputs are a subset of the full set); a padded SAT or TIMEOUT
-    moves on to the next pad, and only pad 0 can certify satisfiability.  A
-    pad-0 TIMEOUT leaves the task open while the other tasks carry on.  The
-    first pad-0 SAT sets the stop event, which kills the solvers still
-    running.  A prior campaign at the same depth, run over other tasks,
+    under config.timeout and decodes a model.  A padded round whose
+    windows keep every prefix image of the task is not solved: its formula
+    is the pad-0 formula with the inputs in another order.  An UNSAT
+    settles the task (windowed inputs are a subset of the full set); a
+    padded SAT or TIMEOUT moves on to the next pad, and only pad 0 can
+    certify satisfiability.  A pad-0 TIMEOUT leaves the task open while the
+    other tasks carry on.  The first pad-0 SAT sets the stop event, which
+    kills the solvers still running.  A prior campaign at the same depth, run over other tasks,
     lends its instances and wall time, so the two make one campaign.  The
     claim and its witness come from _evidence over the recorded instances,
     and the witness is re-checked with is_sorting_network.
@@ -185,13 +187,21 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
             return
         t_inputs = time.monotonic()
         xs = unsorted_inputs(n, prefix)   # once per task, for every pad
+        # one input per prefix image: what pad 0 keeps, and so its input set
+        kept = VarMap(n, d, xs, EncodeOptions(prefix=prefix)).inputs
         inputs_time = time.monotonic() - t_inputs
         for pad in pads:
             if stop.is_set():
                 return
             t_encode = time.monotonic()
-            vm, cnf = build(n, d, xs, EncodeOptions(pad=pad, prefix=prefix))
-            # the task's first instance carries the time of its input set
+            vm, cnf = build(n, d, xs if pad else kept, EncodeOptions(pad=pad, prefix=prefix))
+            if pad and len(vm.inputs) == len(kept):
+                # windows that keep every prefix image give the pad-0 formula
+                # with its inputs in another order: go straight to pad 0
+                inputs_time += time.monotonic() - t_encode
+                continue
+            # the time of the task's input set and of skipped rounds goes to
+            # the first instance after them
             encode_time = time.monotonic() - t_encode + inputs_time
             inputs_time = 0.0
             name = f"n{n}d{d}p{'free' if idx is None else idx}w{pad}"

@@ -184,6 +184,8 @@ def _usage_error(args) -> str | None:
             return f"--depth must be at least 0, got {args.depth}"
     if args.command == "find" and args.mode == "layer1" and args.n < 2:
         return "--mode layer1 needs --n >= 2"
+    if args.command == "find" and args.mode == "layer1" and args.depth < 1:
+        return "--mode layer1 needs --depth >= 1"
     if args.command == "encode" and not 0 <= args.pad < args.n:
         return f"--pad must satisfy 0 <= pad < n = {args.n}, got {args.pad}"
     if args.command in ("solve", "find", "prove") and not args.timeout > 0:

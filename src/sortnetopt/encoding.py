@@ -9,14 +9,16 @@ never allocated and the clauses fold accordingly.
 With a fixed prefix the comparator variables of the prefix layers are
 pinned by unit clauses, the value variables of those levels fold to the
 constants obtained by propagating each input through the prefix, and
-inputs with identical prefix images share one set of value clauses.  All
-of this preserves satisfiability of the underlying formula exactly.
+inputs with identical prefix images would add identical value clauses,
+so the formula keeps one of them.  All of this preserves satisfiability
+of the underlying formula exactly.
 
 Soundness contract.  The symmetry-breaking clauses σ1-σ3 and the
 last-layer units (EncodeOptions) each remove networks, never every
-sorting network.  VarMap reads the options once and applies each rule
-below, σ1-σ3 as their switches say and the others as their "on when"
-clauses say; build and the clause fragments read only the VarMap.
+sorting network.  VarMap reads the options once: it keeps the windows of
+opts.pad and one input per prefix image, checks the prefix, and applies
+each rule below, σ1-σ3 as their switches say and the others as their "on
+when" clauses say; build and the clause fragments read only the VarMap.
 
   σ1  no comparator repeats on consecutive layers: the second copy never
       swaps, so deleting it keeps a network sorting;
@@ -144,27 +146,30 @@ class Cnf:
 
 
 class VarMap:
-    """The one description of a formula: its variables and the rules it applies.
+    """The one description of a formula: the inputs it keeps, its variables
+    and the rules it applies.
 
-    The options are read here once.  σ1-σ3 apply as their switches say;
-    last_layer when layer d is open (d above the prefix depth); near_sorted
-    with last_layer when level d-1 is open, and then value() also gives
-    constants at level d-1 on every channel but the boundary pair of
-    sorted(b) (the near-sorted rule above); settled_ends when some level
-    between the prefix and d is open, and then value() gives the constants
-    of the level-p image at every open level on the channels of that image's
-    leading zeros and trailing ones (the settled-ends rule).  opts.pad is not
-    read: build applies the windows before the VarMap is made.
+    The options are read here once.  The inputs kept are the windows of
+    opts.pad over the given set, one per prefix image: inputs whose images
+    coincide add identical value clauses, so only the smallest stays, the
+    first in an increasing set.  inputs holds them as an np.uint32 array
+    (the given array itself when it is one, with no prefix and pad 0), and
+    images their images under the prefix at level p, the prefix depth (the
+    inputs themselves without a prefix).  σ1-σ3 apply as their switches
+    say; last_layer when layer d is open (d above the prefix depth);
+    near_sorted with last_layer when level d-1 is open, and then level d-1
+    holds the constants of sorted(b) on every channel but the boundary pair
+    (the near-sorted rule above); settled_ends when some level between the
+    prefix and d is open, and then every open level holds the constants of
+    the image's leading zeros and trailing ones (the settled-ends rule).
 
     Variables are numbered all c, then all u, then x per input.  c_vars
     holds them by (layer, pair) and u_vars by (layer, channel); the pairs of
     a layer come in the order of pair_i < pair_j (0-based channels), and
     pair_at gives the position of the pair on two channels, in either order
     (-1 on the diagonal).  Value levels 0..prefix_depth and level d are
-    constants; only the open levels in between get x variables, and folded
-    ones keep their numbers.  inputs is the input set as an np.uint32 array,
-    the given array itself when it is one.  _index lists every variable by
-    key for inspection.
+    constants; only the open levels in between get x variables, n per
+    level and input from _x0 on, and folded ones keep their numbers.
     """
 
     def __init__(self, n: int, d: int, inputs: np.ndarray | Sequence[int],
@@ -185,12 +190,12 @@ class VarMap:
         self.last_layer = opts.last_layer and d > p
         self.near_sorted = self.last_layer and opts.near_sorted and d - 1 > p
         self.settled_ends = opts.settled_ends and d - 1 > p
-        self.inputs = np.asarray(inputs, dtype=np.uint32)
-        # images of every input at levels 0..prefix_depth, one row per level
-        levels = [self.inputs]
-        for layer in (prefix.layers if prefix is not None else ()):
-            levels.append(_eval_array(Network(n, (layer,)), levels[-1]))
-        self._levels = np.stack(levels)
+        self.inputs = self.images = windows(np.asarray(inputs, dtype=np.uint32), opts.pad, n)
+        if prefix is not None:
+            # one input per prefix image, the smallest; the image fixes the weight
+            images = _eval_array(prefix, self.inputs)
+            keep = np.sort(np.unique(images, return_index=True)[1])
+            self.inputs, self.images = self.inputs[keep], images[keep]
         i, j = np.triu_indices(n, 1)   # the pair order of a layer
         pairs = len(i)
         self.pair_i, self.pair_j = i, j
@@ -213,39 +218,6 @@ class VarMap:
         if not (1 <= l <= self.d and 1 <= k <= self.n):
             raise KeyError(("u", l, k))
         return int(self.u_vars[l - 1, k - 1])
-
-    def x(self, b_idx: int, l: int, k: int) -> int:
-        if not (0 <= b_idx < len(self.inputs) and self.prefix_depth < l < self.d
-                and 1 <= k <= self.n):
-            raise KeyError(("x", b_idx, l, k))
-        return self._x0 + (b_idx * self._open + l - self.prefix_depth - 1) * self.n + k
-
-    def value(self, b_idx: int, l: int, k: int) -> int | bool:
-        """Channel-value literal at level l; constants at folded levels."""
-        ones = bin(int(self.inputs[b_idx])).count("1")
-        if l == self.d or (self.near_sorted and l == self.d - 1
-                           and k not in (self.n - ones, self.n - ones + 1)):
-            return bool(k > self.n - ones)  # sorted(b): ones on top channels
-        if l <= self.prefix_depth:
-            return bool((int(self._levels[l, b_idx]) >> (k - 1)) & 1)
-        if self.settled_ends:
-            image = int(self._levels[self.prefix_depth, b_idx])
-            top = image >> (k - 1)   # channels k..n
-            if image & ((1 << k) - 1) == 0 or top == (1 << (self.n - k + 1)) - 1:
-                return bool(top & 1)  # zeros on 1..k or ones on k..n
-        return self.x(b_idx, l, k)
-
-    @functools.cached_property
-    def _index(self) -> dict[tuple, int]:
-        """Every variable by key: ("c", l, i, j), ("u", l, k), ("x", b_idx, l, k)."""
-        pairs = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
-        index = {("c", l, i + 1, j + 1): var for l, row in enumerate(self.c_vars.tolist(), 1)
-                 for (i, j), var in zip(pairs, row)}
-        index.update((("u", l, k), var) for l, row in enumerate(self.u_vars.tolist(), 1)
-                     for k, var in enumerate(row, 1))
-        index.update((("x", b, l, k), self.x(b, l, k)) for b in range(len(self.inputs))
-                     for l in range(self.prefix_depth + 1, self.d) for k in range(1, self.n + 1))
-        return index
 
 
 def _rows(*lits) -> np.ndarray:
@@ -352,17 +324,17 @@ def _value_clauses(vm: VarMap, lo: int, hi: int) -> np.ndarray:
     n, d, p = vm.n, vm.d, vm.prefix_depth
     i, j = vm.pair_i, vm.pair_j
     c, u = vm.c_vars[p:], vm.u_vars[p:]   # the guards of the open layers
-    # literal codes per input, level p..d and channel; in between, vm.x(b, l, k)
+    # literal codes per input, level p..d and channel; in between, the x variables
     values = np.empty((hi - lo, d - p + 1, n), dtype=np.int32)
-    values[:, 0] = _const(_bits(vm._levels[p, lo:hi], n))
+    values[:, 0] = _const(_bits(vm.images[lo:hi], n))
     values[:, 1:-1] = (vm._x0 + n * (np.arange(lo, hi)[:, None, None] * vm._open
                                      + np.arange(d - p - 1)[:, None])
                        + np.arange(1, n + 1))
-    values[:, -1] = _const(_sorted_bits(vm._levels[0, lo:hi], n))
+    values[:, -1] = _const(_sorted_bits(vm.inputs[lo:hi], n))
     if vm.near_sorted:
-        values[:, -2] = np.where(_boundary(vm._levels[0, lo:hi], n), values[:, -2], values[:, -1])
+        values[:, -2] = np.where(_boundary(vm.inputs[lo:hi], n), values[:, -2], values[:, -1])
     if vm.settled_ends:
-        settled = _settled(vm._levels[p, lo:hi], n)[:, None]
+        settled = _settled(vm.images[lo:hi], n)[:, None]
         values[:, 1:-1] = np.where(settled, values[:, :1], values[:, 1:-1])
     state = (values == _TRUE) + 2 * (values == -_TRUE).astype(np.int32)
     # one group per (input, layer, pair or channel), the pairs of a layer before its
@@ -400,7 +372,7 @@ def encode_input_sort(vm: VarMap) -> np.ndarray:
     """
     n = vm.n
     if vm.prefix_depth == vm.d:
-        wrong = (_bits(vm._levels[-1], n) != _sorted_bits(vm._levels[0], n)).any(axis=1)
+        wrong = (_bits(vm.images, n) != _sorted_bits(vm.inputs, n)).any(axis=1)
         return np.zeros(int(wrong.sum()), dtype=np.int32)
     parts = [_value_clauses(vm, lo, min(lo + _INPUT_CHUNK, len(vm.inputs)))
              for lo in range(0, len(vm.inputs), _INPUT_CHUNK)]
@@ -446,25 +418,15 @@ def build(n: int, d: int, inputs: np.ndarray | Sequence[int],
     """Assemble the full formula for the given input set.
 
     The input set is an increasing np.uint32 array of packed vectors, as
-    unsorted_inputs returns it (an increasing list is converted); opts.pad
-    keeps its windows.  With d = 0 and an unsorted input present the
-    result is the trivially unsatisfiable empty-clause CNF rather than an
-    error.  Inputs whose prefix images coincide contribute identical value
-    clauses and are collapsed to one representative, the smallest, which
-    comes first in an increasing set.  The VarMap of the inputs kept
-    decides every rule of opts; the formula is its five fragments in turn.
+    unsorted_inputs returns it (an increasing list is converted).  The
+    VarMap of the options decides which inputs the formula keeps and every
+    rule it applies; the formula is its five fragments in turn.  With d = 0
+    the result is the empty-clause CNF when an input kept is unsorted (no
+    depth-0 network sorts it), else the empty CNF.
     """
-    xs = windows(np.asarray(inputs, dtype=np.uint32), opts.pad, n)
+    vm = VarMap(n, d, inputs, opts)
     if d == 0:
-        unsorted = not _ascending_mask(xs, n).all()
-        return VarMap(n, 0, xs), Cnf(0, [()] if unsorted else [])
-    if opts.prefix is not None:
-        # one input per prefix image, the smallest; the image fixes the weight
-        _, first = np.unique(_eval_array(opts.prefix, xs), return_index=True)
-        keep = np.zeros(len(xs), dtype=bool)
-        keep[first] = True
-        xs = xs[keep]
-    vm = VarMap(n, d, xs, opts)
+        return vm, Cnf(0, [] if _ascending_mask(vm.inputs, n).all() else [()])
     return vm, Cnf(vm.num_vars, np.concatenate((
         encode_structure(vm), encode_symmetry(vm), encode_last_layer(vm),
         encode_fixed_prefix(vm), encode_input_sort(vm))))

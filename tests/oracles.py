@@ -13,7 +13,9 @@ the exhaustive ones are capped where exhaustion stops being cheap:
   under every channel permutation (n <= 8), against saturation's structural
   test, and verify_conjecture over the saturated classes;
 * brute_force_sorter_exists, every depth-d layer sequence tried on an input
-  set, against the SAT encoding.
+  set, against the SAT encoding;
+* the variable numbering and literals of a formula key by key (x_var,
+  value_lit, variable_index), against the arrays of VarMap.
 
 pytest puts tests/ on sys.path (`pythonpath` in pyproject.toml), so test
 modules import this file as `oracles`; its name keeps it out of test
@@ -305,3 +307,52 @@ def brute_force_sorter_exists(n, d, xs, prefix=None):
         if all(is_ascending(evaluate_bits(net, b), n) for b in xs.tolist()):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# variable numbering
+
+def x_var(vm, b_idx: int, l: int, k: int) -> int:
+    """The variable x(b, l, k): channel k after layer l for input vm.inputs[b_idx],
+    at an open level (prefix depth < l < d).  The c and u variables come
+    first; then each input has n per open level."""
+    n, d, p = vm.n, vm.d, vm.prefix_depth
+    if not (0 <= b_idx < len(vm.inputs) and p < l < d and 1 <= k <= n):
+        raise KeyError(("x", b_idx, l, k))
+    first = d * (n * (n - 1) // 2 + n)
+    return first + (b_idx * (d - p - 1) + l - p - 1) * n + k
+
+
+def _image(vm, b: int, l: int) -> int:
+    """Packed vector b after the first l layers of the prefix."""
+    return evaluate_bits(Network(vm.n, vm.prefix.layers[:l]), b) if l else b
+
+
+def value_lit(vm, b_idx: int, l: int, k: int) -> int | bool:
+    """The literal of channel k at level l for input vm.inputs[b_idx], or its
+    constant where the level is fixed (0..prefix depth, d) or folded (the
+    near-sorted and settled-ends rules of the encoding docstring)."""
+    n, d, p = vm.n, vm.d, vm.prefix_depth
+    b = int(vm.inputs[b_idx])
+    ones = bin(b).count("1")
+    if l == d or (vm.near_sorted and l == d - 1 and k not in (n - ones, n - ones + 1)):
+        return k > n - ones   # sorted(b): ones on the top channels
+    if l <= p:
+        return bool((_image(vm, b, l) >> (k - 1)) & 1)
+    if vm.settled_ends:
+        image = _image(vm, b, p)
+        top = image >> (k - 1)   # channels k..n
+        if image & ((1 << k) - 1) == 0 or top == (1 << (n - k + 1)) - 1:
+            return bool(top & 1)  # zeros on 1..k or ones on k..n
+    return x_var(vm, b_idx, l, k)
+
+
+def variable_index(vm) -> dict[tuple, int]:
+    """Every variable by key: ("c", l, i, j), ("u", l, k), ("x", b_idx, l, k)."""
+    n, d = vm.n, vm.d
+    index = {("c", l, i, j): vm.c(l, i, j) for l in range(1, d + 1)
+             for i, j in itertools.combinations(range(1, n + 1), 2)}
+    index.update((("u", l, k), vm.u(l, k)) for l in range(1, d + 1) for k in range(1, n + 1))
+    index.update((("x", b, l, k), x_var(vm, b, l, k)) for b in range(len(vm.inputs))
+                 for l in range(vm.prefix_depth + 1, d) for k in range(1, n + 1))
+    return index

@@ -179,6 +179,10 @@ def test_find_network_examples(solver_config):
     net = find_network(6, 5, "layer1", solver_config)
     assert net is not None and is_sorting_network(net)
     assert net.layers[0] == ((1, 6), (2, 5), (3, 4))  # crossing first layer
+    for n in (2, 3, 6):
+        # the first layer is deeper than depth 0: an error, not a claim
+        with pytest.raises(ValueError, match="exceeds network depth 0"):
+            find_network_campaign(n, 0, "layer1", solver_config)
 
 
 def test_prove_lower_bound_t6(solver_config):
@@ -277,6 +281,27 @@ def test_task_order_fewest_outputs(monkeypatch):
         camp = prove_lower_bound(n, 4, [0], SolverConfig("/bin/false"), jobs=1)
         assert camp.claim == f"T({n}) > 4" and camp.ordering == "fewest-outputs"
         assert ran == sorted(range(len(prefixes)), key=lambda i: (keys[i], i))
+
+
+# the R_n indices whose windows at pad 1 keep every prefix image at d = n - 2,
+# where the default pads are [1, 0] (counted over the images with np.unique)
+KEEP_EVERY_IMAGE_AT_PAD_1 = {5: {2}, 6: {3}, 7: {2, 3}, 8: {7}, 9: {7, 8, 9, 10, 11, 12}}
+
+
+def test_padded_round_that_keeps_every_image_is_skipped(monkeypatch):
+    # such a round is the pad-0 formula with its inputs in another order: each
+    # of these tasks runs pad 0 alone, and every other task still tries pad 1
+    # first (no solver: every run times out, so every task walks all its pads)
+    monkeypatch.setattr(campaign, "run_solver",
+                        lambda cnf, config, name="instance", stop=None: SolveResult("TIMEOUT"))
+    for n, skipped in KEEP_EVERY_IMAGE_AT_PAD_1.items():
+        assert default_pads(n, n - 2) == [1, 0]
+        camp = prove_lower_bound(n, n - 2, config=SolverConfig("/bin/false"), jobs=1)
+        pads = {}
+        for r in camp.instances:
+            pads.setdefault(r.prefix_index, []).append(r.pad)
+        assert pads == {idx: [0] if idx in skipped else [1, 0]
+                        for idx in range(len(two_layer_prefixes(n)))}, n
 
 
 @pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
@@ -697,6 +722,7 @@ def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
      "failed to launch solver '/nonexistent'"),
     (["prove", "--n", "5", "--depth", "4", "--solver", "/nonexistent"],
      "failed to launch solver '/nonexistent'"),
+    (["find", "--n", "3", "--depth", "0", "--mode", "layer1"], "--mode layer1 needs --depth >= 1"),
 ])
 def test_cli_usage_errors(argv, message, tmp_path):
     # a usage error (exit 2, one line, no traceback) before any work starts

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import brute_force_sorter_exists, evaluate_bits, vec_from_str
+from oracles import (brute_force_sorter_exists, evaluate_bits, value_lit, variable_index,
+                     vec_from_str, x_var)
 from sortnetopt.encoding import (
     Cnf,
     EncodeOptions,
@@ -60,7 +61,7 @@ def test_varmap_census_and_order():
     vm = VarMap(3, 2, [1, 2])
     assert vm.num_vars == 2 * 3 + 2 * 3 + 2 * 1 * 3  # c + u + x(level 1 only)
     # bijective, no gaps
-    assert sorted(vm._index.values()) == list(range(1, vm.num_vars + 1))
+    assert sorted(variable_index(vm).values()) == list(range(1, vm.num_vars + 1))
 
 
 def test_incident_sets_and_at_most_one():
@@ -78,7 +79,7 @@ def test_sorted_input_fragment_is_vacuous():
     # everything-off plus pass-through values satisfies the fragment
     model = {v: False for v in range(1, vm.num_vars + 1)}
     for k in range(1, 4):
-        model[vm.value(0, 1, k)] = bool((vm.inputs[0] >> (k - 1)) & 1)
+        model[value_lit(vm, 0, 1, k)] = bool((vm.inputs[0] >> (k - 1)) & 1)
     for cl in frag:
         assert any(model[abs(l)] == (l > 0) for l in cl)
 
@@ -99,7 +100,7 @@ def test_guard_expansion_clause_count():
     frag = Cnf(vm.num_vars, encode_input_sort(vm)).clauses
     for i, j in itertools.combinations(range(1, 5), 2):
         guard = -vm.c(2, i, j)  # layer 2: both value levels are variables
-        yi = vm.value(0, 2, i)
+        yi = value_lit(vm, 0, 2, i)
         min_side = [c for c in frag if guard in c and (yi in c or -yi in c)]
         assert len(min_side) == 3
         assert len([c for c in frag if guard in c]) == 6
@@ -238,15 +239,15 @@ def test_near_sorted_level():
                 for b_idx, b in enumerate(vm.inputs.tolist()):
                     zeros = n - bin(b).count("1")
                     for k in range(1, n + 1):
-                        x = vm.x(b_idx, d - 1, k)
+                        x = x_var(vm, b_idx, d - 1, k)
                         if k in (zeros, zeros + 1):
-                            assert vm.value(b_idx, d - 1, k) == x and x in used
+                            assert value_lit(vm, b_idx, d - 1, k) == x and x in used
                         else:
-                            assert vm.value(b_idx, d - 1, k) is (k > zeros)
+                            assert value_lit(vm, b_idx, d - 1, k) is (k > zeros)
                             assert x not in used
                         for l in range(p + 1, d - 1):
-                            assert vm.value(b_idx, l, k) == vm.x(b_idx, l, k)
-                            assert vm.x(b_idx, l, k) in used
+                            assert value_lit(vm, b_idx, l, k) == x_var(vm, b_idx, l, k)
+                            assert x_var(vm, b_idx, l, k) in used
 
 
 def _settled_channels(image, n):
@@ -287,15 +288,15 @@ def test_settled_ends_level():
                         zeros = n - bin(b).count("1")
                         for l in range(p + 1, d):
                             for k in range(1, n + 1):
-                                x = vm.x(b_idx, l, k)
+                                x = x_var(vm, b_idx, l, k)
                                 if k in settled:
                                     want = bool((image >> (k - 1)) & 1)
                                 elif near_sorted and l == d - 1 and k not in (zeros, zeros + 1):
                                     want = k > zeros
                                 else:
-                                    assert vm.value(b_idx, l, k) == x and x in used
+                                    assert value_lit(vm, b_idx, l, k) == x and x in used
                                     continue
-                                assert vm.value(b_idx, l, k) is want, (n, prefix, d, b, l, k)
+                                assert value_lit(vm, b_idx, l, k) is want, (n, prefix, d, b, l, k)
                                 assert x not in used
 
 
@@ -355,18 +356,17 @@ def reference_input_sort(vm, b_idx):
     """The clause-by-clause construction: fold constants, drop repeats."""
     if vm.prefix_depth == vm.d:
         image = evaluate_bits(vm.prefix, vm.inputs.tolist()[b_idx])
-        sorted_b = [vm.value(b_idx, vm.d, k) for k in range(1, vm.n + 1)]
+        sorted_b = [value_lit(vm, b_idx, vm.d, k) for k in range(1, vm.n + 1)]
         image_bits = [bool((image >> (k - 1)) & 1) for k in range(1, vm.n + 1)]
         return [()] if image_bits != sorted_b else []
     out = []
     for l in range(vm.prefix_depth + 1, vm.d + 1):
         for i, j in itertools.combinations(range(1, vm.n + 1), 2):
-            out += reference_comparator(vm.c(l, i, j),
-                                        vm.value(b_idx, l - 1, i), vm.value(b_idx, l - 1, j),
-                                        vm.value(b_idx, l, i), vm.value(b_idx, l, j))
+            out += reference_comparator(vm.c(l, i, j), *(value_lit(vm, b_idx, level, k)
+                                                         for level in (l - 1, l) for k in (i, j)))
         for k in range(1, vm.n + 1):
-            out += reference_passthrough(vm.u(l, k), vm.value(b_idx, l - 1, k),
-                                         vm.value(b_idx, l, k))
+            out += reference_passthrough(vm.u(l, k), value_lit(vm, b_idx, l - 1, k),
+                                         value_lit(vm, b_idx, l, k))
     return list(dict.fromkeys(out))
 
 
@@ -413,7 +413,7 @@ def test_input_sort_matches_reference():
             for near_sorted, settled_ends in itertools.product((False, True), repeat=2):
                 vm = VarMap(n, d, inputs, EncodeOptions(prefix=prefix, near_sorted=near_sorted,
                                                         settled_ends=settled_ends))
-                want = [cl for b_idx in range(len(inputs))
+                want = [cl for b_idx in range(len(vm.inputs))
                         for cl in reference_input_sort(vm, b_idx)]
                 assert Cnf(vm.num_vars, encode_input_sort(vm)).clauses == want, \
                     (n, prefix, d, near_sorted, settled_ends)
@@ -424,6 +424,9 @@ def test_build_d0():
     assert cnf.clauses == [()]
     vm, cnf = build(3, 0, [vec_from_str("011")])
     assert cnf.clauses == []
+    # the same VarMap checks: no prefix deeper than d = 0
+    with pytest.raises(ValueError, match="exceeds network depth 0"):
+        build(3, 0, unsorted_inputs(3), EncodeOptions(prefix=network(3, first_layer(3))))
 
 
 def test_build_is_the_fragments_of_its_varmap():
@@ -464,18 +467,27 @@ def test_decode_network_inverts_the_numbering():
 
 
 def test_build_keeps_smallest_input_per_prefix_image():
-    # reference: the dict loop keyed by (image, weight), smallest input first
+    # VarMap keeps the windows, then one input per prefix image, and build
+    # keeps what its VarMap keeps; reference: the windows, then a dict loop
+    # keyed by (image, weight), smallest input first
     from sortnetopt.campaign import two_layer_prefixes
-    for n in range(3, 9):
+    for n in range(2, 9):
         for prefix in two_layer_prefixes(n):
             base = unsorted_inputs(n, prefix)
             for pad in range(n):
                 seen = {}
                 for b in sorted(windows(base, pad, n).tolist()):
                     seen.setdefault((evaluate_bits(prefix, b), bin(b).count("1")), b)
-                vm, _ = build(n, 3, base, EncodeOptions(pad=pad, prefix=prefix))
+                opts = EncodeOptions(pad=pad, prefix=prefix)
+                vm = VarMap(n, 3, base, opts)
                 assert vm.inputs.dtype == np.uint32
                 assert vm.inputs.tolist() == sorted(seen.values())
+                assert vm.images.tolist() == [evaluate_bits(prefix, b) for b in vm.inputs.tolist()]
+                assert np.array_equal(build(n, 3, base, opts)[0].inputs, vm.inputs)
+                if pad == 0:
+                    # the campaign's pad-0 round encodes the inputs kept, and a
+                    # VarMap of them keeps them all
+                    assert np.array_equal(VarMap(n, 3, vm.inputs, opts).inputs, vm.inputs)
 
 
 def test_dimacs_format_exact():
@@ -549,17 +561,17 @@ def test_window_monotonicity_clause_inclusion(solver_config):
     vm_w, cnf_w = build(4, 2, windows(xs, 1, 4))
     vm_f, cnf_f = build(4, 2, xs)
     mapping = {}
-    for (kind, *rest), idx in vm_w._index.items():
+    full = variable_index(vm_f)
+    for (kind, *rest), idx in variable_index(vm_w).items():
         if kind in ("c", "u"):
-            mapping[idx] = vm_f._index[(kind, *rest)]
+            mapping[idx] = full[(kind, *rest)]
         else:
             b_idx, l, k = rest
             full_idx = vm_f.inputs.tolist().index(vm_w.inputs.tolist()[b_idx])
-            mapping[idx] = vm_f._index[("x", full_idx, l, k)]
+            mapping[idx] = full[("x", full_idx, l, k)]
     remapped = {tuple(sorted((l // abs(l)) * mapping[abs(l)] for l in cl))
                 for cl in cnf_w.clauses}
-    full = {tuple(sorted(cl)) for cl in cnf_f.clauses}
-    assert remapped <= full
+    assert remapped <= {tuple(sorted(cl)) for cl in cnf_f.clauses}
     # and UNSAT of the window implies UNSAT of the full set here
     assert run_solver(cnf_w, solver_config).verdict == "UNSAT"
     assert run_solver(cnf_f, solver_config).verdict == "UNSAT"

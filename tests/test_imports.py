@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import sortnetopt
+from sortnetopt.encoding import EncodeOptions
 
 PACKAGE = Path(sortnetopt.__file__).parent
 
@@ -102,3 +104,71 @@ def test_bench_trace_targets_resolve():
     missing = {(module, attr) for module, attr in targets
                if not hasattr(importlib.import_module(f"sortnetopt.{module}"), attr)}
     assert missing <= {("cli", "is_saturated")}, missing
+
+
+OPTION_FIELDS = {f.name for f in dataclasses.fields(EncodeOptions)}
+
+
+def _option_reads(tree: ast.AST) -> list[tuple[str, int]]:
+    """(qualified function name, line) of every read of an EncodeOptions field
+    off an options object: a parameter annotated EncodeOptions, a name
+    assigned an EncodeOptions(...) call, or such a call itself.  Reads by
+    attribute and by getattr count; making an EncodeOptions does not."""
+    def is_options_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "EncodeOptions")
+
+    reads = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join(scope + [child.name])
+                args = child.args.posonlyargs + child.args.args + child.args.kwonlyargs
+                options = {a.arg for a in args if a.annotation is not None
+                           and "EncodeOptions" in ast.unparse(a.annotation)}
+                options |= {t.id for sub in ast.walk(child) if isinstance(sub, ast.Assign)
+                            and is_options_call(sub.value)
+                            for t in sub.targets if isinstance(t, ast.Name)}
+
+                def is_options(obj):
+                    return (isinstance(obj, ast.Name) and obj.id in options) or is_options_call(obj)
+
+                for sub in ast.walk(child):
+                    if (isinstance(sub, ast.Attribute) and sub.attr in OPTION_FIELDS
+                            and is_options(sub.value)):
+                        reads.append((name, sub.lineno))
+                    elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                          and sub.func.id == "getattr" and len(sub.args) >= 2
+                          and is_options(sub.args[0])):
+                        reads.append((name, sub.lineno))
+                visit(child, scope + [child.name])
+
+    visit(tree, [])
+    return reads
+
+
+def test_option_read_finder_sees_every_form():
+    source = (
+        "class VarMap:\n"
+        "    def __init__(self, opts: EncodeOptions):\n"
+        "        self.pad = opts.pad\n"
+        "def build(n, opts: EncodeOptions = EncodeOptions()):\n"
+        "    return opts.pad, opts.num_vars\n"
+        "def settle(args, vm):\n"
+        "    opts = EncodeOptions(pad=args.pad)\n"
+        "    return opts.prefix, EncodeOptions().sigma1, getattr(opts, 'pad'), vm.prefix\n")
+    assert _option_reads(ast.parse(source)) == [
+        ("VarMap.__init__", 3), ("build", 5), ("settle", 8), ("settle", 8), ("settle", 8)]
+
+
+def test_only_varmap_reads_the_options():
+    # VarMap.__init__ is the one reader of EncodeOptions: build, the
+    # fragments, the campaign and the CLI make options and pass them on
+    reads = {path.name: _option_reads(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, _ in reads["encoding.py"]} == {"VarMap.__init__"}
+    others = {module: found for module, found in reads.items() if module != "encoding.py"}
+    assert not any(others.values()), others
