@@ -8,15 +8,19 @@ over {0,1,2}; the multiset of component words (the "sentence") is a
 complete invariant for two-layer networks modulo channel permutation.
 
 Tags: h = head (odd component containing the free channel), s = stick,
-c = cycle.  Canonical forms: heads are read from the free channel; sticks
-take the lexicographically smaller reading direction; cycles minimize over
-all rotations that start with a first-layer comparator, in both directions.
+c = cycle.  Two rules decide everything about a word.  _canonical is its
+one canonical reading: heads are read from the free channel; sticks take
+the lexicographically smaller reading direction; cycles minimize over all
+rotations that start with a first-layer comparator, in both directions.
+Every Word holds that reading.  _kind is the rsn word rule: which words a
+saturated class may hold, sorted into the kinds that _sat_multiset_ok
+lets share a sentence.
 
 The module also walks the prefix sets rgn, rsn, rn (sentences) and gn
 (matchings).  rn, the prefix set R_n of the campaigns, is the rsn walk
 keeping one member of each reflection orbit.  counts gives the table rows
-without walking them: integer dynamic programs over the same word pools
-give RG and RS as numbers of multisets, S as the sum of
+without walking them: integer dynamic programs over the same word pools,
+split by _kind, give RG and RS as numbers of multisets, S as the sum of
 sentence_class_size (the number of second layers over F_n behind a
 sentence) over rsn, and R as the number of reflection orbits of rsn.  The
 walks stay as the tests' references.
@@ -76,8 +80,19 @@ def _validate_symbols(tag: str, s: str) -> None:
         raise ValueError(f"malformed word {s!r}: odd pair part")
     if not _PAIRS.fullmatch(body):
         raise ValueError(f"malformed word {s!r}: pairs must be 12 or 21")
-    if tag == "c" and not s.startswith("12"):
-        raise ValueError(f"cycle word must start with 12, got {s!r}")
+    if tag != "h" and s != _canonical(tag, s):
+        raise ValueError(f"{tag}-word {s!r} is not in its canonical reading")
+
+
+def _canonical(tag: str, symbols: str) -> str:
+    """The canonical reading of a word read as symbols: a head as read from
+    its free channel, a stick the smaller of its two readings, a cycle the
+    smallest of its readings (cycle_canonical)."""
+    if tag == "h":
+        return symbols
+    if tag == "s":
+        return min(symbols, symbols[::-1])
+    return cycle_canonical(symbols)
 
 
 def parse_word(text: str) -> Word:
@@ -208,18 +223,16 @@ def _embeddings(w: Word) -> tuple[int, int]:
 
 
 def _component_word(comp: set[int], l1p, l2p, role) -> Word:
-    labels = lambda path: "".join(role[ch] for ch in path)
+    # a head is read from its free channel, a stick from an end, a cycle
+    # from any channel; _canonical picks the reading
     free = [ch for ch in comp if ch not in l1p]
+    ends = [ch for ch in comp if ch not in l2p]
     if free:
-        path = _walk(free[0], l2p.get(free[0]), l1p, l2p)
-        return Word("h", labels(path))
-    ends = sorted(ch for ch in comp if ch not in l2p)
-    if ends:
-        words = [labels(_walk(e, l1p[e], l1p, l2p)) for e in ends]
-        return Word("s", min(words))
-    start = min(comp)
-    path = _walk(start, l1p[start], l1p, l2p)
-    return Word("c", cycle_canonical(labels(path)))
+        tag, path = "h", _walk(free[0], l2p.get(free[0]), l1p, l2p)
+    else:
+        tag, start = ("s", ends[0]) if ends else ("c", min(comp))
+        path = _walk(start, l1p[start], l1p, l2p)
+    return Word(tag, _canonical(tag, "".join(role[ch] for ch in path)))
 
 
 def word_of(net: Network) -> Word:
@@ -300,19 +313,10 @@ def swap_minmax(s: str) -> str:
     return s.translate(str.maketrans("12", "21"))
 
 
-def stick_canonical(symbols: str) -> str:
-    return min(symbols, symbols[::-1])
-
-
 @lru_cache(maxsize=None)
 def reflect_word(w: Word) -> Word:
     """Word of the reflected network: swap 1s and 2s, then re-canonicalize."""
-    sw = swap_minmax(w.symbols)
-    if w.tag == "h":
-        return Word("h", sw)
-    if w.tag == "s":
-        return Word("s", stick_canonical(sw))
-    return Word("c", cycle_canonical(sw))
+    return Word(w.tag, _canonical(w.tag, swap_minmax(w.symbols)))
 
 
 def reflect_sentence(s: Sentence) -> Sentence:
@@ -321,109 +325,84 @@ def reflect_sentence(s: Sentence) -> Sentence:
 
 @lru_cache(maxsize=None)
 def is_asymmetric(w: Word) -> bool:
-    """True iff a canonical cycle word differs from its reflection."""
+    """True iff a cycle word differs from its reflection."""
     if w.tag != "c":
         raise ValueError("asymmetry is defined for cycle words")
-    if w.symbols != cycle_canonical(w.symbols):
-        raise ValueError(f"cycle word {w.symbols!r} is not canonical")
     return reflect_word(w) != w
 
 
 # ---------------------------------------------------------------------------
 # word pools
 
-def _pair_strings(pairs: int) -> Iterator[str]:
-    return map("".join, itertools.product(("12", "21"), repeat=pairs))
+def _words(tag: str, lead: str, pairs: int) -> tuple[Word, ...]:
+    """The canonical words of a tag read as lead and then pairs of 12 or 21."""
+    bodies = map("".join, itertools.product(("12", "21"), repeat=pairs))
+    readings = {_canonical(tag, lead + body) for body in bodies}
+    return tuple(Word(tag, s) for s in sorted(readings))
 
 
 @lru_cache(maxsize=None)
 def head_words(length: int) -> tuple[Word, ...]:
     """Head words of a given odd length."""
-    if length % 2 == 0 or length < 1:
-        return ()
-    if length == 1:
-        return (Word("h", "0"),)
-    return tuple(sorted((Word("h", "0" + body) for body in _pair_strings((length - 1) // 2)),
-                        key=Word.sort_key))
+    return _words("h", "0", length // 2) if length % 2 and length >= 1 else ()
 
 
 @lru_cache(maxsize=None)
-def stick_words(length: int, mode: str = "all") -> tuple[Word, ...]:
-    """Canonical stick words of a given even length.
-
-    mode 'all': every canonical stick; 'sat': the saturated grammar (plain
-    12, or length >= 6 beginning and ending with the same symbol).
-    """
-    if length % 2 or length < 2:
-        return ()
-    if length == 2:
-        return (Word("s", "12"),)
-    if mode == "all":
-        canonical = {stick_canonical(body) for body in _pair_strings(length // 2)}
-        return tuple(Word("s", w) for w in sorted(canonical))
-    # the saturated grammar filters the full pool, which keeps its order
-    if length == 4:
-        return ()
-    return tuple(w for w in stick_words(length) if w.symbols[0] == w.symbols[-1])
+def stick_words(length: int) -> tuple[Word, ...]:
+    """Canonical stick words of a given even length."""
+    return _words("s", "", length // 2) if length % 2 == 0 and length >= 2 else ()
 
 
 @lru_cache(maxsize=None)
-def cycle_words(length: int, include_redundant: bool = False) -> tuple[Word, ...]:
-    """Canonical cycle words of a given even length (12_c only when asked)."""
-    if length % 2 or length < 2:
-        return ()
-    if length == 2:
-        return (Word("c", "12"),) if include_redundant else ()
-    if include_redundant:
-        return cycle_words(length)
-    out = {cycle_canonical("12" + body) for body in _pair_strings(length // 2 - 1)}
-    return tuple(Word("c", w) for w in sorted(out))
+def cycle_words(length: int) -> tuple[Word, ...]:
+    """Canonical cycle words of a given even length; every cycle has a
+    reading that starts with 12."""
+    return _words("c", "12", length // 2 - 1) if length % 2 == 0 and length >= 2 else ()
 
 
-def _is_plain(w: Word) -> bool:
-    return w.symbols in ("0", "12") and w.tag in ("h", "s")
+def _kind(w: Word) -> Optional[str]:
+    """The rsn word rule.  None for a word no saturated class holds: 12_c, a
+    stick of length 4 and a longer stick whose ends differ.  "plain" for
+    0_h and 12_s, "c" for the other cycles, and otherwise the tag and the
+    last symbol: h1, h2, s1 or s2."""
+    s = w.symbols
+    if w.tag == "c":
+        return "c" if len(s) > 2 else None
+    if len(s) <= 2:
+        return "plain"
+    if w.tag == "s" and (len(s) == 4 or s[0] != s[-1]):
+        return None
+    return w.tag + s[-1]
 
 
-def _plain_rule_ok(words: tuple[Word, ...]) -> bool:
-    # a bare 0_h or 12_s forces every other word to be a cycle
-    if any(_is_plain(w) for w in words):
-        for w in words:
-            if w.tag != "c" and not _is_plain(w):
-                return False
-        if sum(_is_plain(w) for w in words) > 1:
-            return False
-    return True
-
-
-def _sat_multiset_ok(words: tuple[Word, ...]) -> bool:
-    # every head or stick of length >= 3 must end with the same symbol
-    ends = {w.symbols[-1] for w in words if w.tag in "hs" and len(w) >= 3}
-    return len(ends) <= 1 and _plain_rule_ok(words)
-
-
-_POOLS = {
-    "rgn": (lambda L: head_words(L), lambda L: stick_words(L, "all"),
-            lambda L: cycle_words(L, include_redundant=True), lambda ws: True),
-    "rsn": (lambda L: head_words(L), lambda L: stick_words(L, "sat"),
-            lambda L: cycle_words(L), _sat_multiset_ok),
-}
+def _sat_multiset_ok(words: Sentence) -> bool:
+    # words that all have a kind: one plain word alone among cycles, or long
+    # heads and sticks that all end in the same symbol
+    kinds = [k for k in map(_kind, words) if k != "c"]
+    if "plain" in kinds:
+        return len(kinds) == 1
+    return len({k[-1] for k in kinds}) <= 1
 
 
 def sentences(n: int, kind: str) -> Iterator[Sentence]:
     """All canonical sentences on n channels for kind rgn / rsn / rn.
 
-    rn, the prefix set R_n, keeps one member of each reflection orbit of
-    rsn: the sentence s with _orbit_key(s) <= _orbit_key(reflect_sentence(s)).
-    Emitted in canonical order (lexicographic on the word keys), which
-    fixes the prefix indices used by campaign reports.  Raises ValueError
-    for an unknown kind at the call, not at the first item.
+    rgn holds every sentence; rsn the words that _kind admits, in the
+    multisets that _sat_multiset_ok admits.  rn, the prefix set R_n, keeps
+    one member of each reflection orbit of rsn: the sentence s with
+    _orbit_key(s) <= _orbit_key(reflect_sentence(s)).  Emitted in canonical
+    order (lexicographic on the word keys), which fixes the prefix indices
+    used by campaign reports.  Raises ValueError for an unknown kind at the
+    call, not at the first item.
     """
-    if kind == "rn":
-        return (s for s in _sentence_walk(n, *_POOLS["rsn"])
-                if _orbit_key(s) <= _orbit_key(reflect_sentence(s)))
-    if kind not in _POOLS:
+    if kind == "rgn":
+        return _sentence_walk(n, lambda w: True, lambda words: True)
+    if kind not in ("rsn", "rn"):
         raise ValueError(f"unknown sentence kind {kind!r}")
-    return _sentence_walk(n, *_POOLS[kind])
+    rsn = _sentence_walk(n, _kind, _sat_multiset_ok)
+    if kind == "rsn":
+        return rsn
+    return (s for s in rsn if _orbit_key(s) <= _orbit_key(reflect_sentence(s)))
 
 
 def _orbit_key(s: Sentence) -> tuple:
@@ -434,8 +413,9 @@ def _orbit_key(s: Sentence) -> tuple:
                  for w in s)
 
 
-def _sentence_walk(n: int, heads, sticks, cycles, ok) -> Iterator[Sentence]:
-    """The walk behind sentences, over the word pools and multiset rule of a kind.
+def _sentence_walk(n: int, keep, ok) -> Iterator[Sentence]:
+    """The walk behind sentences: the multisets that ok accepts of the words
+    that keep accepts.
 
     The pool of words is sorted by word key, not by length, so the walk
     first indexes it by length: fits[r] lists, in pool order, the position,
@@ -444,14 +424,9 @@ def _sentence_walk(n: int, heads, sticks, cycles, ok) -> Iterator[Sentence]:
     allowed position and visits only the words that fit, so the walk costs
     what it emits rather than a pass over the pool per frame.
     """
-    pool: list[Word] = []
-    for length in range(1, n + 1):
-        if length % 2:
-            pool.extend(heads(length))
-        else:
-            pool.extend(sticks(length))
-            pool.extend(cycles(length))
-    pool.sort(key=Word.sort_key)
+    pool = sorted((w for length in range(1, n + 1)
+                   for w in head_words(length) + stick_words(length) + cycle_words(length)
+                   if keep(w)), key=Word.sort_key)
     entries = [(idx, len(w), w.tag == "h") for idx, w in enumerate(pool)]
     fits = [[e for e in entries if e[1] <= r] for r in range(n + 1)]
     starts = [[e[0] for e in fit] for fit in fits]
@@ -570,8 +545,7 @@ def _rg_count(n: int) -> int:
     length, to such a multiset.
     """
     k = n // 2
-    items = [(m, len(stick_words(2 * m)) + len(cycle_words(2 * m, include_redundant=True)))
-             for m in range(1, k + 1)]
+    items = [(m, len(stick_words(2 * m)) + len(cycle_words(2 * m))) for m in range(1, k + 1)]
     ways = _multisets(k, items)
     if n % 2 == 0:
         return ways[k]
@@ -580,19 +554,13 @@ def _rg_count(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _rsn_kinds(length: int) -> dict[str, tuple[int, int]]:
-    """The rsn words of one length by kind, each kind as (words, embeddings),
-    the embeddings summed over _embeddings: "c" cycles, "sym" the symmetric
-    cycles, "h1"/"h2" heads and "s1"/"s2" sticks of length >= 3 by their
-    last symbol.  The plain words 0_h and 12_s are left to the caller."""
+    """The rsn words of one length by _kind, each kind as (words, embeddings),
+    the embeddings summed over _embeddings, and "sym" the symmetric cycles."""
     kinds: dict[str, list[Word]] = {}
-    if length % 2:
-        for w in head_words(length) if length >= 3 else ():
-            kinds.setdefault("h" + w.symbols[-1], []).append(w)
-    else:
-        for w in stick_words(length, "sat") if length >= 3 else ():
-            kinds.setdefault("s" + w.symbols[-1], []).append(w)
-        kinds["c"] = list(cycle_words(length))
-        kinds["sym"] = [w for w in kinds["c"] if not is_asymmetric(w)]
+    for w in head_words(length) + stick_words(length) + cycle_words(length):
+        if kind := _kind(w):
+            kinds.setdefault(kind, []).append(w)
+    kinds["sym"] = [w for w in kinds.get("c", ()) if not is_asymmetric(w)]
     return {kind: (len(ws), sum(_embeddings(w)[1] for w in ws)) for kind, ws in kinds.items()}
 
 
@@ -602,11 +570,11 @@ def rsn_count(n: int, weighted: bool = False) -> int:
 
     An rsn sentence is one of: at most one head and any sticks and cycles,
     every head or stick of length >= 3 ending in the same symbol; or one
-    plain word, 0_h or 12_s, and cycles (_sat_multiset_ok).  So count the
-    sentences whose long words all end in 1, add those that all end in 2,
-    take off the cycles-only ones that both counted, and add the plain
-    ones.  The counts run over the n // 2 first-layer pairs: an odd n has
-    exactly one head, which takes its pairs from the rest.
+    plain word, 0_h or 12_s, and cycles (_kind and _sat_multiset_ok).  So
+    count the sentences whose long words all end in 1, add those that all
+    end in 2, take off the cycles-only ones that both counted, and add the
+    plain ones.  The counts run over the n // 2 first-layer pairs: an odd n
+    has exactly one head, which takes its pairs from the rest.
     """
     k = n // 2
     table = _labelled if weighted else _multisets
@@ -630,10 +598,8 @@ def rsn_count(n: int, weighted: bool = False) -> int:
         else:
             total += rest[k]
     cyc = table(k, cycles)
-    # the plain word of n's parity, 0_h or 12_s, next to cycles
-    plain = head_words(1)[0] if n % 2 else stick_words(2, "sat")[0]
-    m, embeddings = _embeddings(plain)
-    total += one_word_and(m, (1, embeddings), cyc)
+    # the plain word of n's parity, 0_h (no pairs) or 12_s (one), next to cycles
+    total += one_word_and(1 - n % 2, _rsn_kinds(2 - n % 2)["plain"], cyc)
     # an even n counted the cycles alone once for each end
     return total if n % 2 else total - cyc[k]
 
@@ -675,7 +641,8 @@ def counts(n: int) -> CountsRow:
         kw["s"] = rsn_count(n, weighted=True)
         kw["rs"] = rsn_count(n)
     if 3 <= n <= _LIMITS["r"]:
-        kw["r"] = (rsn_count(n) + _self_reflected_count(n)) // 2
+        # R's limit is S's, so RS is counted already
+        kw["r"] = (kw["rs"] + _self_reflected_count(n)) // 2
     if n % 2 == 0 and 4 <= n <= _LIMITS["a"]:
         kw["a"] = asymmetric_cycle_count(n)
     return CountsRow(n=n, g=telephone(n), **kw)

@@ -75,7 +75,12 @@ def test_saturated_layer_count_formula_matches_enumeration():
     # n = 12 to 14 reach past the oracle range of the sn stream test below
     for n in range(3, 15):
         want = saturated_layer_count(n)
-        assert sum(1 for _ in saturated_layers(n)) == want
+        layers = list(saturated_layers(n))
+        assert len(layers) == want
+        if n <= 11:
+            # the walk's classes are exactly the saturated sentences
+            fl = first_layer(n)
+            assert {sentence_of(Network(n, (fl, l2))) for l2 in layers} == set(sentences(n, "rsn")), n
         # the S column counts the same sum on the same path
         assert counts(n).s == want
 
@@ -238,7 +243,7 @@ def test_embeddings_cache_agrees_with_the_function():
     # every head, stick and cycle word up to length 16 gets what the uncached
     # function gives
     pool = [w for L in range(1, 17) for w in
-            head_words(L) + stick_words(L) + cycle_words(L, include_redundant=True)]
+            head_words(L) + stick_words(L) + cycle_words(L)]
     for _ in range(2):
         for w in pool:
             assert words._embeddings(w) == words._embeddings.__wrapped__(w)

@@ -78,6 +78,10 @@ def test_net_of_rejects_malformed():
     with pytest.raises(ValueError):
         parse_word("11_s")         # bad pair
     with pytest.raises(ValueError):
+        parse_word("2121_s")       # not canonical: 1212_s
+    with pytest.raises(ValueError):
+        parse_word("122121_c")     # not canonical: 121221_c
+    with pytest.raises(ValueError):
         net_of("012_h;021_h")      # two heads
 
 
@@ -96,7 +100,7 @@ def test_reflect_word_examples():
 
 def test_reflect_word_matches_network_reflection():
     pool = [w for L in range(1, 11) for w in
-            head_words(L) + stick_words(L) + cycle_words(L, include_redundant=True)]
+            head_words(L) + stick_words(L) + cycle_words(L)]
     for w in pool:
         net = net_of((w,))
         assert reflect_word(w) == word_of(reflect(net))
@@ -121,16 +125,18 @@ def test_word_caches_agree_with_the_functions():
     # and cycle word up to length 16 they give what the uncached functions give
     heads = [w for L in range(1, 17, 2) for w in head_words(L)]
     sticks = [w for L in range(2, 17, 2) for w in stick_words(L)]
-    cycles = [w for L in range(2, 17, 2) for w in cycle_words(L, include_redundant=True)]
+    cycles = [w for L in range(2, 17, 2) for w in cycle_words(L)]
     for _ in range(2):
         for w in heads + sticks + cycles:
             assert reflect_word(w) == reflect_word.__wrapped__(w)
         for w in cycles:
             assert is_asymmetric(w) == is_asymmetric.__wrapped__(w)
+    # a reading that is not canonical makes no word
+    assert cycle_canonical("122121") != "122121"
+    with pytest.raises(ValueError):
+        Word("c", "122121")
     # an error is never cached: the second call raises as the first did
-    not_canonical = Word("c", "122121")
-    assert cycle_canonical(not_canonical.symbols) != not_canonical.symbols
-    for w in (sticks[1], heads[1], not_canonical):
+    for w in (sticks[1], heads[1]):
         for _ in range(2):
             with pytest.raises(ValueError):
                 is_asymmetric(w)
@@ -205,7 +211,14 @@ def test_grammar_soundness_of_pools():
             assert w.symbols <= w.symbols[::-1]
         for w in cycle_words(L):
             assert w.symbols == cycle_canonical(w.symbols)
-            assert w.symbols.startswith("12") and len(w) >= 4
+            assert w.symbols.startswith("12")
+    assert cycle_words(2) == (Word("c", "12"),) and stick_words(2) == (Word("s", "12"),)
+    # the rsn word rule holds no 12_c and no stick of length 4
+    for text, kind in [("12_c", None), ("1212_s", None), ("122112_s", None),
+                       ("0_h", "plain"), ("12_s", "plain"), ("012_h", "h2"),
+                       ("021_h", "h1"), ("121221_s", "s1"), ("211212_s", "s2"),
+                       ("1212_c", "c")]:
+        assert words._kind(parse_word(text)) == kind, text
 
 
 def test_rn_reflection_completeness():
