@@ -41,11 +41,8 @@ from .saturation import (
 )
 from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network, to_dimacs
 from .solver import SolverConfig, default_config, parse_solver_output, run_solver
+from .report import CampaignResult, InstanceResult, campaign_from_json, campaign_to_json
 from .campaign import (
-    CampaignResult,
-    InstanceResult,
-    campaign_from_json,
-    campaign_to_json,
     compute_T,
     find_network,
     prove_lower_bound,

@@ -10,28 +10,6 @@ Window padding shrinks instances: UNSAT on the padded subset already
 implies UNSAT on the full input set, while a SAT verdict under padding is
 inconclusive and moves the task on to the next pad.
 
-Why an UNSAT for every prefix of R_n proves T(n) > d: if a depth-d
-sorting network on n channels exists, so does one whose first two layers
-are a prefix of R_n, in four steps.
-1. First layer: it can be taken maximal, and all maximal layers are equal
-   up to a channel permutation, so take F_n (Parberry, 1991; the source
-   paper, Bundala et al., arXiv:1412.5302).
-2. Saturation: the first two layers C are subsumed by a saturated prefix
-   C' over F_n, outputs(C') inside pi(outputs(C)), so C' extends to depth
-   d too (the source paper; the subsumption lemma of Codish, Cruz-Filipe,
-   Frank and Schneider-Kamp, JCSS 2016, whose witness pi can be checked).
-3. Channel permutation: C' is a permuted copy of net_of(s), s its
-   sentence in rsn, and a permuted network untangles into a standard one
-   of the same depth (the source paper; sentence_of is a complete
-   invariant, tested).
-4. Reflection: the mirror image of a sorting network sorts, and
-   reflection maps rsn onto itself, so the member of the orbit of s that
-   R_n keeps extends too (the source paper; rn keeps exactly one member
-   of every orbit, tested for n = 3..16).
-Tier-1 checks steps 2 to 4 together for n <= 8: every second layer over
-F_n is subsumed by a prefix of R_n or by its reflection, each witness pi
-checked.
-
 Tasks start in order of their prefix's number of unsorted outputs, fewest
 first (the "fewest-outputs" ordering): that prefix leaves the fewest
 inputs to sort, and for n = 5..11 it is SAT at depth T(n), so a depth
@@ -48,57 +26,26 @@ t - 1, which covers every smaller depth too.
 The first pad-0 SAT settles the claim and kills the solvers still running.
 Every SAT model is decoded and re-verified by direct evaluation, and the
 witness behind a claim once more with is_sorting_network; a witness that
-fails verification is a fatal internal error, never a result.  Every
-claim is made by one evidence rule, _evidence, from the instances: a
-campaign takes its claim from it, and campaign_from_json recomputes it
-at the claimed depth and rejects a report whose claim differs.
+fails verification is a fatal internal error, never a result.  The
+claim comes from the evidence rule of the report module, _evidence, which
+also states why the claims it makes hold.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
-import json
 import math
-import re
 import threading
 import time
-from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import words as words_mod
 from .encoding import EncodeOptions, VarMap, build, decode_network
-from .networks import (MAX_ENUM_CHANNELS, Network, _ascending_mask, _eval_array, _is_int,
-                       first_layer, is_sorting_network, outputs, unsorted_inputs)
+from .networks import (Network, _ascending_mask, _eval_array, first_layer, is_sorting_network,
+                       outputs, unsorted_inputs)
+from .report import CampaignResult, InstanceResult, _evidence
 from .solver import SolverConfig, StopEvent, default_config, run_solver
-
-
-@dataclass
-class InstanceResult:
-    prefix_index: Optional[int]   # index into the R_n export; None when prefix-free
-    depth: int
-    pad: int
-    verdict: str                  # SAT | UNSAT | TIMEOUT
-    encode_time: float = 0.0
-    solve_time: float = 0.0
-    witness: Optional[Network] = None
-    # formula size: inputs kept after windows and dedup, variables, clauses
-    inputs_kept: int = 0
-    vars: int = 0
-    clauses: int = 0
-
-    def __post_init__(self):
-        if (self.witness is not None) != (self.verdict == "SAT"):
-            raise ValueError("witness must be present exactly for SAT verdicts")
-
-
-@dataclass
-class CampaignResult:
-    n: int
-    claim: str                    # e.g. "T(9) > 6" or "T(9) <= 7" or "inconclusive"
-    instances: list[InstanceResult] = field(default_factory=list)
-    wall_time: float = 0.0
-    ordering: str = "canonical"   # task order; R_n order in reports without the key
 
 
 Task = tuple[Optional[int], Optional[Network]]   # (prefix index, prefix)
@@ -112,7 +59,7 @@ def two_layer_prefixes(n: int) -> list[Network]:
 
 @lru_cache(maxsize=None)
 def _filter_set(n: int) -> tuple[Network, ...]:
-    return tuple(words_mod.net_of(s) for s in words_mod.sentences(n, "rn"))
+    return tuple(words_mod.net_of(s) for s in words_mod.rn_sentences(n))
 
 
 @lru_cache(maxsize=None)
@@ -236,26 +183,6 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     return witness, CampaignResult(n, claim, results, wall_time, "fewest-outputs")
 
 
-def _evidence(n: int, d: int, instances: Sequence[InstanceResult]
-              ) -> tuple[str, Optional[Network], list[Optional[int]]]:
-    """The evidence rule: the one place that makes a claim at depth d.
-
-    Returns (claim, witness, missing): the first pad-0 SAT witness of depth
-    at most d, which proves "T(n) <= d", and the R_n indices still lacking
-    an UNSAT at depth d; none left proves "T(n) > d", else the claim is
-    "inconclusive".  A prefix-free or first-layer UNSAT (prefix index None)
-    covers every prefix.
-    """
-    witness = next((r.witness for r in instances
-                    if r.verdict == "SAT" and r.pad == 0 and r.witness.depth <= d), None)
-    refuted = {r.prefix_index for r in instances if r.verdict == "UNSAT" and r.depth == d}
-    missing = ([] if None in refuted else [None] if d < 2 else
-               [idx for idx in range(len(_filter_set(n))) if idx not in refuted])
-    claim = (f"T({n}) <= {d}" if witness is not None
-             else "inconclusive" if missing else f"T({n}) > {d}")
-    return claim, witness, missing
-
-
 def find_network(n: int, d: int, mode: str = "two_layer",
                  config: Optional[SolverConfig] = None, jobs: int = 1) -> Optional[Network]:
     """Search for a depth-d sorting network; returns a verified witness or None.
@@ -360,127 +287,6 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
     if camp.claim == "inconclusive":
         raise RuntimeError(f"inconclusive campaign at depth {d} for n={n}")
     return d + 1, [camp, found]
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def campaign_to_json(c: CampaignResult) -> str:
-    doc = {
-        "n": c.n,
-        "claim": c.claim,
-        "ordering": c.ordering,
-        "wall_time": c.wall_time,
-        "instances": [
-            {f.name: getattr(r, f.name) for f in fields(InstanceResult)}
-            | {"witness": json.loads(r.witness.to_json()) if r.witness else None}
-            for r in c.instances
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def _is_duration(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value) and value >= 0
-    return _is_int(value) and value >= 0
-
-
-def _require(ok: bool, what: str, loc: str) -> None:
-    if not ok:
-        raise ValueError(f"campaign document: {what} at {loc}")
-
-
-def campaign_from_json(text: str) -> CampaignResult:
-    """Parse and validate a campaign document; witnesses are re-verified
-    and the claim is audited against the instances (see _audit_claim).
-
-    A malformed document, instance, n, claim, wall_time, ordering or
-    instance field raises ValueError naming its $ path: times must be
-    finite non-negative numbers, formula sizes non-negative integers, the
-    ordering a string, and a witness must be present exactly on a SAT
-    instance.  The instance keys are the fields of InstanceResult;
-    prefix_index and the keys after verdict may be missing.
-    """
-    doc = json.loads(text)
-    _require(isinstance(doc, dict), "expected an object", "$")
-    for key in ("n", "claim", "instances"):
-        _require(key in doc, f"missing key {key!r}", "$")
-    # a campaign enumerates 2**n inputs, so no report has more channels than the cap
-    _require(_is_int(doc["n"]) and 1 <= doc["n"] <= MAX_ENUM_CHANNELS,
-             f"'n' must be an integer in 1..{MAX_ENUM_CHANNELS}, got {doc['n']!r}", "$.n")
-    _require(isinstance(doc["claim"], str), f"'claim' must be a string, got {doc['claim']!r}",
-             "$.claim")
-    _require(isinstance(doc["instances"], list), "expected a list", "$.instances")
-    _require(_is_duration(doc.get("wall_time", 0.0)),
-             f"'wall_time' must be a non-negative number, got {doc.get('wall_time')!r}",
-             "$.wall_time")
-    _require(isinstance(doc.get("ordering", ""), str),
-             f"'ordering' must be a string, got {doc.get('ordering')!r}", "$.ordering")
-    instances = []
-    for pos, item in enumerate(doc["instances"]):
-        loc = f"$.instances[{pos}]"
-        _require(isinstance(item, dict), "expected an object", loc)
-        for key in ("depth", "pad", "verdict"):
-            _require(key in item, f"missing key {key!r}", loc)
-        values = {f.name: item.get(f.name, None if f.default is MISSING else f.default)
-                  for f in fields(InstanceResult)}
-        for key in ("depth", "pad"):
-            _require(_is_int(values[key]), f"{key!r} must be an integer, got {values[key]!r}",
-                     f"{loc}.{key}")
-        index = values["prefix_index"]
-        _require(index is None or _is_int(index),
-                 f"'prefix_index' must be an integer or null, got {index!r}", f"{loc}.prefix_index")
-        _require(values["verdict"] in ("SAT", "UNSAT", "TIMEOUT"),
-                 f"bad verdict {values['verdict']!r}", loc)
-        for key in ("encode_time", "solve_time"):
-            _require(_is_duration(values[key]),
-                     f"{key!r} must be a non-negative number, got {values[key]!r}", f"{loc}.{key}")
-        for key in ("inputs_kept", "vars", "clauses"):
-            _require(_is_int(values[key]) and values[key] >= 0,
-                     f"{key!r} must be a non-negative integer, got {values[key]!r}",
-                     f"{loc}.{key}")
-        _require((values["witness"] is not None) == (values["verdict"] == "SAT"),
-                 "a witness must be present exactly for a SAT verdict", loc)
-        if values["witness"] is not None:
-            try:
-                witness = values["witness"] = Network.from_json(json.dumps(values["witness"]))
-            except ValueError as exc:
-                raise ValueError(f"campaign document: {exc} at {loc}.witness") from None
-            _require(witness.n == doc["n"] and witness.depth <= values["depth"],
-                     f"witness with {witness.n} channels and depth {witness.depth} "
-                     f"does not fit the instance", loc)
-            _require(values["pad"] != 0 or is_sorting_network(witness),
-                     "witness fails verification", loc)
-        instances.append(InstanceResult(**values))
-    _audit_claim(doc["n"], doc["claim"], instances)
-    return CampaignResult(doc["n"], doc["claim"], instances,
-                          doc.get("wall_time", 0.0), doc.get("ordering", "canonical"))
-
-
-def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> None:
-    """Raise ValueError unless claim, of the shape _evidence writes and
-    with the report's n, is the claim _evidence makes at its depth d.
-
-    Witnesses were re-verified on load; "inconclusive" claims nothing.
-    """
-    if claim == "inconclusive":
-        return
-    m = re.fullmatch(r"T\((0|[1-9][0-9]*)\) (<=|>) (0|[1-9][0-9]*)", claim)
-    if m is None or int(m[1]) != n:
-        raise ValueError(f"campaign document: unrecognised claim {claim!r} at $.claim")
-    d = int(m[3])
-    derived, witness, missing = _evidence(n, d, instances)
-    if claim == derived:
-        return
-    if m[2] == "<=":
-        raise ValueError(f"campaign document: claim {claim!r} has no pad-0 witness "
-                         f"of depth <= {d}")
-    if witness is not None:
-        raise ValueError(f"campaign document: claim {claim!r} is contradicted by a pad-0 "
-                         f"witness of depth {witness.depth} <= {d}")
-    raise ValueError(f"campaign document: claim {claim!r} lacks an UNSAT at depth {d} "
-                     f"for prefixes {missing}")
 
 
 # ---------------------------------------------------------------------------

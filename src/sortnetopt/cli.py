@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import campaign as campaign_mod
+from . import report as report_mod
 from . import saturation as saturation_mod
 from . import words as words_mod
 from .encoding import EncodeOptions, build, to_dimacs
@@ -111,10 +112,10 @@ def _solver_config(args) -> SolverConfig:
     return config
 
 
-def _claim_exit(camp: campaign_mod.CampaignResult, depth: int) -> int:
+def _claim_exit(camp: report_mod.CampaignResult, depth: int) -> int:
     """The exit code of a campaign's claim about T(n) at this depth."""
-    return {f"T({camp.n}) > {depth}": EXIT_UNSAT,
-            f"T({camp.n}) <= {depth}": EXIT_SAT}.get(camp.claim, EXIT_INCONCLUSIVE)
+    exits = {(camp.n, ">", depth): EXIT_UNSAT, (camp.n, "<=", depth): EXIT_SAT}
+    return exits.get(report_mod.parse_claim(camp.claim), EXIT_INCONCLUSIVE)
 
 
 def _cmd_solve(args) -> int:
@@ -140,7 +141,7 @@ def _cmd_find(args) -> int:
 def _cmd_prove(args) -> int:
     camp = campaign_mod.prove_lower_bound(args.n, args.depth, args.pads,
                                           _solver_config(args), jobs=args.jobs)
-    report = campaign_mod.campaign_to_json(camp)
+    report = report_mod.campaign_to_json(camp)
     if args.out:
         _write(args.out, [report + "\n"])
     else:

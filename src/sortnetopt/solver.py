@@ -110,18 +110,25 @@ class StopEvent(threading.Event):
 _ANSI = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of solver output without decorations (colors, blanks)."""
+    return [_ANSI.sub("", raw).strip() for raw in text.splitlines()]
+
+
 def parse_solver_output(text: str) -> tuple[str, Optional[frozenset[int]]]:
     """SAT-competition output: verdict plus the set of true variables.
 
     Returns one of ("SAT", vars), ("UNSAT", None), ("UNKNOWN", None); the
     status line may carry solver decorations (colors, a file name suffix).
+    Output with a second status line contradicts itself: UNKNOWN.
     """
     verdict = "UNKNOWN"
     true_vars: set[int] = set()
     saw_model = False
-    for raw in text.splitlines():
-        line = _ANSI.sub("", raw).strip()
+    statuses = 0
+    for line in _lines(text):
         if line.startswith("s "):
+            statuses += 1
             if "UNSATISFIABLE" in line:
                 verdict = "UNSAT"
             elif "SATISFIABLE" in line:
@@ -135,7 +142,7 @@ def parse_solver_output(text: str) -> tuple[str, Optional[frozenset[int]]]:
                     return "UNKNOWN", None
                 if lit > 0:
                     true_vars.add(lit)
-    if verdict == "SAT" and not saw_model:
+    if statuses > 1 or (verdict == "SAT" and not saw_model):
         return "UNKNOWN", None
     return verdict, frozenset(true_vars) if verdict == "SAT" else None
 
@@ -146,9 +153,12 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
 
     A SAT or UNSAT run deletes its CNF file.  Unparseable or crashed runs
     come back as TIMEOUT-class failures with the captured log, and a timed-out
-    or failed run keeps its CNF for post-mortem.  A run killed by stop settled
-    nothing: it comes back CANCELLED, without its CNF.  A solver that fails
-    to launch raises RuntimeError and leaves no CNF either.
+    or failed run keeps its CNF for post-mortem.  A run is crashed when a
+    signal that stop did not send ends it, or when its exit code 10 (SAT)
+    or 20 (UNSAT) contradicts its status line; exit 20 without a status
+    line is UNSAT.  A run killed by stop settled nothing: it comes back
+    CANCELLED, without its CNF.  A solver that fails to launch raises
+    RuntimeError and leaves no CNF either.
     """
     text = cnf if isinstance(cnf, str) else to_dimacs(cnf)
     owns_dir = config.workdir is None
@@ -181,8 +191,11 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
         verdict, true_vars = "CANCELLED", None
     else:
         verdict, true_vars = parse_solver_output(stdout)
-        if verdict == "UNKNOWN" and proc.returncode == 20:
+        exit_verdict = {10: "SAT", 20: "UNSAT"}.get(proc.returncode)
+        if exit_verdict == "UNSAT" and not any(line.startswith("s ") for line in _lines(stdout)):
             verdict = "UNSAT"  # SAT-competition exit code, for quiet solvers
+        if proc.returncode < 0 or exit_verdict not in (None, verdict):
+            verdict = "UNKNOWN"  # a crash, or an exit code against the status line
         if verdict == "UNKNOWN":
             log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{stdout}\n{stderr}"
             return SolveResult("TIMEOUT", None, elapsed, log)

@@ -18,12 +18,12 @@ lets share a sentence.
 
 The module also walks the prefix sets rgn, rsn, rn (sentences) and gn
 (matchings).  rn, the prefix set R_n of the campaigns, is the rsn walk
-keeping one member of each reflection orbit.  counts gives the table rows
-without walking them: integer dynamic programs over the same word pools,
-split by _kind, give RG and RS as numbers of multisets, S as the sum of
-sentence_class_size (the number of second layers over F_n behind a
-sentence) over rsn, and R as the number of reflection orbits of rsn.  The
-walks stay as the tests' references.
+keeping one member of each reflection orbit; rn_sentences caches it.
+counts gives the table rows without walking them: integer dynamic
+programs over the same word pools, split by _kind, give RG and RS as
+numbers of multisets, S as the sum of sentence_class_size (the number of
+second layers over F_n behind a sentence) over rsn, and R as the number
+of reflection orbits of rsn.  The walks stay as the tests' references.
 The sn set lives in saturation, which imports this module, not back.
 """
 
@@ -403,6 +403,12 @@ def sentences(n: int, kind: str) -> Iterator[Sentence]:
     if kind == "rsn":
         return rsn
     return (s for s in rsn if _orbit_key(s) <= _orbit_key(reflect_sentence(s)))
+
+
+@lru_cache(maxsize=None)
+def rn_sentences(n: int) -> tuple[Sentence, ...]:
+    """R_n, walked once per n; a sentence's position is its prefix index."""
+    return tuple(sentences(n, "rn"))
 
 
 def _orbit_key(s: Sentence) -> tuple:

@@ -14,7 +14,7 @@ from oracles import (brute_force_sorter_exists, is_saturated_semantic, reverse_c
                      verify_conjecture)
 from sortnetopt import saturation as sat
 from sortnetopt import words as words_mod
-from sortnetopt.campaign import campaign_from_json, campaign_to_json, compute_T
+from sortnetopt.campaign import compute_T
 from sortnetopt.encoding import EncodeOptions, build
 from sortnetopt.networks import (
     Network,
@@ -24,6 +24,7 @@ from sortnetopt.networks import (
     reflect,
     unsorted_inputs,
 )
+from sortnetopt.report import campaign_from_json, campaign_to_json
 from sortnetopt.solver import run_solver
 from sortnetopt.words import matchings, sentences, telephone
 

@@ -14,10 +14,6 @@ import pytest
 
 from sortnetopt import campaign, cli, saturation
 from sortnetopt.campaign import (
-    CampaignResult,
-    InstanceResult,
-    campaign_from_json,
-    campaign_to_json,
     compute_T,
     default_pads,
     find_network,
@@ -29,6 +25,7 @@ from sortnetopt.campaign import (
 from sortnetopt.encoding import EncodeOptions, build
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
                                  reflect, unsorted_inputs)
+from sortnetopt.report import CampaignResult, InstanceResult, campaign_from_json, campaign_to_json
 from sortnetopt.saturation import permute_vectors
 from sortnetopt.solver import KNOWN_SOLVERS, SolveResult, SolverConfig, StopEvent, run_solver
 from sortnetopt.words import matchings
@@ -135,13 +132,42 @@ def test_killed_campaign_leaves_no_solver(tmp_path):
     assert left == []
 
 
+def _fake_solver(tmp_path, name: str, body: str) -> SolverConfig:
+    """A shell script solver that runs body, with a workdir of its own."""
+    script = tmp_path / f"{name}.sh"
+    script.write_text(f"#!/bin/sh\n{body}\n")
+    script.chmod(0o755)
+    return SolverConfig(executable=str(script), timeout=5, workdir=str(tmp_path / name))
+
+
 def test_run_solver_unparseable_is_timeout_class(tmp_path):
-    junk = tmp_path / "junk.sh"
-    junk.write_text("#!/bin/sh\necho weird\nexit 1\n")
-    junk.chmod(0o755)
-    cfg = SolverConfig(executable=str(junk), timeout=5)
-    res = run_solver("p cnf 1 1\n1 0\n", cfg)
-    assert res.verdict == "TIMEOUT" and "weird" in res.log
+    # garbage, a crash, an exit code against the status line and a second
+    # status line settle nothing: each keeps its CNF and its log
+    fakes = {   # name: (script body, a line its log must hold)
+        "junk": ("echo weird\nexit 1", "weird"),
+        "segv": ("echo 's UNSATISFIABLE'\nkill -SEGV $$", "exit: -11"),
+        "exit10": ("echo 's UNSATISFIABLE'\nexit 10", "exit: 10"),
+        "twice": ("printf 's SATISFIABLE\\nv 1 0\\ns UNSATISFIABLE\\n'\nexit 20", "v 1 0"),
+    }
+    for name, (body, line) in fakes.items():
+        cfg = _fake_solver(tmp_path, name, body)
+        res = run_solver("p cnf 1 1\n1 0\n", cfg, name=name)
+        assert res.verdict == "TIMEOUT" and line in res.log.splitlines(), (name, res)
+        assert [p.name for p in Path(cfg.workdir).iterdir()] == [f"{name}.cnf"], name
+
+
+def test_run_solver_accepts_agreeing_exit_codes(tmp_path):
+    # one status line with exit 0 or its own exit code, and a quiet exit 20
+    fakes = {
+        "unsat0": ("echo 's UNSATISFIABLE'\nexit 0", "UNSAT"),
+        "unsat20": ("echo 's UNSATISFIABLE'\nexit 20", "UNSAT"),
+        "sat10": ("printf 's SATISFIABLE\\nv 1 0\\n'\nexit 10", "SAT"),
+        "quiet20": ("exit 20", "UNSAT"),
+    }
+    for name, (body, verdict) in fakes.items():
+        cfg = _fake_solver(tmp_path, name, body)
+        assert run_solver("p cnf 1 1\n1 0\n", cfg, name=name).verdict == verdict, name
+        assert list(Path(cfg.workdir).iterdir()) == [], name
 
 
 def test_two_layer_prefixes_counts():
@@ -486,6 +512,7 @@ def test_campaign_json_empty_and_errors():
 
 
 UNSAT = {"prefix_index": None, "depth": 1, "pad": 0, "verdict": "UNSAT"}
+R6_REFUTED = [{"prefix_index": i, "depth": 4, "pad": 0, "verdict": "UNSAT"} for i in range(5)]
 SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to_json())
 
 
@@ -505,6 +532,11 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
      r"\$\.instances\[0\]\.pad$"),
     ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "prefix_index": "0"}]},
      r"\$\.instances\[1\]\.prefix_index$"),
+    # an index past R_6 (|R_6| = 5), or below it, next to all five refutations
+    ({"n": 6, "claim": "T(6) > 4", "instances": R6_REFUTED + [{**UNSAT, "prefix_index": 99}]},
+     r"\$\.instances\[5\]\.prefix_index$"),
+    ({"n": 6, "claim": "T(6) > 4", "instances": R6_REFUTED + [{**UNSAT, "prefix_index": -1}]},
+     r"\$\.instances\[5\]\.prefix_index$"),
     ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "verdict": "SAT", "witness": 5}]},
      r"\$\.instances\[0\]\.witness$"),
     ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": "x"}]},
@@ -530,7 +562,8 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
     ({"n": 4, "claim": "inconclusive", "instances": [], "wall_time": None}, r"\$\.wall_time$"),
     ({"n": 4, "claim": "inconclusive", "instances": [], "ordering": [1, 2]}, r"\$\.ordering$"),
 ], ids=["top-int", "top-list", "instances-int", "instance-int", "n-str", "n-0", "n-40",
-        "claim-int", "depth-float", "pad-bool", "prefix-index-str", "witness-int",
+        "claim-int", "depth-float", "pad-bool", "prefix-index-str", "prefix-index-past-rn",
+        "prefix-index-negative", "witness-int",
         "encode-time-str", "encode-time-negative", "solve-time-bool", "solve-time-null",
         "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool",
         "witness-on-unsat", "sat-without-witness", "wall-time-null", "ordering-list"])

@@ -26,6 +26,35 @@ def _intra_package_imports() -> dict[str, set[str]]:
     return graph
 
 
+def _claim_spellings(tree: ast.AST) -> list[int]:
+    """Lines that spell the claim text: a regex over it (a string holding
+    `T\\(`) or an f-string that writes it (one starting with "T(")."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "T\\(" in node.value)
+            or (isinstance(node, ast.JoinedStr) and node.values
+                and isinstance(node.values[0], ast.Constant)
+                and str(node.values[0].value).startswith("T("))]
+
+
+def test_report_is_fenced():
+    # a claim rests on the instances and the witness checks alone: report
+    # imports no scheduler, encoding or solver, campaign takes from it only
+    # the result types and the evidence rule, and only report spells a claim
+    assert _intra_package_imports()["report"] <= {"networks", "words"}
+    tree = ast.parse((PACKAGE / "campaign.py").read_text())
+    # `from . import report` takes the name "report", and fails as well
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names
+             if node.module == "report" or (node.module is None and alias.name == "report")}
+    assert taken == {"CampaignResult", "InstanceResult", "_evidence"}, taken
+    spellings = {path.stem: _claim_spellings(ast.parse(path.read_text()))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(spellings.pop("report")) == 3   # the two claims _evidence writes, the regex
+    assert not any(spellings.values()), spellings
+
+
 def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
     """One import cycle as a path that ends where it starts, or None."""
     state = {}   # module -> "open" while on the stack, "done" after
