@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import concurrent.futures as cf
 import math
-import threading
 import time
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -119,17 +118,17 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     other tasks carry on.  The first pad-0 SAT sets the stop event, which
     kills the solvers still running.  A prior campaign at the same depth, run over other tasks,
     lends its instances and wall time, so the two make one campaign.  The
-    claim and its witness come from _evidence over the recorded instances,
+    instances are recorded in task order, the prior's first; the claim and
+    its witness, the first pad-0 SAT in that order, come from _evidence,
     and the witness is re-checked with is_sorting_network.
     """
     t0 = time.monotonic()
     pads = sorted({p for p in pads if 0 < p < n}, reverse=True) + [0]
-    results: list[InstanceResult] = list(prior.instances) if prior else []
-    lock = threading.Lock()
+    done: list[list[InstanceResult]] = [[] for _ in tasks]
     stop = StopEvent()
 
-    def settle(task: Task) -> None:
-        idx, prefix = task
+    def settle(position: int) -> None:
+        idx, prefix = tasks[position]
         if stop.is_set():
             return
         t_inputs = time.monotonic()
@@ -161,10 +160,9 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
                 witness = decode_network(vm, res.true_vars)
                 if not _ascending_mask(_eval_array(witness, vm.inputs), n).all():
                     raise RuntimeError(f"solver model fails verification on instance {name}")
-            with lock:
-                results.append(InstanceResult(idx, d, pad, res.verdict, encode_time,
-                                              res.solve_time, witness, len(vm.inputs),
-                                              cnf.num_vars, cnf.num_clauses))
+            done[position].append(InstanceResult(idx, d, pad, res.verdict, encode_time,
+                                                 res.solve_time, witness, len(vm.inputs),
+                                                 cnf.num_vars, cnf.num_clauses))
             if res.verdict == "UNSAT":
                 return
             if res.verdict == "SAT" and pad == 0:
@@ -172,10 +170,11 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
 
     with cf.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         try:
-            list(pool.map(settle, tasks))
+            list(pool.map(settle, range(len(tasks))))
         finally:
             stop.set()  # an interrupted or failed scan kills its solvers too
 
+    results = (list(prior.instances) if prior else []) + [r for rs in done for r in rs]
     claim, witness, _ = _evidence(n, d, results)
     if witness is not None and not is_sorting_network(witness):
         raise RuntimeError("decoded witness is not a sorting network")
@@ -183,12 +182,12 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     return witness, CampaignResult(n, claim, results, wall_time, "fewest-outputs")
 
 
-def find_network(n: int, d: int, mode: str = "two_layer",
+def find_network(n: int, d: int, mode: str = "two-layer",
                  config: Optional[SolverConfig] = None, jobs: int = 1) -> Optional[Network]:
     """Search for a depth-d sorting network; returns a verified witness or None.
 
     mode free: one instance over all unsorted inputs; layer1: the crossing
-    first layer is fixed; two_layer: iterate the prefixes of R_n, fewest
+    first layer is fixed; two-layer: iterate the prefixes of R_n, fewest
     unsorted outputs first, and stop at the first satisfiable instance.  The
     order only decides how soon a network is found, never whether.  None
     covers both proven absence and an inconclusive timeout; the campaign
@@ -198,7 +197,7 @@ def find_network(n: int, d: int, mode: str = "two_layer",
     return net
 
 
-def find_network_campaign(n: int, d: int, mode: str = "two_layer",
+def find_network_campaign(n: int, d: int, mode: str = "two-layer",
                           config: Optional[SolverConfig] = None,
                           jobs: int = 1) -> tuple[Optional[Network], CampaignResult]:
     """find_network with its campaign: the mode's tasks, scheduled at pad 0."""
@@ -206,7 +205,7 @@ def find_network_campaign(n: int, d: int, mode: str = "two_layer",
         tasks: list[Task] = [(None, None)]
     elif mode == "layer1":
         tasks = [(None, Network(n, (first_layer(n, "crossing"),)))]
-    elif mode in ("two_layer", "two-layer"):
+    elif mode == "two-layer":
         tasks = _prefix_tasks(n, d)
     else:
         raise ValueError(f"unknown search mode {mode!r}")

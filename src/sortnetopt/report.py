@@ -31,6 +31,10 @@ checked.
 
 A report is one JSON object: n, the claim, the task ordering, the wall
 time and the instances, each with the fields of InstanceResult in order.
+The instances are listed in task order, not in the order the workers
+finished them: a prior campaign's first, then each task's in the order
+the scheduler was given the tasks, its pads largest first.  With the
+times zeroed, two runs of one campaign give the same report.
 """
 
 from __future__ import annotations

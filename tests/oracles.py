@@ -17,6 +17,8 @@ the exhaustive ones are capped where exhaustion stops being cheap:
 * the variable numbering and literals of a formula key by key (x_var,
   value_lit, variable_index), against the arrays of VarMap.
 
+RULE_SWITCHES names the formula rules that the tests switch on and off.
+
 pytest puts tests/ on sys.path (`pythonpath` in pyproject.toml), so test
 modules import this file as `oracles`; its name keeps it out of test
 collection.
@@ -25,15 +27,21 @@ collection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from sortnetopt import words as words_mod
+from sortnetopt.encoding import EncodeOptions
 from sortnetopt.networks import ChannelCountError, Comparator, Network, outputs
 from sortnetopt.saturation import _embed_search, subsumes
 from sortnetopt.words import matchings
 
 MAX_SEMANTIC_CHANNELS = 8
+
+# The rule switches of EncodeOptions: every field but pad and prefix, which
+# choose the instance rather than a rule.  A new rule is a new field, and
+# every test that runs the rules on and off picks it up from here.
+RULE_SWITCHES = tuple(f.name for f in fields(EncodeOptions) if f.name not in ("pad", "prefix"))
 
 
 # ---------------------------------------------------------------------------

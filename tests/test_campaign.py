@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -199,12 +200,14 @@ def test_default_pads_keep_claims(solver_config, n, t):
 
 
 def test_find_network_examples(solver_config):
-    net = find_network(6, 5, "two_layer", solver_config)
+    net = find_network(6, 5, "two-layer", solver_config)
     assert net is not None and is_sorting_network(net) and net.depth == 5
     assert find_network(4, 2, "free", solver_config) is None
     net = find_network(6, 5, "layer1", solver_config)
     assert net is not None and is_sorting_network(net)
     assert net.layers[0] == ((1, 6), (2, 5), (3, 4))  # crossing first layer
+    with pytest.raises(ValueError, match="unknown search mode"):
+        find_network(6, 5, "two_layer", solver_config)   # the one spelling is the CLI's
     for n in (2, 3, 6):
         # the first layer is deeper than depth 0: an error, not a claim
         with pytest.raises(ValueError, match="exceeds network depth 0"):
@@ -244,7 +247,7 @@ def test_prove_descends_on_padded_sat(solver_config, monkeypatch):
 
 @pytest.mark.parametrize("d, claim", [(5, "T(6) <= 5"), (4, "T(6) > 4")])
 def test_find_is_prove_at_pad_zero(solver_config, d, claim):
-    net, found = find_network_campaign(6, d, "two_layer", solver_config, jobs=1)
+    net, found = find_network_campaign(6, d, "two-layer", solver_config, jobs=1)
     proved = prove_lower_bound(6, d, [0], solver_config, jobs=1)
     assert found.claim == proved.claim == claim
     assert (net is not None) == (claim == "T(6) <= 5")
@@ -307,6 +310,24 @@ def test_task_order_fewest_outputs(monkeypatch):
         camp = prove_lower_bound(n, 4, [0], SolverConfig("/bin/false"), jobs=1)
         assert camp.claim == f"T({n}) > 4" and camp.ordering == "fewest-outputs"
         assert ran == sorted(range(len(prefixes)), key=lambda i: (keys[i], i))
+
+
+def test_instances_come_out_in_task_order(monkeypatch):
+    # the first task's solve returns only after the other worker has started
+    # the last task: the instances still come out in task order
+    tasks = campaign._prefix_tasks(6, 4)
+    last_started = threading.Event()
+
+    def fake_solver(cnf, config, name="instance", stop=None):
+        if name == f"n6d4p{tasks[-1][0]}w0":
+            last_started.set()
+        elif name == f"n6d4p{tasks[0][0]}w0":
+            assert last_started.wait(timeout=60)
+        return SolveResult("UNSAT")
+
+    monkeypatch.setattr(campaign, "run_solver", fake_solver)
+    camp = prove_lower_bound(6, 4, [0], SolverConfig("/bin/false"), jobs=2)
+    assert [r.prefix_index for r in camp.instances] == [idx for idx, _ in tasks]
 
 
 # the R_n indices whose windows at pad 1 keep every prefix image at d = n - 2,

@@ -1,3 +1,4 @@
+import concurrent.futures as cf
 import itertools
 import random
 import sys
@@ -7,8 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (brute_force_sorter_exists, evaluate_bits, value_lit, variable_index,
-                     vec_from_str, x_var)
+from oracles import (RULE_SWITCHES, brute_force_sorter_exists, evaluate_bits, value_lit,
+                     variable_index, vec_from_str, x_var)
+from sortnetopt import encoding
+from sortnetopt.campaign import default_pads, two_layer_prefixes
 from sortnetopt.encoding import (
     Cnf,
     EncodeOptions,
@@ -26,6 +29,7 @@ from sortnetopt.encoding import (
 from sortnetopt.networks import (
     Network,
     first_layer,
+    is_sorting_network,
     network,
     unsorted_inputs,
     windows,
@@ -138,7 +142,6 @@ def test_fixed_prefix_units():
 
 
 def test_last_layer_units():
-    from sortnetopt.campaign import two_layer_prefixes
     for n in range(2, 8):
         for d in (1, 2, 3):
             vm = VarMap(n, d, [])
@@ -153,69 +156,99 @@ def test_last_layer_units():
         assert len(Cnf(0, encode_last_layer(VarMap(6, 4, [], opts))).clauses) == 5 * 4 // 2
 
 
-def test_last_layer_keeps_rn_verdicts(solver_config):
-    # every R_n prefix up to depth T(n): the units never change a verdict
-    from sortnetopt.campaign import two_layer_prefixes
-    T = {5: 5, 6: 5, 7: 6}
-    for n, top in T.items():
-        sat = {d: 0 for d in range(3, top + 1)}
-        for idx, prefix in enumerate(two_layer_prefixes(n)):
-            xs = unsorted_inputs(n, prefix)
-            for d in sat:
-                verdicts = [run_solver(build(n, d, xs, EncodeOptions(prefix=prefix, last_layer=on))[1],
-                                       solver_config, name=f"last-{n}-{idx}-{d}").verdict
-                            for on in (True, False)]
-                assert verdicts[0] == verdicts[1], (n, idx, d, verdicts)
-                sat[d] += verdicts[0] == "SAT"
-        assert sat[top] > 0 and not any(sat[d] for d in range(3, top)), (n, sat)
+# ---------------------------------------------------------------------------
+# the R_n verdict map
+
+# The verdict of every R_n prefix, by R_n index, at every depth 2..T(n), at
+# pad 0 and at the padded pad n - d - 1 of default_pads: UNSAT below T(n);
+# at T(n), n: (T(n), pad 0, padded, or None where there is no pad).  A sound
+# formula rule keeps every letter (Bundala et al.); one that drops every
+# network of one prefix flips an S to U, while T(n) may stay right.
+RN_VERDICTS = {
+    4: (3, "SS", None),
+    5: (5, "SSSS", None),
+    6: (5, "USUSS", None),
+    7: (6, "USSSSSSS", None),
+    8: (6, "UUUSUSSSSSSS", "UUUSUSSSSSSS"),
+    9: (7, "UUUSSSSSSSSSSSSSSSSSSS", "S" * 22),
+}
 
 
-def _assert_fold_keeps_verdicts(solver_config, flag, bases):
-    """Every R_n prefix up to depth T(n), unpadded and with windows of width
-    d + 1, under each of the base options: the verdict is the same with the
-    fold flag on and off, and every pad-0 SAT decodes to a sorting network
-    that starts with the prefix."""
-    from sortnetopt.campaign import two_layer_prefixes
-    from sortnetopt.networks import is_sorting_network
-    T = {5: 5, 6: 5, 7: 6}
-    for n, top in T.items():
-        sat = {d: 0 for d in range(3, top + 1)}
-        for idx, prefix in enumerate(two_layer_prefixes(n)):
-            xs = unsorted_inputs(n, prefix)
-            for d in sat:
-                for pad in sorted({0, max(n - d - 1, 0)}):
-                    for base in bases:
-                        verdicts = []
-                        for on in (True, False):
-                            opts = replace(base, prefix=prefix, pad=pad, **{flag: on})
-                            vm, cnf = build(n, d, xs, opts)
-                            res = run_solver(cnf, solver_config, name=f"{flag}-{n}-{idx}-{d}-{pad}")
-                            verdicts.append(res.verdict)
-                            if res.verdict == "SAT" and pad == 0:
-                                net = decode_network(vm, res.true_vars)
-                                assert net.layers[:2] == prefix.layers
-                                assert is_sorting_network(net), (n, idx, d, opts)
-                        assert verdicts[0] == verdicts[1], (n, idx, d, pad, base, verdicts)
-                    sat[d] += pad == 0 and verdicts[0] == "SAT"
-        assert sat[top] > 0 and not any(sat[d] for d in range(3, top)), (n, sat)
+def _pinned_map(max_n, top_only=()):
+    """RN_VERDICTS spelt out for n <= max_n, at depths T(n) - 1 and T(n) only
+    for the n in top_only: {(n, d, pad, R_n index): letter}."""
+    return {(n, d, pad, idx): letter
+            for n, (t, at_t, padded) in RN_VERDICTS.items() if n <= max_n
+            for d in range(t - 1 if n in top_only else 2, t + 1)
+            for pad in sorted(default_pads(n, d))
+            for idx, letter in enumerate((padded if pad else at_t) if d == t else "U" * len(at_t))}
 
 
-def test_near_sorted_keeps_verdicts(solver_config):
-    # the fold of level d - 1 never changes a verdict
-    _assert_fold_keeps_verdicts(solver_config, "near_sorted", [EncodeOptions()])
+def _map_flips(solver_config, base, max_n, top_only=()):
+    """The keys of _pinned_map(max_n, top_only) whose letter the formula of
+    options base does not reproduce, two solves at a time.  Every pad-0 SAT
+    must decode to a sorting network whose first layers are its prefix."""
+    want = _pinned_map(max_n, top_only)
+
+    def verdict(key):
+        n, d, pad, idx = key
+        prefix = two_layer_prefixes(n)[idx]
+        vm, cnf = build(n, d, unsorted_inputs(n, prefix), replace(base, prefix=prefix, pad=pad))
+        res = run_solver(cnf, solver_config, name=f"map-{n}-{d}-{pad}-{idx}")
+        if res.verdict == "SAT" and pad == 0:
+            net = decode_network(vm, res.true_vars)
+            assert net.layers[:2] == prefix.layers and is_sorting_network(net), (key, base)
+        return res.verdict[0]
+
+    with cf.ThreadPoolExecutor(max_workers=2) as pool:
+        return [key for key, got in zip(want, pool.map(verdict, want)) if got != want[key]]
 
 
-def test_settled_ends_keeps_verdicts(solver_config):
-    # folding the settled ends never changes a verdict, with the last-layer
-    # units on and off
-    _assert_fold_keeps_verdicts(solver_config, "settled_ends",
-                                [EncodeOptions(), EncodeOptions(last_layer=False)])
+# name: (options, max_n, top_only); the rules-off formula takes 24 s at n = 9
+FORMULAS = {"default": (EncodeOptions(), 9, ()),
+            "rules-off": (EncodeOptions(**dict.fromkeys(RULE_SWITCHES, False)), 8, ()),
+            # a rule switched off alone: n = 8 at depths T - 1 and T only
+            **{f"no-{rule}": (EncodeOptions(**{rule: False}), 8, (8,)) for rule in RULE_SWITCHES},
+            # the settled-ends fold on the formula without last-layer units
+            "no-last_layer-settled_ends":
+                (EncodeOptions(last_layer=False, settled_ends=False), 8, ())}
+
+
+@pytest.mark.parametrize("formula", FORMULAS)
+def test_formula_keeps_rn_verdict_map(solver_config, formula):
+    # the map has a letter per prefix, and every formula keeps every letter
+    assert all(len(at_t) == len(padded or at_t) == len(two_layer_prefixes(n))
+               for n, (_, at_t, padded) in RN_VERDICTS.items())
+    assert _map_flips(solver_config, *FORMULAS[formula]) == []
+
+
+@pytest.mark.parametrize("n, top", [(4, 3), (5, 5), (6, 4)])
+def test_rn_verdict_map_matches_bruteforce(n, top):
+    # the map against every layer sequence after the prefix, at pad 0: an
+    # oracle that shares no code with the encoding
+    want = _pinned_map(n)
+    for d in range(2, top + 1):
+        for idx, p in enumerate(two_layer_prefixes(n)):
+            exists = brute_force_sorter_exists(n, d, unsorted_inputs(n, p), p)
+            assert want[n, d, 0, idx] == ("S" if exists else "U"), (n, d, idx)
+
+
+def test_rn_verdict_map_catches_a_rule_too_strong(solver_config, monkeypatch):
+    # units forbidding the penultimate comparators (i, j) with j - i > 2
+    # remove every depth-6 network after prefix 3 of R_8, at both pads, and
+    # keep T(8) = 6: the map catches what the known T(n) cannot
+    def too_strong(vm):
+        # the last-layer units, and -c(d - 1, i, j) for j - i > 2 when layer d - 1 is open
+        longer = vm.c_vars[vm.d - 2, (vm.pair_j - vm.pair_i > 2) & (vm.d - 1 > vm.prefix_depth)]
+        return np.concatenate((encode_last_layer(vm), np.ravel([-longer, 0 * longer], "F")))
+
+    monkeypatch.setattr(encoding, "encode_last_layer", too_strong)
+    assert _map_flips(solver_config, EncodeOptions(), 8) == [(8, 6, 0, 3), (8, 6, 1, 3)]
 
 
 def test_near_sorted_level():
     # level d - 1 holds sorted(b) away from channels n-w and n-w+1; nothing
     # else is folded, and the variable numbering stays
-    from sortnetopt.campaign import two_layer_prefixes
     for n in (4, 5, 6):
         for prefix in [None, network(n, first_layer(n))] + two_layer_prefixes(n):
             p = prefix.depth if prefix is not None else 0
@@ -264,7 +297,6 @@ def test_settled_ends_level():
     # d - 1 its constants away from the boundary pair, and every other
     # channel its variable; folded variables keep their numbers and appear
     # in no clause
-    from sortnetopt.campaign import two_layer_prefixes
     for n in (4, 5, 6):
         for prefix in [None, network(n, first_layer(n))] + two_layer_prefixes(n):
             p = prefix.depth if prefix is not None else 0
@@ -302,7 +334,6 @@ def test_settled_ends_level():
 
 def test_every_clause_has_a_comparator_or_used_variable():
     # value clauses are guarded, so no fold leaves a clause of x variables only
-    from sortnetopt.campaign import two_layer_prefixes
     for n in (4, 5, 6, 7):
         for prefix in [None, network(n, first_layer(n, "crossing"))] + two_layer_prefixes(n):
             p = prefix.depth if prefix is not None else 0
@@ -433,8 +464,6 @@ def test_build_is_the_fragments_of_its_varmap():
     # build holds no rule of its own: under every setting of the six switches,
     # with and without a prefix, its formula is the five fragments of the
     # VarMap it returns, concatenated in order
-    from sortnetopt.campaign import two_layer_prefixes
-    switches = ("sigma1", "sigma2", "sigma3", "last_layer", "near_sorted", "settled_ends")
     fragments = (encode_structure, encode_symmetry, encode_last_layer, encode_fixed_prefix,
                  encode_input_sort)
     for n in (4, 5, 6):
@@ -442,8 +471,8 @@ def test_build_is_the_fragments_of_its_varmap():
             p = prefix.depth if prefix is not None else 0
             xs = unsorted_inputs(n, prefix)
             for d in range(p + 1, p + 4):
-                for setting in itertools.product((False, True), repeat=len(switches)):
-                    opts = EncodeOptions(prefix=prefix, **dict(zip(switches, setting)))
+                for setting in itertools.product((False, True), repeat=len(RULE_SWITCHES)):
+                    opts = EncodeOptions(prefix=prefix, **dict(zip(RULE_SWITCHES, setting)))
                     vm, cnf = build(n, d, xs, opts)
                     assert np.array_equal(cnf.lits, np.concatenate([f(vm) for f in fragments])), \
                         (n, prefix, d, setting)
@@ -470,7 +499,6 @@ def test_build_keeps_smallest_input_per_prefix_image():
     # VarMap keeps the windows, then one input per prefix image, and build
     # keeps what its VarMap keeps; reference: the windows, then a dict loop
     # keyed by (image, weight), smallest input first
-    from sortnetopt.campaign import two_layer_prefixes
     for n in range(2, 9):
         for prefix in two_layer_prefixes(n):
             base = unsorted_inputs(n, prefix)
@@ -499,8 +527,6 @@ def test_dimacs_format_exact():
 def test_dimacs_text_table_shared_by_threads(monkeypatch):
     # the literal-text table grows while other threads render: every text
     # still equals a clause-by-clause render
-    from sortnetopt import encoding
-
     def reference(cnf):
         lines = ["p cnf %d %d\n" % (cnf.num_vars, len(cnf.clauses))]
         lines += ["".join(f"{lit} " for lit in cl) + "0\n" for cl in cnf.clauses]
@@ -589,9 +615,7 @@ def test_build_small_verdicts(solver_config):
     vm, cnf = build(4, 3, unsorted_inputs(4))
     res = run_solver(cnf, solver_config)
     assert res.verdict == "SAT"
-    net = decode_network(vm, res.true_vars)
-    from sortnetopt.networks import is_sorting_network
-    assert is_sorting_network(net)
+    assert is_sorting_network(decode_network(vm, res.true_vars))
 
 
 def test_decoded_network_is_always_layer_disjoint(solver_config):
@@ -603,32 +627,7 @@ def test_decoded_network_is_always_layer_disjoint(solver_config):
             decode_network(vm, res.true_vars)  # Network validates disjointness
 
 
-def test_prefixed_build_matches_bruteforce(solver_config):
-    # validates the prefix constant-folding against layer enumeration
-    from sortnetopt.campaign import two_layer_prefixes
-    for prefix in two_layer_prefixes(4):
-        xs = unsorted_inputs(4, prefix)
-        for d in (2, 3):
-            vm, cnf = build(4, d, xs, EncodeOptions(prefix=prefix))
-            got = run_solver(cnf, solver_config).verdict
-            want = brute_force_sorter_exists(4, d, xs, prefix)
-            assert got == ("SAT" if want else "UNSAT")
-
-
 def test_byte_reproducible_encoding():
     a = to_dimacs(build(4, 3, unsorted_inputs(4))[1])
     b = to_dimacs(build(4, 3, unsorted_inputs(4))[1])
     assert a == b
-
-
-def test_fixed_prefix_consistency(solver_config):
-    # any model of a prefixed instance decodes with the prefix as its first
-    # layers, exactly
-    from sortnetopt.campaign import two_layer_prefixes
-    for prefix in two_layer_prefixes(5):
-        xs = unsorted_inputs(5, prefix)
-        vm, cnf = build(5, 5, xs, EncodeOptions(prefix=prefix))
-        res = run_solver(cnf, solver_config, name="prefix-consistency")
-        assert res.verdict == "SAT"
-        net = decode_network(vm, res.true_vars)
-        assert net.layers[:2] == prefix.layers
