@@ -131,25 +131,22 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
         idx, prefix = tasks[position]
         if stop.is_set():
             return
-        t_inputs = time.monotonic()
+        # one clock per round: the task's input set, its pad-0 pre-pass and
+        # skipped rounds go to the first instance after them, and the solve,
+        # decoding and re-check to none
+        t_round = time.monotonic()
         xs = unsorted_inputs(n, prefix)   # once per task, for every pad
         # one input per prefix image: what pad 0 keeps, and so its input set
         kept = VarMap(n, d, xs, EncodeOptions(prefix=prefix)).inputs
-        inputs_time = time.monotonic() - t_inputs
         for pad in pads:
             if stop.is_set():
                 return
-            t_encode = time.monotonic()
             vm, cnf = build(n, d, xs if pad else kept, EncodeOptions(pad=pad, prefix=prefix))
             if pad and len(vm.inputs) == len(kept):
                 # windows that keep every prefix image give the pad-0 formula
                 # with its inputs in another order: go straight to pad 0
-                inputs_time += time.monotonic() - t_encode
                 continue
-            # the time of the task's input set and of skipped rounds goes to
-            # the first instance after them
-            encode_time = time.monotonic() - t_encode + inputs_time
-            inputs_time = 0.0
+            encode_time = time.monotonic() - t_round
             name = f"n{n}d{d}p{'free' if idx is None else idx}w{pad}"
             res = run_solver(cnf, config, name=name, stop=stop)
             if res.verdict == "CANCELLED":
@@ -163,6 +160,7 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
             done[position].append(InstanceResult(idx, d, pad, res.verdict, encode_time,
                                                  res.solve_time, witness, len(vm.inputs),
                                                  cnf.num_vars, cnf.num_clauses))
+            t_round = time.monotonic()
             if res.verdict == "UNSAT":
                 return
             if res.verdict == "SAT" and pad == 0:

@@ -70,11 +70,15 @@ again wherever it is used.
 
 A Cnf keeps its clauses as one flat int32 array in which every clause is
 its literals followed by a 0, as in DIMACS.  The value clauses of all
-inputs come from array code.  Every open layer gives each input one group
-per comparator (guard -c and operands x_i, x_j, y_i, y_j) and one per
-channel (guard u and operands x, y), read from a table of literal codes
-per input, level and channel.  Each operand is a variable, true or false,
-so a group has one of 81 comparator or 9 pass-through patterns.
+inputs come from array code, and they read the kept images alone: a
+comparator network keeps the number of ones, so sorted(b) is
+sorted(image), and the sorted target, the near-sorted pair and the
+settled ends all follow from the image.  Every open layer gives each kept
+image one group per comparator (guard -c and operands x_i, x_j, y_i, y_j)
+and one per channel (guard u and operands x, y), read from a table of
+literal codes per kept image, level and channel.  Each operand is a
+variable, true or false, so a group has one of 81 comparator or 9
+pass-through patterns.
 _fold_tables folds the written-out clauses, six of a comparator and two
 of a pass-through (_COMPARATOR, _PASSTHROUGH), once per process for each
 pattern (skip satisfied clauses, drop false literals and repeats within
@@ -100,7 +104,7 @@ import numpy as np
 from .networks import ChannelCountError, Network, _ascending_mask, _eval_array, windows
 
 _TRUE = np.iinfo(np.int32).max  # literal code of the constant true; -_TRUE is false
-_INPUT_CHUNK = 16               # inputs whose value clauses are built in one array pass
+_INPUT_CHUNK = 16               # kept images whose value clauses are built in one array pass
 _LIT_CHUNK = 1 << 16            # literals per step when rendering a Cnf
 
 
@@ -152,10 +156,13 @@ class VarMap:
     The options are read here once.  The inputs kept are the windows of
     opts.pad over the given set, one per prefix image: inputs whose images
     coincide add identical value clauses, so only the smallest stays, the
-    first in an increasing set.  inputs holds them as an np.uint32 array
-    (the given array itself when it is one, with no prefix and pad 0), and
-    images their images under the prefix at level p, the prefix depth (the
-    inputs themselves without a prefix).  σ1-σ3 apply as their switches
+    first in an increasing set.  images holds their images under the
+    prefix at level p, the prefix depth (the inputs themselves without a
+    prefix), as an np.uint32 array: the clause fragments read them alone,
+    so the formula is a function of its kept images.  inputs holds the
+    kept inputs themselves in the same order (the given array itself when
+    it is one, with no prefix and pad 0), the representatives a report
+    counts and a model is checked against.  σ1-σ3 apply as their switches
     say; last_layer when layer d is open (d above the prefix depth);
     near_sorted with last_layer when level d-1 is open, and then level d-1
     holds the constants of sorted(b) on every channel but the boundary pair
@@ -163,13 +170,13 @@ class VarMap:
     prefix and d is open, and then every open level holds the constants of
     the image's leading zeros and trailing ones (the settled-ends rule).
 
-    Variables are numbered all c, then all u, then x per input.  c_vars
+    Variables are numbered all c, then all u, then x per kept image.  c_vars
     holds them by (layer, pair) and u_vars by (layer, channel); the pairs of
     a layer come in the order of pair_i < pair_j (0-based channels), and
     pair_at gives the position of the pair on two channels, in either order
     (-1 on the diagonal).  Value levels 0..prefix_depth and level d are
     constants; only the open levels in between get x variables, n per
-    level and input from _x0 on, and folded ones keep their numbers.
+    level and kept image from _x0 on, and folded ones keep their numbers.
     """
 
     def __init__(self, n: int, d: int, inputs: np.ndarray | Sequence[int],
@@ -247,28 +254,6 @@ def _bits(vals: np.ndarray, n: int) -> np.ndarray:
     return (vals[:, None] >> np.arange(n, dtype=np.uint32)) & 1 == 1
 
 
-def _sorted_bits(vals: np.ndarray, n: int) -> np.ndarray:
-    """Channel values of sorted(b) for packed vectors b: ones on the top channels."""
-    return np.arange(1, n + 1) > n - _bits(vals, n).sum(axis=1)[:, None]
-
-
-def _boundary(vals: np.ndarray, n: int) -> np.ndarray:
-    """Mask of channels n-w and n-w+1 for packed vectors with w ones, the
-    only pair where a last layer of adjacent comparators can still swap."""
-    zeros = n - _bits(vals, n).sum(axis=1)[:, None]
-    channel = np.arange(1, n + 1)
-    return (channel == zeros) | (channel == zeros + 1)
-
-
-def _settled(vals: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the leading zeros and trailing ones of packed vectors: the
-    channels no comparator network can change."""
-    bits = _bits(vals, n)
-    zeros = np.logical_and.accumulate(~bits, axis=1)
-    ones = np.logical_and.accumulate(bits[:, ::-1], axis=1)[:, ::-1]
-    return zeros | ones
-
-
 def _const(bits: np.ndarray) -> np.ndarray:
     return np.where(bits, _TRUE, -_TRUE).astype(np.int32)
 
@@ -320,24 +305,33 @@ def _fold_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _value_clauses(vm: VarMap, lo: int, hi: int) -> np.ndarray:
-    """Flat value clauses of inputs lo..hi-1, in input order."""
+    """Flat value clauses of kept images lo..hi-1, in order, read from the
+    images alone."""
     n, d, p = vm.n, vm.d, vm.prefix_depth
     i, j = vm.pair_i, vm.pair_j
     c, u = vm.c_vars[p:], vm.u_vars[p:]   # the guards of the open layers
-    # literal codes per input, level p..d and channel; in between, the x variables
+    bits = _bits(vm.images[lo:hi], n)     # the level-p values
+    channel = np.arange(1, n + 1)
+    # a comparator network keeps the number w of ones, so sorted(b) is
+    # sorted(image): zeros on channels 1..n-w, ones above
+    zeros = n - bits.sum(axis=1)[:, None]
+    # literal codes per image, level p..d and channel; in between, the x variables
     values = np.empty((hi - lo, d - p + 1, n), dtype=np.int32)
-    values[:, 0] = _const(_bits(vm.images[lo:hi], n))
+    values[:, 0] = _const(bits)
     values[:, 1:-1] = (vm._x0 + n * (np.arange(lo, hi)[:, None, None] * vm._open
                                      + np.arange(d - p - 1)[:, None])
-                       + np.arange(1, n + 1))
-    values[:, -1] = _const(_sorted_bits(vm.inputs[lo:hi], n))
+                       + channel)
+    values[:, -1] = _const(channel > zeros)
     if vm.near_sorted:
-        values[:, -2] = np.where(_boundary(vm.inputs[lo:hi], n), values[:, -2], values[:, -1])
+        boundary = (channel == zeros) | (channel == zeros + 1)
+        values[:, -2] = np.where(boundary, values[:, -2], values[:, -1])
     if vm.settled_ends:
-        settled = _settled(vm.images[lo:hi], n)[:, None]
-        values[:, 1:-1] = np.where(settled, values[:, :1], values[:, 1:-1])
+        # the leading zeros and trailing ones, which no comparator changes
+        settled = (np.logical_and.accumulate(~bits, axis=1)
+                   | np.logical_and.accumulate(bits[:, ::-1], axis=1)[:, ::-1])
+        values[:, 1:-1] = np.where(settled[:, None], values[:, :1], values[:, 1:-1])
     state = (values == _TRUE) + 2 * (values == -_TRUE).astype(np.int32)
-    # one group per (input, layer, pair or channel), the pairs of a layer before its
+    # one group per (image, layer, pair or channel), the pairs of a layer before its
     # channels; a group's operand row is 0, the guard and the operands (_fold_tables)
     pairs = c.shape[1]
     ops = np.zeros((hi - lo, d - p, pairs + n, 6), dtype=np.int32)
@@ -361,21 +355,22 @@ def _value_clauses(vm: VarMap, lo: int, hi: int) -> np.ndarray:
 
 
 def encode_input_sort(vm: VarMap) -> np.ndarray:
-    """Value propagation for every input: min = AND, max = OR, pass-through.
+    """Value propagation for every kept image: min = AND, max = OR,
+    pass-through.
 
-    Returns the flat 0-terminated clauses, input by input, each input's
-    clauses without repeats.  Layers covered by a fixed prefix are fully
-    determined by the prefix units and the folded constants, so clauses
-    start at the first open layer.  With no open layer left, the fragment
-    degenerates to a consistency check between the prefix image and the
-    sorted target: one empty clause per input whose image is not sorted(b).
+    Returns the flat 0-terminated clauses, image by image in the order of
+    vm.images, each image's clauses without repeats; they read vm.images
+    alone.  Layers covered by a fixed prefix are fully determined by the
+    prefix units and the folded constants, so clauses start at the first
+    open layer.  With no open layer left, the fragment degenerates to a
+    consistency check between the prefix image and the sorted target: one
+    empty clause per image that is not sorted, since an image is sorted(b)
+    exactly when it is sorted.
     """
-    n = vm.n
     if vm.prefix_depth == vm.d:
-        wrong = (_bits(vm.images, n) != _sorted_bits(vm.inputs, n)).any(axis=1)
-        return np.zeros(int(wrong.sum()), dtype=np.int32)
-    parts = [_value_clauses(vm, lo, min(lo + _INPUT_CHUNK, len(vm.inputs)))
-             for lo in range(0, len(vm.inputs), _INPUT_CHUNK)]
+        return np.zeros(int((~_ascending_mask(vm.images, vm.n)).sum()), dtype=np.int32)
+    parts = [_value_clauses(vm, lo, min(lo + _INPUT_CHUNK, len(vm.images)))
+             for lo in range(0, len(vm.images), _INPUT_CHUNK)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
 
 
@@ -426,7 +421,7 @@ def build(n: int, d: int, inputs: np.ndarray | Sequence[int],
     """
     vm = VarMap(n, d, inputs, opts)
     if d == 0:
-        return vm, Cnf(0, [] if _ascending_mask(vm.inputs, n).all() else [()])
+        return vm, Cnf(0, [] if _ascending_mask(vm.images, n).all() else [()])
     return vm, Cnf(vm.num_vars, np.concatenate((
         encode_structure(vm), encode_symmetry(vm), encode_last_layer(vm),
         encode_fixed_prefix(vm), encode_input_sort(vm))))

@@ -518,6 +518,26 @@ def test_build_keeps_smallest_input_per_prefix_image():
                     assert np.array_equal(VarMap(n, 3, vm.inputs, opts).inputs, vm.inputs)
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_value_clauses_depend_on_the_image_alone(n):
+    # the premise of sharing images across prefixes: for an unsorted image
+    # that several R_n prefixes share, one input under each gives the same
+    # value clauses at d = T(n), whatever the prefix and the input
+    d = RN_VERDICTS[n][0]
+    under = {}   # image -> one input under each prefix that has it
+    for prefix in two_layer_prefixes(n):
+        vm = VarMap(n, d, unsorted_inputs(n, prefix), EncodeOptions(prefix=prefix))
+        for b, image in zip(vm.inputs.tolist(), vm.images.tolist()):
+            under.setdefault(image, []).append((prefix, b))
+    shared = {image: kept for image, kept in under.items() if len(kept) > 1}
+    assert shared
+    for image, kept in shared.items():
+        first, *rest = [encode_input_sort(VarMap(n, d, [b], EncodeOptions(prefix=prefix)))
+                        for prefix, b in kept]
+        # equal to the first, so every pair of them is equal
+        assert all(np.array_equal(first, other) for other in rest), (n, image)
+
+
 def test_dimacs_format_exact():
     cnf = Cnf(2, [(1, -2), (2,)])
     assert to_dimacs(cnf) == "p cnf 2 2\n1 -2 0\n2 0\n"

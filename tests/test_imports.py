@@ -201,3 +201,50 @@ def test_only_varmap_reads_the_options():
     assert {name for name, _ in reads["encoding.py"]} == {"VarMap.__init__"}
     others = {module: found for module, found in reads.items() if module != "encoding.py"}
     assert not any(others.values()), others
+
+
+def _attribute_readers(tree: ast.AST, attr: str) -> set[str]:
+    """Qualified names of the innermost functions ("<module>" outside any)
+    that read attribute attr off any object, by attribute or by getattr;
+    assigning it is no read."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if ((isinstance(child, ast.Attribute) and child.attr == attr
+                 and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id == "getattr" and len(child.args) >= 2
+                        and isinstance(child.args[1], ast.Constant)
+                        and child.args[1].value == attr)):
+                readers.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return readers
+
+
+def test_attribute_reader_finder_sees_every_form():
+    source = (
+        "class VarMap:\n"
+        "    def __init__(self, xs):\n"
+        "        self.inputs = xs\n"
+        "        self.k = len(self.inputs)\n"
+        "def f(vm):\n"
+        "    return getattr(vm, 'inputs')\n"
+        "def g(vm):\n"
+        "    def h():\n"
+        "        return vm.inputs[0]\n"
+        "    vm.inputs = h\n")
+    assert _attribute_readers(ast.parse(source), "inputs") == {"VarMap.__init__", "f", "g.h"}
+
+
+def test_only_varmap_reads_the_kept_inputs():
+    # the clause fragments read the kept images alone, so a formula is a
+    # function of its images; the kept inputs are for the reports and the
+    # campaign's model check, and in encoding only VarMap.__init__ reads them
+    tree = ast.parse((PACKAGE / "encoding.py").read_text())
+    assert _attribute_readers(tree, "inputs") == {"VarMap.__init__"}
