@@ -15,8 +15,8 @@ first (the "fewest-outputs" ordering): that prefix leaves the fewest
 inputs to sort, and for n = 5..11 it is SAT at depth T(n), so a depth
 with a network ends on the first task.  Any order is sound: a claim needs
 one pad-0 SAT or an UNSAT for every prefix, so the order never changes a
-claim, and reports keep the R_n indices.  R_n and this order depend on n
-alone and are computed once per n.
+claim, and reports keep the R_n indices.  R_n, this order and each
+prefix's input set depend on n alone and are computed once per n.
 
 compute_T climbs the depths with probes, the first few tasks of each
 depth, and runs the whole of R_n only at the depth below the first
@@ -39,10 +39,12 @@ import time
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import words as words_mod
 from .encoding import EncodeOptions, VarMap, build, decode_network
 from .networks import (Network, _ascending_mask, _eval_array, first_layer, is_sorting_network,
-                       outputs, unsorted_inputs)
+                       unsorted_inputs)
 from .report import CampaignResult, InstanceResult, _evidence
 from .solver import SolverConfig, StopEvent, default_config, run_solver
 
@@ -62,27 +64,29 @@ def _filter_set(n: int) -> tuple[Network, ...]:
 
 
 @lru_cache(maxsize=None)
-def _fewest_outputs(n: int) -> tuple[Task, ...]:
-    """The tasks of R_n, fewest outputs first, ties in R_n order.
+def _task_inputs(n: int, prefix: Optional[Network]) -> tuple[np.ndarray, int]:
+    """A task's input set, read-only, and how many of its inputs a pad-0
+    build keeps: one per prefix image, as VarMap judges it."""
+    xs = unsorted_inputs(n, prefix)
+    xs.flags.writeable = False
+    depth = prefix.depth if prefix is not None else 0
+    return xs, len(VarMap(n, depth, xs, EncodeOptions(prefix=prefix)).inputs)
 
-    The key, len(outputs(prefix)), is the prefix's unsorted outputs plus the
-    n + 1 sorted vectors every standard prefix outputs; the unsorted count
-    is the number of inputs a pad-0 build keeps.
-    """
-    return tuple(sorted(enumerate(_filter_set(n)), key=lambda task: len(outputs(task[1]))))
+
+@lru_cache(maxsize=None)
+def _fewest_outputs(n: int) -> tuple[Task, ...]:
+    """The tasks of R_n, fewest outputs first, ties in R_n order: the key is
+    the count a pad-0 build keeps, one input per unsorted output."""
+    return tuple(sorted(enumerate(_filter_set(n)), key=lambda t: _task_inputs(n, t[1])[1]))
 
 
 def default_pads(n: int, d: int) -> list[int]:
     """One padded try with windows of width d + 1, then the full input set.
 
-    Returns [n - d - 1, 0], or [0] when n <= d + 1.  With the refsat
-    reference solver and jobs=2 on a 2-vCPU VM, prove_lower_bound(10, 6)
-    with pads [3, 0] made 21 instances, none of them a padded SAT, in about
-    half the wall time of the old depth-blind [6, 4, 0] (53 instances, 32
-    padded SAT); at n = 11, d = 7, pad 3 refuted 47 of the 48 prefixes
-    while pad 4 refuted none of them.  At a depth where a sorting network
-    exists the padded try is SAT and proves nothing; it costs one cheap
-    run on the first task, the prefix of fewest unsorted outputs.
+    Returns [n - d - 1, 0], or [0] when n <= d + 1.  On R_10 at d = 6 it
+    made 21 instances, none a padded SAT, in about half the wall time of
+    the old [6, 4, 0]; at a depth with a network it costs one cheap padded
+    run on the first task.  The README gives the measurements.
     """
     return [n - d - 1, 0] if n > d + 1 else [0]
 
@@ -101,26 +105,27 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     """The one campaign scheduler behind find_network, prove_lower_bound and
     compute_T.
 
-    The tasks start in the order given, the fewest-outputs order of
-    _prefix_tasks: at a depth with a network the first task is then
-    usually SAT and ends the campaign on its first pad-0 run; a refutation
-    runs every task anyway, so the order changes no claim.  This is the
-    one place that normalises a pad schedule: the distinct pads in 1..n-1,
-    largest first, then 0, so every task can end on the full input set.
-    Each task computes its input set once and walks the pads once; each
+    The tasks start in the order given (_prefix_tasks gives the
+    fewest-outputs order, which changes no claim).  This is the one place
+    that normalises a pad schedule: the distinct pads in 1..n-1, largest
+    first, then 0, so every task can end on the full input set.  Each task
+    takes its input set from _task_inputs and walks the pads once; each
     pad is one round that encodes with every formula reduction on, solves
-    under config.timeout and decodes a model.  A padded round whose
-    windows keep every prefix image of the task is not solved: its formula
-    is the pad-0 formula with the inputs in another order.  An UNSAT
+    under config.timeout and decodes a model.  A padded round that keeps
+    as many inputs as pad 0, one per prefix image, is not solved: its
+    formula is the pad-0 formula with the inputs in another order.  An
+    instance's encode_time is its build and those of the skipped rounds
+    just before it, not the input set.  An UNSAT
     settles the task (windowed inputs are a subset of the full set); a
     padded SAT or TIMEOUT moves on to the next pad, and only pad 0 can
     certify satisfiability.  A pad-0 TIMEOUT leaves the task open while the
     other tasks carry on.  The first pad-0 SAT sets the stop event, which
-    kills the solvers still running.  A prior campaign at the same depth, run over other tasks,
-    lends its instances and wall time, so the two make one campaign.  The
-    instances are recorded in task order, the prior's first; the claim and
-    its witness, the first pad-0 SAT in that order, come from _evidence,
-    and the witness is re-checked with is_sorting_network.
+    kills the solvers still running.  A prior campaign at the same depth,
+    run over other tasks, lends its instances and wall time, so the two
+    make one campaign.  The instances are recorded in task order, the
+    prior's first; the claim and its witness, the first pad-0 SAT in that
+    order, come from _evidence, and the witness is re-checked with
+    is_sorting_network.
     """
     t0 = time.monotonic()
     pads = sorted({p for p in pads if 0 < p < n}, reverse=True) + [0]
@@ -131,20 +136,14 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
         idx, prefix = tasks[position]
         if stop.is_set():
             return
-        # one clock per round: the task's input set, its pad-0 pre-pass and
-        # skipped rounds go to the first instance after them, and the solve,
-        # decoding and re-check to none
+        xs, kept = _task_inputs(n, prefix)
         t_round = time.monotonic()
-        xs = unsorted_inputs(n, prefix)   # once per task, for every pad
-        # one input per prefix image: what pad 0 keeps, and so its input set
-        kept = VarMap(n, d, xs, EncodeOptions(prefix=prefix)).inputs
         for pad in pads:
             if stop.is_set():
                 return
-            vm, cnf = build(n, d, xs if pad else kept, EncodeOptions(pad=pad, prefix=prefix))
-            if pad and len(vm.inputs) == len(kept):
-                # windows that keep every prefix image give the pad-0 formula
-                # with its inputs in another order: go straight to pad 0
+            vm, cnf = build(n, d, xs, EncodeOptions(pad=pad, prefix=prefix))
+            if pad and len(vm.inputs) == kept:
+                # every prefix image kept: the pad-0 formula, inputs reordered
                 continue
             encode_time = time.monotonic() - t_round
             name = f"n{n}d{d}p{'free' if idx is None else idx}w{pad}"

@@ -92,10 +92,9 @@ def _cmd_encode(args) -> int:
                          sigma3=not args.no_sigma3, last_layer=not args.no_last_layer,
                          near_sorted=not args.no_near_sorted,
                          settled_ends=not args.no_settled_ends, pad=args.pad, prefix=prefix)
-    xs = unsorted_inputs(args.n, prefix)
-    vm, cnf = build(args.n, args.depth, xs, opts)
-    comment = f"sortnetopt n={args.n} d={args.depth} inputs={len(vm.inputs)} pad={args.pad}"
-    _write(args.out, [to_dimacs(cnf, comments=[comment])])
+    vm, cnf = build(args.n, args.depth, unsorted_inputs(args.n, prefix), opts)
+    _write(args.out, [f"c sortnetopt n={args.n} d={args.depth} inputs={len(vm.inputs)} "
+                      f"pad={args.pad}\n", to_dimacs(cnf)])
     return EXIT_OK
 
 

@@ -452,10 +452,9 @@ def _literal_text(top: int) -> tuple[np.ndarray, int]:
         return _dimacs_text
 
 
-def to_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:
+def to_dimacs(cnf: Cnf) -> str:
     lits = cnf.lits
-    parts = [f"c {c}\n" for c in comments]
-    parts.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}\n")
+    parts = [f"p cnf {cnf.num_vars} {cnf.num_clauses}\n"]
     if lits.size:
         text, top = _literal_text(int(np.abs(lits).max()))
         for start in range(0, lits.size, _LIT_CHUNK):

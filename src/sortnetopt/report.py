@@ -31,6 +31,8 @@ checked.
 
 A report is one JSON object: n, the claim, the task ordering, the wall
 time and the instances, each with the fields of InstanceResult in order.
+An instance's encode_time is its build and those of any padded rounds
+skipped just before it, never its input set, made once per process.
 The instances are listed in task order, not in the order the workers
 finished them: a prior campaign's first, then each task's in the order
 the scheduler was given the tasks, its pads largest first.  With the

@@ -84,6 +84,7 @@ def _validate_symbols(tag: str, s: str) -> None:
         raise ValueError(f"{tag}-word {s!r} is not in its canonical reading")
 
 
+@lru_cache(maxsize=None)
 def _canonical(tag: str, symbols: str) -> str:
     """The canonical reading of a word read as symbols: a head as read from
     its free channel, a stick the smaller of its two readings, a cycle the

@@ -228,6 +228,9 @@ def test_prove_lower_bound_trivial(solver_config):
 
 def test_prove_descends_on_padded_sat(solver_config, monkeypatch):
     # at the true depth a padded SAT cannot settle anything: pad 0 decides
+    # the task order is made first, so only the tasks count their input sets
+    campaign._fewest_outputs(6)
+    campaign._task_inputs.cache_clear()
     input_sets = []
     monkeypatch.setattr(campaign, "unsorted_inputs",
                         lambda n, prefix: input_sets.append(prefix) or unsorted_inputs(n, prefix))
@@ -420,22 +423,36 @@ def test_compute_t_timeout_raises_after_one_probe(monkeypatch, jobs):
 
 
 def test_filter_set_and_order_once_per_n(monkeypatch):
-    # R_n and its fewest-outputs order do not depend on the depth: every
-    # campaign on n channels reuses them, and callers still get a new list
-    keyed = []
-    monkeypatch.setattr(campaign, "outputs",
-                        lambda net: keyed.append(net) or outputs(net))
+    # R_n, its fewest-outputs order and the prefixes' input sets do not
+    # depend on the depth: every campaign on n channels reuses them, and
+    # callers still get a new list
+    input_sets = []
+    monkeypatch.setattr(campaign, "unsorted_inputs",
+                        lambda n, prefix: input_sets.append(prefix) or unsorted_inputs(n, prefix))
     monkeypatch.setattr(campaign, "run_solver",
                         lambda cnf, config, name="instance", stop=None: SolveResult("UNSAT"))
     campaign._filter_set.cache_clear()
     campaign._fewest_outputs.cache_clear()
+    campaign._task_inputs.cache_clear()
     for d in (3, 4, 5):
         prove_lower_bound(7, d, [0], SolverConfig("/bin/false"), jobs=2)
-    assert len(keyed) == len(two_layer_prefixes(7)) == 8
+    assert len(input_sets) == len(two_layer_prefixes(7)) == 8
     first = two_layer_prefixes(7)
     assert first == two_layer_prefixes(7) and first is not two_layer_prefixes(7)
     first.clear()
     assert len(two_layer_prefixes(7)) == 8
+
+
+def test_task_inputs_are_cached_read_only():
+    # one input set per R_n prefix, and the count a pad-0 build keeps of
+    # it: the prefix's unsorted outputs, its outputs less the n + 1 sorted
+    for n in range(3, 12):
+        for p in two_layer_prefixes(n):
+            xs, kept = campaign._task_inputs(n, p)
+            want = unsorted_inputs(n, p)
+            assert not xs.flags.writeable and campaign._task_inputs(n, p)[0] is xs
+            assert len(xs) == len(want) and (xs == want).all()
+            assert kept == len(outputs(p)) - (n + 1)
 
 
 def test_filter_set_shares_the_first_layer():

@@ -203,28 +203,42 @@ def test_only_varmap_reads_the_options():
     assert not any(others.values()), others
 
 
-def _attribute_readers(tree: ast.AST, attr: str) -> set[str]:
+def _scopes_where(tree: ast.AST, hit) -> set[str]:
     """Qualified names of the innermost functions ("<module>" outside any)
-    that read attribute attr off any object, by attribute or by getattr;
-    assigning it is no read."""
-    readers = set()
+    that hold a node for which hit(node) is true."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + [child.name])
                 continue
-            if ((isinstance(child, ast.Attribute) and child.attr == attr
-                 and isinstance(child.ctx, ast.Load))
-                    or (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                        and child.func.id == "getattr" and len(child.args) >= 2
-                        and isinstance(child.args[1], ast.Constant)
-                        and child.args[1].value == attr)):
-                readers.add(".".join(scope) or "<module>")
+            if hit(child):
+                scopes.add(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(tree, [])
-    return readers
+    return scopes
+
+
+def _attribute_readers(tree: ast.AST, attr: str) -> set[str]:
+    """The functions, as _scopes_where names them, that read attribute attr
+    off any object, by attribute or by getattr; assigning it is no read."""
+    return _scopes_where(tree, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr == attr
+         and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == attr)))
+
+
+def _callers(tree: ast.AST, name: str) -> set[str]:
+    """The functions, as _scopes_where names them, that call name, bare or
+    as an attribute of a module or object."""
+    return _scopes_where(tree, lambda node: (
+        isinstance(node, ast.Call)
+        and ((isinstance(node.func, ast.Name) and node.func.id == name)
+             or (isinstance(node.func, ast.Attribute) and node.func.attr == name))))
 
 
 def test_attribute_reader_finder_sees_every_form():
@@ -248,3 +262,23 @@ def test_only_varmap_reads_the_kept_inputs():
     # campaign's model check, and in encoding only VarMap.__init__ reads them
     tree = ast.parse((PACKAGE / "encoding.py").read_text())
     assert _attribute_readers(tree, "inputs") == {"VarMap.__init__"}
+
+
+def test_caller_finder_sees_every_form():
+    source = (
+        "from .networks import unsorted_inputs\n"
+        "XS = unsorted_inputs(3)\n"
+        "def f(n):\n"
+        "    return networks.unsorted_inputs(n)\n"
+        "def g(n):\n"
+        "    key = lambda p: unsorted_inputs(n, p)\n"
+        "    return key, unsorted_inputs\n")
+    assert _callers(ast.parse(source), "unsorted_inputs") == {"<module>", "f", "g"}
+
+
+def test_only_the_task_helper_makes_input_sets():
+    # the scheduler takes every input set, and the count a pad-0 build
+    # keeps of it, from _task_inputs: nothing else in campaign works them out
+    tree = ast.parse((PACKAGE / "campaign.py").read_text())
+    for name in ("unsorted_inputs", "VarMap"):
+        assert _callers(tree, name) == {"_task_inputs"}, name
