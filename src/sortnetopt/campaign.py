@@ -1,22 +1,25 @@
 """End-to-end campaigns: find optimal-depth networks, prove lower bounds.
 
-Both run through one scheduler.  It takes a task list of prefixes and a
-pad schedule, and walks each task's pads once, largest first, running at
-most one SAT instance per task and pad under the configured timeout.  A
-lower-bound campaign passes every two-layer prefix in the complete filter
-set R_n and its pad schedule; every prefix UNSAT proves that no depth-d
-network exists.  A search passes the tasks of its mode with pad 0 alone.
-Window padding shrinks instances: UNSAT on the padded subset already
-implies UNSAT on the full input set, while a SAT verdict under padding is
-inconclusive and moves the task on to the next pad.
+Both run through one scheduler.  Its tasks are prefixes: a Network, or
+None for a prefix-free search.  It walks each task's pads once, largest
+first, and each pad is one round: a report.Instance spec, which
+instance_formula alone turns into a formula, named by the spec and
+solved once under the configured timeout.  A lower-bound campaign passes
+every two-layer prefix in the complete filter set R_n and its pad
+schedule; every prefix UNSAT proves that no depth-d network exists.  A
+search passes the tasks of its mode with pad 0 alone.  Window padding
+shrinks instances: UNSAT on the padded subset already implies UNSAT on
+the full input set, while a SAT verdict under padding is inconclusive
+and moves the task on to the next pad.
 
 Tasks start in order of their prefix's number of unsorted outputs, fewest
 first (the "fewest-outputs" ordering): that prefix leaves the fewest
 inputs to sort, and for n = 5..11 it is SAT at depth T(n), so a depth
 with a network ends on the first task.  Any order is sound: a claim needs
 one pad-0 SAT or an UNSAT for every prefix, so the order never changes a
-claim, and reports keep the R_n indices.  R_n, this order and each
-prefix's input set depend on n alone and are computed once per n.
+claim, and reports keep the R_n indices that the specs derive.  R_n,
+this order and each prefix's input set depend on n alone and are computed
+once per n.
 
 compute_T climbs the depths with probes, the first few tasks of each
 depth, and runs the whole of R_n only at the depth below the first
@@ -36,36 +39,28 @@ from __future__ import annotations
 import concurrent.futures as cf
 import math
 import time
+from dataclasses import replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import words as words_mod
-from .encoding import EncodeOptions, VarMap, build, decode_network
-from .networks import (Network, _ascending_mask, _eval_array, first_layer, is_sorting_network,
-                       unsorted_inputs)
-from .report import CampaignResult, InstanceResult, _evidence
+from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network
+from .networks import Network, _ascending_mask, _eval_array, is_sorting_network, unsorted_inputs
+from .report import CampaignResult, Instance, InstanceResult, _evidence
 from .solver import SolverConfig, StopEvent, default_config, run_solver
-
-
-Task = tuple[Optional[int], Optional[Network]]   # (prefix index, prefix)
 
 
 def two_layer_prefixes(n: int) -> list[Network]:
     """The filter set R_n as networks, one prefix for each reflection orbit
     of the saturated classes rsn, in canonical sentence order."""
-    return list(_filter_set(n))
-
-
-@lru_cache(maxsize=None)
-def _filter_set(n: int) -> tuple[Network, ...]:
-    return tuple(words_mod.net_of(s) for s in words_mod.rn_sentences(n))
+    return list(words_mod.rn_networks(n))
 
 
 @lru_cache(maxsize=None)
 def _task_inputs(n: int, prefix: Optional[Network]) -> tuple[np.ndarray, int]:
-    """A task's input set, read-only, and how many of its inputs a pad-0
+    """A prefix's input set, read-only, and how many of its inputs a pad-0
     build keeps: one per prefix image, as VarMap judges it."""
     xs = unsorted_inputs(n, prefix)
     xs.flags.writeable = False
@@ -73,11 +68,18 @@ def _task_inputs(n: int, prefix: Optional[Network]) -> tuple[np.ndarray, int]:
     return xs, len(VarMap(n, depth, xs, EncodeOptions(prefix=prefix)).inputs)
 
 
+def instance_formula(inst: Instance, opts: EncodeOptions = EncodeOptions()) -> tuple[VarMap, Cnf]:
+    """The one path from a spec to its formula: the input set of its prefix
+    from _task_inputs, encoded under opts with the spec's pad and prefix."""
+    xs, _ = _task_inputs(inst.n, inst.prefix)
+    return build(inst.n, inst.depth, xs, replace(opts, pad=inst.pad, prefix=inst.prefix))
+
+
 @lru_cache(maxsize=None)
-def _fewest_outputs(n: int) -> tuple[Task, ...]:
-    """The tasks of R_n, fewest outputs first, ties in R_n order: the key is
-    the count a pad-0 build keeps, one input per unsorted output."""
-    return tuple(sorted(enumerate(_filter_set(n)), key=lambda t: _task_inputs(n, t[1])[1]))
+def _fewest_outputs(n: int) -> tuple[Network, ...]:
+    """The prefixes of R_n, fewest outputs first, ties in R_n order: the key
+    is the count a pad-0 build keeps, one input per unsorted output."""
+    return tuple(sorted(words_mod.rn_networks(n), key=lambda p: _task_inputs(n, p)[1]))
 
 
 def default_pads(n: int, d: int) -> list[int]:
@@ -91,15 +93,15 @@ def default_pads(n: int, d: int) -> list[int]:
     return [n - d - 1, 0] if n > d + 1 else [0]
 
 
-def _prefix_tasks(n: int, d: int) -> list[Task]:
+def _prefix_tasks(n: int, d: int) -> list[Optional[Network]]:
     """The tasks of a depth-d campaign in fewest-outputs order; below depth
     2 one prefix-free task."""
     if d < 2:
-        return [(None, None)]
+        return [None]
     return list(_fewest_outputs(n))
 
 
-def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
+def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence[int],
               config: SolverConfig, jobs: int,
               prior: Optional[CampaignResult] = None) -> tuple[Optional[Network], CampaignResult]:
     """The one campaign scheduler behind find_network, prove_lower_bound and
@@ -109,16 +111,16 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     fewest-outputs order, which changes no claim).  This is the one place
     that normalises a pad schedule: the distinct pads in 1..n-1, largest
     first, then 0, so every task can end on the full input set.  Each task
-    takes its input set from _task_inputs and walks the pads once; each
-    pad is one round that encodes with every formula reduction on, solves
-    under config.timeout and decodes a model.  A padded round that keeps
-    as many inputs as pad 0, one per prefix image, is not solved: its
-    formula is the pad-0 formula with the inputs in another order.  An
-    instance's encode_time is its build and those of the skipped rounds
-    just before it, not the input set.  An UNSAT
-    settles the task (windowed inputs are a subset of the full set); a
-    padded SAT or TIMEOUT moves on to the next pad, and only pad 0 can
-    certify satisfiability.  A pad-0 TIMEOUT leaves the task open while the
+    walks the pads once; each pad is one round, a spec that
+    instance_formula encodes with every formula reduction on, solved under
+    config.timeout in files named by the spec, its model decoded.  A padded
+    round that keeps as many inputs as pad 0, one per prefix image, is not
+    solved: its formula is the pad-0 formula with the inputs in another
+    order.  An instance's encode_time is its build and those of the skipped
+    rounds just before it, not the input set.  An UNSAT settles the task
+    (windowed inputs are a subset of the full set); a padded SAT or
+    TIMEOUT moves on to the next pad, and only pad 0 can certify
+    satisfiability.  A pad-0 TIMEOUT leaves the task open while the
     other tasks carry on.  The first pad-0 SAT sets the stop event, which
     kills the solvers still running.  A prior campaign at the same depth,
     run over other tasks, lends its instances and wall time, so the two
@@ -133,21 +135,21 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
     stop = StopEvent()
 
     def settle(position: int) -> None:
-        idx, prefix = tasks[position]
+        prefix = tasks[position]
         if stop.is_set():
             return
-        xs, kept = _task_inputs(n, prefix)
+        _, kept = _task_inputs(n, prefix)
         t_round = time.monotonic()
         for pad in pads:
             if stop.is_set():
                 return
-            vm, cnf = build(n, d, xs, EncodeOptions(pad=pad, prefix=prefix))
+            inst = Instance(n, d, pad, prefix)
+            vm, cnf = instance_formula(inst)
             if pad and len(vm.inputs) == kept:
                 # every prefix image kept: the pad-0 formula, inputs reordered
                 continue
             encode_time = time.monotonic() - t_round
-            name = f"n{n}d{d}p{'free' if idx is None else idx}w{pad}"
-            res = run_solver(cnf, config, name=name, stop=stop)
+            res = run_solver(cnf, config, name=inst.name, stop=stop)
             if res.verdict == "CANCELLED":
                 return  # killed: the claim is already settled
             witness = None
@@ -155,8 +157,8 @@ def _campaign(n: int, d: int, tasks: Sequence[Task], pads: Sequence[int],
                 # a model must sort every input the formula kept
                 witness = decode_network(vm, res.true_vars)
                 if not _ascending_mask(_eval_array(witness, vm.inputs), n).all():
-                    raise RuntimeError(f"solver model fails verification on instance {name}")
-            done[position].append(InstanceResult(idx, d, pad, res.verdict, encode_time,
+                    raise RuntimeError(f"solver model fails verification on instance {inst.name}")
+            done[position].append(InstanceResult(inst, res.verdict, encode_time,
                                                  res.solve_time, witness, len(vm.inputs),
                                                  cnf.num_vars, cnf.num_clauses))
             t_round = time.monotonic()
@@ -199,9 +201,9 @@ def find_network_campaign(n: int, d: int, mode: str = "two-layer",
                           jobs: int = 1) -> tuple[Optional[Network], CampaignResult]:
     """find_network with its campaign: the mode's tasks, scheduled at pad 0."""
     if mode == "free":
-        tasks: list[Task] = [(None, None)]
+        tasks = [None]
     elif mode == "layer1":
-        tasks = [(None, Network(n, (first_layer(n, "crossing"),)))]
+        tasks = [Instance.layer1(n, d).prefix]
     elif mode == "two-layer":
         tasks = _prefix_tasks(n, d)
     else:
@@ -256,7 +258,7 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
     config = config or default_config()
     jobs = max(1, jobs)
 
-    def run(d: int, tasks: Sequence[Task], prior: Optional[CampaignResult] = None):
+    def run(d: int, tasks: Sequence[Optional[Network]], prior: Optional[CampaignResult] = None):
         return _campaign(n, d, tasks, default_pads(n, d), config, jobs, prior)
 
     probes: dict[int, CampaignResult] = {}
@@ -267,7 +269,7 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
         if witness is not None:
             break
         missing = _evidence(n, d, probe.instances)[2]
-        if any(idx in missing for idx, _ in tasks):
+        if any(Instance(n, d, 0, prefix).index in missing for prefix in tasks):
             raise RuntimeError(f"inconclusive probe at depth {d} for n={n}")
         probes[d] = probe
         d += 1
@@ -275,8 +277,8 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
     while True:
         d -= 1
         prior = probes.get(d)
-        done = {r.prefix_index for r in prior.instances} if prior else set()
-        witness, camp = run(d, [t for t in _prefix_tasks(n, d) if t[0] not in done], prior)
+        done = {r.instance.prefix for r in prior.instances} if prior else set()
+        witness, camp = run(d, [p for p in _prefix_tasks(n, d) if p not in done], prior)
         if witness is None:
             break
         found = camp

@@ -21,8 +21,8 @@ from . import campaign as campaign_mod
 from . import report as report_mod
 from . import saturation as saturation_mod
 from . import words as words_mod
-from .encoding import EncodeOptions, build, to_dimacs
-from .networks import MAX_ENUM_CHANNELS, Network, two_layer_json, unsorted_inputs
+from .encoding import EncodeOptions, to_dimacs
+from .networks import MAX_ENUM_CHANNELS, Network, two_layer_json
 from .solver import DEFAULT_TIMEOUT, SolverConfig, default_config, run_solver
 
 EXIT_OK = 0
@@ -63,36 +63,37 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_prefix(args) -> Network | None:
+def _instance(args) -> report_mod.Instance:
+    """The spec that encode builds from --n, --depth, --pad and --prefix or
+    --prefix-index; a prefix that does not fit them is a usage error."""
     if args.prefix is not None:
         try:
             prefix = Network.from_json(Path(args.prefix).read_text())
         except (OSError, ValueError) as exc:
             raise UsageError(f"--prefix {args.prefix}: {exc}")
     elif args.prefix_index is not None:
-        prefixes = campaign_mod.two_layer_prefixes(args.n)
-        if not 0 <= args.prefix_index < len(prefixes):
-            raise UsageError(f"--prefix-index must satisfy 0 <= index < |R_{args.n}| = "
-                             f"{len(prefixes)}, got {args.prefix_index}")
-        prefix = prefixes[args.prefix_index]
+        try:
+            prefix = report_mod.rn_prefix(args.n, args.prefix_index)
+        except ValueError as exc:
+            raise UsageError(f"--prefix-index {exc}")
     else:
-        return None
-    if prefix.n != args.n:
+        prefix = None
+    if prefix is not None and prefix.n != args.n:
         raise UsageError(f"the prefix has n = {prefix.n}, but --n is {args.n}")
-    if prefix.depth > args.depth:
+    if prefix is not None and prefix.depth > args.depth:
         raise UsageError(f"the prefix has depth {prefix.depth}, more than --depth {args.depth}")
-    if prefix.generalized:
+    if prefix is not None and prefix.generalized:
         raise UsageError("the prefix has a reversed comparator; a fixed prefix must be standard")
-    return prefix
+    return report_mod.Instance(args.n, args.depth, args.pad, prefix)
 
 
 def _cmd_encode(args) -> int:
-    prefix = _load_prefix(args)
+    inst = _instance(args)
     opts = EncodeOptions(sigma1=not args.no_sigma1, sigma2=not args.no_sigma2,
                          sigma3=not args.no_sigma3, last_layer=not args.no_last_layer,
                          near_sorted=not args.no_near_sorted,
-                         settled_ends=not args.no_settled_ends, pad=args.pad, prefix=prefix)
-    vm, cnf = build(args.n, args.depth, unsorted_inputs(args.n, prefix), opts)
+                         settled_ends=not args.no_settled_ends)
+    vm, cnf = campaign_mod.instance_formula(inst, opts)
     _write(args.out, [f"c sortnetopt n={args.n} d={args.depth} inputs={len(vm.inputs)} "
                       f"pad={args.pad}\n", to_dimacs(cnf)])
     return EXIT_OK

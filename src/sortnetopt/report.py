@@ -29,14 +29,31 @@ Tier-1 checks steps 2 to 4 together for n <= 8: every second layer over
 F_n is subsumed by a prefix of R_n or by its reflection, each witness pi
 checked.
 
+An instance is one formula: depth-depth networks on n channels, the
+inputs windowed by pad, the first layers fixed to prefix.  Instance is
+that spec, checked on construction; the scheduler runs it,
+campaign.instance_formula builds it and a result records it.  It derives
+the prefix's R_n index, its label (the R_n sentence as render_sentence
+writes it, "layer1" for the crossing first layer F_n, else None) and its
+name, which the solver's files carry: n{n}d{depth}p{index}w{pad}, with
+pfree for no prefix, player1 for F_n and pfixed for any other prefix.
+A result records only an R_n member, F_n or no prefix, the two that
+_evidence may read as covering every prefix (prefix_index null).
+
 A report is one JSON object: n, the claim, the task ordering, the wall
-time and the instances, each with the fields of InstanceResult in order.
-An instance's encode_time is its build and those of any padded rounds
-skipped just before it, never its input set, made once per process.
-The instances are listed in task order, not in the order the workers
-finished them: a prior campaign's first, then each task's in the order
-the scheduler was given the tasks, its pads largest first.  With the
-times zeroed, two runs of one campaign give the same report.
+time and the instances.  An instance's keys are prefix_index, prefix
+(the label), depth and pad from the spec, then the fields of
+InstanceResult after it, in their order.  An instance's encode_time is
+its build and those of any padded rounds skipped just before it, never
+its input set, made once per process.  The instances are listed in task
+order, not in the order the workers finished them: a prior campaign's
+first, then each task's in the order the scheduler was given the tasks,
+its pads largest first.  With the times zeroed, two runs of one
+campaign give the same report.  The loader rebuilds each spec, so it
+rejects what no campaign could run: a pad outside 0..n-1, a prefix
+deeper than the depth, a label that is not the R_n sentence at its
+prefix_index, and "layer1" beside an index.  A report without the
+prefix key loads as before.
 """
 
 from __future__ import annotations
@@ -47,15 +64,72 @@ import re
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
-from .networks import MAX_ENUM_CHANNELS, Network, _is_int, is_sorting_network
-from .words import rn_sentences
+from .networks import MAX_ENUM_CHANNELS, Network, _is_int, first_layer, is_sorting_network
+from .words import render_sentence, rn_networks, rn_sentences
+
+
+def rn_prefix(n: int, index: int) -> Network:
+    """The prefix at index in R_n; a ValueError names the bounds otherwise."""
+    members = rn_networks(n)
+    if not 0 <= index < len(members):
+        raise ValueError(f"must satisfy 0 <= index < |R_{n}| = {len(members)}, got {index}")
+    return members[index]
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One formula of a campaign; see the module docstring."""
+    n: int
+    depth: int
+    pad: int = 0
+    prefix: Optional[Network] = None
+
+    def __post_init__(self):
+        if not 0 <= self.pad < self.n:
+            raise ValueError(f"pad must satisfy 0 <= pad < n = {self.n}, got {self.pad}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be at least 0, got {self.depth}")
+        prefix = self.prefix
+        if prefix is not None and prefix.n != self.n:
+            raise ValueError(f"prefix has {prefix.n} channels, not n = {self.n}")
+        if prefix is not None and prefix.generalized:
+            raise ValueError("fixed prefixes must be standard networks")
+        if prefix is not None and prefix.depth > self.depth:
+            raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {self.depth}")
+
+    @classmethod
+    def layer1(cls, n: int, depth: int, pad: int = 0) -> Instance:
+        """The spec whose prefix is the crossing first layer F_n."""
+        return cls(n, depth, pad, Network(n, (first_layer(n, "crossing"),)))
+
+    @property
+    def index(self) -> Optional[int]:
+        if self.prefix is None or self.prefix.depth != 2:
+            return None
+        members = rn_networks(self.n)
+        return members.index(self.prefix) if self.prefix in members else None
+
+    @property
+    def label(self) -> Optional[str]:
+        index = self.index
+        if index is not None:
+            return render_sentence(rn_sentences(self.n)[index])
+        if (self.prefix is not None and self.prefix.depth == 1 and self.n > 1
+                and self == self.layer1(self.n, self.depth, self.pad)):
+            return "layer1"
+        return None
+
+    @property
+    def name(self) -> str:
+        index = self.index
+        tag = (index if index is not None else "free" if self.prefix is None
+               else self.label or "fixed")
+        return f"n{self.n}d{self.depth}p{tag}w{self.pad}"
 
 
 @dataclass
 class InstanceResult:
-    prefix_index: Optional[int]   # index into the R_n export; None when prefix-free
-    depth: int
-    pad: int
+    instance: Instance
     verdict: str                  # SAT | UNSAT | TIMEOUT
     encode_time: float = 0.0
     solve_time: float = 0.0
@@ -68,6 +142,20 @@ class InstanceResult:
     def __post_init__(self):
         if (self.witness is not None) != (self.verdict == "SAT"):
             raise ValueError("witness must be present exactly for SAT verdicts")
+        if self.instance.prefix is not None and self.instance.label is None:
+            raise ValueError("a result records an R_n prefix, the first layer or none")
+
+    @property
+    def prefix_index(self) -> Optional[int]:
+        return self.instance.index
+
+    @property
+    def depth(self) -> int:
+        return self.instance.depth
+
+    @property
+    def pad(self) -> int:
+        return self.instance.pad
 
 
 @dataclass
@@ -106,7 +194,9 @@ def parse_claim(claim: str) -> Optional[tuple[int, str, int]]:
 
 
 def campaign_to_json(c: CampaignResult) -> str:
-    instances = [{f.name: getattr(r, f.name) for f in fields(InstanceResult)}
+    instances = [{"prefix_index": r.prefix_index, "prefix": r.instance.label,
+                  "depth": r.depth, "pad": r.pad}
+                 | {f.name: getattr(r, f.name) for f in fields(InstanceResult)[1:]}
                  | {"witness": json.loads(r.witness.to_json()) if r.witness else None}
                  for r in c.instances]
     return json.dumps({"n": c.n, "claim": c.claim, "ordering": c.ordering,
@@ -131,18 +221,21 @@ def campaign_from_json(text: str) -> CampaignResult:
     A malformed document, instance, n, claim, wall_time, ordering or
     instance field raises ValueError naming its $ path: times must be
     finite non-negative numbers, formula sizes non-negative integers, a
-    prefix_index null or an index into R_n, the ordering a string, and a
-    witness must be present exactly on a SAT instance.  The instance keys
-    are the fields of InstanceResult; prefix_index and the keys after
-    verdict may be missing.
+    prefix_index null or an index into R_n, a prefix null or the spec's
+    label, the ordering a string, and a witness must be present exactly
+    on a SAT instance.  The spec is the R_n member at prefix_index, else
+    F_n for the label "layer1", else no prefix; one that Instance rejects
+    is rejected at the instance's path.  Only depth, pad and verdict are
+    required keys.
     """
     doc = json.loads(text)
     _require(isinstance(doc, dict), "expected an object", "$")
     for key in ("n", "claim", "instances"):
         _require(key in doc, f"missing key {key!r}", "$")
     # a campaign enumerates 2**n inputs, so no report has more channels than the cap
-    _require(_is_int(doc["n"]) and 1 <= doc["n"] <= MAX_ENUM_CHANNELS,
-             f"'n' must be an integer in 1..{MAX_ENUM_CHANNELS}, got {doc['n']!r}", "$.n")
+    n = doc["n"]
+    _require(_is_int(n) and 1 <= n <= MAX_ENUM_CHANNELS,
+             f"'n' must be an integer in 1..{MAX_ENUM_CHANNELS}, got {n!r}", "$.n")
     _require(isinstance(doc["claim"], str), f"'claim' must be a string, got {doc['claim']!r}",
              "$.claim")
     _require(isinstance(doc["instances"], list), "expected a list", "$.instances")
@@ -157,18 +250,28 @@ def campaign_from_json(text: str) -> CampaignResult:
         _require(isinstance(item, dict), "expected an object", loc)
         for key in ("depth", "pad", "verdict"):
             _require(key in item, f"missing key {key!r}", loc)
-        values = {f.name: item.get(f.name, None if f.default is MISSING else f.default)
-                  for f in fields(InstanceResult)}
         for key in ("depth", "pad"):
-            _require(_is_int(values[key]), f"{key!r} must be an integer, got {values[key]!r}",
+            _require(_is_int(item[key]), f"{key!r} must be an integer, got {item[key]!r}",
                      f"{loc}.{key}")
-        index = values["prefix_index"]
+        index, label = item.get("prefix_index"), item.get("prefix")
         _require(index is None or _is_int(index),
                  f"'prefix_index' must be an integer or null, got {index!r}", f"{loc}.prefix_index")
-        if index is not None:
-            size = len(rn_sentences(doc["n"]))
-            _require(0 <= index < size, f"'prefix_index' must index R_{doc['n']}, in "
-                     f"0..{size - 1}, got {index!r}", f"{loc}.prefix_index")
+        try:
+            prefix = None if index is None else rn_prefix(n, index)
+        except ValueError as exc:
+            raise ValueError(f"campaign document: 'prefix_index' {exc} at {loc}.prefix_index") \
+                from None
+        try:
+            inst = (Instance.layer1(n, item["depth"], item["pad"])
+                    if index is None and label == "layer1"
+                    else Instance(n, item["depth"], item["pad"], prefix))
+        except ValueError as exc:
+            raise ValueError(f"campaign document: {exc} at {loc}") from None
+        _require(label is None or label == inst.label,
+                 f"'prefix' must be null or {inst.label or 'layer1'!r} here, got {label!r}",
+                 f"{loc}.prefix")
+        values = {f.name: item.get(f.name, None if f.default is MISSING else f.default)
+                  for f in fields(InstanceResult)[1:]}
         _require(values["verdict"] in ("SAT", "UNSAT", "TIMEOUT"),
                  f"bad verdict {values['verdict']!r}", loc)
         for key in ("encode_time", "solve_time"):
@@ -185,12 +288,12 @@ def campaign_from_json(text: str) -> CampaignResult:
                 witness = values["witness"] = Network.from_json(json.dumps(values["witness"]))
             except ValueError as exc:
                 raise ValueError(f"campaign document: {exc} at {loc}.witness") from None
-            _require(witness.n == doc["n"] and witness.depth <= values["depth"],
+            _require(witness.n == n and witness.depth <= inst.depth,
                      f"witness with {witness.n} channels and depth {witness.depth} "
                      f"does not fit the instance", loc)
-            _require(values["pad"] != 0 or is_sorting_network(witness),
+            _require(inst.pad != 0 or is_sorting_network(witness),
                      "witness fails verification", loc)
-        instances.append(InstanceResult(**values))
+        instances.append(InstanceResult(inst, **values))
     _audit_claim(doc["n"], doc["claim"], instances)
     return CampaignResult(doc["n"], doc["claim"], instances,
                           doc.get("wall_time", 0.0), doc.get("ordering", "canonical"))

@@ -18,7 +18,8 @@ lets share a sentence.
 
 The module also walks the prefix sets rgn, rsn, rn (sentences) and gn
 (matchings).  rn, the prefix set R_n of the campaigns, is the rsn walk
-keeping one member of each reflection orbit; rn_sentences caches it.
+keeping one member of each reflection orbit; rn_sentences caches it,
+and rn_networks its networks.
 counts gives the table rows without walking them: integer dynamic
 programs over the same word pools, split by _kind, give RG and RS as
 numbers of multisets, S as the sum of sentence_class_size (the number of
@@ -84,7 +85,6 @@ def _validate_symbols(tag: str, s: str) -> None:
         raise ValueError(f"{tag}-word {s!r} is not in its canonical reading")
 
 
-@lru_cache(maxsize=None)
 def _canonical(tag: str, symbols: str) -> str:
     """The canonical reading of a word read as symbols: a head as read from
     its free channel, a stick the smaller of its two readings, a cycle the
@@ -410,6 +410,12 @@ def sentences(n: int, kind: str) -> Iterator[Sentence]:
 def rn_sentences(n: int) -> tuple[Sentence, ...]:
     """R_n, walked once per n; a sentence's position is its prefix index."""
     return tuple(sentences(n, "rn"))
+
+
+@lru_cache(maxsize=None)
+def rn_networks(n: int) -> tuple[Network, ...]:
+    """R_n as networks, net_of of each sentence of rn_sentences, in its order."""
+    return tuple(net_of(s) for s in rn_sentences(n))
 
 
 def _orbit_key(s: Sentence) -> tuple:

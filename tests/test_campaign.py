@@ -26,10 +26,11 @@ from sortnetopt.campaign import (
 from sortnetopt.encoding import EncodeOptions, build
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
                                  reflect, unsorted_inputs)
-from sortnetopt.report import CampaignResult, InstanceResult, campaign_from_json, campaign_to_json
+from sortnetopt.report import (CampaignResult, Instance, InstanceResult, campaign_from_json,
+                               campaign_to_json)
 from sortnetopt.saturation import permute_vectors
 from sortnetopt.solver import KNOWN_SOLVERS, SolveResult, SolverConfig, StopEvent, run_solver
-from sortnetopt.words import matchings
+from sortnetopt.words import matchings, rn_networks
 
 
 def test_run_solver_trivial(solver_config):
@@ -319,18 +320,20 @@ def test_instances_come_out_in_task_order(monkeypatch):
     # the first task's solve returns only after the other worker has started
     # the last task: the instances still come out in task order
     tasks = campaign._prefix_tasks(6, 4)
+    order = [two_layer_prefixes(6).index(p) for p in tasks]
     last_started = threading.Event()
 
     def fake_solver(cnf, config, name="instance", stop=None):
-        if name == f"n6d4p{tasks[-1][0]}w0":
+        if name == f"n6d4p{order[-1]}w0":
             last_started.set()
-        elif name == f"n6d4p{tasks[0][0]}w0":
+        elif name == f"n6d4p{order[0]}w0":
             assert last_started.wait(timeout=60)
         return SolveResult("UNSAT")
 
     monkeypatch.setattr(campaign, "run_solver", fake_solver)
     camp = prove_lower_bound(6, 4, [0], SolverConfig("/bin/false"), jobs=2)
-    assert [r.prefix_index for r in camp.instances] == [idx for idx, _ in tasks]
+    assert [r.prefix_index for r in camp.instances] == order
+    assert [r.instance.prefix for r in camp.instances] == tasks
 
 
 # the R_n indices whose windows at pad 1 keep every prefix image at d = n - 2,
@@ -383,7 +386,7 @@ def test_compute_t_moves_the_refutation_down(solver_config, monkeypatch, jobs):
     # a solver that wrongly refutes the probe's tasks at depth T(7) = 6 sends
     # the climb on to 7; the full campaign at 6 then finds a network among
     # the other prefixes and becomes the witness campaign
-    probe = {idx for idx, _ in campaign._prefix_tasks(7, 6)[:jobs]}
+    probe = {two_layer_prefixes(7).index(p) for p in campaign._prefix_tasks(7, 6)[:jobs]}
     faked = []
 
     def solver(cnf, config, name="instance", stop=None):
@@ -431,7 +434,7 @@ def test_filter_set_and_order_once_per_n(monkeypatch):
                         lambda n, prefix: input_sets.append(prefix) or unsorted_inputs(n, prefix))
     monkeypatch.setattr(campaign, "run_solver",
                         lambda cnf, config, name="instance", stop=None: SolveResult("UNSAT"))
-    campaign._filter_set.cache_clear()
+    rn_networks.cache_clear()
     campaign._fewest_outputs.cache_clear()
     campaign._task_inputs.cache_clear()
     for d in (3, 4, 5):
@@ -463,7 +466,7 @@ def test_filter_set_shares_the_first_layer():
         assert {p.layers[0] for p in prefixes} == {first_layer(n)}
         keys = [len(outputs(p)) for p in prefixes]
         want = sorted(range(len(prefixes)), key=lambda i: (keys[i], i))
-        assert [idx for idx, _ in campaign._fewest_outputs(n)] == want
+        assert [prefixes.index(p) for p in campaign._fewest_outputs(n)] == want
 
 
 def uncovered_layers(n):
@@ -520,8 +523,8 @@ def test_campaign_json_keeps_formula_sizes(solver_config):
     camp = prove_lower_bound(5, 4, [2, 0], solver_config)
     prefixes = two_layer_prefixes(5)
     for r in camp.instances:
-        xs = unsorted_inputs(5, prefixes[r.prefix_index])
-        vm, cnf = build(5, 4, xs, EncodeOptions(pad=r.pad, prefix=prefixes[r.prefix_index]))
+        assert r.instance == Instance(5, 4, r.pad, prefixes[r.prefix_index])
+        vm, cnf = campaign.instance_formula(r.instance)
         assert (r.inputs_kept, r.vars, r.clauses) == (len(vm.inputs), cnf.num_vars,
                                                       len(cnf.clauses))
         assert r.inputs_kept > 0
@@ -599,12 +602,34 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
      r"\$\.instances\[1\]$"),
     ({"n": 4, "claim": "inconclusive", "instances": [], "wall_time": None}, r"\$\.wall_time$"),
     ({"n": 4, "claim": "inconclusive", "instances": [], "ordering": [1, 2]}, r"\$\.ordering$"),
+    # specs that no campaign could run: a lower bound resting on windows
+    # outside 0..n-1, which have no formula, and a depth-2 prefix at depth 1
+    ({"n": 6, "claim": "T(6) > 4", "instances": [{**r, "pad": -3} for r in R6_REFUTED]},
+     r"\$\.instances\[0\]$"),
+    ({"n": 6, "claim": "T(6) > 4", "instances": [{**r, "pad": 9} for r in R6_REFUTED]},
+     r"\$\.instances\[0\]$"),
+    ({"n": 6, "claim": "inconclusive", "instances": [{**UNSAT, "prefix_index": 0}]},
+     r"\$\.instances\[0\]$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "depth": 0, "prefix": "layer1"}]},
+     r"\$\.instances\[0\]$"),
+    # a label that is not the R_6 sentence at its index (R_6[0] is 12_s;1212_c),
+    # the first layer beside an index, and a sentence without one
+    ({"n": 6, "claim": "T(6) > 4",
+      "instances": [{**R6_REFUTED[0], "prefix": "12_s;1221_c"}] + R6_REFUTED[1:]},
+     r"\$\.instances\[0\]\.prefix$"),
+    ({"n": 6, "claim": "T(6) > 4",
+      "instances": [{**R6_REFUTED[0], "prefix": "layer1"}] + R6_REFUTED[1:]},
+     r"\$\.instances\[0\]\.prefix$"),
+    ({"n": 6, "claim": "inconclusive", "instances": [{**UNSAT, "prefix": "12_s;1212_c"}]},
+     r"\$\.instances\[0\]\.prefix$"),
 ], ids=["top-int", "top-list", "instances-int", "instance-int", "n-str", "n-0", "n-40",
         "claim-int", "depth-float", "pad-bool", "prefix-index-str", "prefix-index-past-rn",
         "prefix-index-negative", "witness-int",
         "encode-time-str", "encode-time-negative", "solve-time-bool", "solve-time-null",
         "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool",
-        "witness-on-unsat", "sat-without-witness", "wall-time-null", "ordering-list"])
+        "witness-on-unsat", "sat-without-witness", "wall-time-null", "ordering-list",
+        "pad-negative", "pad-past-n", "prefix-deeper-than-depth", "layer1-deeper-than-depth",
+        "label-not-the-sentence", "layer1-beside-index", "sentence-without-index"])
 def test_campaign_json_malformed_is_value_error(doc, where):
     # every malformed report is a ValueError that names where it is wrong
     with pytest.raises(ValueError, match=where):
@@ -612,14 +637,61 @@ def test_campaign_json_malformed_is_value_error(doc, where):
 
 
 def test_campaign_json_keys_are_the_instance_fields():
-    # the report lists the fields of InstanceResult in their order, so the
-    # format is written down once
+    # the report lists the spec's index, label, depth and pad, then the
+    # fields of InstanceResult after the spec in their order, so the format
+    # is written down once
     sorter = network(2, [(1, 2)])
-    camp = CampaignResult(2, "T(2) <= 1", [InstanceResult(None, 1, 0, "SAT", witness=sorter)])
+    camp = CampaignResult(2, "T(2) <= 1", [InstanceResult(Instance(2, 1), "SAT", witness=sorter)])
     item = json.loads(campaign_to_json(camp))["instances"][0]
-    assert list(item) == [f.name for f in dataclasses.fields(InstanceResult)]
+    fields = [f.name for f in dataclasses.fields(InstanceResult)]
+    assert fields[0] == "instance"
+    assert list(item) == ["prefix_index", "prefix", "depth", "pad"] + fields[1:]
+    assert (item["prefix_index"], item["prefix"], item["depth"], item["pad"]) == (None, None, 1, 0)
     assert item["witness"] == json.loads(sorter.to_json())
     assert campaign_from_json(campaign_to_json(camp)).instances == camp.instances
+
+
+def test_prefix_kinds_have_distinct_names_and_labels():
+    # an R_n member, no prefix and the first layer F_n: three names for the
+    # solver's files and three labels for the report, with the R_n index
+    # for the member alone; any other prefix can be encoded, never recorded
+    member = two_layer_prefixes(6)[2]
+    specs = [Instance(6, 4, 1, member), Instance(6, 4, 1), Instance.layer1(6, 4, 1)]
+    assert [s.name for s in specs] == ["n6d4p2w1", "n6d4pfreew1", "n6d4player1w1"]
+    assert [s.label for s in specs] == ["211212_s", None, "layer1"]
+    assert [s.index for s in specs] == [2, None, None]
+    assert specs[2].prefix == network(6, [(1, 6), (2, 5), (3, 4)])
+    other = Instance(6, 4, 1, network(6, first_layer(6)))
+    assert (other.name, other.label, other.index) == ("n6d4pfixedw1", None, None)
+    with pytest.raises(ValueError, match="records an R_n prefix"):
+        InstanceResult(other, "UNSAT")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ((6, 4, 6), "pad must satisfy 0 <= pad < n = 6, got 6"),
+    ((6, 4, -1), "pad must satisfy"),
+    ((6, -1, 0), "depth must be at least 0"),
+    ((6, 1, 0, two_layer_prefixes(6)[0]), "prefix depth 2 exceeds network depth 1"),
+    ((6, 4, 0, network(5, first_layer(5))), "prefix has 5 channels, not n = 6"),
+    ((6, 4, 0, Network(6, (((2, 1),),), generalized=True)), "must be standard"),
+])
+def test_instance_checks_itself(spec, message):
+    with pytest.raises(ValueError, match=message):
+        Instance(*spec)
+
+
+@pytest.mark.parametrize("mode, label", [("free", None), ("layer1", "layer1")])
+def test_find_campaign_keeps_its_prefix_kind(solver_config, mode, label):
+    # T(5) = 5: the one depth-4 instance of each mode is UNSAT, and its
+    # report tells the two modes apart, where both read prefix_index null
+    _, camp = find_network_campaign(5, 4, mode, solver_config)
+    assert [(r.prefix_index, r.instance.label, r.verdict) for r in camp.instances] == \
+           [(None, label, "UNSAT")]
+    doc = campaign_to_json(camp)
+    assert json.loads(doc)["instances"][0]["prefix"] == label
+    back = campaign_from_json(doc)
+    assert [r.instance for r in back.instances] == [r.instance for r in camp.instances]
+    assert back.claim == camp.claim == "T(5) > 4"
 
 
 def test_campaign_json_witness_reverified():
@@ -668,9 +740,9 @@ def test_campaign_json_claim_audited():
 
 def test_instance_result_witness_invariant():
     with pytest.raises(ValueError):
-        InstanceResult(None, 1, 0, "UNSAT", witness=network(2, [(1, 2)]))
+        InstanceResult(Instance(2, 1), "UNSAT", witness=network(2, [(1, 2)]))
     with pytest.raises(ValueError):
-        InstanceResult(None, 1, 0, "SAT", witness=None)
+        InstanceResult(Instance(2, 1), "SAT", witness=None)
 
 
 def test_reproduce_tables():

@@ -37,10 +37,26 @@ def _claim_spellings(tree: ast.AST) -> list[int]:
                 and str(node.values[0].value).startswith("T("))]
 
 
+def _name_spellings(tree: ast.AST) -> list[int]:
+    """Lines that write an instance name: an f-string starting "n{", as in
+    n{n}d{depth}p...w{pad}."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and len(node.values) > 1
+            and isinstance(node.values[0], ast.Constant) and node.values[0].value == "n"
+            and isinstance(node.values[1], ast.FormattedValue)]
+
+
+def test_name_finder_sees_an_instance_name():
+    source = ('name = f"n{n}d{d}p{idx}w{pad}"\n'
+              'other = f"n={n}", f"no {n}", f"{n}", "n{n}"\n')
+    assert _name_spellings(ast.parse(source)) == [1]
+
+
 def test_report_is_fenced():
     # a claim rests on the instances and the witness checks alone: report
     # imports no scheduler, encoding or solver, campaign takes from it only
-    # the result types and the evidence rule, and only report spells a claim
+    # the instance spec, the result types and the evidence rule, and only
+    # report spells a claim
     assert _intra_package_imports()["report"] <= {"networks", "words"}
     tree = ast.parse((PACKAGE / "campaign.py").read_text())
     # `from . import report` takes the name "report", and fails as well
@@ -48,10 +64,19 @@ def test_report_is_fenced():
              if isinstance(node, ast.ImportFrom) and node.level == 1
              for alias in node.names
              if node.module == "report" or (node.module is None and alias.name == "report")}
-    assert taken == {"CampaignResult", "InstanceResult", "_evidence"}, taken
+    assert taken == {"CampaignResult", "Instance", "InstanceResult", "_evidence"}, taken
     spellings = {path.stem: _claim_spellings(ast.parse(path.read_text()))
                  for path in sorted(PACKAGE.glob("*.py"))}
     assert len(spellings.pop("report")) == 3   # the two claims _evidence writes, the regex
+    assert not any(spellings.values()), spellings
+
+
+def test_only_the_spec_names_an_instance():
+    # Instance.name is the one writer of an instance name, so the solver's
+    # files of two prefix kinds cannot be named alike by a second spelling
+    spellings = {path.stem: _name_spellings(ast.parse(path.read_text()))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(spellings.pop("report")) == 1
     assert not any(spellings.values()), spellings
 
 
