@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import shutil
 import sys
@@ -21,9 +22,9 @@ from . import campaign as campaign_mod
 from . import report as report_mod
 from . import saturation as saturation_mod
 from . import words as words_mod
-from .encoding import EncodeOptions, to_dimacs
+from .encoding import EncodeOptions
 from .networks import MAX_ENUM_CHANNELS, Network, two_layer_json
-from .solver import DEFAULT_TIMEOUT, SolverConfig, default_config, run_solver
+from .solver import DEFAULT_TIMEOUT, SolverConfig, default_config, dimacs_chunks, run_solver
 
 EXIT_OK = 0
 EXIT_SAT = 10
@@ -78,13 +79,10 @@ def _instance(args) -> report_mod.Instance:
             raise UsageError(f"--prefix-index {exc}")
     else:
         prefix = None
-    if prefix is not None and prefix.n != args.n:
-        raise UsageError(f"the prefix has n = {prefix.n}, but --n is {args.n}")
-    if prefix is not None and prefix.depth > args.depth:
-        raise UsageError(f"the prefix has depth {prefix.depth}, more than --depth {args.depth}")
-    if prefix is not None and prefix.generalized:
-        raise UsageError("the prefix has a reversed comparator; a fixed prefix must be standard")
-    return report_mod.Instance(args.n, args.depth, args.pad, prefix)
+    try:
+        return report_mod.Instance(args.n, args.depth, args.pad, prefix)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _cmd_encode(args) -> int:
@@ -94,8 +92,9 @@ def _cmd_encode(args) -> int:
                          near_sorted=not args.no_near_sorted,
                          settled_ends=not args.no_settled_ends)
     vm, cnf = campaign_mod.instance_formula(inst, opts)
-    _write(args.out, [f"c sortnetopt n={args.n} d={args.depth} inputs={len(vm.inputs)} "
-                      f"pad={args.pad}\n", to_dimacs(cnf)])
+    _write(args.out, itertools.chain([f"c sortnetopt n={args.n} d={args.depth} "
+                                      f"inputs={len(vm.inputs)} pad={args.pad}\n"],
+                                     dimacs_chunks(cnf)))
     return EXIT_OK
 
 

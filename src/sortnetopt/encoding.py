@@ -85,8 +85,10 @@ pattern (skip satisfied clauses, drop false literals and repeats within
 a group) and keeps the result as a template of operand slots.  A
 group's clauses are its pattern's template read from its operands, so
 the work grows with the literals emitted rather than with the clause
-templates of every open layer.  to_dimacs renders the array in bounded
-chunks through one literal-to-text table shared by all calls.
+templates of every open layer.  to_dimacs renders the array, or any
+slice of it, in steps of _LIT_CHUNK literals through one literal-to-text
+table shared by all calls; the solver writes a formula to its file one
+such slice at a time, so no whole-formula text is held.
 Variables, clauses and their order are those of the clause-by-clause
 construction, so the DIMACS text is the same.
 """
@@ -105,7 +107,7 @@ from .networks import ChannelCountError, Network, _ascending_mask, _eval_array, 
 
 _TRUE = np.iinfo(np.int32).max  # literal code of the constant true; -_TRUE is false
 _INPUT_CHUNK = 16               # kept images whose value clauses are built in one array pass
-_LIT_CHUNK = 1 << 16            # literals per step when rendering a Cnf
+_LIT_CHUNK = 1 << 13            # literals per step when rendering a Cnf
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ class Cnf:
     @property
     def num_clauses(self) -> int:
         """The number of clauses: the 0 terminators in lits."""
-        return int(np.count_nonzero(self.lits == 0))
+        return self.lits.size - int(np.count_nonzero(self.lits))   # no mask copy of lits
 
     @property
     def clauses(self) -> list[tuple[int, ...]]:
@@ -452,15 +454,23 @@ def _literal_text(top: int) -> tuple[np.ndarray, int]:
         return _dimacs_text
 
 
-def to_dimacs(cnf: Cnf) -> str:
-    lits = cnf.lits
-    parts = [f"p cnf {cnf.num_vars} {cnf.num_clauses}\n"]
-    if lits.size:
-        text, top = _literal_text(int(np.abs(lits).max()))
-        for start in range(0, lits.size, _LIT_CHUNK):
-            index = lits[start:start + _LIT_CHUNK].astype(np.intp)
-            index += top
-            parts.append("".join(text[index].tolist()))
+def to_dimacs(cnf: Cnf, start: int = 0, stop: Optional[int] = None) -> str:
+    """The DIMACS text of the literals cnf.lits[start:stop], headed by the
+    p cnf line when start is 0; to_dimacs(cnf) is the whole text.
+
+    Slice bounds may fall inside a clause, so joining the texts of
+    consecutive slices gives the whole text.  Each step of _LIT_CHUNK
+    literals takes the table's top from its own largest literal, so no
+    copy of the whole array is made.
+    """
+    lits = cnf.lits[start:stop]
+    parts = [f"p cnf {cnf.num_vars} {cnf.num_clauses}\n"] if start == 0 else []
+    for lo in range(0, lits.size, _LIT_CHUNK):
+        chunk = lits[lo:lo + _LIT_CHUNK]
+        text, top = _literal_text(int(np.abs(chunk).max()))
+        index = chunk.astype(np.intp)
+        index += top
+        parts.append("".join(text[index].tolist()))
     return "".join(parts)
 
 

@@ -11,9 +11,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
-from .encoding import Cnf, to_dimacs
+from .encoding import _LIT_CHUNK, Cnf, to_dimacs
 
 # candidate binaries, tried in order when SAT_SOLVER is not set
 KNOWN_SOLVERS = ("splr", "kissat", "cadical", "cryptominisat5", "glucose", "minisat", "picosat")
@@ -147,10 +147,19 @@ def parse_solver_output(text: str) -> tuple[str, Optional[frozenset[int]]]:
     return verdict, frozenset(true_vars) if verdict == "SAT" else None
 
 
+def dimacs_chunks(cnf: Cnf) -> Iterator[str]:
+    """The DIMACS text of cnf in pieces of _LIT_CHUNK literals, the header
+    with the first, so a writer holds one piece at a time."""
+    for start in range(0, max(cnf.lits.size, 1), _LIT_CHUNK):
+        yield to_dimacs(cnf, start, start + _LIT_CHUNK)
+
+
 def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
                stop: Optional[StopEvent] = None) -> SolveResult:
     """Solve one CNF in a subprocess; wall-clock timeout kills the solver.
 
+    A Cnf goes to its file through dimacs_chunks, one piece at a time, so
+    no whole-formula text is held; a str is written as it is.
     A SAT or UNSAT run deletes its CNF file.  Unparseable or crashed runs
     come back as TIMEOUT-class failures with the captured log, and a timed-out
     or failed run keeps its CNF for post-mortem.  A run is crashed when a
@@ -160,12 +169,12 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
     CANCELLED, without its CNF.  A solver that fails to launch raises
     RuntimeError and leaves no CNF either.
     """
-    text = cnf if isinstance(cnf, str) else to_dimacs(cnf)
     owns_dir = config.workdir is None
     workdir = Path(config.workdir) if config.workdir else Path(tempfile.mkdtemp(prefix="sortnetopt-"))
     workdir.mkdir(parents=True, exist_ok=True)
     path = workdir / f"{name}.cnf"
-    path.write_text(text)
+    with path.open("w") as out:
+        out.writelines([cnf] if isinstance(cnf, str) else dimacs_chunks(cnf))
     cmd = [config.executable, *config.args, str(path)]
     start = time.monotonic()
     try:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sortnetopt import campaign, cli, saturation
+from sortnetopt import campaign, cli, saturation, solver
 from sortnetopt.campaign import (
     compute_T,
     default_pads,
@@ -23,7 +23,7 @@ from sortnetopt.campaign import (
     reproduce_tables,
     two_layer_prefixes,
 )
-from sortnetopt.encoding import EncodeOptions, build
+from sortnetopt.encoding import _LIT_CHUNK, EncodeOptions, build, to_dimacs
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
                                  reflect, unsorted_inputs)
 from sortnetopt.report import (CampaignResult, Instance, InstanceResult, campaign_from_json,
@@ -170,6 +170,37 @@ def test_run_solver_accepts_agreeing_exit_codes(tmp_path):
         cfg = _fake_solver(tmp_path, name, body)
         assert run_solver("p cnf 1 1\n1 0\n", cfg, name=name).verdict == verdict, name
         assert list(Path(cfg.workdir).iterdir()) == [], name
+
+
+def test_run_solver_keeps_the_whole_text(tmp_path):
+    # the CNF goes to its file a chunk at a time; a solver that prints no
+    # verdict keeps it, and its bytes are the whole text
+    prefix = two_layer_prefixes(8)[0]
+    _, cnf = build(8, 5, unsorted_inputs(8, prefix), EncodeOptions(prefix=prefix))
+    assert cnf.lits.size > 2 * _LIT_CHUNK
+    cfg = _fake_solver(tmp_path, "silent", "exit 0")
+    assert run_solver(cnf, cfg, name="kept").verdict == "TIMEOUT"
+    assert (Path(cfg.workdir) / "kept.cnf").read_bytes() == to_dimacs(cnf).encode()
+
+
+def test_run_solver_renders_one_chunk_per_call(tmp_path, monkeypatch):
+    # run_solver holds at most _LIT_CHUNK literals of text at a time: one
+    # to_dimacs call per chunk, in order, none covering more
+    calls = []
+
+    def recorder(cnf, start=0, stop=None):
+        calls.append((start, stop))
+        return to_dimacs(cnf, start, stop)
+
+    monkeypatch.setattr(solver, "to_dimacs", recorder)
+    prefix = two_layer_prefixes(9)[0]
+    _, cnf = build(9, 7, unsorted_inputs(9, prefix), EncodeOptions(prefix=prefix))
+    cfg = _fake_solver(tmp_path, "quiet20", "exit 20")
+    assert run_solver(cnf, cfg, name="fenced").verdict == "UNSAT"
+    size = cnf.lits.size
+    assert len(calls) == -(-size // _LIT_CHUNK) > 1
+    assert [start for start, _ in calls] == list(range(0, size, _LIT_CHUNK))
+    assert all(stop is not None and stop - start <= _LIT_CHUNK for start, stop in calls)
 
 
 def test_two_layer_prefixes_counts():
@@ -839,11 +870,11 @@ def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
     (["encode", "--n", "6", "--depth", "3", "--prefix-index", "5", "--out", "-"],
      "--prefix-index must satisfy 0 <= index < |R_6| = 5"),
     (["encode", "--n", "6", "--depth", "1", "--prefix-index", "0", "--out", "-"],
-     "the prefix has depth 2, more than --depth 1"),
+     "prefix depth 2 exceeds network depth 1"),
     (["encode", "--n", "6", "--depth", "3", "--out", "-",
-      "--prefix", '{"n": 5, "layers": [[[1, 2], [3, 4]]]}'], "the prefix has n = 5"),
+      "--prefix", '{"n": 5, "layers": [[[1, 2], [3, 4]]]}'], "prefix has 5 channels, not n = 6"),
     (["encode", "--n", "6", "--depth", "3", "--out", "-",
-      "--prefix", '{"n": 6, "layers": [[[2, 1], [3, 4]]]}'], "reversed comparator"),
+      "--prefix", '{"n": 6, "layers": [[[2, 1], [3, 4]]]}'], "fixed prefixes must be standard networks"),
     (["encode", "--n", "6", "--depth", "3", "--out", "-", "--prefix", "[1, 2"], "prefix.json: "),
     (["encode", "--n", "4", "--depth", "3", "--out", "-", "--prefix", '{"n": 4, "layers": [[1]]}'],
      "lists of [i, j] integer pairs"),

@@ -541,7 +541,22 @@ def test_value_clauses_depend_on_the_image_alone(n):
 def test_dimacs_format_exact():
     cnf = Cnf(2, [(1, -2), (2,)])
     assert to_dimacs(cnf) == "p cnf 2 2\n1 -2 0\n2 0\n"
+    assert to_dimacs(Cnf(0)) == "p cnf 0 0\n"
     assert to_dimacs(Cnf(0, [()])) == "p cnf 0 1\n0\n"
+
+
+@pytest.mark.parametrize("k", [1, 7, encoding._LIT_CHUNK])
+def test_dimacs_slices_join_to_the_whole_text(k):
+    # the texts of consecutive k-literal slices, their edges inside clauses,
+    # join to the whole text, with the header once, in the first slice
+    prefix = two_layer_prefixes(8)[0]
+    large = build(8, 5, unsorted_inputs(8, prefix), EncodeOptions(prefix=prefix))[1]
+    edges = range(k, large.lits.size, k)
+    assert len(edges) >= 3 and any(large.lits[s - 1] != 0 for s in edges)
+    for cnf in (Cnf(0), Cnf(0, [()]), Cnf(2, [(1, -2), (2,)]), large):
+        texts = [to_dimacs(cnf, s, s + k) for s in range(0, cnf.lits.size or 1, k)]
+        assert "".join(texts) == to_dimacs(cnf), (k, cnf.num_vars)
+        assert [i for i, text in enumerate(texts) if "p cnf" in text] == [0]
 
 
 def test_dimacs_text_table_shared_by_threads(monkeypatch):
