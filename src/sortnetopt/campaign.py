@@ -85,12 +85,21 @@ def _fewest_outputs(n: int) -> tuple[Network, ...]:
 def default_pads(n: int, d: int) -> list[int]:
     """One padded try with windows of width d + 1, then the full input set.
 
-    Returns [n - d - 1, 0], or [0] when n <= d + 1.  On R_10 at d = 6 it
-    made 21 instances, none a padded SAT, in about half the wall time of
-    the old [6, 4, 0]; at a depth with a network it costs one cheap padded
-    run on the first task.  The README gives the measurements.
+    Returns [n - d - 1, 0], or [0] when n <= d + 2: pad 1 is never tried.
+    On R_10 at d = 6 it made 21 instances, none a padded SAT, in about half
+    the wall time of the old [6, 4, 0]; at a depth with a network it costs
+    one cheap padded run on the first task.  Pad 1 falls at d = n - 2,
+    which is T(n) - 1 for n = 6, 7 and a depth with a network for n >= 8,
+    where a padded SAT proves nothing.  compute_T(n) with two jobs and
+    refsat, median of 21 runs on a 2-vCPU VM, with pad 1 at d = n - 2 and
+    without it:
+
+        n = 6: 48 -> 47 ms    n = 8: 140 -> 119 ms
+        n = 7: 90 -> 85 ms    n = 9: 440 -> 408 ms
+
+    The README gives the other measurements.
     """
-    return [n - d - 1, 0] if n > d + 1 else [0]
+    return [n - d - 1, 0] if n > d + 2 else [0]
 
 
 def _prefix_tasks(n: int, d: int) -> list[Optional[Network]]:
@@ -113,21 +122,18 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
     first, then 0, so every task can end on the full input set.  Each task
     walks the pads once; each pad is one round, a spec that
     instance_formula encodes with every formula reduction on, solved under
-    config.timeout in files named by the spec, its model decoded.  A padded
-    round that keeps as many inputs as pad 0, one per prefix image, is not
-    solved: its formula is the pad-0 formula with the inputs in another
-    order.  An instance's encode_time is its build and those of the skipped
-    rounds just before it, not the input set.  An UNSAT settles the task
-    (windowed inputs are a subset of the full set); a padded SAT or
-    TIMEOUT moves on to the next pad, and only pad 0 can certify
-    satisfiability.  A pad-0 TIMEOUT leaves the task open while the
-    other tasks carry on.  The first pad-0 SAT sets the stop event, which
-    kills the solvers still running.  A prior campaign at the same depth,
-    run over other tasks, lends its instances and wall time, so the two
-    make one campaign.  The instances are recorded in task order, the
-    prior's first; the claim and its witness, the first pad-0 SAT in that
-    order, come from _evidence, and the witness is re-checked with
-    is_sorting_network.
+    config.timeout in files named by the spec, its model decoded.  Every
+    round is solved, and an instance's encode_time is its own build, not
+    the input set.  An UNSAT settles the task (windowed inputs are a
+    subset of the full set); a padded SAT or TIMEOUT moves on to the next
+    pad, and only pad 0 can certify satisfiability.  A pad-0 TIMEOUT
+    leaves the task open while the other tasks carry on.  The first pad-0
+    SAT sets the stop event, which kills the solvers still running.  A
+    prior campaign at the same depth, run over other tasks, lends its
+    instances and wall time, so the two make one campaign.  The instances
+    are recorded in task order, the prior's first; the claim and its
+    witness, the first pad-0 SAT in that order, come from _evidence, and
+    the witness is re-checked with is_sorting_network.
     """
     t0 = time.monotonic()
     pads = sorted({p for p in pads if 0 < p < n}, reverse=True) + [0]
@@ -135,20 +141,13 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
     stop = StopEvent()
 
     def settle(position: int) -> None:
-        prefix = tasks[position]
-        if stop.is_set():
-            return
-        _, kept = _task_inputs(n, prefix)
-        t_round = time.monotonic()
         for pad in pads:
             if stop.is_set():
                 return
-            inst = Instance(n, d, pad, prefix)
+            inst = Instance(n, d, pad, tasks[position])
+            t_build = time.monotonic()
             vm, cnf = instance_formula(inst)
-            if pad and len(vm.inputs) == kept:
-                # every prefix image kept: the pad-0 formula, inputs reordered
-                continue
-            encode_time = time.monotonic() - t_round
+            encode_time = time.monotonic() - t_build
             res = run_solver(cnf, config, name=inst.name, stop=stop)
             if res.verdict == "CANCELLED":
                 return  # killed: the claim is already settled
@@ -161,7 +160,6 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
             done[position].append(InstanceResult(inst, res.verdict, encode_time,
                                                  res.solve_time, witness, len(vm.inputs),
                                                  cnf.num_vars, cnf.num_clauses))
-            t_round = time.monotonic()
             if res.verdict == "UNSAT":
                 return
             if res.verdict == "SAT" and pad == 0:
@@ -220,10 +218,10 @@ def prove_lower_bound(n: int, d_prime: int,
     Each prefix descends the pad schedule, which goes to _campaign as
     given: the scheduler keeps the distinct pads below n, largest first,
     and ends at 0.  The default, default_pads(n, d_prime), tries windows of
-    width d_prime + 1 (pad n - d_prime - 1) once and then the full input
-    set; see default_pads for the measurements behind it.  A padded UNSAT
-    refutes the prefix, and a padded SAT falls through to pad 0, so the
-    schedule never changes a claim.
+    width d_prime + 1 (pad n - d_prime - 1, when that is at least 2) once
+    and then the full input set; see default_pads for the measurements
+    behind it.  A padded UNSAT refutes the prefix, and a padded SAT falls
+    through to pad 0, so the schedule never changes a claim.
     """
     pads = default_pads(n, d_prime) if pad_schedule is None else pad_schedule
     return _campaign(n, d_prime, _prefix_tasks(n, d_prime), pads,

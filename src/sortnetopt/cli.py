@@ -15,6 +15,8 @@ import itertools
 import json
 import shutil
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
@@ -122,8 +124,13 @@ def _cmd_solve(args) -> int:
         text = Path(args.cnf).read_text()
     except (OSError, ValueError) as exc:
         raise UsageError(f"--cnf {args.cnf}: {exc}")
-    res = run_solver(text, _solver_config(args), name=Path(args.cnf).stem)
+    config = _solver_config(args)
+    # the copy of the user's CNF lives only as long as this run, whatever its verdict
+    with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:
+        res = run_solver(text, replace(config, workdir=workdir), name=Path(args.cnf).stem)
     print(f"s {res.verdict}")
+    if res.verdict == "TIMEOUT":
+        print(res.log, file=sys.stderr)
     if res.verdict == "SAT":
         print("v " + " ".join(str(v) for v in sorted(res.true_vars)) + " 0")
         return EXIT_SAT
@@ -249,7 +256,7 @@ def main(argv=None) -> int:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--pads", type=_pad_list,
                    help="comma-separated pad schedule, largest first "
-                        "(default: n-d-1, then 0)")
+                        "(default: n-d-1, then 0; 0 alone when n-d-1 < 2)")
     p.add_argument("--solver", help=SOLVER_HELP)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--jobs", type=int, default=1)

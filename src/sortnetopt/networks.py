@@ -170,8 +170,8 @@ def outputs(net: Network) -> frozenset[int]:
 
     The images are marked in a mask over all 2**n vectors rather than
     passed to np.unique, whose first call in a process costs milliseconds
-    of lazy set-up; campaigns call this for the task order of R_n before
-    their solvers start.
+    of lazy set-up; saturation.subsumes and the test oracles call this on
+    many small networks, where that set-up would dominate.
     """
     chunks = _chunks(net.n, net)   # checks the enumeration cap before the mask is made
     seen = np.zeros(1 << net.n, dtype=bool)

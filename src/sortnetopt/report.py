@@ -44,16 +44,15 @@ A report is one JSON object: n, the claim, the task ordering, the wall
 time and the instances.  An instance's keys are prefix_index, prefix
 (the label), depth and pad from the spec, then the fields of
 InstanceResult after it, in their order.  An instance's encode_time is
-its build and those of any padded rounds skipped just before it, never
-its input set, made once per process.  The instances are listed in task
-order, not in the order the workers finished them: a prior campaign's
-first, then each task's in the order the scheduler was given the tasks,
-its pads largest first.  With the times zeroed, two runs of one
-campaign give the same report.  The loader rebuilds each spec, so it
-rejects what no campaign could run: a pad outside 0..n-1, a prefix
-deeper than the depth, a label that is not the R_n sentence at its
-prefix_index, and "layer1" beside an index.  A report without the
-prefix key loads as before.
+its own build, never its input set, made once per process.  The
+instances are listed in task order, not in the order the workers
+finished them: a prior campaign's first, then each task's in the order
+the scheduler was given the tasks, its pads largest first.  With the
+times zeroed, two runs of one campaign give the same report.  The
+loader rebuilds each spec, so it rejects what no campaign could run: a
+pad outside 0..n-1, a prefix deeper than the depth, a label that is not
+the R_n sentence at its prefix_index, and "layer1" beside an index.  A
+report without the prefix key loads as before.
 """
 
 from __future__ import annotations

@@ -56,11 +56,13 @@ def test_run_solver_spawn_failure(tmp_path, monkeypatch):
 
 
 def test_run_solver_timeout(tmp_path):
+    # a timed-out run keeps its CNF for post-mortem
     slow = tmp_path / "slow.sh"
     slow.write_text("#!/bin/sh\nsleep 30\n")
     slow.chmod(0o755)
-    cfg = SolverConfig(executable=str(slow), timeout=0.5)
+    cfg = SolverConfig(executable=str(slow), timeout=0.5, workdir=str(tmp_path / "cnf"))
     assert run_solver("p cnf 1 1\n1 0\n", cfg).verdict == "TIMEOUT"
+    assert [p.name for p in (tmp_path / "cnf").iterdir()] == ["instance.cnf"]
 
 
 def _sleeper(tmp_path) -> Path:
@@ -209,16 +211,17 @@ def test_two_layer_prefixes_counts():
 
 
 def test_default_pads():
-    # one padded try with windows of width d + 1, then the full input set
+    # one padded try with windows of width d + 1, then the full input set;
+    # never pad 1
     assert default_pads(10, 6) == [3, 0]
     assert default_pads(11, 7) == [3, 0]
-    assert default_pads(9, 7) == [1, 0]
+    assert default_pads(9, 7) == [0]
     assert default_pads(9, 3) == [5, 0]
     assert default_pads(4, 3) == [0]
     for n in range(1, 13):
         for d in range(n + 1):
             pads = default_pads(n, d)
-            assert pads[-1] == 0
+            assert pads[-1] == 0 and 1 not in pads
             assert all(a > b for a, b in zip(pads, pads[1:]))
 
 
@@ -367,27 +370,6 @@ def test_instances_come_out_in_task_order(monkeypatch):
     assert [r.instance.prefix for r in camp.instances] == tasks
 
 
-# the R_n indices whose windows at pad 1 keep every prefix image at d = n - 2,
-# where the default pads are [1, 0] (counted over the images with np.unique)
-KEEP_EVERY_IMAGE_AT_PAD_1 = {5: {2}, 6: {3}, 7: {2, 3}, 8: {7}, 9: {7, 8, 9, 10, 11, 12}}
-
-
-def test_padded_round_that_keeps_every_image_is_skipped(monkeypatch):
-    # such a round is the pad-0 formula with its inputs in another order: each
-    # of these tasks runs pad 0 alone, and every other task still tries pad 1
-    # first (no solver: every run times out, so every task walks all its pads)
-    monkeypatch.setattr(campaign, "run_solver",
-                        lambda cnf, config, name="instance", stop=None: SolveResult("TIMEOUT"))
-    for n, skipped in KEEP_EVERY_IMAGE_AT_PAD_1.items():
-        assert default_pads(n, n - 2) == [1, 0]
-        camp = prove_lower_bound(n, n - 2, config=SolverConfig("/bin/false"), jobs=1)
-        pads = {}
-        for r in camp.instances:
-            pads.setdefault(r.prefix_index, []).append(r.pad)
-        assert pads == {idx: [0] if idx in skipped else [1, 0]
-                        for idx in range(len(two_layer_prefixes(n)))}, n
-
-
 @pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
 def test_find_settles_on_first_task(solver_config, n, t):
     # the prefix with the fewest unsorted outputs is SAT at depth T(n)
@@ -454,6 +436,27 @@ def test_compute_t_timeout_raises_after_one_probe(monkeypatch, jobs):
     # ceil(log2 6) = 3: each probed task walks default_pads(6, 3) = [2, 0]
     assert len(calls) == len(set(calls)) == 2 * jobs
     assert all(name.startswith("n6d3p") for name in calls)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compute_t_raises_on_an_open_refutation(solver_config, monkeypatch, jobs):
+    # one prefix the probe did not run times out at depth T(7) - 1 = 5, at
+    # whatever pad: the refutation is left open, so compute_T makes no claim
+    idx = two_layer_prefixes(7).index(campaign._prefix_tasks(7, 5)[-1])
+    assert idx not in {two_layer_prefixes(7).index(p)
+                       for p in campaign._prefix_tasks(7, 5)[:jobs]}
+    timed_out = []
+
+    def solver(cnf, config, name="instance", stop=None):
+        if name.startswith(f"n7d5p{idx}w"):
+            timed_out.append(name)
+            return SolveResult("TIMEOUT")
+        return run_solver(cnf, config, name, stop)
+
+    monkeypatch.setattr(campaign, "run_solver", solver)
+    with pytest.raises(RuntimeError, match="inconclusive campaign at depth 5 for n=7"):
+        compute_T(7, solver_config, jobs=jobs)
+    assert timed_out and timed_out[-1].endswith("w0")
 
 
 def test_filter_set_and_order_once_per_n(monkeypatch):
@@ -930,6 +933,57 @@ def test_cli_without_a_solver(argv, tmp_path, monkeypatch, capsys):
     assert err.splitlines()[-1].endswith(": error: no SAT solver found: set SAT_SOLVER to a "
                                          "DIMACS-conformant binary (e.g. `cargo install splr`, "
                                          "or any of " + ", ".join(KNOWN_SOLVERS) + ")")
+
+
+def test_find_solver_lookup_order(tmp_path, monkeypatch):
+    # $SAT_SOLVER first; then name by name in KNOWN_SOLVERS order: PATH,
+    # ~/.local/bin, ~/.cargo/bin, skipping files that are not executable
+    home = tmp_path / "home"
+    dirs = {"path": tmp_path / "path", "local": home / ".local" / "bin",
+            "cargo": home / ".cargo" / "bin"}
+    for d in dirs.values():
+        d.mkdir(parents=True)
+    monkeypatch.delenv("SAT_SOLVER", raising=False)
+    monkeypatch.setenv("PATH", str(dirs["path"]))
+    monkeypatch.setenv("HOME", str(home))
+    first, later = KNOWN_SOLVERS[0], KNOWN_SOLVERS[-1]
+
+    def stub(where, name, mode=0o755):
+        path = dirs[where] / name
+        path.write_text("#!/bin/sh\nexit 0\n")
+        path.chmod(mode)
+        return str(path)
+
+    assert solver.find_solver() is None
+    for where in dirs:
+        stub(where, first, 0o644)
+    assert solver.find_solver() is None
+    # each stub wins over every one made before it
+    for where, name in [("path", later), ("cargo", first), ("local", first), ("path", first)]:
+        exe = stub(where, name)
+        assert solver.find_solver() == exe, (where, name)
+    monkeypatch.setenv("SAT_SOLVER", "")   # empty is unset
+    assert solver.find_solver() == str(dirs["path"] / first)
+    monkeypatch.setenv("SAT_SOLVER", str(tmp_path / "missing"))   # taken as given
+    assert solver.find_solver() == str(tmp_path / "missing")
+
+
+def test_cli_solve_failure_leaves_nothing_and_shows_the_log(tmp_path, monkeypatch, capsys):
+    # a crashed solver: inconclusive on stdout, its log on stderr, and no
+    # copy of the user's CNF left in the temp dir
+    user, temp = tmp_path / "user", tmp_path / "temp"
+    user.mkdir()
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    crash = user / "crash.sh"
+    crash.write_text("#!/bin/sh\necho 'c crashing'\nexit 3\n")
+    crash.chmod(0o755)
+    (user / "f.cnf").write_text("p cnf 1 1\n1 0\n")
+    assert cli.main(["solve", "--cnf", str(user / "f.cnf"), "--solver", str(crash)]) == 30
+    out, err = capsys.readouterr()
+    assert out == "s TIMEOUT\n"
+    assert "exit: 3" in err.splitlines() and "c crashing" in err.splitlines()
+    assert list(temp.iterdir()) == []
 
 
 def test_cli_encode_solve_find(tmp_path, solver_config):

@@ -11,7 +11,7 @@ import pytest
 from oracles import (RULE_SWITCHES, brute_force_sorter_exists, evaluate_bits, value_lit,
                      variable_index, vec_from_str, x_var)
 from sortnetopt import encoding
-from sortnetopt.campaign import default_pads, two_layer_prefixes
+from sortnetopt.campaign import two_layer_prefixes
 from sortnetopt.encoding import (
     Cnf,
     EncodeOptions,
@@ -160,7 +160,7 @@ def test_last_layer_units():
 # the R_n verdict map
 
 # The verdict of every R_n prefix, by R_n index, at every depth 2..T(n), at
-# pad 0 and at the padded pad n - d - 1 of default_pads: UNSAT below T(n);
+# pad 0 and at pad n - d - 1, windows of width d + 1: UNSAT below T(n);
 # at T(n), n: (T(n), pad 0, padded, or None where there is no pad).  A sound
 # formula rule keeps every letter (Bundala et al.); one that drops every
 # network of one prefix flips an S to U, while T(n) may stay right.
@@ -180,8 +180,16 @@ def _pinned_map(max_n, top_only=()):
     return {(n, d, pad, idx): letter
             for n, (t, at_t, padded) in RN_VERDICTS.items() if n <= max_n
             for d in range(t - 1 if n in top_only else 2, t + 1)
-            for pad in sorted(default_pads(n, d))
+            for pad in ([0, n - d - 1] if n > d + 1 else [0])
             for idx, letter in enumerate((padded if pad else at_t) if d == t else "U" * len(at_t))}
+
+
+def test_rn_verdict_map_reach():
+    # the keys the gate solves, pad 1 among them: a pad rule edit that
+    # shrinks the map fails here
+    for args, size, at_pad_1 in [((9,), 521, 53), ((8, (8,)), 185, 31)]:
+        keys = _pinned_map(*args)
+        assert (len(keys), sum(key[2] == 1 for key in keys)) == (size, at_pad_1), args
 
 
 def _map_flips(solver_config, base, max_n, top_only=()):
