@@ -4,13 +4,15 @@ Both run through one scheduler.  Its tasks are prefixes: a Network, or
 None for a prefix-free search.  It walks each task's pads once, largest
 first, and each pad is one round: a report.Instance spec, which
 instance_formula alone turns into a formula, named by the spec and
-solved once under the configured timeout.  A lower-bound campaign passes
-every two-layer prefix in the complete filter set R_n and its pad
-schedule; every prefix UNSAT proves that no depth-d network exists.  A
-search passes the tasks of its mode with pad 0 alone.  Window padding
-shrinks instances: UNSAT on the padded subset already implies UNSAT on
-the full input set, while a SAT verdict under padding is inconclusive
-and moves the task on to the next pad.
+solved once under the configured timeout.  Its workers take turns
+building formulas and writing CNFs, so one worker's Python stage runs
+while the others' solvers do.  A lower-bound campaign passes every
+two-layer prefix in the complete filter set R_n and its pad schedule;
+every prefix UNSAT proves that no depth-d network exists.  A search
+passes the tasks of its mode with pad 0 alone.  Window padding shrinks
+instances: UNSAT on the padded subset already implies UNSAT on the full
+input set, while a SAT verdict under padding is inconclusive and moves
+the task on to the next pad.
 
 Tasks start in order of their prefix's number of unsorted outputs, fewest
 first (the "fewest-outputs" ordering): that prefix leaves the fewest
@@ -124,16 +126,30 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
     instance_formula encodes with every formula reduction on, solved under
     config.timeout in files named by the spec, its model decoded.  Every
     round is solved, and an instance's encode_time is its own build, not
-    the input set.  An UNSAT settles the task (windowed inputs are a
-    subset of the full set); a padded SAT or TIMEOUT moves on to the next
-    pad, and only pad 0 can certify satisfiability.  A pad-0 TIMEOUT
-    leaves the task open while the other tasks carry on.  The first pad-0
-    SAT sets the stop event, which kills the solvers still running.  A
-    prior campaign at the same depth, run over other tasks, lends its
-    instances and wall time, so the two make one campaign.  The instances
-    are recorded in task order, the prior's first; the claim and its
-    witness, the first pad-0 SAT in that order, come from _evidence, and
-    the witness is re-checked with is_sorting_network.
+    the input set nor the wait for the turn.
+
+    The workers take turns at the Python stage, which holds the GIL: a
+    worker builds under the stop event's turn and run_solver writes the CNF
+    under it, so at most one worker builds or writes at a time while the
+    others' solvers run.  Without turns the workers ran in lock-step:
+    timelines of prove_lower_bound(10, 6, jobs=2) showed both building at
+    once, each build slowed by the other (a median of 3.0-9.4 ms a run,
+    against 2.9-5.0 ms with turns), then both solving while Python sat idle;
+    and compute_T(9)'s depth-7 probe built its two pad-0 formulas at once,
+    which set the peak RSS of the whole run, about 1 MB above the peak with
+    turns (BENCH_compute-t9-turns.json).  A worker that gets its turn after
+    the stop is set returns without building.
+
+    An UNSAT settles the task (windowed inputs are a subset of the full
+    set); a padded SAT or TIMEOUT moves on to the next pad, and only pad 0
+    can certify satisfiability.  A pad-0 TIMEOUT leaves the task open while
+    the other tasks carry on.  The first pad-0 SAT sets the stop event,
+    which kills the solvers still running.  A prior campaign at the same
+    depth, run over other tasks, lends its instances and wall time, so the
+    two make one campaign.  The instances are recorded in task order, the
+    prior's first; the claim and its witness, the first pad-0 SAT in that
+    order, come from _evidence, and the witness is re-checked with
+    is_sorting_network.
     """
     t0 = time.monotonic()
     pads = sorted({p for p in pads if 0 < p < n}, reverse=True) + [0]
@@ -142,12 +158,13 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
 
     def settle(position: int) -> None:
         for pad in pads:
-            if stop.is_set():
-                return
-            inst = Instance(n, d, pad, tasks[position])
-            t_build = time.monotonic()
-            vm, cnf = instance_formula(inst)
-            encode_time = time.monotonic() - t_build
+            with stop.turn:
+                if stop.is_set():
+                    return
+                inst = Instance(n, d, pad, tasks[position])
+                t_build = time.monotonic()
+                vm, cnf = instance_formula(inst)
+                encode_time = time.monotonic() - t_build
             res = run_solver(cnf, config, name=inst.name, stop=stop)
             if res.verdict == "CANCELLED":
                 return  # killed: the claim is already settled

@@ -80,19 +80,29 @@ class SolveResult:
 
 
 class StopEvent(threading.Event):
-    """A threading.Event whose set() also kills the solver runs it watches.
+    """A threading.Event whose set() also kills the solver runs it watches;
+    it also carries the turn that its threads take at the Python stage.
 
     A run that starts watching after set() is killed at once; a killed run
     comes back CANCELLED.
+
+    turn is a lock that a campaign worker holds while it builds a formula,
+    and run_solver while it writes a CNF, so at most one thread at a time
+    does either while the other threads' solvers run; without it the
+    workers ran in lock-step under the GIL (see campaign._campaign).
+    set() takes the turn too, so it waits out a build or write in
+    progress and no build starts after it; a thread that holds the turn
+    must not call it.
     """
 
     def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
         self._running: set[subprocess.Popen] = set()
+        self.turn = threading.Lock()
 
     def set(self) -> None:
-        with self._lock:
+        with self.turn, self._lock:
             super().set()
             running = list(self._running)
         for proc in running:
@@ -159,32 +169,42 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
     """Solve one CNF in a subprocess; wall-clock timeout kills the solver.
 
     A Cnf goes to its file through dimacs_chunks, one piece at a time, so
-    no whole-formula text is held; a str is written as it is.
+    no whole-formula text is held; a str is written as it is.  Either is
+    written while holding stop's turn (see StopEvent).
     A SAT or UNSAT run deletes its CNF file.  Unparseable or crashed runs
     come back as TIMEOUT-class failures with the captured log, and a timed-out
     or failed run keeps its CNF for post-mortem.  A run is crashed when a
     signal that stop did not send ends it, or when its exit code 10 (SAT)
     or 20 (UNSAT) contradicts its status line; exit 20 without a status
     line is UNSAT.  A run killed by stop settled nothing: it comes back
-    CANCELLED, without its CNF.  A solver that fails to launch raises
-    RuntimeError and leaves no CNF either.
+    CANCELLED, without its CNF.  A write that fails, or a solver that
+    fails to launch, raises and leaves no CNF either, nor the temp dir
+    made for it.
     """
+    stop = stop or StopEvent()
     owns_dir = config.workdir is None
     workdir = Path(config.workdir) if config.workdir else Path(tempfile.mkdtemp(prefix="sortnetopt-"))
     workdir.mkdir(parents=True, exist_ok=True)
     path = workdir / f"{name}.cnf"
-    with path.open("w") as out:
-        out.writelines([cnf] if isinstance(cnf, str) else dimacs_chunks(cnf))
+
+    def discard() -> None:
+        path.unlink(missing_ok=True)
+        if owns_dir:
+            workdir.rmdir()
+
+    try:
+        with stop.turn, path.open("w") as out:
+            out.writelines([cnf] if isinstance(cnf, str) else dimacs_chunks(cnf))
+    except BaseException:
+        discard()   # a partial CNF settles nothing
+        raise
     cmd = [config.executable, *config.args, str(path)]
     start = time.monotonic()
     try:
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     except OSError as exc:
-        path.unlink()   # nothing ran on it
-        if owns_dir:
-            workdir.rmdir()
+        discard()   # nothing ran on it
         raise RuntimeError(f"failed to launch solver {config.executable!r}: {exc}") from exc
-    stop = stop or StopEvent()
     with proc:
         stop._watch(proc, True)
         try:
@@ -209,9 +229,7 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
             log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{stdout}\n{stderr}"
             return SolveResult("TIMEOUT", None, elapsed, log)
     try:
-        path.unlink()
-        if owns_dir:
-            workdir.rmdir()
+        discard()
     except OSError:
         pass
     return SolveResult(verdict, true_vars, elapsed, "")

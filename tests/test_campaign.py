@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import errno
 import json
 import os
 import signal
@@ -205,6 +207,33 @@ def test_run_solver_renders_one_chunk_per_call(tmp_path, monkeypatch):
     assert all(stop is not None and stop - start <= _LIT_CHUNK for start, stop in calls)
 
 
+def test_run_solver_failed_write_leaves_nothing(tmp_path, monkeypatch):
+    # a write that fails after its first chunk keeps neither the partial CNF
+    # nor the temp dir made for it, and gives the turn back
+    real = solver.dimacs_chunks
+
+    def failing(cnf):
+        yield next(real(cnf))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(solver, "dimacs_chunks", failing)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    prefix = two_layer_prefixes(8)[0]
+    _, cnf = build(8, 5, unsorted_inputs(8, prefix), EncodeOptions(prefix=prefix))
+    assert cnf.lits.size > _LIT_CHUNK
+    stop = StopEvent()
+    cfg = SolverConfig(executable="/bin/false", timeout=5)
+    with pytest.raises(OSError, match="No space"):
+        run_solver(cnf, cfg, name="partial", stop=stop)
+    assert list(tmp_path.iterdir()) == []
+    # a given workdir stays, without the CNF
+    workdir = tmp_path / "work"
+    with pytest.raises(OSError, match="No space"):
+        run_solver(cnf, dataclasses.replace(cfg, workdir=str(workdir)), name="partial", stop=stop)
+    assert list(tmp_path.iterdir()) == [workdir] and list(workdir.iterdir()) == []
+    assert stop.turn.acquire(blocking=False)
+
+
 def test_two_layer_prefixes_counts():
     assert len(two_layer_prefixes(6)) == 5
     assert len(two_layer_prefixes(9)) == 22
@@ -368,6 +397,101 @@ def test_instances_come_out_in_task_order(monkeypatch):
     camp = prove_lower_bound(6, 4, [0], SolverConfig("/bin/false"), jobs=2)
     assert [r.prefix_index for r in camp.instances] == order
     assert [r.instance.prefix for r in camp.instances] == tasks
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
+    # at most one worker builds a formula or writes a CNF at a time, also
+    # with more workers than cores and a short switch interval; the
+    # instances still come out in task order, and encode_time is the build
+    # alone, without the wait for the turn
+    lock = threading.Lock()
+    busy, most, builds = [0], [0], {}
+
+    @contextlib.contextmanager
+    def in_flight():
+        with lock:
+            busy[0] += 1
+            most[0] = max(most[0], busy[0])
+        try:
+            time.sleep(0.05)
+            yield
+        finally:
+            with lock:
+                busy[0] -= 1
+
+    real_formula, real_chunks = campaign.instance_formula, solver.dimacs_chunks
+
+    def formula(inst, *args):
+        t0 = time.monotonic()
+        with in_flight():
+            out = real_formula(inst, *args)
+        builds[inst.name] = time.monotonic() - t0
+        return out
+
+    def chunks(cnf):
+        with in_flight():
+            yield from real_chunks(cnf)
+
+    monkeypatch.setattr(campaign, "instance_formula", formula)
+    monkeypatch.setattr(solver, "dimacs_chunks", chunks)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        camp = prove_lower_bound(7, 4, [0], _fake_solver(tmp_path, "quiet20", "exit 20"), jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert camp.claim == "T(7) > 4" and most[0] == 1
+    assert [r.instance.prefix for r in camp.instances] == campaign._prefix_tasks(7, 4)
+    assert all(r.encode_time < builds[r.instance.name] + 0.025 for r in camp.instances)
+
+
+@pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
+def test_no_build_starts_after_the_stop(solver_config, monkeypatch, n, t):
+    # the first pad-0 SAT sets the stop; a worker that gets its turn after
+    # that returns without building
+    starts, stops = [], []
+    real_formula, real_set = campaign.instance_formula, StopEvent.set
+
+    def formula(inst, *args):
+        starts.append(time.monotonic())
+        return real_formula(inst, *args)
+
+    def set_and_note(self):
+        real_set(self)
+        stops.append(time.monotonic())
+
+    monkeypatch.setattr(campaign, "instance_formula", formula)
+    monkeypatch.setattr(StopEvent, "set", set_and_note)
+    net, camp = find_network_campaign(n, t, config=solver_config, jobs=2)
+    assert camp.claim == f"T({n}) <= {t}" and is_sorting_network(net)
+    assert starts and stops and max(starts) < stops[0]
+
+
+def test_a_failed_build_is_raised_without_deadlock(solver_config, monkeypatch):
+    # a build that raises inside its turn gives the turn back: the other
+    # worker and the campaign's own stop go on, and the error comes out
+    tasks = campaign._prefix_tasks(7, 5)
+    real_formula = campaign.instance_formula
+
+    def formula(inst, *args):
+        if inst.prefix == tasks[1]:
+            raise ValueError("build failed")
+        return real_formula(inst, *args)
+
+    monkeypatch.setattr(campaign, "instance_formula", formula)
+    raised = []
+
+    def prove():
+        try:
+            prove_lower_bound(7, 5, [0], solver_config, jobs=2)
+        except ValueError as exc:
+            raised.append(str(exc))
+
+    thread = threading.Thread(target=prove, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and raised == ["build failed"]
 
 
 @pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
