@@ -4,9 +4,10 @@ Both run through one scheduler.  Its tasks are prefixes: a Network, or
 None for a prefix-free search.  It walks each task's pads once, largest
 first, and each pad is one round: a report.Instance spec, which
 instance_formula alone turns into a formula, named by the spec and
-solved once under the configured timeout.  Its workers take turns
-building formulas and writing CNFs, so one worker's Python stage runs
-while the others' solvers do.  A lower-bound campaign passes every
+solved once under the configured timeout.  Its jobs workers are the
+calling thread and jobs - 1 helper threads, and they take turns building
+formulas and writing CNFs, so one worker's Python stage runs while the
+others' solvers do.  A lower-bound campaign passes every
 two-layer prefix in the complete filter set R_n and its pad schedule;
 every prefix UNSAT proves that no depth-d network exists.  A search
 passes the tasks of its mode with pad 0 alone.  Window padding shrinks
@@ -38,8 +39,8 @@ also states why the claims it makes hold.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import math
+import threading
 import time
 from dataclasses import replace
 from functools import lru_cache
@@ -128,6 +129,17 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
     round is solved, and an instance's encode_time is its own build, not
     the input set nor the wait for the turn.
 
+    The jobs workers are the calling thread and jobs - 1 helper threads,
+    so jobs=1 starts no thread.  Each worker takes the next task position
+    under a lock, so every task is handed out once, in task order.  When
+    the scan ends, the helpers are joined before the stop is set.  A
+    worker that raises, or is interrupted, sets the stop first, which kills
+    the others' solvers; then the helpers are joined and the first error
+    is raised.  A thread pool in their place left the caller idle, at the
+    cost of one more thread, with a malloc arena of its own, and of the
+    concurrent.futures import; without them lower-bound-10 peaks lower
+    (BENCH_lower-bound-10-caller.json).
+
     The workers take turns at the Python stage, which holds the GIL: a
     worker builds under the stop event's turn and run_solver writes the CNF
     under it, so at most one worker builds or writes at a time while the
@@ -182,11 +194,38 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
             if res.verdict == "SAT" and pad == 0:
                 stop.set()
 
-    with cf.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    positions = iter(range(len(tasks)))
+    taking = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
         try:
-            list(pool.map(settle, range(len(tasks))))
-        finally:
-            stop.set()  # an interrupted or failed scan kills its solvers too
+            while True:
+                with taking:
+                    position = next(positions, None)
+                if position is None:
+                    return
+                settle(position)
+        except BaseException as exc:
+            with taking:
+                errors.append(exc)
+            stop.set()  # a failed or interrupted worker kills the others' solvers
+
+    helpers: list[threading.Thread] = []
+    try:
+        for _ in range(jobs - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+        for helper in helpers:
+            helper.join()
+    finally:
+        stop.set()  # an interrupt in the join kills the helpers' solvers first
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
     results = (list(prior.instances) if prior else []) + [r for rs in done for r in rs]
     claim, witness, _ = _evidence(n, d, results)

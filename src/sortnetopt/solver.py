@@ -81,7 +81,8 @@ class SolveResult:
 
 class StopEvent(threading.Event):
     """A threading.Event whose set() also kills the solver runs it watches;
-    it also carries the turn that its threads take at the Python stage.
+    it also carries the turn that a campaign's workers, the calling thread
+    and its helper threads, take at the Python stage.
 
     A run that starts watching after set() is killed at once; a killed run
     comes back CANCELLED.

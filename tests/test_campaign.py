@@ -468,30 +468,81 @@ def test_no_build_starts_after_the_stop(solver_config, monkeypatch, n, t):
     assert starts and stops and max(starts) < stops[0]
 
 
-def test_a_failed_build_is_raised_without_deadlock(solver_config, monkeypatch):
-    # a build that raises inside its turn gives the turn back: the other
-    # worker and the campaign's own stop go on, and the error comes out
-    tasks = campaign._prefix_tasks(7, 5)
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_the_caller_is_one_of_the_workers(monkeypatch, jobs):
+    # a campaign runs on the calling thread and jobs - 1 helpers: the first
+    # jobs rounds wait for each other, so each runs on a worker of its own;
+    # the helpers are gone when the campaign returns
+    barrier = threading.Barrier(jobs, timeout=60)
+    lock = threading.Lock()
+    ran = []
+
+    def fake_solver(cnf, config, name="instance", stop=None):
+        with lock:
+            ran.append(threading.get_ident())
+            first = len(ran) <= jobs
+        if first:
+            barrier.wait()
+        return SolveResult("UNSAT")
+
+    monkeypatch.setattr(campaign, "run_solver", fake_solver)
+    before = threading.active_count()
+    camp = prove_lower_bound(7, 4, [0], SolverConfig("/bin/false"), jobs=jobs)
+    assert camp.claim == "T(7) > 4" and len(ran) == len(campaign._prefix_tasks(7, 4))
+    assert len(set(ran[:jobs])) == jobs and threading.get_ident() in ran[:jobs]
+    assert threading.active_count() == before
+    if jobs == 1:
+        assert set(ran) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("where", ["build-on-caller", "build-on-helper", "interrupt-on-caller"])
+def test_a_failed_build_is_raised_without_deadlock(tmp_path, monkeypatch, where):
+    # a build that raises inside its turn gives the turn back, and a failed
+    # or interrupted worker sets the stop before the campaign waits for the
+    # others: the other worker's solver, which would sleep for 30 s, is
+    # killed, and the error comes out, whichever worker it hits
+    caller, stops = [], []
     real_formula = campaign.instance_formula
 
+    def hit(kind: str) -> bool:
+        on_caller = threading.get_ident() == caller[0]
+        return where.startswith(kind) and on_caller == where.endswith("caller")
+
     def formula(inst, *args):
-        if inst.prefix == tasks[1]:
+        if hit("build"):
             raise ValueError("build failed")
         return real_formula(inst, *args)
 
+    def solver_fake(cnf, config, name="instance", stop=None):
+        if hit("interrupt"):
+            raise KeyboardInterrupt
+        return run_solver(cnf, config, name, stop)
+
+    def stop_event():
+        stops.append(StopEvent())
+        return stops[-1]
+
     monkeypatch.setattr(campaign, "instance_formula", formula)
+    monkeypatch.setattr(campaign, "run_solver", solver_fake)
+    monkeypatch.setattr(campaign, "StopEvent", stop_event)
+    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600, workdir=str(tmp_path / "cnf"))
     raised = []
 
     def prove():
+        caller.append(threading.get_ident())
         try:
-            prove_lower_bound(7, 5, [0], solver_config, jobs=2)
-        except ValueError as exc:
-            raised.append(str(exc))
+            prove_lower_bound(7, 5, [0], cfg, jobs=2)
+        except (ValueError, KeyboardInterrupt) as exc:
+            raised.append(type(exc))
 
+    before = set(threading.enumerate())
     thread = threading.Thread(target=prove, daemon=True)
     thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and raised == ["build failed"]
+    thread.join(timeout=20)
+    assert not thread.is_alive()
+    assert raised == [KeyboardInterrupt if where.startswith("interrupt") else ValueError]
+    assert len(stops) == 1 and stops[0].is_set()
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])

@@ -2,6 +2,9 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sortnetopt
@@ -307,3 +310,15 @@ def test_only_the_task_helper_makes_input_sets():
     tree = ast.parse((PACKAGE / "campaign.py").read_text())
     for name in ("unsorted_inputs", "VarMap"):
         assert _callers(tree, name) == {"_task_inputs"}, name
+
+
+def test_package_import_leaves_out_the_thread_pool():
+    # a campaign runs on the calling thread and plain helper threads, so
+    # importing the package and its CLI loads no concurrent.futures (nor
+    # the logging that it imports)
+    code = ("import sys, sortnetopt, sortnetopt.cli\n"
+            "print('concurrent.futures' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
