@@ -5,9 +5,9 @@ None for a prefix-free search.  It walks each task's pads once, largest
 first, and each pad is one round: a report.Instance spec, which
 instance_formula alone turns into a formula, named by the spec and
 solved once under the configured timeout.  Its jobs workers are the
-calling thread and jobs - 1 helper threads, and they take turns building
-formulas and writing CNFs, so one worker's Python stage runs while the
-others' solvers do.  A lower-bound campaign passes every
+calling thread and jobs - 1 helper threads; they take turns building
+formulas, so one worker's build runs while the others write or solve.
+A lower-bound campaign passes every
 two-layer prefix in the complete filter set R_n and its pad schedule;
 every prefix UNSAT proves that no depth-d network exists.  A search
 passes the tasks of its mode with pad 0 alone.  Window padding shrinks
@@ -130,27 +130,20 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
     the input set nor the wait for the turn.
 
     The jobs workers are the calling thread and jobs - 1 helper threads,
-    so jobs=1 starts no thread.  Each worker takes the next task position
-    under a lock, so every task is handed out once, in task order.  When
-    the scan ends, the helpers are joined before the stop is set.  A
-    worker that raises, or is interrupted, sets the stop first, which kills
-    the others' solvers; then the helpers are joined and the first error
-    is raised.  A thread pool in their place left the caller idle, at the
-    cost of one more thread, with a malloc arena of its own, and of the
-    concurrent.futures import; without them lower-bound-10 peaks lower
-    (BENCH_lower-bound-10-caller.json).
-
-    The workers take turns at the Python stage, which holds the GIL: a
-    worker builds under the stop event's turn and run_solver writes the CNF
-    under it, so at most one worker builds or writes at a time while the
-    others' solvers run.  Without turns the workers ran in lock-step:
-    timelines of prove_lower_bound(10, 6, jobs=2) showed both building at
-    once, each build slowed by the other (a median of 3.0-9.4 ms a run,
-    against 2.9-5.0 ms with turns), then both solving while Python sat idle;
-    and compute_T(9)'s depth-7 probe built its two pad-0 formulas at once,
-    which set the peak RSS of the whole run, about 1 MB above the peak with
-    turns (BENCH_compute-t9-turns.json).  A worker that gets its turn after
-    the stop is set returns without building.
+    so jobs=1 starts no thread.  They share one lock, the turn.  A worker
+    takes the next task position under it, so every task is handed out
+    once, in task order.  It checks the stop and builds each round's
+    formula under it, so at most one worker builds at a time.  The pad-0
+    SAT and a failed worker set the stop under it, so no build starts
+    after the stop; a worker that gets the turn after the stop returns
+    without building.  The CNF write and the solver run outside the turn,
+    so a worker's write starts as soon as its own build ends.  When the
+    scan ends, the helpers are joined before the stop is set.  A worker
+    that raises, or is interrupted, sets the stop first, which kills the
+    others' solvers; then the helpers are joined and the first error is
+    raised.  BENCH_compute-t9-turns.json and
+    BENCH_lower-bound-10-caller.json hold the measurements behind the turn
+    and behind helper threads in place of a thread pool.
 
     An UNSAT settles the task (windowed inputs are a subset of the full
     set); a padded SAT or TIMEOUT moves on to the next pad, and only pad 0
@@ -167,10 +160,13 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
     pads = sorted({p for p in pads if 0 < p < n}, reverse=True) + [0]
     done: list[list[InstanceResult]] = [[] for _ in tasks]
     stop = StopEvent()
+    turn = threading.Lock()
+    positions = iter(range(len(tasks)))
+    errors: list[BaseException] = []
 
     def settle(position: int) -> None:
         for pad in pads:
-            with stop.turn:
+            with turn:
                 if stop.is_set():
                     return
                 inst = Instance(n, d, pad, tasks[position])
@@ -192,24 +188,21 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
             if res.verdict == "UNSAT":
                 return
             if res.verdict == "SAT" and pad == 0:
-                stop.set()
-
-    positions = iter(range(len(tasks)))
-    taking = threading.Lock()
-    errors: list[BaseException] = []
+                with turn:
+                    stop.set()
 
     def work() -> None:
         try:
             while True:
-                with taking:
+                with turn:
                     position = next(positions, None)
                 if position is None:
                     return
                 settle(position)
         except BaseException as exc:
-            with taking:
+            with turn:
                 errors.append(exc)
-            stop.set()  # a failed or interrupted worker kills the others' solvers
+                stop.set()  # a failed or interrupted worker kills the others' solvers
 
     helpers: list[threading.Thread] = []
     try:

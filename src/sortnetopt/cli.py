@@ -15,8 +15,6 @@ import itertools
 import json
 import shutil
 import sys
-import tempfile
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
@@ -125,9 +123,8 @@ def _cmd_solve(args) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(f"--cnf {args.cnf}: {exc}")
     config = _solver_config(args)
-    # the copy of the user's CNF lives only as long as this run, whatever its verdict
-    with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:
-        res = run_solver(text, replace(config, workdir=workdir), name=Path(args.cnf).stem)
+    # without a workdir, the copy of the user's CNF lives only as long as this run
+    res = run_solver(text, config, name=Path(args.cnf).stem)
     print(f"s {res.verdict}")
     if res.verdict == "TIMEOUT":
         print(res.log, file=sys.stderr)

@@ -48,7 +48,10 @@ its own build, never its input set, made once per process.  The
 instances are listed in task order, not in the order the workers
 finished them: a prior campaign's first, then each task's in the order
 the scheduler was given the tasks, its pads largest first.  With the
-times zeroed, two runs of one campaign give the same report.  The
+times zeroed, two runs of one campaign give the same report, unless it
+ends on a pad-0 SAT with jobs >= 2: a round whose solver that SAT's
+stop kills is not recorded, and which rounds those are depends on
+thread timing (compute_T(9) records 23 or 24 instances).  The
 loader rebuilds each spec, so it rejects what no campaign could run: a
 pad outside 0..n-1, a prefix deeper than the depth, a label that is not
 the R_n sentence at its prefix_index, and "layer1" beside an index.  A

@@ -9,7 +9,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -52,7 +52,7 @@ class SolverConfig:
     executable: str
     args: tuple[str, ...] = ()
     timeout: float = DEFAULT_TIMEOUT
-    workdir: Optional[str] = None   # None: fresh temp dir per call
+    workdir: Optional[str] = None   # None: a temp dir per call, always removed
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -80,30 +80,19 @@ class SolveResult:
 
 
 class StopEvent(threading.Event):
-    """A threading.Event whose set() also kills the solver runs it watches;
-    it also carries the turn that a campaign's workers, the calling thread
-    and its helper threads, take at the Python stage.
+    """A threading.Event whose set() also kills the solver runs it watches.
 
     A run that starts watching after set() is killed at once; a killed run
     comes back CANCELLED.
-
-    turn is a lock that a campaign worker holds while it builds a formula,
-    and run_solver while it writes a CNF, so at most one thread at a time
-    does either while the other threads' solvers run; without it the
-    workers ran in lock-step under the GIL (see campaign._campaign).
-    set() takes the turn too, so it waits out a build or write in
-    progress and no build starts after it; a thread that holds the turn
-    must not call it.
     """
 
     def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
         self._running: set[subprocess.Popen] = set()
-        self.turn = threading.Lock()
 
     def set(self) -> None:
-        with self.turn, self._lock:
+        with self._lock:
             super().set()
             running = list(self._running)
         for proc in running:
@@ -170,41 +159,38 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
     """Solve one CNF in a subprocess; wall-clock timeout kills the solver.
 
     A Cnf goes to its file through dimacs_chunks, one piece at a time, so
-    no whole-formula text is held; a str is written as it is.  Either is
-    written while holding stop's turn (see StopEvent).
+    no whole-formula text is held; a str is written as it is.
     A SAT or UNSAT run deletes its CNF file.  Unparseable or crashed runs
-    come back as TIMEOUT-class failures with the captured log, and a timed-out
-    or failed run keeps its CNF for post-mortem.  A run is crashed when a
-    signal that stop did not send ends it, or when its exit code 10 (SAT)
-    or 20 (UNSAT) contradicts its status line; exit 20 without a status
-    line is UNSAT.  A run killed by stop settled nothing: it comes back
-    CANCELLED, without its CNF.  A write that fails, or a solver that
-    fails to launch, raises and leaves no CNF either, nor the temp dir
-    made for it.
+    come back as TIMEOUT-class failures with the captured log, and a
+    timed-out or failed run keeps its CNF for post-mortem in config.workdir.
+    Without a workdir the run works in a temporary directory that it
+    removes whatever the outcome, an interrupt included, so only a workdir
+    that the caller names keeps a CNF.  A run is crashed when a signal that
+    stop did not send ends it, or when its exit code 10 (SAT) or 20 (UNSAT)
+    contradicts its status line; exit 20 without a status line is UNSAT.
+    A run killed by stop settled nothing: it comes back CANCELLED, without
+    its CNF.  A write that fails, or a solver that fails to launch, raises
+    and leaves no CNF either.
     """
+    if config.workdir is None:
+        with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:
+            return run_solver(cnf, replace(config, workdir=workdir), name, stop)
     stop = stop or StopEvent()
-    owns_dir = config.workdir is None
-    workdir = Path(config.workdir) if config.workdir else Path(tempfile.mkdtemp(prefix="sortnetopt-"))
+    workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     path = workdir / f"{name}.cnf"
-
-    def discard() -> None:
-        path.unlink(missing_ok=True)
-        if owns_dir:
-            workdir.rmdir()
-
     try:
-        with stop.turn, path.open("w") as out:
+        with path.open("w") as out:
             out.writelines([cnf] if isinstance(cnf, str) else dimacs_chunks(cnf))
     except BaseException:
-        discard()   # a partial CNF settles nothing
+        path.unlink(missing_ok=True)   # a partial CNF settles nothing
         raise
     cmd = [config.executable, *config.args, str(path)]
     start = time.monotonic()
     try:
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     except OSError as exc:
-        discard()   # nothing ran on it
+        path.unlink(missing_ok=True)   # nothing ran on it
         raise RuntimeError(f"failed to launch solver {config.executable!r}: {exc}") from exc
     with proc:
         stop._watch(proc, True)
@@ -229,8 +215,5 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
         if verdict == "UNKNOWN":
             log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{stdout}\n{stderr}"
             return SolveResult("TIMEOUT", None, elapsed, log)
-    try:
-        discard()
-    except OSError:
-        pass
+    path.unlink(missing_ok=True)
     return SolveResult(verdict, true_vars, elapsed, "")

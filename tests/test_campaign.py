@@ -209,7 +209,7 @@ def test_run_solver_renders_one_chunk_per_call(tmp_path, monkeypatch):
 
 def test_run_solver_failed_write_leaves_nothing(tmp_path, monkeypatch):
     # a write that fails after its first chunk keeps neither the partial CNF
-    # nor the temp dir made for it, and gives the turn back
+    # nor the temp dir made for it
     real = solver.dimacs_chunks
 
     def failing(cnf):
@@ -231,7 +231,37 @@ def test_run_solver_failed_write_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="No space"):
         run_solver(cnf, dataclasses.replace(cfg, workdir=str(workdir)), name="partial", stop=stop)
     assert list(tmp_path.iterdir()) == [workdir] and list(workdir.iterdir()) == []
-    assert stop.turn.acquire(blocking=False)
+
+
+def test_a_failed_campaign_leaves_no_temp_dir(tmp_path, monkeypatch):
+    # without a workdir every run works in a temp dir that it removes, so a
+    # campaign whose solver crashes on every run leaves nothing behind
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    crash = tmp_path / "crash.sh"
+    crash.write_text("#!/bin/sh\nexit 3\n")
+    crash.chmod(0o755)
+    camp = prove_lower_bound(6, 4, [2, 0], SolverConfig(str(crash), timeout=5), jobs=2)
+    assert camp.claim == "inconclusive" and len(camp.instances) == 10
+    assert {r.verdict for r in camp.instances} == {"TIMEOUT"}
+    assert list(temp.iterdir()) == []
+
+
+def test_an_interrupted_run_leaves_no_temp_dir(tmp_path, monkeypatch):
+    # an interrupt while the solver runs kills it and removes its temp dir
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+
+    def interrupted(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600)
+    with pytest.raises(KeyboardInterrupt):
+        run_solver("p cnf 1 1\n1 0\n", cfg)
+    assert list(temp.iterdir()) == []
 
 
 def test_two_layer_prefixes_counts():
@@ -401,10 +431,10 @@ def test_instances_come_out_in_task_order(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
-    # at most one worker builds a formula or writes a CNF at a time, also
-    # with more workers than cores and a short switch interval; the
-    # instances still come out in task order, and encode_time is the build
-    # alone, without the wait for the turn
+    # at most one worker builds a formula at a time, also with more workers
+    # than cores and a short switch interval; the instances still come out
+    # in task order, and encode_time is the build alone, without the wait
+    # for the turn
     lock = threading.Lock()
     busy, most, builds = [0], [0], {}
 
@@ -420,7 +450,7 @@ def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
             with lock:
                 busy[0] -= 1
 
-    real_formula, real_chunks = campaign.instance_formula, solver.dimacs_chunks
+    real_formula = campaign.instance_formula
 
     def formula(inst, *args):
         t0 = time.monotonic()
@@ -429,12 +459,7 @@ def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
         builds[inst.name] = time.monotonic() - t0
         return out
 
-    def chunks(cnf):
-        with in_flight():
-            yield from real_chunks(cnf)
-
     monkeypatch.setattr(campaign, "instance_formula", formula)
-    monkeypatch.setattr(solver, "dimacs_chunks", chunks)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -444,6 +469,29 @@ def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
     assert camp.claim == "T(7) > 4" and most[0] == 1
     assert [r.instance.prefix for r in camp.instances] == campaign._prefix_tasks(7, 4)
     assert all(r.encode_time < builds[r.instance.name] + 0.025 for r in camp.instances)
+
+
+def test_a_write_never_waits_for_another_build(tmp_path, monkeypatch):
+    # the write takes no turn: each worker's write starts as soon as its own
+    # build ends, never behind the other worker's 50 ms build
+    build_ends, gaps = {}, []
+    real_formula, real_chunks = campaign.instance_formula, solver.dimacs_chunks
+
+    def formula(inst, *args):
+        time.sleep(0.05)
+        out = real_formula(inst, *args)
+        build_ends[threading.get_ident()] = time.monotonic()
+        return out
+
+    def chunks(cnf):
+        gaps.append(time.monotonic() - build_ends[threading.get_ident()])
+        yield from real_chunks(cnf)
+
+    monkeypatch.setattr(campaign, "instance_formula", formula)
+    monkeypatch.setattr(solver, "dimacs_chunks", chunks)
+    camp = prove_lower_bound(7, 4, [0], _fake_solver(tmp_path, "quiet20", "exit 20"), jobs=2)
+    assert camp.claim == "T(7) > 4" and len(gaps) == len(campaign._prefix_tasks(7, 4))
+    assert max(gaps) < 0.025, gaps
 
 
 @pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
@@ -710,6 +758,11 @@ def test_campaign_determinism(solver_config):
     assert [(r.prefix_index, r.pad, r.verdict) for r in a.instances] == \
            [(r.prefix_index, r.pad, r.verdict) for r in b.instances]
     assert [r.witness for r in a.instances] == [r.witness for r in b.instances]
+    # an all-UNSAT campaign on two workers records the same instances too
+    a, b = [prove_lower_bound(6, 4, config=solver_config, jobs=2) for _ in range(2)]
+    assert a.claim == b.claim == "T(6) > 4"
+    assert [(r.instance, r.verdict, r.inputs_kept, r.vars, r.clauses) for r in a.instances] == \
+           [(r.instance, r.verdict, r.inputs_kept, r.vars, r.clauses) for r in b.instances]
 
 
 def test_campaign_json_roundtrip(solver_config):

@@ -322,3 +322,48 @@ def test_package_import_leaves_out_the_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+
+_SYNC_PRIMITIVES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+
+
+def _sync_calls(tree: ast.AST) -> list[str]:
+    """The threading primitives a module makes, one entry per call, whether
+    called as threading.Lock() or as a bare Lock()."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _SYNC_PRIMITIVES:
+                calls.append(name)
+    return calls
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier a module binds or reads: names, attributes and
+    arguments."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)})
+
+
+def test_sync_finder_sees_every_form():
+    source = ("import threading\nfrom threading import RLock\n"
+              "a = threading.Lock()\nb = RLock()\nc = threading.Condition(a)\n"
+              "d = threading.Event()\n")
+    assert _sync_calls(ast.parse(source)) == ["Lock", "RLock", "Condition"]
+
+
+def test_the_turn_is_the_campaigns_one_lock():
+    # the campaign's workers share one lock, the turn, which hands out the
+    # tasks and guards the builds; the solver knows nothing of campaign workers
+    assert "turn" not in _names(ast.parse((PACKAGE / "solver.py").read_text()))
+    tree = ast.parse((PACKAGE / "campaign.py").read_text())
+    assert _sync_calls(tree) == ["Lock"]
+    assert [target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and _sync_calls(node.value) for target in node.targets] == ["turn"]
+    withs = [node for node in ast.walk(tree) if isinstance(node, ast.With)]
+    assert {ast.unparse(item.context_expr) for node in withs for item in node.items} == {"turn"}
+    assert any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "instance_formula"
+               for node in withs for call in ast.walk(node))
