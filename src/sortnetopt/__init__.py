@@ -40,7 +40,7 @@ from .saturation import (
     saturate,
 )
 from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network, to_dimacs
-from .solver import SolverConfig, default_config, parse_solver_output, run_solver
+from .solver import SolverConfig, default_config, parse_solver_output, run_solver, solve_file
 from .report import CampaignResult, InstanceResult, campaign_from_json, campaign_to_json
 from .campaign import (
     compute_T,

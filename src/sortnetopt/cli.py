@@ -4,7 +4,10 @@ Exit codes: 0 = conclusive, 2 = usage error, 10 = SAT found, 20 = UNSAT
 proven, 30 = inconclusive.  The solving subcommands (solve, find, prove)
 run the binary named by --solver; without --solver they run the one
 solver.find_solver picks, which is $SAT_SOLVER when that is set.  No
-solver, or a name that is no executable, is a usage error.
+solver, or a name that is no executable, is a usage error.  solve hands
+the --cnf file itself to the solver (solver.solve_file): it reads,
+copies and removes nothing, and a --cnf that does not open is a usage
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import saturation as saturation_mod
 from . import words as words_mod
 from .encoding import EncodeOptions
 from .networks import MAX_ENUM_CHANNELS, Network, two_layer_json
-from .solver import DEFAULT_TIMEOUT, SolverConfig, default_config, dimacs_chunks, run_solver
+from .solver import DEFAULT_TIMEOUT, SolverConfig, default_config, dimacs_chunks, solve_file
 
 EXIT_OK = 0
 EXIT_SAT = 10
@@ -119,12 +122,11 @@ def _claim_exit(camp: report_mod.CampaignResult, depth: int) -> int:
 
 def _cmd_solve(args) -> int:
     try:
-        text = Path(args.cnf).read_text()
-    except (OSError, ValueError) as exc:
+        open(args.cnf, "rb").close()
+    except OSError as exc:
         raise UsageError(f"--cnf {args.cnf}: {exc}")
-    config = _solver_config(args)
-    # without a workdir, the copy of the user's CNF lives only as long as this run
-    res = run_solver(text, config, name=Path(args.cnf).stem)
+    # the solver reads the user's file itself: no copy, and its log names that file
+    res = solve_file(args.cnf, _solver_config(args))
     print(f"s {res.verdict}")
     if res.verdict == "TIMEOUT":
         print(res.log, file=sys.stderr)

@@ -30,8 +30,7 @@ class ChannelCountError(ValueError):
 
 
 def _norm_layer(layer: Iterable[Sequence[int]]) -> Layer:
-    comps = tuple(sorted((int(i), int(j)) for i, j in layer))
-    return comps
+    return tuple(sorted((int(i), int(j)) for i, j in layer))
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class Network:
         return sum(len(layer) for layer in self.layers)
 
     def append_layer(self, layer: Iterable[Sequence[int]]) -> "Network":
-        return Network(self.n, self.layers + (_norm_layer(layer),), self.generalized)
+        return Network(self.n, self.layers + (layer,), self.generalized)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "layers": self.layers})
@@ -86,7 +85,6 @@ class Network:
                         for l in layers)):
             raise ValueError("network JSON needs an integer 'n' and 'layers' given as "
                              "lists of [i, j] integer pairs")
-        layers = [_norm_layer(l) for l in layers]
         generalized = any(i > j for l in layers for i, j in l)
         return Network(n, tuple(layers), generalized)
 
@@ -112,7 +110,7 @@ def two_layer_json(n: int, seconds: Iterable[Layer]) -> Iterator[str]:
 
 def network(n: int, *layers: Iterable[Sequence[int]], generalized: bool = False) -> Network:
     """Convenience constructor: network(4, [(1,2),(3,4)], [(1,3),(2,4)])."""
-    return Network(n, tuple(_norm_layer(l) for l in layers), generalized)
+    return Network(n, layers, generalized)
 
 
 def first_layer(n: int, style: str = "adjacent") -> Layer:

@@ -154,43 +154,25 @@ def dimacs_chunks(cnf: Cnf) -> Iterator[str]:
         yield to_dimacs(cnf, start, start + _LIT_CHUNK)
 
 
-def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
+def solve_file(path: str | Path, config: SolverConfig,
                stop: Optional[StopEvent] = None) -> SolveResult:
-    """Solve one CNF in a subprocess; wall-clock timeout kills the solver.
+    """Run the solver on the DIMACS file at path; wall-clock timeout kills it.
 
-    A Cnf goes to its file through dimacs_chunks, one piece at a time, so
-    no whole-formula text is held; a str is written as it is.
-    A SAT or UNSAT run deletes its CNF file.  Unparseable or crashed runs
-    come back as TIMEOUT-class failures with the captured log, and a
-    timed-out or failed run keeps its CNF for post-mortem in config.workdir.
-    Without a workdir the run works in a temporary directory that it
-    removes whatever the outcome, an interrupt included, so only a workdir
-    that the caller names keeps a CNF.  A run is crashed when a signal that
-    stop did not send ends it, or when its exit code 10 (SAT) or 20 (UNSAT)
-    contradicts its status line; exit 20 without a status line is UNSAT.
-    A run killed by stop settled nothing: it comes back CANCELLED, without
-    its CNF.  A write that fails, or a solver that fails to launch, raises
-    and leaves no CNF either.
+    solve_file neither writes nor removes path, so the caller decides
+    whether the file stays.  Unparseable or crashed runs come back as
+    TIMEOUT-class failures with the captured log, whose cmd: line names
+    path.  A run is crashed when a signal that stop did not send ends it,
+    or when its exit code 10 (SAT) or 20 (UNSAT) contradicts its status
+    line; exit 20 without a status line is UNSAT.  A run killed by stop
+    settled nothing: it comes back CANCELLED.  A solver that fails to
+    launch raises RuntimeError.
     """
-    if config.workdir is None:
-        with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:
-            return run_solver(cnf, replace(config, workdir=workdir), name, stop)
     stop = stop or StopEvent()
-    workdir = Path(config.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    path = workdir / f"{name}.cnf"
-    try:
-        with path.open("w") as out:
-            out.writelines([cnf] if isinstance(cnf, str) else dimacs_chunks(cnf))
-    except BaseException:
-        path.unlink(missing_ok=True)   # a partial CNF settles nothing
-        raise
     cmd = [config.executable, *config.args, str(path)]
     start = time.monotonic()
     try:
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     except OSError as exc:
-        path.unlink(missing_ok=True)   # nothing ran on it
         raise RuntimeError(f"failed to launch solver {config.executable!r}: {exc}") from exc
     with proc:
         stop._watch(proc, True)
@@ -204,16 +186,43 @@ def run_solver(cnf: Cnf | str, config: SolverConfig, name: str = "instance",
                 proc.kill()
     elapsed = time.monotonic() - start
     if stop.is_set() and proc.returncode < 0:
-        verdict, true_vars = "CANCELLED", None
-    else:
-        verdict, true_vars = parse_solver_output(stdout)
-        exit_verdict = {10: "SAT", 20: "UNSAT"}.get(proc.returncode)
-        if exit_verdict == "UNSAT" and not any(line.startswith("s ") for line in _lines(stdout)):
-            verdict = "UNSAT"  # SAT-competition exit code, for quiet solvers
-        if proc.returncode < 0 or exit_verdict not in (None, verdict):
-            verdict = "UNKNOWN"  # a crash, or an exit code against the status line
-        if verdict == "UNKNOWN":
-            log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{stdout}\n{stderr}"
-            return SolveResult("TIMEOUT", None, elapsed, log)
-    path.unlink(missing_ok=True)
+        return SolveResult("CANCELLED", None, elapsed, "")
+    verdict, true_vars = parse_solver_output(stdout)
+    exit_verdict = {10: "SAT", 20: "UNSAT"}.get(proc.returncode)
+    if exit_verdict == "UNSAT" and not any(line.startswith("s ") for line in _lines(stdout)):
+        verdict = "UNSAT"  # SAT-competition exit code, for quiet solvers
+    if proc.returncode < 0 or exit_verdict not in (None, verdict):
+        verdict = "UNKNOWN"  # a crash, or an exit code against the status line
+    if verdict == "UNKNOWN":
+        log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{stdout}\n{stderr}"
+        return SolveResult("TIMEOUT", None, elapsed, log)
     return SolveResult(verdict, true_vars, elapsed, "")
+
+
+def run_solver(cnf: Cnf, config: SolverConfig, name: str = "instance",
+               stop: Optional[StopEvent] = None) -> SolveResult:
+    """Write cnf to {name}.cnf in config.workdir and solve_file it.
+
+    The CNF goes to its file through dimacs_chunks, one piece at a time,
+    so no whole-formula text is held.  One rule decides whether the file
+    stays: a CNF is kept only beside a TIMEOUT-class result, for
+    post-mortem.  Every other outcome removes it: SAT, UNSAT, CANCELLED,
+    and a write, a launch or a run that raises, an interrupt included.
+    Without a workdir the run works in a temporary directory that it
+    removes whatever the outcome, so only a workdir that the caller names
+    keeps a CNF.
+    """
+    if config.workdir is None:
+        with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:
+            return run_solver(cnf, replace(config, workdir=workdir), name, stop)
+    path = Path(config.workdir) / f"{name}.cnf"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    res = None
+    try:
+        with path.open("w") as out:
+            out.writelines(dimacs_chunks(cnf))
+        res = solve_file(path, config, stop)
+    finally:
+        if res is None or res.verdict != "TIMEOUT":   # the one outcome that keeps a CNF
+            path.unlink(missing_ok=True)
+    return res

@@ -146,25 +146,6 @@ def _two_layer_parts(net: Network) -> tuple[dict[int, int], dict[int, int], dict
     return l1p, l2p, role
 
 
-def _components(n: int, l1p: dict[int, int], l2p: dict[int, int]) -> list[set[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            ch = frontier.pop()
-            for nxt in (l1p.get(ch), l2p.get(ch)):
-                if nxt is not None and nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def _walk(start: int, second: Optional[int], l1p, l2p) -> list[int]:
     path = [start]
     if second is None:
@@ -223,33 +204,37 @@ def _embeddings(w: Word) -> tuple[int, int]:
     return m, starts * factorial(m - 1)
 
 
-def _component_word(comp: set[int], l1p, l2p, role) -> Word:
-    # a head is read from its free channel, a stick from an end, a cycle
-    # from any channel; _canonical picks the reading
-    free = [ch for ch in comp if ch not in l1p]
-    ends = [ch for ch in comp if ch not in l2p]
-    if free:
-        tag, path = "h", _walk(free[0], l2p.get(free[0]), l1p, l2p)
-    else:
-        tag, start = ("s", ends[0]) if ends else ("c", min(comp))
-        path = _walk(start, l1p[start], l1p, l2p)
-    return Word(tag, _canonical(tag, "".join(role[ch] for ch in path)))
+def _component_words(net: Network) -> list[Word]:
+    """The canonical words of a two-layer network's components, each read
+    in one walk: from the free channel, then from the stick ends, then from
+    the cycle channels in ascending order, every walk from a channel that no
+    earlier walk passed.  The start gives the tag: a head starts at the
+    free channel, a stick at an end, and a cycle anywhere; _canonical picks
+    the reading."""
+    l1p, l2p, role = _two_layer_parts(net)
+    seen: set[int] = set()
+    words = []
+    for start in sorted(range(1, net.n + 1), key=lambda ch: (ch in l1p, ch in l2p)):
+        if start in seen:
+            continue
+        tag = "h" if start not in l1p else "s" if start not in l2p else "c"
+        path = _walk(start, l1p.get(start, l2p.get(start)), l1p, l2p)
+        seen.update(path)
+        words.append(Word(tag, _canonical(tag, "".join(role[ch] for ch in path))))
+    return words
 
 
 def word_of(net: Network) -> Word:
     """Canonical word of a connected two-layer network with maximal first layer."""
-    l1p, l2p, role = _two_layer_parts(net)
-    comps = _components(net.n, l1p, l2p)
-    if len(comps) != 1:
-        raise ValueError(f"network is not connected ({len(comps)} components)")
-    return _component_word(comps[0], l1p, l2p, role)
+    words = _component_words(net)
+    if len(words) != 1:
+        raise ValueError(f"network is not connected ({len(words)} components)")
+    return words[0]
 
 
 def sentence_of(net: Network) -> Sentence:
     """Multiset of component words in canonical order."""
-    l1p, l2p, role = _two_layer_parts(net)
-    comps = _components(net.n, l1p, l2p)
-    return canonical_sentence(_component_word(c, l1p, l2p, role) for c in comps)
+    return canonical_sentence(_component_words(net))
 
 
 # ---------------------------------------------------------------------------

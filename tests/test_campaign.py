@@ -25,7 +25,7 @@ from sortnetopt.campaign import (
     reproduce_tables,
     two_layer_prefixes,
 )
-from sortnetopt.encoding import _LIT_CHUNK, EncodeOptions, build, to_dimacs
+from sortnetopt.encoding import _LIT_CHUNK, Cnf, EncodeOptions, build, to_dimacs
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
                                  reflect, unsorted_inputs)
 from sortnetopt.report import (CampaignResult, Instance, InstanceResult, campaign_from_json,
@@ -36,9 +36,9 @@ from sortnetopt.words import matchings, rn_networks
 
 
 def test_run_solver_trivial(solver_config):
-    res = run_solver("p cnf 1 1\n1 0\n", solver_config, name="sat1")
+    res = run_solver(Cnf(1, [(1,)]), solver_config, name="sat1")
     assert res.verdict == "SAT" and res.true_vars == {1}
-    res = run_solver("p cnf 1 2\n1 0\n-1 0\n", solver_config, name="unsat1")
+    res = run_solver(Cnf(1, [(1,), (-1,)]), solver_config, name="unsat1")
     assert res.verdict == "UNSAT"
 
 
@@ -47,13 +47,13 @@ def test_run_solver_spawn_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     cfg = SolverConfig(executable="/nonexistent/solver", timeout=5)
     with pytest.raises(RuntimeError):
-        run_solver("p cnf 1 1\n1 0\n", cfg)
+        run_solver(Cnf(1, [(1,)]), cfg)
     assert list(tmp_path.iterdir()) == []
     # a given workdir stays, without the CNF
     workdir = tmp_path / "work"
     cfg = dataclasses.replace(cfg, workdir=str(workdir))
     with pytest.raises(RuntimeError):
-        run_solver("p cnf 1 1\n1 0\n", cfg)
+        run_solver(Cnf(1, [(1,)]), cfg)
     assert list(tmp_path.iterdir()) == [workdir] and list(workdir.iterdir()) == []
 
 
@@ -63,7 +63,7 @@ def test_run_solver_timeout(tmp_path):
     slow.write_text("#!/bin/sh\nsleep 30\n")
     slow.chmod(0o755)
     cfg = SolverConfig(executable=str(slow), timeout=0.5, workdir=str(tmp_path / "cnf"))
-    assert run_solver("p cnf 1 1\n1 0\n", cfg).verdict == "TIMEOUT"
+    assert run_solver(Cnf(1, [(1,)]), cfg).verdict == "TIMEOUT"
     assert [p.name for p in (tmp_path / "cnf").iterdir()] == ["instance.cnf"]
 
 
@@ -99,7 +99,7 @@ def test_run_solver_cancelled(tmp_path):
     stop = StopEvent()
     # more runs than cores, so registering and killing interleave
     with ThreadPoolExecutor(4) as pool:
-        runs = [pool.submit(run_solver, "p cnf 1 1\n1 0\n", cfg, f"run{k}", stop)
+        runs = [pool.submit(run_solver, Cnf(1, [(1,)]), cfg, f"run{k}", stop)
                 for k in range(4)]
         pids = _solver_pids(workdir, 4)
         t0 = time.monotonic()
@@ -110,7 +110,7 @@ def test_run_solver_cancelled(tmp_path):
     assert not any(_alive(pid) for pid in pids)
     # a run started after the stop is killed at once
     t0 = time.monotonic()
-    assert run_solver("p cnf 1 1\n1 0\n", cfg, name="late", stop=stop).verdict == "CANCELLED"
+    assert run_solver(Cnf(1, [(1,)]), cfg, name="late", stop=stop).verdict == "CANCELLED"
     assert time.monotonic() - t0 < 3 and list(workdir.glob("*.cnf")) == []
 
 
@@ -157,7 +157,7 @@ def test_run_solver_unparseable_is_timeout_class(tmp_path):
     }
     for name, (body, line) in fakes.items():
         cfg = _fake_solver(tmp_path, name, body)
-        res = run_solver("p cnf 1 1\n1 0\n", cfg, name=name)
+        res = run_solver(Cnf(1, [(1,)]), cfg, name=name)
         assert res.verdict == "TIMEOUT" and line in res.log.splitlines(), (name, res)
         assert [p.name for p in Path(cfg.workdir).iterdir()] == [f"{name}.cnf"], name
 
@@ -172,7 +172,7 @@ def test_run_solver_accepts_agreeing_exit_codes(tmp_path):
     }
     for name, (body, verdict) in fakes.items():
         cfg = _fake_solver(tmp_path, name, body)
-        assert run_solver("p cnf 1 1\n1 0\n", cfg, name=name).verdict == verdict, name
+        assert run_solver(Cnf(1, [(1,)]), cfg, name=name).verdict == verdict, name
         assert list(Path(cfg.workdir).iterdir()) == [], name
 
 
@@ -260,8 +260,21 @@ def test_an_interrupted_run_leaves_no_temp_dir(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
     cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600)
     with pytest.raises(KeyboardInterrupt):
-        run_solver("p cnf 1 1\n1 0\n", cfg)
+        run_solver(Cnf(1, [(1,)]), cfg)
     assert list(temp.iterdir()) == []
+
+
+def test_an_interrupted_run_in_a_workdir_keeps_no_cnf(tmp_path, monkeypatch):
+    # only a TIMEOUT-class result keeps its CNF, so an interrupt while the
+    # solver runs leaves a named workdir empty
+    def interrupted(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    cfg = _fake_solver(tmp_path, "work", "sleep 30")
+    with pytest.raises(KeyboardInterrupt):
+        run_solver(Cnf(1, [(1,)]), cfg)
+    assert list(Path(cfg.workdir).iterdir()) == []
 
 
 def test_two_layer_prefixes_counts():
@@ -1211,6 +1224,26 @@ def test_cli_solve_failure_leaves_nothing_and_shows_the_log(tmp_path, monkeypatc
     out, err = capsys.readouterr()
     assert out == "s TIMEOUT\n"
     assert "exit: 3" in err.splitlines() and "c crashing" in err.splitlines()
+    assert list(temp.iterdir()) == []
+
+
+def test_cli_solve_runs_on_the_users_file(tmp_path, monkeypatch, capsys):
+    # the solver reads the user's file itself, bytes that are no UTF-8
+    # included: the solver and the log see its path, the file keeps its
+    # bytes, and no copy is made
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    text = b"c \xff\np cnf 1 1\n1 0\n"
+    cnf = tmp_path / "f.cnf"
+    cnf.write_bytes(text)
+    echo = _fake_solver(tmp_path, "echo", 'echo "c got $1"\nexit 3').executable
+    assert cli.main(["solve", "--cnf", str(cnf), "--solver", echo]) == 30
+    err = capsys.readouterr().err.splitlines()
+    assert f"c got {cnf}" in err and f"cmd: {echo} {cnf}" in err
+    quiet = _fake_solver(tmp_path, "quiet", "exit 20").executable
+    assert cli.main(["solve", "--cnf", str(cnf), "--solver", quiet]) == 20
+    assert cnf.read_bytes() == text
     assert list(temp.iterdir()) == []
 
 

@@ -231,10 +231,11 @@ def test_only_varmap_reads_the_options():
     assert not any(others.values()), others
 
 
-def _scopes_where(tree: ast.AST, hit) -> set[str]:
-    """Qualified names of the innermost functions ("<module>" outside any)
-    that hold a node for which hit(node) is true."""
-    scopes = set()
+def _hits(tree: ast.AST, hit) -> list[tuple[str, ast.AST]]:
+    """(scope, node) for every node for which hit(node) is true, in source
+    order; scope is the qualified name of the innermost function that holds
+    the node, "<module>" outside any."""
+    hits = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -242,11 +243,17 @@ def _scopes_where(tree: ast.AST, hit) -> set[str]:
                 visit(child, scope + [child.name])
                 continue
             if hit(child):
-                scopes.add(".".join(scope) or "<module>")
+                hits.append((".".join(scope) or "<module>", child))
             visit(child, scope)
 
     visit(tree, [])
-    return scopes
+    return hits
+
+
+def _scopes_where(tree: ast.AST, hit) -> set[str]:
+    """The functions, as _hits names them, that hold a node for which
+    hit(node) is true."""
+    return {scope for scope, _ in _hits(tree, hit)}
 
 
 def _attribute_readers(tree: ast.AST, attr: str) -> set[str]:
@@ -310,6 +317,70 @@ def test_only_the_task_helper_makes_input_sets():
     tree = ast.parse((PACKAGE / "campaign.py").read_text())
     for name in ("unsorted_inputs", "VarMap"):
         assert _callers(tree, name) == {"_task_inputs"}, name
+
+
+_PROCESS_STARTERS = {
+    "subprocess": {"Popen", "run", "call", "check_call", "check_output", "getoutput",
+                   "getstatusoutput"},
+    "os": {"system", "popen", "fork", "forkpty"},
+}
+
+
+def _process_starts(tree: ast.AST) -> list[tuple[str, str]]:
+    """(function, starter) for every call in a module that starts a process:
+    a _PROCESS_STARTERS name or an os.exec* or os.spawn* (posix_spawn too),
+    called off its module, an alias of it, or as a name imported from it."""
+    def starter(module, name):
+        if module == "os" and name.startswith(("exec", "spawn", "posix_spawn")):
+            return f"os.{name}"
+        return f"{module}.{name}" if name in _PROCESS_STARTERS.get(module, ()) else None
+
+    modules, names = {}, {}   # local name -> module, local name -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names |= {a.asname or a.name: (node.module, a.name) for a in node.names}
+
+    def started(node):
+        if not isinstance(node, ast.Call):
+            return None
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return starter(modules.get(func.value.id), func.attr)
+        if isinstance(func, ast.Name) and func.id in names:
+            return starter(*names[func.id])
+        return None
+
+    return [(scope, started(node))
+            for scope, node in _hits(tree, lambda node: started(node) is not None)]
+
+
+def test_process_start_finder_sees_every_form():
+    source = (
+        "import os, subprocess as sp\n"
+        "from subprocess import run\n"
+        "from os import execvp as ex\n"
+        "class Runner:\n"
+        "    def start(self, cmd):\n"
+        "        return sp.Popen(cmd)\n"
+        "def f(cmd):\n"
+        "    run(cmd); os.system(cmd); ex(cmd[0], cmd); os.posix_spawn(cmd[0], cmd, {})\n"
+        "def g(cmd):\n"
+        "    return os.getpid(), cmd.run(), sp.PIPE\n"
+        "PID = os.fork()\n")
+    assert _process_starts(ast.parse(source)) == [
+        ("Runner.start", "subprocess.Popen"), ("f", "subprocess.run"), ("f", "os.system"),
+        ("f", "os.execvp"), ("f", "os.posix_spawn"), ("<module>", "os.fork")]
+
+
+def test_the_package_starts_processes_in_one_place():
+    # solver.solve_file is the one place that starts a solver, with one
+    # subprocess.Popen call, and no module starts a process any other way
+    starts = {path.stem: _process_starts(ast.parse(path.read_text()))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert starts.pop("solver") == [("solve_file", "subprocess.Popen")]
+    assert not any(starts.values()), starts
 
 
 def test_package_import_leaves_out_the_thread_pool():
