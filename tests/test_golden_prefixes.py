@@ -10,6 +10,10 @@ one rsn walk and before the sn walk was pruned.  The rn digest was
 re-pinned when R_n became one member of each reflection orbit of rsn: the
 reflection grammar it replaced dropped saturated orbits at odd n >= 9, and
 the stream is byte-identical to the old one for n <= 8 and n = 10.
+The network digests pin the exact layers that net_of builds from the
+sentences, comparator for comparator: every campaign formula rests on
+them.  They were computed before net_of and the component walk shared
+one rule.
 """
 
 import hashlib
@@ -17,12 +21,19 @@ import hashlib
 import pytest
 
 from sortnetopt import cli
-from sortnetopt.words import render_sentence, sentences
+from sortnetopt.words import net_of, render_sentence, rn_networks, sentences
 
 SENTENCES = {
     "rgn": "1b4502aedd99418ccdca216ae0fc7330c7ef81bddf0194d187555a3a763fe78d",
     "rsn": "446cb93326993c823d04ca10c89b81ea41f949a9f6aa9d4bfda992f844769517",
     "rn": "e4257310b16f4cc2d291f1c91f20ac1e366bb1f9f74c8bb2782824bbac46e375",
+}
+
+# net.to_json() + "\n" of every network: rn_networks(n) for n = 1..16, and
+# net_of(s) of every rgn sentence (all two-layer classes) for n = 1..12
+NETWORKS = {
+    "rn": "e73617bc675ba55a8f2a4dd2d9ffa55af5cb5c1d941c7bdd5e842b971022e392",
+    "rgn": "cca490afbfa086aa8e630f26af05c3f91753f1295cf5f4bffd2e870d10b37f7c",
 }
 
 GEN = {
@@ -51,6 +62,16 @@ def test_golden_sentence_streams(kind):
     for n in range(1, 17):
         h.update("".join(render_sentence(s) + "\n" for s in sentences(n, kind)).encode())
     assert h.hexdigest() == SENTENCES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(NETWORKS))
+def test_golden_prefix_networks(kind):
+    nets = ((net for n in range(1, 17) for net in rn_networks(n)) if kind == "rn" else
+            (net_of(s) for n in range(1, 13) for s in sentences(n, "rgn")))
+    h = hashlib.sha256()
+    for net in nets:
+        h.update((net.to_json() + "\n").encode())
+    assert h.hexdigest() == NETWORKS[kind]
 
 
 @pytest.mark.parametrize("n,kind", sorted(GEN))
