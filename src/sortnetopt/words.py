@@ -7,6 +7,14 @@ free channel, 1 for a min-channel and 2 for a max-channel yields a word
 over {0,1,2}; the multiset of component words (the "sentence") is a
 complete invariant for two-layer networks modulo channel permutation.
 
+One walk rule reads a component in both directions: the walk takes layer
+1 and layer 2 by turns, layer 2 first from the free channel and layer 1
+first from any other channel.  So a word, after a head's leading 0, holds
+two symbols per first-layer pair, the end the walk enters and the end it
+leaves, and layer 2 joins each pair's exit to the next pair's entry.
+_component_words reads the words of a network by that walk (_walk), and
+net_of builds a network from words by it.
+
 Tags: h = head (odd component containing the free channel), s = stick,
 c = cycle.  Two rules decide everything about a word.  _canonical is its
 one canonical reading: heads are read from the free channel; sticks take
@@ -146,17 +154,14 @@ def _two_layer_parts(net: Network) -> tuple[dict[int, int], dict[int, int], dict
     return l1p, l2p, role
 
 
-def _walk(start: int, second: Optional[int], l1p, l2p) -> list[int]:
+def _walk(start: int, l1p, l2p) -> list[int]:
+    """The channels of start's component in walk order: along layer 1 first,
+    or along layer 2 first from the free channel, then the two layers by
+    turns, until the layer whose turn it is leaves the channel unpaired or
+    leads back to start."""
     path = [start]
-    if second is None:
-        return path
-    path.append(second)
-    while True:
-        prev, cur = path[-2], path[-1]
-        nxt = None
-        for cand in (l1p.get(cur), l2p.get(cur)):
-            if cand is not None and cand != prev:
-                nxt = cand
+    for partners in itertools.cycle((l1p, l2p) if start in l1p else (l2p, l1p)):
+        nxt = partners.get(path[-1])
         if nxt is None or nxt == start:
             return path
         path.append(nxt)
@@ -218,7 +223,7 @@ def _component_words(net: Network) -> list[Word]:
         if start in seen:
             continue
         tag = "h" if start not in l1p else "s" if start not in l2p else "c"
-        path = _walk(start, l1p.get(start, l2p.get(start)), l1p, l2p)
+        path = _walk(start, l1p, l2p)
         seen.update(path)
         words.append(Word(tag, _canonical(tag, "".join(role[ch] for ch in path))))
     return words
@@ -240,56 +245,34 @@ def sentence_of(net: Network) -> Sentence:
 # ---------------------------------------------------------------------------
 # words -> network
 
-def _pair_channels(word: Word) -> int:
-    return len(word.symbols) - 1 if word.tag == "h" else len(word.symbols)
-
-
 def net_of(sentence: Iterable[Word] | Word | str) -> Network:
     """Build the two-layer network with first layer F_n generated by a sentence.
 
-    Components are laid out consecutively in the given word order; the head
-    word's free channel, when present, is channel n so that the first layer
-    is exactly F_n.
+    The words take the pairs of F_n in the given word order, and a word's
+    symbols, after a head's leading 0, are read two per pair: the end the
+    walk enters and the end it leaves.  Layer 2 joins each pair's exit to
+    the next pair's entry; a head also joins the free channel, channel n,
+    to its first entry, and a cycle joins its last exit to its first entry.
     """
     if isinstance(sentence, str):
         sentence = parse_sentence(sentence)
     if isinstance(sentence, Word):
         sentence = (sentence,)
     words = tuple(sentence)
-    heads = [w for w in words if w.tag == "h"]
-    if len(heads) > 1:
+    if sum(w.tag == "h" for w in words) > 1:
         raise ValueError("a sentence may contain at most one head word")
     n = sum(len(w) for w in words)
-    free_channel = n if heads else None
     layer2: list[tuple[int, int]] = []
     base = 0
     for w in words:
-        layer2.extend(_decode_word(w, base, free_channel))
-        base += _pair_channels(w)
-    return Network(n, (first_layer(n) if n >= 2 else (), tuple(sorted(tuple(sorted(c)) for c in layer2))))
-
-
-def _decode_word(word: Word, base: int, free_channel: Optional[int]) -> list[tuple[int, int]]:
-    s = word.symbols
-    comps: list[tuple[int, int]] = []
-    if word.tag == "h":
-        rest = s[1:]
-        if rest:
-            comps.append((free_channel, base + int(rest[0])))
-            rest = rest[1:]
-    else:
-        rest = s[1:]
-    k = 0
-    while len(rest) >= 2:
-        x, y = int(rest[0]), int(rest[1])
-        comps.append((base + 2 * k + x, base + 2 * (k + 1) + y))
-        rest = rest[2:]
-        k += 1
-    if word.tag == "c":
-        used = {ch for c in comps for ch in c}
-        left = [base + t for t in range(1, len(s) + 1) if base + t not in used]
-        comps.append((left[0], left[1]))
-    return comps
+        body = w.symbols[1:] if w.tag == "h" else w.symbols
+        # entry and exit of each pair in turn
+        ends = [base + 2 * (k // 2) + int(x) for k, x in enumerate(body)]
+        # the channels layer 2 joins, two by two; a stick's last exit is left
+        chain = {"h": [n] + ends, "s": ends[1:], "c": ends[1:] + ends[:1]}[w.tag]
+        layer2.extend(tuple(sorted(c)) for c in zip(chain[::2], chain[1::2]))
+        base += len(body)
+    return Network(n, (first_layer(n) if n >= 2 else (), layer2))
 
 
 # ---------------------------------------------------------------------------
