@@ -25,7 +25,7 @@ from . import campaign as campaign_mod
 from . import report as report_mod
 from . import saturation as saturation_mod
 from . import words as words_mod
-from .encoding import EncodeOptions
+from .encoding import RULES, EncodeOptions
 from .networks import MAX_ENUM_CHANNELS, Network, two_layer_json
 from .solver import DEFAULT_TIMEOUT, SolverConfig, default_config, dimacs_chunks, solve_file
 
@@ -90,10 +90,7 @@ def _instance(args) -> report_mod.Instance:
 
 def _cmd_encode(args) -> int:
     inst = _instance(args)
-    opts = EncodeOptions(sigma1=not args.no_sigma1, sigma2=not args.no_sigma2,
-                         sigma3=not args.no_sigma3, last_layer=not args.no_last_layer,
-                         near_sorted=not args.no_near_sorted,
-                         settled_ends=not args.no_settled_ends)
+    opts = EncodeOptions(**{rule: getattr(args, rule) for rule in RULES})
     vm, cnf = campaign_mod.instance_formula(inst, opts)
     _write(args.out, itertools.chain([f"c sortnetopt n={args.n} d={args.depth} "
                                       f"inputs={len(vm.inputs)} pad={args.pad}\n"],
@@ -221,17 +218,9 @@ def main(argv=None) -> int:
     fixed.add_argument("--prefix", help="network JSON file fixing the first layers")
     fixed.add_argument("--prefix-index", type=int, help="index into the canonical R_n ordering")
     p.add_argument("--pad", type=int, default=0, help="window padding (0 = off)")
-    p.add_argument("--no-sigma1", action="store_true")
-    p.add_argument("--no-sigma2", action="store_true")
-    p.add_argument("--no-sigma3", action="store_true")
-    p.add_argument("--no-last-layer", action="store_true",
-                   help="allow non-adjacent comparators in the last layer")
-    p.add_argument("--no-near-sorted", action="store_true",
-                   help="keep variables for the level before the last layer "
-                        "(the fold needs the last-layer units)")
-    p.add_argument("--no-settled-ends", action="store_true",
-                   help="keep variables for the channels that the prefix image "
-                        "has already settled (leading zeros, trailing ones)")
+    for rule, off in RULES.items():
+        p.add_argument("--no-" + rule.replace("_", "-"), dest=rule, action="store_false",
+                       help=off)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 

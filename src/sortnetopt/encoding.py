@@ -98,7 +98,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -110,16 +110,29 @@ _INPUT_CHUNK = 16               # kept images whose value clauses are built in o
 _LIT_CHUNK = 1 << 13            # literals per step when rendering a Cnf
 
 
+def _rule(off: str):
+    """A rule switch of EncodeOptions, on by default; off says what
+    switching the rule off does."""
+    return field(default=True, metadata={"off": off})
+
+
 @dataclass(frozen=True)
 class EncodeOptions:
-    sigma1: bool = True   # no repeated comparator on consecutive layers
-    sigma2: bool = True   # comparators cannot slide to an unused earlier layer
-    sigma3: bool = True   # every adjacent pair (i,i+1) compared somewhere
-    last_layer: bool = True  # the last layer compares adjacent channels only
-    near_sorted: bool = True  # with last_layer: level d-1 is sorted but for one pair
-    settled_ends: bool = True  # the prefix image's leading zeros and trailing ones stay
+    sigma1: bool = _rule("allow a comparator to repeat on consecutive layers")
+    sigma2: bool = _rule("allow a comparator on channels the layer before leaves unused")
+    sigma3: bool = _rule("allow an adjacent pair (i,i+1) that no layer compares")
+    last_layer: bool = _rule("allow non-adjacent comparators in the last layer")
+    near_sorted: bool = _rule("keep variables for the level before the last layer "
+                              "(the fold needs the last-layer units)")
+    settled_ends: bool = _rule("keep variables for the channels that the prefix image "
+                               "has already settled (leading zeros, trailing ones)")
     pad: int = 0          # window padding; 0 = off
     prefix: Optional[Network] = None
+
+
+# The rule switches, in field order, each with what switching it off does:
+# encode's --no-<rule> flags and the tests' rule sweeps are made from it.
+RULES = {f.name: f.metadata["off"] for f in fields(EncodeOptions) if "off" in f.metadata}
 
 
 def _flat(clauses: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:

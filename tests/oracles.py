@@ -27,21 +27,21 @@ collection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from sortnetopt import words as words_mod
-from sortnetopt.encoding import EncodeOptions
+from sortnetopt.encoding import RULES
 from sortnetopt.networks import ChannelCountError, Comparator, Network, outputs
 from sortnetopt.saturation import _embed_search, subsumes
 from sortnetopt.words import matchings
 
 MAX_SEMANTIC_CHANNELS = 8
 
-# The rule switches of EncodeOptions: every field but pad and prefix, which
-# choose the instance rather than a rule.  A new rule is a new field, and
-# every test that runs the rules on and off picks it up from here.
-RULE_SWITCHES = tuple(f.name for f in fields(EncodeOptions) if f.name not in ("pad", "prefix"))
+# The rule switches of EncodeOptions, as encoding.RULES lists them: a new
+# rule is a new switch field, and every test that runs the rules on and off
+# picks it up from here.
+RULE_SWITCHES = tuple(RULES)
 
 
 # ---------------------------------------------------------------------------
