@@ -34,11 +34,12 @@ inputs windowed by pad, the first layers fixed to prefix.  Instance is
 that spec, checked on construction; the scheduler runs it,
 campaign.instance_formula builds it and a result records it.  It derives
 the prefix's R_n index, its label (the R_n sentence as render_sentence
-writes it, "layer1" for the crossing first layer F_n, else None) and its
+writes it, "layer1" for the crossing first layer, else None) and its
 name, which the solver's files carry: n{n}d{depth}p{index}w{pad}, with
-pfree for no prefix, player1 for F_n and pfixed for any other prefix.
-A result records only an R_n member, F_n or no prefix, the two that
-_evidence may read as covering every prefix (prefix_index null).
+pfree for no prefix, player1 for the crossing first layer and pfixed
+for any other prefix.  A result records only an R_n member, the
+crossing first layer or no prefix, the two that _evidence may read as
+covering every prefix (prefix_index null).
 
 A report is one JSON object: n, the claim, the task ordering, the wall
 time and the instances.  An instance's keys are prefix_index, prefix
@@ -101,7 +102,7 @@ class Instance:
 
     @classmethod
     def layer1(cls, n: int, depth: int, pad: int = 0) -> Instance:
-        """The spec whose prefix is the crossing first layer F_n."""
+        """The spec whose prefix is the crossing first layer (i, n-i+1)."""
         return cls(n, depth, pad, Network(n, (first_layer(n, "crossing"),)))
 
     @property
@@ -226,9 +227,9 @@ def campaign_from_json(text: str) -> CampaignResult:
     prefix_index null or an index into R_n, a prefix null or the spec's
     label, the ordering a string, and a witness must be present exactly
     on a SAT instance.  The spec is the R_n member at prefix_index, else
-    F_n for the label "layer1", else no prefix; one that Instance rejects
-    is rejected at the instance's path.  Only depth, pad and verdict are
-    required keys.
+    the crossing first layer for the label "layer1", else no prefix; one
+    that Instance rejects is rejected at the instance's path.  Only depth,
+    pad and verdict are required keys.
     """
     doc = json.loads(text)
     _require(isinstance(doc, dict), "expected an object", "$")

@@ -211,6 +211,12 @@ def run_solver(cnf: Cnf, config: SolverConfig, name: str = "instance",
     Without a workdir the run works in a temporary directory that it
     removes whatever the outcome, so only a workdir that the caller names
     keeps a CNF.
+
+    The log of a TIMEOUT-class run goes only to the caller, in the
+    result: sortnetopt solve prints it, and a campaign records only the
+    verdict.  Without a workdir, its cmd: line names a CNF that has
+    already been removed; sortnetopt encode rebuilds an instance's CNF
+    from its spec, for a rerun with sortnetopt solve.
     """
     if config.workdir is None:
         with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:

@@ -65,6 +65,8 @@ def test_run_solver_timeout(tmp_path):
     cfg = SolverConfig(executable=str(slow), timeout=0.5, workdir=str(tmp_path / "cnf"))
     assert run_solver(Cnf(1, [(1,)]), cfg).verdict == "TIMEOUT"
     assert [p.name for p in (tmp_path / "cnf").iterdir()] == ["instance.cnf"]
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        SolverConfig("x", timeout=0)
 
 
 def _sleeper(tmp_path) -> Path:

@@ -27,6 +27,7 @@ from sortnetopt.encoding import (
     to_dimacs,
 )
 from sortnetopt.networks import (
+    ChannelCountError,
     Network,
     first_layer,
     is_sorting_network,
@@ -61,6 +62,10 @@ def test_varmap_census_and_order():
     assert len(c_vars) == 1
     assert vm.u(1, 1) == 2 and vm.u(1, 2) == 3
     assert vm.num_vars == 3  # no x vars: levels 0 and d are constants
+    with pytest.raises(KeyError):
+        vm.c(0, 1, 2)        # layers count from 1
+    with pytest.raises(KeyError):
+        vm.u(0, 1)
 
     vm = VarMap(3, 2, [1, 2])
     assert vm.num_vars == 2 * 3 + 2 * 3 + 2 * 1 * 3  # c + u + x(level 1 only)
@@ -366,6 +371,8 @@ def test_prefix_too_deep():
                    network(5, first_layer(5))):                # channel mismatch
         with pytest.raises(ValueError):
             build(4, 1, xs, EncodeOptions(prefix=prefix))
+    with pytest.raises(ChannelCountError, match="32 bits"):
+        VarMap(33, 1, [])
 
 
 def _emit(*lits):

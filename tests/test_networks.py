@@ -154,6 +154,8 @@ def test_is_sorting_network_examples():
     assert is_sorting_network(FIG1)
     assert not is_sorting_network(network(4, first_layer(4)))
     assert is_sorting_network(network(2, [(1, 2)]))
+    with pytest.raises(ValueError, match="standard networks"):
+        is_sorting_network(network(2, [(2, 1)], generalized=True))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -181,6 +183,8 @@ def test_unsorted_inputs_counts():
     assert len(unsorted_inputs(5)) == 2 ** 5 - 5 - 1 == 26
     assert_input_set(unsorted_inputs(2, network(2, [(1, 2)])), [])
     assert_input_set(unsorted_inputs(3), [0b001, 0b010, 0b011, 0b101])
+    with pytest.raises(ChannelCountError, match="prefix has 4 channels, expected 5"):
+        unsorted_inputs(5, network(4, first_layer(4)))
 
 
 def test_unsorted_inputs_match_brute_force():
@@ -201,6 +205,8 @@ def test_windows_identity_and_bounds():
     assert windows(xs, 0, 4) is xs
     with pytest.raises(ValueError):
         windows(xs, 4, 4)
+    with pytest.raises(ChannelCountError, match="32 bits"):
+        windows(xs, 1, 33)
 
 
 def test_windows_full_expansion_b4():
@@ -327,6 +333,8 @@ def test_reflect_examples_and_involution():
     b = network(6, first_layer(6), [(1, 3), (4, 5)])
     assert reflect(a) == b and reflect(b) == a
     assert reflect(reflect(FIG2_LEFT)) == FIG2_LEFT
+    with pytest.raises(ValueError, match="standard networks"):
+        reflect(network(2, [(2, 1)], generalized=True))
 
 
 def test_first_layer_styles():
@@ -334,6 +342,8 @@ def test_first_layer_styles():
     assert first_layer(5, "crossing") == ((1, 5), (2, 4))
     fl7 = first_layer(7)
     assert len(fl7) == 3 and all(7 not in c for c in fl7)
+    with pytest.raises(ValueError, match="unknown first-layer style"):
+        first_layer(4, "diagonal")
 
 
 def test_graph_of_figure3():
@@ -419,3 +429,7 @@ def test_network_validation():
         network(4, [(3, 1)])             # reversed comparator, standard net
     with pytest.raises(ValueError):
         network(2, [(1, 5)])             # out of range
+    with pytest.raises(ValueError, match="at least one channel"):
+        Network(0, ())
+    with pytest.raises(ValueError, match="joins a channel to itself"):
+        network(2, [(2, 2)])

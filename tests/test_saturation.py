@@ -157,6 +157,11 @@ def test_subsumes_respects_caps():
     big = Network(12, (first_layer(12), ()))
     with pytest.raises(ValueError):
         subsumes(big, big)
+    four = Network(4, (first_layer(4),))
+    with pytest.raises(ValueError, match="equal channel counts"):
+        subsumes(four, Network(5, (first_layer(5),)))
+    with pytest.raises(ValueError, match="equal depth"):
+        subsumes(four, Network(4, (first_layer(4), ((2, 3),))))
 
 
 def test_subsumption_reflexive_transitive_sampled():

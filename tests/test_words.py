@@ -83,6 +83,12 @@ def test_net_of_rejects_malformed():
         parse_word("122121_c")     # not canonical: 121221_c
     with pytest.raises(ValueError):
         net_of("012_h;021_h")      # two heads
+    with pytest.raises(ValueError, match="unknown word tag"):
+        Word("x", "12")
+    with pytest.raises(ValueError, match="malformed s-word"):
+        Word("s", "102")           # a 0 outside a head
+    with pytest.raises(ValueError, match="needs a _h/_s/_c tag"):
+        parse_word("12")
 
 
 @pytest.mark.parametrize("kind", ["rgn", "rsn", "rn"])
@@ -118,6 +124,10 @@ def test_cycle_canonical_and_asymmetry():
         assert not any(is_asymmetric(w) for w in cycle_words(L))
     assert asymmetric_cycle_count(12) == 1
     assert asymmetric_cycle_count(16) == 4
+    with pytest.raises(ValueError, match="not a cycle label string"):
+        cycle_canonical("1")
+    with pytest.raises(ValueError, match="even channel count"):
+        asymmetric_cycle_count(5)
 
 
 def test_word_caches_agree_with_the_functions():
