@@ -212,11 +212,12 @@ def run_solver(cnf: Cnf, config: SolverConfig, name: str = "instance",
     removes whatever the outcome, so only a workdir that the caller names
     keeps a CNF.
 
-    The log of a TIMEOUT-class run goes only to the caller, in the
-    result: sortnetopt solve prints it, and a campaign records only the
-    verdict.  Without a workdir, its cmd: line names a CNF that has
-    already been removed; sortnetopt encode rebuilds an instance's CNF
-    from its spec, for a rerun with sortnetopt solve.
+    The log of a TIMEOUT-class run is in the result and nowhere else: a
+    direct caller of run_solver or solve_file gets it, sortnetopt solve
+    prints it, and a campaign records only the verdict.  Without a
+    workdir, its cmd: line names a CNF that has already been removed;
+    sortnetopt encode rebuilds an instance's CNF from its spec, for a
+    rerun with sortnetopt solve.
     """
     if config.workdir is None:
         with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:

@@ -268,7 +268,7 @@ def net_of(sentence: Iterable[Word] | Word | str) -> Network:
         body = w.symbols[1:] if w.tag == "h" else w.symbols
         # entry and exit of each pair in turn
         ends = [base + 2 * (k // 2) + int(x) for k, x in enumerate(body)]
-        # the channels layer 2 joins, two by two; a stick's last exit is left
+        # the channels layer 2 joins, two by two; a stick's last exit is left over
         chain = {"h": [n] + ends, "s": ends[1:], "c": ends[1:] + ends[:1]}[w.tag]
         layer2.extend(tuple(sorted(c)) for c in zip(chain[::2], chain[1::2]))
         base += len(body)
