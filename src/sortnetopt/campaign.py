@@ -298,8 +298,10 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
 
     A probe or refutation left open by a TIMEOUT raises RuntimeError: the
     climb never moves past a depth it could not settle, and a timeout never
-    yields a claim.
+    yields a claim.  An n below 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if n == 1:
         return 0, []
     config = config or default_config()

@@ -143,11 +143,7 @@ def _cmd_find(args) -> int:
 def _cmd_prove(args) -> int:
     camp = campaign_mod.prove_lower_bound(args.n, args.depth, args.pads,
                                           _solver_config(args), jobs=args.jobs)
-    report = report_mod.campaign_to_json(camp)
-    if args.out:
-        _write(args.out, [report + "\n"])
-    else:
-        print(report)
+    _write(args.out or "-", [report_mod.campaign_to_json(camp) + "\n"])
     return _claim_exit(camp, args.depth)
 
 
@@ -203,6 +199,16 @@ def main(argv=None) -> int:
                                      description="depth-optimal sorting network toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the flags that several commands share, each declared once
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", type=int, required=True)
+    size.add_argument("--depth", type=int, required=True)
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("--solver", help=SOLVER_HELP)
+    solving.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1)
+
     parsers = {}
 
     parsers["gen"] = p = sub.add_parser("gen", help="emit prefix sentences or networks")
@@ -211,9 +217,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_gen)
 
-    parsers["encode"] = p = sub.add_parser("encode", help="emit a DIMACS CNF instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    parsers["encode"] = p = sub.add_parser("encode", parents=[size],
+                                           help="emit a DIMACS CNF instance")
     fixed = p.add_mutually_exclusive_group()
     fixed.add_argument("--prefix", help="network JSON file fixing the first layers")
     fixed.add_argument("--prefix-index", type=int, help="index into the canonical R_n ordering")
@@ -224,30 +229,21 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 
-    parsers["solve"] = p = sub.add_parser("solve", help="run the SAT solver on a DIMACS file")
+    parsers["solve"] = p = sub.add_parser("solve", parents=[solving],
+                                          help="run the SAT solver on a DIMACS file")
     p.add_argument("--cnf", required=True)
-    p.add_argument("--solver", help=SOLVER_HELP)
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.set_defaults(func=_cmd_solve)
 
-    parsers["find"] = p = sub.add_parser("find", help="search for a depth-d sorting network")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    parsers["find"] = p = sub.add_parser("find", parents=[size, solving, jobs],
+                                         help="search for a depth-d sorting network")
     p.add_argument("--mode", choices=("free", "layer1", "two-layer"), default="two-layer")
-    p.add_argument("--solver", help=SOLVER_HELP)
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_find)
 
-    parsers["prove"] = p = sub.add_parser("prove", help="lower-bound campaign over R_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    parsers["prove"] = p = sub.add_parser("prove", parents=[size, solving, jobs],
+                                          help="lower-bound campaign over R_n")
     p.add_argument("--pads", type=_pad_list,
                    help="comma-separated pad schedule, largest first "
                         "(default: n-d-1, then 0; 0 alone when n-d-1 < 2)")
-    p.add_argument("--solver", help=SOLVER_HELP)
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON campaign report here")
     p.set_defaults(func=_cmd_prove)
 

@@ -15,10 +15,11 @@ of the underlying formula exactly.
 
 Soundness contract.  The symmetry-breaking clauses σ1-σ3 and the
 last-layer units (EncodeOptions) each remove networks, never every
-sorting network.  VarMap reads the options once: it keeps the windows of
-opts.pad and one input per prefix image, checks the prefix, and applies
-each rule below, σ1-σ3 as their switches say and the others as their "on
-when" clauses say; build and the clause fragments read only the VarMap.
+sorting network.  VarMap reads the options once: it checks the instance
+rule (networks.check_instance), keeps the windows of opts.pad and one
+input per prefix image, and applies each rule below, σ1-σ3 as their
+switches say and the others as their "on when" clauses say; build and
+the clause fragments read only the VarMap.
 
   σ1  no comparator repeats on consecutive layers: the second copy never
       swaps, so deleting it keeps a network sorting;
@@ -103,7 +104,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .networks import ChannelCountError, Network, _ascending_mask, _eval_array, windows
+from .networks import Network, _ascending_mask, _eval_array, check_instance, windows
 
 _TRUE = np.iinfo(np.int32).max  # literal code of the constant true; -_TRUE is false
 _INPUT_CHUNK = 16               # kept images whose value clauses are built in one array pass
@@ -168,7 +169,9 @@ class VarMap:
     """The one description of a formula: the inputs it keeps, its variables
     and the rules it applies.
 
-    The options are read here once.  The inputs kept are the windows of
+    The options are read here once, and n, d, opts.pad and opts.prefix
+    checked by the instance rule (networks.check_instance), with n <= 32
+    as inputs are packed into 32 bits.  The inputs kept are the windows of
     opts.pad over the given set, one per prefix image: inputs whose images
     coincide add identical value clauses, so only the smallest stays, the
     first in an increasing set.  images holds their images under the
@@ -197,14 +200,7 @@ class VarMap:
     def __init__(self, n: int, d: int, inputs: np.ndarray | Sequence[int],
                  opts: EncodeOptions = EncodeOptions()):
         prefix = opts.prefix
-        if prefix is not None and prefix.depth > d:
-            raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {d}")
-        if prefix is not None and prefix.generalized:
-            raise ValueError("fixed prefixes must be standard networks")
-        if prefix is not None and prefix.n != n:
-            raise ValueError("prefix channel count mismatch")
-        if n > 32:
-            raise ChannelCountError(f"inputs are packed into 32 bits, got n={n}")
+        check_instance(n, d, opts.pad, prefix, packed=True)
         self.n, self.d = n, d
         self.prefix = prefix
         p = self.prefix_depth = prefix.depth if prefix is not None else 0

@@ -124,6 +124,35 @@ def first_layer(n: int, style: str = "adjacent") -> Layer:
     raise ValueError(f"unknown first-layer style {style!r}")
 
 
+def check_instance(n: int, depth: Optional[int] = None, pad: Optional[int] = None,
+                   prefix: Optional[Network] = None, packed: bool = False) -> None:
+    """The instance rule: raise for the first rule that the given parts break.
+
+    An instance asks for a depth-`depth` sorting network on n channels,
+    its inputs windowed by pad and its first layers fixed to prefix
+    (report.Instance, encoding.VarMap).  A part left None is not checked,
+    nor are the rules that need it:
+      - 0 <= pad < n;
+      - depth >= 0;
+      - the prefix has n channels (ChannelCountError);
+      - given a depth, the prefix is a standard network no deeper than it;
+      - with packed, n <= 32, as inputs are packed into 32 bits
+        (ChannelCountError).
+    """
+    if pad is not None and not 0 <= pad < n:
+        raise ValueError(f"pad must satisfy 0 <= pad < n = {n}, got {pad}")
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
+    if prefix is not None and prefix.n != n:
+        raise ChannelCountError(f"prefix has {prefix.n} channels, not n = {n}")
+    if prefix is not None and depth is not None and prefix.generalized:
+        raise ValueError("fixed prefixes must be standard networks")
+    if prefix is not None and depth is not None and prefix.depth > depth:
+        raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {depth}")
+    if packed and n > 32:
+        raise ChannelCountError(f"inputs are packed into 32 bits, got n={n}")
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -189,11 +218,12 @@ def unsorted_inputs(n: int, prefix: Optional[Network] = None) -> np.ndarray:
     """All x with x unsorted (no prefix) or prefix(x) unsorted (given a prefix).
 
     An input set is an increasing np.uint32 array of packed vectors, here
-    and on its way through windows and encoding.build to the VarMap.
+    and on its way through windows and encoding.build to the VarMap.  Of
+    the instance rule (check_instance) it takes only the prefix's channel
+    count: it has no depth, and it evaluates any prefix, generalized too.
     """
     chunks = _chunks(n, prefix)
-    if prefix is not None and prefix.n != n:
-        raise ChannelCountError(f"prefix has {prefix.n} channels, expected {n}")
+    check_instance(n, prefix=prefix)
     out = [inputs[~_ascending_mask(images, n)] for inputs, images in chunks]
     return np.concatenate(out)
 
@@ -203,14 +233,12 @@ def windows(xs: np.ndarray, pad: int, n: int) -> np.ndarray:
 
     xs is an input set, an increasing np.uint32 array (unsorted_inputs);
     pad 0 returns xs itself, any other pad the members it keeps, in order.
-    Inputs are packed into 32 bits, so n <= 32 when pad > 0.
+    The pad and, when pad > 0, the packing of inputs into 32 bits are
+    checked by the instance rule (check_instance).
     """
-    if pad < 0 or pad >= n:
-        raise ValueError(f"pad must satisfy 0 <= pad < n, got {pad}")
+    check_instance(n, pad=pad, packed=pad > 0)
     if pad == 0:
         return xs
-    if n > 32:
-        raise ChannelCountError(f"inputs are packed into 32 bits, got n={n}")
     keep = np.zeros(len(xs), dtype=bool)
     for l1 in range(pad + 1):
         l2 = pad - l1

@@ -31,7 +31,8 @@ checked.
 
 An instance is one formula: depth-depth networks on n channels, the
 inputs windowed by pad, the first layers fixed to prefix.  Instance is
-that spec, checked on construction; the scheduler runs it,
+that spec, checked on construction by the instance rule
+(networks.check_instance); the scheduler runs it,
 campaign.instance_formula builds it and a result records it.  It derives
 the prefix's R_n index, its label (the R_n sentence as render_sentence
 writes it, "layer1" for the crossing first layer, else None) and its
@@ -67,7 +68,8 @@ import re
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
-from .networks import MAX_ENUM_CHANNELS, Network, _is_int, first_layer, is_sorting_network
+from .networks import (MAX_ENUM_CHANNELS, Network, _is_int, check_instance, first_layer,
+                       is_sorting_network)
 from .words import render_sentence, rn_networks, rn_sentences
 
 
@@ -81,24 +83,15 @@ def rn_prefix(n: int, index: int) -> Network:
 
 @dataclass(frozen=True)
 class Instance:
-    """One formula of a campaign; see the module docstring."""
+    """One formula of a campaign, checked by networks.check_instance; see
+    the module docstring."""
     n: int
     depth: int
     pad: int = 0
     prefix: Optional[Network] = None
 
     def __post_init__(self):
-        if not 0 <= self.pad < self.n:
-            raise ValueError(f"pad must satisfy 0 <= pad < n = {self.n}, got {self.pad}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be at least 0, got {self.depth}")
-        prefix = self.prefix
-        if prefix is not None and prefix.n != self.n:
-            raise ValueError(f"prefix has {prefix.n} channels, not n = {self.n}")
-        if prefix is not None and prefix.generalized:
-            raise ValueError("fixed prefixes must be standard networks")
-        if prefix is not None and prefix.depth > self.depth:
-            raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {self.depth}")
+        check_instance(self.n, self.depth, self.pad, self.prefix)
 
     @classmethod
     def layer1(cls, n: int, depth: int, pad: int = 0) -> Instance:

@@ -55,7 +55,7 @@ class SolverConfig:
     workdir: Optional[str] = None   # None: a temp dir per call, always removed
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:   # NaN too
             raise ValueError("timeout must be positive")
 
 

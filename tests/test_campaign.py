@@ -25,7 +25,7 @@ from sortnetopt.campaign import (
     reproduce_tables,
     two_layer_prefixes,
 )
-from sortnetopt.encoding import _LIT_CHUNK, Cnf, EncodeOptions, build, to_dimacs
+from sortnetopt.encoding import _LIT_CHUNK, Cnf, EncodeOptions, VarMap, build, to_dimacs
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
                                  reflect, unsorted_inputs)
 from sortnetopt.report import (CampaignResult, Instance, InstanceResult, campaign_from_json,
@@ -65,8 +65,9 @@ def test_run_solver_timeout(tmp_path):
     cfg = SolverConfig(executable=str(slow), timeout=0.5, workdir=str(tmp_path / "cnf"))
     assert run_solver(Cnf(1, [(1,)]), cfg).verdict == "TIMEOUT"
     assert [p.name for p in (tmp_path / "cnf").iterdir()] == ["instance.cnf"]
-    with pytest.raises(ValueError, match="timeout must be positive"):
-        SolverConfig("x", timeout=0)
+    for timeout in (0, float("nan")):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            SolverConfig("x", timeout=timeout)
 
 
 def _sleeper(tmp_path) -> Path:
@@ -624,6 +625,9 @@ def test_prove_rechecks_the_witness(solver_config, monkeypatch):
 
 def test_compute_t_small(solver_config):
     assert compute_T(2, solver_config)[0] == 1
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            compute_T(n, solver_config)
     value, campaigns = compute_T(7, solver_config)
     assert value == 6
     assert any(c.claim == "T(7) > 5" for c in campaigns)
@@ -953,8 +957,12 @@ def test_prefix_kinds_have_distinct_names_and_labels():
     ((6, 4, 0, Network(6, (((2, 1),),), generalized=True)), "must be standard"),
 ])
 def test_instance_checks_itself(spec, message):
+    # Instance and VarMap check one rule, with one wording
     with pytest.raises(ValueError, match=message):
         Instance(*spec)
+    n, depth, pad, prefix = (*spec, None)[:4]
+    with pytest.raises(ValueError, match=message):
+        VarMap(n, depth, unsorted_inputs(n), EncodeOptions(pad=pad, prefix=prefix))
 
 
 @pytest.mark.parametrize("mode, label", [("free", None), ("layer1", "layer1")])

@@ -470,9 +470,11 @@ def test_build_d0():
     assert cnf.clauses == [()]
     vm, cnf = build(3, 0, [vec_from_str("011")])
     assert cnf.clauses == []
-    # the same VarMap checks: no prefix deeper than d = 0
+    # the same VarMap checks: no prefix deeper than d = 0, and no negative depth
     with pytest.raises(ValueError, match="exceeds network depth 0"):
         build(3, 0, unsorted_inputs(3), EncodeOptions(prefix=network(3, first_layer(3))))
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        build(3, -1, unsorted_inputs(3))
 
 
 def test_build_is_the_fragments_of_its_varmap():

@@ -183,7 +183,7 @@ def test_unsorted_inputs_counts():
     assert len(unsorted_inputs(5)) == 2 ** 5 - 5 - 1 == 26
     assert_input_set(unsorted_inputs(2, network(2, [(1, 2)])), [])
     assert_input_set(unsorted_inputs(3), [0b001, 0b010, 0b011, 0b101])
-    with pytest.raises(ChannelCountError, match="prefix has 4 channels, expected 5"):
+    with pytest.raises(ChannelCountError, match="prefix has 4 channels, not n = 5"):
         unsorted_inputs(5, network(4, first_layer(4)))
 
 
