@@ -41,10 +41,10 @@ from .saturation import (
 )
 from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network, to_dimacs
 from .solver import SolverConfig, default_config, parse_solver_output, run_solver, solve_file
-from .report import CampaignResult, InstanceResult, campaign_from_json, campaign_to_json
+from .report import Campaign, CampaignResult, InstanceResult, campaign_from_json, campaign_to_json
 from .campaign import (
     compute_T,
-    find_network,
+    find_network_campaign,
     prove_lower_bound,
     reproduce_tables,
     two_layer_prefixes,

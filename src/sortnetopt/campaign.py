@@ -1,19 +1,21 @@
 """End-to-end campaigns: find optimal-depth networks, prove lower bounds.
 
-Both run through one scheduler.  Its tasks are prefixes: a Network, or
-None for a prefix-free search.  It walks each task's pads once, largest
-first, and each pad is one round: a report.Instance spec, which
-instance_formula alone turns into a formula, named by the spec and
-solved once under the configured timeout.  Its jobs workers are the
-calling thread and jobs - 1 helper threads; they take turns building
-formulas, so one worker's build runs while the others write or solve.
-A lower-bound campaign passes every
-two-layer prefix in the complete filter set R_n and its pad schedule;
-every prefix UNSAT proves that no depth-d network exists.  A search
-passes the tasks of its mode with pad 0 alone.  Window padding shrinks
-instances: UNSAT on the padded subset already implies UNSAT on the full
-input set, while a SAT verdict under padding is inconclusive and moves
-the task on to the next pad.
+What a campaign runs is one spec, a report.Campaign: n, the depth, the
+task kind (two-layer, layer1 or free, the CLI's --mode names) and the pad
+schedule.  find_network_campaign, prove_lower_bound and compute_T each
+build one, and one scheduler, _campaign, runs it.  Its tasks are the
+spec's prefixes: a Network, or None for a prefix-free search.  It walks
+each task's pads once, largest first, and each pad is one round: a
+report.Instance spec, which instance_formula alone turns into a formula,
+named by the spec and solved once under the configured timeout.  Its jobs
+workers are the calling thread and jobs - 1 helper threads; they take
+turns building formulas, so one worker's build runs while the others
+write or solve.  A lower-bound campaign runs every two-layer prefix in the
+complete filter set R_n down its pad schedule; every prefix UNSAT proves
+that no depth-d network exists.  A search runs the tasks of its mode with
+pad 0 alone.  Window padding shrinks instances: UNSAT on the padded
+subset already implies UNSAT on the full input set, while a SAT verdict
+under padding is inconclusive and moves the task on to the next pad.
 
 Tasks start in order of their prefix's number of unsorted outputs, fewest
 first (the "fewest-outputs" ordering): that prefix leaves the fewest
@@ -25,7 +27,7 @@ this order and each prefix's input set depend on n alone and are computed
 once per n.
 
 compute_T climbs the depths with probes, the first few tasks of each
-depth, and runs the whole of R_n only at the depth below the first
+depth's spec, and runs the whole of R_n only at the depth below the first
 network: T(n) = t rests on a witness at depth t and one refutation at
 t - 1, which covers every smaller depth too.
 
@@ -51,7 +53,7 @@ import numpy as np
 from . import words as words_mod
 from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network
 from .networks import Network, _ascending_mask, _eval_array, is_sorting_network, unsorted_inputs
-from .report import CampaignResult, Instance, InstanceResult, _evidence
+from .report import Campaign, CampaignResult, Instance, InstanceResult, _evidence
 from .solver import SolverConfig, StopEvent, default_config, run_solver
 
 
@@ -105,29 +107,28 @@ def default_pads(n: int, d: int) -> list[int]:
     return [n - d - 1, 0] if n > d + 2 else [0]
 
 
-def _prefix_tasks(n: int, d: int) -> list[Optional[Network]]:
-    """The tasks of a depth-d campaign in fewest-outputs order; below depth
-    2 one prefix-free task."""
-    if d < 2:
-        return [None]
-    return list(_fewest_outputs(n))
+def _tasks(spec: Campaign) -> list[list[Instance]]:
+    """The spec's instances, one list of rounds per prefix; the prefixes of
+    R_n start fewest outputs first, a lone task needs no order."""
+    rounds: dict[Optional[Network], list[Instance]] = {}
+    for inst in spec.instances():
+        rounds.setdefault(inst.prefix, []).append(inst)
+    return [rounds[p] for p in (_fewest_outputs(spec.n) if len(rounds) > 1 else rounds)]
 
 
-def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence[int],
-              config: SolverConfig, jobs: int,
+def _campaign(spec: Campaign, config: SolverConfig, jobs: int, first: Optional[int] = None,
               prior: Optional[CampaignResult] = None) -> tuple[Optional[Network], CampaignResult]:
-    """The one campaign scheduler behind find_network, prove_lower_bound and
-    compute_T.
+    """The one campaign scheduler behind find_network_campaign,
+    prove_lower_bound and compute_T: it runs the spec.
 
-    The tasks start in the order given (_prefix_tasks gives the
-    fewest-outputs order, which changes no claim).  This is the one place
-    that normalises a pad schedule: the distinct pads in 1..n-1, largest
-    first, then 0, so every task can end on the full input set.  Each task
-    walks the pads once; each pad is one round, a spec that
-    instance_formula encodes with every formula reduction on, solved under
-    config.timeout in files named by the spec, its model decoded.  Every
-    round is solved, and an instance's encode_time is its own build, not
-    the input set nor the wait for the turn.
+    The tasks are the spec's prefixes, those of R_n fewest outputs first
+    (_tasks; the order changes no claim).  It skips the tasks that prior
+    ran and keeps the first `first` of the rest, all of them when first is
+    None.  Each task walks the spec's pads once; each pad is one round, an
+    Instance that instance_formula encodes with every formula reduction on,
+    solved under config.timeout in files named by the spec, its model
+    decoded.  Every round is solved, and an instance's encode_time is its
+    own build, not the input set nor the wait for the turn.
 
     The jobs workers are the calling thread and jobs - 1 helper threads,
     so jobs=1 starts no thread.  They share one lock, the turn.  A worker
@@ -157,7 +158,9 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
     is_sorting_network.
     """
     t0 = time.monotonic()
-    pads = sorted({p for p in pads if 0 < p < n}, reverse=True) + [0]
+    n = spec.n
+    ran = {r.instance.prefix for r in prior.instances} if prior else set()
+    tasks = [rounds for rounds in _tasks(spec) if rounds[0].prefix not in ran][:first]
     done: list[list[InstanceResult]] = [[] for _ in tasks]
     stop = StopEvent()
     turn = threading.Lock()
@@ -165,11 +168,10 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
     errors: list[BaseException] = []
 
     def settle(position: int) -> None:
-        for pad in pads:
+        for inst in tasks[position]:
             with turn:
                 if stop.is_set():
                     return
-                inst = Instance(n, d, pad, tasks[position])
                 t_build = time.monotonic()
                 vm, cnf = instance_formula(inst)
                 encode_time = time.monotonic() - t_build
@@ -187,7 +189,7 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
                                                  cnf.num_vars, cnf.num_clauses))
             if res.verdict == "UNSAT":
                 return
-            if res.verdict == "SAT" and pad == 0:
+            if res.verdict == "SAT" and inst.pad == 0:
                 with turn:
                     stop.set()
 
@@ -221,41 +223,26 @@ def _campaign(n: int, d: int, tasks: Sequence[Optional[Network]], pads: Sequence
         raise errors[0]
 
     results = (list(prior.instances) if prior else []) + [r for rs in done for r in rs]
-    claim, witness, _ = _evidence(n, d, results)
+    claim, witness, _ = _evidence(n, spec.depth, results)
     if witness is not None and not is_sorting_network(witness):
         raise RuntimeError("decoded witness is not a sorting network")
     wall_time = time.monotonic() - t0 + (prior.wall_time if prior else 0.0)
-    return witness, CampaignResult(n, claim, results, wall_time, "fewest-outputs")
-
-
-def find_network(n: int, d: int, mode: str = "two-layer",
-                 config: Optional[SolverConfig] = None, jobs: int = 1) -> Optional[Network]:
-    """Search for a depth-d sorting network; returns a verified witness or None.
-
-    mode free: one instance over all unsorted inputs; layer1: the crossing
-    first layer is fixed; two-layer: iterate the prefixes of R_n, fewest
-    unsorted outputs first, and stop at the first satisfiable instance.  The
-    order only decides how soon a network is found, never whether.  None
-    covers both proven absence and an inconclusive timeout; the campaign
-    variant distinguishes them.
-    """
-    net, _ = find_network_campaign(n, d, mode, config, jobs)
-    return net
+    return witness, CampaignResult(n, claim, results, wall_time, spec)
 
 
 def find_network_campaign(n: int, d: int, mode: str = "two-layer",
                           config: Optional[SolverConfig] = None,
                           jobs: int = 1) -> tuple[Optional[Network], CampaignResult]:
-    """find_network with its campaign: the mode's tasks, scheduled at pad 0."""
-    if mode == "free":
-        tasks = [None]
-    elif mode == "layer1":
-        tasks = [Instance.layer1(n, d).prefix]
-    elif mode == "two-layer":
-        tasks = _prefix_tasks(n, d)
-    else:
-        raise ValueError(f"unknown search mode {mode!r}")
-    return _campaign(n, d, tasks, [0], config or default_config(), jobs)
+    """Search for a depth-d sorting network at pad 0: the verified witness,
+    or None, with the campaign, whose claim tells proven absence from an
+    inconclusive timeout.
+
+    mode free: one instance over all unsorted inputs; layer1: the crossing
+    first layer is fixed; two-layer: the prefixes of R_n, fewest unsorted
+    outputs first, up to the first satisfiable instance.  The order only
+    decides how soon a network is found, never whether.
+    """
+    return _campaign(Campaign(n, d, mode), config or default_config(), jobs)
 
 
 def prove_lower_bound(n: int, d_prime: int,
@@ -264,8 +251,8 @@ def prove_lower_bound(n: int, d_prime: int,
                       jobs: int = 1) -> CampaignResult:
     """Try to prove T(n) > d_prime by refuting every prefix in R_n.
 
-    Each prefix descends the pad schedule, which goes to _campaign as
-    given: the scheduler keeps the distinct pads below n, largest first,
+    Each prefix descends the pad schedule, which goes into the Campaign
+    spec as given: the spec keeps the distinct pads below n, largest first,
     and ends at 0.  The default, default_pads(n, d_prime), tries windows of
     width d_prime + 1 (pad n - d_prime - 1, when that is at least 2) once
     and then the full input set; see default_pads for the measurements
@@ -273,8 +260,7 @@ def prove_lower_bound(n: int, d_prime: int,
     through to pad 0, so the schedule never changes a claim.
     """
     pads = default_pads(n, d_prime) if pad_schedule is None else pad_schedule
-    return _campaign(n, d_prime, _prefix_tasks(n, d_prime), pads,
-                     config or default_config(), jobs)[1]
+    return _campaign(Campaign(n, d_prime, "two-layer", pads), config or default_config(), jobs)[1]
 
 
 def compute_T(n: int, config: Optional[SolverConfig] = None,
@@ -285,15 +271,16 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
     a shallower network padded with empty layers is a depth-(t - 1)
     network, so the refutation covers every smaller depth as well.
 
-    The climb starts at the information-theoretic floor ceil(log2 n) and
-    runs only a probe at each depth: its first `jobs` tasks in
-    fewest-outputs order, one per worker, with the depth's default_pads.
-    It moves up while every probed task is UNSAT.  The first probe with a
-    pad-0 SAT is the witness campaign at t.  Then the rest of R_n runs at
-    t - 1 and takes over the probe's instances at that depth, so no
-    (depth, prefix, pad) is solved twice.  Should that campaign find a
-    network, it becomes the witness campaign and the refutation moves down
-    one depth.  The lower probes are search steps, not evidence, and are
+    Each depth has one spec: R_n at that depth with its default_pads.  The
+    climb starts at the information-theoretic floor ceil(log2 n) and runs
+    only a probe at each depth: the first `jobs` tasks of the spec in
+    fewest-outputs order, one per worker.  It moves up while every probed
+    task is UNSAT.  The first probe with a pad-0 SAT is the witness
+    campaign at t.  Then the spec at t - 1 runs again with the probe as its
+    prior: the scheduler skips the tasks the probe ran and takes over its
+    instances, so no (depth, prefix, pad) is solved twice.  Should that
+    campaign find a network, it becomes the witness campaign and the
+    refutation moves down one depth.  The lower probes are search steps, not evidence, and are
     not returned.
 
     A probe or refutation left open by a TIMEOUT raises RuntimeError: the
@@ -307,27 +294,24 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
     config = config or default_config()
     jobs = max(1, jobs)
 
-    def run(d: int, tasks: Sequence[Optional[Network]], prior: Optional[CampaignResult] = None):
-        return _campaign(n, d, tasks, default_pads(n, d), config, jobs, prior)
+    def run(d: int, first: Optional[int] = None, prior: Optional[CampaignResult] = None):
+        return _campaign(Campaign(n, d, pads=default_pads(n, d)), config, jobs, first, prior)
 
     probes: dict[int, CampaignResult] = {}
     d = max(1, math.ceil(math.log2(n)))
     while True:
-        tasks = _prefix_tasks(n, d)[:jobs]
-        witness, probe = run(d, tasks)
+        witness, probe = run(d, first=jobs)
         if witness is not None:
             break
         missing = _evidence(n, d, probe.instances)[2]
-        if any(Instance(n, d, 0, prefix).index in missing for prefix in tasks):
+        if any(r.prefix_index in missing for r in probe.instances):
             raise RuntimeError(f"inconclusive probe at depth {d} for n={n}")
         probes[d] = probe
         d += 1
     found = probe
     while True:
         d -= 1
-        prior = probes.get(d)
-        done = {r.instance.prefix for r in prior.instances} if prior else set()
-        witness, camp = run(d, [p for p in _prefix_tasks(n, d) if p not in done], prior)
+        witness, camp = run(d, prior=probes.get(d))
         if witness is None:
             break
         found = camp

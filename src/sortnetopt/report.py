@@ -42,8 +42,17 @@ for any other prefix.  A result records only an R_n member, the
 crossing first layer or no prefix, the two that _evidence may read as
 covering every prefix (prefix_index null).
 
-A report is one JSON object: n, the claim, the task ordering, the wall
-time and the instances.  An instance's keys are prefix_index, prefix
+A campaign is one spec too, Campaign(n, depth, tasks, pads), checked on
+construction: tasks is the kind of its prefixes, "two-layer" (every
+member of R_n, or one prefix-free task below depth 2), "layer1" (the
+crossing first layer) or "free" (no prefix), and the depth must hold that
+prefix.  The pads are kept as the distinct pads in 1..n-1, largest first,
+then 0, so every task can end on the full input set.  Its instances are
+every task, in R_n order, at every pad: what the scheduler may run.
+
+A report is one JSON object: n, the claim, the campaign spec as
+{"depth", "tasks", "pads"}, the wall time and the instances.  An
+instance's keys are prefix_index, prefix
 (the label), depth and pad from the spec, then the fields of
 InstanceResult after it, in their order.  An instance's encode_time is
 its own build, never its input set, made once per process.  The
@@ -56,8 +65,11 @@ stop kills is not recorded, and which rounds those are depends on
 thread timing (compute_T(9) records 23 or 24 instances).  The
 loader rebuilds each spec, so it rejects what no campaign could run: a
 pad outside 0..n-1, a prefix deeper than the depth, a label that is not
-the R_n sentence at its prefix_index, and "layer1" beside an index.  A
-report without the prefix key loads as before.
+the R_n sentence at its prefix_index, and "layer1" beside an index.
+Given a campaign key, it rebuilds the spec and rejects every instance the
+spec does not list: another depth, a pad outside the schedule, a prefix
+of another kind.  A report without the prefix or the campaign key loads
+as before; an "ordering" key, which older reports carry, is ignored.
 """
 
 from __future__ import annotations
@@ -123,6 +135,33 @@ class Instance:
         return f"n{self.n}d{self.depth}p{tag}w{self.pad}"
 
 
+@dataclass(frozen=True)
+class Campaign:
+    """What a campaign runs, checked on construction; see the module
+    docstring."""
+    n: int
+    depth: int
+    tasks: str = "two-layer"
+    pads: tuple[int, ...] = (0,)
+
+    def __post_init__(self):
+        if self.tasks not in ("two-layer", "layer1", "free"):
+            raise ValueError(f"unknown search mode {self.tasks!r}")
+        check_instance(self.n, self.depth)
+        if self.tasks == "layer1":
+            Instance.layer1(self.n, self.depth)   # the first layer must fit the depth
+        pads = sorted({p for p in self.pads if 0 < p < self.n}, reverse=True)
+        object.__setattr__(self, "pads", (*pads, 0))
+
+    def instances(self) -> list[Instance]:
+        """Every spec the campaign may run: its tasks in R_n order, each
+        down the pads."""
+        if self.tasks == "layer1":
+            return [Instance.layer1(self.n, self.depth, pad) for pad in self.pads]
+        prefixes = rn_networks(self.n) if self.tasks == "two-layer" and self.depth >= 2 else [None]
+        return [Instance(self.n, self.depth, pad, p) for p in prefixes for pad in self.pads]
+
+
 @dataclass
 class InstanceResult:
     instance: Instance
@@ -160,7 +199,7 @@ class CampaignResult:
     claim: str                    # e.g. "T(9) > 6" or "T(9) <= 7" or "inconclusive"
     instances: list[InstanceResult] = field(default_factory=list)
     wall_time: float = 0.0
-    ordering: str = "canonical"   # task order; R_n order in reports without the key
+    spec: Optional[Campaign] = None   # None in reports without the key
 
 
 def _evidence(n: int, d: int, instances: Sequence[InstanceResult]
@@ -195,7 +234,9 @@ def campaign_to_json(c: CampaignResult) -> str:
                  | {f.name: getattr(r, f.name) for f in fields(InstanceResult)[1:]}
                  | {"witness": json.loads(r.witness.to_json()) if r.witness else None}
                  for r in c.instances]
-    return json.dumps({"n": c.n, "claim": c.claim, "ordering": c.ordering,
+    spec = {} if c.spec is None else {"campaign": {"depth": c.spec.depth, "tasks": c.spec.tasks,
+                                                   "pads": list(c.spec.pads)}}
+    return json.dumps({"n": c.n, "claim": c.claim, **spec,
                        "wall_time": c.wall_time, "instances": instances}, indent=2)
 
 
@@ -214,15 +255,16 @@ def campaign_from_json(text: str) -> CampaignResult:
     """Parse and validate a campaign document; witnesses are re-verified
     and the claim is audited against the instances (see _audit_claim).
 
-    A malformed document, instance, n, claim, wall_time, ordering or
+    A malformed document, instance, n, claim, wall_time, campaign or
     instance field raises ValueError naming its $ path: times must be
     finite non-negative numbers, formula sizes non-negative integers, a
     prefix_index null or an index into R_n, a prefix null or the spec's
-    label, the ordering a string, and a witness must be present exactly
-    on a SAT instance.  The spec is the R_n member at prefix_index, else
-    the crossing first layer for the label "layer1", else no prefix; one
-    that Instance rejects is rejected at the instance's path.  Only depth,
-    pad and verdict are required keys.
+    label, a campaign one that Campaign accepts, and a witness must be
+    present exactly on a SAT instance.  The spec is the R_n member at
+    prefix_index, else the crossing first layer for the label "layer1",
+    else no prefix; one that Instance rejects, or that the campaign does
+    not list, is rejected at the instance's path.  Only depth, pad and
+    verdict are required keys of an instance.
     """
     doc = json.loads(text)
     _require(isinstance(doc, dict), "expected an object", "$")
@@ -238,8 +280,16 @@ def campaign_from_json(text: str) -> CampaignResult:
     _require(_is_duration(doc.get("wall_time", 0.0)),
              f"'wall_time' must be a non-negative number, got {doc.get('wall_time')!r}",
              "$.wall_time")
-    _require(isinstance(doc.get("ordering", ""), str),
-             f"'ordering' must be a string, got {doc.get('ordering')!r}", "$.ordering")
+    spec = doc.get("campaign")
+    if spec is not None:
+        _require(isinstance(spec, dict) and isinstance(spec.get("pads"), list)
+                 and all(map(_is_int, [spec.get("depth"), *spec["pads"]])),
+                 f"'campaign' needs an integer depth and integer pads, got {spec!r}", "$.campaign")
+        try:
+            spec = Campaign(n, spec["depth"], spec.get("tasks"), spec["pads"])
+        except ValueError as exc:
+            raise ValueError(f"campaign document: {exc} at $.campaign") from None
+        listed = set(spec.instances())
     instances = []
     for pos, item in enumerate(doc["instances"]):
         loc = f"$.instances[{pos}]"
@@ -266,6 +316,8 @@ def campaign_from_json(text: str) -> CampaignResult:
         _require(label is None or label == inst.label,
                  f"'prefix' must be null or {inst.label or 'layer1'!r} here, got {label!r}",
                  f"{loc}.prefix")
+        _require(spec is None or inst in listed,
+                 f"instance {inst.name} is not one the campaign spec lists", loc)
         values = {f.name: item.get(f.name, None if f.default is MISSING else f.default)
                   for f in fields(InstanceResult)[1:]}
         _require(values["verdict"] in ("SAT", "UNSAT", "TIMEOUT"),
@@ -291,8 +343,7 @@ def campaign_from_json(text: str) -> CampaignResult:
                      "witness fails verification", loc)
         instances.append(InstanceResult(inst, **values))
     _audit_claim(doc["n"], doc["claim"], instances)
-    return CampaignResult(doc["n"], doc["claim"], instances,
-                          doc.get("wall_time", 0.0), doc.get("ordering", "canonical"))
+    return CampaignResult(doc["n"], doc["claim"], instances, doc.get("wall_time", 0.0), spec)
 
 
 def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> None:

@@ -215,13 +215,16 @@ def run_solver(cnf: Cnf, config: SolverConfig, name: str = "instance",
     The log of a TIMEOUT-class run is in the result and nowhere else: a
     direct caller of run_solver or solve_file gets it, sortnetopt solve
     prints it, and a campaign records only the verdict.  Without a
-    workdir, its cmd: line names a CNF that has already been removed;
-    sortnetopt encode rebuilds an instance's CNF from its spec, for a
-    rerun with sortnetopt solve.
+    workdir, its cmd: line names a CNF that has already been removed, so
+    the log ends with a line that says so: sortnetopt encode rebuilds an
+    instance's CNF from its spec, for a rerun with sortnetopt solve.
     """
     if config.workdir is None:
         with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:
-            return run_solver(cnf, replace(config, workdir=workdir), name, stop)
+            res = run_solver(cnf, replace(config, workdir=workdir), name, stop)
+        if res.verdict == "TIMEOUT":
+            res.log += f"\n{name}.cnf was not kept: sortnetopt encode rebuilds it from its spec"
+        return res
     path = Path(config.workdir) / f"{name}.cnf"
     path.parent.mkdir(parents=True, exist_ok=True)
     res = None

@@ -19,7 +19,6 @@ from sortnetopt import campaign, cli, saturation, solver
 from sortnetopt.campaign import (
     compute_T,
     default_pads,
-    find_network,
     find_network_campaign,
     prove_lower_bound,
     reproduce_tables,
@@ -28,8 +27,8 @@ from sortnetopt.campaign import (
 from sortnetopt.encoding import _LIT_CHUNK, Cnf, EncodeOptions, VarMap, build, to_dimacs
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
                                  reflect, unsorted_inputs)
-from sortnetopt.report import (CampaignResult, Instance, InstanceResult, campaign_from_json,
-                               campaign_to_json)
+from sortnetopt.report import (Campaign, CampaignResult, Instance, InstanceResult,
+                               campaign_from_json, campaign_to_json)
 from sortnetopt.saturation import permute_vectors
 from sortnetopt.solver import KNOWN_SOLVERS, SolveResult, SolverConfig, StopEvent, run_solver
 from sortnetopt.words import matchings, rn_networks
@@ -163,6 +162,12 @@ def test_run_solver_unparseable_is_timeout_class(tmp_path):
         res = run_solver(Cnf(1, [(1,)]), cfg, name=name)
         assert res.verdict == "TIMEOUT" and line in res.log.splitlines(), (name, res)
         assert [p.name for p in Path(cfg.workdir).iterdir()] == [f"{name}.cnf"], name
+    # without a workdir the CNF goes with its temp dir, and the log says so
+    cfg = dataclasses.replace(_fake_solver(tmp_path, "junk", fakes["junk"][0]), workdir=None)
+    log = run_solver(Cnf(1, [(1,)]), cfg, name="junk").log.splitlines()
+    assert "junk.cnf was not kept: sortnetopt encode rebuilds it from its spec" in log
+    cmd = next(line for line in log if line.startswith("cmd: "))
+    assert cmd.endswith("/junk.cnf") and not os.path.exists(cmd.split()[-1])
 
 
 def test_run_solver_accepts_agreeing_exit_codes(tmp_path):
@@ -310,14 +315,14 @@ def test_default_pads_keep_claims(solver_config, n, t):
 
 
 def test_find_network_examples(solver_config):
-    net = find_network(6, 5, "two-layer", solver_config)
+    net = find_network_campaign(6, 5, "two-layer", solver_config)[0]
     assert net is not None and is_sorting_network(net) and net.depth == 5
-    assert find_network(4, 2, "free", solver_config) is None
-    net = find_network(6, 5, "layer1", solver_config)
+    assert find_network_campaign(4, 2, "free", solver_config)[0] is None
+    net = find_network_campaign(6, 5, "layer1", solver_config)[0]
     assert net is not None and is_sorting_network(net)
     assert net.layers[0] == ((1, 6), (2, 5), (3, 4))  # crossing first layer
     with pytest.raises(ValueError, match="unknown search mode"):
-        find_network(6, 5, "two_layer", solver_config)   # the one spelling is the CLI's
+        find_network_campaign(6, 5, "two_layer", solver_config)   # the one spelling is the CLI's
     for n in (2, 3, 6):
         # the first layer is deeper than depth 0: an error, not a claim
         with pytest.raises(ValueError, match="exceeds network depth 0"):
@@ -421,14 +426,19 @@ def test_task_order_fewest_outputs(monkeypatch):
             assert key == len(vm.inputs)
         ran.clear()
         camp = prove_lower_bound(n, 4, [0], SolverConfig("/bin/false"), jobs=1)
-        assert camp.claim == f"T({n}) > 4" and camp.ordering == "fewest-outputs"
+        assert camp.claim == f"T({n}) > 4"
         assert ran == sorted(range(len(prefixes)), key=lambda i: (keys[i], i))
+
+
+def _task_order(n, d):
+    """The prefixes of an R_n campaign at depth d in the order they start."""
+    return [rounds[0].prefix for rounds in campaign._tasks(Campaign(n, d))]
 
 
 def test_instances_come_out_in_task_order(monkeypatch):
     # the first task's solve returns only after the other worker has started
     # the last task: the instances still come out in task order
-    tasks = campaign._prefix_tasks(6, 4)
+    tasks = _task_order(6, 4)
     order = [two_layer_prefixes(6).index(p) for p in tasks]
     last_started = threading.Event()
 
@@ -483,7 +493,7 @@ def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
     finally:
         sys.setswitchinterval(interval)
     assert camp.claim == "T(7) > 4" and most[0] == 1
-    assert [r.instance.prefix for r in camp.instances] == campaign._prefix_tasks(7, 4)
+    assert [r.instance.prefix for r in camp.instances] == _task_order(7, 4)
     assert all(r.encode_time < builds[r.instance.name] + 0.025 for r in camp.instances)
 
 
@@ -506,7 +516,7 @@ def test_a_write_never_waits_for_another_build(tmp_path, monkeypatch):
     monkeypatch.setattr(campaign, "instance_formula", formula)
     monkeypatch.setattr(solver, "dimacs_chunks", chunks)
     camp = prove_lower_bound(7, 4, [0], _fake_solver(tmp_path, "quiet20", "exit 20"), jobs=2)
-    assert camp.claim == "T(7) > 4" and len(gaps) == len(campaign._prefix_tasks(7, 4))
+    assert camp.claim == "T(7) > 4" and len(gaps) == len(_task_order(7, 4))
     assert max(gaps) < 0.025, gaps
 
 
@@ -552,7 +562,7 @@ def test_the_caller_is_one_of_the_workers(monkeypatch, jobs):
     monkeypatch.setattr(campaign, "run_solver", fake_solver)
     before = threading.active_count()
     camp = prove_lower_bound(7, 4, [0], SolverConfig("/bin/false"), jobs=jobs)
-    assert camp.claim == "T(7) > 4" and len(ran) == len(campaign._prefix_tasks(7, 4))
+    assert camp.claim == "T(7) > 4" and len(ran) == len(_task_order(7, 4))
     assert len(set(ran[:jobs])) == jobs and threading.get_ident() in ran[:jobs]
     assert threading.active_count() == before
     if jobs == 1:
@@ -641,7 +651,7 @@ def test_compute_t_moves_the_refutation_down(solver_config, monkeypatch, jobs):
     # a solver that wrongly refutes the probe's tasks at depth T(7) = 6 sends
     # the climb on to 7; the full campaign at 6 then finds a network among
     # the other prefixes and becomes the witness campaign
-    probe = {two_layer_prefixes(7).index(p) for p in campaign._prefix_tasks(7, 6)[:jobs]}
+    probe = {two_layer_prefixes(7).index(p) for p in _task_order(7, 6)[:jobs]}
     faked = []
 
     def solver(cnf, config, name="instance", stop=None):
@@ -684,9 +694,8 @@ def test_compute_t_timeout_raises_after_one_probe(monkeypatch, jobs):
 def test_compute_t_raises_on_an_open_refutation(solver_config, monkeypatch, jobs):
     # one prefix the probe did not run times out at depth T(7) - 1 = 5, at
     # whatever pad: the refutation is left open, so compute_T makes no claim
-    idx = two_layer_prefixes(7).index(campaign._prefix_tasks(7, 5)[-1])
-    assert idx not in {two_layer_prefixes(7).index(p)
-                       for p in campaign._prefix_tasks(7, 5)[:jobs]}
+    idx = two_layer_prefixes(7).index(_task_order(7, 5)[-1])
+    assert idx not in {two_layer_prefixes(7).index(p) for p in _task_order(7, 5)[:jobs]}
     timed_out = []
 
     def solver(cnf, config, name="instance", stop=None):
@@ -793,11 +802,14 @@ def test_campaign_json_roundtrip(solver_config):
             for r in back.instances] == \
            [(r.prefix_index, r.depth, r.pad, r.verdict, r.witness)
             for r in camp.instances]
-    assert camp.ordering == back.ordering == "fewest-outputs"
-    # a report written before the ordering was recorded ran in R_n order
+    assert back.spec == camp.spec == Campaign(4, 2, "two-layer", (0,))
+    assert json.loads(doc)["campaign"] == {"depth": 2, "tasks": "two-layer", "pads": [0]}
+    # a report written before the spec was recorded loads without one, and
+    # the task ordering that it carried instead is ignored
     old = json.loads(doc)
-    del old["ordering"]
-    assert campaign_from_json(json.dumps(old)).ordering == "canonical"
+    del old["campaign"]
+    old["ordering"] = "fewest-outputs"
+    assert campaign_from_json(json.dumps(old)).spec is None
 
 
 def test_campaign_json_keeps_formula_sizes(solver_config):
@@ -835,6 +847,7 @@ def test_campaign_json_empty_and_errors():
 
 UNSAT = {"prefix_index": None, "depth": 1, "pad": 0, "verdict": "UNSAT"}
 R6_REFUTED = [{"prefix_index": i, "depth": 4, "pad": 0, "verdict": "UNSAT"} for i in range(5)]
+SPEC6 = {"depth": 4, "tasks": "two-layer", "pads": [2, 0]}
 SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to_json())
 
 
@@ -882,7 +895,6 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
     ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "verdict": "SAT"}]},
      r"\$\.instances\[1\]$"),
     ({"n": 4, "claim": "inconclusive", "instances": [], "wall_time": None}, r"\$\.wall_time$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [], "ordering": [1, 2]}, r"\$\.ordering$"),
     # specs that no campaign could run: a lower bound resting on windows
     # outside 0..n-1, which have no formula, and a depth-2 prefix at depth 1
     ({"n": 6, "claim": "T(6) > 4", "instances": [{**r, "pad": -3} for r in R6_REFUTED]},
@@ -903,14 +915,28 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
      r"\$\.instances\[0\]\.prefix$"),
     ({"n": 6, "claim": "inconclusive", "instances": [{**UNSAT, "prefix": "12_s;1212_c"}]},
      r"\$\.instances\[0\]\.prefix$"),
+    # instances that the campaign spec does not list: another depth, a pad
+    # outside its schedule, a prefix of another kind; and a malformed spec
+    ({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
+      "instances": R6_REFUTED[:4] + [{**R6_REFUTED[4], "depth": 5}]}, r"\$\.instances\[4\]$"),
+    ({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
+      "instances": [R6_REFUTED[0], {**R6_REFUTED[1], "pad": 3}]}, r"\$\.instances\[1\]$"),
+    ({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
+      "instances": [{**UNSAT, "depth": 4, "prefix": "layer1"}]}, r"\$\.instances\[0\]$"),
+    ({"n": 6, "claim": "inconclusive", "campaign": {"depth": 4, "tasks": "two-layer"},
+      "instances": []}, r"\$\.campaign$"),
+    ({"n": 6, "claim": "inconclusive", "campaign": {**SPEC6, "tasks": "two_layer"},
+      "instances": []}, r"\$\.campaign$"),
 ], ids=["top-int", "top-list", "instances-int", "instance-int", "n-str", "n-0", "n-40",
         "claim-int", "depth-float", "pad-bool", "prefix-index-str", "prefix-index-past-rn",
         "prefix-index-negative", "witness-int",
         "encode-time-str", "encode-time-negative", "solve-time-bool", "solve-time-null",
         "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool",
-        "witness-on-unsat", "sat-without-witness", "wall-time-null", "ordering-list",
+        "witness-on-unsat", "sat-without-witness", "wall-time-null",
         "pad-negative", "pad-past-n", "prefix-deeper-than-depth", "layer1-deeper-than-depth",
-        "label-not-the-sentence", "layer1-beside-index", "sentence-without-index"])
+        "label-not-the-sentence", "layer1-beside-index", "sentence-without-index",
+        "depth-not-the-spec", "pad-not-the-spec", "layer1-not-the-spec", "spec-without-pads",
+        "spec-unknown-tasks"])
 def test_campaign_json_malformed_is_value_error(doc, where):
     # every malformed report is a ValueError that names where it is wrong
     with pytest.raises(ValueError, match=where):
@@ -963,6 +989,25 @@ def test_instance_checks_itself(spec, message):
     n, depth, pad, prefix = (*spec, None)[:4]
     with pytest.raises(ValueError, match=message):
         VarMap(n, depth, unsorted_inputs(n), EncodeOptions(pad=pad, prefix=prefix))
+
+
+def test_campaign_checks_itself():
+    # a campaign spec is checked when it is made, its pads normalised as
+    # every task walks them, and it lists its instances task by task in
+    # R_n order
+    with pytest.raises(ValueError, match="depth must be at least 0"):
+        Campaign(6, -1)
+    with pytest.raises(ValueError, match="unknown search mode 'two_layer'"):
+        Campaign(6, 4, "two_layer")
+    with pytest.raises(ValueError, match="exceeds network depth 0"):
+        Campaign(6, 0, "layer1")
+    assert Campaign(5, 4, "two-layer", (1, 3, 3, 7, 0)).pads == (3, 1, 0)
+    assert Campaign(6, 4, "two-layer", [2]).instances() == \
+           [Instance(6, 4, pad, p) for p in two_layer_prefixes(6) for pad in (2, 0)]
+    assert Campaign(6, 1).instances() == [Instance(6, 1)]
+    assert Campaign(6, 4, "layer1", (2,)).instances() == \
+           [Instance.layer1(6, 4, 2), Instance.layer1(6, 4)]
+    assert Campaign(6, 4, "free").instances() == [Instance(6, 4)]
 
 
 @pytest.mark.parametrize("mode, label", [("free", None), ("layer1", "layer1")])
@@ -1283,4 +1328,4 @@ def test_cli_prove(tmp_path, solver_config):
     assert out.returncode == 20
     camp = campaign_from_json(report.read_text())
     assert camp.claim == "T(5) > 4"
-    assert camp.ordering == "fewest-outputs"
+    assert camp.spec == Campaign(5, 4, "two-layer", (2, 0))

@@ -19,6 +19,7 @@ solver is run.  Never regenerate a digest to make a change pass.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -102,6 +103,13 @@ GROUPS = {
     # 021_h;121221_s in place of 021_h;211212_s; its other 21 formulas held
     "rn9-d6+settled": lambda: _rn_sweep(9, [6], **ALL_ON),
     "rn10-d6+settled": lambda: _rn_sweep(10, [6], **ALL_ON),
+    # the frontier refutation T(11) > 7: the pad-3 formula of every R_11
+    # prefix, then the one pad-0 formula the campaign falls back to.  The
+    # pad-3 formula of prefix 31 is the only satisfiable one (a padded SAT
+    # proves nothing), so prefix 31 alone is solved again at pad 0
+    "rn11-d7+settled": lambda: itertools.chain(
+        (_dimacs(11, 7, prefix, pad=3, **ALL_ON) for prefix in two_layer_prefixes(11)),
+        [_dimacs(11, 7, two_layer_prefixes(11)[31], **ALL_ON)]),
 }
 
 EXPECTED = {
@@ -125,6 +133,7 @@ EXPECTED = {
     "layer1+settled": "0ce84fe8f48a51d57dc06b8e161211955f280ee8c3d673723e0f3e79d8f832eb",
     "rn9-d6+settled": "2a26ca9acffd17917e0ddbc9f96c4c07c097872ba162b8fde83ab5f4611828cb",
     "rn10-d6+settled": "5b1dd89bef411a4a0732ad48c56aa13a7e86ebaca1557bf876f6ba02bae0e517",
+    "rn11-d7+settled": "3c2e24206e018fd10dd848870e75a03d83c27398280051da4fdb70e0973cf2ae",
 }
 
 

@@ -58,8 +58,8 @@ def test_name_finder_sees_an_instance_name():
 def test_report_is_fenced():
     # a claim rests on the instances and the witness checks alone: report
     # imports no scheduler, encoding or solver, campaign takes from it only
-    # the instance spec, the result types and the evidence rule, and only
-    # report spells a claim
+    # the campaign and instance specs, the result types and the evidence
+    # rule, and only report spells a claim
     assert _intra_package_imports()["report"] <= {"networks", "words"}
     tree = ast.parse((PACKAGE / "campaign.py").read_text())
     # `from . import report` takes the name "report", and fails as well
@@ -67,7 +67,7 @@ def test_report_is_fenced():
              if isinstance(node, ast.ImportFrom) and node.level == 1
              for alias in node.names
              if node.module == "report" or (node.module is None and alias.name == "report")}
-    assert taken == {"CampaignResult", "Instance", "InstanceResult", "_evidence"}, taken
+    assert taken == {"Campaign", "CampaignResult", "Instance", "InstanceResult", "_evidence"}, taken
     spellings = {path.stem: _claim_spellings(ast.parse(path.read_text()))
                  for path in sorted(PACKAGE.glob("*.py"))}
     assert len(spellings.pop("report")) == 3   # the two claims _evidence writes, the regex
