@@ -116,6 +116,19 @@ def _tasks(spec: Campaign) -> list[list[Instance]]:
     return [rounds[p] for p in (_fewest_outputs(spec.n) if len(rounds) > 1 else rounds)]
 
 
+_LOG_TAIL = 2000   # characters a report keeps of a log after its cmd: and exit: lines
+
+
+def _kept_log(log: str) -> str:
+    """What a report keeps of a TIMEOUT-class run's log: the cmd: and
+    exit: lines that solve_file writes first, then at most the last
+    _LOG_TAIL characters of the rest."""
+    if log.startswith("cmd: "):
+        cmd, exit_line, rest = log.split("\n", 2)
+        return f"{cmd}\n{exit_line}\n{rest[-_LOG_TAIL:]}"
+    return log[-_LOG_TAIL:]   # a wall-clock timeout
+
+
 def _campaign(spec: Campaign, config: SolverConfig, jobs: int, first: Optional[int] = None,
               prior: Optional[CampaignResult] = None) -> tuple[Optional[Network], CampaignResult]:
     """The one campaign scheduler behind find_network_campaign,
@@ -128,7 +141,8 @@ def _campaign(spec: Campaign, config: SolverConfig, jobs: int, first: Optional[i
     Instance that instance_formula encodes with every formula reduction on,
     solved under config.timeout in files named by the spec, its model
     decoded.  Every round is solved, and an instance's encode_time is its
-    own build, not the input set nor the wait for the turn.
+    own build, not the input set nor the wait for the turn.  A
+    TIMEOUT-class round keeps its run's log, cut by _kept_log.
 
     The jobs workers are the calling thread and jobs - 1 helper threads,
     so jobs=1 starts no thread.  They share one lock, the turn.  A worker
@@ -184,9 +198,10 @@ def _campaign(spec: Campaign, config: SolverConfig, jobs: int, first: Optional[i
                 witness = decode_network(vm, res.true_vars)
                 if not _ascending_mask(_eval_array(witness, vm.inputs), n).all():
                     raise RuntimeError(f"solver model fails verification on instance {inst.name}")
+            log = _kept_log(res.log) if res.verdict == "TIMEOUT" else ""
             done[position].append(InstanceResult(inst, res.verdict, encode_time,
                                                  res.solve_time, witness, len(vm.inputs),
-                                                 cnf.num_vars, cnf.num_clauses))
+                                                 cnf.num_vars, cnf.num_clauses, log))
             if res.verdict == "UNSAT":
                 return
             if res.verdict == "SAT" and inst.pad == 0:

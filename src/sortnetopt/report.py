@@ -55,10 +55,13 @@ A report is one JSON object: n, the claim, the campaign spec as
 instance's keys are prefix_index, prefix
 (the label), depth and pad from the spec, then the fields of
 InstanceResult after it, in their order.  An instance's encode_time is
-its own build, never its input set, made once per process.  The
-instances are listed in task order, not in the order the workers
-finished them: a prior campaign's first, then each task's in the order
-the scheduler was given the tasks, its pads largest first.  With the
+its own build, never its input set, made once per process.  Its log is
+"" unless the verdict is TIMEOUT: then it holds the solver run's cmd:
+and exit: lines and at most the last 2 000 characters of the rest of
+the run's log (campaign._kept_log).  The instances are listed in task
+order, not in the order the workers finished them: a prior campaign's
+first, then each task's in the order the scheduler was given the tasks,
+its pads largest first.  With the
 times zeroed, two runs of one campaign give the same report, unless it
 ends on a pad-0 SAT with jobs >= 2: a round whose solver that SAT's
 stop kills is not recorded, and which rounds those are depends on
@@ -173,6 +176,7 @@ class InstanceResult:
     inputs_kept: int = 0
     vars: int = 0
     clauses: int = 0
+    log: str = ""                 # a TIMEOUT-class run's cmd: and exit: lines, then its tail
 
     def __post_init__(self):
         if (self.witness is not None) != (self.verdict == "SAT"):
@@ -259,12 +263,13 @@ def campaign_from_json(text: str) -> CampaignResult:
     instance field raises ValueError naming its $ path: times must be
     finite non-negative numbers, formula sizes non-negative integers, a
     prefix_index null or an index into R_n, a prefix null or the spec's
-    label, a campaign one that Campaign accepts, and a witness must be
-    present exactly on a SAT instance.  The spec is the R_n member at
-    prefix_index, else the crossing first layer for the label "layer1",
-    else no prefix; one that Instance rejects, or that the campaign does
-    not list, is rejected at the instance's path.  Only depth, pad and
-    verdict are required keys of an instance.
+    label, a campaign one that Campaign accepts, a log a string, and a
+    witness must be present exactly on a SAT instance.  The spec is the
+    R_n member at prefix_index, else the crossing first layer for the
+    label "layer1", else no prefix; one that Instance rejects, or that the
+    campaign does not list, is rejected at the instance's path.  Only
+    depth, pad and verdict are required keys of an instance; a missing
+    log loads as "".
     """
     doc = json.loads(text)
     _require(isinstance(doc, dict), "expected an object", "$")
@@ -329,6 +334,8 @@ def campaign_from_json(text: str) -> CampaignResult:
             _require(_is_int(values[key]) and values[key] >= 0,
                      f"{key!r} must be a non-negative integer, got {values[key]!r}",
                      f"{loc}.{key}")
+        _require(isinstance(values["log"], str), f"'log' must be a string, got {values['log']!r}",
+                 f"{loc}.log")
         _require((values["witness"] is not None) == (values["verdict"] == "SAT"),
                  "a witness must be present exactly for a SAT verdict", loc)
         if values["witness"] is not None:

@@ -9,22 +9,17 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
 from .encoding import _LIT_CHUNK, Cnf, to_dimacs
 
-# candidate binaries, tried in order when SAT_SOLVER is not set
-KNOWN_SOLVERS = ("splr", "kissat", "cadical", "cryptominisat5", "glucose", "minisat", "picosat")
-
-# per-solver arguments that force plain machine-readable output
-DEFAULT_ARGS = {
-    "splr": ("-q", "-C", "-r", "-"),
-    "kissat": ("-q",),
-    "cadical": ("-q",),
-    "cryptominisat5": ("--verb", "0"),
-}
+# the known solvers, in lookup order, each with the arguments that force
+# plain machine-readable output
+KNOWN_SOLVERS = {"splr": ("-q", "-C", "-r", "-"), "kissat": ("-q",), "cadical": ("-q",),
+                 "cryptominisat5": ("--verb", "0"), "glucose": (), "minisat": (), "picosat": ()}
 
 _EXTRA_DIRS = ("~/.local/bin", "~/.cargo/bin")
 
@@ -32,7 +27,8 @@ DEFAULT_TIMEOUT = 600.0   # seconds of wall clock per solver run
 
 
 def find_solver() -> Optional[str]:
-    """Locate a DIMACS solver: $SAT_SOLVER, then PATH, then user bin dirs."""
+    """Locate a DIMACS solver: $SAT_SOLVER, then the names of KNOWN_SOLVERS
+    in order, each on PATH, then in the user bin dirs."""
     env = os.environ.get("SAT_SOLVER")
     if env:
         return env
@@ -49,8 +45,10 @@ def find_solver() -> Optional[str]:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """What a caller chooses: the binary, its wall-clock timeout and where
+    its CNF files go.  The arguments come from the binary's name
+    (KNOWN_SOLVERS, read by solve_file)."""
     executable: str
-    args: tuple[str, ...] = ()
     timeout: float = DEFAULT_TIMEOUT
     workdir: Optional[str] = None   # None: a temp dir per call, always removed
 
@@ -61,14 +59,14 @@ class SolverConfig:
 
 def default_config(timeout: float = DEFAULT_TIMEOUT, executable: Optional[str] = None,
                    **kw) -> SolverConfig:
-    """Config for the given binary, or the one find_solver() locates."""
+    """Config for the given binary, or the one find_solver() locates; it
+    only resolves the executable, whose flags solve_file looks up."""
     exe = executable or find_solver()
     if exe is None:
         raise RuntimeError(
             "no SAT solver found: set SAT_SOLVER to a DIMACS-conformant binary "
             "(e.g. `cargo install splr`, or any of " + ", ".join(KNOWN_SOLVERS) + ")")
-    args = DEFAULT_ARGS.get(Path(exe).name, ())
-    return SolverConfig(executable=exe, args=args, timeout=timeout, **kw)
+    return SolverConfig(exe, timeout, **kw)
 
 
 @dataclass
@@ -158,6 +156,10 @@ def solve_file(path: str | Path, config: SolverConfig,
                stop: Optional[StopEvent] = None) -> SolveResult:
     """Run the solver on the DIMACS file at path; wall-clock timeout kills it.
 
+    The command is the executable, the arguments that KNOWN_SOLVERS holds
+    for its file name (none for another name), then path.  solve_file is
+    the one reader of those arguments.
+
     solve_file neither writes nor removes path, so the caller decides
     whether the file stays.  Unparseable or crashed runs come back as
     TIMEOUT-class failures with the captured log, whose cmd: line names
@@ -168,7 +170,7 @@ def solve_file(path: str | Path, config: SolverConfig,
     launch raises RuntimeError.
     """
     stop = stop or StopEvent()
-    cmd = [config.executable, *config.args, str(path)]
+    cmd = [config.executable, *KNOWN_SOLVERS.get(Path(config.executable).name, ()), str(path)]
     start = time.monotonic()
     try:
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -212,27 +214,27 @@ def run_solver(cnf: Cnf, config: SolverConfig, name: str = "instance",
     removes whatever the outcome, so only a workdir that the caller names
     keeps a CNF.
 
-    The log of a TIMEOUT-class run is in the result and nowhere else: a
-    direct caller of run_solver or solve_file gets it, sortnetopt solve
-    prints it, and a campaign records only the verdict.  Without a
-    workdir, its cmd: line names a CNF that has already been removed, so
-    the log ends with a line that says so: sortnetopt encode rebuilds an
-    instance's CNF from its spec, for a rerun with sortnetopt solve.
+    The log of a TIMEOUT-class run is in the result: a direct caller of
+    run_solver or solve_file gets it, sortnetopt solve prints it, and a
+    campaign keeps its cmd: and exit: lines and its tail in the report.
+    Without a workdir, its cmd: line names a CNF that has already been
+    removed, so the log ends with a line that says so: sortnetopt encode
+    rebuilds an instance's CNF from its spec, for a rerun with sortnetopt
+    solve.
     """
-    if config.workdir is None:
-        with tempfile.TemporaryDirectory(prefix="sortnetopt-") as workdir:
-            res = run_solver(cnf, replace(config, workdir=workdir), name, stop)
-        if res.verdict == "TIMEOUT":
-            res.log += f"\n{name}.cnf was not kept: sortnetopt encode rebuilds it from its spec"
-        return res
-    path = Path(config.workdir) / f"{name}.cnf"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    res = None
-    try:
-        with path.open("w") as out:
-            out.writelines(dimacs_chunks(cnf))
-        res = solve_file(path, config, stop)
-    finally:
-        if res is None or res.verdict != "TIMEOUT":   # the one outcome that keeps a CNF
-            path.unlink(missing_ok=True)
+    temp = config.workdir is None
+    with (tempfile.TemporaryDirectory(prefix="sortnetopt-") if temp
+          else nullcontext(config.workdir)) as workdir:
+        path = Path(workdir) / f"{name}.cnf"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        res = None
+        try:
+            with path.open("w") as out:
+                out.writelines(dimacs_chunks(cnf))
+            res = solve_file(path, config, stop)
+        finally:
+            if res is None or res.verdict != "TIMEOUT":   # the one outcome that keeps a CNF
+                path.unlink(missing_ok=True)
+    if temp and res.verdict == "TIMEOUT":
+        res.log += f"\n{name}.cnf was not kept: sortnetopt encode rebuilds it from its spec"
     return res

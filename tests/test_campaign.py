@@ -170,6 +170,25 @@ def test_run_solver_unparseable_is_timeout_class(tmp_path):
     assert cmd.endswith("/junk.cnf") and not os.path.exists(cmd.split()[-1])
 
 
+def test_a_known_name_gets_its_flags_however_configured(tmp_path):
+    # the command takes its flags from KNOWN_SOLVERS by the executable's
+    # name, for a default_config and a bare SolverConfig alike; a name
+    # outside the table gets none
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for name, flags in [("kissat", " -q"), ("refsat", "")]:
+        exe = bin_dir / name
+        exe.write_text("#!/bin/sh\necho weird\nexit 1\n")
+        exe.chmod(0o755)
+        workdir = str(tmp_path / name)
+        for cfg in (solver.default_config(5, str(exe), workdir=workdir),
+                    SolverConfig(str(exe), 5, workdir)):
+            res = run_solver(Cnf(1, [(1,)]), cfg, name=name)
+            assert res.verdict == "TIMEOUT", (name, cfg)
+            cnf = Path(workdir) / f"{name}.cnf"
+            assert res.log.splitlines()[0] == f"cmd: {bin_dir}/{name}{flags} {cnf}", (name, cfg)
+
+
 def test_run_solver_accepts_agreeing_exit_codes(tmp_path):
     # one status line with exit 0 or its own exit code, and a quiet exit 20
     fakes = {
@@ -248,12 +267,22 @@ def test_a_failed_campaign_leaves_no_temp_dir(tmp_path, monkeypatch):
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     crash = tmp_path / "crash.sh"
-    crash.write_text("#!/bin/sh\nexit 3\n")
+    crash.write_text("#!/bin/sh\nprintf '%03000d' 0\nexit 3\n")   # 3 000 zeros, then a crash
     crash.chmod(0o755)
     camp = prove_lower_bound(6, 4, [2, 0], SolverConfig(str(crash), timeout=5), jobs=2)
     assert camp.claim == "inconclusive" and len(camp.instances) == 10
     assert {r.verdict for r in camp.instances} == {"TIMEOUT"}
     assert list(temp.iterdir()) == []
+    # each instance keeps its run's cmd: line, which names its CNF, its
+    # exit: line and the last 2 000 characters of the rest, and the report
+    # carries it
+    for r in camp.instances:
+        cmd, exit_line, rest = r.log.split("\n", 2)
+        assert cmd.startswith(f"cmd: {crash} ") and cmd.endswith(f"/{r.instance.name}.cnf")
+        assert exit_line == "exit: 3" and len(rest) == 2000 and rest.startswith("0")
+        assert rest.endswith(f"\n{r.instance.name}.cnf was not kept: "
+                             "sortnetopt encode rebuilds it from its spec")
+    assert campaign_from_json(campaign_to_json(camp)).instances == camp.instances
 
 
 def test_an_interrupted_run_leaves_no_temp_dir(tmp_path, monkeypatch):
@@ -498,26 +527,31 @@ def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
 
 
 def test_a_write_never_waits_for_another_build(tmp_path, monkeypatch):
-    # the write takes no turn: each worker's write starts as soon as its own
-    # build ends, never behind the other worker's 50 ms build
-    build_ends, gaps = {}, []
+    # the write takes no turn: each build after the first waits, holding the
+    # turn, until the formula built before it has written its first chunk.
+    # A write that needed the turn could not start, so the wait would time
+    # out and fail the campaign; a slow scheduler only makes it longer
+    written: list[threading.Event] = []   # one per build, set by its first chunk
+    unwritten: dict[int, threading.Event] = {}   # a worker's last build, until it writes
     real_formula, real_chunks = campaign.instance_formula, solver.dimacs_chunks
 
     def formula(inst, *args):
-        time.sleep(0.05)
+        if written and not written[-1].wait(10):
+            raise AssertionError(f"the write of the build before {inst.name} waited for the turn")
         out = real_formula(inst, *args)
-        build_ends[threading.get_ident()] = time.monotonic()
+        written.append(threading.Event())
+        unwritten[threading.get_ident()] = written[-1]
         return out
 
     def chunks(cnf):
-        gaps.append(time.monotonic() - build_ends[threading.get_ident()])
+        unwritten.pop(threading.get_ident()).set()
         yield from real_chunks(cnf)
 
     monkeypatch.setattr(campaign, "instance_formula", formula)
     monkeypatch.setattr(solver, "dimacs_chunks", chunks)
     camp = prove_lower_bound(7, 4, [0], _fake_solver(tmp_path, "quiet20", "exit 20"), jobs=2)
-    assert camp.claim == "T(7) > 4" and len(gaps) == len(_task_order(7, 4))
-    assert max(gaps) < 0.025, gaps
+    assert camp.claim == "T(7) > 4" and len(written) == len(_task_order(7, 4))
+    assert all(event.is_set() for event in written)
 
 
 @pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
@@ -890,6 +924,8 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
      r"\$\.instances\[0\]\.clauses$"),
     ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "clauses": False}]},
      r"\$\.instances\[0\]\.clauses$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "log": 5}]},
+     r"\$\.instances\[0\]\.log$"),
     ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "depth": 3, "witness": SORTER4}]},
      r"\$\.instances\[0\]$"),
     ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "verdict": "SAT"}]},
@@ -931,7 +967,7 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
         "claim-int", "depth-float", "pad-bool", "prefix-index-str", "prefix-index-past-rn",
         "prefix-index-negative", "witness-int",
         "encode-time-str", "encode-time-negative", "solve-time-bool", "solve-time-null",
-        "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool",
+        "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool", "log-int",
         "witness-on-unsat", "sat-without-witness", "wall-time-null",
         "pad-negative", "pad-past-n", "prefix-deeper-than-depth", "layer1-deeper-than-depth",
         "label-not-the-sentence", "layer1-beside-index", "sentence-without-index",
@@ -1242,7 +1278,7 @@ def test_find_solver_lookup_order(tmp_path, monkeypatch):
     monkeypatch.delenv("SAT_SOLVER", raising=False)
     monkeypatch.setenv("PATH", str(dirs["path"]))
     monkeypatch.setenv("HOME", str(home))
-    first, later = KNOWN_SOLVERS[0], KNOWN_SOLVERS[-1]
+    first, later = list(KNOWN_SOLVERS)[0], list(KNOWN_SOLVERS)[-1]
 
     def stub(where, name, mode=0o755):
         path = dirs[where] / name
