@@ -3,8 +3,9 @@
 Exit codes: 0 = conclusive, 2 = usage error, 10 = SAT found, 20 = UNSAT
 proven, 30 = inconclusive.  The solving subcommands (solve, find, prove)
 run the binary named by --solver; without --solver they run the one
-solver.find_solver picks, which is $SAT_SOLVER when that is set.  No
-solver, or a name that is no executable, is a usage error.  solve hands
+solver.find_solver picks, which is $SAT_SOLVER when that is set and the
+package's own reference solver when no other is found.  No solver, or a
+name that is no executable, is a usage error.  solve hands
 the --cnf file itself to the solver (solver.solve_file): it reads,
 copies and removes nothing, and a --cnf that does not open is a usage
 error.
@@ -37,7 +38,8 @@ EXIT_INCONCLUSIVE = 30
 GN_STREAM_LIMIT = 16  # beyond this, gn/sn report counts only
 
 SOLVER_HELP = ("DIMACS solver binary (default: $SAT_SOLVER, else the first known solver "
-               "on PATH or in a user bin dir)")
+               "on PATH or in a user bin dir, else the reference solver refsat, built "
+               "with cc on first use)")
 
 
 class UsageError(ValueError):

@@ -1,4 +1,10 @@
-"""External SAT solver orchestration over DIMACS files."""
+"""External SAT solver orchestration over DIMACS files.
+
+The solver is found by find_solver: $SAT_SOLVER, a known solver on PATH
+or in a user bin dir, and last the package's own reference solver
+refsat, which reference_solver compiles from the refsat.c shipped with
+the package when a C compiler `cc` is on PATH.
+"""
 
 from __future__ import annotations
 
@@ -23,12 +29,50 @@ KNOWN_SOLVERS = {"splr": ("-q", "-C", "-r", "-"), "kissat": ("-q",), "cadical": 
 
 _EXTRA_DIRS = ("~/.local/bin", "~/.cargo/bin")
 
+REFSAT_SOURCE = Path(__file__).with_name("refsat.c")
+
 DEFAULT_TIMEOUT = 600.0   # seconds of wall clock per solver run
+
+
+def reference_solver() -> Optional[str]:
+    """The reference solver refsat, compiled from REFSAT_SOURCE with
+    `cc -O2 -std=c11`, or None when there is no source or no `cc` on PATH.
+
+    The build is cached once per source SHA-256, in
+    ~/.cache/sortnetopt/refsat-<first 16 hex digits>/refsat, a directory
+    of mode 0700: the package runs what it finds there, so the cache is
+    never a shared temp dir.  The compiler writes refsat.<pid>.tmp, which
+    is renamed into place, so processes that build at once do not clash.
+    A failed compile raises RuntimeError with the compiler's stderr and
+    leaves no file behind.
+    """
+    import hashlib   # here, so that importing the package leaves it out
+
+    cc = shutil.which("cc")
+    if cc is None or not REFSAT_SOURCE.is_file():
+        return None
+    digest = hashlib.sha256(REFSAT_SOURCE.read_bytes()).hexdigest()
+    exe = Path.home() / ".cache" / "sortnetopt" / f"refsat-{digest[:16]}" / "refsat"
+    if exe.is_file():
+        return str(exe)
+    exe.parent.mkdir(parents=True, exist_ok=True)
+    exe.parent.chmod(0o700)
+    tmp = exe.with_name(f"refsat.{os.getpid()}.tmp")
+    try:
+        proc = subprocess.run([cc, "-O2", "-std=c11", "-o", str(tmp), str(REFSAT_SOURCE)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"refsat failed to compile with {cc}:\n{proc.stderr}")
+        os.replace(tmp, exe)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return str(exe)
 
 
 def find_solver() -> Optional[str]:
     """Locate a DIMACS solver: $SAT_SOLVER, then the names of KNOWN_SOLVERS
-    in order, each on PATH, then in the user bin dirs."""
+    in order, each on PATH, then in the user bin dirs, and last the
+    reference solver that reference_solver() builds."""
     env = os.environ.get("SAT_SOLVER")
     if env:
         return env
@@ -40,7 +84,7 @@ def find_solver() -> Optional[str]:
             cand = Path(d).expanduser() / name
             if cand.is_file() and os.access(cand, os.X_OK):
                 return str(cand)
-    return None
+    return reference_solver()
 
 
 @dataclass(frozen=True)
@@ -59,13 +103,16 @@ class SolverConfig:
 
 def default_config(timeout: float = DEFAULT_TIMEOUT, executable: Optional[str] = None,
                    **kw) -> SolverConfig:
-    """Config for the given binary, or the one find_solver() locates; it
-    only resolves the executable, whose flags solve_file looks up."""
+    """Config for the given binary, or the one find_solver() locates (the
+    reference solver last, which a first call compiles); it only resolves
+    the executable, whose flags solve_file looks up.  RuntimeError when
+    no solver is found, or when the reference solver fails to compile."""
     exe = executable or find_solver()
     if exe is None:
         raise RuntimeError(
             "no SAT solver found: set SAT_SOLVER to a DIMACS-conformant binary "
-            "(e.g. `cargo install splr`, or any of " + ", ".join(KNOWN_SOLVERS) + ")")
+            "(e.g. `cargo install splr`, or any of " + ", ".join(KNOWN_SOLVERS) + "), "
+            "or install a C compiler `cc` to build the reference solver refsat")
     return SolverConfig(exe, timeout, **kw)
 
 

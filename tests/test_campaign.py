@@ -1,9 +1,12 @@
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import json
 import os
+import shutil
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1264,7 +1267,8 @@ def test_cli_without_a_solver(argv, tmp_path, monkeypatch, capsys):
     assert out == "" and "Traceback" not in err
     assert err.splitlines()[-1].endswith(": error: no SAT solver found: set SAT_SOLVER to a "
                                          "DIMACS-conformant binary (e.g. `cargo install splr`, "
-                                         "or any of " + ", ".join(KNOWN_SOLVERS) + ")")
+                                         "or any of " + ", ".join(KNOWN_SOLVERS) + "), or install "
+                                         "a C compiler `cc` to build the reference solver refsat")
 
 
 def test_find_solver_lookup_order(tmp_path, monkeypatch):
@@ -1298,6 +1302,102 @@ def test_find_solver_lookup_order(tmp_path, monkeypatch):
     assert solver.find_solver() == str(dirs["path"] / first)
     monkeypatch.setenv("SAT_SOLVER", str(tmp_path / "missing"))   # taken as given
     assert solver.find_solver() == str(tmp_path / "missing")
+    # last, the reference solver: found only when no known name is, and
+    # every stub above still wins over it
+    monkeypatch.delenv("SAT_SOLVER")
+    sentinel = str(tmp_path / "reference")
+    monkeypatch.setattr(solver, "reference_solver", lambda: sentinel)
+    for where, name in [("path", first), ("local", first), ("cargo", first), ("path", later)]:
+        assert solver.find_solver() == str(dirs[where] / name), (where, name)
+        (dirs[where] / name).unlink()
+    assert solver.find_solver() == sentinel
+    stub("path", first, 0o644)
+    assert solver.find_solver() == sentinel
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler `cc` on PATH")
+
+
+def _refsat_digest() -> str:
+    return hashlib.sha256(solver.REFSAT_SOURCE.read_bytes()).hexdigest()
+
+
+@needs_cc
+def test_reference_solver_builds_once_per_source(tmp_path, monkeypatch):
+    # the first call compiles refsat into a 0700 directory named by the
+    # source hash, however loose the directory was; a second call runs no
+    # cc and returns the same path
+    monkeypatch.setenv("HOME", str(tmp_path))
+    cache = tmp_path / ".cache" / "sortnetopt" / f"refsat-{_refsat_digest()[:16]}"
+    cache.mkdir(parents=True)
+    cache.chmod(0o777)
+    runs = []
+    real_run = subprocess.run
+
+    def counting_run(cmd, *args, **kw):
+        runs.append(cmd)
+        return real_run(cmd, *args, **kw)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    exe = solver.reference_solver()
+    assert exe == str(cache / "refsat")
+    assert len(runs) == 1 and Path(runs[0][0]).name == "cc" and runs[0][1:3] == ["-O2", "-std=c11"]
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    assert [p.name for p in cache.iterdir()] == ["refsat"]
+    assert solver.reference_solver() == exe and len(runs) == 1
+    assert run_solver(Cnf(1, [(1,), (-1,)]), SolverConfig(exe), name="unsat1").verdict == "UNSAT"
+
+
+def test_reference_solver_needs_cc(tmp_path, monkeypatch):
+    # without cc on PATH there is no reference solver, so with no other
+    # solver find_solver finds none, and nothing is cached
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    monkeypatch.delenv("SAT_SOLVER", raising=False)
+    assert solver.reference_solver() is None
+    assert solver.find_solver() is None
+    assert not (tmp_path / ".cache").exists()
+
+
+def test_reference_solver_failed_compile_leaves_nothing(tmp_path, monkeypatch):
+    # a cc that writes its output file, complains and exits 1: RuntimeError
+    # with its stderr, and neither the temp file nor a refsat stays
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    (bindir / "cc").write_text(
+        "#!/bin/sh\n"
+        'while [ $# -gt 0 ]; do [ "$1" = -o ] && echo partial > "$2"; shift; done\n'
+        "echo 'refsat.c:1: error: broken compiler' >&2\n"
+        "exit 1\n")
+    (bindir / "cc").chmod(0o755)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(bindir))
+    with pytest.raises(RuntimeError, match="refsat.c:1: error: broken compiler"):
+        solver.reference_solver()
+    cache = tmp_path / ".cache" / "sortnetopt"
+    assert [p.name for p in cache.rglob("*")] == [f"refsat-{_refsat_digest()[:16]}"]
+
+
+def test_the_tree_holds_one_refsat_source():
+    # the package's refsat.c is a link to the benchmark's, so the two cannot
+    # drift apart and BENCH numbers stay comparable
+    root = Path(__file__).resolve().parent.parent
+    link = root / "src" / "sortnetopt" / "refsat.c"
+    assert link.is_symlink()
+    assert link.resolve() == (root / "bench" / "refsat" / "refsat.c").resolve()
+
+
+@needs_cc
+def test_cli_prove_builds_its_own_solver(tmp_path, monkeypatch):
+    # with no SAT_SOLVER and no known solver, prove builds refsat and
+    # refutes every prefix of R_7 at depth 5
+    monkeypatch.delenv("SAT_SOLVER", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", os.pathsep.join([str(Path(shutil.which("cc")).parent), "/bin"]))
+    report = tmp_path / "report.json"
+    assert cli.main(["prove", "--n", "7", "--depth", "5", "--jobs", "2", "--out", str(report)]) == 20
+    camp = campaign_from_json(report.read_text())
+    assert camp.claim == "T(7) > 5" and len(camp.instances) == 8
 
 
 def test_cli_solve_failure_leaves_nothing_and_shows_the_log(tmp_path, monkeypatch, capsys):
