@@ -36,7 +36,6 @@ from .saturation import (
     is_redundant,
     is_saturated,
     saturated_layers,
-    subsumes,
     saturate,
 )
 from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network, to_dimacs

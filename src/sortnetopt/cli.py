@@ -189,6 +189,11 @@ def _usage_error(args) -> str | None:
         return "--mode layer1 needs --depth >= 1"
     if args.command == "encode" and not 0 <= args.pad < args.n:
         return f"--pad must satisfy 0 <= pad < n = {args.n}, got {args.pad}"
+    if args.command == "prove":
+        # Campaign would drop such a pad from the schedule without a word
+        for pad in args.pads or ():
+            if not 0 <= pad < args.n:
+                return f"--pads must satisfy 0 <= pad < n = {args.n}, got {pad}"
     if args.command in ("solve", "find", "prove") and not args.timeout > 0:
         return f"--timeout must be positive, got {args.timeout}"
     if args.command in ("find", "prove") and args.jobs < 1:

@@ -197,7 +197,7 @@ def outputs(net: Network) -> frozenset[int]:
 
     The images are marked in a mask over all 2**n vectors rather than
     passed to np.unique, whose first call in a process costs milliseconds
-    of lazy set-up; saturation.subsumes and the test oracles call this on
+    of lazy set-up; the test oracles' subsumption search calls this on
     many small networks, where that set-up would dominate.
     """
     chunks = _chunks(net.n, net)   # checks the enumeration cap before the mask is made

@@ -1,4 +1,4 @@
-"""Redundancy, saturation, and subsumption of two-layer prefixes.
+"""Redundancy and saturation of two-layer prefixes.
 
 A two-layer network is redundant when dropping one comparator leaves the
 output set unchanged up to a channel permutation, and saturated when it is
@@ -39,10 +39,6 @@ its completions once per walk (at n = 12, 1 824 states under 97 861
 nodes).  saturated_layer_count counts the sn set with words.rsn_count,
 which sums words.sentence_class_size over the saturated sentence classes
 without listing them.
-
-Naming follows the subsumption convention of the source theory: C_b
-subsumes C_a when outputs(C_b) is contained in some permuted copy of
-outputs(C_a), i.e. the *subsuming* network is the stronger filter.
 """
 
 from __future__ import annotations
@@ -50,74 +46,11 @@ from __future__ import annotations
 from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import words as words_mod
-from .networks import Layer, Network, first_layer, outputs
-
-MAX_SUBSUME_CHANNELS = 10
+from .networks import Layer, Network, first_layer
 
 
 # ---------------------------------------------------------------------------
-# output-set machinery: subset modulo channel permutation
-
-def _column_stats(vecs: Iterable[int], n: int) -> list[int]:
-    cnt = [0] * n
-    for v in vecs:
-        for k in range(n):
-            if (v >> k) & 1:
-                cnt[k] += 1
-    return cnt
-
-
-def _embed_search(sb: frozenset[int], sa: frozenset[int], n: int) -> Optional[tuple[int, ...]]:
-    """Find pi with sb subseteq pi(sa), else None.
-
-    pi is returned as a tuple where pi[k-1] is the image of channel k, i.e.
-    column pi(k) of pi(sa) equals column k of sa.  Backtracking assigns the
-    preimage of each target column and refines a partition of (sb, sa) by
-    the chosen column bits, which prunes aggressively.  Equality modulo
-    permutation is equal sizes plus this search: a channel permutation is
-    a bijection, so an embedding between sets of one size is onto.
-    """
-    if len(sb) > len(sa):
-        return None
-    wb, wa = _column_stats(sb, n), _column_stats(sa, n)
-    nb, na = len(sb), len(sa)
-
-    preimage = [0] * n  # preimage[j-1] = k with pi(k) = j
-    used = [False] * n
-
-    def rec(j: int, cells) -> bool:
-        if j > n:
-            return True
-        for k in range(1, n + 1):
-            if used[k - 1] or wb[j - 1] > wa[k - 1] or (nb - wb[j - 1]) > (na - wa[k - 1]):
-                continue
-            new_cells = []
-            for vb, va in cells:
-                b0 = tuple(v for v in vb if not (v >> (j - 1)) & 1)
-                b1 = tuple(v for v in vb if (v >> (j - 1)) & 1)
-                a0 = tuple(v for v in va if not (v >> (k - 1)) & 1)
-                a1 = tuple(v for v in va if (v >> (k - 1)) & 1)
-                if len(b0) > len(a0) or len(b1) > len(a1):
-                    break
-                if b0:
-                    new_cells.append((b0, a0))
-                if b1:
-                    new_cells.append((b1, a1))
-            else:
-                used[k - 1] = True
-                preimage[j - 1] = k
-                if rec(j + 1, new_cells):
-                    return True
-                used[k - 1] = False
-        return False
-
-    if not rec(1, [(tuple(sb), tuple(sa))]):
-        return None
-    pi = [0] * n
-    for j, k in enumerate(preimage, start=1):
-        pi[k - 1] = j
-    return tuple(pi)
-
+# channel permutations
 
 def permute_vectors(pi: Sequence[int], vecs: Iterable[int]) -> frozenset[int]:
     """Apply a channel permutation to packed vectors: bit k moves to bit pi(k)."""
@@ -130,20 +63,6 @@ def permute_vectors(pi: Sequence[int], vecs: Iterable[int]) -> frozenset[int]:
                 w |= 1 << (pi[k] - 1)
         out.append(w)
     return frozenset(out)
-
-
-def subsumes(cb: Network, ca: Network) -> Optional[tuple[int, ...]]:
-    """Witness pi with outputs(cb) subseteq pi(outputs(ca)), if any.
-
-    In the theory's wording cb then subsumes ca: cb is the stronger prefix.
-    """
-    if cb.n != ca.n:
-        raise ValueError("subsumption needs equal channel counts")
-    if cb.depth != ca.depth:
-        raise ValueError("subsumption is compared at equal depth")
-    if cb.n > MAX_SUBSUME_CHANNELS:
-        raise ValueError(f"subsumption search is capped at n <= {MAX_SUBSUME_CHANNELS}")
-    return _embed_search(outputs(cb), outputs(ca), cb.n)
 
 
 # ---------------------------------------------------------------------------

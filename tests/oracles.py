@@ -9,6 +9,12 @@ the exhaustive ones are capped where exhaustion stops being cheap:
   against the numpy evaluation behind outputs and unsorted_inputs;
 * permute and the labelled digraph of a network (graph_of, iso_bruteforce),
   against untangle and the sentences of words;
+* the subsumption search (subsumes, n <= 8, over _embed_search, which
+  finds a channel permutation pi with one output set inside pi of
+  another), which the semantic checks below run on, and the cover check
+  (uncovered_layers): every second layer over F_n is subsumed by a
+  member of R_n or by its reflection, each witness checked with
+  saturation.permute_vectors;
 * semantic redundancy and saturation, which try every removal or addition
   under every channel permutation (n <= 8), against saturation's structural
   test, and verify_conjecture over the saturated classes;
@@ -28,12 +34,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from sortnetopt import words as words_mod
 from sortnetopt.encoding import RULES
-from sortnetopt.networks import ChannelCountError, Comparator, Network, outputs
-from sortnetopt.saturation import _embed_search, subsumes
+from sortnetopt.campaign import two_layer_prefixes
+from sortnetopt.networks import (ChannelCountError, Comparator, Network, first_layer, outputs,
+                                 reflect)
+from sortnetopt.saturation import permute_vectors
 from sortnetopt.words import matchings
 
 MAX_SEMANTIC_CHANNELS = 8
@@ -221,6 +229,107 @@ def iso_bruteforce(g1: GraphRep, g2: GraphRep) -> bool:
         return False
 
     return place(0)
+
+
+# ---------------------------------------------------------------------------
+# subsumption: subset modulo channel permutation
+#
+# Naming follows the subsumption convention of the source theory: C_b
+# subsumes C_a when outputs(C_b) is contained in some permuted copy of
+# outputs(C_a), i.e. the *subsuming* network is the stronger filter.
+
+def _column_stats(vecs: Iterable[int], n: int) -> list[int]:
+    cnt = [0] * n
+    for v in vecs:
+        for k in range(n):
+            if (v >> k) & 1:
+                cnt[k] += 1
+    return cnt
+
+
+def _embed_search(sb: frozenset[int], sa: frozenset[int], n: int) -> Optional[tuple[int, ...]]:
+    """Find pi with sb subseteq pi(sa), else None.
+
+    pi is returned as a tuple where pi[k-1] is the image of channel k, i.e.
+    column pi(k) of pi(sa) equals column k of sa.  Backtracking assigns the
+    preimage of each target column and refines a partition of (sb, sa) by
+    the chosen column bits, which prunes aggressively.  Equality modulo
+    permutation is equal sizes plus this search: a channel permutation is
+    a bijection, so an embedding between sets of one size is onto.
+    """
+    if len(sb) > len(sa):
+        return None
+    wb, wa = _column_stats(sb, n), _column_stats(sa, n)
+    nb, na = len(sb), len(sa)
+
+    preimage = [0] * n  # preimage[j-1] = k with pi(k) = j
+    used = [False] * n
+
+    def rec(j: int, cells) -> bool:
+        if j > n:
+            return True
+        for k in range(1, n + 1):
+            if used[k - 1] or wb[j - 1] > wa[k - 1] or (nb - wb[j - 1]) > (na - wa[k - 1]):
+                continue
+            new_cells = []
+            for vb, va in cells:
+                b0 = tuple(v for v in vb if not (v >> (j - 1)) & 1)
+                b1 = tuple(v for v in vb if (v >> (j - 1)) & 1)
+                a0 = tuple(v for v in va if not (v >> (k - 1)) & 1)
+                a1 = tuple(v for v in va if (v >> (k - 1)) & 1)
+                if len(b0) > len(a0) or len(b1) > len(a1):
+                    break
+                if b0:
+                    new_cells.append((b0, a0))
+                if b1:
+                    new_cells.append((b1, a1))
+            else:
+                used[k - 1] = True
+                preimage[j - 1] = k
+                if rec(j + 1, new_cells):
+                    return True
+                used[k - 1] = False
+        return False
+
+    if not rec(1, [(tuple(sb), tuple(sa))]):
+        return None
+    pi = [0] * n
+    for j, k in enumerate(preimage, start=1):
+        pi[k - 1] = j
+    return tuple(pi)
+
+
+def subsumes(cb: Network, ca: Network) -> Optional[tuple[int, ...]]:
+    """Witness pi with outputs(cb) subseteq pi(outputs(ca)), if any.
+
+    In the theory's wording cb then subsumes ca: cb is the stronger prefix.
+    """
+    if cb.n != ca.n:
+        raise ValueError("subsumption needs equal channel counts")
+    if cb.depth != ca.depth:
+        raise ValueError("subsumption is compared at equal depth")
+    if cb.n > MAX_SEMANTIC_CHANNELS:
+        raise ValueError(f"subsumption search is capped at n <= {MAX_SEMANTIC_CHANNELS}")
+    return _embed_search(outputs(cb), outputs(ca), cb.n)
+
+
+def uncovered_layers(n):
+    """The second layers over F_n that no member of R_n, nor its reflection,
+    subsumes, each found witness pi checked with permute_vectors.  Every
+    output set is computed once and searched as subsumes searches it after
+    its argument checks."""
+    candidates = [outputs(c) for p in two_layer_prefixes(n) for c in (p, reflect(p))]
+    missing = []
+    for l2 in matchings(n):
+        net_outs = outputs(Network(n, (first_layer(n), l2)))
+        for outs in candidates:
+            pi = _embed_search(outs, net_outs, n)
+            if pi is not None:
+                assert outs <= permute_vectors(pi, net_outs)
+                break
+        else:
+            missing.append(l2)
+    return missing
 
 
 # ---------------------------------------------------------------------------

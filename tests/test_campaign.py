@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from sortnetopt import campaign, cli, saturation, solver
+from oracles import uncovered_layers
+from sortnetopt import campaign, cli, solver
 from sortnetopt.campaign import (
     compute_T,
     default_pads,
@@ -29,12 +30,11 @@ from sortnetopt.campaign import (
 )
 from sortnetopt.encoding import _LIT_CHUNK, Cnf, EncodeOptions, VarMap, build, to_dimacs
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
-                                 reflect, unsorted_inputs)
+                                 unsorted_inputs)
 from sortnetopt.report import (Campaign, CampaignResult, Instance, InstanceResult,
                                campaign_from_json, campaign_to_json)
-from sortnetopt.saturation import permute_vectors
 from sortnetopt.solver import KNOWN_SOLVERS, SolveResult, SolverConfig, StopEvent, run_solver
-from sortnetopt.words import matchings, rn_networks
+from sortnetopt.words import rn_networks
 
 
 def test_run_solver_trivial(solver_config):
@@ -791,25 +791,6 @@ def test_filter_set_shares_the_first_layer():
         assert [prefixes.index(p) for p in campaign._fewest_outputs(n)] == want
 
 
-def uncovered_layers(n):
-    """The second layers over F_n that no member of R_n, nor its reflection,
-    subsumes, each found witness pi checked with permute_vectors.  Every
-    output set is computed once and searched as saturation.subsumes searches
-    it after its argument checks."""
-    candidates = [outputs(c) for p in two_layer_prefixes(n) for c in (p, reflect(p))]
-    missing = []
-    for l2 in matchings(n):
-        net_outs = outputs(Network(n, (first_layer(n), l2)))
-        for outs in candidates:
-            pi = saturation._embed_search(outs, net_outs, n)
-            if pi is not None:
-                assert outs <= permute_vectors(pi, net_outs)
-                break
-        else:
-            missing.append(l2)
-    return missing
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_filter_set_covers_every_second_layer(n):
     # the lemma a refutation of R_n rests on: every two-layer prefix over F_n
@@ -1235,6 +1216,10 @@ def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
     (["prove", "--n", "5", "--depth", "4", "--solver", "/nonexistent"],
      "failed to launch solver '/nonexistent'"),
     (["find", "--n", "3", "--depth", "0", "--mode", "layer1"], "--mode layer1 needs --depth >= 1"),
+    (["prove", "--n", "5", "--depth", "4", "--pads", "9"],
+     "--pads must satisfy 0 <= pad < n = 5, got 9"),
+    (["prove", "--n", "5", "--depth", "4", "--pads", "2,-1"],
+     "--pads must satisfy 0 <= pad < n = 5, got -1"),
 ])
 def test_cli_usage_errors(argv, message, tmp_path):
     # a usage error (exit 2, one line, no traceback) before any work starts

@@ -319,6 +319,71 @@ def test_only_the_task_helper_makes_input_sets():
         assert _callers(tree, name) == {"_task_inputs"}, name
 
 
+def _read_names(node: ast.AST) -> list[str]:
+    """The names one node reads: a loaded Name or Attribute, or the names a
+    `from ... import` takes."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return [node.id]
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name a module reads, as _read_names finds them, leaving out
+    what a def or class reads of its own name (a recursive call is not a
+    caller)."""
+    return {name for scope, node in _hits(tree, _read_names)
+            for name in _read_names(node) if name not in scope.split(".")}
+
+
+def test_reference_finder_sees_every_form():
+    source = (
+        "import numpy\n"
+        "from .networks import reflect as mirror\n"
+        "def untangle(net):\n"
+        "    def inner():\n"
+        "        return untangle(net.layers)\n"
+        "    return inner\n"
+        "class Network:\n"
+        "    def copy(self) -> Network:\n"
+        "        return words.sentence_of(self)\n"
+        "out = z\n")
+    assert _references(ast.parse(source)) == {"reflect", "net", "layers", "inner", "self",
+                                              "words", "sentence_of", "z"}
+
+
+# The exports that nothing in the package (its __init__ aside) or the
+# benchmark reads: the tests alone call them.  Each entry names the
+# direction of ROADMAP.md that gives it a caller or moves it out.
+TEST_ONLY_EXPORTS = {
+    "campaign_from_json",   # 7 (`sortnetopt audit`) or 13 (`sortnetopt compute`)
+    "outputs",              # 10: the cover's checker
+    "reflect",              # 10: the cover
+    "saturate",             # 10: the cover
+    "sentence_of",          # 10: the cover
+    "untangle",             # 10: the cover
+    "word_of",              # 10: the cover, through sentence_of
+}
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # a ratchet on code that only the tests call: a new export needs a
+    # reader in the package or the benchmark, and an entry above leaves the
+    # list when it gets one
+    bench = Path(__file__).parent.parent / "bench"
+    sources = ([p for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+               + list(bench.glob("*.py")) + list((bench / "tests").glob("*.py")))
+    read = set().union(*(_references(ast.parse(path.read_text())) for path in sources))
+    read |= {attr for _, attr in _bench_trace_targets()}
+    exports = {name for name in sortnetopt.__all__
+               if not inspect.ismodule(getattr(sortnetopt, name))}
+    unread = exports - read
+    assert unread == TEST_ONLY_EXPORTS, sorted(unread ^ TEST_ONLY_EXPORTS)
+
+
 _PROCESS_STARTERS = {
     "subprocess": {"Popen", "run", "call", "check_call", "check_output", "getoutput",
                    "getstatusoutput"},

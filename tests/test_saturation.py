@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import is_redundant_semantic, is_saturated_semantic, verify_conjecture
+from oracles import is_redundant_semantic, is_saturated_semantic, subsumes, verify_conjecture
 from sortnetopt import saturation, words
 from sortnetopt.networks import Network, first_layer, network, outputs
 from sortnetopt.saturation import (
@@ -16,7 +16,6 @@ from sortnetopt.saturation import (
     saturate,
     saturated_layer_count,
     saturated_layers,
-    subsumes,
 )
 from sortnetopt.words import (
     counts,
