@@ -8,7 +8,8 @@ package's own reference solver when no other is found.  No solver, or a
 name that is no executable, is a usage error.  solve hands
 the --cnf file itself to the solver (solver.solve_file): it reads,
 copies and removes nothing, and a --cnf that does not open is a usage
-error.
+error.  So is an --out that does not open, found before any work: prove
+never runs a campaign whose report it could not write.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ def _claim_exit(camp: report_mod.CampaignResult, depth: int) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        open(args.cnf, "rb").close()
-    except OSError as exc:
-        raise UsageError(f"--cnf {args.cnf}: {exc}")
     # the solver reads the user's file itself: no copy, and its log names that file
     res = solve_file(args.cnf, _solver_config(args))
     print(f"s {res.verdict}")
@@ -175,7 +172,6 @@ def _usage_error(args) -> str | None:
         if args.set == "sn" and args.n > most:
             # past the stream limit sn prints |S_n|, up to the table's last S row
             return f"--set sn needs --n <= {most}, got {args.n}"
-        return None
     if args.command in ("encode", "find", "prove"):
         if args.n < 1:
             return f"--n must be at least 1, got {args.n}"
@@ -198,6 +194,15 @@ def _usage_error(args) -> str | None:
         return f"--timeout must be positive, got {args.timeout}"
     if args.command in ("find", "prove") and args.jobs < 1:
         return f"--jobs must be at least 1, got {args.jobs}"
+    # a file that does not open is found before any work.  --out is opened
+    # to append, so a run that fails keeps an older report, and "-" is stdout
+    for flag, mode in (("cnf", "rb"), ("out", "a")):
+        path = getattr(args, flag, None)
+        if path is not None and (flag, path) != ("out", "-"):
+            try:
+                open(path, mode).close()
+            except OSError as exc:
+                return f"--{flag} {path}: {exc}"
     return None
 
 
@@ -254,7 +259,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", help="write the JSON campaign report here")
     p.set_defaults(func=_cmd_prove)
 
-    p = sub.add_parser("tables", help="emit the count table as CSV")
+    parsers["tables"] = p = sub.add_parser("tables", help="emit the count table as CSV")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_tables)

@@ -2,8 +2,8 @@
 
 Channels are numbered 1..n.  A comparator (i, j) routes the minimum of its
 two inputs to channel i and the maximum to channel j.  Standard networks
-have i < j for every comparator; a reversed comparator (i > j) is only
-legal inside a network flagged as generalized.
+have i < j for every comparator; a network with a reversed comparator
+(i > j) is generalized.
 
 Boolean vectors are packed into ints with channel k stored at bit k-1, so
 "sorted ascendingly along the channel index" means all 0s on low channels:
@@ -39,7 +39,6 @@ class Network:
 
     n: int
     layers: tuple[Layer, ...]
-    generalized: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -52,8 +51,6 @@ class Network:
                     raise ValueError(f"comparator ({i},{j}) out of range for n={self.n}")
                 if i == j:
                     raise ValueError(f"comparator ({i},{j}) joins a channel to itself")
-                if not self.generalized and i > j:
-                    raise ValueError(f"reversed comparator ({i},{j}) in standard network")
                 if i in used or j in used:
                     raise ValueError(f"channel reused within a layer: ({i},{j})")
                 used.update((i, j))
@@ -63,11 +60,9 @@ class Network:
         return len(self.layers)
 
     @property
-    def size(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-    def append_layer(self, layer: Iterable[Sequence[int]]) -> "Network":
-        return Network(self.n, self.layers + (layer,), self.generalized)
+    def generalized(self) -> bool:
+        """Whether some comparator (i, j) has i > j."""
+        return any(i > j for layer in self.layers for i, j in layer)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "layers": self.layers})
@@ -85,8 +80,7 @@ class Network:
                         for l in layers)):
             raise ValueError("network JSON needs an integer 'n' and 'layers' given as "
                              "lists of [i, j] integer pairs")
-        generalized = any(i > j for l in layers for i, j in l)
-        return Network(n, tuple(layers), generalized)
+        return Network(n, tuple(layers))
 
 
 def _is_int(value) -> bool:
@@ -108,9 +102,9 @@ def two_layer_json(n: int, seconds: Iterable[Layer]) -> Iterator[str]:
     return (head + ", ".join(map(text.__getitem__, l2)) + "]]}" for l2 in seconds)
 
 
-def network(n: int, *layers: Iterable[Sequence[int]], generalized: bool = False) -> Network:
+def network(n: int, *layers: Iterable[Sequence[int]]) -> Network:
     """Convenience constructor: network(4, [(1,2),(3,4)], [(1,3),(2,4)])."""
-    return Network(n, layers, generalized)
+    return Network(n, layers)
 
 
 def first_layer(n: int, style: str = "adjacent") -> Layer:
@@ -256,8 +250,9 @@ def untangle(net: Network) -> Network:
     """Standardize a generalized network by swap-propagation.
 
     Scan layers left to right; a reversed comparator (j, i) is oriented
-    forward and the two channels are swapped in all later layers.  Depth and
-    size are preserved, as is the longest standard prefix.
+    forward and the two channels are swapped in all later layers, so the
+    result has no reversed comparator.  Depth and size are preserved, as is
+    the longest standard prefix.
     """
     layers = [list(l) for l in net.layers]
     for d in range(len(layers)):
@@ -268,7 +263,7 @@ def untangle(net: Network) -> Network:
                 for later in layers[d + 1:]:
                     for k, (a, b) in enumerate(later):
                         later[k] = (swap.get(a, a), swap.get(b, b))
-    return Network(net.n, tuple(tuple(sorted(l)) for l in layers), False)
+    return Network(net.n, layers)
 
 
 def reflect(net: Network) -> Network:

@@ -264,11 +264,11 @@ def campaign_from_json(text: str) -> CampaignResult:
     finite non-negative numbers, formula sizes non-negative integers, a
     prefix_index null or an index into R_n, a prefix null or the spec's
     label, a campaign one that Campaign accepts, a log a string, and a
-    witness must be present exactly on a SAT instance.  The spec is the
-    R_n member at prefix_index, else the crossing first layer for the
-    label "layer1", else no prefix; one that Instance rejects, or that the
-    campaign does not list, is rejected at the instance's path.  Only
-    depth, pad and verdict are required keys of an instance; a missing
+    witness, a standard network, must be present exactly on a SAT instance.
+    The spec is the R_n member at prefix_index, else the crossing first
+    layer for the label "layer1", else no prefix; one that Instance rejects,
+    or that the campaign does not list, is rejected at the instance's path.
+    Only depth, pad and verdict are required keys of an instance; a missing
     log loads as "".
     """
     doc = json.loads(text)
@@ -343,6 +343,8 @@ def campaign_from_json(text: str) -> CampaignResult:
                 witness = values["witness"] = Network.from_json(json.dumps(values["witness"]))
             except ValueError as exc:
                 raise ValueError(f"campaign document: {exc} at {loc}.witness") from None
+            # a campaign decodes standard networks only, and only those are checked to sort
+            _require(not witness.generalized, "witness is not a standard network", f"{loc}.witness")
             _require(witness.n == n and witness.depth <= inst.depth,
                      f"witness with {witness.n} channels and depth {witness.depth} "
                      f"does not fit the instance", loc)

@@ -300,9 +300,9 @@ def saturate(net: Network) -> Network:
     that are not partners, and a P3 fix joins the partners of a layer-2
     comparator's ends, which are partners only if that comparator repeats
     a first-layer one.  The prescribed orientation can be reversed (min
-    routed to the higher channel), in which case the result is a
-    generalized network; its output set is a subset of the input's output
-    set either way.
+    routed to the higher channel), and a result with such a comparator is
+    generalized; its output set is a subset of the input's output set
+    either way.
     Raises ValueError for a network of depth other than 1 or 2.
     """
     words_mod.two_layer_partners(net)   # raises unless the depth is 1 or 2
@@ -311,4 +311,4 @@ def saturate(net: Network) -> Network:
     l2 = [c for c in (net.layers[1] if net.depth == 2 else ()) if facts.partner.get(c[0]) != c[1]]
     while (fix := _weak_spot(facts, l2, words_mod.layer_partners(l2))) is not None:
         l2 = sorted(l2 + [fix])
-    return Network(net.n, (l1, tuple(l2)), generalized=any(i > j for i, j in l2))
+    return Network(net.n, (l1, tuple(l2)))

@@ -122,16 +122,8 @@ def permute(pi: Sequence[int], net: Network) -> Network:
     """
     if sorted(pi) != list(range(1, net.n + 1)):
         raise ValueError(f"not a permutation of 1..{net.n}: {pi!r}")
-    layers = []
-    generalized = False
-    for layer in net.layers:
-        mapped = []
-        for i, j in layer:
-            a, b = pi[i - 1], pi[j - 1]
-            generalized = generalized or a > b
-            mapped.append((a, b))
-        layers.append(tuple(sorted(mapped)))
-    return Network(net.n, tuple(layers), generalized or net.generalized)
+    return Network(net.n, tuple(tuple((pi[i - 1], pi[j - 1]) for i, j in layer)
+                                for layer in net.layers))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +330,7 @@ def uncovered_layers(n):
 def _remove_one(net: Network, d: int, comp: tuple[int, int]) -> Network:
     layers = [tuple(c for c in layer) for layer in net.layers]
     layers[d] = tuple(c for c in layers[d] if c != comp)
-    return Network(net.n, tuple(layers), net.generalized)
+    return Network(net.n, tuple(layers))
 
 
 def is_redundant_semantic(net: Network) -> bool:
@@ -377,8 +369,7 @@ def addable_comparators(net: Network) -> list[tuple[int, int]]:
 
 def _with_added(net: Network, comp: tuple[int, int]) -> Network:
     l2 = (net.layers[1] if net.depth == 2 else ()) + (comp,)
-    generalized = net.generalized or comp[0] > comp[1]
-    return Network(net.n, (net.layers[0], tuple(sorted(l2))), generalized)
+    return Network(net.n, (net.layers[0], tuple(sorted(l2))))
 
 
 def is_saturated_semantic(net: Network) -> bool:

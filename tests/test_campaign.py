@@ -867,6 +867,7 @@ UNSAT = {"prefix_index": None, "depth": 1, "pad": 0, "verdict": "UNSAT"}
 R6_REFUTED = [{"prefix_index": i, "depth": 4, "pad": 0, "verdict": "UNSAT"} for i in range(5)]
 SPEC6 = {"depth": 4, "tasks": "two-layer", "pads": [2, 0]}
 SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to_json())
+REVERSED4 = {"n": 4, "layers": [[[2, 1]]]}
 
 
 @pytest.mark.parametrize("doc, where", [
@@ -892,6 +893,14 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
      r"\$\.instances\[5\]\.prefix_index$"),
     ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "verdict": "SAT", "witness": 5}]},
      r"\$\.instances\[0\]\.witness$"),
+    # a reversed comparator, which no campaign decodes: at pad 0, where the
+    # witness is checked to sort, and padded, where it is not
+    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "verdict": "SAT",
+                                                      "witness": REVERSED4}]},
+     r"\$\.instances\[0\]\.witness$"),
+    ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "pad": 2, "verdict": "SAT",
+                                                             "witness": REVERSED4}]},
+     r"\$\.instances\[1\]\.witness$"),
     ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": "x"}]},
      r"\$\.instances\[0\]\.encode_time$"),
     ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": -0.5}]},
@@ -949,7 +958,7 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
       "instances": []}, r"\$\.campaign$"),
 ], ids=["top-int", "top-list", "instances-int", "instance-int", "n-str", "n-0", "n-40",
         "claim-int", "depth-float", "pad-bool", "prefix-index-str", "prefix-index-past-rn",
-        "prefix-index-negative", "witness-int",
+        "prefix-index-negative", "witness-int", "witness-generalized", "witness-generalized-padded",
         "encode-time-str", "encode-time-negative", "solve-time-bool", "solve-time-null",
         "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool", "log-int",
         "witness-on-unsat", "sat-without-witness", "wall-time-null",
@@ -1000,7 +1009,7 @@ def test_prefix_kinds_have_distinct_names_and_labels():
     ((6, -1, 0), "depth must be at least 0"),
     ((6, 1, 0, two_layer_prefixes(6)[0]), "prefix depth 2 exceeds network depth 1"),
     ((6, 4, 0, network(5, first_layer(5))), "prefix has 5 channels, not n = 6"),
-    ((6, 4, 0, Network(6, (((2, 1),),), generalized=True)), "must be standard"),
+    ((6, 4, 0, Network(6, (((2, 1),),))), "must be standard"),
 ])
 def test_instance_checks_itself(spec, message):
     # Instance and VarMap check one rule, with one wording
@@ -1178,49 +1187,94 @@ def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
     assert (line * total).startswith(seen[0])
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["prove", "--n", "5", "--depth", "4", "--pads", "2,x"], "argument --pads: expected"),
-    (["encode", "--n", "5", "--depth", "3", "--pad", "5", "--out", "-"], "--pad must satisfy"),
-    (["encode", "--n", "5", "--depth", "3", "--pad", "-1", "--out", "-"], "--pad must satisfy"),
-    (["prove", "--n", "0", "--depth", "2"], "--n must be at least 1"),
-    (["encode", "--n", "25", "--depth", "3", "--out", "-"], "--n must be at most 24"),
-    (["find", "--n", "25", "--depth", "3"], "--n must be at most 24"),
-    (["prove", "--n", "25", "--depth", "3"], "--n must be at most 24"),
-    (["encode", "--n", "6", "--depth", "3", "--prefix-index", "5", "--out", "-"],
-     "--prefix-index must satisfy 0 <= index < |R_6| = 5"),
-    (["encode", "--n", "6", "--depth", "1", "--prefix-index", "0", "--out", "-"],
-     "prefix depth 2 exceeds network depth 1"),
-    (["encode", "--n", "6", "--depth", "3", "--out", "-",
-      "--prefix", '{"n": 5, "layers": [[[1, 2], [3, 4]]]}'], "prefix has 5 channels, not n = 6"),
-    (["encode", "--n", "6", "--depth", "3", "--out", "-",
-      "--prefix", '{"n": 6, "layers": [[[2, 1], [3, 4]]]}'], "fixed prefixes must be standard networks"),
-    (["encode", "--n", "6", "--depth", "3", "--out", "-", "--prefix", "[1, 2"], "prefix.json: "),
-    (["encode", "--n", "4", "--depth", "3", "--out", "-", "--prefix", '{"n": 4, "layers": [[1]]}'],
-     "lists of [i, j] integer pairs"),
-    (["solve", "--cnf", "x.cnf", "--timeout", "0"], "--timeout must be positive, got 0.0"),
-    (["find", "--n", "4", "--depth", "3", "--timeout", "-1"], "--timeout must be positive"),
-    (["prove", "--n", "5", "--depth", "4", "--timeout", "nan"], "--timeout must be positive"),
-    (["solve", "--cnf", "missing.cnf"], "--cnf missing.cnf: "),
-    (["solve", "--cnf", "."], "--cnf .: "),
-    (["find", "--n", "4", "--depth", "3", "--jobs", "0"], "--jobs must be at least 1, got 0"),
-    (["prove", "--n", "5", "--depth", "4", "--jobs", "-2"], "--jobs must be at least 1"),
-    (["gen", "--n", "25", "--set", "sn", "--out", "-"], "--set sn needs --n <= 24, got 25"),
-    (["find", "--n", "1", "--depth", "0", "--mode", "layer1"], "--mode layer1 needs --n >= 2"),
-    (["encode", "--n", "4", "--depth", "3", "--out", "-", "--prefix-index", "0",
-      "--prefix", '{"n": 4, "layers": [[[1, 2], [3, 4]]]}'],
-     "argument --prefix: not allowed with argument --prefix-index"),
-    (["solve", "--cnf", "/dev/null", "--solver", "/nonexistent"],
-     "failed to launch solver '/nonexistent': no executable by that name"),
-    (["find", "--n", "4", "--depth", "3", "--solver", "/nonexistent"],
-     "failed to launch solver '/nonexistent'"),
-    (["prove", "--n", "5", "--depth", "4", "--solver", "/nonexistent"],
-     "failed to launch solver '/nonexistent'"),
-    (["find", "--n", "3", "--depth", "0", "--mode", "layer1"], "--mode layer1 needs --depth >= 1"),
-    (["prove", "--n", "5", "--depth", "4", "--pads", "9"],
-     "--pads must satisfy 0 <= pad < n = 5, got 9"),
-    (["prove", "--n", "5", "--depth", "4", "--pads", "2,-1"],
-     "--pads must satisfy 0 <= pad < n = 5, got -1"),
-])
+# Each row names its own id, so a row added anywhere renames no other; the
+# rows up to argv28 keep the ids that pytest once made from their positions.
+USAGE_ERRORS = [
+    pytest.param(["prove", "--n", "5", "--depth", "4", "--pads", "2,x"],
+                 "argument --pads: expected", id="argv0-argument --pads: expected"),
+    pytest.param(["encode", "--n", "5", "--depth", "3", "--pad", "5", "--out", "-"],
+                 "--pad must satisfy", id="argv1---pad must satisfy"),
+    pytest.param(["encode", "--n", "5", "--depth", "3", "--pad", "-1", "--out", "-"],
+                 "--pad must satisfy", id="argv2---pad must satisfy"),
+    pytest.param(["prove", "--n", "0", "--depth", "2"],
+                 "--n must be at least 1", id="argv3---n must be at least 1"),
+    pytest.param(["encode", "--n", "25", "--depth", "3", "--out", "-"],
+                 "--n must be at most 24", id="argv4---n must be at most 24"),
+    pytest.param(["find", "--n", "25", "--depth", "3"],
+                 "--n must be at most 24", id="argv5---n must be at most 24"),
+    pytest.param(["prove", "--n", "25", "--depth", "3"],
+                 "--n must be at most 24", id="argv6---n must be at most 24"),
+    pytest.param(["encode", "--n", "6", "--depth", "3", "--prefix-index", "5", "--out", "-"],
+                 "--prefix-index must satisfy 0 <= index < |R_6| = 5",
+                 id="argv7---prefix-index must satisfy 0 <= index < |R_6| = 5"),
+    pytest.param(["encode", "--n", "6", "--depth", "1", "--prefix-index", "0", "--out", "-"],
+                 "prefix depth 2 exceeds network depth 1",
+                 id="argv8-prefix depth 2 exceeds network depth 1"),
+    pytest.param(["encode", "--n", "6", "--depth", "3", "--out", "-",
+                  "--prefix", '{"n": 5, "layers": [[[1, 2], [3, 4]]]}'],
+                 "prefix has 5 channels, not n = 6", id="argv9-prefix has 5 channels, not n = 6"),
+    pytest.param(["encode", "--n", "6", "--depth", "3", "--out", "-",
+                  "--prefix", '{"n": 6, "layers": [[[2, 1], [3, 4]]]}'],
+                 "fixed prefixes must be standard networks",
+                 id="argv10-fixed prefixes must be standard networks"),
+    pytest.param(["encode", "--n", "6", "--depth", "3", "--out", "-", "--prefix", "[1, 2"],
+                 "prefix.json: ", id="argv11-prefix.json: "),
+    pytest.param(["encode", "--n", "4", "--depth", "3", "--out", "-",
+                  "--prefix", '{"n": 4, "layers": [[1]]}'],
+                 "lists of [i, j] integer pairs", id="argv12-lists of [i, j] integer pairs"),
+    pytest.param(["solve", "--cnf", "x.cnf", "--timeout", "0"],
+                 "--timeout must be positive, got 0.0",
+                 id="argv13---timeout must be positive, got 0.0"),
+    pytest.param(["find", "--n", "4", "--depth", "3", "--timeout", "-1"],
+                 "--timeout must be positive", id="argv14---timeout must be positive"),
+    pytest.param(["prove", "--n", "5", "--depth", "4", "--timeout", "nan"],
+                 "--timeout must be positive", id="argv15---timeout must be positive"),
+    pytest.param(["solve", "--cnf", "missing.cnf"],
+                 "--cnf missing.cnf: ", id="argv16---cnf missing.cnf: "),
+    pytest.param(["solve", "--cnf", "."], "--cnf .: ", id="argv17---cnf .: "),
+    pytest.param(["find", "--n", "4", "--depth", "3", "--jobs", "0"],
+                 "--jobs must be at least 1, got 0", id="argv18---jobs must be at least 1, got 0"),
+    pytest.param(["prove", "--n", "5", "--depth", "4", "--jobs", "-2"],
+                 "--jobs must be at least 1", id="argv19---jobs must be at least 1"),
+    pytest.param(["gen", "--n", "25", "--set", "sn", "--out", "-"],
+                 "--set sn needs --n <= 24, got 25", id="argv20---set sn needs --n <= 24, got 25"),
+    pytest.param(["find", "--n", "1", "--depth", "0", "--mode", "layer1"],
+                 "--mode layer1 needs --n >= 2", id="argv21---mode layer1 needs --n >= 2"),
+    pytest.param(["encode", "--n", "4", "--depth", "3", "--out", "-", "--prefix-index", "0",
+                  "--prefix", '{"n": 4, "layers": [[[1, 2], [3, 4]]]}'],
+                 "argument --prefix: not allowed with argument --prefix-index",
+                 id="argv22-argument --prefix: not allowed with argument --prefix-index"),
+    pytest.param(["solve", "--cnf", "/dev/null", "--solver", "/nonexistent"],
+                 "failed to launch solver '/nonexistent': no executable by that name",
+                 id="argv23-failed to launch solver '/nonexistent': no executable by that name"),
+    pytest.param(["find", "--n", "4", "--depth", "3", "--solver", "/nonexistent"],
+                 "failed to launch solver '/nonexistent'",
+                 id="argv24-failed to launch solver '/nonexistent'"),
+    pytest.param(["prove", "--n", "5", "--depth", "4", "--solver", "/nonexistent"],
+                 "failed to launch solver '/nonexistent'",
+                 id="argv25-failed to launch solver '/nonexistent'"),
+    pytest.param(["find", "--n", "3", "--depth", "0", "--mode", "layer1"],
+                 "--mode layer1 needs --depth >= 1", id="argv26---mode layer1 needs --depth >= 1"),
+    pytest.param(["prove", "--n", "5", "--depth", "4", "--pads", "9"],
+                 "--pads must satisfy 0 <= pad < n = 5, got 9",
+                 id="argv27---pads must satisfy 0 <= pad < n = 5, got 9"),
+    pytest.param(["prove", "--n", "5", "--depth", "4", "--pads", "2,-1"],
+                 "--pads must satisfy 0 <= pad < n = 5, got -1",
+                 id="argv28---pads must satisfy 0 <= pad < n = 5, got -1"),
+    pytest.param(["gen", "--n", "4", "--set", "gn", "--out", "/nonexistent/x"],
+                 "--out /nonexistent/x: ", id="gen-out-cannot-open"),
+    pytest.param(["encode", "--n", "4", "--depth", "3", "--out", "/nonexistent/x"],
+                 "--out /nonexistent/x: ", id="encode-out-cannot-open"),
+    pytest.param(["tables", "--max-n", "5", "--out", "/nonexistent/x"],
+                 "--out /nonexistent/x: ", id="tables-out-cannot-open"),
+    pytest.param(["prove", "--n", "5", "--depth", "4", "--out", "/nonexistent/x"],
+                 "--out /nonexistent/x: ", id="prove-out-cannot-open"),
+]
+# pytest would suffix a repeated id, renaming the row that held it first
+assert len({row.id for row in USAGE_ERRORS}) == len(USAGE_ERRORS)
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
 def test_cli_usage_errors(argv, message, tmp_path):
     # a usage error (exit 2, one line, no traceback) before any work starts
     if "--prefix" in argv:
@@ -1233,6 +1287,28 @@ def test_cli_usage_errors(argv, message, tmp_path):
     assert out.returncode == 2
     assert out.stdout == "" and "Traceback" not in out.stderr
     assert message in out.stderr.splitlines()[-1]
+
+
+def test_prove_checks_its_out_before_the_campaign(tmp_path):
+    # a bad --out is found before any solver runs, so no campaign is lost to it
+    marker = tmp_path / "ran"
+    script = tmp_path / "solver.sh"
+    script.write_text(f"#!/bin/sh\ntouch {marker}\necho 's UNSATISFIABLE'\nexit 20\n")
+    script.chmod(0o755)
+    prove = CLI + ["prove", "--n", "5", "--depth", "4"]
+    bad = str(tmp_path / "missing" / "report.json")
+    out = subprocess.run(prove + ["--solver", str(script), "--out", bad],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines()[-1].endswith(f"error: --out {bad}: [Errno 2] No such file "
+                                                f"or directory: '{bad}'")
+    assert not marker.exists()
+    # the check opens --out to append: a run that then fails keeps an older report
+    old = tmp_path / "report.json"
+    old.write_text("older report\n")
+    out = subprocess.run(prove + ["--solver", "/nonexistent", "--out", str(old)],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and old.read_text() == "older report\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -367,7 +367,7 @@ def test_prefix_too_deep():
         VarMap(4, 1, [], EncodeOptions(prefix=network(4, first_layer(4), [(2, 3)])))
     xs = unsorted_inputs(4)
     for prefix in (network(4, first_layer(4), [(2, 3)]),       # deeper than d
-                   network(4, [(2, 1)], generalized=True),     # not standard
+                   network(4, [(2, 1)]),                       # not standard
                    network(5, first_layer(5))):                # channel mismatch
         with pytest.raises(ValueError):
             build(4, 1, xs, EncodeOptions(prefix=prefix))

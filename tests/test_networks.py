@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -45,8 +46,7 @@ def assert_input_set(got, want):
 
 FIG1 = network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)])
 FIG2_LEFT = network(4, [(1, 2), (3, 4)], [(1, 4)], [(1, 3), (2, 4)], [(2, 3)])
-FIG2_MIDDLE = network(4, [(1, 2), (3, 4)], [(3, 2)], [(3, 1), (4, 2)], [(4, 1)],
-                      generalized=True)
+FIG2_MIDDLE = network(4, [(1, 2), (3, 4)], [(3, 2)], [(3, 1), (4, 2)], [(4, 1)])
 FIG2_RIGHT = network(4, [(1, 2), (3, 4)], [(2, 3)], [(1, 2), (3, 4)], [(2, 3)])
 
 
@@ -155,7 +155,7 @@ def test_is_sorting_network_examples():
     assert not is_sorting_network(network(4, first_layer(4)))
     assert is_sorting_network(network(2, [(1, 2)]))
     with pytest.raises(ValueError, match="standard networks"):
-        is_sorting_network(network(2, [(2, 1)], generalized=True))
+        is_sorting_network(network(2, [(2, 1)]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -176,7 +176,7 @@ def test_outputs_never_grow_when_appending():
     for _ in range(30):
         net = random_network(rng, 5, 2)
         i, j = sorted(rng.sample(range(1, 6), 2))
-        assert len(outputs(net.append_layer([(i, j)]))) <= len(outputs(net))
+        assert len(outputs(Network(net.n, net.layers + (((i, j),),)))) <= len(outputs(net))
 
 
 def test_unsorted_inputs_counts():
@@ -292,7 +292,8 @@ def test_untangle_preserves_sorting(n):
         tangled = permute(pi, base)
         flat = untangle(tangled)
         assert not flat.generalized
-        assert flat.depth == tangled.depth and flat.size == tangled.size
+        assert flat.depth == tangled.depth
+        assert sum(map(len, flat.layers)) == sum(map(len, tangled.layers))
         assert is_sorting_network(flat)
 
 
@@ -334,7 +335,7 @@ def test_reflect_examples_and_involution():
     assert reflect(a) == b and reflect(b) == a
     assert reflect(reflect(FIG2_LEFT)) == FIG2_LEFT
     with pytest.raises(ValueError, match="standard networks"):
-        reflect(network(2, [(2, 1)], generalized=True))
+        reflect(network(2, [(2, 1)]))
 
 
 def test_first_layer_styles():
@@ -425,11 +426,18 @@ def test_network_from_json_rejects_malformed_documents(text):
 def test_network_validation():
     with pytest.raises(ValueError):
         network(4, [(1, 2), (2, 3)])     # channel reused in a layer
-    with pytest.raises(ValueError):
-        network(4, [(3, 1)])             # reversed comparator, standard net
+    assert network(4, [(3, 1)]).generalized      # a reversed comparator is legal
     with pytest.raises(ValueError):
         network(2, [(1, 5)])             # out of range
     with pytest.raises(ValueError, match="at least one channel"):
         Network(0, ())
     with pytest.raises(ValueError, match="joins a channel to itself"):
         network(2, [(2, 2)])
+
+
+def test_a_network_is_its_channel_count_and_layers():
+    # generalized is read off the comparators, so it is no field to keep in step
+    assert [f.name for f in dataclasses.fields(Network)] == ["n", "layers"]
+    assert network(2, [(2, 1)]).generalized is True
+    assert network(2, [(1, 2)]).generalized is False
+    assert Network.from_json(FIG2_MIDDLE.to_json()) == FIG2_MIDDLE

@@ -67,7 +67,7 @@ def test_net_of_builds_the_figure_network():
 
 def test_net_of_one_channel():
     net = net_of("0_h")
-    assert net.n == 1 and net.size == 0
+    assert net.n == 1 and sum(map(len, net.layers)) == 0
 
 
 def test_net_of_rejects_malformed():
