@@ -7,15 +7,16 @@ build one, and one scheduler, _campaign, runs it.  Its tasks are the
 spec's prefixes: a Network, or None for a prefix-free search.  It walks
 each task's pads once, largest first, and each pad is one round: a
 report.Instance spec, which instance_formula alone turns into a formula,
-named by the spec and solved once under the configured timeout.  Its jobs
-workers are the calling thread and jobs - 1 helper threads; they take
-turns building formulas, so one worker's build runs while the others
-write or solve.  A lower-bound campaign runs every two-layer prefix in the
-complete filter set R_n down its pad schedule; every prefix UNSAT proves
-that no depth-d network exists.  A search runs the tasks of its mode with
-pad 0 alone.  Window padding shrinks instances: UNSAT on the padded
-subset already implies UNSAT on the full input set, while a SAT verdict
-under padding is inconclusive and moves the task on to the next pad.
+named by the spec and solved once under the configured timeout.  One loop
+on the calling thread runs up to jobs solvers at once: it builds and
+starts a round while a solver slot is free, and otherwise waits for the
+first running solver to end.  A lower-bound campaign runs every two-layer
+prefix in the complete filter set R_n down its pad schedule; every prefix
+UNSAT proves that no depth-d network exists.  A search runs the tasks of
+its mode with pad 0 alone.  Window padding shrinks instances: UNSAT on the
+padded subset already implies UNSAT on the full input set, while a SAT
+verdict under padding is inconclusive and moves the task on to the next
+pad.
 
 Tasks start in order of their prefix's number of unsorted outputs, fewest
 first (the "fewest-outputs" ordering): that prefix leaves the fewest
@@ -31,7 +32,8 @@ depth's spec, and runs the whole of R_n only at the depth below the first
 network: T(n) = t rests on a witness at depth t and one refutation at
 t - 1, which covers every smaller depth too.
 
-The first pad-0 SAT settles the claim and kills the solvers still running.
+The first pad-0 SAT settles the claim and kills the solvers still running;
+their rounds are not recorded.
 Every SAT model is decoded and re-verified by direct evaluation, and the
 witness behind a claim once more with is_sorting_network; a witness that
 fails verification is a fatal internal error, never a result.  The
@@ -42,19 +44,21 @@ also states why the claims it makes hold.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import replace
 from functools import lru_cache
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import words as words_mod
 from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network
-from .networks import Network, _ascending_mask, _eval_array, is_sorting_network, unsorted_inputs
+from .networks import (Network, _ascending_mask, _eval_array, is_sorting_network, outputs,
+                       unsorted_inputs)
 from .report import Campaign, CampaignResult, Instance, InstanceResult, _evidence
-from .solver import SolverConfig, StopEvent, default_config, run_solver
+from .solver import SolverConfig, SolverRun, default_config, reap
+from .solver import run_solver  # noqa: F401  bench/worker.py traces it by this name
 
 
 def two_layer_prefixes(n: int) -> list[Network]:
@@ -64,27 +68,24 @@ def two_layer_prefixes(n: int) -> list[Network]:
 
 
 @lru_cache(maxsize=None)
-def _task_inputs(n: int, prefix: Optional[Network]) -> tuple[np.ndarray, int]:
-    """A prefix's input set, read-only, and how many of its inputs a pad-0
-    build keeps: one per prefix image, as VarMap judges it."""
+def _task_inputs(n: int, prefix: Optional[Network]) -> np.ndarray:
+    """A prefix's input set, read-only."""
     xs = unsorted_inputs(n, prefix)
     xs.flags.writeable = False
-    depth = prefix.depth if prefix is not None else 0
-    return xs, len(VarMap(n, depth, xs, EncodeOptions(prefix=prefix)).inputs)
+    return xs
 
 
 def instance_formula(inst: Instance, opts: EncodeOptions = EncodeOptions()) -> tuple[VarMap, Cnf]:
     """The one path from a spec to its formula: the input set of its prefix
     from _task_inputs, encoded under opts with the spec's pad and prefix."""
-    xs, _ = _task_inputs(inst.n, inst.prefix)
-    return build(inst.n, inst.depth, xs, replace(opts, pad=inst.pad, prefix=inst.prefix))
+    return build(inst.n, inst.depth, _task_inputs(inst.n, inst.prefix),
+                 replace(opts, pad=inst.pad, prefix=inst.prefix))
 
 
 @lru_cache(maxsize=None)
 def _fewest_outputs(n: int) -> tuple[Network, ...]:
-    """The prefixes of R_n, fewest outputs first, ties in R_n order: the key
-    is the count a pad-0 build keeps, one input per unsorted output."""
-    return tuple(sorted(words_mod.rn_networks(n), key=lambda p: _task_inputs(n, p)[1]))
+    """The prefixes of R_n, fewest outputs first, ties in R_n order."""
+    return tuple(sorted(words_mod.rn_networks(n), key=lambda p: len(outputs(p))))
 
 
 def default_pads(n: int, d: int) -> list[int]:
@@ -121,7 +122,7 @@ _LOG_TAIL = 2000   # characters a report keeps of a log after its cmd: and exit:
 
 def _kept_log(log: str) -> str:
     """What a report keeps of a TIMEOUT-class run's log: the cmd: and
-    exit: lines that solve_file writes first, then at most the last
+    exit: lines that solver.SolverRun writes first, then at most the last
     _LOG_TAIL characters of the rest."""
     if log.startswith("cmd: "):
         cmd, exit_line, rest = log.split("\n", 2)
@@ -140,33 +141,29 @@ def _campaign(spec: Campaign, config: SolverConfig, jobs: int, first: Optional[i
     None.  Each task walks the spec's pads once; each pad is one round, an
     Instance that instance_formula encodes with every formula reduction on,
     solved under config.timeout in files named by the spec, its model
-    decoded.  Every round is solved, and an instance's encode_time is its
-    own build, not the input set nor the wait for the turn.  A
+    decoded.  An instance's encode_time is its own build, not the input
+    set; its solve_time runs from its solver's start to its reap, so it
+    may hold a build of another round that the loop made meanwhile.  A
     TIMEOUT-class round keeps its run's log, cut by _kept_log.
 
-    The jobs workers are the calling thread and jobs - 1 helper threads,
-    so jobs=1 starts no thread.  They share one lock, the turn.  A worker
-    takes the next task position under it, so every task is handed out
-    once, in task order.  It checks the stop and builds each round's
-    formula under it, so at most one worker builds at a time.  The pad-0
-    SAT and a failed worker set the stop under it, so no build starts
-    after the stop; a worker that gets the turn after the stop returns
-    without building.  The CNF write and the solver run outside the turn,
-    so a worker's write starts as soon as its own build ends.  When the
-    scan ends, the helpers are joined before the stop is set.  A worker
-    that raises, or is interrupted, sets the stop first, which kills the
-    others' solvers; then the helpers are joined and the first error is
-    raised.  BENCH_compute-t9-turns.json and
-    BENCH_lower-bound-10-caller.json hold the measurements behind the turn
-    and behind helper threads in place of a thread pool.
+    One loop on the calling thread runs the rounds, with jobs solver
+    slots (at least one).  While a slot is free it builds the next task's
+    first round, writes it and starts its solver (solver.SolverRun);
+    otherwise it waits for the first running solver to end or time out
+    (solver.reap).  So the builds and writes run one at a time, while up
+    to jobs solvers run beside them.  A reaped round is classified by the
+    solver's rules, and a SAT model is re-checked on the inputs its
+    formula kept.  An UNSAT settles the task (windowed inputs are a subset
+    of the full set); a padded SAT or TIMEOUT starts the task's next pad
+    in the slot it frees, and only pad 0 can certify satisfiability.  A
+    pad-0 TIMEOUT leaves the task open while the other tasks carry on.
 
-    An UNSAT settles the task (windowed inputs are a subset of the full
-    set); a padded SAT or TIMEOUT moves on to the next pad, and only pad 0
-    can certify satisfiability.  A pad-0 TIMEOUT leaves the task open while
-    the other tasks carry on.  The first pad-0 SAT sets the stop event,
-    which kills the solvers still running.  A prior campaign at the same
-    depth, run over other tasks, lends its instances and wall time, so the
-    two make one campaign.  The instances are recorded in task order, the
+    The first pad-0 SAT that is reaped ends the loop, so no build starts
+    after it.  That SAT, a build, write or check that raises, and an
+    interrupt each kill every solver still running and remove its CNF;
+    those rounds are not recorded.  A prior campaign at the same depth,
+    run over other tasks, lends its instances and wall time, so the two
+    make one campaign.  The instances are recorded in task order, the
     prior's first; the claim and its witness, the first pad-0 SAT in that
     order, come from _evidence, and the witness is re-checked with
     is_sorting_network.
@@ -176,22 +173,27 @@ def _campaign(spec: Campaign, config: SolverConfig, jobs: int, first: Optional[i
     ran = {r.instance.prefix for r in prior.instances} if prior else set()
     tasks = [rounds for rounds in _tasks(spec) if rounds[0].prefix not in ran][:first]
     done: list[list[InstanceResult]] = [[] for _ in tasks]
-    stop = StopEvent()
-    turn = threading.Lock()
-    positions = iter(range(len(tasks)))
-    errors: list[BaseException] = []
+    waiting = enumerate(tasks)
+    running: dict[SolverRun, tuple] = {}
 
-    def settle(position: int) -> None:
-        for inst in tasks[position]:
-            with turn:
-                if stop.is_set():
-                    return
-                t_build = time.monotonic()
-                vm, cnf = instance_formula(inst)
-                encode_time = time.monotonic() - t_build
-            res = run_solver(cnf, config, name=inst.name, stop=stop)
-            if res.verdict == "CANCELLED":
-                return  # killed: the claim is already settled
+    def start(position: int, rounds: list[Instance]) -> None:
+        """Build, write and start the first of the task's rounds left."""
+        inst = rounds[0]
+        t_build = time.monotonic()
+        vm, cnf = instance_formula(inst)
+        encode_time = time.monotonic() - t_build
+        sizes = (len(vm.inputs), cnf.num_vars, cnf.num_clauses)
+        run = SolverRun.write(cnf, config, inst.name)
+        running[run] = (position, rounds[1:], inst, vm, encode_time, sizes)
+
+    try:
+        while True:
+            for task in islice(waiting, max(1, jobs) - len(running)):
+                start(*task)
+            if not running:
+                break
+            run, res = reap(running)
+            position, rounds, inst, vm, encode_time, sizes = running.pop(run)
             witness = None
             if res.verdict == "SAT":
                 # a model must sort every input the formula kept
@@ -199,43 +201,15 @@ def _campaign(spec: Campaign, config: SolverConfig, jobs: int, first: Optional[i
                 if not _ascending_mask(_eval_array(witness, vm.inputs), n).all():
                     raise RuntimeError(f"solver model fails verification on instance {inst.name}")
             log = _kept_log(res.log) if res.verdict == "TIMEOUT" else ""
-            done[position].append(InstanceResult(inst, res.verdict, encode_time,
-                                                 res.solve_time, witness, len(vm.inputs),
-                                                 cnf.num_vars, cnf.num_clauses, log))
-            if res.verdict == "UNSAT":
-                return
+            done[position].append(InstanceResult(inst, res.verdict, encode_time, res.solve_time,
+                                                 witness, *sizes, log))
             if res.verdict == "SAT" and inst.pad == 0:
-                with turn:
-                    stop.set()
-
-    def work() -> None:
-        try:
-            while True:
-                with turn:
-                    position = next(positions, None)
-                if position is None:
-                    return
-                settle(position)
-        except BaseException as exc:
-            with turn:
-                errors.append(exc)
-                stop.set()  # a failed or interrupted worker kills the others' solvers
-
-    helpers: list[threading.Thread] = []
-    try:
-        for _ in range(jobs - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-        for helper in helpers:
-            helper.join()
+                break
+            if res.verdict != "UNSAT" and rounds:
+                start(position, rounds)
     finally:
-        stop.set()  # an interrupt in the join kills the helpers' solvers first
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+        for run in running:
+            run.close()
 
     results = (list(prior.instances) if prior else []) + [r for rs in done for r in rs]
     claim, witness, _ = _evidence(n, spec.depth, results)
@@ -289,7 +263,7 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
     Each depth has one spec: R_n at that depth with its default_pads.  The
     climb starts at the information-theoretic floor ceil(log2 n) and runs
     only a probe at each depth: the first `jobs` tasks of the spec in
-    fewest-outputs order, one per worker.  It moves up while every probed
+    fewest-outputs order, one per solver slot.  It moves up while every probed
     task is UNSAT.  The first probe with a pad-0 SAT is the witness
     campaign at t.  Then the spec at t - 1 runs again with the probe as its
     prior: the scheduler skips the tasks the probe ran and takes over its

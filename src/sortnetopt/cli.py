@@ -9,7 +9,9 @@ name that is no executable, is a usage error.  solve hands
 the --cnf file itself to the solver (solver.solve_file): it reads,
 copies and removes nothing, and a --cnf that does not open is a usage
 error.  So is an --out that does not open, found before any work: prove
-never runs a campaign whose report it could not write.
+never runs a campaign whose report it could not write.  The prefix and
+the solver are checked before --out, so a usage error leaves no new
+--out file behind, and an existing one as it was.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ SOLVER_HELP = ("DIMACS solver binary (default: $SAT_SOLVER, else the first known
                "with cc on first use)")
 
 
-class UsageError(ValueError):
-    """A command line found unusable once its inputs are read."""
-
-
 def _write(path: str, texts: Iterable[str]) -> None:
     """Write the texts one by one as they come, to stdout when path is "-"."""
     with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as out:
@@ -72,27 +70,24 @@ def _cmd_gen(args) -> int:
 
 def _instance(args) -> report_mod.Instance:
     """The spec that encode builds from --n, --depth, --pad and --prefix or
-    --prefix-index; a prefix that does not fit them is a usage error."""
+    --prefix-index; ValueError says why a prefix does not fit them."""
     if args.prefix is not None:
         try:
             prefix = Network.from_json(Path(args.prefix).read_text())
         except (OSError, ValueError) as exc:
-            raise UsageError(f"--prefix {args.prefix}: {exc}")
+            raise ValueError(f"--prefix {args.prefix}: {exc}")
     elif args.prefix_index is not None:
         try:
             prefix = report_mod.rn_prefix(args.n, args.prefix_index)
         except ValueError as exc:
-            raise UsageError(f"--prefix-index {exc}")
+            raise ValueError(f"--prefix-index {exc}")
     else:
         prefix = None
-    try:
-        return report_mod.Instance(args.n, args.depth, args.pad, prefix)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return report_mod.Instance(args.n, args.depth, args.pad, prefix)
 
 
 def _cmd_encode(args) -> int:
-    inst = _instance(args)
+    inst = args.instance
     opts = EncodeOptions(**{rule: getattr(args, rule) for rule in RULES})
     vm, cnf = campaign_mod.instance_formula(inst, opts)
     _write(args.out, itertools.chain([f"c sortnetopt n={args.n} d={args.depth} "
@@ -102,14 +97,11 @@ def _cmd_encode(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    """The solver that solve, find and prove run; none, or a name that is
-    no executable, is a usage error."""
-    try:
-        config = default_config(timeout=args.timeout, executable=args.solver)
-    except RuntimeError as exc:   # no solver found
-        raise UsageError(str(exc))
+    """The solver that solve, find and prove run: RuntimeError when none is
+    found, ValueError for a name that is no executable."""
+    config = default_config(timeout=args.timeout, executable=args.solver)
     if shutil.which(config.executable) is None:
-        raise UsageError(f"failed to launch solver {config.executable!r}: no executable "
+        raise ValueError(f"failed to launch solver {config.executable!r}: no executable "
                          f"by that name")
     return config
 
@@ -122,7 +114,7 @@ def _claim_exit(camp: report_mod.CampaignResult, depth: int) -> int:
 
 def _cmd_solve(args) -> int:
     # the solver reads the user's file itself: no copy, and its log names that file
-    res = solve_file(args.cnf, _solver_config(args))
+    res = solve_file(args.cnf, args.config)
     print(f"s {res.verdict}")
     if res.verdict == "TIMEOUT":
         print(res.log, file=sys.stderr)
@@ -134,14 +126,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_find(args) -> int:
     witness, camp = campaign_mod.find_network_campaign(
-        args.n, args.depth, args.mode, _solver_config(args), jobs=args.jobs)
+        args.n, args.depth, args.mode, args.config, jobs=args.jobs)
     print(witness.to_json() if witness is not None else json.dumps({"claim": camp.claim}))
     return _claim_exit(camp, args.depth)
 
 
 def _cmd_prove(args) -> int:
-    camp = campaign_mod.prove_lower_bound(args.n, args.depth, args.pads,
-                                          _solver_config(args), jobs=args.jobs)
+    camp = campaign_mod.prove_lower_bound(args.n, args.depth, args.pads, args.config,
+                                          jobs=args.jobs)
     _write(args.out or "-", [report_mod.campaign_to_json(camp) + "\n"])
     return _claim_exit(camp, args.depth)
 
@@ -194,6 +186,13 @@ def _usage_error(args) -> str | None:
         return f"--timeout must be positive, got {args.timeout}"
     if args.command in ("find", "prove") and args.jobs < 1:
         return f"--jobs must be at least 1, got {args.jobs}"
+    # the prefix and the solver are read before any file is opened, so a
+    # command line that they make unusable leaves no --out file behind
+    try:
+        args.instance = _instance(args) if args.command == "encode" else None
+        args.config = _solver_config(args) if args.command in ("solve", "find", "prove") else None
+    except (RuntimeError, ValueError) as exc:
+        return str(exc)
     # a file that does not open is found before any work.  --out is opened
     # to append, so a run that fails keeps an older report, and "-" is stdout
     for flag, mode in (("cnf", "rb"), ("out", "a")):
@@ -268,10 +267,7 @@ def main(argv=None) -> int:
     error = _usage_error(args)
     if error:
         parsers[args.command].error(error)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        parsers[args.command].error(str(exc))
+    return args.func(args)
 
 
 if __name__ == "__main__":

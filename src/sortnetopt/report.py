@@ -59,13 +59,14 @@ its own build, never its input set, made once per process.  Its log is
 "" unless the verdict is TIMEOUT: then it holds the solver run's cmd:
 and exit: lines and at most the last 2 000 characters of the rest of
 the run's log (campaign._kept_log).  The instances are listed in task
-order, not in the order the workers finished them: a prior campaign's
+order, not in the order their solvers finished: a prior campaign's
 first, then each task's in the order the scheduler was given the tasks,
 its pads largest first.  With the
 times zeroed, two runs of one campaign give the same report, unless it
-ends on a pad-0 SAT with jobs >= 2: a round whose solver that SAT's
-stop kills is not recorded, and which rounds those are depends on
-thread timing (compute_T(9) records 23 or 24 instances).  The
+ends on a pad-0 SAT with jobs >= 2: a round whose solver is still
+running when that SAT is reaped is killed and not recorded, and which
+rounds those are depends on process timing, on how fast each solver
+ends (compute_T(9) records 23 or 24 instances).  The
 loader rebuilds each spec, so it rejects what no campaign could run: a
 pad outside 0..n-1, a prefix deeper than the depth, a label that is not
 the R_n sentence at its prefix_index, and "layer1" beside an index.

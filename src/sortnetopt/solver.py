@@ -4,21 +4,27 @@ The solver is found by find_solver: $SAT_SOLVER, a known solver on PATH
 or in a user bin dir, and last the package's own reference solver
 refsat, which reference_solver compiles from the refsat.c shipped with
 the package when a C compiler `cc` is on PATH.
+
+Every solver run is a SolverRun, which writes its CNF, starts the solver
+and classifies the finished run, and reap is the one wait: it reads the
+output of any number of runs and hands back the first that ends.
+solve_file and run_solver start one run and wait for it; a campaign
+keeps several running and reaps them as they end.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import selectors
 import shutil
 import subprocess
 import tempfile
-import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from subprocess import PIPE, Popen
+from typing import Collection, Iterator, Optional
 
 from .encoding import _LIT_CHUNK, Cnf, to_dimacs
 
@@ -91,10 +97,10 @@ def find_solver() -> Optional[str]:
 class SolverConfig:
     """What a caller chooses: the binary, its wall-clock timeout and where
     its CNF files go.  The arguments come from the binary's name
-    (KNOWN_SOLVERS, read by solve_file)."""
+    (KNOWN_SOLVERS, read by SolverRun)."""
     executable: str
     timeout: float = DEFAULT_TIMEOUT
-    workdir: Optional[str] = None   # None: a temp dir per call, always removed
+    workdir: Optional[str] = None   # None: a temp dir per run, always removed
 
     def __post_init__(self):
         if not self.timeout > 0:   # NaN too
@@ -105,7 +111,7 @@ def default_config(timeout: float = DEFAULT_TIMEOUT, executable: Optional[str] =
                    **kw) -> SolverConfig:
     """Config for the given binary, or the one find_solver() locates (the
     reference solver last, which a first call compiles); it only resolves
-    the executable, whose flags solve_file looks up.  RuntimeError when
+    the executable, whose flags SolverRun looks up.  RuntimeError when
     no solver is found, or when the reference solver fails to compile."""
     exe = executable or find_solver()
     if exe is None:
@@ -118,38 +124,10 @@ def default_config(timeout: float = DEFAULT_TIMEOUT, executable: Optional[str] =
 
 @dataclass
 class SolveResult:
-    verdict: str                               # SAT | UNSAT | TIMEOUT | CANCELLED
+    verdict: str                               # SAT | UNSAT | TIMEOUT
     true_vars: Optional[frozenset[int]] = None
     solve_time: float = 0.0
     log: str = ""
-
-
-class StopEvent(threading.Event):
-    """A threading.Event whose set() also kills the solver runs it watches.
-
-    A run that starts watching after set() is killed at once; a killed run
-    comes back CANCELLED.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
-        self._running: set[subprocess.Popen] = set()
-
-    def set(self) -> None:
-        with self._lock:
-            super().set()
-            running = list(self._running)
-        for proc in running:
-            proc.kill()
-
-    def _watch(self, proc: subprocess.Popen, on: bool) -> None:
-        """Register (on) or drop a running solver; kill it if already set."""
-        with self._lock:
-            (self._running.add if on else self._running.discard)(proc)
-            if not (on and self.is_set()):
-                return
-        proc.kill()
 
 
 _ANSI = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
@@ -199,67 +177,153 @@ def dimacs_chunks(cnf: Cnf) -> Iterator[str]:
         yield to_dimacs(cnf, start, start + _LIT_CHUNK)
 
 
-def solve_file(path: str | Path, config: SolverConfig,
-               stop: Optional[StopEvent] = None) -> SolveResult:
-    """Run the solver on the DIMACS file at path; wall-clock timeout kills it.
+class SolverRun:
+    """One solver run on a DIMACS file: it writes the file, starts the
+    solver and classifies the finished run.
+
+    SolverRun.write(cnf, config, name) writes cnf to {name}.cnf in
+    config.workdir, or in a temporary directory of its own without one,
+    through dimacs_chunks, one piece at a time, so no whole-formula text
+    is held.  That file is the run's: it is kept only beside a
+    TIMEOUT-class result, for post-mortem, and removed on every other
+    outcome, a write, a launch or a run that raises included; the
+    temporary directory goes whatever the outcome.  SolverRun(config,
+    path) runs on the caller's file and never writes or removes it.
 
     The command is the executable, the arguments that KNOWN_SOLVERS holds
-    for its file name (none for another name), then path.  solve_file is
-    the one reader of those arguments.
-
-    solve_file neither writes nor removes path, so the caller decides
-    whether the file stays.  Unparseable or crashed runs come back as
-    TIMEOUT-class failures with the captured log, whose cmd: line names
-    path.  A run is crashed when a signal that stop did not send ends it,
-    or when its exit code 10 (SAT) or 20 (UNSAT) contradicts its status
-    line; exit 20 without a status line is UNSAT.  A run killed by stop
-    settled nothing: it comes back CANCELLED.  A solver that fails to
-    launch raises RuntimeError.
+    for its file name (none for another name), then the path; the
+    constructor is the one reader of those arguments and the package's
+    one subprocess.Popen.  A solver that fails to launch raises
+    RuntimeError.  reap reads the run to its end, or kills it
+    config.timeout after its start, and closes it with its result.
     """
-    stop = stop or StopEvent()
-    cmd = [config.executable, *KNOWN_SOLVERS.get(Path(config.executable).name, ()), str(path)]
-    start = time.monotonic()
-    try:
-        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    except OSError as exc:
-        raise RuntimeError(f"failed to launch solver {config.executable!r}: {exc}") from exc
-    with proc:
-        stop._watch(proc, True)
+
+    def __init__(self, config: SolverConfig, path: str | Path, cnf: Optional[Cnf] = None,
+                 tempdir: Optional[str] = None):
+        self.path, self.written, self.tempdir = Path(path), cnf is not None, tempdir
         try:
-            stdout, stderr = proc.communicate(timeout=config.timeout)
+            if cnf is not None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with self.path.open("w") as out:
+                    out.writelines(dimacs_chunks(cnf))
+            self.start = time.monotonic()
+            self.deadline = self.start + config.timeout
+            flags = KNOWN_SOLVERS.get(Path(config.executable).name, ())
+            try:
+                self.proc = Popen([config.executable, *flags, str(path)], stdout=PIPE, stderr=PIPE)
+            except OSError as exc:
+                raise RuntimeError(f"failed to launch solver {config.executable!r}: {exc}") from exc
+        except BaseException:
+            self._remove(keep=False)
+            raise
+        self.output = {self.proc.stdout: [], self.proc.stderr: []}   # pipe: the bytes read
+        self.open_pipes = set(self.output)
+
+    @classmethod
+    def write(cls, cnf: Cnf, config: SolverConfig, name: str = "instance") -> SolverRun:
+        """Write cnf to {name}.cnf in config.workdir, or in a temporary
+        directory of its own, and start the solver on it."""
+        tempdir = tempfile.mkdtemp(prefix="sortnetopt-") if config.workdir is None else None
+        return cls(config, Path(tempdir or config.workdir) / f"{name}.cnf", cnf, tempdir)
+
+    def _remove(self, keep: bool) -> None:
+        """Remove the CNF the run wrote, unless keep, and its temporary directory."""
+        if self.written and not keep:
+            self.path.unlink(missing_ok=True)
+        if self.tempdir is not None:
+            shutil.rmtree(self.tempdir, ignore_errors=True)
+
+    def close(self, keep: bool = False) -> None:
+        """Kill the solver if it still runs, reap it, close its pipes and
+        remove what the run wrote, its CNF too unless keep.  Called alone,
+        it ends a run that settles nothing."""
+        self.proc.kill()
+        self.proc.wait()
+        for pipe in self.output:
+            pipe.close()
+        self._remove(keep)
+
+    def _finish(self, timed_out: bool) -> SolveResult:
+        """The run's result; the run is closed, a TIMEOUT-class run's CNF kept."""
+        try:   # the solver is ending, unless it closed its pipes early or timed out
+            self.proc.wait(max(0.0, self.deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
-            return SolveResult("TIMEOUT", None, time.monotonic() - start, "wall-clock timeout")
-        finally:
-            stop._watch(proc, False)
-            if proc.returncode is None:  # timed out or interrupted
-                proc.kill()
-    elapsed = time.monotonic() - start
-    if stop.is_set() and proc.returncode < 0:
-        return SolveResult("CANCELLED", None, elapsed, "")
-    verdict, true_vars = parse_solver_output(stdout)
-    exit_verdict = {10: "SAT", 20: "UNSAT"}.get(proc.returncode)
-    if exit_verdict == "UNSAT" and not any(line.startswith("s ") for line in _lines(stdout)):
-        verdict = "UNSAT"  # SAT-competition exit code, for quiet solvers
-    if proc.returncode < 0 or exit_verdict not in (None, verdict):
-        verdict = "UNKNOWN"  # a crash, or an exit code against the status line
-    if verdict == "UNKNOWN":
-        log = f"cmd: {' '.join(cmd)}\nexit: {proc.returncode}\n{stdout}\n{stderr}"
-        return SolveResult("TIMEOUT", None, elapsed, log)
-    return SolveResult(verdict, true_vars, elapsed, "")
+            timed_out = True
+        elapsed = time.monotonic() - self.start
+        res = (SolveResult("TIMEOUT", None, elapsed, "wall-clock timeout") if timed_out
+               else self._classify(elapsed))
+        keep = res.verdict == "TIMEOUT"
+        if self.tempdir is not None and keep:
+            res.log += f"\n{self.path.name} was not kept: sortnetopt encode rebuilds it from its spec"
+        self.close(keep)
+        return res
+
+    def _classify(self, elapsed: float) -> SolveResult:
+        """The ended run's result.  Unparseable or crashed runs are
+        TIMEOUT-class failures with the captured log, whose cmd: line
+        names the path.  A run is crashed when a signal ends it, or when
+        its exit code 10 (SAT) or 20 (UNSAT) contradicts its status line;
+        exit 20 without a status line is UNSAT."""
+        stdout, stderr = (b"".join(out).decode(errors="replace") for out in self.output.values())
+        code = self.proc.returncode
+        verdict, true_vars = parse_solver_output(stdout)
+        exit_verdict = {10: "SAT", 20: "UNSAT"}.get(code)
+        if exit_verdict == "UNSAT" and not any(line.startswith("s ") for line in _lines(stdout)):
+            verdict = "UNSAT"  # SAT-competition exit code, for quiet solvers
+        if code < 0 or exit_verdict not in (None, verdict):
+            verdict = "UNKNOWN"  # a crash, or an exit code against the status line
+        if verdict == "UNKNOWN":
+            log = f"cmd: {' '.join(self.proc.args)}\nexit: {code}\n{stdout}\n{stderr}"
+            return SolveResult("TIMEOUT", None, elapsed, log)
+        return SolveResult(verdict, true_vars, elapsed, "")
 
 
-def run_solver(cnf: Cnf, config: SolverConfig, name: str = "instance",
-               stop: Optional[StopEvent] = None) -> SolveResult:
-    """Write cnf to {name}.cnf in config.workdir and solve_file it.
+def reap(runs: Collection[SolverRun]) -> tuple[SolverRun, SolveResult]:
+    """Read the runs' stdout and stderr as they come, until one run ends or
+    passes its deadline and is killed: that run and its result.
 
-    The CNF goes to its file through dimacs_chunks, one piece at a time,
-    so no whole-formula text is held.  One rule decides whether the file
-    stays: a CNF is kept only beside a TIMEOUT-class result, for
-    post-mortem.  Every other outcome removes it: SAT, UNSAT, CANCELLED,
-    and a write, a launch or a run that raises, an interrupt included.
-    Without a workdir the run works in a temporary directory that it
-    removes whatever the outcome, so only a workdir that the caller names
-    keeps a CNF.
+    Every pipe is drained while its solver runs, so no solver blocks on a
+    full pipe, however long its model.  The other runs keep running, with
+    what they printed so far kept for the next call.  An error or an
+    interrupt closes every run, which kills its solver.
+    """
+    try:
+        with selectors.DefaultSelector() as selector:
+            for run in runs:
+                for pipe in run.open_pipes:
+                    selector.register(pipe, selectors.EVENT_READ, run)
+            while True:
+                late = min(runs, key=lambda run: run.deadline)
+                left = late.deadline - time.monotonic()
+                if left <= 0:
+                    return late, late._finish(timed_out=True)
+                for key, _ in selector.select(left):
+                    run, data = key.data, os.read(key.fd, 1 << 16)
+                    if data:
+                        run.output[key.fileobj].append(data)
+                        continue
+                    selector.unregister(key.fileobj)
+                    run.open_pipes.discard(key.fileobj)
+                    if not run.open_pipes:
+                        return run, run._finish(timed_out=False)
+    except BaseException:
+        for run in runs:
+            run.close()
+        raise
+
+
+def solve_file(path: str | Path, config: SolverConfig) -> SolveResult:
+    """Run the solver on the DIMACS file at path and wait for its result.
+
+    The file stays the caller's: the run neither writes nor removes it.
+    The log of a TIMEOUT-class run names path on its cmd: line.
+    """
+    return reap([SolverRun(config, path)])[1]
+
+
+def run_solver(cnf: Cnf, config: SolverConfig, name: str = "instance") -> SolveResult:
+    """Write cnf to {name}.cnf in config.workdir, run the solver on it and
+    wait for its result; SolverRun.write says which files stay.
 
     The log of a TIMEOUT-class run is in the result: a direct caller of
     run_solver or solve_file gets it, sortnetopt solve prints it, and a
@@ -269,19 +333,4 @@ def run_solver(cnf: Cnf, config: SolverConfig, name: str = "instance",
     rebuilds an instance's CNF from its spec, for a rerun with sortnetopt
     solve.
     """
-    temp = config.workdir is None
-    with (tempfile.TemporaryDirectory(prefix="sortnetopt-") if temp
-          else nullcontext(config.workdir)) as workdir:
-        path = Path(workdir) / f"{name}.cnf"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        res = None
-        try:
-            with path.open("w") as out:
-                out.writelines(dimacs_chunks(cnf))
-            res = solve_file(path, config, stop)
-        finally:
-            if res is None or res.verdict != "TIMEOUT":   # the one outcome that keeps a CNF
-                path.unlink(missing_ok=True)
-    if temp and res.verdict == "TIMEOUT":
-        res.log += f"\n{name}.cnf was not kept: sortnetopt encode rebuilds it from its spec"
-    return res
+    return reap([SolverRun.write(cnf, config, name)])[1]

@@ -4,6 +4,8 @@ import errno
 import hashlib
 import json
 import os
+import selectors
+import shlex
 import shutil
 import signal
 import stat
@@ -13,7 +15,6 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from sortnetopt.networks import (Network, first_layer, is_sorting_network, netwo
                                  unsorted_inputs)
 from sortnetopt.report import (Campaign, CampaignResult, Instance, InstanceResult,
                                campaign_from_json, campaign_to_json)
-from sortnetopt.solver import KNOWN_SOLVERS, SolveResult, SolverConfig, StopEvent, run_solver
+from sortnetopt.solver import KNOWN_SOLVERS, SolverConfig, run_solver
 from sortnetopt.words import rn_networks
 
 
@@ -98,27 +99,6 @@ def _alive(pid: int) -> bool:
     return bool(stat) and not stat.startswith("Z")
 
 
-def test_run_solver_cancelled(tmp_path):
-    workdir = tmp_path / "cnf"
-    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600, workdir=str(workdir))
-    stop = StopEvent()
-    # more runs than cores, so registering and killing interleave
-    with ThreadPoolExecutor(4) as pool:
-        runs = [pool.submit(run_solver, Cnf(1, [(1,)]), cfg, f"run{k}", stop)
-                for k in range(4)]
-        pids = _solver_pids(workdir, 4)
-        t0 = time.monotonic()
-        stop.set()
-        assert [f.result(timeout=5).verdict for f in runs] == ["CANCELLED"] * 4
-    assert time.monotonic() - t0 < 3
-    assert list(workdir.glob("*.cnf")) == []
-    assert not any(_alive(pid) for pid in pids)
-    # a run started after the stop is killed at once
-    t0 = time.monotonic()
-    assert run_solver(Cnf(1, [(1,)]), cfg, name="late", stop=stop).verdict == "CANCELLED"
-    assert time.monotonic() - t0 < 3 and list(workdir.glob("*.cnf")) == []
-
-
 def test_killed_campaign_leaves_no_solver(tmp_path):
     # solvers share their campaign's process group, so killing it stops them
     workdir = tmp_path / "cnf"
@@ -149,6 +129,38 @@ def _fake_solver(tmp_path, name: str, body: str) -> SolverConfig:
     script.write_text(f"#!/bin/sh\n{body}\n")
     script.chmod(0o755)
     return SolverConfig(executable=str(script), timeout=5, workdir=str(tmp_path / name))
+
+
+def _named_solver(tmp_path, body: str) -> SolverConfig:
+    """A fake solver that picks its answer from the instance name: it adds
+    the name of its CNF ($1 without .cnf) to calls.log, then runs body
+    with the name in $name."""
+    return _fake_solver(tmp_path, "named", f'name=$(basename "$1" .cnf)\n'
+                                           f'echo "$name" >> {tmp_path}/calls.log\n{body}')
+
+
+def _calls(tmp_path) -> list[str]:
+    """The instance names _named_solver got, in the order its runs started."""
+    log = tmp_path / "calls.log"
+    return log.read_text().split() if log.exists() else []
+
+
+def _wrapped_solver(tmp_path, solver_config, arms: str) -> SolverConfig:
+    """_named_solver with the shell `case` arms given, which answer for the
+    names they match; every other instance goes to the real solver."""
+    exe = solver_config.executable
+    real = " ".join(map(shlex.quote, [exe, *KNOWN_SOLVERS.get(Path(exe).name, ())]))
+    return _named_solver(tmp_path, f'case "$name" in\n{arms}\n*) exec {real} "$1" ;;\nesac')
+
+
+class _Interrupted(selectors.DefaultSelector):
+    """A selector whose wait is interrupted, as by Ctrl-C, once before()
+    has run."""
+    before = staticmethod(lambda: None)
+
+    def select(self, timeout=None):
+        type(self).before()
+        raise KeyboardInterrupt
 
 
 def test_run_solver_unparseable_is_timeout_class(tmp_path):
@@ -251,15 +263,14 @@ def test_run_solver_failed_write_leaves_nothing(tmp_path, monkeypatch):
     prefix = two_layer_prefixes(8)[0]
     _, cnf = build(8, 5, unsorted_inputs(8, prefix), EncodeOptions(prefix=prefix))
     assert cnf.lits.size > _LIT_CHUNK
-    stop = StopEvent()
     cfg = SolverConfig(executable="/bin/false", timeout=5)
     with pytest.raises(OSError, match="No space"):
-        run_solver(cnf, cfg, name="partial", stop=stop)
+        run_solver(cnf, cfg, name="partial")
     assert list(tmp_path.iterdir()) == []
     # a given workdir stays, without the CNF
     workdir = tmp_path / "work"
     with pytest.raises(OSError, match="No space"):
-        run_solver(cnf, dataclasses.replace(cfg, workdir=str(workdir)), name="partial", stop=stop)
+        run_solver(cnf, dataclasses.replace(cfg, workdir=str(workdir)), name="partial")
     assert list(tmp_path.iterdir()) == [workdir] and list(workdir.iterdir()) == []
 
 
@@ -293,11 +304,7 @@ def test_an_interrupted_run_leaves_no_temp_dir(tmp_path, monkeypatch):
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
-
-    def interrupted(self, *args, **kwargs):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    monkeypatch.setattr(selectors, "DefaultSelector", _Interrupted)
     cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600)
     with pytest.raises(KeyboardInterrupt):
         run_solver(Cnf(1, [(1,)]), cfg)
@@ -306,15 +313,25 @@ def test_an_interrupted_run_leaves_no_temp_dir(tmp_path, monkeypatch):
 
 def test_an_interrupted_run_in_a_workdir_keeps_no_cnf(tmp_path, monkeypatch):
     # only a TIMEOUT-class result keeps its CNF, so an interrupt while the
-    # solver runs leaves a named workdir empty
-    def interrupted(self, *args, **kwargs):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
-    cfg = _fake_solver(tmp_path, "work", "sleep 30")
+    # solver runs leaves a named workdir empty, and the solver dead
+    workdir = tmp_path / "work"
+    pids = []
+    monkeypatch.setattr(_Interrupted, "before", lambda: pids.extend(_solver_pids(workdir, 1)))
+    monkeypatch.setattr(selectors, "DefaultSelector", _Interrupted)
+    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600, workdir=str(workdir))
     with pytest.raises(KeyboardInterrupt):
         run_solver(Cnf(1, [(1,)]), cfg)
-    assert list(Path(cfg.workdir).iterdir()) == []
+    assert list(workdir.glob("*.cnf")) == [] and pids and not _alive(pids[0])
+
+
+def test_a_long_model_is_read_whole(tmp_path):
+    # the model and the stderr text are each longer than a pipe buffer
+    # (64 KiB): both pipes are drained while the solver runs, so it never
+    # blocks on a full one, and every literal arrives
+    body = ("seq 1 30000 >&2\nprintf 's SATISFIABLE\\nv '\n"
+            "seq 1 30000 | tr '\\n' ' '\necho 0\nexit 10")
+    res = run_solver(Cnf(1, [(1,)]), _fake_solver(tmp_path, "long", body), name="long")
+    assert res.verdict == "SAT" and res.true_vars == set(range(1, 30001))
 
 
 def test_two_layer_prefixes_counts():
@@ -375,8 +392,6 @@ def test_prove_lower_bound_trivial(solver_config):
 
 def test_prove_descends_on_padded_sat(solver_config, monkeypatch):
     # at the true depth a padded SAT cannot settle anything: pad 0 decides
-    # the task order is made first, so only the tasks count their input sets
-    campaign._fewest_outputs(6)
     campaign._task_inputs.cache_clear()
     input_sets = []
     monkeypatch.setattr(campaign, "unsorted_inputs",
@@ -408,18 +423,21 @@ def test_find_is_prove_at_pad_zero(solver_config, d, claim):
         assert campaign_from_json(campaign_to_json(camp)).claim == claim
 
 
-def test_one_pass_under_one_timeout(monkeypatch):
-    # no solver: prefix 0 times out at every pad, every other run is UNSAT
-    calls = []
+def test_one_pass_under_one_timeout(tmp_path, monkeypatch):
+    # a fake solver: prefix 0 prints garbage (TIMEOUT-class) at every pad,
+    # every other run is UNSAT; every run gets the configured timeout
+    timeouts = []
+    real_init = solver.SolverRun.__init__
 
-    def fake_solver(cnf, config, name="instance", stop=None):
-        calls.append((name, config.timeout))
-        return SolveResult("TIMEOUT" if name.startswith("n6d4p0w") else "UNSAT")
+    def init(self, config, *args):
+        timeouts.append(config.timeout)
+        real_init(self, config, *args)
 
-    monkeypatch.setattr(campaign, "run_solver", fake_solver)
-    camp = prove_lower_bound(6, 4, [2, 0], SolverConfig("/bin/false", timeout=600), jobs=1)
-    assert all(timeout == 600 for _, timeout in calls)
-    names = [name for name, _ in calls]
+    monkeypatch.setattr(solver.SolverRun, "__init__", init)
+    cfg = _named_solver(tmp_path, 'case "$name" in n6d4p0w*) echo weird; exit 1 ;; esac\nexit 20')
+    camp = prove_lower_bound(6, 4, [2, 0], dataclasses.replace(cfg, timeout=600), jobs=1)
+    assert len(timeouts) == 6 and all(timeout == 600 for timeout in timeouts)
+    names = _calls(tmp_path)
     assert len(names) == len(set(names)) == 6
     # jobs=1 runs the fewest-outputs order: R_6 keys 14, 11, 14, 11, 11
     assert [(r.prefix_index, r.pad, r.verdict) for r in camp.instances] == \
@@ -429,36 +447,28 @@ def test_one_pass_under_one_timeout(monkeypatch):
     assert campaign_from_json(campaign_to_json(camp)).claim == "inconclusive"
 
 
-def test_model_that_does_not_sort_is_fatal(monkeypatch):
+def test_model_that_does_not_sort_is_fatal(tmp_path):
     # every SAT model is re-checked on the inputs its formula kept: the
     # all-false model decodes to an empty network, which sorts none of them
-    def fake_solver(cnf, config, name="instance", stop=None):
-        return SolveResult("SAT", frozenset())
-
-    monkeypatch.setattr(campaign, "run_solver", fake_solver)
+    cfg = _fake_solver(tmp_path, "empty", "printf 's SATISFIABLE\\nv 0\\n'\nexit 10")
     with pytest.raises(RuntimeError, match="fails verification"):
-        find_network_campaign(5, 4, "free", SolverConfig("/bin/false"))
+        find_network_campaign(5, 4, "free", cfg)
 
 
-def test_task_order_fewest_outputs(monkeypatch):
+def test_task_order_fewest_outputs(tmp_path):
     # the key, the unsorted outputs of the prefix, is the input count of a
     # pad-0 build; the order never decreases in it and breaks ties by R_n index
-    ran = []
-
-    def fake_solver(cnf, config, name="instance", stop=None):
-        ran.append(int(name.split("p")[1].split("w")[0]))
-        return SolveResult("UNSAT")
-
-    monkeypatch.setattr(campaign, "run_solver", fake_solver)
+    cfg = _named_solver(tmp_path, "exit 20")
     for n in range(3, 11):
         prefixes = two_layer_prefixes(n)
         keys = [len(outputs(p)) - (n + 1) for p in prefixes]
         for p, key in zip(prefixes, keys):
             vm, _ = build(n, 4, unsorted_inputs(n, p), EncodeOptions(prefix=p))
             assert key == len(vm.inputs)
-        ran.clear()
-        camp = prove_lower_bound(n, 4, [0], SolverConfig("/bin/false"), jobs=1)
+        (tmp_path / "calls.log").unlink(missing_ok=True)
+        camp = prove_lower_bound(n, 4, [0], cfg, jobs=1)
         assert camp.claim == f"T({n}) > 4"
+        ran = [int(name.split("p")[1].split("w")[0]) for name in _calls(tmp_path)]
         assert ran == sorted(range(len(prefixes)), key=lambda i: (keys[i], i))
 
 
@@ -467,32 +477,30 @@ def _task_order(n, d):
     return [rounds[0].prefix for rounds in campaign._tasks(Campaign(n, d))]
 
 
-def test_instances_come_out_in_task_order(monkeypatch):
-    # the first task's solve returns only after the other worker has started
-    # the last task: the instances still come out in task order
+def test_instances_come_out_in_task_order(tmp_path):
+    # the first task's solver ends only after the other slot has started
+    # the last task, so later tasks finish first: the instances still come
+    # out in task order
     tasks = _task_order(6, 4)
     order = [two_layer_prefixes(6).index(p) for p in tasks]
-    last_started = threading.Event()
-
-    def fake_solver(cnf, config, name="instance", stop=None):
-        if name == f"n6d4p{order[-1]}w0":
-            last_started.set()
-        elif name == f"n6d4p{order[0]}w0":
-            assert last_started.wait(timeout=60)
-        return SolveResult("UNSAT")
-
-    monkeypatch.setattr(campaign, "run_solver", fake_solver)
-    camp = prove_lower_bound(6, 4, [0], SolverConfig("/bin/false"), jobs=2)
+    first, last = f"n6d4p{order[0]}w0", f"n6d4p{order[-1]}w0"
+    ended = tmp_path / "ended.log"
+    cfg = _named_solver(tmp_path, (
+        f'if [ "$name" = {first} ]; then\n'
+        f'  i=0; until grep -qx {last} {tmp_path}/calls.log || [ $i -ge 80 ]; do\n'
+        '    sleep 0.05; i=$((i + 1)); done\n'
+        f'fi\necho "$name" >> {ended}\nexit 20'))
+    camp = prove_lower_bound(6, 4, [0], cfg, jobs=2)
+    assert ended.read_text().split().index(first) > 0   # a later task finished first
     assert [r.prefix_index for r in camp.instances] == order
     assert [r.instance.prefix for r in camp.instances] == tasks
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
-    # at most one worker builds a formula at a time, also with more workers
-    # than cores and a short switch interval; the instances still come out
-    # in task order, and encode_time is the build alone, without the wait
-    # for the turn
+    # the campaign's one loop builds one formula at a time, also with more
+    # solver slots than cores and a short switch interval; the instances
+    # still come out in task order, and encode_time is the build alone
     lock = threading.Lock()
     busy, most, builds = [0], [0], {}
 
@@ -530,10 +538,10 @@ def test_workers_take_turns_at_the_python_stage(tmp_path, monkeypatch, jobs):
 
 
 def test_a_write_never_waits_for_another_build(tmp_path, monkeypatch):
-    # the write takes no turn: each build after the first waits, holding the
-    # turn, until the formula built before it has written its first chunk.
-    # A write that needed the turn could not start, so the wait would time
-    # out and fail the campaign; a slow scheduler only makes it longer
+    # a round is written as soon as it is built: each build after the first
+    # waits until the formula built before it has written its first chunk.
+    # A write held back until after the next build could not start, so the
+    # wait would time out and fail the campaign
     written: list[threading.Event] = []   # one per build, set by its first chunk
     unwritten: dict[int, threading.Event] = {}   # a worker's last build, until it writes
     real_formula, real_chunks = campaign.instance_formula, solver.dimacs_chunks
@@ -559,88 +567,84 @@ def test_a_write_never_waits_for_another_build(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
 def test_no_build_starts_after_the_stop(solver_config, monkeypatch, n, t):
-    # the first pad-0 SAT sets the stop; a worker that gets its turn after
-    # that returns without building
+    # the first pad-0 SAT that is reaped ends the campaign: no build starts
+    # after it
     starts, stops = [], []
-    real_formula, real_set = campaign.instance_formula, StopEvent.set
+    real_formula, real_reap = campaign.instance_formula, campaign.reap
 
     def formula(inst, *args):
         starts.append(time.monotonic())
         return real_formula(inst, *args)
 
-    def set_and_note(self):
-        real_set(self)
-        stops.append(time.monotonic())
+    def reap_and_note(runs):
+        run, res = real_reap(runs)
+        if res.verdict == "SAT":   # a search runs pad 0 alone
+            stops.append(time.monotonic())
+        return run, res
 
     monkeypatch.setattr(campaign, "instance_formula", formula)
-    monkeypatch.setattr(StopEvent, "set", set_and_note)
+    monkeypatch.setattr(campaign, "reap", reap_and_note)
     net, camp = find_network_campaign(n, t, config=solver_config, jobs=2)
     assert camp.claim == f"T({n}) <= {t}" and is_sorting_network(net)
     assert starts and stops and max(starts) < stops[0]
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_the_caller_is_one_of_the_workers(monkeypatch, jobs):
-    # a campaign runs on the calling thread and jobs - 1 helpers: the first
-    # jobs rounds wait for each other, so each runs on a worker of its own;
-    # the helpers are gone when the campaign returns
-    barrier = threading.Barrier(jobs, timeout=60)
-    lock = threading.Lock()
-    ran = []
-
-    def fake_solver(cnf, config, name="instance", stop=None):
-        with lock:
-            ran.append(threading.get_ident())
-            first = len(ran) <= jobs
-        if first:
-            barrier.wait()
-        return SolveResult("UNSAT")
-
-    monkeypatch.setattr(campaign, "run_solver", fake_solver)
-    before = threading.active_count()
-    camp = prove_lower_bound(7, 4, [0], SolverConfig("/bin/false"), jobs=jobs)
-    assert camp.claim == "T(7) > 4" and len(ran) == len(_task_order(7, 4))
-    assert len(set(ran[:jobs])) == jobs and threading.get_ident() in ran[:jobs]
-    assert threading.active_count() == before
-    if jobs == 1:
-        assert set(ran) == {threading.get_ident()}
-
-
-@pytest.mark.parametrize("where", ["build-on-caller", "build-on-helper", "interrupt-on-caller"])
-def test_a_failed_build_is_raised_without_deadlock(tmp_path, monkeypatch, where):
-    # a build that raises inside its turn gives the turn back, and a failed
-    # or interrupted worker sets the stop before the campaign waits for the
-    # others: the other worker's solver, which would sleep for 30 s, is
-    # killed, and the error comes out, whichever worker it hits
-    caller, stops = [], []
+def test_the_caller_is_one_of_the_workers(tmp_path, monkeypatch, jobs):
+    # the calling thread is a campaign's one worker and starts no thread:
+    # it builds every round and runs jobs solvers at once.  When it first
+    # waits, jobs sleeping solvers run; an interrupt there kills them all
+    # and leaves no CNF in the named workdir
+    workdir = tmp_path / "cnf"
+    builders, pids, alive = [], [], []
     real_formula = campaign.instance_formula
 
-    def hit(kind: str) -> bool:
-        on_caller = threading.get_ident() == caller[0]
-        return where.startswith(kind) and on_caller == where.endswith("caller")
+    def formula(inst, *args):
+        builders.append(threading.get_ident())
+        return real_formula(inst, *args)
+
+    def before():
+        pids.extend(_solver_pids(workdir, jobs))
+        alive.extend(map(_alive, pids))
+
+    monkeypatch.setattr(campaign, "instance_formula", formula)
+    monkeypatch.setattr(_Interrupted, "before", before)
+    monkeypatch.setattr(selectors, "DefaultSelector", _Interrupted)
+    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600, workdir=str(workdir))
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        prove_lower_bound(7, 4, [0], cfg, jobs=jobs)
+    assert len(set(pids)) == len(builders) == jobs and all(alive) and len(alive) == jobs
+    assert set(builders) == {threading.get_ident()}
+    assert threading.active_count() == threads
+    assert not any(_alive(pid) for pid in pids)
+    assert list(workdir.glob("*.cnf")) == []
+
+
+@pytest.mark.parametrize("where", ["build-on-caller", "interrupt-on-caller"])
+def test_a_failed_build_is_raised_without_deadlock(tmp_path, monkeypatch, where):
+    # a build that raises, or an interrupt while the loop waits, ends the
+    # campaign at once: the solvers still running, which would sleep for
+    # 30 s, are killed and their CNFs removed, and the error comes out
+    workdir = tmp_path / "cnf"
+    real_formula = campaign.instance_formula
+    builds = []
 
     def formula(inst, *args):
-        if hit("build"):
+        builds.append(inst.name)
+        if where == "build-on-caller" and len(builds) == 2:
+            _solver_pids(workdir, 1)   # the first round's solver runs
             raise ValueError("build failed")
         return real_formula(inst, *args)
 
-    def solver_fake(cnf, config, name="instance", stop=None):
-        if hit("interrupt"):
-            raise KeyboardInterrupt
-        return run_solver(cnf, config, name, stop)
-
-    def stop_event():
-        stops.append(StopEvent())
-        return stops[-1]
-
     monkeypatch.setattr(campaign, "instance_formula", formula)
-    monkeypatch.setattr(campaign, "run_solver", solver_fake)
-    monkeypatch.setattr(campaign, "StopEvent", stop_event)
-    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600, workdir=str(tmp_path / "cnf"))
+    if where == "interrupt-on-caller":
+        monkeypatch.setattr(_Interrupted, "before", lambda: _solver_pids(workdir, 2))
+        monkeypatch.setattr(selectors, "DefaultSelector", _Interrupted)
+    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=600, workdir=str(workdir))
     raised = []
 
     def prove():
-        caller.append(threading.get_ident())
         try:
             prove_lower_bound(7, 5, [0], cfg, jobs=2)
         except (ValueError, KeyboardInterrupt) as exc:
@@ -652,8 +656,28 @@ def test_a_failed_build_is_raised_without_deadlock(tmp_path, monkeypatch, where)
     thread.join(timeout=20)
     assert not thread.is_alive()
     assert raised == [KeyboardInterrupt if where.startswith("interrupt") else ValueError]
-    assert len(stops) == 1 and stops[0].is_set()
+    pids = _solver_pids(workdir, 1)
+    assert len(pids) == (2 if where.startswith("interrupt") else 1)
+    assert not any(_alive(pid) for pid in pids) and list(workdir.glob("*.cnf")) == []
     assert set(threading.enumerate()) == before
+
+
+def test_a_timeout_leaves_the_other_slot_solving(tmp_path):
+    # one solver sleeps past the timeout while the other slot runs every
+    # other task: the sleeper sees them all start before it is killed
+    tasks = [two_layer_prefixes(7).index(p) for p in _task_order(7, 4)]
+    slow, saw = f"n7d4p{tasks[0]}w0", tmp_path / "saw-all"
+    cfg = _named_solver(tmp_path, (
+        f'if [ "$name" = {slow} ]; then\n'
+        f'  i=0; until [ $(wc -l < {tmp_path}/calls.log) -ge {len(tasks)} ] || [ $i -ge 40 ]; do\n'
+        '    sleep 0.05; i=$((i + 1)); done\n'
+        f'  [ $i -lt 40 ] && touch {saw}\n  echo $$ > {tmp_path}/slow.pid\n  exec sleep 30\n'
+        'fi\nexit 20'))
+    camp = prove_lower_bound(7, 4, [0], dataclasses.replace(cfg, timeout=3), jobs=2)
+    assert saw.exists() and not _alive(int((tmp_path / "slow.pid").read_text()))
+    assert [(r.prefix_index, r.verdict) for r in camp.instances] == \
+           [(tasks[0], "TIMEOUT")] + [(i, "UNSAT") for i in tasks[1:]]
+    assert camp.claim == "inconclusive"
 
 
 @pytest.mark.parametrize("n, t", [(5, 5), (6, 5), (7, 6), (8, 6)])
@@ -684,23 +708,15 @@ def test_compute_t_small(solver_config):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_compute_t_moves_the_refutation_down(solver_config, monkeypatch, jobs):
+def test_compute_t_moves_the_refutation_down(solver_config, tmp_path, jobs):
     # a solver that wrongly refutes the probe's tasks at depth T(7) = 6 sends
     # the climb on to 7; the full campaign at 6 then finds a network among
     # the other prefixes and becomes the witness campaign
     probe = {two_layer_prefixes(7).index(p) for p in _task_order(7, 6)[:jobs]}
-    faked = []
-
-    def solver(cnf, config, name="instance", stop=None):
-        depth, idx = name.split("d")[1].split("p")[0], name.split("p")[1].split("w")[0]
-        if depth == "6" and int(idx) in probe:
-            faked.append(name)
-            return SolveResult("UNSAT")
-        return run_solver(cnf, config, name, stop)
-
-    monkeypatch.setattr(campaign, "run_solver", solver)
-    value, campaigns = compute_T(7, solver_config, jobs=jobs)
-    assert value == 6 and faked
+    faked = tmp_path / "faked.log"
+    arms = "".join(f'n7d6p{idx}w*) echo "$name" >> {faked}; exit 20 ;;\n' for idx in probe)
+    value, campaigns = compute_T(7, _wrapped_solver(tmp_path, solver_config, arms), jobs=jobs)
+    assert value == 6 and faked.read_text().split()
     assert [c.claim for c in campaigns] == ["T(7) > 5", "T(7) <= 6"]
     assert {r.depth for r in campaigns[0].instances} == {5}
     assert {r.depth for r in campaigns[1].instances} == {6}
@@ -711,56 +727,42 @@ def test_compute_t_moves_the_refutation_down(solver_config, monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_compute_t_timeout_raises_after_one_probe(monkeypatch, jobs):
+def test_compute_t_timeout_raises_after_one_probe(tmp_path, jobs):
     # a probe left open by a timeout settles nothing: no claim, no climb
-    calls = []
-
-    def fake_solver(cnf, config, name="instance", stop=None):
-        calls.append(name)
-        return SolveResult("TIMEOUT")
-
-    monkeypatch.setattr(campaign, "run_solver", fake_solver)
     with pytest.raises(RuntimeError, match="inconclusive probe at depth 3"):
-        compute_T(6, SolverConfig("/bin/false"), jobs=jobs)
+        compute_T(6, _named_solver(tmp_path, "echo weird\nexit 1"), jobs=jobs)
+    calls = _calls(tmp_path)
     # ceil(log2 6) = 3: each probed task walks default_pads(6, 3) = [2, 0]
     assert len(calls) == len(set(calls)) == 2 * jobs
     assert all(name.startswith("n6d3p") for name in calls)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_compute_t_raises_on_an_open_refutation(solver_config, monkeypatch, jobs):
+def test_compute_t_raises_on_an_open_refutation(solver_config, tmp_path, jobs):
     # one prefix the probe did not run times out at depth T(7) - 1 = 5, at
     # whatever pad: the refutation is left open, so compute_T makes no claim
     idx = two_layer_prefixes(7).index(_task_order(7, 5)[-1])
     assert idx not in {two_layer_prefixes(7).index(p) for p in _task_order(7, 5)[:jobs]}
-    timed_out = []
-
-    def solver(cnf, config, name="instance", stop=None):
-        if name.startswith(f"n7d5p{idx}w"):
-            timed_out.append(name)
-            return SolveResult("TIMEOUT")
-        return run_solver(cnf, config, name, stop)
-
-    monkeypatch.setattr(campaign, "run_solver", solver)
+    log = tmp_path / "timed_out.log"
+    arms = f'n7d5p{idx}w*) echo "$name" >> {log}; echo weird; exit 1 ;;'
     with pytest.raises(RuntimeError, match="inconclusive campaign at depth 5 for n=7"):
-        compute_T(7, solver_config, jobs=jobs)
+        compute_T(7, _wrapped_solver(tmp_path, solver_config, arms), jobs=jobs)
+    timed_out = log.read_text().split()
     assert timed_out and timed_out[-1].endswith("w0")
 
 
-def test_filter_set_and_order_once_per_n(monkeypatch):
+def test_filter_set_and_order_once_per_n(tmp_path, monkeypatch):
     # R_n, its fewest-outputs order and the prefixes' input sets do not
     # depend on the depth: every campaign on n channels reuses them, and
     # callers still get a new list
     input_sets = []
     monkeypatch.setattr(campaign, "unsorted_inputs",
                         lambda n, prefix: input_sets.append(prefix) or unsorted_inputs(n, prefix))
-    monkeypatch.setattr(campaign, "run_solver",
-                        lambda cnf, config, name="instance", stop=None: SolveResult("UNSAT"))
     rn_networks.cache_clear()
     campaign._fewest_outputs.cache_clear()
     campaign._task_inputs.cache_clear()
     for d in (3, 4, 5):
-        prove_lower_bound(7, d, [0], SolverConfig("/bin/false"), jobs=2)
+        prove_lower_bound(7, d, [0], _fake_solver(tmp_path, "quiet20", "exit 20"), jobs=2)
     assert len(input_sets) == len(two_layer_prefixes(7)) == 8
     first = two_layer_prefixes(7)
     assert first == two_layer_prefixes(7) and first is not two_layer_prefixes(7)
@@ -769,15 +771,13 @@ def test_filter_set_and_order_once_per_n(monkeypatch):
 
 
 def test_task_inputs_are_cached_read_only():
-    # one input set per R_n prefix, and the count a pad-0 build keeps of
-    # it: the prefix's unsorted outputs, its outputs less the n + 1 sorted
+    # one input set per R_n prefix, made once and read-only
     for n in range(3, 12):
         for p in two_layer_prefixes(n):
-            xs, kept = campaign._task_inputs(n, p)
+            xs = campaign._task_inputs(n, p)
             want = unsorted_inputs(n, p)
-            assert not xs.flags.writeable and campaign._task_inputs(n, p)[0] is xs
+            assert not xs.flags.writeable and campaign._task_inputs(n, p) is xs
             assert len(xs) == len(want) and (xs == want).all()
-            assert kept == len(outputs(p)) - (n + 1)
 
 
 def test_filter_set_shares_the_first_layer():
@@ -1309,6 +1309,30 @@ def test_prove_checks_its_out_before_the_campaign(tmp_path):
     out = subprocess.run(prove + ["--solver", "/nonexistent", "--out", str(old)],
                          capture_output=True, text=True)
     assert out.returncode == 2 and old.read_text() == "older report\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["encode", "--n", "4", "--depth", "3", "--prefix", "bad.json"],
+                 "--prefix bad.json: ", id="encode-bad-prefix"),
+    pytest.param(["prove", "--n", "5", "--depth", "4", "--solver", "/nonexistent"],
+                 "failed to launch solver '/nonexistent'", id="prove-solver-not-executable"),
+    pytest.param(["prove", "--n", "5", "--depth", "4"], "no SAT solver found",
+                 id="prove-no-solver-found"),
+])
+def test_a_usage_error_leaves_no_out_file(argv, message, tmp_path, monkeypatch, capsys):
+    # the prefix and the solver are checked before --out is opened: a usage
+    # error leaves no new --out file behind, and an existing one as it was
+    monkeypatch.setattr("sortnetopt.solver.find_solver", lambda: None)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("[1, 2")
+    out = tmp_path / "out.txt"
+    for old in (None, "older report\n"):
+        if old is not None:
+            out.write_text(old)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(out)])
+        assert exc.value.code == 2 and message in capsys.readouterr().err.splitlines()[-1]
+        assert (out.read_text() if out.exists() else None) == old
 
 
 @pytest.mark.parametrize("argv", [

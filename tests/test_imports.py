@@ -312,11 +312,10 @@ def test_caller_finder_sees_every_form():
 
 
 def test_only_the_task_helper_makes_input_sets():
-    # the scheduler takes every input set, and the count a pad-0 build
-    # keeps of it, from _task_inputs: nothing else in campaign works them out
+    # the scheduler takes every input set from _task_inputs: nothing else in
+    # campaign works one out
     tree = ast.parse((PACKAGE / "campaign.py").read_text())
-    for name in ("unsorted_inputs", "VarMap"):
-        assert _callers(tree, name) == {"_task_inputs"}, name
+    assert _callers(tree, "unsorted_inputs") == {"_task_inputs"}
 
 
 def _read_names(node: ast.AST) -> list[str]:
@@ -360,7 +359,6 @@ def test_reference_finder_sees_every_form():
 # direction of ROADMAP.md that gives it a caller or moves it out.
 TEST_ONLY_EXPORTS = {
     "campaign_from_json",   # 7 (`sortnetopt audit`) or 13 (`sortnetopt compute`)
-    "outputs",              # 10: the cover's checker
     "reflect",              # 10: the cover
     "saturate",             # 10: the cover
     "sentence_of",          # 10: the cover
@@ -440,19 +438,19 @@ def test_process_start_finder_sees_every_form():
 
 
 def test_the_package_starts_processes_in_one_place():
-    # solver.solve_file is the one place that starts a solver, with one
+    # solver.SolverRun is the one place that starts a solver, with one
     # subprocess.Popen call; solver.reference_solver runs the compiler that
     # builds refsat, with one subprocess.run call; no module starts a
     # process any other way
     starts = {path.stem: _process_starts(ast.parse(path.read_text()))
               for path in sorted(PACKAGE.glob("*.py"))}
     assert starts.pop("solver") == [("reference_solver", "subprocess.run"),
-                                    ("solve_file", "subprocess.Popen")]
+                                    ("SolverRun.__init__", "subprocess.Popen")]
     assert not any(starts.values()), starts
 
 
 def test_package_import_leaves_out_the_thread_pool():
-    # a campaign runs on the calling thread and plain helper threads, so
+    # a campaign runs its solvers from one loop on the calling thread, so
     # importing the package and its CLI loads no concurrent.futures (nor
     # the logging that it imports)
     code = ("import sys, sortnetopt, sortnetopt.cli\n"
@@ -487,6 +485,21 @@ def _names(tree: ast.AST) -> set[str]:
             | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)})
 
 
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """The top-level modules a module imports, at any depth of the file."""
+    return ({alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+            | {node.module.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 0})
+
+
+def test_import_finder_sees_every_form():
+    source = ("import os.path, threading as t\nfrom concurrent.futures import Future\n"
+              "from . import words\nfrom .solver import reap\n"
+              "def f():\n    import asyncio\n")
+    assert _imported_modules(ast.parse(source)) == {"os", "threading", "concurrent", "asyncio"}
+
+
 def test_sync_finder_sees_every_form():
     source = ("import threading\nfrom threading import RLock\n"
               "a = threading.Lock()\nb = RLock()\nc = threading.Condition(a)\n"
@@ -494,15 +507,17 @@ def test_sync_finder_sees_every_form():
     assert _sync_calls(ast.parse(source)) == ["Lock", "RLock", "Condition"]
 
 
-def test_the_turn_is_the_campaigns_one_lock():
-    # the campaign's workers share one lock, the turn, which hands out the
-    # tasks and guards the builds; the solver knows nothing of campaign workers
-    assert "turn" not in _names(ast.parse((PACKAGE / "solver.py").read_text()))
-    tree = ast.parse((PACKAGE / "campaign.py").read_text())
-    assert _sync_calls(tree) == ["Lock"]
-    assert [target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-            and _sync_calls(node.value) for target in node.targets] == ["turn"]
-    withs = [node for node in ast.walk(tree) if isinstance(node, ast.With)]
-    assert {ast.unparse(item.context_expr) for node in withs for item in node.items} == {"turn"}
-    assert any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "instance_formula"
-               for node in withs for call in ast.walk(node))
+def test_campaigns_start_no_thread():
+    # a campaign runs its solvers from one loop on the calling thread:
+    # campaign and solver import no thread or process pool module, so they
+    # make no threading primitive and start no thread, and the package's
+    # one lock is encoding's _dimacs_text_lock, which keeps the DIMACS
+    # text table whole for callers that render from threads of their own
+    pools = {"threading", "_thread", "concurrent", "multiprocessing", "asyncio"}
+    for name in ("campaign", "solver"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        assert not _imported_modules(tree) & pools, name
+        assert not {"Thread", "StopEvent", "Event"} & _names(tree), name
+    locks = {path.stem: _sync_calls(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: calls for name, calls in locks.items() if calls} == {"encoding": ["Lock"]}
