@@ -87,9 +87,11 @@ a group) and keeps the result as a template of operand slots.  A
 group's clauses are its pattern's template read from its operands, so
 the work grows with the literals emitted rather than with the clause
 templates of every open layer.  to_dimacs renders the array, or any
-slice of it, in steps of _LIT_CHUNK literals through one literal-to-text
-table shared by all calls; the solver writes a formula to its file one
-such slice at a time, so no whole-formula text is held.
+slice of it, in one step through one literal-to-text table shared by all
+calls.  The table takes no lock: it grows by doubling and is replaced
+whole, so a caller on any thread renders from a complete table.  The
+solver chunks a formula (solver.dimacs_chunks) and writes it to its file
+one slice at a time, so no whole-formula text is held.
 Variables, clauses and their order are those of the clause-by-clause
 construction, so the DIMACS text is the same.
 """
@@ -98,7 +100,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
@@ -108,7 +109,6 @@ from .networks import Network, _ascending_mask, _eval_array, check_instance, win
 
 _TRUE = np.iinfo(np.int32).max  # literal code of the constant true; -_TRUE is false
 _INPUT_CHUNK = 16               # kept images whose value clauses are built in one array pass
-_LIT_CHUNK = 1 << 13            # literals per step when rendering a Cnf
 
 
 def _rule(off: str):
@@ -442,25 +442,22 @@ def build(n: int, d: int, inputs: np.ndarray | Sequence[int],
 # DIMACS and model handling
 
 # The literal-to-text table of to_dimacs and its top: entry lit + top renders
-# lit.  It is grown by doubling and replaced as one tuple under the lock, so a
-# reader always holds a complete table whatever another thread renders.
+# lit.  It is grown by doubling and replaced as one tuple, with no lock: a
+# caller on any thread holds a complete table whatever another renders.  Two
+# threads that grow it at once each build one, and the last one stored stays.
 _dimacs_text: tuple[np.ndarray, int] = (np.array(["0\n"], dtype=object), 0)
-_dimacs_text_lock = threading.Lock()
 
 
 def _literal_text(top: int) -> tuple[np.ndarray, int]:
     """A literal-to-text table covering -top..top, and its own top."""
     global _dimacs_text
     table = _dimacs_text
-    if table[1] >= top:
-        return table
-    with _dimacs_text_lock:
-        if _dimacs_text[1] < top:
-            size = max(top, 2 * _dimacs_text[1])
-            text = np.array([f"{lit} " for lit in range(-size, size + 1)], dtype=object)
-            text[size] = "0\n"
-            _dimacs_text = (text, size)
-        return _dimacs_text
+    if table[1] < top:
+        size = max(top, 2 * table[1])
+        text = np.array([f"{lit} " for lit in range(-size, size + 1)], dtype=object)
+        text[size] = "0\n"
+        _dimacs_text = table = (text, size)
+    return table
 
 
 def to_dimacs(cnf: Cnf, start: int = 0, stop: Optional[int] = None) -> str:
@@ -468,19 +465,16 @@ def to_dimacs(cnf: Cnf, start: int = 0, stop: Optional[int] = None) -> str:
     p cnf line when start is 0; to_dimacs(cnf) is the whole text.
 
     Slice bounds may fall inside a clause, so joining the texts of
-    consecutive slices gives the whole text.  Each step of _LIT_CHUNK
-    literals takes the table's top from its own largest literal, so no
-    copy of the whole array is made.
+    consecutive slices gives the whole text.  The slice is rendered in one
+    step, so its text is held whole: a writer that bounds what it holds
+    passes bounded slices (solver.dimacs_chunks).
     """
     lits = cnf.lits[start:stop]
-    parts = [f"p cnf {cnf.num_vars} {cnf.num_clauses}\n"] if start == 0 else []
-    for lo in range(0, lits.size, _LIT_CHUNK):
-        chunk = lits[lo:lo + _LIT_CHUNK]
-        text, top = _literal_text(int(np.abs(chunk).max()))
-        index = chunk.astype(np.intp)
-        index += top
-        parts.append("".join(text[index].tolist()))
-    return "".join(parts)
+    head = f"p cnf {cnf.num_vars} {cnf.num_clauses}\n" if start == 0 else ""
+    text, top = _literal_text(int(np.abs(lits).max(initial=0)))
+    index = lits.astype(np.intp)
+    index += top
+    return head + "".join(text[index].tolist())
 
 
 def decode_network(vm: VarMap, true_vars: frozenset[int]) -> Network:

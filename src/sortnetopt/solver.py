@@ -26,7 +26,7 @@ from pathlib import Path
 from subprocess import PIPE, Popen
 from typing import Collection, Iterator, Optional
 
-from .encoding import _LIT_CHUNK, Cnf, to_dimacs
+from .encoding import Cnf, to_dimacs
 
 # the known solvers, in lookup order, each with the arguments that force
 # plain machine-readable output
@@ -38,6 +38,8 @@ _EXTRA_DIRS = ("~/.local/bin", "~/.cargo/bin")
 REFSAT_SOURCE = Path(__file__).with_name("refsat.c")
 
 DEFAULT_TIMEOUT = 600.0   # seconds of wall clock per solver run
+
+_LIT_CHUNK = 1 << 13      # literals of a formula rendered and written at a time
 
 
 def reference_solver() -> Optional[str]:
@@ -172,7 +174,12 @@ def parse_solver_output(text: str) -> tuple[str, Optional[frozenset[int]]]:
 
 def dimacs_chunks(cnf: Cnf) -> Iterator[str]:
     """The DIMACS text of cnf in pieces of _LIT_CHUNK literals, the header
-    with the first, so a writer holds one piece at a time."""
+    with the first, so a writer holds one piece at a time.
+
+    This is the one place that bounds how much text a formula's writer
+    holds (SolverRun, sortnetopt encode): to_dimacs renders each slice in
+    one step.
+    """
     for start in range(0, max(cnf.lits.size, 1), _LIT_CHUNK):
         yield to_dimacs(cnf, start, start + _LIT_CHUNK)
 
@@ -196,6 +203,11 @@ class SolverRun:
     one subprocess.Popen.  A solver that fails to launch raises
     RuntimeError.  reap reads the run to its end, or kills it
     config.timeout after its start, and closes it with its result.
+
+    Closing a run kills the process it started and nothing else: a
+    wrapper script must exec its engine, or the engine outlives a timeout
+    or a stop.  The solver shares the caller's session and process group,
+    so killing the group of a campaign's process stops its solvers too.
     """
 
     def __init__(self, config: SolverConfig, path: str | Path, cnf: Optional[Cnf] = None,

@@ -29,12 +29,12 @@ from sortnetopt.campaign import (
     reproduce_tables,
     two_layer_prefixes,
 )
-from sortnetopt.encoding import _LIT_CHUNK, Cnf, EncodeOptions, VarMap, build, to_dimacs
+from sortnetopt.encoding import Cnf, EncodeOptions, VarMap, build, to_dimacs
 from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
                                  unsorted_inputs)
 from sortnetopt.report import (Campaign, CampaignResult, Instance, InstanceResult,
                                campaign_from_json, campaign_to_json)
-from sortnetopt.solver import KNOWN_SOLVERS, SolverConfig, run_solver
+from sortnetopt.solver import _LIT_CHUNK, KNOWN_SOLVERS, SolverConfig, run_solver
 from sortnetopt.words import rn_networks
 
 
@@ -61,13 +61,14 @@ def test_run_solver_spawn_failure(tmp_path, monkeypatch):
 
 
 def test_run_solver_timeout(tmp_path):
-    # a timed-out run keeps its CNF for post-mortem
-    slow = tmp_path / "slow.sh"
-    slow.write_text("#!/bin/sh\nsleep 30\n")
-    slow.chmod(0o755)
-    cfg = SolverConfig(executable=str(slow), timeout=0.5, workdir=str(tmp_path / "cnf"))
+    # a timed-out run keeps its CNF for post-mortem, beside the pid file of
+    # its fake solver, and the solver is gone: the wrapper execs its engine,
+    # so killing the process the run started kills the engine
+    workdir = tmp_path / "cnf"
+    cfg = SolverConfig(executable=str(_sleeper(tmp_path)), timeout=0.5, workdir=str(workdir))
     assert run_solver(Cnf(1, [(1,)]), cfg).verdict == "TIMEOUT"
-    assert [p.name for p in (tmp_path / "cnf").iterdir()] == ["instance.cnf"]
+    assert sorted(p.name for p in workdir.iterdir()) == ["instance.cnf", "instance.cnf.pid"]
+    assert not _alive(_solver_pids(workdir, 1)[0])
     for timeout in (0, float("nan")):
         with pytest.raises(ValueError, match="timeout must be positive"):
             SolverConfig("x", timeout=timeout)

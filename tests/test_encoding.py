@@ -10,7 +10,7 @@ import pytest
 
 from oracles import (RULE_SWITCHES, brute_force_sorter_exists, evaluate_bits, value_lit,
                      variable_index, vec_from_str, x_var)
-from sortnetopt import encoding
+from sortnetopt import encoding, solver
 from sortnetopt.campaign import two_layer_prefixes
 from sortnetopt.encoding import (
     Cnf,
@@ -562,7 +562,7 @@ def test_dimacs_format_exact():
     assert to_dimacs(Cnf(0, [()])) == "p cnf 0 1\n0\n"
 
 
-@pytest.mark.parametrize("k", [1, 7, encoding._LIT_CHUNK])
+@pytest.mark.parametrize("k", [1, 7, solver._LIT_CHUNK])
 def test_dimacs_slices_join_to_the_whole_text(k):
     # the texts of consecutive k-literal slices, their edges inside clauses,
     # join to the whole text, with the header once, in the first slice
@@ -577,8 +577,10 @@ def test_dimacs_slices_join_to_the_whole_text(k):
 
 
 def test_dimacs_text_table_shared_by_threads(monkeypatch):
-    # the literal-text table grows while other threads render: every text
-    # still equals a clause-by-clause render
+    # the literal-text table grows, with no lock, while other threads
+    # render: each thread renders from a complete table, so every text
+    # still equals a clause-by-clause render, and the table ends covering
+    # the largest formula
     def reference(cnf):
         lines = ["p cnf %d %d\n" % (cnf.num_vars, len(cnf.clauses))]
         lines += ["".join(f"{lit} " for lit in cl) + "0\n" for cl in cnf.clauses]
