@@ -54,8 +54,8 @@ import numpy as np
 
 from . import words as words_mod
 from .encoding import Cnf, EncodeOptions, VarMap, build, decode_network
-from .networks import (Network, _ascending_mask, _eval_array, is_sorting_network, outputs,
-                       unsorted_inputs)
+from .networks import (Network, _ascending_mask, _eval_array, check_instance,
+                       is_sorting_network, outputs, unsorted_inputs)
 from .report import Campaign, CampaignResult, Instance, InstanceResult, _evidence
 from .solver import SolverConfig, SolverRun, default_config, reap
 from .solver import run_solver  # noqa: F401  bench/worker.py traces it by this name
@@ -274,10 +274,11 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
 
     A probe or refutation left open by a TIMEOUT raises RuntimeError: the
     climb never moves past a depth it could not settle, and a timeout never
-    yields a claim.  An n below 1 raises ValueError.
+    yields a claim.  n is checked by the instance rule
+    (networks.check_instance) before a solver is resolved: ValueError below
+    1, ChannelCountError past the enumeration cap.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_instance(n)
     if n == 1:
         return 0, []
     config = config or default_config()

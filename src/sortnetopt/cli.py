@@ -1,12 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 = conclusive, 2 = usage error, 10 = SAT found, 20 = UNSAT
-proven, 30 = inconclusive.  The solving subcommands (solve, find, prove)
-run the binary named by --solver; without --solver they run the one
-solver.find_solver picks, which is $SAT_SOLVER when that is set and the
-package's own reference solver when no other is found.  No solver, or a
-name that is no executable, is a usage error.  solve hands
-the --cnf file itself to the solver (solver.solve_file): it reads,
+proven, 30 = inconclusive.  A usage error that breaks a rule of the
+library carries the library's message: the instance rule
+(networks.check_instance) for --n, --depth, --pad and each --pads entry,
+report.Campaign for find's first layer, solver.SolverConfig for
+--timeout.  The CLI states only its own rules: gen's set limits, --jobs
+at least 1, and that --cnf and --out open.  The solving subcommands
+(solve, find, prove) run the binary named by --solver; without --solver
+they run the one solver.find_solver picks, which is $SAT_SOLVER when
+that is set and the package's own reference solver when no other is
+found.  No solver, or a name that is no executable, is a usage error.
+solve hands the --cnf file itself to the solver (solver.solve_file): it reads,
 copies and removes nothing, and a --cnf that does not open is a usage
 error.  So is an --out that does not open, found before any work: prove
 never runs a campaign whose report it could not write.  The prefix and
@@ -30,7 +35,7 @@ from . import report as report_mod
 from . import saturation as saturation_mod
 from . import words as words_mod
 from .encoding import RULES, EncodeOptions
-from .networks import MAX_ENUM_CHANNELS, Network, two_layer_json
+from .networks import Network, check_instance, two_layer_json
 from .solver import DEFAULT_TIMEOUT, SolverConfig, default_config, dimacs_chunks, solve_file
 
 EXIT_OK = 0
@@ -164,31 +169,19 @@ def _usage_error(args) -> str | None:
         if args.set == "sn" and args.n > most:
             # past the stream limit sn prints |S_n|, up to the table's last S row
             return f"--set sn needs --n <= {most}, got {args.n}"
-    if args.command in ("encode", "find", "prove"):
-        if args.n < 1:
-            return f"--n must be at least 1, got {args.n}"
-        if args.n > MAX_ENUM_CHANNELS:
-            return f"--n must be at most {MAX_ENUM_CHANNELS}, got {args.n}"
-        if args.depth < 0:
-            return f"--depth must be at least 0, got {args.depth}"
-    if args.command == "find" and args.mode == "layer1" and args.n < 2:
-        return "--mode layer1 needs --n >= 2"
-    if args.command == "find" and args.mode == "layer1" and args.depth < 1:
-        return "--mode layer1 needs --depth >= 1"
-    if args.command == "encode" and not 0 <= args.pad < args.n:
-        return f"--pad must satisfy 0 <= pad < n = {args.n}, got {args.pad}"
-    if args.command == "prove":
-        # Campaign would drop such a pad from the schedule without a word
-        for pad in args.pads or ():
-            if not 0 <= pad < args.n:
-                return f"--pads must satisfy 0 <= pad < n = {args.n}, got {pad}"
-    if args.command in ("solve", "find", "prove") and not args.timeout > 0:
-        return f"--timeout must be positive, got {args.timeout}"
     if args.command in ("find", "prove") and args.jobs < 1:
         return f"--jobs must be at least 1, got {args.jobs}"
-    # the prefix and the solver are read before any file is opened, so a
+    # the library states the other rules: the instance rule takes n, the
+    # depth and each pad (encode's --pad, prove's --pads, else 0), find's
+    # Campaign the fit of its first layer, and SolverConfig the timeout.
+    # The prefix and the solver are read before any file is opened, so a
     # command line that they make unusable leaves no --out file behind
     try:
+        if args.command in ("encode", "find", "prove"):
+            for pad in getattr(args, "pads", None) or [getattr(args, "pad", 0)]:
+                check_instance(args.n, args.depth, pad)
+        if args.command == "find":
+            report_mod.Campaign(args.n, args.depth, args.mode)
         args.instance = _instance(args) if args.command == "encode" else None
         args.config = _solver_config(args) if args.command in ("solve", "find", "prove") else None
     except (RuntimeError, ValueError) as exc:

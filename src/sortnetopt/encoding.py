@@ -170,11 +170,11 @@ class VarMap:
     and the rules it applies.
 
     The options are read here once, and n, d, opts.pad and opts.prefix
-    checked by the instance rule (networks.check_instance), with n <= 32
-    as inputs are packed into 32 bits.  The inputs kept are the windows of
-    opts.pad over the given set, one per prefix image: inputs whose images
-    coincide add identical value clauses, so only the smallest stays, the
-    first in an increasing set.  images holds their images under the
+    checked by the instance rule (networks.check_instance), n within the
+    enumeration cap.  The inputs kept are the windows of opts.pad over the
+    given set, one per prefix image: inputs whose images coincide add
+    identical value clauses, so only the smallest stays, the first in an
+    increasing set.  images holds their images under the
     prefix at level p, the prefix depth (the inputs themselves without a
     prefix), as an np.uint32 array: the clause fragments read them alone,
     so the formula is a function of its kept images.  inputs holds the
@@ -200,7 +200,7 @@ class VarMap:
     def __init__(self, n: int, d: int, inputs: np.ndarray | Sequence[int],
                  opts: EncodeOptions = EncodeOptions()):
         prefix = opts.prefix
-        check_instance(n, d, opts.pad, prefix, packed=True)
+        check_instance(n, d, opts.pad, prefix)
         self.n, self.d = n, d
         self.prefix = prefix
         p = self.prefix_depth = prefix.depth if prefix is not None else 0

@@ -119,20 +119,24 @@ def first_layer(n: int, style: str = "adjacent") -> Layer:
 
 
 def check_instance(n: int, depth: Optional[int] = None, pad: Optional[int] = None,
-                   prefix: Optional[Network] = None, packed: bool = False) -> None:
+                   prefix: Optional[Network] = None) -> None:
     """The instance rule: raise for the first rule that the given parts break.
 
     An instance asks for a depth-`depth` sorting network on n channels,
     its inputs windowed by pad and its first layers fixed to prefix
-    (report.Instance, encoding.VarMap).  A part left None is not checked,
-    nor are the rules that need it:
+    (report.Instance, encoding.VarMap).  Its inputs come from all 2**n,
+    so n is always checked:
+      - n >= 1;
+      - n <= MAX_ENUM_CHANNELS, the enumeration cap (ChannelCountError).
+    A part left None is not checked, nor are the rules that need it:
       - 0 <= pad < n;
       - depth >= 0;
       - the prefix has n channels (ChannelCountError);
-      - given a depth, the prefix is a standard network no deeper than it;
-      - with packed, n <= 32, as inputs are packed into 32 bits
-        (ChannelCountError).
+      - given a depth, the prefix is a standard network no deeper than it.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _check_enum(n)
     if pad is not None and not 0 <= pad < n:
         raise ValueError(f"pad must satisfy 0 <= pad < n = {n}, got {pad}")
     if depth is not None and depth < 0:
@@ -143,8 +147,6 @@ def check_instance(n: int, depth: Optional[int] = None, pad: Optional[int] = Non
         raise ValueError("fixed prefixes must be standard networks")
     if prefix is not None and depth is not None and prefix.depth > depth:
         raise ValueError(f"prefix depth {prefix.depth} exceeds network depth {depth}")
-    if packed and n > 32:
-        raise ChannelCountError(f"inputs are packed into 32 bits, got n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +215,11 @@ def unsorted_inputs(n: int, prefix: Optional[Network] = None) -> np.ndarray:
 
     An input set is an increasing np.uint32 array of packed vectors, here
     and on its way through windows and encoding.build to the VarMap.  Of
-    the instance rule (check_instance) it takes only the prefix's channel
+    the instance rule (check_instance) it takes n and the prefix's channel
     count: it has no depth, and it evaluates any prefix, generalized too.
     """
-    chunks = _chunks(n, prefix)
     check_instance(n, prefix=prefix)
-    out = [inputs[~_ascending_mask(images, n)] for inputs, images in chunks]
+    out = [inputs[~_ascending_mask(images, n)] for inputs, images in _chunks(n, prefix)]
     return np.concatenate(out)
 
 
@@ -227,10 +228,9 @@ def windows(xs: np.ndarray, pad: int, n: int) -> np.ndarray:
 
     xs is an input set, an increasing np.uint32 array (unsorted_inputs);
     pad 0 returns xs itself, any other pad the members it keeps, in order.
-    The pad and, when pad > 0, the packing of inputs into 32 bits are
-    checked by the instance rule (check_instance).
+    n and the pad are checked by the instance rule (check_instance).
     """
-    check_instance(n, pad=pad, packed=pad > 0)
+    check_instance(n, pad=pad)
     if pad == 0:
         return xs
     keep = np.zeros(len(xs), dtype=bool)

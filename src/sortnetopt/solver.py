@@ -106,7 +106,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.timeout > 0:   # NaN too
-            raise ValueError("timeout must be positive")
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
 
 
 def default_config(timeout: float = DEFAULT_TIMEOUT, executable: Optional[str] = None,

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from oracles import uncovered_layers
-from sortnetopt import campaign, cli, solver
+from sortnetopt import campaign, cli, solver, words
 from sortnetopt.campaign import (
     compute_T,
     default_pads,
@@ -30,8 +30,8 @@ from sortnetopt.campaign import (
     two_layer_prefixes,
 )
 from sortnetopt.encoding import Cnf, EncodeOptions, VarMap, build, to_dimacs
-from sortnetopt.networks import (Network, first_layer, is_sorting_network, network, outputs,
-                                 unsorted_inputs)
+from sortnetopt.networks import (ChannelCountError, Network, first_layer, is_sorting_network,
+                                 network, outputs, unsorted_inputs)
 from sortnetopt.report import (Campaign, CampaignResult, Instance, InstanceResult,
                                campaign_from_json, campaign_to_json)
 from sortnetopt.solver import _LIT_CHUNK, KNOWN_SOLVERS, SolverConfig, run_solver
@@ -700,6 +700,8 @@ def test_compute_t_small(solver_config):
     for n in (0, -1):
         with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
             compute_T(n, solver_config)
+    with pytest.raises(ChannelCountError, match="cap"):
+        compute_T(25, solver_config)
     value, campaigns = compute_T(7, solver_config)
     assert value == 6
     assert any(c.claim == "T(7) > 5" for c in campaigns)
@@ -1011,14 +1013,18 @@ def test_prefix_kinds_have_distinct_names_and_labels():
     ((6, 1, 0, two_layer_prefixes(6)[0]), "prefix depth 2 exceeds network depth 1"),
     ((6, 4, 0, network(5, first_layer(5))), "prefix has 5 channels, not n = 6"),
     ((6, 4, 0, Network(6, (((2, 1),),))), "must be standard"),
+    ((0, 4, 0), "n must be at least 1, got 0"),
+    ((25, 4, 0), "cap"),
 ])
 def test_instance_checks_itself(spec, message):
-    # Instance and VarMap check one rule, with one wording
+    # Instance and VarMap check one rule, with one wording; the inputs are
+    # made outside the check, so the VarMap itself must raise
     with pytest.raises(ValueError, match=message):
         Instance(*spec)
     n, depth, pad, prefix = (*spec, None)[:4]
+    xs = unsorted_inputs(6)
     with pytest.raises(ValueError, match=message):
-        VarMap(n, depth, unsorted_inputs(n), EncodeOptions(pad=pad, prefix=prefix))
+        VarMap(n, depth, xs, EncodeOptions(pad=pad, prefix=prefix))
 
 
 def test_campaign_checks_itself():
@@ -1031,6 +1037,10 @@ def test_campaign_checks_itself():
         Campaign(6, 4, "two_layer")
     with pytest.raises(ValueError, match="exceeds network depth 0"):
         Campaign(6, 0, "layer1")
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        Campaign(0, 2)
+    with pytest.raises(ChannelCountError, match="cap"):
+        Campaign(25, 5)
     assert Campaign(5, 4, "two-layer", (1, 3, 3, 7, 0)).pads == (3, 1, 0)
     assert Campaign(6, 4, "two-layer", [2]).instances() == \
            [Instance(6, 4, pad, p) for p in two_layer_prefixes(6) for pad in (2, 0)]
@@ -1038,6 +1048,20 @@ def test_campaign_checks_itself():
     assert Campaign(6, 4, "layer1", (2,)).instances() == \
            [Instance.layer1(6, 4, 2), Instance.layer1(6, 4)]
     assert Campaign(6, 4, "free").instances() == [Instance(6, 4)]
+
+
+def test_a_campaign_past_the_cap_starts_no_work(monkeypatch):
+    # every campaign entry point checks n before it walks R_n or resolves
+    # a solver: neither may run here
+    def refuse(*args, **kwargs):
+        raise AssertionError("no walk and no solver past the cap")
+
+    monkeypatch.setattr(words, "sentences", refuse)
+    monkeypatch.setattr(campaign, "default_config", refuse)
+    for start in (lambda: prove_lower_bound(25, 5), lambda: find_network_campaign(25, 5),
+                  lambda: compute_T(25)):
+        with pytest.raises(ChannelCountError, match="cap"):
+            start()
 
 
 @pytest.mark.parametrize("mode, label", [("free", None), ("layer1", "layer1")])
@@ -1189,22 +1213,28 @@ def test_cli_gen_streams_its_lines(tmp_path, monkeypatch):
 
 
 # Each row names its own id, so a row added anywhere renames no other; the
-# rows up to argv28 keep the ids that pytest once made from their positions.
+# rows up to argv28 keep the ids that pytest once made from their positions,
+# some of them from the CLI's own wording of a rule that the library now
+# states (check_instance, Campaign, SolverConfig), whose message the row
+# expects.
 USAGE_ERRORS = [
     pytest.param(["prove", "--n", "5", "--depth", "4", "--pads", "2,x"],
                  "argument --pads: expected", id="argv0-argument --pads: expected"),
     pytest.param(["encode", "--n", "5", "--depth", "3", "--pad", "5", "--out", "-"],
-                 "--pad must satisfy", id="argv1---pad must satisfy"),
+                 "pad must satisfy 0 <= pad < n = 5, got 5", id="argv1---pad must satisfy"),
     pytest.param(["encode", "--n", "5", "--depth", "3", "--pad", "-1", "--out", "-"],
-                 "--pad must satisfy", id="argv2---pad must satisfy"),
+                 "pad must satisfy 0 <= pad < n = 5, got -1", id="argv2---pad must satisfy"),
     pytest.param(["prove", "--n", "0", "--depth", "2"],
-                 "--n must be at least 1", id="argv3---n must be at least 1"),
+                 "n must be at least 1, got 0", id="argv3---n must be at least 1"),
     pytest.param(["encode", "--n", "25", "--depth", "3", "--out", "-"],
-                 "--n must be at most 24", id="argv4---n must be at most 24"),
+                 "2**25 input enumeration exceeds the n <= 24 cap",
+                 id="argv4---n must be at most 24"),
     pytest.param(["find", "--n", "25", "--depth", "3"],
-                 "--n must be at most 24", id="argv5---n must be at most 24"),
+                 "2**25 input enumeration exceeds the n <= 24 cap",
+                 id="argv5---n must be at most 24"),
     pytest.param(["prove", "--n", "25", "--depth", "3"],
-                 "--n must be at most 24", id="argv6---n must be at most 24"),
+                 "2**25 input enumeration exceeds the n <= 24 cap",
+                 id="argv6---n must be at most 24"),
     pytest.param(["encode", "--n", "6", "--depth", "3", "--prefix-index", "5", "--out", "-"],
                  "--prefix-index must satisfy 0 <= index < |R_6| = 5",
                  id="argv7---prefix-index must satisfy 0 <= index < |R_6| = 5"),
@@ -1224,12 +1254,12 @@ USAGE_ERRORS = [
                   "--prefix", '{"n": 4, "layers": [[1]]}'],
                  "lists of [i, j] integer pairs", id="argv12-lists of [i, j] integer pairs"),
     pytest.param(["solve", "--cnf", "x.cnf", "--timeout", "0"],
-                 "--timeout must be positive, got 0.0",
+                 "timeout must be positive, got 0.0",
                  id="argv13---timeout must be positive, got 0.0"),
     pytest.param(["find", "--n", "4", "--depth", "3", "--timeout", "-1"],
-                 "--timeout must be positive", id="argv14---timeout must be positive"),
+                 "timeout must be positive, got -1.0", id="argv14---timeout must be positive"),
     pytest.param(["prove", "--n", "5", "--depth", "4", "--timeout", "nan"],
-                 "--timeout must be positive", id="argv15---timeout must be positive"),
+                 "timeout must be positive, got nan", id="argv15---timeout must be positive"),
     pytest.param(["solve", "--cnf", "missing.cnf"],
                  "--cnf missing.cnf: ", id="argv16---cnf missing.cnf: "),
     pytest.param(["solve", "--cnf", "."], "--cnf .: ", id="argv17---cnf .: "),
@@ -1240,7 +1270,7 @@ USAGE_ERRORS = [
     pytest.param(["gen", "--n", "25", "--set", "sn", "--out", "-"],
                  "--set sn needs --n <= 24, got 25", id="argv20---set sn needs --n <= 24, got 25"),
     pytest.param(["find", "--n", "1", "--depth", "0", "--mode", "layer1"],
-                 "--mode layer1 needs --n >= 2", id="argv21---mode layer1 needs --n >= 2"),
+                 "first_layer needs n >= 2", id="argv21---mode layer1 needs --n >= 2"),
     pytest.param(["encode", "--n", "4", "--depth", "3", "--out", "-", "--prefix-index", "0",
                   "--prefix", '{"n": 4, "layers": [[[1, 2], [3, 4]]]}'],
                  "argument --prefix: not allowed with argument --prefix-index",
@@ -1255,12 +1285,13 @@ USAGE_ERRORS = [
                  "failed to launch solver '/nonexistent'",
                  id="argv25-failed to launch solver '/nonexistent'"),
     pytest.param(["find", "--n", "3", "--depth", "0", "--mode", "layer1"],
-                 "--mode layer1 needs --depth >= 1", id="argv26---mode layer1 needs --depth >= 1"),
+                 "prefix depth 1 exceeds network depth 0",
+                 id="argv26---mode layer1 needs --depth >= 1"),
     pytest.param(["prove", "--n", "5", "--depth", "4", "--pads", "9"],
-                 "--pads must satisfy 0 <= pad < n = 5, got 9",
+                 "pad must satisfy 0 <= pad < n = 5, got 9",
                  id="argv27---pads must satisfy 0 <= pad < n = 5, got 9"),
     pytest.param(["prove", "--n", "5", "--depth", "4", "--pads", "2,-1"],
-                 "--pads must satisfy 0 <= pad < n = 5, got -1",
+                 "pad must satisfy 0 <= pad < n = 5, got -1",
                  id="argv28---pads must satisfy 0 <= pad < n = 5, got -1"),
     pytest.param(["gen", "--n", "4", "--set", "gn", "--out", "/nonexistent/x"],
                  "--out /nonexistent/x: ", id="gen-out-cannot-open"),

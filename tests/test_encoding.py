@@ -371,7 +371,7 @@ def test_prefix_too_deep():
                    network(5, first_layer(5))):                # channel mismatch
         with pytest.raises(ValueError):
             build(4, 1, xs, EncodeOptions(prefix=prefix))
-    with pytest.raises(ChannelCountError, match="32 bits"):
+    with pytest.raises(ChannelCountError, match="cap"):
         VarMap(33, 1, [])
 
 

@@ -539,3 +539,57 @@ def test_campaigns_start_no_thread():
         assert not _imported_modules(tree) & pools, path.stem
         assert not {"Thread", "StopEvent", "Event"} & _names(tree), path.stem
         assert not _sync_calls(tree), path.stem
+
+
+def _compared_reads(tree: ast.AST, obj: str, attrs: set[str]) -> list[tuple[str, int]]:
+    """(attribute, line), in source order, for every read of obj.<attr>,
+    attr in attrs, that a comparison makes: off obj by attribute or
+    getattr, or through a loop variable that walks such a read (for x in
+    obj.attr)."""
+    def reads(node):
+        return {sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and sub.attr in attrs
+                and isinstance(sub.value, ast.Name) and sub.value.id == obj} | \
+               {sub.args[1].value for sub in ast.walk(node)
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                and sub.func.id == "getattr" and len(sub.args) >= 2
+                and isinstance(sub.args[0], ast.Name) and sub.args[0].id == obj
+                and isinstance(sub.args[1], ast.Constant) and sub.args[1].value in attrs}
+
+    walked = {}   # loop variable -> the attributes its loop walks
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)) and reads(node.iter):
+            for name in ast.walk(node.target):
+                if isinstance(name, ast.Name):
+                    walked[name.id] = reads(node.iter)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            hit = reads(node).union(*(walked[name] for name in names & walked.keys()))
+            found += [(attr, node.lineno) for attr in hit]
+    return sorted(found, key=lambda read: (read[1], read[0]))
+
+
+def test_compared_read_finder_sees_every_form():
+    source = (
+        "def f(args, other):\n"
+        "    if args.depth < 0 or other.pad > 1:\n"
+        "        return 1\n"
+        "    for pad in args.pads or ():\n"
+        "        if not 0 <= pad < args.n:\n"
+        "            return 2\n"
+        "    check(args.n, args.depth, args.pad)\n"
+        "    return getattr(args, 'timeout') > 0 and any(p < 0 for p in args.pads)\n")
+    assert _compared_reads(ast.parse(source), "args", {"depth", "pad", "pads", "timeout"}) == [
+        ("depth", 2), ("pads", 5), ("pads", 8), ("timeout", 8)]
+
+
+def test_the_cli_restates_no_rule_of_the_library():
+    # the instance rule (networks.check_instance), report.Campaign and
+    # solver.SolverConfig state what --n, --depth, --pad, --pads and
+    # --timeout may be, and the CLI hands their values to them: no
+    # comparison in cli reads those flags, and cli does not name the cap
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert _compared_reads(tree, "args", {"depth", "pad", "pads", "timeout"}) == []
+    assert "MAX_ENUM_CHANNELS" not in _references(tree) | _names(tree)

@@ -205,7 +205,7 @@ def test_windows_identity_and_bounds():
     assert windows(xs, 0, 4) is xs
     with pytest.raises(ValueError):
         windows(xs, 4, 4)
-    with pytest.raises(ChannelCountError, match="32 bits"):
+    with pytest.raises(ChannelCountError, match="cap"):
         windows(xs, 1, 33)
 
 
