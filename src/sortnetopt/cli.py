@@ -16,7 +16,12 @@ copies and removes nothing, and a --cnf that does not open is a usage
 error.  So is an --out that does not open, found before any work: prove
 never runs a campaign whose report it could not write.  The prefix and
 the solver are checked before --out, so a usage error leaves no new
---out file behind, and an existing one as it was.
+--out file behind, and an existing one as it was.  audit loads a report
+(report.campaign_from_json, which re-verifies its witnesses and audits
+its claim) and prints the claim.  find, prove and audit exit by the
+claim alone: 10 for T(n) <= d, 20 for T(n) > d, 30 for inconclusive.  A
+report that does not open or does not load is a usage error, found
+before any work, that carries the loader's message and its $ path.
 """
 
 from __future__ import annotations
@@ -111,10 +116,10 @@ def _solver_config(args) -> SolverConfig:
     return config
 
 
-def _claim_exit(camp: report_mod.CampaignResult, depth: int) -> int:
-    """The exit code of a campaign's claim about T(n) at this depth."""
-    exits = {(camp.n, ">", depth): EXIT_UNSAT, (camp.n, "<=", depth): EXIT_SAT}
-    return exits.get(report_mod.parse_claim(camp.claim), EXIT_INCONCLUSIVE)
+def _claim_exit(camp: report_mod.CampaignResult) -> int:
+    """The exit code of a campaign's claim, which it makes at its spec's depth."""
+    relation = (report_mod.parse_claim(camp.claim) or (None, None))[1]
+    return {">": EXIT_UNSAT, "<=": EXIT_SAT}.get(relation, EXIT_INCONCLUSIVE)
 
 
 def _cmd_solve(args) -> int:
@@ -133,14 +138,19 @@ def _cmd_find(args) -> int:
     witness, camp = campaign_mod.find_network_campaign(
         args.n, args.depth, args.mode, args.config, jobs=args.jobs)
     print(witness.to_json() if witness is not None else json.dumps({"claim": camp.claim}))
-    return _claim_exit(camp, args.depth)
+    return _claim_exit(camp)
 
 
 def _cmd_prove(args) -> int:
     camp = campaign_mod.prove_lower_bound(args.n, args.depth, args.pads, args.config,
                                           jobs=args.jobs)
     _write(args.out or "-", [report_mod.campaign_to_json(camp) + "\n"])
-    return _claim_exit(camp, args.depth)
+    return _claim_exit(camp)
+
+
+def _cmd_audit(args) -> int:
+    print(args.campaign.claim)
+    return _claim_exit(args.campaign)
 
 
 def _cmd_tables(args) -> int:
@@ -186,6 +196,11 @@ def _usage_error(args) -> str | None:
         args.config = _solver_config(args) if args.command in ("solve", "find", "prove") else None
     except (RuntimeError, ValueError) as exc:
         return str(exc)
+    if args.command == "audit":
+        try:
+            args.campaign = report_mod.campaign_from_json(Path(args.report).read_text())
+        except (OSError, ValueError) as exc:
+            return str(exc)
     # a file that does not open is found before any work.  --out is opened
     # to append, so a run that fails keeps an older report, and "-" is stdout
     for flag, mode in (("cnf", "rb"), ("out", "a")):
@@ -240,7 +255,7 @@ def main(argv=None) -> int:
 
     parsers["find"] = p = sub.add_parser("find", parents=[size, solving, jobs],
                                          help="search for a depth-d sorting network")
-    p.add_argument("--mode", choices=("free", "layer1", "two-layer"), default="two-layer")
+    p.add_argument("--mode", choices=report_mod.TASKS, default=report_mod.TASKS[0])
     p.set_defaults(func=_cmd_find)
 
     parsers["prove"] = p = sub.add_parser("prove", parents=[size, solving, jobs],
@@ -250,6 +265,10 @@ def main(argv=None) -> int:
                         "(default: n-d-1, then 0; 0 alone when n-d-1 < 2)")
     p.add_argument("--out", help="write the JSON campaign report here")
     p.set_defaults(func=_cmd_prove)
+
+    parsers["audit"] = p = sub.add_parser("audit", help="load a report and audit its claim")
+    p.add_argument("report", help="JSON campaign report, as prove --out writes it")
+    p.set_defaults(func=_cmd_audit)
 
     parsers["tables"] = p = sub.add_parser("tables", help="emit the count table as CSV")
     p.add_argument("--max-n", type=int, required=True)

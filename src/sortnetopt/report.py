@@ -43,10 +43,10 @@ crossing first layer or no prefix, the two that _evidence may read as
 covering every prefix (prefix_index null).
 
 A campaign is one spec too, Campaign(n, depth, tasks, pads), checked on
-construction: tasks is the kind of its prefixes, "two-layer" (every
-member of R_n, or one prefix-free task below depth 2), "layer1" (the
-crossing first layer) or "free" (no prefix), and the depth must hold that
-prefix.  The pads are kept as the distinct pads in 1..n-1, largest first,
+construction: tasks is the kind of its prefixes, one of TASKS:
+"two-layer" (every member of R_n, or one prefix-free task below depth
+2), "layer1" (the crossing first layer) or "free" (no prefix), and the
+depth must hold that prefix.  The pads are kept as the distinct pads in 1..n-1, largest first,
 then 0, so every task can end on the full input set.  Its instances are
 every task, in R_n order, at every pad: what the scheduler may run.
 
@@ -66,26 +66,34 @@ times zeroed, two runs of one campaign give the same report, unless it
 ends on a pad-0 SAT with jobs >= 2: a round whose solver is still
 running when that SAT is reaped is killed and not recorded, and which
 rounds those are depends on process timing, on how fast each solver
-ends (compute_T(9) records 23 or 24 instances).  The
-loader rebuilds each spec, so it rejects what no campaign could run: a
-pad outside 0..n-1, a prefix deeper than the depth, a label that is not
-the R_n sentence at its prefix_index, and "layer1" beside an index.
-Given a campaign key, it rebuilds the spec and rejects every instance the
-spec does not list: another depth, a pad outside the schedule, a prefix
-of another kind.  A report without the prefix or the campaign key loads
-as before; an "ordering" key, which older reports carry, is ignored.
+ends (compute_T(9) records 23 or 24 instances).
+
+The loader, campaign_from_json, states no rule of its own: it checks
+the types of a report's values and hands them to the types that state
+the rules, check_instance for n, Campaign, Instance and InstanceResult,
+reporting their messages at the value's $ path (_at).  Since it rebuilds
+each spec, it rejects what no campaign could run: a pad outside
+0..n-1, a prefix deeper than the depth, a label that is not the R_n
+sentence at its prefix_index, and "layer1" beside an index.  Given a
+campaign key, it rebuilds the spec and rejects every instance the spec
+does not list: another depth, a pad outside the schedule, a prefix of
+another kind.  What it adds is the audit: each witness is re-verified,
+and the claim must be the one _evidence makes (_audit_claim).  A report
+without the prefix or the campaign key loads as before; an "ordering"
+key, which older reports carry, is ignored.  `sortnetopt audit REPORT`
+is the loader's caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
-from .networks import (MAX_ENUM_CHANNELS, Network, _is_int, check_instance, first_layer,
-                       is_sorting_network)
+from .networks import Network, _is_int, check_instance, first_layer, is_sorting_network
 from .words import render_sentence, rn_networks, rn_sentences
 
 
@@ -139,17 +147,20 @@ class Instance:
         return f"n{self.n}d{self.depth}p{tag}w{self.pad}"
 
 
+TASKS = ("two-layer", "layer1", "free")   # a campaign's prefix kinds, the first its default
+
+
 @dataclass(frozen=True)
 class Campaign:
     """What a campaign runs, checked on construction; see the module
     docstring."""
     n: int
     depth: int
-    tasks: str = "two-layer"
+    tasks: str = TASKS[0]
     pads: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if self.tasks not in ("two-layer", "layer1", "free"):
+        if self.tasks not in TASKS:
             raise ValueError(f"unknown search mode {self.tasks!r}")
         check_instance(self.n, self.depth)
         if self.tasks == "layer1":
@@ -251,35 +262,49 @@ def _is_duration(value) -> bool:
     return _is_int(value) and value >= 0
 
 
+@contextlib.contextmanager
+def _at(loc: str, lead: str = ""):
+    """Re-raise a ValueError from the block as a document error at loc."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"campaign document: {lead}{exc} at {loc}") from None
+
+
 def _require(ok: bool, what: str, loc: str) -> None:
-    if not ok:
-        raise ValueError(f"campaign document: {what} at {loc}")
+    with _at(loc):
+        if not ok:
+            raise ValueError(what)
 
 
 def campaign_from_json(text: str) -> CampaignResult:
     """Parse and validate a campaign document; witnesses are re-verified
     and the claim is audited against the instances (see _audit_claim).
 
-    A malformed document, instance, n, claim, wall_time, campaign or
-    instance field raises ValueError naming its $ path: times must be
-    finite non-negative numbers, formula sizes non-negative integers, a
-    prefix_index null or an index into R_n, a prefix null or the spec's
-    label, a campaign one that Campaign accepts, a log a string, and a
-    witness, a standard network, must be present exactly on a SAT instance.
-    The spec is the R_n member at prefix_index, else the crossing first
-    layer for the label "layer1", else no prefix; one that Instance rejects,
-    or that the campaign does not list, is rejected at the instance's path.
-    Only depth, pad and verdict are required keys of an instance; a missing
-    log loads as "".
+    A document that is not JSON, or a malformed document, instance, n,
+    claim, wall_time, campaign or instance field, raises ValueError naming
+    its $ path.  The loader states no rule of its own: n is checked by
+    check_instance, a campaign by Campaign, a spec by Instance and a result
+    by InstanceResult, whose messages it reports at the path.  It checks
+    the types: times must be finite non-negative numbers, formula sizes
+    non-negative integers, a prefix_index null or an index into R_n, a
+    prefix null or the spec's label, a log a string, a verdict SAT, UNSAT
+    or TIMEOUT.  A witness must parse as a standard network that fits its
+    instance, and one at pad 0 must sort.  The spec is the R_n member at
+    prefix_index, else the crossing first layer for the label "layer1",
+    else no prefix; one that the campaign does not list is rejected at the
+    instance's path.  Only depth, pad and verdict are required keys of an
+    instance; a missing log loads as "".
     """
-    doc = json.loads(text)
+    with _at("$"):
+        doc = json.loads(text)
     _require(isinstance(doc, dict), "expected an object", "$")
     for key in ("n", "claim", "instances"):
         _require(key in doc, f"missing key {key!r}", "$")
-    # a campaign enumerates 2**n inputs, so no report has more channels than the cap
     n = doc["n"]
-    _require(_is_int(n) and 1 <= n <= MAX_ENUM_CHANNELS,
-             f"'n' must be an integer in 1..{MAX_ENUM_CHANNELS}, got {n!r}", "$.n")
+    _require(_is_int(n), f"'n' must be an integer, got {n!r}", "$.n")
+    with _at("$.n"):
+        check_instance(n)
     _require(isinstance(doc["claim"], str), f"'claim' must be a string, got {doc['claim']!r}",
              "$.claim")
     _require(isinstance(doc["instances"], list), "expected a list", "$.instances")
@@ -291,10 +316,8 @@ def campaign_from_json(text: str) -> CampaignResult:
         _require(isinstance(spec, dict) and isinstance(spec.get("pads"), list)
                  and all(map(_is_int, [spec.get("depth"), *spec["pads"]])),
                  f"'campaign' needs an integer depth and integer pads, got {spec!r}", "$.campaign")
-        try:
+        with _at("$.campaign"):
             spec = Campaign(n, spec["depth"], spec.get("tasks"), spec["pads"])
-        except ValueError as exc:
-            raise ValueError(f"campaign document: {exc} at $.campaign") from None
         listed = set(spec.instances())
     instances = []
     for pos, item in enumerate(doc["instances"]):
@@ -308,17 +331,12 @@ def campaign_from_json(text: str) -> CampaignResult:
         index, label = item.get("prefix_index"), item.get("prefix")
         _require(index is None or _is_int(index),
                  f"'prefix_index' must be an integer or null, got {index!r}", f"{loc}.prefix_index")
-        try:
+        with _at(f"{loc}.prefix_index", "'prefix_index' "):
             prefix = None if index is None else rn_prefix(n, index)
-        except ValueError as exc:
-            raise ValueError(f"campaign document: 'prefix_index' {exc} at {loc}.prefix_index") \
-                from None
-        try:
+        with _at(loc):
             inst = (Instance.layer1(n, item["depth"], item["pad"])
                     if index is None and label == "layer1"
                     else Instance(n, item["depth"], item["pad"], prefix))
-        except ValueError as exc:
-            raise ValueError(f"campaign document: {exc} at {loc}") from None
         _require(label is None or label == inst.label,
                  f"'prefix' must be null or {inst.label or 'layer1'!r} here, got {label!r}",
                  f"{loc}.prefix")
@@ -337,13 +355,9 @@ def campaign_from_json(text: str) -> CampaignResult:
                      f"{loc}.{key}")
         _require(isinstance(values["log"], str), f"'log' must be a string, got {values['log']!r}",
                  f"{loc}.log")
-        _require((values["witness"] is not None) == (values["verdict"] == "SAT"),
-                 "a witness must be present exactly for a SAT verdict", loc)
         if values["witness"] is not None:
-            try:
+            with _at(f"{loc}.witness"):
                 witness = values["witness"] = Network.from_json(json.dumps(values["witness"]))
-            except ValueError as exc:
-                raise ValueError(f"campaign document: {exc} at {loc}.witness") from None
             # a campaign decodes standard networks only, and only those are checked to sort
             _require(not witness.generalized, "witness is not a standard network", f"{loc}.witness")
             _require(witness.n == n and witness.depth <= inst.depth,
@@ -351,9 +365,11 @@ def campaign_from_json(text: str) -> CampaignResult:
                      f"does not fit the instance", loc)
             _require(inst.pad != 0 or is_sorting_network(witness),
                      "witness fails verification", loc)
-        instances.append(InstanceResult(inst, **values))
-    _audit_claim(doc["n"], doc["claim"], instances)
-    return CampaignResult(doc["n"], doc["claim"], instances, doc.get("wall_time", 0.0), spec)
+        with _at(loc):
+            instances.append(InstanceResult(inst, **values))
+    with _at("$.claim"):
+        _audit_claim(n, doc["claim"], instances)
+    return CampaignResult(n, doc["claim"], instances, doc.get("wall_time", 0.0), spec)
 
 
 def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> None:
@@ -366,16 +382,14 @@ def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> Non
         return
     parsed = parse_claim(claim)
     if parsed is None or parsed[0] != n:
-        raise ValueError(f"campaign document: unrecognised claim {claim!r} at $.claim")
+        raise ValueError(f"unrecognised claim {claim!r}")
     _, relation, d = parsed
     derived, witness, missing = _evidence(n, d, instances)
     if claim == derived:
         return
     if relation == "<=":
-        raise ValueError(f"campaign document: claim {claim!r} has no pad-0 witness "
-                         f"of depth <= {d}")
+        raise ValueError(f"claim {claim!r} has no pad-0 witness of depth <= {d}")
     if witness is not None:
-        raise ValueError(f"campaign document: claim {claim!r} is contradicted by a pad-0 "
-                         f"witness of depth {witness.depth} <= {d}")
-    raise ValueError(f"campaign document: claim {claim!r} lacks an UNSAT at depth {d} "
-                     f"for prefixes {missing}")
+        raise ValueError(f"claim {claim!r} is contradicted by a pad-0 witness of depth "
+                         f"{witness.depth} <= {d}")
+    raise ValueError(f"claim {claim!r} lacks an UNSAT at depth {d} for prefixes {missing}")

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import selectors
 import shlex
 import shutil
@@ -858,8 +859,10 @@ def test_campaign_json_keeps_formula_sizes(solver_config):
 def test_campaign_json_empty_and_errors():
     empty = CampaignResult(5, "inconclusive", [])
     assert campaign_from_json(campaign_to_json(empty)).instances == []
-    with pytest.raises(ValueError, match=r"\$"):
-        campaign_from_json('{"n": 5, "claim": "x"}')
+    # a document without a key, or text that is no JSON at all, is wrong at $
+    for text in ('{"n": 5, "claim": "x"}', "not json"):
+        with pytest.raises(ValueError, match=r"\$"):
+            campaign_from_json(text)
     bad = json.dumps({"n": 2, "claim": "x", "instances": [
         {"depth": 1, "pad": 0, "verdict": "MAYBE"}]})
     with pytest.raises(ValueError, match=r"instances\[0\]"):
@@ -873,106 +876,158 @@ SORTER4 = json.loads(network(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]).to
 REVERSED4 = {"n": 4, "layers": [[[2, 1]]]}
 
 
-@pytest.mark.parametrize("doc, where", [
-    (5, r"\$$"),
-    ([], r"\$$"),
-    ({"n": 4, "claim": "inconclusive", "instances": 3}, r"\$\.instances$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [1]}, r"\$\.instances\[0\]$"),
-    ({"n": "4", "claim": "inconclusive", "instances": []}, r"\$\.n$"),
-    ({"n": 0, "claim": "T(0) > 3", "instances": []}, r"\$\.n$"),
+# Malformed reports, each with the $ path (a regex anchored at the end of
+# the message) where the loader must place its error; the rows with
+# library rules carry the library's message (check_instance for n-0 and
+# n-40, InstanceResult for witness-on-unsat and sat-without-witness).
+# `sortnetopt audit` is run on every row too.
+MALFORMED_REPORTS = [
+    pytest.param(5, r"\$$", id="top-int"),
+    pytest.param([], r"\$$", id="top-list"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": 3},
+                 r"\$\.instances$", id="instances-int"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [1]},
+                 r"\$\.instances\[0\]$", id="instance-int"),
+    pytest.param({"n": "4", "claim": "inconclusive", "instances": []}, r"\$\.n$", id="n-str"),
+    pytest.param({"n": 0, "claim": "T(0) > 3", "instances": []}, r"\$\.n$", id="n-0"),
     # past the enumeration cap: rejected before R_40 would be walked for the claim
-    ({"n": 40, "claim": "T(40) > 3", "instances": []}, r"\$\.n$"),
-    ({"n": 4, "claim": 5, "instances": []}, r"\$\.claim$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "depth": 1.5}]},
-     r"\$\.instances\[0\]\.depth$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "pad": True}]},
-     r"\$\.instances\[0\]\.pad$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "prefix_index": "0"}]},
-     r"\$\.instances\[1\]\.prefix_index$"),
+    pytest.param({"n": 40, "claim": "T(40) > 3", "instances": []}, r"\$\.n$", id="n-40"),
+    pytest.param({"n": 4, "claim": 5, "instances": []}, r"\$\.claim$", id="claim-int"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "depth": 1.5}]},
+                 r"\$\.instances\[0\]\.depth$", id="depth-float"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "pad": True}]},
+                 r"\$\.instances\[0\]\.pad$", id="pad-bool"),
+    pytest.param({"n": 4, "claim": "inconclusive",
+                  "instances": [UNSAT, {**UNSAT, "prefix_index": "0"}]},
+                 r"\$\.instances\[1\]\.prefix_index$", id="prefix-index-str"),
     # an index past R_6 (|R_6| = 5), or below it, next to all five refutations
-    ({"n": 6, "claim": "T(6) > 4", "instances": R6_REFUTED + [{**UNSAT, "prefix_index": 99}]},
-     r"\$\.instances\[5\]\.prefix_index$"),
-    ({"n": 6, "claim": "T(6) > 4", "instances": R6_REFUTED + [{**UNSAT, "prefix_index": -1}]},
-     r"\$\.instances\[5\]\.prefix_index$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "verdict": "SAT", "witness": 5}]},
-     r"\$\.instances\[0\]\.witness$"),
+    pytest.param({"n": 6, "claim": "T(6) > 4",
+                  "instances": R6_REFUTED + [{**UNSAT, "prefix_index": 99}]},
+                 r"\$\.instances\[5\]\.prefix_index$", id="prefix-index-past-rn"),
+    pytest.param({"n": 6, "claim": "T(6) > 4",
+                  "instances": R6_REFUTED + [{**UNSAT, "prefix_index": -1}]},
+                 r"\$\.instances\[5\]\.prefix_index$", id="prefix-index-negative"),
+    pytest.param({"n": 4, "claim": "inconclusive",
+                  "instances": [{**UNSAT, "verdict": "SAT", "witness": 5}]},
+                 r"\$\.instances\[0\]\.witness$", id="witness-int"),
     # a reversed comparator, which no campaign decodes: at pad 0, where the
     # witness is checked to sort, and padded, where it is not
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "verdict": "SAT",
-                                                      "witness": REVERSED4}]},
-     r"\$\.instances\[0\]\.witness$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "pad": 2, "verdict": "SAT",
-                                                             "witness": REVERSED4}]},
-     r"\$\.instances\[1\]\.witness$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": "x"}]},
-     r"\$\.instances\[0\]\.encode_time$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": -0.5}]},
-     r"\$\.instances\[0\]\.encode_time$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "solve_time": True}]},
-     r"\$\.instances\[1\]\.solve_time$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "solve_time": None}]},
-     r"\$\.instances\[0\]\.solve_time$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "inputs_kept": 1.5}]},
-     r"\$\.instances\[0\]\.inputs_kept$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "vars": -3}]},
-     r"\$\.instances\[0\]\.vars$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "clauses": "7"}]},
-     r"\$\.instances\[0\]\.clauses$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "clauses": False}]},
-     r"\$\.instances\[0\]\.clauses$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "log": 5}]},
-     r"\$\.instances\[0\]\.log$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "depth": 3, "witness": SORTER4}]},
-     r"\$\.instances\[0\]$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [UNSAT, {**UNSAT, "verdict": "SAT"}]},
-     r"\$\.instances\[1\]$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [], "wall_time": None}, r"\$\.wall_time$"),
+    pytest.param({"n": 4, "claim": "inconclusive",
+                  "instances": [{**UNSAT, "verdict": "SAT", "witness": REVERSED4}]},
+                 r"\$\.instances\[0\]\.witness$", id="witness-generalized"),
+    pytest.param({"n": 4, "claim": "inconclusive",
+                  "instances": [UNSAT, {**UNSAT, "pad": 2, "verdict": "SAT",
+                                        "witness": REVERSED4}]},
+                 r"\$\.instances\[1\]\.witness$", id="witness-generalized-padded"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": "x"}]},
+                 r"\$\.instances\[0\]\.encode_time$", id="encode-time-str"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "encode_time": -0.5}]},
+                 r"\$\.instances\[0\]\.encode_time$", id="encode-time-negative"),
+    pytest.param({"n": 4, "claim": "inconclusive",
+                  "instances": [UNSAT, {**UNSAT, "solve_time": True}]},
+                 r"\$\.instances\[1\]\.solve_time$", id="solve-time-bool"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "solve_time": None}]},
+                 r"\$\.instances\[0\]\.solve_time$", id="solve-time-null"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "inputs_kept": 1.5}]},
+                 r"\$\.instances\[0\]\.inputs_kept$", id="inputs-kept-float"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "vars": -3}]},
+                 r"\$\.instances\[0\]\.vars$", id="vars-negative"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "clauses": "7"}]},
+                 r"\$\.instances\[0\]\.clauses$", id="clauses-str"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "clauses": False}]},
+                 r"\$\.instances\[0\]\.clauses$", id="clauses-bool"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "log": 5}]},
+                 r"\$\.instances\[0\]\.log$", id="log-int"),
+    pytest.param({"n": 4, "claim": "inconclusive",
+                  "instances": [{**UNSAT, "depth": 3, "witness": SORTER4}]},
+                 r"\$\.instances\[0\]$", id="witness-on-unsat"),
+    pytest.param({"n": 4, "claim": "inconclusive",
+                  "instances": [UNSAT, {**UNSAT, "verdict": "SAT"}]},
+                 r"\$\.instances\[1\]$", id="sat-without-witness"),
+    pytest.param({"n": 4, "claim": "inconclusive", "instances": [], "wall_time": None},
+                 r"\$\.wall_time$", id="wall-time-null"),
     # specs that no campaign could run: a lower bound resting on windows
     # outside 0..n-1, which have no formula, and a depth-2 prefix at depth 1
-    ({"n": 6, "claim": "T(6) > 4", "instances": [{**r, "pad": -3} for r in R6_REFUTED]},
-     r"\$\.instances\[0\]$"),
-    ({"n": 6, "claim": "T(6) > 4", "instances": [{**r, "pad": 9} for r in R6_REFUTED]},
-     r"\$\.instances\[0\]$"),
-    ({"n": 6, "claim": "inconclusive", "instances": [{**UNSAT, "prefix_index": 0}]},
-     r"\$\.instances\[0\]$"),
-    ({"n": 4, "claim": "inconclusive", "instances": [{**UNSAT, "depth": 0, "prefix": "layer1"}]},
-     r"\$\.instances\[0\]$"),
+    pytest.param({"n": 6, "claim": "T(6) > 4", "instances": [{**r, "pad": -3} for r in R6_REFUTED]},
+                 r"\$\.instances\[0\]$", id="pad-negative"),
+    pytest.param({"n": 6, "claim": "T(6) > 4", "instances": [{**r, "pad": 9} for r in R6_REFUTED]},
+                 r"\$\.instances\[0\]$", id="pad-past-n"),
+    pytest.param({"n": 6, "claim": "inconclusive", "instances": [{**UNSAT, "prefix_index": 0}]},
+                 r"\$\.instances\[0\]$", id="prefix-deeper-than-depth"),
+    pytest.param({"n": 4, "claim": "inconclusive",
+                  "instances": [{**UNSAT, "depth": 0, "prefix": "layer1"}]},
+                 r"\$\.instances\[0\]$", id="layer1-deeper-than-depth"),
     # a label that is not the R_6 sentence at its index (R_6[0] is 12_s;1212_c),
     # the first layer beside an index, and a sentence without one
-    ({"n": 6, "claim": "T(6) > 4",
-      "instances": [{**R6_REFUTED[0], "prefix": "12_s;1221_c"}] + R6_REFUTED[1:]},
-     r"\$\.instances\[0\]\.prefix$"),
-    ({"n": 6, "claim": "T(6) > 4",
-      "instances": [{**R6_REFUTED[0], "prefix": "layer1"}] + R6_REFUTED[1:]},
-     r"\$\.instances\[0\]\.prefix$"),
-    ({"n": 6, "claim": "inconclusive", "instances": [{**UNSAT, "prefix": "12_s;1212_c"}]},
-     r"\$\.instances\[0\]\.prefix$"),
+    pytest.param({"n": 6, "claim": "T(6) > 4",
+                  "instances": [{**R6_REFUTED[0], "prefix": "12_s;1221_c"}] + R6_REFUTED[1:]},
+                 r"\$\.instances\[0\]\.prefix$", id="label-not-the-sentence"),
+    pytest.param({"n": 6, "claim": "T(6) > 4",
+                  "instances": [{**R6_REFUTED[0], "prefix": "layer1"}] + R6_REFUTED[1:]},
+                 r"\$\.instances\[0\]\.prefix$", id="layer1-beside-index"),
+    pytest.param({"n": 6, "claim": "inconclusive",
+                  "instances": [{**UNSAT, "prefix": "12_s;1212_c"}]},
+                 r"\$\.instances\[0\]\.prefix$", id="sentence-without-index"),
     # instances that the campaign spec does not list: another depth, a pad
     # outside its schedule, a prefix of another kind; and a malformed spec
-    ({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
-      "instances": R6_REFUTED[:4] + [{**R6_REFUTED[4], "depth": 5}]}, r"\$\.instances\[4\]$"),
-    ({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
-      "instances": [R6_REFUTED[0], {**R6_REFUTED[1], "pad": 3}]}, r"\$\.instances\[1\]$"),
-    ({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
-      "instances": [{**UNSAT, "depth": 4, "prefix": "layer1"}]}, r"\$\.instances\[0\]$"),
-    ({"n": 6, "claim": "inconclusive", "campaign": {"depth": 4, "tasks": "two-layer"},
-      "instances": []}, r"\$\.campaign$"),
-    ({"n": 6, "claim": "inconclusive", "campaign": {**SPEC6, "tasks": "two_layer"},
-      "instances": []}, r"\$\.campaign$"),
-], ids=["top-int", "top-list", "instances-int", "instance-int", "n-str", "n-0", "n-40",
-        "claim-int", "depth-float", "pad-bool", "prefix-index-str", "prefix-index-past-rn",
-        "prefix-index-negative", "witness-int", "witness-generalized", "witness-generalized-padded",
-        "encode-time-str", "encode-time-negative", "solve-time-bool", "solve-time-null",
-        "inputs-kept-float", "vars-negative", "clauses-str", "clauses-bool", "log-int",
-        "witness-on-unsat", "sat-without-witness", "wall-time-null",
-        "pad-negative", "pad-past-n", "prefix-deeper-than-depth", "layer1-deeper-than-depth",
-        "label-not-the-sentence", "layer1-beside-index", "sentence-without-index",
-        "depth-not-the-spec", "pad-not-the-spec", "layer1-not-the-spec", "spec-without-pads",
-        "spec-unknown-tasks"])
+    pytest.param({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
+                  "instances": R6_REFUTED[:4] + [{**R6_REFUTED[4], "depth": 5}]},
+                 r"\$\.instances\[4\]$", id="depth-not-the-spec"),
+    pytest.param({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
+                  "instances": [R6_REFUTED[0], {**R6_REFUTED[1], "pad": 3}]},
+                 r"\$\.instances\[1\]$", id="pad-not-the-spec"),
+    pytest.param({"n": 6, "claim": "inconclusive", "campaign": SPEC6,
+                  "instances": [{**UNSAT, "depth": 4, "prefix": "layer1"}]},
+                 r"\$\.instances\[0\]$", id="layer1-not-the-spec"),
+    pytest.param({"n": 6, "claim": "inconclusive", "campaign": {"depth": 4, "tasks": "two-layer"},
+                  "instances": []},
+                 r"\$\.campaign$", id="spec-without-pads"),
+    pytest.param({"n": 6, "claim": "inconclusive", "campaign": {**SPEC6, "tasks": "two_layer"},
+                  "instances": []},
+                 r"\$\.campaign$", id="spec-unknown-tasks"),
+]
+# pytest would suffix a repeated id, renaming the row that held it first
+assert len({row.id for row in MALFORMED_REPORTS}) == len(MALFORMED_REPORTS)
+
+
+@pytest.mark.parametrize("doc, where", MALFORMED_REPORTS)
 def test_campaign_json_malformed_is_value_error(doc, where):
     # every malformed report is a ValueError that names where it is wrong
     with pytest.raises(ValueError, match=where):
         campaign_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, where", MALFORMED_REPORTS)
+def test_cli_audit_rejects_a_malformed_report(doc, where, tmp_path, capsys):
+    # a report that does not load is a usage error (exit 2, one line, no
+    # traceback) that ends in the loader's $ path
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["audit", str(path)])
+    out, err = capsys.readouterr()
+    assert stop.value.code == 2
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].startswith("sortnetopt audit: error: campaign document: ")
+    assert re.search(where, err.splitlines()[-1])
+
+
+def test_cli_audit_exits_by_the_claim(tmp_path, capsys):
+    # audit prints the claim of a report that loads and exits as prove
+    # would: 10 for an upper bound, 30 for no claim; a missing file is a
+    # usage error
+    path = tmp_path / "report.json"
+    sat = {"prefix_index": 0, "depth": 3, "pad": 0, "verdict": "SAT", "witness": SORTER4}
+    for claim, instances, code in [("T(4) <= 3", [sat], 10), ("inconclusive", [UNSAT], 30)]:
+        path.write_text(json.dumps({"n": 4, "claim": claim, "instances": instances}))
+        assert cli.main(["audit", str(path)]) == code
+        assert capsys.readouterr().out == claim + "\n"
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["audit", str(tmp_path / "missing.json")])
+    out, err = capsys.readouterr()
+    assert stop.value.code == 2
+    assert out == "" and "Traceback" not in err
+    assert "missing.json" in err.splitlines()[-1]
 
 
 def test_campaign_json_keys_are_the_instance_fields():
@@ -1505,9 +1560,9 @@ def test_the_tree_holds_one_refsat_source():
 
 
 @needs_cc
-def test_cli_prove_builds_its_own_solver(tmp_path, monkeypatch):
+def test_cli_prove_builds_its_own_solver(tmp_path, monkeypatch, capsys):
     # with no SAT_SOLVER and no known solver, prove builds refsat and
-    # refutes every prefix of R_7 at depth 5
+    # refutes every prefix of R_7 at depth 5; audit reads the claim back
     monkeypatch.delenv("SAT_SOLVER", raising=False)
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setenv("PATH", os.pathsep.join([str(Path(shutil.which("cc")).parent), "/bin"]))
@@ -1515,6 +1570,8 @@ def test_cli_prove_builds_its_own_solver(tmp_path, monkeypatch):
     assert cli.main(["prove", "--n", "7", "--depth", "5", "--jobs", "2", "--out", str(report)]) == 20
     camp = campaign_from_json(report.read_text())
     assert camp.claim == "T(7) > 5" and len(camp.instances) == 8
+    assert cli.main(["audit", str(report)]) == 20
+    assert capsys.readouterr().out == "T(7) > 5\n"
 
 
 def test_cli_solve_failure_leaves_nothing_and_shows_the_log(tmp_path, monkeypatch, capsys):

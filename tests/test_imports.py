@@ -374,7 +374,6 @@ def test_public_definition_finder_sees_every_form():
 # them.  Each entry says why it stays, or names the direction of ROADMAP.md
 # that gives it a caller or moves it out.
 TEST_ONLY_NAMES = {
-    "campaign_from_json",    # 7 (`sortnetopt audit`) or 13 (`sortnetopt compute`)
     "permute_vectors",       # 10: the cover; the oracles' subsumption check reads it
     "reflect",               # 10: the cover
     "saturate",              # 10: the cover
@@ -592,4 +591,12 @@ def test_the_cli_restates_no_rule_of_the_library():
     # comparison in cli reads those flags, and cli does not name the cap
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     assert _compared_reads(tree, "args", {"depth", "pad", "pads", "timeout"}) == []
+    assert "MAX_ENUM_CHANNELS" not in _references(tree) | _names(tree)
+
+
+def test_the_report_loader_states_no_rule_of_its_own():
+    # the loader hands n to the instance rule, whose message it reports at
+    # $.n, and does not name the cap itself
+    tree = ast.parse((PACKAGE / "report.py").read_text())
+    assert "campaign_from_json" in _callers(tree, "check_instance")
     assert "MAX_ENUM_CHANNELS" not in _references(tree) | _names(tree)
