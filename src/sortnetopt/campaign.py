@@ -43,7 +43,6 @@ also states why the claims it makes hold.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import replace
 from functools import lru_cache
@@ -241,12 +240,14 @@ def prove_lower_bound(n: int, d_prime: int,
     """Try to prove T(n) > d_prime by refuting every prefix in R_n.
 
     Each prefix descends the pad schedule, which goes into the Campaign
-    spec as given: the spec keeps the distinct pads below n, largest first,
-    and ends at 0.  The default, default_pads(n, d_prime), tries windows of
-    width d_prime + 1 (pad n - d_prime - 1, when that is at least 2) once
-    and then the full input set; see default_pads for the measurements
-    behind it.  A padded UNSAT refutes the prefix, and a padded SAT falls
-    through to pad 0, so the schedule never changes a claim.
+    spec as given: the spec checks every pad by the instance rule, so a pad
+    outside 0..n-1 raises ValueError before any solver starts, and keeps
+    the distinct pads, largest first, ending at 0.  The default,
+    default_pads(n, d_prime), tries windows of width d_prime + 1 (pad
+    n - d_prime - 1, when that is at least 2) once and then the full input
+    set; see default_pads for the measurements behind it.  A padded UNSAT
+    refutes the prefix, and a padded SAT falls through to pad 0, so the
+    schedule never changes a claim.
     """
     pads = default_pads(n, d_prime) if pad_schedule is None else pad_schedule
     return _campaign(Campaign(n, d_prime, "two-layer", pads), config or default_config(), jobs)[1]
@@ -288,7 +289,7 @@ def compute_T(n: int, config: Optional[SolverConfig] = None,
         return _campaign(Campaign(n, d, pads=default_pads(n, d)), config, jobs, first, prior)
 
     probes: dict[int, CampaignResult] = {}
-    d = max(1, math.ceil(math.log2(n)))
+    d = (n - 1).bit_length()
     while True:
         witness, probe = run(d, first=jobs)
         if witness is not None:

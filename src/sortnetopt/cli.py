@@ -3,8 +3,9 @@
 Exit codes: 0 = conclusive, 2 = usage error, 10 = SAT found, 20 = UNSAT
 proven, 30 = inconclusive.  A usage error that breaks a rule of the
 library carries the library's message: the instance rule
-(networks.check_instance) for --n, --depth, --pad and each --pads entry,
-report.Campaign for find's first layer, solver.SolverConfig for
+(networks.check_instance) for encode's --n, --depth and --pad,
+report.Campaign for find's and prove's spec (which hands --n, --depth
+and each --pads entry to the instance rule), solver.SolverConfig for
 --timeout.  The CLI states only its own rules: gen's set limits, --jobs
 at least 1, and that --cnf and --out open.  The solving subcommands
 (solve, find, prove) run the binary named by --solver; without --solver
@@ -181,17 +182,16 @@ def _usage_error(args) -> str | None:
             return f"--set sn needs --n <= {most}, got {args.n}"
     if args.command in ("find", "prove") and args.jobs < 1:
         return f"--jobs must be at least 1, got {args.jobs}"
-    # the library states the other rules: the instance rule takes n, the
-    # depth and each pad (encode's --pad, prove's --pads, else 0), find's
-    # Campaign the fit of its first layer, and SolverConfig the timeout.
-    # The prefix and the solver are read before any file is opened, so a
-    # command line that they make unusable leaves no --out file behind
+    # the library states the other rules: the instance rule takes encode's
+    # n, depth and pad before --prefix-index walks R_n, find's and prove's
+    # Campaign their spec, and SolverConfig the timeout.  The prefix and
+    # the solver are read before any file is opened, so a command line
+    # that they make unusable leaves no --out file behind
     try:
-        if args.command in ("encode", "find", "prove"):
-            for pad in getattr(args, "pads", None) or [getattr(args, "pad", 0)]:
-                check_instance(args.n, args.depth, pad)
-        if args.command == "find":
-            report_mod.Campaign(args.n, args.depth, args.mode)
+        if args.command == "encode":
+            check_instance(args.n, args.depth, args.pad)
+        if args.command in ("find", "prove"):
+            report_mod.Campaign(args.n, args.depth, args.mode, args.pads or ())
         args.instance = _instance(args) if args.command == "encode" else None
         args.config = _solver_config(args) if args.command in ("solve", "find", "prove") else None
     except (RuntimeError, ValueError) as exc:
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     parsers["find"] = p = sub.add_parser("find", parents=[size, solving, jobs],
                                          help="search for a depth-d sorting network")
     p.add_argument("--mode", choices=report_mod.TASKS, default=report_mod.TASKS[0])
-    p.set_defaults(func=_cmd_find)
+    p.set_defaults(func=_cmd_find, pads=None)
 
     parsers["prove"] = p = sub.add_parser("prove", parents=[size, solving, jobs],
                                           help="lower-bound campaign over R_n")
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
                    help="comma-separated pad schedule, largest first "
                         "(default: n-d-1, then 0; 0 alone when n-d-1 < 2)")
     p.add_argument("--out", help="write the JSON campaign report here")
-    p.set_defaults(func=_cmd_prove)
+    p.set_defaults(func=_cmd_prove, mode=report_mod.TASKS[0])
 
     parsers["audit"] = p = sub.add_parser("audit", help="load a report and audit its claim")
     p.add_argument("report", help="JSON campaign report, as prove --out writes it")

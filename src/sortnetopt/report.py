@@ -46,9 +46,11 @@ A campaign is one spec too, Campaign(n, depth, tasks, pads), checked on
 construction: tasks is the kind of its prefixes, one of TASKS:
 "two-layer" (every member of R_n, or one prefix-free task below depth
 2), "layer1" (the crossing first layer) or "free" (no prefix), and the
-depth must hold that prefix.  The pads are kept as the distinct pads in 1..n-1, largest first,
-then 0, so every task can end on the full input set.  Its instances are
-every task, in R_n order, at every pad: what the scheduler may run.
+depth must hold that prefix.  Each pad, and 0, is checked by the
+instance rule, so a pad outside 0..n-1 raises its message; the pads are
+kept distinct, largest first, then 0, so every task can end on the full
+input set.  Its instances are every task, in R_n order, at every pad:
+what the scheduler may run.
 
 A report is one JSON object: n, the claim, the campaign spec as
 {"depth", "tasks", "pads"}, the wall time and the instances.  An
@@ -73,12 +75,13 @@ the types of a report's values and hands them to the types that state
 the rules, check_instance for n, Campaign, Instance and InstanceResult,
 reporting their messages at the value's $ path (_at).  Since it rebuilds
 each spec, it rejects what no campaign could run: a pad outside
-0..n-1, a prefix deeper than the depth, a label that is not the R_n
-sentence at its prefix_index, and "layer1" beside an index.  Given a
-campaign key, it rebuilds the spec and rejects every instance the spec
-does not list: another depth, a pad outside the schedule, a prefix of
-another kind.  What it adds is the audit: each witness is re-verified,
-and the claim must be the one _evidence makes (_audit_claim).  A report
+0..n-1, in an instance or in the campaign's pads, a prefix deeper than
+the depth, a label that is not the R_n sentence at its prefix_index,
+and "layer1" beside an index.  Given a campaign key, it rebuilds the
+spec and rejects every instance the spec does not list: another depth,
+a pad outside the schedule, a prefix of another kind.  What it adds is
+the audit: each witness is re-verified, and the claim must be the one
+_evidence makes (_audit_claim).  A report
 without the prefix or the campaign key loads as before; an "ordering"
 key, which older reports carry, is ignored.  `sortnetopt audit REPORT`
 is the loader's caller.
@@ -152,8 +155,8 @@ TASKS = ("two-layer", "layer1", "free")   # a campaign's prefix kinds, the first
 
 @dataclass(frozen=True)
 class Campaign:
-    """What a campaign runs, checked on construction; see the module
-    docstring."""
+    """What a campaign runs, checked on construction: its depth and every
+    pad by the instance rule; see the module docstring."""
     n: int
     depth: int
     tasks: str = TASKS[0]
@@ -162,11 +165,11 @@ class Campaign:
     def __post_init__(self):
         if self.tasks not in TASKS:
             raise ValueError(f"unknown search mode {self.tasks!r}")
-        check_instance(self.n, self.depth)
+        for pad in (*self.pads, 0):
+            check_instance(self.n, self.depth, pad)
         if self.tasks == "layer1":
             Instance.layer1(self.n, self.depth)   # the first layer must fit the depth
-        pads = sorted({p for p in self.pads if 0 < p < self.n}, reverse=True)
-        object.__setattr__(self, "pads", (*pads, 0))
+        object.__setattr__(self, "pads", (*sorted(set(self.pads) - {0}, reverse=True), 0))
 
     def instances(self) -> list[Instance]:
         """Every spec the campaign may run: its tasks in R_n order, each
@@ -392,4 +395,5 @@ def _audit_claim(n: int, claim: str, instances: Sequence[InstanceResult]) -> Non
     if witness is not None:
         raise ValueError(f"claim {claim!r} is contradicted by a pad-0 witness of depth "
                          f"{witness.depth} <= {d}")
-    raise ValueError(f"claim {claim!r} lacks an UNSAT at depth {d} for prefixes {missing}")
+    raise ValueError(f"claim {claim!r} lacks an UNSAT at depth {d} for {len(missing)} "
+                     f"prefixes, the first {missing[:10]}")

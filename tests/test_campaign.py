@@ -985,6 +985,10 @@ MALFORMED_REPORTS = [
     pytest.param({"n": 6, "claim": "inconclusive", "campaign": {**SPEC6, "tasks": "two_layer"},
                   "instances": []},
                  r"\$\.campaign$", id="spec-unknown-tasks"),
+    # a pad schedule that no campaign on 5 channels could run
+    pytest.param({"n": 5, "claim": "inconclusive",
+                  "campaign": {"depth": 4, "tasks": "two-layer", "pads": [9, 0]}, "instances": []},
+                 r"\$\.campaign$", id="campaign-pad-out-of-range"),
 ]
 # pytest would suffix a repeated id, renaming the row that held it first
 assert len({row.id for row in MALFORMED_REPORTS}) == len(MALFORMED_REPORTS)
@@ -1083,9 +1087,9 @@ def test_instance_checks_itself(spec, message):
 
 
 def test_campaign_checks_itself():
-    # a campaign spec is checked when it is made, its pads normalised as
-    # every task walks them, and it lists its instances task by task in
-    # R_n order
+    # a campaign spec is checked when it is made, each pad by the instance
+    # rule and the pads then normalised as every task walks them, and it
+    # lists its instances task by task in R_n order
     with pytest.raises(ValueError, match="depth must be at least 0"):
         Campaign(6, -1)
     with pytest.raises(ValueError, match="unknown search mode 'two_layer'"):
@@ -1096,7 +1100,12 @@ def test_campaign_checks_itself():
         Campaign(0, 2)
     with pytest.raises(ChannelCountError, match="cap"):
         Campaign(25, 5)
-    assert Campaign(5, 4, "two-layer", (1, 3, 3, 7, 0)).pads == (3, 1, 0)
+    assert Campaign(5, 4, "two-layer", (1, 3, 3, 4, 0)).pads == (4, 3, 1, 0)
+    with pytest.raises(ValueError, match="pad must satisfy 0 <= pad < n = 5, got 7"):
+        Campaign(5, 4, "two-layer", (1, 7, 0))
+    # a campaign runs its pads as given or not at all: no solver starts
+    with pytest.raises(ValueError, match="got 7"):
+        prove_lower_bound(5, 4, [7, 0], SolverConfig("/nonexistent/solver"))
     assert Campaign(6, 4, "two-layer", [2]).instances() == \
            [Instance(6, 4, pad, p) for p in two_layer_prefixes(6) for pad in (2, 0)]
     assert Campaign(6, 1).instances() == [Instance(6, 1)]
@@ -1175,6 +1184,15 @@ def test_campaign_json_claim_audited():
         campaign_from_json(doc("T(4) > 3", *at3, sat))
     with pytest.raises(ValueError, match="unrecognised claim"):
         campaign_from_json(doc("T(04) > 3", *at3))
+
+
+def test_campaign_json_audit_counts_the_missing_prefixes():
+    # a lower bound that lacks every prefix of R_24 (|R_24| = 3848) says how
+    # many it lacks and names the first few, not all of them
+    doc = json.dumps({"n": 24, "claim": "T(24) > 3", "instances": []})
+    with pytest.raises(ValueError, match="lacks an UNSAT at depth 3") as error:
+        campaign_from_json(doc)
+    assert "3848" in str(error.value) and len(str(error.value).encode()) < 300
 
 
 def test_instance_result_witness_invariant():

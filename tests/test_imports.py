@@ -600,3 +600,11 @@ def test_the_report_loader_states_no_rule_of_its_own():
     tree = ast.parse((PACKAGE / "report.py").read_text())
     assert "campaign_from_json" in _callers(tree, "check_instance")
     assert "MAX_ENUM_CHANNELS" not in _references(tree) | _names(tree)
+
+
+def test_the_campaign_spec_states_no_pad_rule_of_its_own():
+    # Campaign hands every pad to the instance rule and compares none
+    # itself, so a pad it would drop is one that no campaign runs
+    tree = ast.parse((PACKAGE / "report.py").read_text())
+    assert _compared_reads(tree, "self", {"pads"}) == []
+    assert "Campaign.__post_init__" in _callers(tree, "check_instance")
